@@ -191,11 +191,9 @@ def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice)
     """MMSE-scale, subtract the dither, fold, then decode to the nearest
     fine point and fold again. Returns the exact codeword estimate."""
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
-    if isinstance(y, np.ndarray) or isinstance(dither, np.ndarray):
-        v = alpha * np.asarray(y, dtype=np.float64) - np.asarray(dither, dtype=np.float64)
-    else:
-        af = Fraction(alpha)
-        v = tuple(af * yi - ui for yi, ui in zip(exact_vector(y), exact_vector(dither)))
+    if not (isinstance(y, np.ndarray) or isinstance(dither, np.ndarray)):
+        return decode_weak_exact(y, dither, alpha, lattice)
+    v = alpha * np.asarray(y, dtype=np.float64) - np.asarray(dither, dtype=np.float64)
     folded = lattice.mod_coarse(v)
     fine = lattice.quantize_fine(folded)
     return lattice.mod_coarse(fine)

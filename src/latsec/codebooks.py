@@ -18,7 +18,7 @@ from .errors import (
     NonDivisibleBins,
     ValidationError,
 )
-from .infotheory import points_of, to_integer_grid
+from .infotheory import sum_structure
 from .lattices import ConstructionALattice
 
 
@@ -43,7 +43,6 @@ class Codebook:
         self.n = lattice.n
         self._index = None
         self._float = None
-        self._grid = False
 
     def __len__(self):
         return len(self.points)
@@ -77,14 +76,6 @@ class Codebook:
             )
         return self._float
 
-    def int_grid(self):
-        """(matrix, denominator) with points == matrix / denominator, or None
-        when the points do not fit a shared small-denominator integer grid."""
-        if self._grid is False:
-            g = to_integer_grid([self.points])
-            self._grid = None if g is None else (g[0][0], g[1])
-        return self._grid
-
 
 def enumerate_codebook(lattice: ConstructionALattice, budget: int = 10**6) -> Codebook:
     """All coset representatives, ordered by message index."""
@@ -99,22 +90,7 @@ def enumerate_codebook(lattice: ConstructionALattice, budget: int = 10**6) -> Co
 
 def minkowski_sum(a, b, budget: int = 10**6):
     """Distinct pairwise sums {x + y}, as a lexicographically sorted tuple."""
-    pa, pb = points_of(a), points_of(b)
-    if not pa or not pb:
-        raise EmptyCodebook("point sets must be non-empty")
-    if len(pa[0]) != len(pb[0]):
-        raise DimensionMismatch(f"dimensions {len(pa[0])} and {len(pb[0])} differ")
-    if len(pa) * len(pb) > budget:
-        raise BudgetExceeded(f"{len(pa)}*{len(pb)} pair sums exceed budget {budget}")
-    grid = to_integer_grid([pa, pb])
-    if grid is not None:
-        (ga, gb), den = grid
-        n = ga.shape[1]
-        sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, n)
-        uniq = np.unique(sums, axis=0)
-        return tuple(tuple(Fraction(int(v), den) for v in row) for row in uniq)
-    seen = {tuple(u + v for u, v in zip(x, y)) for x in pa for y in pb}
-    return tuple(sorted(seen))
+    return sum_structure(a, b, budget).sum_points
 
 
 @dataclass(frozen=True)

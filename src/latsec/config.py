@@ -20,6 +20,7 @@ matrices, strings such as ``"3/2"`` for rationals).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -271,6 +272,10 @@ def _validate(kind: str, values: dict[str, Any]) -> None:
     for field in ("power", "power1", "power2"):
         if field in values and not values[field] > 0:
             bad(field, "must be positive")
+    # power1/power2 keep inf, which means "leave the layer unscaled"
+    for field in ("a", "b", "power"):
+        if field in values and math.isinf(values[field]):
+            bad(field, "must be finite")
     for field in ("noise_var", "ne"):
         if field in values and not values[field] >= 0:
             bad(field, "must be nonnegative")

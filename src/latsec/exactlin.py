@@ -1,13 +1,9 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact integer determinants, used to check that a transform is unimodular.
 
-Small dense matrices as tuples of row tuples. Integer determinants use
-fraction-free (Bareiss) elimination; inverses use Fraction Gaussian
-elimination. No floating point anywhere in this module.
+Fraction-free (Bareiss) elimination on Python ints; no floating point.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def det_int(rows) -> int:
@@ -29,107 +25,3 @@ def det_int(rows) -> int:
             m[i][t] = 0
         prev = m[t][t]
     return sign * m[n - 1][n - 1]
-
-
-def inv_fraction(rows):
-    """Exact inverse of a square matrix, as a tuple of Fraction row tuples."""
-    n = len(rows)
-    m = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[c], m[pivot] = m[pivot], m[c]
-        pv = m[c][c]
-        m[c] = [v / pv for v in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def matvec(rows, vec):
-    return tuple(sum(r * v for r, v in zip(row, vec)) for row in rows)
-
-
-def matmul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def column(rows, j):
-    return tuple(row[j] for row in rows)
-
-
-def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def column_lattice_basis(cols, n):
-    """Basis of the integer lattice spanned by the given integer columns.
-
-    Args:
-        cols: iterable of integer vectors (length n each) that span a rank-n
-            lattice.
-        n: ambient dimension.
-
-    Returns:
-        List of n integer columns; column i has zeros above row i and a
-        nonzero entry at row i, so the basis matrix is lower triangular up
-        to the natural row order.
-
-    Uses Euclidean column reduction, one pivot row at a time.
-    """
-    work = [list(c) for c in cols]
-    basis = []
-    for row in range(n):
-        live = [c for c in work if c[row] != 0]
-        while len(live) > 1:
-            live.sort(key=lambda c: abs(c[row]))
-            a = live[0]
-            for b in live[1:]:
-                f = b[row] // a[row]
-                if f:
-                    for t in range(n):
-                        b[t] -= f * a[t]
-            live = [c for c in work if c[row] != 0]
-        if not live:
-            raise ValueError("columns do not span a rank-n lattice")
-        pivot = live[0]
-        work.remove(pivot)
-        basis.append([int(v) for v in pivot])
-    return basis
-
-
-def gram_schmidt(cols):
-    """Gram-Schmidt orthogonalisation without normalisation, exact.
-
-    Args:
-        cols: sequence of linearly independent Fraction vectors.
-
-    Returns:
-        (ghat, mu, q): orthogonal vectors ghat_j, coefficients mu[j][l] for
-        l < j with col_j = ghat_j + sum_l mu[j][l] ghat_l, and squared norms
-        q[j] = ||ghat_j||^2 as Fractions.
-    """
-    n = len(cols)
-    ghat = []
-    q = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for j, b in enumerate(cols):
-        g = [Fraction(v) for v in b]
-        for l in range(j):
-            m = dot(b, ghat[l]) / q[l]
-            mu[j][l] = m
-            gl = ghat[l]
-            for t in range(len(g)):
-                g[t] -= m * gl[t]
-        g = tuple(g)
-        norm = dot(g, g)
-        if norm == 0:
-            raise ValueError("basis vectors are linearly dependent")
-        ghat.append(g)
-        q.append(norm)
-    return ghat, mu, q

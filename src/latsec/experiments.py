@@ -41,7 +41,7 @@ from .codebooks import (
     enumerate_codebook,
     scale_to_power,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ValidationError
 from .infotheory import (
     entropy_from_counts,
     joint_bin_sum,
@@ -424,7 +424,7 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
         raise BudgetExceeded(f"{size}^2 pair sums exceed budget {budget}")
     shape = _matched_lattice_shape(size)
     if shape is None:
-        raise ValueError(f"no prime power matches codebook size {size}")
+        raise ValidationError("size", f"no prime power matches codebook size {size}")
     p, k = shape
     rows = []
     for seed in seeds:

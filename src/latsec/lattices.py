@@ -1,29 +1,33 @@
 """Construction-A nested lattice pairs with exact rational geometry.
 
 The fine lattice lifts a length-n linear code over GF(p) given by the
-columns of an n x k matrix, then applies a unimodular integer transform
+columns of an n x k matrix G, then applies a unimodular integer transform T
 and a positive rational scale:
 
     fine   = scale * T * (code_span / p + Z^n)
     coarse = scale * T * Z^n
 
-Every fine point has coordinates in (scale / p) * Z^n, so exact arithmetic
-stays in Fractions end to end. Quantisation is a true closest-point search
-with a deterministic tie rule (lexicographically smallest residual), which
-makes the induced fundamental cell half-open.
+Because T is unimodular, the coarse lattice is scale * Z^n and the fine
+lattice is (scale / p) * (C' + p Z^n), with C' the code spanned by T G mod p.
+Both are integer grids over the unit scale / p, so exact arithmetic stays in
+Fractions end to end. The coarse quantiser rounds each coordinate; the fine
+quantiser rounds inside each coset of p Z^n (one per codeword of C') and
+keeps the nearest (Conway & Sloane, SPLAG ch. 20). Ties go to the
+lexicographically smallest residual, which makes the induced fundamental
+cell half-open.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from . import gfp
-from .cvp import NearestPointSolver
 from .errors import NonPositiveScale, NotPrime, NotUnimodular, RankDeficientG
-from .exactlin import column, column_lattice_basis, det_int, inv_fraction, matvec
+from .exactlin import det_int
 
 Point = tuple  # tuple of Fractions; alias for readability in signatures
 
@@ -47,6 +51,12 @@ def exact_vector(x) -> tuple:
         else:
             out.append(Fraction(v))
     return tuple(out)
+
+
+def _round_half_up(num: int, den: int) -> int:
+    """floor(num / den + 1/2) for den > 0: the nearest integer, halves
+    rounded up, which leaves the smaller residual -1/2."""
+    return (2 * num + den) // (2 * den)
 
 
 def _has_float(x) -> bool:
@@ -112,10 +122,12 @@ class ConstructionALattice:
         self.transform = tuple(tuple(r) for r in trows)
         self.scale = scale
 
-        self._transform_inv = inv_fraction(trows)  # integer-valued Fractions
-        coarse_cols = [tuple(scale * v for v in column(trows, j)) for j in range(n)]
-        self._coarse_solver = NearestPointSolver(coarse_cols)
-        self._fine_solver = None
+        # generator of C' = T G mod p, the code the fine lattice lifts
+        self._code_t = tuple(
+            tuple(sum(t * rows[l][j] for l, t in enumerate(trow)) % p for j in range(k))
+            for trow in trows
+        )
+        self._words = None
         self._coarse_float = None
 
     # ------------------------------------------------------------------
@@ -128,20 +140,34 @@ class ConstructionALattice:
     def coarse_basis_float(self) -> np.ndarray:
         """Coarse basis as a float matrix whose columns are basis vectors."""
         if self._coarse_float is None:
-            cols = self._coarse_solver.cols
-            self._coarse_float = np.array([[float(v) for v in c] for c in cols]).T
+            # Built as rows of basis vectors, then transposed: the
+            # column-major layout fixes how products with it round.
+            s, t = self.scale, self.transform
+            cols = [[float(s * t[i][j]) for i in range(self.n)] for j in range(self.n)]
+            self._coarse_float = np.array(cols).T
         return self._coarse_float
 
-    def _fine(self) -> NearestPointSolver:
-        if self._fine_solver is None:
-            n, p = self.n, self.p
-            gen = [column(self.code_matrix, j) for j in range(self.k)]
-            gen += [tuple(p * int(i == j) for i in range(n)) for j in range(n)]
-            h = column_lattice_basis(gen, n)
-            unit = self.scale / p
-            cols = [tuple(unit * v for v in matvec(self.transform, c)) for c in h]
-            self._fine_solver = NearestPointSolver(cols)
-        return self._fine_solver
+    def _exact(self, x) -> tuple:
+        xv = exact_vector(x)
+        if len(xv) != self.n:
+            raise ValueError("dimension mismatch")
+        return xv
+
+    def _unit_coords(self, x) -> list:
+        """x in units of scale / p: integers exactly on the fine grid."""
+        unit = self.scale / self.p
+        return [v / unit for v in self._exact(x)]
+
+    def _codeword(self, digits) -> tuple:
+        return tuple(sum(t * z for t, z in zip(row, digits)) % self.p for row in self._code_t)
+
+    def _codewords(self) -> tuple:
+        """Every codeword of C', one per coset of the fine lattice mod p Z^n."""
+        if self._words is None:
+            self._words = tuple(
+                self._codeword(z) for z in itertools.product(range(self.p), repeat=self.k)
+            )
+        return self._words
 
     # ------------------------------------------------------------------
     # quantisation
@@ -152,8 +178,11 @@ class ConstructionALattice:
         Exact for exact inputs; float inputs are rationalised bit for bit
         first, so the decision is still exact for the given float vector.
         """
-        _, point, _ = self._coarse_solver.nearest(exact_vector(x))
-        return point
+        s = self.scale
+        return tuple(
+            s * _round_half_up(v.numerator * s.denominator, v.denominator * s.numerator)
+            for v in self._exact(x)
+        )
 
     def mod_coarse(self, x):
         """Reduce x into the half-open fundamental cell of the coarse lattice.
@@ -169,39 +198,58 @@ class ConstructionALattice:
         return tuple(a - b for a, b in zip(xv, point))
 
     def quantize_fine(self, x) -> Point:
-        """Closest fine-lattice point to x (same tie rule as the coarse cell)."""
-        _, point, _ = self._fine().nearest(exact_vector(x))
-        return point
+        """Closest fine-lattice point to x (same tie rule as the coarse cell).
+
+        Rounds x into each coset of p Z^n in the fine grid, one per codeword
+        of C', and keeps the coset point with the least (distance, residual).
+        """
+        y = self._unit_coords(x)
+        p = self.p
+        den = math.lcm(*(v.denominator for v in y))
+        big = [v.numerator * (den // v.denominator) for v in y]  # y * den
+        # near[i][r]: nearest integer to y_i that is r mod p, halves up
+        near = [
+            [r + p * _round_half_up(b - r * den, p * den) for r in range(p)] for b in big
+        ]
+        resid = [[b - z * den for z in row] for b, row in zip(big, near)]
+        sq = [[e * e for e in row] for row in resid]
+        words = self._codewords()
+        dist = [sum(row[c] for row, c in zip(sq, w)) for w in words]
+        least = min(dist)
+        _, word = min(
+            (tuple(row[c] for row, c in zip(resid, w)), w)
+            for w, d in zip(words, dist)
+            if d == least
+        )
+        unit = self.scale / p
+        return tuple(unit * row[c] for row, c in zip(near, word))
 
     # ------------------------------------------------------------------
     # membership and coset labels
 
-    def _transform_coords(self, x):
-        # coordinates y with x = scale * T * y
-        xv = exact_vector(x)
-        if len(xv) != self.n:
-            raise ValueError("dimension mismatch")
-        return tuple(v / self.scale for v in matvec(self._transform_inv, xv))
-
     def is_coarse_point(self, x) -> bool:
-        return all(v.denominator == 1 for v in self._transform_coords(x))
+        return all(v.denominator == 1 and v.numerator % self.p == 0
+                   for v in self._unit_coords(x))
 
     def is_fine_point(self, x) -> bool:
         """Exact membership test for the fine lattice."""
-        y = self._transform_coords(x)
-        t = [v * self.p for v in y]
+        t = self._unit_coords(x)
         if any(v.denominator != 1 for v in t):
             return False
-        residue = [int(v) % self.p for v in t]
-        return gfp.in_column_space(self.code_matrix, residue, self.p)
+        residue = [v.numerator % self.p for v in t]
+        return gfp.in_column_space(self._code_t, residue, self.p)
 
     def coset_label(self, point) -> tuple:
-        """Label of a fine point's coset mod coarse, as a vector in [0, p)^n."""
-        y = self._transform_coords(point)
-        t = [v * self.p for v in y]
+        """Label of a fine point's coset mod coarse, as a vector in [0, p)^n.
+
+        The label is in the frame of the code matrix G: the l with
+        T l = point * p / scale (mod p).
+        """
+        t = self._unit_coords(point)
         if any(v.denominator != 1 for v in t):
             raise ValueError("point is not in the fine lattice")
-        return tuple(int(v) % self.p for v in t)
+        residue = [v.numerator % self.p for v in t]
+        return tuple(gfp.solve_column_comb(self.transform, residue, self.p))
 
     def message_of_point(self, point) -> int:
         """Index in [0, p**k) of the coset containing the given fine point."""
@@ -217,13 +265,15 @@ class ConstructionALattice:
         return tuple((m // self.p ** i) % self.p for i in range(self.k))
 
     def point_for_message(self, m: int) -> Point:
-        """Canonical codebook representative of message m (reduced mod coarse)."""
-        z = self.message_digits(m)
-        code_vec = [sum(self.code_matrix[i][j] * z[j] for j in range(self.k)) % self.p
-                    for i in range(self.n)]
-        frac = [Fraction(v, self.p) for v in code_vec]
-        rep = tuple(self.scale * v for v in matvec(self.transform, frac))
-        return self.mod_coarse(rep)
+        """Canonical codebook representative of message m (reduced mod coarse).
+
+        The codeword c = T G z mod p of the message digits z, folded into
+        the cell: unit * (c - p [2c >= p]). Folding T (G z mod p) instead
+        gives the same point, since the two differ by a coarse vector.
+        """
+        unit = self.scale / self.p
+        c = self._codeword(self.message_digits(m))
+        return tuple(unit * (v - self.p if 2 * v >= self.p else v) for v in c)
 
 
 # ----------------------------------------------------------------------
@@ -242,8 +292,8 @@ def random_code_matrix(p, k, n, seed):
 def random_unimodular(n, seed, entry_cap=6):
     """Random unimodular integer matrix via elementary row operations.
 
-    Entries are kept small (abs <= entry_cap) by redrawing, which keeps the
-    closest-point search on the resulting bases fast.
+    Draws with an entry above entry_cap in absolute value are redrawn. The
+    cap is part of the draw: changing it changes the matrix a seed yields.
     """
     rng = np.random.default_rng(seed)
     while True:

@@ -208,6 +208,17 @@ class TestMainExitCodes:
 
         assert main(["verify", "lemmas", "--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_infinite_gain_or_power_is_two(self, tmp_path, capsys):
+        for text in ("kind=pipeline\na=inf\n", "kind=pipeline\npower=inf\n"):
+            path = self.write(tmp_path, text)
+            assert main(["simulate", "pipeline", "--config", path]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_unmatched_baseline_size_is_two(self, tmp_path, capsys):
+        path = self.write(tmp_path, "kind=baseline\nsize=12\n")
+        assert main(["compare", "random", "--config", path]) == 2
+        assert "no prime power matches" in capsys.readouterr().err
+
     def test_negative_override_is_two(self, tmp_path, capsys):
         path = self.write(tmp_path, SINGLE_LEMMA)
         assert main(["verify", "lemmas", "--config", path, "--budget", "-5"]) == 2

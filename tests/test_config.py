@@ -175,6 +175,22 @@ class TestValidation:
         with pytest.raises(ValidationError):
             parse_config("kind=pipeline\nb=nan")
 
+    @pytest.mark.parametrize(
+        "kind,field,value",
+        [
+            ("pipeline", "a", "inf"),
+            ("pipeline", "a", "-inf"),
+            ("layered", "a", "inf"),
+            ("pipeline", "b", "-inf"),
+            ("pipeline", "power", "inf"),
+            ("baseline", "power", "inf"),
+        ],
+    )
+    def test_infinite_gains_and_power_rejected(self, kind, field, value):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(f"kind={kind}\n{field}={value}")
+        assert exc.value.field == field
+
     def test_positive_count_fields(self):
         for doc in (
             "kind=lemmas\nn_max=0",

@@ -14,6 +14,7 @@ from latsec import (
     LayeredCodebook,
     LemmaReport,
     StageConditionViolated,
+    ValidationError,
     build_layered,
     engineered_gain,
     enumerate_codebook,
@@ -220,9 +221,9 @@ class TestRandomBaseline:
     def test_budget_and_size_validation(self):
         with pytest.raises(BudgetExceeded):
             random_codebook_baseline(16, 2, 1.0, [0], budget=255)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             random_codebook_baseline(6, 2, 1.0, [0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             random_codebook_baseline(1, 2, 1.0, [0])
 
 

@@ -2,7 +2,7 @@
 the CLI in JSON and CSV, pinned byte for byte.
 
 Only the wall clock is masked. Regenerate the files (after a deliberate
-change of output) with ``python tests/test_golden.py``.
+change of output) with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import pathlib

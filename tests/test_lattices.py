@@ -218,3 +218,56 @@ class TestQuantizeFine:
                 key=lambda item: (item[0], tuple(x_i - f_i for x_i, f_i in zip(x, item[1]))),
             )
             assert sum((a - b) ** 2 for a, b in zip(x, got)) == best[0]
+
+
+class TestIntegerCoreAgainstOracle:
+    """Fold and fine quantiser for non-identity transforms on half-grid
+    targets, where multiway ties are common, against exhaustive search."""
+
+    # (p, code matrix [I_k; A], unimodular transform, scale)
+    CASES = [
+        (2, ((1,), (1,)), ((1, 1), (0, 1)), Fraction(3, 2)),
+        (3, ((1,), (2,)), ((2, 1), (1, 1)), Fraction(1)),
+        (3, ((1, 0), (0, 1), (2, 1)), ((1, 0, 1), (0, 1, 0), (1, 1, 2)), Fraction(1, 2)),
+        (5, ((1,), (3,), (4,)), ((1, -1, 0), (0, 1, 0), (0, 1, -1)), Fraction(5, 3)),
+    ]
+
+    @staticmethod
+    def half_grid_targets(step, n, seed, count=8):
+        rng = np.random.default_rng(seed)
+        return [
+            tuple(step * Fraction(int(h), 2) for h in rng.integers(-4, 5, size=n))
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_fold_matches_oracle(self, case):
+        p, g, t, scale = self.CASES[case]
+        lat = ConstructionALattice(p, g, t, scale)
+        n = lat.n
+        basis = [tuple(scale * t[i][j] for i in range(n)) for j in range(n)]
+        for x in self.half_grid_targets(scale, n, [case, 1]):
+            winners, _ = oracles.exhaustive_nearest(x, basis, box=7)
+            expected = oracles.tie_break_residual(x, winners)
+            assert lat.mod_coarse(x) == expected
+            assert lat.quantize_coarse(x) == tuple(a - b for a, b in zip(x, expected))
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_quantize_fine_matches_oracle(self, case):
+        p, g, t, scale = self.CASES[case]
+        lat = ConstructionALattice(p, g, t, scale)
+        n, k = lat.n, lat.k
+        unit = scale / p
+        # fine basis: unit * T * [G | p e_k .. p e_{n-1}], valid as G = [I_k; A]
+        gens = [tuple(g[i][j] for i in range(n)) for j in range(k)]
+        gens += [tuple(p * int(i == j) for i in range(n)) for j in range(k, n)]
+        basis = [
+            tuple(unit * sum(t[i][l] * c[l] for l in range(n)) for i in range(n))
+            for c in gens
+        ]
+        for x in self.half_grid_targets(unit, n, [case, 2]):
+            winners, _ = oracles.exhaustive_nearest(x, basis, box=9)
+            expected = oracles.tie_break_residual(x, winners)
+            got = lat.quantize_fine(x)
+            assert lat.is_fine_point(got)
+            assert tuple(a - b for a, b in zip(x, got)) == expected

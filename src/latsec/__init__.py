@@ -29,6 +29,7 @@ from .errors import (
 )
 from .lattices import (
     ConstructionALattice,
+    PointGrid,
     random_code_matrix,
     random_unimodular,
 )
@@ -41,7 +42,6 @@ from .codebooks import (
     build_layered,
     dither_second_moment,
     enumerate_codebook,
-    minkowski_sum,
     scale_to_power,
     verify_sum_bound,
 )
@@ -73,7 +73,6 @@ from .channel import (
     decode_very_strong,
     decode_very_strong_batch,
     decode_weak,
-    decode_weak_exact,
     dither_sample,
     dithered_round,
     effective_noise_variance,

@@ -19,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import StageConditionViolated, UnityGain, ValidationError
-from .infotheory import to_integer_grid
-from .lattices import ConstructionALattice, exact_vector
+from .errors import BudgetExceeded, StageConditionViolated, UnityGain, ValidationError
+from .lattices import ConstructionALattice, PointGrid, exact_vector, on_grid
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,9 @@ class ChannelParams:
     def __post_init__(self):
         if float(self.cross_gain) == 1.0:
             raise UnityGain("cross gain exactly 1 makes the channel degenerate")
+        for name in ("cross_gain", "power", "eve_gain", "noise_var", "eve_noise_var"):
+            if not math.isfinite(float(getattr(self, name))):
+                raise ValidationError(name, f"{name} must be finite")
         if not (float(self.power) > 0):
             raise ValidationError("power", "transmit power must be positive")
         if float(self.noise_var) < 0 or float(self.eve_noise_var) < 0:
@@ -61,13 +63,14 @@ def classify_regime(cross_gain: float, power: float, noise_var: float = 1.0) -> 
     weak: |a + a^3 P| <= 1/2, so residual interference folds away.
     general: neither test passes; a layered scheme is needed.
     """
-    a = float(cross_gain)
+    a, p, nv = float(cross_gain), float(power), float(noise_var)
     if a == 1.0:
         raise UnityGain("cross gain exactly 1 makes the channel degenerate")
-    p = float(power)
+    for name, value in (("cross_gain", a), ("power", p), ("noise_var", nv)):
+        if not math.isfinite(value):
+            raise ValidationError(name, f"{name} must be finite")
     if not p > 0:
         raise ValidationError("power", "power must be positive")
-    nv = float(noise_var)
     a2 = a * a
     very_strong = a2 >= p + nv
     weak_stat = abs(a + a**3 * p)
@@ -189,27 +192,24 @@ def dithered_round(
 
 def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice):
     """MMSE-scale, subtract the dither, fold, then decode to the nearest
-    fine point and fold again. Returns the exact codeword estimate."""
+    fine point and fold again. Returns the exact codeword estimate.
+
+    Exact y and dither (neither an ndarray) are scaled by the exact rational
+    value of the float MMSE factor; otherwise the scaling is in floats.
+    """
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
-    if not (isinstance(y, np.ndarray) or isinstance(dither, np.ndarray)):
-        return decode_weak_exact(y, dither, alpha, lattice)
-    v = alpha * np.asarray(y, dtype=np.float64) - np.asarray(dither, dtype=np.float64)
-    folded = lattice.mod_coarse(v)
-    fine = lattice.quantize_fine(folded)
-    return lattice.mod_coarse(fine)
-
-
-def decode_weak_exact(y, dither, alpha, lattice: ConstructionALattice):
-    """decode_weak with an exact caller-chosen scaling, for noiseless replay."""
-    af = Fraction(alpha)
-    v = tuple(af * yi - ui for yi, ui in zip(exact_vector(y), exact_vector(dither)))
+    if isinstance(y, np.ndarray) or isinstance(dither, np.ndarray):
+        v = alpha * np.asarray(y, dtype=np.float64) - np.asarray(dither, dtype=np.float64)
+    else:
+        af = Fraction(alpha)
+        v = tuple(af * yi - ui for yi, ui in zip(exact_vector(y), exact_vector(dither)))
     folded = lattice.mod_coarse(v)
     fine = lattice.quantize_fine(folded)
     return lattice.mod_coarse(fine)
 
 
 def _is_exact_rows(y) -> bool:
-    return (
+    return isinstance(y, PointGrid) or (
         isinstance(y, (tuple, list))
         and len(y) > 0
         and isinstance(y[0], (tuple, list))
@@ -221,46 +221,31 @@ def decode_very_strong(y, codebook, params: ChannelParams):
 
     Finds the interfering codeword at gain a, strips it, then decodes the
     own codeword. Returns (own_index, interferer_index). Ties resolve to
-    the lowest message index. Exact (tuple) input is decoded in exact
-    arithmetic; float input uses vectorized float distances.
+    the lowest message index. Decodes y as a one-row batch: exact (tuple)
+    input in exact arithmetic, float input with float distances.
     """
-    if isinstance(y, (tuple, list)) and not isinstance(y, np.ndarray):
-        own, intf = decode_very_strong_batch([exact_vector(y)], codebook, params)
-        return int(own[0]), int(intf[0])
-    a = float(params.cross_gain)
-    yf = np.asarray(y, dtype=np.float64)
-    pts = codebook.float_matrix()
-    j = int(((yf[None, :] - a * pts) ** 2).sum(axis=1).argmin())
-    stripped = yf - a * pts[j]
-    i = int(((stripped[None, :] - pts) ** 2).sum(axis=1).argmin())
-    return i, j
+    if isinstance(y, (tuple, list)):
+        rows = [y]
+    else:
+        rows = np.asarray(y, dtype=np.float64).reshape(1, -1)
+    own, intf = decode_very_strong_batch(rows, codebook, params)
+    return int(own[0]), int(intf[0])
 
 
 def decode_very_strong_batch(received, codebook, params: ChannelParams):
     """Interference-first decoding of many rows at once.
 
-    A float ndarray is decoded with float distances; a list of exact rows
-    is decoded exactly (shared integer grid when it fits, Fractions
-    otherwise).
+    A float ndarray is decoded with float distances. Exact rows, a list of
+    exact points or a PointGrid, are decoded in int64 on one grid shared
+    with the codebook (see _exact_decode_grid).
     """
-    a = params.cross_gain
     if _is_exact_rows(received):
-        rows = [exact_vector(r) for r in received]
-        af = Fraction(a)
-        grid = _exact_decode_grid(rows, [codebook.points], af)
-        if grid is not None:
-            y_grid, layer_grids = grid
-            own, intf, _ = _grid_stage(y_grid, layer_grids[0])
-            return own, intf
-        own = np.empty(len(rows), dtype=np.int64)
-        intf = np.empty(len(rows), dtype=np.int64)
-        for r, row in enumerate(rows):
-            j = _argmin_exact(row, codebook.points, af)
-            stripped = tuple(v - af * c for v, c in zip(row, codebook.points[j]))
-            own[r] = _argmin_exact(stripped, codebook.points, Fraction(1))
-            intf[r] = j
+        y_grid, layer_grids = _exact_decode_grid(
+            received, [codebook], Fraction(params.cross_gain)
+        )
+        own, intf, _ = _grid_stage(y_grid, layer_grids[0])
         return own, intf
-    a = float(a)
+    a = float(params.cross_gain)
     received = np.asarray(received, dtype=np.float64)
     pts = codebook.float_matrix()
     d_int = ((received[:, None, :] - a * pts[None, :, :]) ** 2).sum(axis=2)
@@ -271,46 +256,22 @@ def decode_very_strong_batch(received, codebook, params: ChannelParams):
     return i.astype(np.int64), j.astype(np.int64)
 
 
-def _argmin_exact(target, points, gain: Fraction) -> int:
-    best = None
-    best_idx = 0
-    for idx, pt in enumerate(points):
-        d = Fraction(0)
-        for t, c in zip(target, pt):
-            diff = t - gain * c
-            d += diff * diff
-        if best is None or d < best:
-            best = d
-            best_idx = idx
-    return best_idx
-
-
-def _exact_decode_grid(rows, layer_points, gain: Fraction):
+def _exact_decode_grid(received, codebooks, gain: Fraction):
     """Put received rows and every layer's codebook on one integer grid.
 
-    Returns (y_grid, [(own_grid, intf_grid), ...]) of int64 arrays scaled by
-    a common denominator times gain.denominator, or None when magnitudes
-    would overflow exact int64 distance sums.
+    Returns (y_grid, [(own_grid, intf_grid), ...]) of int64 arrays over the
+    common unit divided by gain.denominator. Raises BudgetExceeded when a
+    squared distance between them could overflow int64.
     """
-    sets = list(layer_points) + [rows]
-    grid = to_integer_grid(sets)
-    if grid is None:
-        return None
-    arrays, _ = grid
-    y_int = arrays[-1]
+    _, (y_int, *layers) = on_grid(received, *codebooks)
     anum, aden = gain.numerator, gain.denominator
-    peak = int(abs(y_int).max()) * aden if y_int.size else 0
-    layer_peaks = 0
-    for arr in arrays[:-1]:
-        m = int(abs(arr).max()) if arr.size else 0
-        layer_peaks += m * (abs(anum) + aden)
-    reach = peak + 2 * layer_peaks
-    n = y_int.shape[1]
-    if n * (2 * reach) ** 2 >= 2**62:
-        return None
-    y_grid = y_int * aden
-    layer_grids = [(arr * aden, arr * anum) for arr in arrays[:-1]]
-    return y_grid, layer_grids
+    peak = [max(int(np.abs(a).max(initial=0)), 1) for a in (y_int, *layers)]
+    reach = peak[0] * aden + 2 * (abs(anum) + aden) * sum(peak[1:])
+    if y_int.shape[1] * (2 * reach) ** 2 >= 2**62:
+        raise BudgetExceeded(
+            f"exact decoding distances reach {reach} grid steps; int64 overflows"
+        )
+    return y_int * aden, [(c * aden, c * anum) for c in layers]
 
 
 def _grid_stage(resid, layer_grid):
@@ -369,63 +330,28 @@ def check_stage_conditions(powers, cross_gain: float, noise_var: float = 1.0):
 def decode_layered(y, layered, params: ChannelParams):
     """Successive decoding across layers, interference first inside each stage.
 
-    Accepts a single vector or a batch of rows; exact (tuple) rows are
-    decoded in exact arithmetic. Returns (own_indices, interferer_indices)
-    as per-layer tuples of arrays or ints.
+    Accepts a single vector or a batch of rows; exact rows (a list of exact
+    points or a PointGrid) are decoded in exact arithmetic. Returns
+    (own_indices, interferer_indices) as per-layer tuples of arrays or ints.
     """
     check_stage_conditions(layered.powers, params.cross_gain, params.noise_var)
     single = False
-    if isinstance(y, np.ndarray):
+    if _is_exact_rows(y):
+        rows = y
+    elif isinstance(y, (tuple, list)) and y and isinstance(y[0], (int, float, Fraction, str)):
+        rows, single = [y], True
+    else:
         arr = np.asarray(y, dtype=np.float64)
         single = arr.ndim == 1
         return _decode_layered_float(arr.reshape(1, -1) if single else arr, layered,
                                      float(params.cross_gain), single)
-    if _is_exact_rows(y):
-        rows = [exact_vector(r) for r in y]
-    else:
-        if y and isinstance(y[0], (int, float, Fraction, str)):
-            single = True
-            rows = [exact_vector(y)]
-        else:
-            arr = np.asarray(y, dtype=np.float64)
-            single = arr.ndim == 1
-            return _decode_layered_float(arr.reshape(1, -1) if single else arr,
-                                         layered, float(params.cross_gain), single)
-    af = Fraction(params.cross_gain)
-    layer_pts = [cb.points for cb in layered.layers]
-    grid = _exact_decode_grid(rows, layer_pts, af)
-    if grid is not None:
-        resid, layer_grids = grid
-        own_all, intf_all = [], []
-        for lg in layer_grids:
-            i, j, resid = _grid_stage(resid, lg)
-            own_all.append(int(i[0]) if single else i)
-            intf_all.append(int(j[0]) if single else j)
-        return tuple(own_all), tuple(intf_all)
-    own_rows, intf_rows = [], []
-    for row in rows:
-        resid = row
-        own_r, intf_r = [], []
-        for pts in layer_pts:
-            j = _argmin_exact(resid, pts, af)
-            resid = tuple(v - af * c for v, c in zip(resid, pts[j]))
-            i = _argmin_exact(resid, pts, Fraction(1))
-            resid = tuple(v - c for v, c in zip(resid, pts[i]))
-            own_r.append(i)
-            intf_r.append(j)
-        own_rows.append(own_r)
-        intf_rows.append(intf_r)
-    own_cols = list(zip(*own_rows))
-    intf_cols = list(zip(*intf_rows))
-    if single:
-        return (
-            tuple(col[0] for col in own_cols),
-            tuple(col[0] for col in intf_cols),
-        )
-    return (
-        tuple(np.array(col, dtype=np.int64) for col in own_cols),
-        tuple(np.array(col, dtype=np.int64) for col in intf_cols),
-    )
+    resid, layer_grids = _exact_decode_grid(rows, layered.layers, Fraction(params.cross_gain))
+    own_all, intf_all = [], []
+    for lg in layer_grids:
+        i, j, resid = _grid_stage(resid, lg)
+        own_all.append(int(i[0]) if single else i)
+        intf_all.append(int(j[0]) if single else j)
+    return tuple(own_all), tuple(intf_all)
 
 
 def _decode_layered_float(rows: np.ndarray, layered, a: float, single: bool):

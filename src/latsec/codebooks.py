@@ -1,5 +1,12 @@
 """Codebooks carved out of nested lattices: enumeration, power scaling,
-pairwise sums, binning, and layered (superposition) construction."""
+pairwise sums, binning, and layered (superposition) construction.
+
+A codebook is a PointGrid over the fine unit scale / p: codeword m is
+unit * coords[m] with int64 coordinates in [-p/2, p/2), computed for all
+messages at once by ConstructionALattice.message_coords. Power scaling
+rescales the unit only; the exact points and their floats are derived
+on demand.
+"""
 
 from __future__ import annotations
 
@@ -19,37 +26,44 @@ from .errors import (
     ValidationError,
 )
 from .infotheory import sum_structure
-from .lattices import ConstructionALattice
+from .lattices import ConstructionALattice, PointGrid, exact_vector, on_grid
 
 
-class Codebook:
+class Codebook(PointGrid):
     """Coset representatives of a nested lattice pair, in message order.
 
-    points[m] is the codeword for message m; all points lie in the
-    half-open fundamental cell of the coarse lattice.
+    Codeword m is unit * coords[m] with unit = scale / p; every point lies
+    in the half-open fundamental cell of the coarse lattice, so every
+    coordinate lies in [-p/2, p/2). Build one from exact points, or from
+    their integer coordinates with coords=.
     """
 
-    def __init__(self, lattice: ConstructionALattice, points):
-        pts = tuple(tuple(Fraction(c) for c in pt) for pt in points)
-        if not pts:
-            raise EmptyCodebook("a codebook needs at least one point")
-        for pt in pts:
-            if len(pt) != lattice.n:
-                raise DimensionMismatch(
-                    f"point of length {len(pt)} in dimension-{lattice.n} lattice"
-                )
+    def __init__(self, lattice: ConstructionALattice, points=None, *, coords=None):
+        unit = lattice.scale / lattice.p
+        if coords is None:
+            pts = [exact_vector(pt) for pt in points]
+            if not pts:
+                raise EmptyCodebook("a codebook needs at least one point")
+            for pt in pts:
+                if len(pt) != lattice.n:
+                    raise DimensionMismatch(
+                        f"point of length {len(pt)} in dimension-{lattice.n} lattice"
+                    )
+            empty = PointGrid(unit, np.zeros((0, lattice.n), dtype=np.int64))
+            common, (_, coords) = on_grid(empty, pts)
+            if common != unit:
+                raise ValidationError("points", "codebook points must be multiples of scale / p")
+        super().__init__(unit, coords)
+        p = lattice.p
+        if (2 * self.coords >= p).any() or (2 * self.coords < -p).any():
+            raise ValidationError("points", "codebook points must lie in the coarse cell")
         self.lattice = lattice
-        self.points = pts
         self.n = lattice.n
         self._index = None
-        self._float = None
-
-    def __len__(self):
-        return len(self.points)
 
     @property
     def size_log2(self) -> float:
-        return math.log2(len(self.points))
+        return math.log2(len(self))
 
     @property
     def rate_per_dim(self) -> float:
@@ -58,23 +72,14 @@ class Codebook:
     @property
     def average_power(self) -> Fraction:
         """Mean squared coordinate over the codebook, exact."""
-        acc = Fraction(0)
-        for pt in self.points:
-            for c in pt:
-                acc += c * c
-        return acc / (len(self.points) * self.n)
+        values, counts = np.unique(self.coords, return_counts=True)
+        acc = sum(int(v) * int(v) * int(c) for v, c in zip(values, counts))
+        return self.unit**2 * acc / self.coords.size
 
     def index_of(self, point) -> int:
         if self._index is None:
             self._index = {pt: m for m, pt in enumerate(self.points)}
-        return self._index[tuple(Fraction(c) for c in point)]
-
-    def float_matrix(self) -> np.ndarray:
-        if self._float is None:
-            self._float = np.array(
-                [[float(c) for c in pt] for pt in self.points], dtype=np.float64
-            )
-        return self._float
+        return self._index[exact_vector(point)]
 
 
 def enumerate_codebook(lattice: ConstructionALattice, budget: int = 10**6) -> Codebook:
@@ -83,14 +88,7 @@ def enumerate_codebook(lattice: ConstructionALattice, budget: int = 10**6) -> Co
         raise BudgetExceeded(
             f"{lattice.num_cosets} cosets exceed enumeration budget {budget}"
         )
-    return Codebook(
-        lattice, [lattice.point_for_message(m) for m in range(lattice.num_cosets)]
-    )
-
-
-def minkowski_sum(a, b, budget: int = 10**6):
-    """Distinct pairwise sums {x + y}, as a lexicographically sorted tuple."""
-    return sum_structure(a, b, budget).sum_points
+    return Codebook(lattice, coords=lattice.message_coords(np.arange(lattice.num_cosets)))
 
 
 @dataclass(frozen=True)
@@ -103,9 +101,9 @@ class SumBoundReport:
 
 def verify_sum_bound(codebook: Codebook, budget: int = 10**6) -> SumBoundReport:
     """Check |C + C| <= 2^n |C| for the self-sum of a codebook."""
-    s = minkowski_sum(codebook, codebook, budget)
+    sum_size = sum_structure(codebook, codebook, budget).num_sums
     bound = (2 ** codebook.n) * len(codebook)
-    return SumBoundReport(len(codebook), len(s), bound, len(s) <= bound)
+    return SumBoundReport(len(codebook), sum_size, bound, sum_size <= bound)
 
 
 def dither_second_moment(
@@ -138,14 +136,15 @@ def scale_to_power(
     The power proxy is the Monte Carlo second moment of the coarse cell.
     If it already fits, the codebook is returned unchanged. Otherwise the
     whole nested pair is rescaled by an exact rational just below the true
-    square-root ratio, so the constraint holds with certainty.
+    square-root ratio, so the constraint holds with certainty. Only the
+    unit changes; the integer coordinates are shared.
     """
     power = float(power)
     if math.isnan(power) or power <= 0:
         raise ValidationError("power", "power must be positive")
     if math.isinf(power):
         return codebook
-    if all(c == 0 for pt in codebook.points for c in pt):
+    if not codebook.coords.any():
         raise DegenerateCodebook("all-zero codebook cannot be power scaled")
     sigma2 = dither_second_moment(codebook.lattice, samples, seed)
     target = Fraction(power)
@@ -156,8 +155,7 @@ def scale_to_power(
     scaled = ConstructionALattice(
         old.p, old.code_matrix, old.transform, old.scale * ratio
     )
-    pts = [tuple(ratio * c for c in pt) for pt in codebook.points]
-    return Codebook(scaled, pts)
+    return Codebook(scaled, coords=codebook.coords)
 
 
 def _floor_sqrt_fraction(value: Fraction, bits: int = 80) -> Fraction:

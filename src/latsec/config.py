@@ -273,7 +273,7 @@ def _validate(kind: str, values: dict[str, Any]) -> None:
         if field in values and not values[field] > 0:
             bad(field, "must be positive")
     # power1/power2 keep inf, which means "leave the layer unscaled"
-    for field in ("a", "b", "power"):
+    for field in ("a", "b", "power", "noise_var", "ne"):
         if field in values and math.isinf(values[field]):
             bad(field, "must be finite")
     for field in ("noise_var", "ne"):
@@ -285,6 +285,11 @@ def _validate(kind: str, values: dict[str, Any]) -> None:
         bad("scale", "must be positive")
     if "p_values" in values and len(values["p_values"]) == 0:
         bad("p_values", "must not be empty")
+    # a rank-k code needs at least k coordinates
+    for field in ("k", "k1", "k2"):
+        if values.get(field) is not None and values.get("n") is not None \
+                and values[field] > values["n"]:
+            bad(field, f"must not exceed n={values['n']}")
     if kind in ("lemmas", "theorem1"):
         single = [values.get(f) is not None for f in ("p", "k", "n")]
         if any(single) and not all(single):

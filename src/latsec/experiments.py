@@ -46,12 +46,12 @@ from .infotheory import (
     entropy_from_counts,
     joint_bin_sum,
     mutual_info_sum,
-    pair_sum_counts,
     sum_structure,
-    weighted_sum_counts,
 )
 from .lattices import (
+    GRID_LIMIT,
     ConstructionALattice,
+    PointGrid,
     random_code_matrix,
     random_unimodular,
 )
@@ -155,14 +155,14 @@ def run_lemma_suite(items, budget=10**6):
     for label, lat in _labeled_lattices(items):
         try:
             cb = enumerate_codebook(lat, budget)
-            points, counts = pair_sum_counts(cb, cb, budget)
+            sums = sum_structure(cb, cb, budget)
         except BudgetExceeded as exc:
             reports.append(_skipped_lemma_report(label, lat, str(exc)))
             continue
         size = len(cb)
-        sum_size = len(points)
+        sum_size = sums.num_sums
         sum_bound = (2**lat.n) * size
-        h_sum = entropy_from_counts(counts, size * size)
+        h_sum = entropy_from_counts(sums.counts(), size * size)
         h_bound = math.log2(size) + lat.n
         mi = h_sum - math.log2(size)
         reports.append(
@@ -270,13 +270,13 @@ class LayeredReport:
 
 
 def _layer_sum_distribution(layered: LayeredCodebook, budget):
-    points = layered.layers[0].points
-    counts = np.ones(len(points), dtype=np.int64)
+    """The sum set of the layers (a PointGrid) and each sum's multiplicity."""
+    sums = layered.layers[0]
+    counts = np.ones(len(sums), dtype=np.int64)
     for cb in layered.layers[1:]:
-        points, counts = weighted_sum_counts(
-            points, counts, cb.points, np.ones(len(cb), dtype=np.int64), budget
-        )
-    return points, counts
+        sums = sum_structure(sums, cb, budget)
+        counts = sums.weighted_counts(counts, np.ones(len(cb), dtype=np.int64))
+    return sums, counts
 
 
 def run_layered_suite(items, budget=10**6):
@@ -294,18 +294,15 @@ def run_layered_suite(items, budget=10**6):
             label, layered = f"layers{len(item)}", item
         else:
             label, layered = item
-        points, counts = _layer_sum_distribution(layered, budget)
-        sum_size = len(points)
-        pair_points, pair_counts = weighted_sum_counts(
-            points, counts, points, counts, budget
-        )
+        sums, counts = _layer_sum_distribution(layered, budget)
+        sum_size = len(sums)
+        pairs = sum_structure(sums, sums, budget)
+        pair_counts = pairs.weighted_counts(counts, counts)
         total = int(counts.sum())
         h = entropy_from_counts(pair_counts, total * total)
         bound = math.log2(sum_size) + layered.n
-        uniform = Fraction(1, sum_size)
-        tv = sum(
-            abs(Fraction(int(c), total) - uniform) for c in counts
-        ) / 2
+        # sum |c / total - 1 / sum_size| / 2, over one integer denominator
+        tv = Fraction(int(np.abs(counts * sum_size - total).sum()), 2 * total * sum_size)
         reports.append(
             LayeredReport(
                 label=label,
@@ -313,9 +310,9 @@ def run_layered_suite(items, budget=10**6):
                 layer_sizes=tuple(len(cb) for cb in layered.layers),
                 powers=layered.powers,
                 sum_size=sum_size,
-                pair_sum_size=len(pair_points),
+                pair_sum_size=pairs.num_sums,
                 support_bound=(2**layered.n) * sum_size,
-                support_pass=len(pair_points) <= (2**layered.n) * sum_size,
+                support_pass=pairs.num_sums <= (2**layered.n) * sum_size,
                 entropy_bits=h,
                 entropy_bound_bits=bound,
                 entropy_pass=h <= bound + ONEBIT_TOL,
@@ -474,6 +471,7 @@ def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_see
     encoder fold.
     """
     lat = codebook.lattice
+    floats = codebook.float_matrix()
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
     trials = int(trials)
     errors = 0
@@ -481,7 +479,7 @@ def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_see
     for t in range(trials):
         rng = trial_rng(root_seed, t)
         tr = dithered_round(codebook, params, rng)
-        l1 = np.array([float(c) for c in tr.codeword1], dtype=np.float64)
+        l1 = floats[tr.message1]
         q1 = l1 + tr.dither1 - tr.signal1
         residual = alpha * tr.received1 - tr.dither1 - l1 + q1
         trial_means[t] = float((residual * residual).mean())
@@ -573,19 +571,18 @@ def layered_reliability(layered: LayeredCodebook, params: ChannelParams, trials,
 def engineered_gain(codebook: Codebook) -> int:
     """Smallest convenient integer cross gain that provably separates the
     interference copy from everything else at zero noise: a^2 dmin^2 >
-    4 max_norm^2 guarantees the interference-first argmin is exact."""
-    pts = codebook.points
-    if len(pts) == 1:
+    4 max_norm^2 guarantees the interference-first argmin is exact.
+
+    Both squared lengths carry the factor unit^2, so the ratio is taken on
+    the integer coordinates, which lie in [-p/2, p/2)."""
+    c = codebook.coords
+    if len(c) == 1:
         return 2
-    max_norm2 = max(sum(c * c for c in pt) for pt in pts)
-    dmin2 = None
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = sum((a - b) * (a - b) for a, b in zip(pts[i], pts[j]))
-            if dmin2 is None or d < dmin2:
-                dmin2 = d
-    ratio = 4 * max_norm2 / dmin2
-    a = math.isqrt(ratio.numerator // ratio.denominator) + 1
+    if codebook.n * codebook.lattice.p**2 >= GRID_LIMIT:
+        raise BudgetExceeded(f"p={codebook.lattice.p} overflows int64 squared distances")
+    max_norm2 = int((c * c).sum(axis=1).max())
+    dmin2 = min(int(((c[i + 1 :] - c[i]) ** 2).sum(axis=1).min()) for i in range(len(c) - 1))
+    a = math.isqrt(4 * max_norm2 // dmin2) + 1
     return max(a, 2)
 
 
@@ -615,12 +612,9 @@ def noiseless_loopback(codebook: Codebook):
     strong = ChannelParams(
         cross_gain=float(gain), power=1.0, noise_var=0.0, eve_noise_var=0.0
     )
-    rows = []
-    for m1 in range(size):
-        own_pt = codebook.points[m1]
-        for m2 in range(size):
-            other = codebook.points[m2]
-            rows.append(tuple(a + gain * b for a, b in zip(own_pt, other)))
+    c = codebook.coords
+    # row m1 * size + m2 is codeword m1 plus gain times codeword m2
+    rows = PointGrid(codebook.unit, (c[:, None, :] + gain * c[None, :, :]).reshape(-1, n))
     expected_own = np.repeat(np.arange(size, dtype=np.int64), size)
     expected_intf = np.tile(np.arange(size, dtype=np.int64), size)
     own, intf = decode_very_strong_batch(rows, codebook, strong)

@@ -1,9 +1,12 @@
 """Exact discrete information theory for lattice point distributions.
 
 Probabilities are Fractions end to end; entropy evaluation is the only
-floating-point step. Hot paths count sum multiplicities on an integer
-grid (all points in play share a small common denominator), which is an
-exact rational representation with the denominator factored out.
+floating-point step. Sum sets are counted on int64 coordinates: on_grid
+puts both point sets over one rational unit (a codebook already is one:
+scale / p times coordinates in [-p/2, p/2)), and the sums keep that unit.
+Plain exact point lists are accepted too; a set whose coordinates reach
+GRID_LIMIT = 2^62 on the common grid raises BudgetExceeded. Exact sum
+points are built only when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, EmptyCodebook, SupportMismatch
-
-_MAX_GRID_DEN = 1 << 30
-_MAX_GRID_ABS = 1 << 60
+from .lattices import PointGrid, on_grid
 
 
 def points_of(obj):
@@ -25,44 +26,34 @@ def points_of(obj):
     return tuple(tuple(Fraction(c) for c in pt) for pt in pts)
 
 
-def to_integer_grid(point_sets):
-    """Map several point sets onto a shared integer grid.
-
-    Returns (arrays, denominator) with point == row / denominator, or None
-    when the common denominator or the magnitudes would risk overflow in
-    int64 arithmetic (callers then fall back to pure Python).
-    """
-    den = 1
-    for pts in point_sets:
-        for pt in pts:
-            for c in pt:
-                den = den * c.denominator // math.gcd(den, c.denominator)
-                if den > _MAX_GRID_DEN:
-                    return None
-    arrays = []
-    for pts in point_sets:
-        rows = [[int(c * den) for c in pt] for pt in pts]
-        if rows and max((abs(v) for row in rows for v in row), default=0) > _MAX_GRID_ABS:
-            return None
-        arrays.append(np.array(rows, dtype=np.int64).reshape(len(rows), -1))
-    return arrays, den
-
-
-class SumStructure:
+class SumStructure(PointGrid):
     """Pairwise-sum bookkeeping for two point sets.
 
-    sum_points holds the distinct sums in lexicographic order; ids[i, j]
-    is the index into sum_points of points_a[i] + points_b[j]. Building it
-    once lets callers derive counts for many different binnings cheaply.
+    The distinct sums are unit * coords[s], rows in lexicographic order,
+    and ids[i, j] is the row of a_i + b_j. As a PointGrid the structure is
+    the sum set itself, so sums of sums chain without leaving int64.
+    Building it once lets callers derive counts for many binnings cheaply.
     """
 
-    def __init__(self, sum_points, ids):
-        self.sum_points = tuple(sum_points)
+    def __init__(self, unit, coords, ids):
+        super().__init__(unit, coords)
         self.ids = np.asarray(ids, dtype=np.int64)
-        self.num_sums = len(self.sum_points)
+        self.num_sums = len(self.coords)
+
+    @property
+    def sum_points(self) -> tuple:
+        return self.points
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.ids.ravel(), minlength=self.num_sums).astype(np.int64)
+
+    def weighted_counts(self, counts_a, counts_b) -> np.ndarray:
+        """Multiplicity of each sum when a_i carries counts_a[i] and b_j counts_b[j]."""
+        ca = np.asarray(counts_a, dtype=np.int64)
+        cb = np.asarray(counts_b, dtype=np.int64)
+        acc = np.zeros(self.num_sums, dtype=np.int64)
+        np.add.at(acc, self.ids, ca[:, None] * cb[None, :])
+        return acc
 
     @property
     def total(self) -> int:
@@ -70,36 +61,16 @@ class SumStructure:
 
 
 def sum_structure(a, b, budget=10**6) -> SumStructure:
-    pa, pb = points_of(a), points_of(b)
-    if not pa or not pb:
+    unit, (ga, gb) = on_grid(a, b)
+    if not len(ga) or not len(gb):
         raise EmptyCodebook("point sets must be non-empty")
-    if len(pa[0]) != len(pb[0]):
-        raise DimensionMismatch(f"dimensions {len(pa[0])} and {len(pb[0])} differ")
-    if len(pa) * len(pb) > budget:
-        raise BudgetExceeded(f"{len(pa)}*{len(pb)} pair sums exceed budget {budget}")
-    grid = to_integer_grid([pa, pb])
-    if grid is not None:
-        (ga, gb), den = grid
-        n = ga.shape[1]
-        sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, n)
-        uniq, inverse = np.unique(sums, axis=0, return_inverse=True)
-        ids = np.asarray(inverse).reshape(len(pa), len(pb))
-        pts = tuple(tuple(Fraction(int(v), den) for v in row) for row in uniq)
-        return SumStructure(pts, ids)
-    index = {}
-    for x in pa:
-        for y in pb:
-            s = tuple(u + v for u, v in zip(x, y))
-            if s not in index:
-                index[s] = 0
-    keys = sorted(index)
-    for rank, s in enumerate(keys):
-        index[s] = rank
-    ids = np.empty((len(pa), len(pb)), dtype=np.int64)
-    for i, x in enumerate(pa):
-        for j, y in enumerate(pb):
-            ids[i, j] = index[tuple(u + v for u, v in zip(x, y))]
-    return SumStructure(keys, ids)
+    if ga.shape[1] != gb.shape[1]:
+        raise DimensionMismatch(f"dimensions {ga.shape[1]} and {gb.shape[1]} differ")
+    if len(ga) * len(gb) > budget:
+        raise BudgetExceeded(f"{len(ga)}*{len(gb)} pair sums exceed budget {budget}")
+    sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
+    uniq, inverse = np.unique(sums, axis=0, return_inverse=True)
+    return SumStructure(unit, uniq, np.asarray(inverse).reshape(len(ga), len(gb)))
 
 
 def pair_sum_counts(a, b, budget=10**6):
@@ -121,11 +92,7 @@ def weighted_sum_counts(points_a, counts_a, points_b, counts_b, budget=10**6):
     over the product total.
     """
     s = sum_structure(points_a, points_b, budget)
-    ca = np.asarray(counts_a, dtype=np.int64)
-    cb = np.asarray(counts_b, dtype=np.int64)
-    acc = np.zeros(s.num_sums, dtype=np.int64)
-    np.add.at(acc, s.ids, ca[:, None] * cb[None, :])
-    return s.sum_points, acc
+    return s.sum_points, s.weighted_counts(counts_a, counts_b)
 
 
 def entropy_from_counts(counts, total=None) -> float:
@@ -220,10 +187,8 @@ def entropy_bits(dist: PointMassDist) -> float:
 
 def mutual_info_sum(c1, c2, budget=10**6) -> float:
     """I(X1; X1 + X2) in bits for X1, X2 independent and uniform on c1, c2."""
-    p2 = points_of(c2)
-    _, counts = pair_sum_counts(c1, c2, budget)
-    h_sum = entropy_from_counts(counts)
-    return h_sum - math.log2(len(p2))
+    s = sum_structure(c1, c2, budget)
+    return entropy_from_counts(s.counts()) - math.log2(s.ids.shape[1])
 
 
 def tv_to_uniform(dist: PointMassDist, support) -> float:
@@ -241,21 +206,21 @@ def tv_to_uniform(dist: PointMassDist, support) -> float:
 
 
 class JointBinSumDist:
-    """Joint law of (bin index W, sum point S), stored as exact pair counts.
+    """Joint law of (bin index W, sum point S), stored as exact pair counts;
+    column s counts sum s of the SumStructure the counts came from.
 
     Probabilities are counts / total with a common integer total, so the
     representation stays rational; entropies are evaluated in floats at the
     very end.
     """
 
-    def __init__(self, sum_points, counts):
+    def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[1] != len(sum_points):
+        if counts.ndim != 2:
             raise ValueError("counts must be (num_bins, num_sums)")
         row = counts.sum(axis=1)
         if not (row == row[0]).all():
             raise ValueError("bins must carry equal mass")
-        self.sum_points = tuple(sum_points)
         self.counts = counts
         self.total = int(counts.sum())
         self.num_bins = counts.shape[0]
@@ -298,7 +263,7 @@ def joint_bin_sum(binned, other, budget=10**6, structure=None) -> JointBinSumDis
         counts[w] = np.bincount(
             structure.ids[list(members)].ravel(), minlength=structure.num_sums
         )
-    return JointBinSumDist(structure.sum_points, counts)
+    return JointBinSumDist(counts)
 
 
 def leakage_binned(binned, other, budget=10**6) -> float:

@@ -19,17 +19,28 @@ cell half-open.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import gfp
-from .errors import NonPositiveScale, NotPrime, NotUnimodular, RankDeficientG
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    NonPositiveScale,
+    NotPrime,
+    NotUnimodular,
+    RankDeficientG,
+)
 from .exactlin import det_int
 
 Point = tuple  # tuple of Fractions; alias for readability in signatures
+
+GRID_LIMIT = 1 << 62
+"""Bound on the magnitude of an int64 grid coordinate: below it, the sum of
+two coordinates cannot overflow. on_grid raises BudgetExceeded past it."""
 
 
 def exact_vector(x) -> tuple:
@@ -51,6 +62,84 @@ def exact_vector(x) -> tuple:
         else:
             out.append(Fraction(v))
     return tuple(out)
+
+
+class PointGrid:
+    """Exact points unit * coords[i]: a positive rational unit times rows of
+    int64 coordinates, the one exact format for point sets.
+
+    The Fraction points and their floats are derived on demand, once each;
+    every float is the correctly rounded value of its exact coordinate.
+    """
+
+    def __init__(self, unit, coords):
+        self.unit = Fraction(unit)
+        self.coords = np.asarray(coords, dtype=np.int64)
+        self._float = None
+
+    def __len__(self):
+        return len(self.coords)
+
+    def _per_value(self, convert):
+        """convert(v) for every coordinate v, evaluated once per distinct value."""
+        values, inverse = np.unique(self.coords.ravel(), return_inverse=True)
+        return [convert(int(v)) for v in values], inverse.ravel()
+
+    @cached_property
+    def points(self) -> tuple:
+        table, inverse = self._per_value(lambda v: self.unit * v)
+        flat = [table[i] for i in inverse.tolist()]
+        n = self.coords.shape[1]
+        return tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
+
+    def float_matrix(self) -> np.ndarray:
+        if self._float is None:
+            num, den = self.unit.numerator, self.unit.denominator
+            # int / int is correctly rounded, as float(Fraction) is
+            table, inverse = self._per_value(lambda v: v * num / den)
+            self._float = np.array(table, dtype=np.float64)[inverse].reshape(self.coords.shape)
+        return self._float
+
+
+def _common_unit(values) -> Fraction:
+    """The largest rational dividing every value (1 when all are zero)."""
+    values = list(values)
+    return Fraction(
+        math.gcd(*(v.numerator for v in values)) or 1,
+        math.lcm(1, *(v.denominator for v in values)),
+    )
+
+
+def on_grid(*sets):
+    """Express exact point sets as int64 coordinates over one common unit.
+
+    Each set is a PointGrid (a codebook, a sum structure) or a sequence of
+    exact points. The unit is the largest rational dividing every set's
+    unit, so set i is unit * coords[i] exactly, row for row. Returns
+    (unit, [coords, ...]); raises BudgetExceeded when a coordinate reaches
+    GRID_LIMIT in magnitude.
+    """
+    grids = []
+    for s in sets:
+        if isinstance(s, PointGrid):
+            grids.append((s.unit, s.coords))
+            continue
+        rows = [exact_vector(pt) for pt in s]
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise DimensionMismatch("points of one set differ in length")
+        own = _common_unit(v for row in rows for v in row)
+        ints = [[int(v / own) for v in row] for row in rows]
+        grids.append((own, np.array(ints, dtype=object).reshape(len(rows), width)))
+    unit = _common_unit(own for own, _ in grids)
+    out = []
+    for own, coords in grids:
+        factor = int(own / unit)
+        peak = int(abs(coords).max()) * factor if coords.size else 0
+        if peak >= GRID_LIMIT:
+            raise BudgetExceeded(f"exact coordinate {peak} on a common grid reaches 2^62")
+        out.append(coords.astype(np.int64) * factor)
+    return unit, out
 
 
 def _round_half_up(num: int, den: int) -> int:
@@ -158,15 +247,11 @@ class ConstructionALattice:
         unit = self.scale / self.p
         return [v / unit for v in self._exact(x)]
 
-    def _codeword(self, digits) -> tuple:
-        return tuple(sum(t * z for t, z in zip(row, digits)) % self.p for row in self._code_t)
-
     def _codewords(self) -> tuple:
         """Every codeword of C', one per coset of the fine lattice mod p Z^n."""
         if self._words is None:
-            self._words = tuple(
-                self._codeword(z) for z in itertools.product(range(self.p), repeat=self.k)
-            )
+            words = self.message_coords(np.arange(self.num_cosets)) % self.p
+            self._words = tuple(map(tuple, words.tolist()))
         return self._words
 
     # ------------------------------------------------------------------
@@ -264,16 +349,27 @@ class ConstructionALattice:
             raise ValueError(f"message index {m} out of range")
         return tuple((m // self.p ** i) % self.p for i in range(self.k))
 
-    def point_for_message(self, m: int) -> Point:
-        """Canonical codebook representative of message m (reduced mod coarse).
+    def message_coords(self, messages) -> np.ndarray:
+        """Codebook coordinates, in units of scale / p, of message indices.
 
         The codeword c = T G z mod p of the message digits z, folded into
-        the cell: unit * (c - p [2c >= p]). Folding T (G z mod p) instead
-        gives the same point, since the two differ by a coarse vector.
+        the cell as c - p [2c >= p], so every entry lies in [-p/2, p/2).
+        Folding T (G z mod p) instead gives the same point, since the two
+        differ by a coarse vector. Shape messages.shape + (n,), int64.
         """
+        if self.num_cosets > GRID_LIMIT or self.k * self.p**2 > GRID_LIMIT:
+            raise BudgetExceeded(f"p={self.p}, k={self.k} overflow int64 codeword arithmetic")
+        m = np.asarray(messages, dtype=np.int64)
+        digits = (m[..., None] // self.p ** np.arange(self.k, dtype=np.int64)) % self.p
+        c = digits @ np.array(self._code_t, dtype=np.int64).T % self.p
+        return c - self.p * (2 * c >= self.p)
+
+    def point_for_message(self, m: int) -> Point:
+        """Canonical codebook representative of message m (reduced mod coarse):
+        scale / p times message_coords(m)."""
+        self.message_digits(m)  # range check
         unit = self.scale / self.p
-        c = self._codeword(self.message_digits(m))
-        return tuple(unit * (v - self.p if 2 * v >= self.p else v) for v in c)
+        return tuple(unit * int(v) for v in self.message_coords(m))
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +378,8 @@ class ConstructionALattice:
 
 def random_code_matrix(p, k, n, seed):
     """Rejection-sample an n x k matrix with full column rank over GF(p)."""
+    if k > n:
+        raise RankDeficientG(f"k={k} > n={n}: no n x k matrix has full column rank")
     rng = np.random.default_rng(seed)
     while True:
         rows = rng.integers(0, p, size=(n, k)).tolist()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latsec import (
+    BudgetExceeded,
     ChannelParams,
     ConstructionALattice,
     LayeredCodebook,
@@ -20,7 +21,6 @@ from latsec import (
     decode_very_strong,
     decode_very_strong_batch,
     decode_weak,
-    decode_weak_exact,
     dither_sample,
     dithered_round,
     effective_noise_variance,
@@ -48,6 +48,18 @@ class TestChannelParams:
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValidationError):
                 ChannelParams(cross_gain=0.5, power=bad)
+
+    @pytest.mark.parametrize("field", ["cross_gain", "eve_gain", "noise_var", "eve_noise_var"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_values_rejected(self, field, value):
+        kwargs = {"cross_gain": 0.5, "power": 1.0, field: value}
+        with pytest.raises(ValidationError) as exc:
+            ChannelParams(**kwargs)
+        assert exc.value.field == field
+
+    def test_infinite_power_rejected(self):
+        with pytest.raises(ValidationError):
+            ChannelParams(cross_gain=0.5, power=math.inf)
 
     def test_noise_variances_nonnegative(self):
         with pytest.raises(ValidationError):
@@ -85,6 +97,14 @@ class TestRegimeClassification:
             classify_regime(1.0, 1.0)
         with pytest.raises(ValidationError):
             classify_regime(0.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "a,p,nv",
+        [(math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0), (0.5, math.inf, 1.0), (0.5, 1.0, math.inf)],
+    )
+    def test_nonfinite_inputs_rejected(self, a, p, nv):
+        with pytest.raises(ValidationError):
+            classify_regime(a, p, nv)
 
 
 class TestMmseScaling:
@@ -215,6 +235,10 @@ class TestDitheredEncoding:
         assert forced.codeword2 == cb.points[3]
 
 
+# Zero cross gain and zero noise make the MMSE scaling exactly 1.
+UNIT_ALPHA = ChannelParams(cross_gain=0.0, power=1.0, noise_var=0.0)
+
+
 class TestWeakDecoder:
     def test_unit_scaling_recovers_every_message_noiselessly(self):
         cb = codebook(2, ((1, 0), (0, 1)))
@@ -222,16 +246,18 @@ class TestWeakDecoder:
         u = (Fraction(1, 3), Fraction(-1, 5))
         for pt in cb.points:
             x = encode_dithered(pt, u, lat)
-            assert decode_weak_exact(x, u, 1, lat) == pt
+            assert decode_weak(x, u, UNIT_ALPHA, lat) == pt
 
     def test_exact_entry_point_matches_explicit_alpha(self):
         cb = codebook(2, ((1, 0), (0, 1)))
         lat = cb.lattice
         params = ChannelParams(cross_gain=0.3, power=1.0, noise_var=1.0)
-        alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
+        alpha = Fraction(mmse_alpha(params.power, params.cross_gain, params.noise_var))
         y = (Fraction(3, 8), Fraction(-1, 4))
         u = (Fraction(1, 7), Fraction(2, 9))
-        assert decode_weak(y, u, params, lat) == decode_weak_exact(y, u, alpha, lat)
+        v = tuple(alpha * yi - ui for yi, ui in zip(y, u))
+        expected = lat.mod_coarse(lat.quantize_fine(lat.mod_coarse(v)))
+        assert decode_weak(y, u, params, lat) == expected
 
     def test_reliability_improves_with_repetition_length(self):
         sigma = 0.2
@@ -247,7 +273,7 @@ class TestWeakDecoder:
                 rng = trial_rng(424242, t)
                 m = int(rng.integers(len(cb)))
                 y = pts[m] + rng.standard_normal(n) * sigma
-                decoded = decode_weak_exact(tuple(float(v) for v in y), zero, 1, cb.lattice)
+                decoded = decode_weak(tuple(float(v) for v in y), zero, UNIT_ALPHA, cb.lattice)
                 if decoded != cb.points[m]:
                     errors += 1
             rates[n] = errors / trials
@@ -283,18 +309,21 @@ class TestVeryStrongDecoder:
         assert np.array_equal(own_f, own_e)
         assert np.array_equal(intf_f, intf_e)
 
-    def test_exact_fallback_matches_grid_path(self):
-        # A coordinate with a huge prime denominator defeats the shared
-        # integer grid, forcing the Fraction-by-Fraction fallback.
+    def test_exact_rows_past_int64_bound_raise(self):
+        # A coordinate with a huge prime denominator makes the shared grid
+        # so fine that squared distances would overflow int64.
         cb = codebook(2, ((1,),))
         params = ChannelParams(cross_gain=4.0, power=1.0)
         tiny = Fraction(1, 2**31 + 1)
         rows = [(Fraction(0) + tiny,), (Fraction(-5, 2) + tiny,)]
-        own, intf = decode_very_strong_batch(rows, cb, params)
+        with pytest.raises(BudgetExceeded):
+            decode_very_strong_batch(rows, cb, params)
+        layered = LayeredCodebook(cb.lattice, [cb], [1.0])
+        with pytest.raises(BudgetExceeded):
+            decode_layered(rows, layered, params)
         grid_rows = [(Fraction(0),), (Fraction(-5, 2),)]
         own_g, intf_g = decode_very_strong_batch(grid_rows, cb, params)
-        assert np.array_equal(own, own_g)
-        assert np.array_equal(intf, intf_g)
+        assert own_g.tolist() == [0, 1] and intf_g.tolist() == [0, 1]
 
 
 class TestStageConditions:

@@ -214,6 +214,21 @@ class TestMainExitCodes:
             assert main(["simulate", "pipeline", "--config", path]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_code_rank_above_dimension_is_two(self, tmp_path, capsys):
+        for argv, text in (
+            (["lattice", "build"], "kind=lattice\np=2\nk=3\nn=2\n"),
+            (["verify", "lemmas"], "kind=lemmas\np=3\nk=4\nn=2\n"),
+            (["simulate", "layered"], "kind=layered\nn=2\nk1=3\n"),
+        ):
+            path = self.write(tmp_path, text)
+            assert main(argv + ["--config", path]) == 2
+            assert "must not exceed n=2" in capsys.readouterr().err
+
+    def test_infinite_noise_is_two(self, tmp_path, capsys):
+        path = self.write(tmp_path, "kind=pipeline\nnoise_var=inf\n")
+        assert main(["simulate", "pipeline", "--config", path]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_unmatched_baseline_size_is_two(self, tmp_path, capsys):
         path = self.write(tmp_path, "kind=baseline\nsize=12\n")
         assert main(["compare", "random", "--config", path]) == 2

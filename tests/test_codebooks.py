@@ -21,10 +21,11 @@ from latsec import (
     build_layered,
     dither_second_moment,
     enumerate_codebook,
-    minkowski_sum,
     random_code_matrix,
     random_unimodular,
     scale_to_power,
+    standard_grid,
+    sum_structure,
     verify_sum_bound,
 )
 
@@ -52,6 +53,29 @@ class TestEnumeration:
         for pt in cb.points:
             assert lat.mod_coarse(pt) == pt
 
+    def test_coords_match_point_for_message_on_standard_grid(self):
+        for gp in standard_grid(draws=1):
+            lat = gp.build_lattice(Fraction(3, 7))
+            cb = enumerate_codebook(lat)
+            assert cb.unit == lat.scale / lat.p
+            for m in range(lat.num_cosets):
+                expected = [v / cb.unit for v in lat.point_for_message(m)]
+                assert cb.coords[m].tolist() == expected
+
+    def test_floats_are_correctly_rounded(self):
+        # At this unit, 3 * float(unit) is one ulp off the rounded 3 * unit.
+        lat = ConstructionALattice(7, ((1,), (3,)), None, Fraction(10, 2**45 + 4))
+        cb = enumerate_codebook(lat)
+        expected = [[float(c) for c in pt] for pt in cb.points]
+        assert cb.float_matrix().tolist() == expected
+
+    def test_points_off_the_fine_grid_or_cell_rejected(self):
+        lat = small_lattice()
+        with pytest.raises(ValidationError):
+            Codebook(lat, [(Fraction(1, 4),)])
+        with pytest.raises(ValidationError):
+            Codebook(lat, [(Fraction(1, 2),)])
+
     def test_budget(self):
         lat = ConstructionALattice(7, ((1, 0), (0, 1)), None, 1)
         with pytest.raises(BudgetExceeded):
@@ -74,32 +98,32 @@ class TestEnumeration:
 class TestMinkowskiSum:
     def test_hand_example(self):
         a = [(0,), (Fraction(-1, 2),)]
-        s = minkowski_sum(a, a, budget=10)
+        s = sum_structure(a, a, budget=10).sum_points
         assert s == ((Fraction(-1),), (Fraction(-1, 2),), (Fraction(0),))
 
     def test_matches_oracle_histogram_support(self):
         lat = ConstructionALattice(3, ((1,), (2,)), ((1, 1), (0, 1)), Fraction(3, 2))
         cb = enumerate_codebook(lat)
-        s = minkowski_sum(cb, cb)
+        s = sum_structure(cb, cb).sum_points
         hist = oracles.pair_sum_histogram(cb.points, cb.points)
         assert set(s) == set(hist)
 
-    def test_fallback_path_matches_grid_path(self):
-        # Denominators above the grid limit force the dictionary fallback.
+    def test_large_denominator_matches_oracle(self):
+        # A 2^-31 coordinate puts both sets on a fine common grid.
         huge = Fraction(1, 2**31)
         a = [(Fraction(0),), (huge,)]
         b = [(Fraction(0),), (Fraction(1, 2),)]
-        s = minkowski_sum(a, b, budget=10)
+        s = sum_structure(a, b, budget=10).sum_points
         assert set(s) == set(oracles.pair_sum_histogram(a, b))
 
     def test_budget_and_dimension_errors(self):
         a = [(0,)] * 1
         with pytest.raises(DimensionMismatch):
-            minkowski_sum([(0,)], [(0, 0)], budget=10)
+            sum_structure([(0,)], [(0, 0)], budget=10)
         with pytest.raises(BudgetExceeded):
-            minkowski_sum([(0,), (1,)], [(0,), (1,)], budget=3)
+            sum_structure([(0,), (1,)], [(0,), (1,)], budget=3)
         with pytest.raises(EmptyCodebook):
-            minkowski_sum([], a, budget=10)
+            sum_structure([], a, budget=10)
 
     def test_sum_bound_report(self):
         cb = enumerate_codebook(small_lattice())

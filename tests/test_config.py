@@ -226,6 +226,35 @@ class TestValidation:
             parse_config("kind=layered\nne=-0.5")
         assert parse_config("kind=pipeline\nnoise_var=0")["noise_var"] == 0.0
 
+    @pytest.mark.parametrize(
+        "kind,field,value",
+        [
+            ("pipeline", "noise_var", "inf"),
+            ("pipeline", "ne", "inf"),
+            ("layered", "noise_var", "inf"),
+            ("layered", "ne", "inf"),
+        ],
+    )
+    def test_infinite_noise_rejected(self, kind, field, value):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(f"kind={kind}\n{field}={value}")
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ("kind=lattice\np=2\nk=3\nn=2", "k"),
+            ("kind=pipeline\nk=2\nn=1", "k"),
+            ("kind=lemmas\np=3\nk=4\nn=2", "k"),
+            ("kind=layered\nn=2\nk1=3", "k1"),
+            ("kind=layered\nn=2\nk1=2\nk2=3", "k2"),
+        ],
+    )
+    def test_code_rank_above_dimension_rejected(self, doc, field):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(doc)
+        assert exc.value.field == field
+
     def test_scale_must_be_positive(self):
         with pytest.raises(ValidationError):
             parse_config("kind=lattice\nscale=0")

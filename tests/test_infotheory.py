@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsec import (
     BudgetExceeded,
@@ -83,13 +85,21 @@ class TestPairSums:
         assert np.array_equal(counts, counts2)
         assert len(points2) == len(structure.sum_points)
 
-    def test_non_grid_fallback_agrees(self):
+    def test_large_denominator_agrees(self):
+        # A 1/(2^31 + 1) coordinate puts all sets on a fine common grid.
         huge = Fraction(1, 2**31 + 1)
         a = [(Fraction(0),), (huge,), (Fraction(1, 3),)]
         b = [(Fraction(0),), (Fraction(1, 3),)]
         points, counts = pair_sum_counts(a, b, 100)
         hist = oracles.pair_sum_histogram(a, b)
         assert {pt: int(c) for pt, c in zip(points, counts)} == hist
+
+    def test_coordinates_past_int64_bound_raise(self):
+        for big in ((Fraction(2**62),), (Fraction(1),)), ((Fraction(1, 2**62),), (Fraction(1),)):
+            with pytest.raises(BudgetExceeded):
+                sum_structure(big, [(Fraction(0),)], 10)
+        fits = ((Fraction(2**62 - 1),), (Fraction(1),))
+        assert sum_structure(fits, [(Fraction(0),)], 10).num_sums == 2
 
     def test_budget(self):
         cb = seeded_codebook(5, 2, 2)
@@ -109,6 +119,54 @@ class TestPairSums:
                 expected[key] = expected.get(key, 0) + int(wx) * int(wy)
         assert {tuple(p): int(c) for p, c in zip(points, counts)} == expected
         assert int(counts.sum()) == 5 * 7
+
+
+def _grid_codebook(p, k, n, draw, scale):
+    g = random_code_matrix(p, k, n, [p, k, n, draw, 11])
+    t = random_unimodular(n, [p, k, n, draw, 13])
+    return enumerate_codebook(ConstructionALattice(p, g, t, scale))
+
+
+# Denominators at and far above 2^30 used to leave the shared int64 grid.
+_DENOMINATORS = (1, 2, 3, 7, 2**31 - 1, 1000000007, 2**40 + 15)
+
+
+@st.composite
+def small_codebooks(draw, n):
+    p = draw(st.sampled_from((2, 3, 5)))
+    k = draw(st.integers(1, min(n, {2: 4, 3: 2, 5: 2}[p])))
+    scale = Fraction(draw(st.integers(1, 50)), draw(st.sampled_from(_DENOMINATORS)))
+    return _grid_codebook(p, k, n, draw(st.integers(0, 3)), scale)
+
+
+@st.composite
+def codebook_pairs(draw):
+    n = draw(st.integers(1, 3))
+    return draw(small_codebooks(n)), draw(small_codebooks(n))
+
+
+class TestPairSumProperties:
+    @settings(max_examples=40)
+    @given(codebook_pairs())
+    def test_pair_sum_counts_match_oracle(self, pair):
+        a, b = pair
+        points, counts = pair_sum_counts(a, b, 10**6)
+        assert list(points) == sorted(points)
+        got = {pt: int(c) for pt, c in zip(points, counts)}
+        assert got == oracles.pair_sum_histogram(a.points, b.points)
+
+    @settings(max_examples=40)
+    @given(codebook_pairs(), st.data())
+    def test_weighted_sum_counts_match_oracle(self, pair, data):
+        a, b = pair
+        wa = data.draw(st.lists(st.integers(1, 3), min_size=len(a), max_size=len(a)))
+        wb = data.draw(st.lists(st.integers(1, 3), min_size=len(b), max_size=len(b)))
+        points, counts = weighted_sum_counts(a, wa, b, wb, 10**6)
+        # a point repeated w times carries weight w in the plain histogram
+        rep_a = [pt for pt, w in zip(a.points, wa) for _ in range(w)]
+        rep_b = [pt for pt, w in zip(b.points, wb) for _ in range(w)]
+        got = {pt: int(c) for pt, c in zip(points, counts)}
+        assert got == oracles.pair_sum_histogram(rep_a, rep_b)
 
 
 class TestMutualInfoSum:

@@ -146,6 +146,12 @@ class TestSeededGenerators:
         assert max(abs(v) for row in t for v in row) <= 6
         assert t == random_unimodular(n, seed=[n, 21])
 
+    def test_code_rank_above_dimension_raises_at_once(self):
+        # No n x k matrix with k > n has full column rank; the sampler must
+        # say so instead of drawing forever.
+        with pytest.raises(RankDeficientG):
+            random_code_matrix(2, 3, 2, seed=[0])
+
     def test_forced_shape_is_deterministic(self):
         # (2,1,1) admits exactly one full-rank matrix; every draw returns it.
         for d in range(5):

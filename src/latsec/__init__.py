@@ -37,30 +37,18 @@ from .codebooks import (
     BinnedCodebook,
     Codebook,
     LayeredCodebook,
-    SumBoundReport,
-    assign_bins,
     build_layered,
     dither_second_moment,
     enumerate_codebook,
     scale_to_power,
-    verify_sum_bound,
 )
 from .infotheory import (
     JointBinSumDist,
-    PointMassDist,
     SumStructure,
-    convolve,
-    entropy_bits,
     entropy_from_counts,
-    equivocation_rate,
     joint_bin_sum,
-    leakage_binned,
     mutual_info_sum,
-    pair_sum_counts,
     sum_structure,
-    tv_to_uniform,
-    uniform_dist,
-    weighted_sum_counts,
 )
 from .channel import (
     ChannelParams,
@@ -70,7 +58,6 @@ from .channel import (
     check_stage_conditions,
     classify_regime,
     decode_layered,
-    decode_very_strong,
     decode_very_strong_batch,
     decode_weak,
     dither_sample,

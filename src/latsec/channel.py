@@ -19,7 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, StageConditionViolated, UnityGain, ValidationError
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    StageConditionViolated,
+    UnityGain,
+    ValidationError,
+)
 from .lattices import ConstructionALattice, PointGrid, exact_vector, on_grid
 
 
@@ -216,44 +222,17 @@ def _is_exact_rows(y) -> bool:
     )
 
 
-def decode_very_strong(y, codebook, params: ChannelParams):
-    """Interference-first successive decoding.
-
-    Finds the interfering codeword at gain a, strips it, then decodes the
-    own codeword. Returns (own_index, interferer_index). Ties resolve to
-    the lowest message index. Decodes y as a one-row batch: exact (tuple)
-    input in exact arithmetic, float input with float distances.
-    """
-    if isinstance(y, (tuple, list)):
-        rows = [y]
-    else:
-        rows = np.asarray(y, dtype=np.float64).reshape(1, -1)
-    own, intf = decode_very_strong_batch(rows, codebook, params)
-    return int(own[0]), int(intf[0])
-
-
 def decode_very_strong_batch(received, codebook, params: ChannelParams):
     """Interference-first decoding of many rows at once.
 
-    A float ndarray is decoded with float distances. Exact rows, a list of
-    exact points or a PointGrid, are decoded in int64 on one grid shared
-    with the codebook (see _exact_decode_grid).
+    Finds each row's interfering codeword at gain a, strips it, then
+    decodes the own codeword; this is successive decoding with one layer.
+    Returns (own_indices, interferer_indices). Ties resolve to the lowest
+    message index. The very-strong regime test is the caller's; no stage
+    condition is checked here.
     """
-    if _is_exact_rows(received):
-        y_grid, layer_grids = _exact_decode_grid(
-            received, [codebook], Fraction(params.cross_gain)
-        )
-        own, intf, _ = _grid_stage(y_grid, layer_grids[0])
-        return own, intf
-    a = float(params.cross_gain)
-    received = np.asarray(received, dtype=np.float64)
-    pts = codebook.float_matrix()
-    d_int = ((received[:, None, :] - a * pts[None, :, :]) ** 2).sum(axis=2)
-    j = d_int.argmin(axis=1)
-    stripped = received - a * pts[j]
-    d_own = ((stripped[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    i = d_own.argmin(axis=1)
-    return i.astype(np.int64), j.astype(np.int64)
+    own, intf = _successive_decode(received, [codebook], params.cross_gain)
+    return own[0], intf[0]
 
 
 def _exact_decode_grid(received, codebooks, gain: Fraction):
@@ -274,16 +253,37 @@ def _exact_decode_grid(received, codebooks, gain: Fraction):
     return y_int * aden, [(c * aden, c * anum) for c in layers]
 
 
-def _grid_stage(resid, layer_grid):
-    """One successive-decoding stage in exact integer arithmetic."""
-    own_grid, intf_grid = layer_grid
-    d_int = ((resid[:, None, :] - intf_grid[None, :, :]) ** 2).sum(axis=2)
-    j = d_int.argmin(axis=1)
-    resid = resid - intf_grid[j]
-    d_own = ((resid[:, None, :] - own_grid[None, :, :]) ** 2).sum(axis=2)
-    i = d_own.argmin(axis=1)
-    resid = resid - own_grid[i]
-    return i.astype(np.int64), j.astype(np.int64), resid
+def _nearest(rows, pts):
+    """Index of the nearest point of pts to each row; ties go to the lowest."""
+    return ((rows[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+def _successive_decode(received, codebooks, gain):
+    """Per-layer successive decoding, interference first inside each stage.
+
+    Exact rows (a list of exact points or a PointGrid) are decoded in int64
+    on one grid shared with the codebooks (see _exact_decode_grid); anything
+    else is a float batch of shape (rows, n). Each stage finds the nearest
+    interferer at the gain, strips it, then finds and strips the nearest own
+    codeword. Returns (own_indices, interferer_indices), one array per layer.
+    """
+    if _is_exact_rows(received):
+        resid, stages = _exact_decode_grid(received, codebooks, Fraction(gain))
+    else:
+        resid = np.array(received, dtype=np.float64)
+        if resid.ndim != 2:
+            raise DimensionMismatch(f"expected a batch of rows, got shape {resid.shape}")
+        a = float(gain)
+        stages = [(pts, a * pts) for pts in (cb.float_matrix() for cb in codebooks)]
+    own_all, intf_all = [], []
+    for own_pts, intf_pts in stages:
+        j = _nearest(resid, intf_pts)
+        resid -= intf_pts[j]
+        i = _nearest(resid, own_pts)
+        resid -= own_pts[i]
+        own_all.append(i.astype(np.int64))
+        intf_all.append(j.astype(np.int64))
+    return tuple(own_all), tuple(intf_all)
 
 
 def stage_condition_witnesses(powers, cross_gain: float, noise_var: float = 1.0):
@@ -328,43 +328,10 @@ def check_stage_conditions(powers, cross_gain: float, noise_var: float = 1.0):
 
 
 def decode_layered(y, layered, params: ChannelParams):
-    """Successive decoding across layers, interference first inside each stage.
-
-    Accepts a single vector or a batch of rows; exact rows (a list of exact
-    points or a PointGrid) are decoded in exact arithmetic. Returns
-    (own_indices, interferer_indices) as per-layer tuples of arrays or ints.
+    """Successive decoding of a batch of rows across layers, after checking
+    every stage condition. Exact rows (a list of exact points or a
+    PointGrid) are decoded in exact arithmetic. Returns
+    (own_indices, interferer_indices) as per-layer tuples of arrays.
     """
     check_stage_conditions(layered.powers, params.cross_gain, params.noise_var)
-    single = False
-    if _is_exact_rows(y):
-        rows = y
-    elif isinstance(y, (tuple, list)) and y and isinstance(y[0], (int, float, Fraction, str)):
-        rows, single = [y], True
-    else:
-        arr = np.asarray(y, dtype=np.float64)
-        single = arr.ndim == 1
-        return _decode_layered_float(arr.reshape(1, -1) if single else arr, layered,
-                                     float(params.cross_gain), single)
-    resid, layer_grids = _exact_decode_grid(rows, layered.layers, Fraction(params.cross_gain))
-    own_all, intf_all = [], []
-    for lg in layer_grids:
-        i, j, resid = _grid_stage(resid, lg)
-        own_all.append(int(i[0]) if single else i)
-        intf_all.append(int(j[0]) if single else j)
-    return tuple(own_all), tuple(intf_all)
-
-
-def _decode_layered_float(rows: np.ndarray, layered, a: float, single: bool):
-    resid = rows.copy()
-    own_all, intf_all = [], []
-    for cb in layered.layers:
-        pts = cb.float_matrix()
-        d_int = ((resid[:, None, :] - a * pts[None, :, :]) ** 2).sum(axis=2)
-        j = d_int.argmin(axis=1)
-        resid -= a * pts[j]
-        d_own = ((resid[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        i = d_own.argmin(axis=1)
-        resid -= pts[i]
-        own_all.append(int(i[0]) if single else i.astype(np.int64))
-        intf_all.append(int(j[0]) if single else j.astype(np.int64))
-    return tuple(own_all), tuple(intf_all)
+    return _successive_decode(y, layered.layers, params.cross_gain)

@@ -560,12 +560,11 @@ def _config_for(args: argparse.Namespace) -> ExperimentConfig:
         overrides["trials"] = args.trials
     if args.budget is not None:
         overrides["budget"] = args.budget
+    for field, value in overrides.items():
+        if value < 0:
+            raise ValidationError(field, f"--{field} must be nonnegative")
     if overrides:
-        values = dict(config.values)
-        values.update(overrides)
-        if values.get("budget", 0) < 0 or values.get("trials", 0) < 0:
-            raise ValidationError("budget", "overrides must be nonnegative")
-        config = ExperimentConfig(kind=config.kind, values=values)
+        config = ExperimentConfig(kind=config.kind, values={**config.values, **overrides})
     return config
 
 

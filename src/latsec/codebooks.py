@@ -1,5 +1,5 @@
 """Codebooks carved out of nested lattices: enumeration, power scaling,
-pairwise sums, binning, and layered (superposition) construction.
+binning, and layered (superposition) construction.
 
 A codebook is a PointGrid over the fine unit scale / p: codeword m is
 unit * coords[m] with int64 coordinates in [-p/2, p/2), computed for all
@@ -11,7 +11,6 @@ on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +24,6 @@ from .errors import (
     NonDivisibleBins,
     ValidationError,
 )
-from .infotheory import sum_structure
 from .lattices import ConstructionALattice, PointGrid, exact_vector, on_grid
 
 
@@ -59,7 +57,6 @@ class Codebook(PointGrid):
             raise ValidationError("points", "codebook points must lie in the coarse cell")
         self.lattice = lattice
         self.n = lattice.n
-        self._index = None
 
     @property
     def size_log2(self) -> float:
@@ -76,11 +73,6 @@ class Codebook(PointGrid):
         acc = sum(int(v) * int(v) * int(c) for v, c in zip(values, counts))
         return self.unit**2 * acc / self.coords.size
 
-    def index_of(self, point) -> int:
-        if self._index is None:
-            self._index = {pt: m for m, pt in enumerate(self.points)}
-        return self._index[exact_vector(point)]
-
 
 def enumerate_codebook(lattice: ConstructionALattice, budget: int = 10**6) -> Codebook:
     """All coset representatives, ordered by message index."""
@@ -91,21 +83,6 @@ def enumerate_codebook(lattice: ConstructionALattice, budget: int = 10**6) -> Co
     return Codebook(lattice, coords=lattice.message_coords(np.arange(lattice.num_cosets)))
 
 
-@dataclass(frozen=True)
-class SumBoundReport:
-    codebook_size: int
-    sum_size: int
-    bound: int
-    passed: bool
-
-
-def verify_sum_bound(codebook: Codebook, budget: int = 10**6) -> SumBoundReport:
-    """Check |C + C| <= 2^n |C| for the self-sum of a codebook."""
-    sum_size = sum_structure(codebook, codebook, budget).num_sums
-    bound = (2 ** codebook.n) * len(codebook)
-    return SumBoundReport(len(codebook), sum_size, bound, sum_size <= bound)
-
-
 def dither_second_moment(
     lattice: ConstructionALattice, samples: int = 100_000, seed: int = 0
 ) -> float:
@@ -114,6 +91,8 @@ def dither_second_moment(
     Draws uniformly from the basis parallelepiped and folds into the cell;
     the fold is measure preserving, so the folded sample is uniform there.
     """
+    if int(samples) < 1:
+        raise ValidationError("samples", "need at least one Monte Carlo sample")
     rng = np.random.default_rng([int(seed), 0x5EC0])
     basis = lattice.coarse_basis_float()
     t = rng.random((int(samples), lattice.n))
@@ -203,10 +182,6 @@ class BinnedCodebook:
                 table[list(members)] = w
             self._bin_of = table
         return int(self._bin_of[index])
-
-
-def assign_bins(codebook: Codebook, num_bins: int, seed: int = 0) -> BinnedCodebook:
-    return BinnedCodebook(codebook, num_bins, seed)
 
 
 class LayeredCodebook:

@@ -256,10 +256,11 @@ def _validate(kind: str, values: dict[str, Any]) -> None:
         raise ValidationError(field, f"{field!r} {why}")
 
     for field in ("p", "k", "n", "k1", "k2", "n_max", "coset_limit", "draws",
-                  "num_bins", "num_seeds", "size", "dim", "max_points"):
+                  "num_bins", "num_seeds", "size", "dim", "max_points",
+                  "power_samples"):
         if values.get(field) is not None and values[field] < 1:
             bad(field, "must be at least 1")
-    for field in ("budget", "trials", "power_samples"):
+    for field in ("budget", "trials", "seed", "bin_seed", "g_seed", "gprime_seed"):
         if values.get(field) is not None and values[field] < 0:
             bad(field, "must be nonnegative")
     if "a" in values:

@@ -36,7 +36,6 @@ from .codebooks import (
     BinnedCodebook,
     Codebook,
     LayeredCodebook,
-    assign_bins,
     build_layered,
     enumerate_codebook,
     scale_to_power,
@@ -231,7 +230,7 @@ def run_theorem1_suite(items, bin_seed=0, budget=10**6):
         structure = sum_structure(cb, cb, budget)
         for j in range(lat.k + 1):
             num_bins = lat.p**j
-            binned = assign_bins(cb, num_bins, bin_seed)
+            binned = BinnedCodebook(cb, num_bins, bin_seed)
             reports.append(
                 make_secrecy_report(
                     binned, cb, budget,
@@ -682,7 +681,7 @@ def run_regime_pipeline(
     """
     regime = classify_regime(params.cross_gain, params.power, params.noise_var)
     cb = scale_to_power(codebook, params.power, samples=power_samples)
-    binned = assign_bins(cb, num_bins, bin_seed)
+    binned = BinnedCodebook(cb, num_bins, bin_seed)
     secrecy = make_secrecy_report(binned, cb, budget, label=label)
     notes = []
     reliability = None

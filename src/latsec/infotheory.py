@@ -1,29 +1,23 @@
 """Exact discrete information theory for lattice point distributions.
 
-Probabilities are Fractions end to end; entropy evaluation is the only
-floating-point step. Sum sets are counted on int64 coordinates: on_grid
-puts both point sets over one rational unit (a codebook already is one:
-scale / p times coordinates in [-p/2, p/2)), and the sums keep that unit.
-Plain exact point lists are accepted too; a set whose coordinates reach
-GRID_LIMIT = 2^62 on the common grid raises BudgetExceeded. Exact sum
-points are built only when a caller asks for them.
+Every distribution is held as exact integer counts over one common total;
+entropy evaluation is the only floating-point step. Sum sets are counted
+on int64 coordinates: on_grid puts both point sets over one rational unit
+(a codebook already is one: scale / p times coordinates in [-p/2, p/2)),
+and the sums keep that unit. Plain exact point lists are accepted too; a
+set whose coordinates reach GRID_LIMIT = 2^62 on the common grid raises
+BudgetExceeded. Exact sum points are built only when a caller asks for
+them.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, EmptyCodebook, SupportMismatch
+from .errors import BudgetExceeded, DimensionMismatch, EmptyCodebook
 from .lattices import PointGrid, on_grid
-
-
-def points_of(obj):
-    """Accept a codebook-like object (with .points) or a plain point sequence."""
-    pts = getattr(obj, "points", obj)
-    return tuple(tuple(Fraction(c) for c in pt) for pt in pts)
 
 
 class SumStructure(PointGrid):
@@ -40,10 +34,6 @@ class SumStructure(PointGrid):
         self.ids = np.asarray(ids, dtype=np.int64)
         self.num_sums = len(self.coords)
 
-    @property
-    def sum_points(self) -> tuple:
-        return self.points
-
     def counts(self) -> np.ndarray:
         return np.bincount(self.ids.ravel(), minlength=self.num_sums).astype(np.int64)
 
@@ -54,10 +44,6 @@ class SumStructure(PointGrid):
         acc = np.zeros(self.num_sums, dtype=np.int64)
         np.add.at(acc, self.ids, ca[:, None] * cb[None, :])
         return acc
-
-    @property
-    def total(self) -> int:
-        return self.ids.size
 
 
 def sum_structure(a, b, budget=10**6) -> SumStructure:
@@ -73,28 +59,6 @@ def sum_structure(a, b, budget=10**6) -> SumStructure:
     return SumStructure(unit, uniq, np.asarray(inverse).reshape(len(ga), len(gb)))
 
 
-def pair_sum_counts(a, b, budget=10**6):
-    """Distinct values of x + y over the product of two point sets, with counts.
-
-    Returns (sum_points, counts) where sum_points is a tuple of exact points
-    in lexicographic order and counts[i] is the number of index pairs whose
-    sum equals sum_points[i]. Exact: counts over a common total |A|*|B|.
-    """
-    s = sum_structure(a, b, budget)
-    return s.sum_points, s.counts()
-
-
-def weighted_sum_counts(points_a, counts_a, points_b, counts_b, budget=10**6):
-    """Sum support and multiplicities when the inputs are themselves weighted.
-
-    Realizes the distribution of U + V where U has integer mass counts_a on
-    points_a and V has counts_b on points_b; output masses are exact integers
-    over the product total.
-    """
-    s = sum_structure(points_a, points_b, budget)
-    return s.sum_points, s.weighted_counts(counts_a, counts_b)
-
-
 def entropy_from_counts(counts, total=None) -> float:
     """Entropy in bits of the distribution counts / sum(counts)."""
     c = np.asarray(counts, dtype=np.float64)
@@ -107,102 +71,10 @@ def entropy_from_counts(counts, total=None) -> float:
     return math.log2(total) - s / total
 
 
-class PointMassDist:
-    """Finite distribution over exact points with Fraction probabilities."""
-
-    def __init__(self, mapping):
-        items = []
-        total = Fraction(0)
-        for pt, pr in mapping.items():
-            pr = Fraction(pr)
-            if pr < 0:
-                raise ValueError("negative probability")
-            if pr > 0:
-                items.append((tuple(Fraction(c) for c in pt), pr))
-                total += pr
-        if not items:
-            raise EmptyCodebook("distribution has empty support")
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        dims = {len(pt) for pt, _ in items}
-        if len(dims) != 1:
-            raise DimensionMismatch("support points have mixed dimensions")
-        items.sort(key=lambda kv: kv[0])
-        self._map = dict(items)
-        self.dim = dims.pop()
-
-    @classmethod
-    def from_counts(cls, points, counts):
-        total = int(sum(int(c) for c in counts))
-        return cls({pt: Fraction(int(c), total) for pt, c in zip(points, counts)})
-
-    @property
-    def support(self):
-        return tuple(self._map.keys())
-
-    def prob(self, point) -> Fraction:
-        return self._map.get(tuple(Fraction(c) for c in point), Fraction(0))
-
-    def items(self):
-        return self._map.items()
-
-    def __len__(self):
-        return len(self._map)
-
-    def __eq__(self, other):
-        return isinstance(other, PointMassDist) and self._map == other._map
-
-
-def uniform_dist(points) -> PointMassDist:
-    """Uniform distribution over a codebook or point collection."""
-    pts = points_of(points)
-    if not pts:
-        raise EmptyCodebook("cannot build a uniform distribution on nothing")
-    if len(set(pts)) != len(pts):
-        raise ValueError("points must be distinct")
-    p = Fraction(1, len(pts))
-    return PointMassDist({pt: p for pt in pts})
-
-
-def convolve(d1: PointMassDist, d2: PointMassDist) -> PointMassDist:
-    """Distribution of X + Y for independent X ~ d1, Y ~ d2. Exact."""
-    if d1.dim != d2.dim:
-        raise DimensionMismatch(f"dimensions {d1.dim} and {d2.dim} differ")
-    acc = {}
-    for pt1, p1 in d1.items():
-        for pt2, p2 in d2.items():
-            s = tuple(a + b for a, b in zip(pt1, pt2))
-            acc[s] = acc.get(s, Fraction(0)) + p1 * p2
-    return PointMassDist(acc)
-
-
-def entropy_bits(dist: PointMassDist) -> float:
-    """Shannon entropy in bits. The only floating-point step in the chain."""
-    h = 0.0
-    for _, pr in dist.items():
-        if pr != 1:
-            h -= float(pr) * (math.log2(pr.numerator) - math.log2(pr.denominator))
-    return h
-
-
 def mutual_info_sum(c1, c2, budget=10**6) -> float:
     """I(X1; X1 + X2) in bits for X1, X2 independent and uniform on c1, c2."""
     s = sum_structure(c1, c2, budget)
     return entropy_from_counts(s.counts()) - math.log2(s.ids.shape[1])
-
-
-def tv_to_uniform(dist: PointMassDist, support) -> float:
-    """Total variation distance to the uniform distribution on `support`."""
-    pts = points_of(support)
-    if not pts:
-        raise EmptyCodebook("reference support is empty")
-    ref = set(pts)
-    for pt in dist.support:
-        if pt not in ref:
-            raise SupportMismatch("distribution support leaves the reference set")
-    u = Fraction(1, len(pts))
-    tv = sum(abs(dist.prob(pt) - u) for pt in pts) / 2
-    return float(tv)
 
 
 class JointBinSumDist:
@@ -210,7 +82,7 @@ class JointBinSumDist:
     column s counts sum s of the SumStructure the counts came from.
 
     Probabilities are counts / total with a common integer total, so the
-    representation stays rational; entropies are evaluated in floats at the
+    representation stays exact; entropies are evaluated in floats at the
     very end.
     """
 
@@ -224,12 +96,6 @@ class JointBinSumDist:
         self.counts = counts
         self.total = int(counts.sum())
         self.num_bins = counts.shape[0]
-
-    def prob(self, w: int, sum_index: int) -> Fraction:
-        return Fraction(int(self.counts[w, sum_index]), self.total)
-
-    def bin_marginal(self):
-        return tuple(Fraction(int(v), self.total) for v in self.counts.sum(axis=1))
 
     def sum_marginal_counts(self):
         return self.counts.sum(axis=0)
@@ -264,19 +130,3 @@ def joint_bin_sum(binned, other, budget=10**6, structure=None) -> JointBinSumDis
             structure.ids[list(members)].ravel(), minlength=structure.num_sums
         )
     return JointBinSumDist(counts)
-
-
-def leakage_binned(binned, other, budget=10**6) -> float:
-    """I(W; X1 + X2) in bits, W the bin index of X1."""
-    return joint_bin_sum(binned, other, budget).mutual_info_bits()
-
-
-def equivocation_rate(binned, other, budget=10**6) -> float:
-    """(1/n) H(W | X1 + X2), reported as bin rate minus per-dim leakage.
-
-    Computed so that equivocation == bin_rate_per_dim - leakage / n holds
-    bit for bit in floating point.
-    """
-    n = binned.codebook.lattice.n
-    leak = leakage_binned(binned, other, budget)
-    return binned.bin_rate_per_dim - leak / n

@@ -10,6 +10,7 @@ from latsec import (
     BudgetExceeded,
     ChannelParams,
     ConstructionALattice,
+    DimensionMismatch,
     LayeredCodebook,
     StageConditionViolated,
     UnityGain,
@@ -18,7 +19,6 @@ from latsec import (
     check_stage_conditions,
     classify_regime,
     decode_layered,
-    decode_very_strong,
     decode_very_strong_batch,
     decode_weak,
     dither_sample,
@@ -286,12 +286,13 @@ class TestVeryStrongDecoder:
     def test_exhaustive_noiseless_recovery(self):
         cb = codebook(3, ((1, 0), (0, 1)))
         params = ChannelParams(cross_gain=4.0, power=1.0)
-        for m1 in range(len(cb)):
-            for m2 in range(len(cb)):
-                y = tuple(
-                    a + 4 * b for a, b in zip(cb.points[m1], cb.points[m2])
-                )
-                assert decode_very_strong(y, cb, params) == (m1, m2)
+        pairs = [(m1, m2) for m1 in range(len(cb)) for m2 in range(len(cb))]
+        rows = [
+            tuple(a + 4 * b for a, b in zip(cb.points[m1], cb.points[m2]))
+            for m1, m2 in pairs
+        ]
+        own, intf = decode_very_strong_batch(rows, cb, params)
+        assert list(zip(own.tolist(), intf.tolist())) == pairs
 
     def test_float_and_exact_batches_agree(self):
         cb = codebook(3, ((1, 0), (0, 1)))
@@ -372,13 +373,14 @@ class TestLayeredDecoder:
         assert np.array_equal(own_l[0], own_s)
         assert np.array_equal(intf_l[0], intf_s)
 
-    def test_single_vector_returns_scalar_indices(self):
+    def test_single_vector_rejected(self):
         layered, cb = self._single_layer()
         params = ChannelParams(cross_gain=4.0, power=1.0)
         y = tuple(a + 4 * b for a, b in zip(cb.points[5], cb.points[2]))
-        own, intf = decode_layered(y, layered, params)
-        assert own == (5,)
-        assert intf == (2,)
+        for decode, book in ((decode_layered, layered), (decode_very_strong_batch, cb)):
+            for row in (y, np.array([float(v) for v in y])):
+                with pytest.raises(DimensionMismatch):
+                    decode(row, book, params)
 
     def test_two_layer_float_and_exact_paths_agree(self):
         coarse = codebook(2, ((1, 0), (0, 1)), scale=2)

@@ -238,6 +238,27 @@ class TestMainExitCodes:
         path = self.write(tmp_path, SINGLE_LEMMA)
         assert main(["verify", "lemmas", "--config", path, "--budget", "-5"]) == 2
         capsys.readouterr()
+        path = self.write(tmp_path, "kind=pipeline\ntrials=10\npower_samples=100\n")
+        assert main(["simulate", "pipeline", "--config", path, "--seed", "-1"]) == 2
+        assert "--seed must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["simulate", "pipeline"], "kind=pipeline\nseed=-1\n"),
+            (["simulate", "layered"], "kind=layered\nseed=-1\n"),
+            (["compare", "random"], "kind=baseline\nseed=-1\n"),
+            (["simulate", "pipeline"], "kind=pipeline\nbin_seed=-1\n"),
+            (["sweep"], "kind=sweep\nbin_seed=-1\n"),
+            (["lattice", "build"], "kind=lattice\ng_seed=-1\n"),
+            (["lattice", "build"], "kind=lattice\ngprime_seed=-3\n"),
+            (["simulate", "pipeline"], "kind=pipeline\npower_samples=0\n"),
+        ],
+    )
+    def test_negative_seeds_and_no_power_samples_are_two(self, tmp_path, capsys, argv, doc):
+        path = self.write(tmp_path, doc)
+        assert main(argv + ["--config", path]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_budget_exhaustion_is_three(self, tmp_path, capsys):
         path = self.write(tmp_path, "kind=lattice\nk=2\nn=2\nbudget=1\n")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from latsec import (
+    BinnedCodebook,
     BudgetExceeded,
     Codebook,
     ConstructionALattice,
@@ -17,7 +18,6 @@ from latsec import (
     LayeredCodebook,
     NonDivisibleBins,
     ValidationError,
-    assign_bins,
     build_layered,
     dither_second_moment,
     enumerate_codebook,
@@ -26,7 +26,6 @@ from latsec import (
     scale_to_power,
     standard_grid,
     sum_structure,
-    verify_sum_bound,
 )
 
 import oracles
@@ -44,7 +43,6 @@ class TestEnumeration:
         assert len(cb) == 3
         assert cb.points[0] == (0, 0)
         assert cb.points[1] == lat.point_for_message(1)
-        assert cb.index_of(cb.points[2]) == 2
 
     def test_points_distinct_and_folded(self):
         lat = ConstructionALattice(5, ((1, 0), (0, 1), (3, 2)), None, Fraction(1, 2))
@@ -98,13 +96,13 @@ class TestEnumeration:
 class TestMinkowskiSum:
     def test_hand_example(self):
         a = [(0,), (Fraction(-1, 2),)]
-        s = sum_structure(a, a, budget=10).sum_points
+        s = sum_structure(a, a, budget=10).points
         assert s == ((Fraction(-1),), (Fraction(-1, 2),), (Fraction(0),))
 
     def test_matches_oracle_histogram_support(self):
         lat = ConstructionALattice(3, ((1,), (2,)), ((1, 1), (0, 1)), Fraction(3, 2))
         cb = enumerate_codebook(lat)
-        s = sum_structure(cb, cb).sum_points
+        s = sum_structure(cb, cb).points
         hist = oracles.pair_sum_histogram(cb.points, cb.points)
         assert set(s) == set(hist)
 
@@ -113,7 +111,7 @@ class TestMinkowskiSum:
         huge = Fraction(1, 2**31)
         a = [(Fraction(0),), (huge,)]
         b = [(Fraction(0),), (Fraction(1, 2),)]
-        s = sum_structure(a, b, budget=10).sum_points
+        s = sum_structure(a, b, budget=10).points
         assert set(s) == set(oracles.pair_sum_histogram(a, b))
 
     def test_budget_and_dimension_errors(self):
@@ -127,11 +125,10 @@ class TestMinkowskiSum:
 
     def test_sum_bound_report(self):
         cb = enumerate_codebook(small_lattice())
-        rep = verify_sum_bound(cb)
-        assert rep.codebook_size == 2
-        assert rep.sum_size == 3
-        assert rep.bound == 4
-        assert rep.passed
+        sum_size = sum_structure(cb, cb).num_sums
+        assert len(cb) == 2
+        assert sum_size == 3
+        assert sum_size <= 2**cb.n * len(cb) == 4
 
 
 class TestPowerScaling:
@@ -140,6 +137,11 @@ class TestPowerScaling:
         lat = ConstructionALattice(2, ((1,), (1,)), None, 1)
         est = dither_second_moment(lat, samples=40_000, seed=5)
         assert abs(est - 1 / 12) < 2e-3
+
+    def test_second_moment_needs_a_sample(self):
+        for samples in (0, -1):
+            with pytest.raises(ValidationError):
+                dither_second_moment(small_lattice(), samples=samples)
 
     def test_second_moment_scales_quadratically(self):
         lat1 = small_lattice(scale=1)
@@ -185,7 +187,7 @@ class TestBinning:
     def test_bins_partition_evenly(self):
         lat = ConstructionALattice(2, random_code_matrix(2, 4, 4, [41]), None, 1)
         cb = enumerate_codebook(lat)
-        binned = assign_bins(cb, 4, seed=3)
+        binned = BinnedCodebook(cb, 4, seed=3)
         seen = sorted(i for b in binned.bins for i in b)
         assert seen == list(range(16))
         assert all(len(b) == 4 for b in binned.bins)
@@ -196,15 +198,15 @@ class TestBinning:
     def test_seed_changes_assignment_deterministically(self):
         lat = ConstructionALattice(2, random_code_matrix(2, 3, 3, [42]), None, 1)
         cb = enumerate_codebook(lat)
-        b0 = assign_bins(cb, 2, seed=0)
-        b0_again = assign_bins(cb, 2, seed=0)
-        b1 = assign_bins(cb, 2, seed=1)
+        b0 = BinnedCodebook(cb, 2, seed=0)
+        b0_again = BinnedCodebook(cb, 2, seed=0)
+        b1 = BinnedCodebook(cb, 2, seed=1)
         assert b0.bins == b0_again.bins
         assert b0.bins != b1.bins
 
     def test_rates(self):
         lat = ConstructionALattice(2, random_code_matrix(2, 4, 4, [43]), None, 1)
-        binned = assign_bins(enumerate_codebook(lat), 4)
+        binned = BinnedCodebook(enumerate_codebook(lat), 4)
         assert binned.rate_per_dim == 1.0
         assert binned.bin_rate_per_dim == 0.5
 
@@ -213,15 +215,15 @@ class TestBinning:
             ConstructionALattice(2, random_code_matrix(2, 4, 4, [44]), None, 1)
         )
         with pytest.raises(NonDivisibleBins):
-            assign_bins(cb, 3)
+            BinnedCodebook(cb, 3)
         with pytest.raises(ValidationError):
-            assign_bins(cb, 0)
+            BinnedCodebook(cb, 0)
         with pytest.raises(ValidationError):
-            assign_bins(cb, 17)
+            BinnedCodebook(cb, 17)
 
     def test_single_bin(self):
         cb = enumerate_codebook(small_lattice())
-        binned = assign_bins(cb, 1)
+        binned = BinnedCodebook(cb, 1)
         assert binned.bins == ((0, 1),)
         assert binned.bin_rate_per_dim == 0.0
 

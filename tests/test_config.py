@@ -209,6 +209,31 @@ class TestValidation:
             parse_config("kind=pipeline\ntrials=-1")
         assert parse_config("kind=pipeline\ntrials=0")["trials"] == 0
 
+    @pytest.mark.parametrize(
+        "kind,field",
+        [
+            ("pipeline", "seed"),
+            ("layered", "seed"),
+            ("baseline", "seed"),
+            ("pipeline", "bin_seed"),
+            ("sweep", "bin_seed"),
+            ("lattice", "g_seed"),
+            ("lattice", "gprime_seed"),
+            ("layered", "gprime_seed"),
+        ],
+    )
+    def test_negative_seeds_rejected(self, kind, field):
+        with pytest.raises(ValidationError) as exc:
+            parse_config(f"kind={kind}\n{field}=-1")
+        assert exc.value.field == field
+        assert parse_config(f"kind={kind}\n{field}=0")[field] == 0
+
+    def test_power_samples_at_least_one(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_config("kind=pipeline\npower_samples=0")
+        assert exc.value.field == "power_samples"
+        assert parse_config("kind=pipeline\npower_samples=1")["power_samples"] == 1
+
     def test_power_fields_must_be_positive(self):
         for doc in (
             "kind=pipeline\npower=0",

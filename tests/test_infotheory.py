@@ -1,4 +1,4 @@
-"""Exact distribution arithmetic: sums, entropies, binned leakage."""
+"""Exact count arithmetic: pair sums, entropies, binned leakage."""
 
 import math
 from fractions import Fraction
@@ -9,27 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latsec import (
+    BinnedCodebook,
     BudgetExceeded,
     ConstructionALattice,
-    DimensionMismatch,
-    PointMassDist,
-    SupportMismatch,
-    assign_bins,
-    convolve,
-    entropy_bits,
     entropy_from_counts,
     enumerate_codebook,
-    equivocation_rate,
     joint_bin_sum,
-    leakage_binned,
     mutual_info_sum,
-    pair_sum_counts,
     random_code_matrix,
     random_unimodular,
     sum_structure,
-    tv_to_uniform,
-    uniform_dist,
-    weighted_sum_counts,
 )
 
 import oracles
@@ -70,7 +59,8 @@ class TestPairSums:
     )
     def test_counts_match_oracle(self, p, k, n, scale):
         cb = seeded_codebook(p, k, n, scale=scale)
-        points, counts = pair_sum_counts(cb, cb, 10**6)
+        s = sum_structure(cb, cb, 10**6)
+        points, counts = s.points, s.counts()
         hist = oracles.pair_sum_histogram(cb.points, cb.points)
         got = {tuple(pt): int(c) for pt, c in zip(points, counts)}
         assert got == hist
@@ -78,19 +68,20 @@ class TestPairSums:
     def test_structure_reuse_and_totals(self):
         cb = seeded_codebook(3, 2, 2)
         structure = sum_structure(cb, cb, 10**6)
-        assert structure.total == 81
+        assert structure.ids.shape == (9, 9)
         counts = structure.counts()
         assert int(counts.sum()) == 81
-        points2, counts2 = pair_sum_counts(cb, cb, 10**6)
-        assert np.array_equal(counts, counts2)
-        assert len(points2) == len(structure.sum_points)
+        again = sum_structure(cb, cb, 10**6)
+        assert np.array_equal(counts, again.counts())
+        assert len(again.points) == structure.num_sums
 
     def test_large_denominator_agrees(self):
         # A 1/(2^31 + 1) coordinate puts all sets on a fine common grid.
         huge = Fraction(1, 2**31 + 1)
         a = [(Fraction(0),), (huge,), (Fraction(1, 3),)]
         b = [(Fraction(0),), (Fraction(1, 3),)]
-        points, counts = pair_sum_counts(a, b, 100)
+        s = sum_structure(a, b, 100)
+        points, counts = s.points, s.counts()
         hist = oracles.pair_sum_histogram(a, b)
         assert {pt: int(c) for pt, c in zip(points, counts)} == hist
 
@@ -104,14 +95,15 @@ class TestPairSums:
     def test_budget(self):
         cb = seeded_codebook(5, 2, 2)
         with pytest.raises(BudgetExceeded):
-            pair_sum_counts(cb, cb, budget=624)
+            sum_structure(cb, cb, budget=624)
 
     def test_weighted_sums_match_oracle(self):
         a = [(Fraction(0),), (Fraction(-1, 2),)]
         ca = np.array([2, 3], dtype=np.int64)
         b = [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),)]
         cb_counts = np.array([1, 4, 2], dtype=np.int64)
-        points, counts = weighted_sum_counts(a, ca, b, cb_counts, 100)
+        s = sum_structure(a, b, 100)
+        points, counts = s.points, s.weighted_counts(ca, cb_counts)
         expected = {}
         for x, wx in zip(a, ca):
             for y, wy in zip(b, cb_counts):
@@ -150,7 +142,8 @@ class TestPairSumProperties:
     @given(codebook_pairs())
     def test_pair_sum_counts_match_oracle(self, pair):
         a, b = pair
-        points, counts = pair_sum_counts(a, b, 10**6)
+        s = sum_structure(a, b, 10**6)
+        points, counts = s.points, s.counts()
         assert list(points) == sorted(points)
         got = {pt: int(c) for pt, c in zip(points, counts)}
         assert got == oracles.pair_sum_histogram(a.points, b.points)
@@ -161,7 +154,8 @@ class TestPairSumProperties:
         a, b = pair
         wa = data.draw(st.lists(st.integers(1, 3), min_size=len(a), max_size=len(a)))
         wb = data.draw(st.lists(st.integers(1, 3), min_size=len(b), max_size=len(b)))
-        points, counts = weighted_sum_counts(a, wa, b, wb, 10**6)
+        s = sum_structure(a, b, 10**6)
+        points, counts = s.points, s.weighted_counts(wa, wb)
         # a point repeated w times carries weight w in the plain histogram
         rep_a = [pt for pt, w in zip(a.points, wa) for _ in range(w)]
         rep_b = [pt for pt, w in zip(b.points, wb) for _ in range(w)]
@@ -195,62 +189,6 @@ class TestMutualInfoSum:
         )
 
 
-class TestPointMassDist:
-    def test_probabilities_validated(self):
-        d = PointMassDist({(Fraction(0),): Fraction(1, 2), (Fraction(-1, 2),): Fraction(1, 2)})
-        assert len(d) == 2
-        assert d.prob((0,)) == Fraction(1, 2)
-        assert d.prob((7,)) == 0
-        with pytest.raises(ValueError):
-            PointMassDist({(Fraction(0),): Fraction(1, 3)})
-        with pytest.raises(ValueError):
-            PointMassDist({(Fraction(0),): Fraction(3, 2), (Fraction(1),): Fraction(-1, 2)})
-        with pytest.raises(DimensionMismatch):
-            PointMassDist({(Fraction(0),): Fraction(1, 2), (Fraction(0), Fraction(1)): Fraction(1, 2)})
-
-    def test_convolution_hand_example(self):
-        d = PointMassDist({(Fraction(0),): Fraction(1, 2), (Fraction(-1, 2),): Fraction(1, 2)})
-        conv = convolve(d, d)
-        assert conv.prob((Fraction(0),)) == Fraction(1, 4)
-        assert conv.prob((Fraction(-1, 2),)) == Fraction(1, 2)
-        assert conv.prob((Fraction(-1),)) == Fraction(1, 4)
-        assert entropy_bits(conv) == 1.5
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_convolution_matches_oracle(self, seed):
-        rng = np.random.default_rng([seed, 5])
-        def random_dist(size):
-            weights = [int(w) for w in rng.integers(1, 6, size=size)]
-            total = sum(weights)
-            support = sorted(
-                {Fraction(int(v), 4) for v in rng.integers(-6, 7, size=size)}
-            )
-            weights = weights[: len(support)]
-            mass = {s: Fraction(w, total) for s, w in zip(support, weights)}
-            short = sum(mass.values())
-            mass[support[0]] += 1 - short
-            return mass
-        a, b = random_dist(4), random_dist(3)
-        conv = convolve(
-            PointMassDist({(s,): w for s, w in a.items()}),
-            PointMassDist({(s,): w for s, w in b.items()}),
-        )
-        expected = oracles.convolve_oracle(a, b)
-        assert {pt[0]: pr for pt, pr in conv.items()} == expected
-
-    def test_uniform_and_tv(self):
-        support = ((Fraction(0),), (Fraction(1, 2),), (Fraction(1),))
-        u = uniform_dist(support)
-        assert tv_to_uniform(u, support) == 0
-        skew = PointMassDist(
-            {(Fraction(0),): Fraction(1, 2), (Fraction(1, 2),): Fraction(1, 4),
-             (Fraction(1),): Fraction(1, 4)}
-        )
-        assert tv_to_uniform(skew, support) == float(Fraction(1, 6))
-        with pytest.raises(SupportMismatch):
-            tv_to_uniform(u, ((Fraction(0),), (Fraction(1, 2),)))
-
-
 class TestBinnedLeakage:
     @pytest.mark.parametrize("p,k,n,bins,seed", [
         (2, 2, 2, 2, 0),
@@ -261,19 +199,19 @@ class TestBinnedLeakage:
     ])
     def test_leakage_matches_joint_oracle(self, p, k, n, bins, seed):
         cb = seeded_codebook(p, k, n, seed=seed)
-        binned = assign_bins(cb, bins, seed=seed)
-        leak = leakage_binned(binned, cb, 10**6)
+        binned = BinnedCodebook(cb, bins, seed=seed)
+        leak = joint_bin_sum(binned, cb, 10**6).mutual_info_bits()
         expected = oracles.joint_leakage_oracle(binned.bins, cb.points, cb.points)
         assert leak == pytest.approx(expected, abs=1e-9)
 
     def test_single_bin_leaks_nothing(self):
         cb = seeded_codebook(2, 3, 3)
-        binned = assign_bins(cb, 1)
-        assert leakage_binned(binned, cb, 10**6) == 0.0
+        binned = BinnedCodebook(cb, 1)
+        assert joint_bin_sum(binned, cb, 10**6).mutual_info_bits() == 0.0
 
     def test_joint_structure_consistency(self):
         cb = seeded_codebook(3, 2, 2, seed=2)
-        binned = assign_bins(cb, 3, seed=1)
+        binned = BinnedCodebook(cb, 3, seed=1)
         joint = joint_bin_sum(binned, cb, 10**6)
         structure = sum_structure(cb, cb, 10**6)
         # Sum marginal equals the unbinned pair-sum histogram.
@@ -293,24 +231,16 @@ class TestBinnedLeakage:
     def test_structure_reuse_gives_identical_joint(self):
         cb = seeded_codebook(2, 3, 3, seed=3)
         structure = sum_structure(cb, cb, 10**6)
-        binned = assign_bins(cb, 2, seed=0)
+        binned = BinnedCodebook(cb, 2, seed=0)
         a = joint_bin_sum(binned, cb, 10**6)
         b = joint_bin_sum(binned, cb, 10**6, structure=structure)
         assert np.array_equal(a.counts, b.counts)
 
-    def test_equivocation_identity_is_bitwise(self):
-        cb = seeded_codebook(2, 4, 4, seed=1)
-        for bins in (1, 2, 4, 8, 16):
-            binned = assign_bins(cb, bins, seed=2)
-            leak = leakage_binned(binned, cb, 10**6)
-            eq = equivocation_rate(binned, cb, 10**6)
-            assert eq == binned.bin_rate_per_dim - leak / cb.n
-
     def test_full_binning_recovers_unbinned_mi(self):
         # One codeword per bin: W determines X1, so I(W;S) = I(X1;S).
         cb = seeded_codebook(3, 2, 2, seed=4)
-        binned = assign_bins(cb, len(cb), seed=0)
-        assert leakage_binned(binned, cb, 10**6) == pytest.approx(
+        binned = BinnedCodebook(cb, len(cb), seed=0)
+        assert joint_bin_sum(binned, cb, 10**6).mutual_info_bits() == pytest.approx(
             mutual_info_sum(cb, cb, 10**6), abs=1e-12
         )
 
@@ -319,6 +249,6 @@ class TestBinnedLeakage:
         cb = seeded_codebook(2, 4, 4, seed=5)
         leaks = []
         for bins in (1, 2, 4, 8, 16):
-            binned = assign_bins(cb, bins, seed=7)
-            leaks.append(leakage_binned(binned, cb, 10**6))
+            binned = BinnedCodebook(cb, bins, seed=7)
+            leaks.append(joint_bin_sum(binned, cb, 10**6).mutual_info_bits())
         assert all(b >= a - 1e-12 for a, b in zip(leaks, leaks[1:]))

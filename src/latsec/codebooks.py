@@ -146,8 +146,9 @@ def _floor_sqrt_fraction(value: Fraction, bits: int = 80) -> Fraction:
 class BinnedCodebook:
     """A codebook partitioned into equal-size bins by a seeded shuffle.
 
-    bins[w] is a sorted tuple of codeword indices; the bin index is the
-    secret message, the position inside the bin is the random padding.
+    bins[w] is a sorted tuple of codeword indices and bin_index[i] the bin
+    of codeword i; the bin index is the secret message, the position inside
+    the bin is the random padding.
     """
 
     def __init__(self, codebook: Codebook, num_bins: int, seed: int = 0):
@@ -165,7 +166,8 @@ class BinnedCodebook:
             tuple(sorted(int(v) for v in perm[w * per : (w + 1) * per]))
             for w in range(num_bins)
         )
-        self._bin_of = None
+        self.bin_index = np.empty(size, dtype=np.int64)
+        self.bin_index[perm] = np.arange(size) // per
 
     @property
     def rate_per_dim(self) -> float:
@@ -174,14 +176,6 @@ class BinnedCodebook:
     @property
     def bin_rate_per_dim(self) -> float:
         return math.log2(self.num_bins) / self.codebook.n
-
-    def bin_of(self, index: int) -> int:
-        if self._bin_of is None:
-            table = np.empty(len(self.codebook), dtype=np.int64)
-            for w, members in enumerate(self.bins):
-                table[list(members)] = w
-            self._bin_of = table
-        return int(self._bin_of[index])
 
 
 class LayeredCodebook:

@@ -46,6 +46,7 @@ from .infotheory import (
     joint_bin_sum,
     mutual_info_sum,
     sum_structure,
+    unique_rows,
 )
 from .lattices import (
     GRID_LIMIT,
@@ -427,8 +428,8 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
         rng = np.random.default_rng([int(seed), 0xBA5E])
         draws = rng.integers(-GRID_HALF_STEPS, GRID_HALF_STEPS + 1, size=(size, dim))
         sums = (draws[:, None, :] + draws[None, :, :]).reshape(-1, dim)
-        _, sum_counts = np.unique(sums, axis=0, return_counts=True)
-        _, point_counts = np.unique(draws, axis=0, return_counts=True)
+        sum_counts = np.bincount(unique_rows(sums)[1])
+        point_counts = np.bincount(unique_rows(draws)[1])
         h_sum = entropy_from_counts(sum_counts, size * size)
         h_x = entropy_from_counts(point_counts, size)
         random_leak = h_sum - h_x

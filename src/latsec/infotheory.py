@@ -8,6 +8,13 @@ and the sums keep that unit. Plain exact point lists are accepted too; a
 set whose coordinates reach GRID_LIMIT = 2^62 on the common grid raises
 BudgetExceeded. Exact sum points are built only when a caller asks for
 them.
+
+Rows are deduplicated on one int64 key per row that sorts like the row
+itself (lexicographically): each column, shifted by its minimum, is one
+mixed-radix digit, so a 1-D np.unique finds the distinct rows in row
+order. Where the product of the digit spans would pass 2^63, the key so
+far (and, if it alone is that wide, the column) is replaced by its rank
+among its distinct values, which keeps the order.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from .lattices import PointGrid, on_grid
 class SumStructure(PointGrid):
     """Pairwise-sum bookkeeping for two point sets.
 
-    The distinct sums are unit * coords[s], rows in lexicographic order,
-    and ids[i, j] is the row of a_i + b_j. As a PointGrid the structure is
+    The distinct sums are unit * coords[s], rows in lexicographic order
+    (found by unique_rows on order-preserving int64 row keys), and
+    ids[i, j] is the row of a_i + b_j. As a PointGrid the structure is
     the sum set itself, so sums of sums chain without leaving int64.
     Building it once lets callers derive counts for many binnings cheaply.
     """
@@ -46,6 +54,41 @@ class SumStructure(PointGrid):
         return acc
 
 
+_KEY_LIMIT = (1 << 63) - 1
+"""Largest int64: key_span * span stays at or below it, so every key fits."""
+
+
+def _ranks(values):
+    """Rank of each value among the distinct values, and their count."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    return rank, len(distinct)
+
+
+def unique_rows(rows):
+    """(first, inverse) for the distinct rows of a 2-D int64 array.
+
+    rows[first] are the distinct rows in lexicographic order, each at its
+    first occurrence, and rows[first][inverse] == rows. Each row is keyed
+    by one int64 whose order is the row order: per column,
+    key = key * span + (col - col.min()), with keys in [0, key_span).
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    key, key_span = np.zeros(len(rows), dtype=np.int64), 1
+    for col in rows.T:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if key_span * span > _KEY_LIMIT:
+            key, key_span = _ranks(key)
+        if key_span * span > _KEY_LIMIT:
+            col, span = _ranks(col)
+        else:
+            col = col - lo
+        key = key * span + col
+        key_span *= span
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def sum_structure(a, b, budget=10**6) -> SumStructure:
     unit, (ga, gb) = on_grid(a, b)
     if not len(ga) or not len(gb):
@@ -55,8 +98,8 @@ def sum_structure(a, b, budget=10**6) -> SumStructure:
     if len(ga) * len(gb) > budget:
         raise BudgetExceeded(f"{len(ga)}*{len(gb)} pair sums exceed budget {budget}")
     sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
-    uniq, inverse = np.unique(sums, axis=0, return_inverse=True)
-    return SumStructure(unit, uniq, np.asarray(inverse).reshape(len(ga), len(gb)))
+    first, inverse = unique_rows(sums)
+    return SumStructure(unit, sums[first], inverse.reshape(len(ga), len(gb)))
 
 
 def entropy_from_counts(counts, total=None) -> float:
@@ -124,9 +167,7 @@ def joint_bin_sum(binned, other, budget=10**6, structure=None) -> JointBinSumDis
     """
     if structure is None:
         structure = sum_structure(binned.codebook, other, budget)
-    counts = np.zeros((len(binned.bins), structure.num_sums), dtype=np.int64)
-    for w, members in enumerate(binned.bins):
-        counts[w] = np.bincount(
-            structure.ids[list(members)].ravel(), minlength=structure.num_sums
-        )
-    return JointBinSumDist(counts)
+    num_sums = structure.num_sums
+    cells = binned.bin_index[:, None] * num_sums + structure.ids
+    counts = np.bincount(cells.ravel(), minlength=binned.num_bins * num_sums)
+    return JointBinSumDist(counts.reshape(binned.num_bins, num_sums))

@@ -193,7 +193,7 @@ class TestBinning:
         assert all(len(b) == 4 for b in binned.bins)
         for w, members in enumerate(binned.bins):
             for idx in members:
-                assert binned.bin_of(idx) == w
+                assert binned.bin_index[idx] == w
 
     def test_seed_changes_assignment_deterministically(self):
         lat = ConstructionALattice(2, random_code_matrix(2, 3, 3, [42]), None, 1)

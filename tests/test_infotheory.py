@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latsec import (
     BinnedCodebook,
     BudgetExceeded,
     ConstructionALattice,
+    PointGrid,
     entropy_from_counts,
     enumerate_codebook,
     joint_bin_sum,
@@ -137,7 +138,49 @@ def codebook_pairs(draw):
     return draw(small_codebooks(n)), draw(small_codebooks(n))
 
 
+# Largest coordinate on_grid accepts. Sum columns then span up to about
+# 2^64, and the product of their spans passes 2^63 already at n = 1, which
+# forces the row keys through rank compression.
+_COORD_MAX = 2**62 - 1
+
+
+@st.composite
+def wide_grids(draw, n):
+    """PointGrid(1, coords) with repeated rows; each column sits anywhere
+    in +-2^61 and spreads from one value to the whole range on_grid takes."""
+    pools = []
+    for _ in range(n):
+        centre = draw(st.integers(-(2**61), 2**61))
+        spread = draw(st.sampled_from((0, 1, 2**20, 2**62)))
+        values = st.integers(max(-_COORD_MAX, centre - spread), min(_COORD_MAX, centre + spread))
+        pools.append(draw(st.lists(values, min_size=1, max_size=3)))
+    rows = draw(
+        st.lists(st.tuples(*(st.sampled_from(pool) for pool in pools)), min_size=1, max_size=8)
+    )
+    return PointGrid(1, np.array(rows, dtype=np.int64))
+
+
+@st.composite
+def wide_grid_pairs(draw):
+    n = draw(st.integers(1, 6))
+    return draw(wide_grids(n)), draw(wide_grids(n))
+
+
 class TestPairSumProperties:
+    # Sums (2^62, -1) and (2^62, 0): keyed without the column minimum as
+    # offset, 2^62 * 2 + col lands on the int64 wrap and reverses the rows.
+    @example((PointGrid(1, [[2**61, -1], [2**61, 0]]), PointGrid(1, [[2**61, 0]])))
+    @settings(max_examples=200)
+    @given(wide_grid_pairs())
+    def test_ids_and_order_on_wide_grids(self, pair):
+        a, b = pair
+        s = sum_structure(a, b, 10**6)
+        rows = [tuple(r) for r in s.coords.tolist()]
+        assert all(x < y for x, y in zip(rows, rows[1:]))
+        assert s.unit == 1
+        assert np.array_equal(np.unique(s.ids), np.arange(s.num_sums))
+        assert np.array_equal(s.coords[s.ids], a.coords[:, None, :] + b.coords[None, :, :])
+
     @settings(max_examples=40)
     @given(codebook_pairs())
     def test_pair_sum_counts_match_oracle(self, pair):

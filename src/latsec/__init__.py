@@ -38,7 +38,6 @@ from .codebooks import (
     Codebook,
     LayeredCodebook,
     build_layered,
-    dither_second_moment,
     enumerate_codebook,
     scale_to_power,
 )

@@ -258,7 +258,6 @@ def _run_pipeline(config: ExperimentConfig):
         root_seed=config["seed"],
         bin_seed=config["bin_seed"],
         budget=config["budget"],
-        power_samples=config["power_samples"],
     )
     reliability = None
     if result.reliability is not None:

@@ -4,8 +4,9 @@ binning, and layered (superposition) construction.
 A codebook is a PointGrid over the fine unit scale / p: codeword m is
 unit * coords[m] with int64 coordinates in [-p/2, p/2), computed for all
 messages at once by ConstructionALattice.message_coords. Power scaling
-rescales the unit only; the exact points and their floats are derived
-on demand.
+holds the dither power, the coarse cell's exact second moment scale^2 / 12
+per dimension, at the budget by rescaling the unit only; the exact points
+and their floats are derived on demand.
 """
 
 from __future__ import annotations
@@ -83,40 +84,16 @@ def enumerate_codebook(lattice: ConstructionALattice, budget: int = 10**6) -> Co
     return Codebook(lattice, coords=lattice.message_coords(np.arange(lattice.num_cosets)))
 
 
-def dither_second_moment(
-    lattice: ConstructionALattice, samples: int = 100_000, seed: int = 0
-) -> float:
-    """Monte Carlo per-dimension second moment of the coarse fundamental cell.
-
-    Draws uniformly from the basis parallelepiped and folds into the cell;
-    the fold is measure preserving, so the folded sample is uniform there.
-    """
-    if int(samples) < 1:
-        raise ValidationError("samples", "need at least one Monte Carlo sample")
-    rng = np.random.default_rng([int(seed), 0x5EC0])
-    basis = lattice.coarse_basis_float()
-    t = rng.random((int(samples), lattice.n))
-    raw = t @ basis.T
-    acc = 0.0
-    for row in raw:
-        folded = lattice.mod_coarse(row)
-        acc += float(np.dot(folded, folded))
-    return acc / (int(samples) * lattice.n)
-
-
-def scale_to_power(
-    codebook: Codebook,
-    power,
-    samples: int = 100_000,
-    seed: int = 0,
-) -> Codebook:
+def scale_to_power(codebook: Codebook, power) -> Codebook:
     """Shrink a codebook so its dither's per-dimension power meets a budget.
 
-    The power proxy is the Monte Carlo second moment of the coarse cell.
-    If it already fits, the codebook is returned unchanged. Otherwise the
-    whole nested pair is rescaled by an exact rational just below the true
-    square-root ratio, so the constraint holds with certainty. Only the
-    unit changes; the integer coordinates are shared.
+    T is unimodular, so the coarse cell is the cube scale * [-1/2, 1/2)^n
+    and a dither uniform on it has per-dimension power exactly scale^2 / 12
+    (the normalised second moment of Z^n). If that fits, the codebook is
+    returned unchanged. Otherwise the whole nested pair is rescaled by the
+    largest dyadic rational r with r^2 * scale^2 / 12 <= power, so the
+    constraint holds with certainty. Only the unit changes; the integer
+    coordinates are shared.
     """
     power = float(power)
     if math.isnan(power) or power <= 0:
@@ -125,12 +102,12 @@ def scale_to_power(
         return codebook
     if not codebook.coords.any():
         raise DegenerateCodebook("all-zero codebook cannot be power scaled")
-    sigma2 = dither_second_moment(codebook.lattice, samples, seed)
-    target = Fraction(power)
-    if Fraction(sigma2) <= target:
-        return codebook
-    ratio = _floor_sqrt_fraction(target / Fraction(sigma2))
     old = codebook.lattice
+    moment = old.scale**2 / 12
+    target = Fraction(power)
+    if moment <= target:
+        return codebook
+    ratio = _floor_sqrt_fraction(target / moment)
     scaled = ConstructionALattice(
         old.p, old.code_matrix, old.transform, old.scale * ratio
     )
@@ -196,8 +173,6 @@ def build_layered(
     layer_specs,
     powers,
     budget: int = 10**6,
-    samples: int = 100_000,
-    seed: int = 0,
 ) -> LayeredCodebook:
     """Build layer codebooks from prefixes of the base code.
 
@@ -222,7 +197,7 @@ def build_layered(
             fine_lattice.p, sub, fine_lattice.transform, Fraction(scale_i)
         )
         cb = enumerate_codebook(lat, budget)
-        cb = scale_to_power(cb, p_i, samples=samples, seed=seed)
+        cb = scale_to_power(cb, p_i)
         for pt in cb.points:
             if not fine_lattice.is_fine_point(pt):
                 raise LayerNotNested(i, "scaled layer leaves the shared fine lattice")

@@ -115,6 +115,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
         "ne": ("float", 1.0),
         "num_bins": ("int", 1),
         "bin_seed": ("int", 0),
+        # retired: power scaling is exact; still accepted, validated, echoed
         "power_samples": ("int", 20000),
         **_COMMON_FIELDS,
         "trials": ("int", 1000),

@@ -670,7 +670,6 @@ def run_regime_pipeline(
     bin_seed: int = 0,
     budget: int = 10**6,
     layered: LayeredCodebook | None = None,
-    power_samples: int = 20_000,
     label: str = "pipeline",
 ) -> PipelineResult:
     """Classify the regime, scale the codebook to the power budget, compute
@@ -681,7 +680,7 @@ def run_regime_pipeline(
     the eavesdropper gain or noise; those enter the reference numbers only.
     """
     regime = classify_regime(params.cross_gain, params.power, params.noise_var)
-    cb = scale_to_power(codebook, params.power, samples=power_samples)
+    cb = scale_to_power(codebook, params.power)
     binned = BinnedCodebook(cb, num_bins, bin_seed)
     secrecy = make_secrecy_report(binned, cb, budget, label=label)
     notes = []

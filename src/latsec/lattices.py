@@ -34,7 +34,6 @@ from .errors import (
     NotUnimodular,
     RankDeficientG,
 )
-from .exactlin import det_int
 
 Point = tuple  # tuple of Fractions; alias for readability in signatures
 
@@ -152,6 +151,28 @@ def _has_float(x) -> bool:
     if isinstance(x, np.ndarray):
         return np.issubdtype(x.dtype, np.floating)
     return any(isinstance(v, (float, np.floating)) for v in x)
+
+
+def det_int(rows) -> int:
+    """Determinant of a square integer matrix: fraction-free (Bareiss)
+    elimination on Python ints, no floating point."""
+    n = len(rows)
+    m = [[int(v) for v in row] for row in rows]
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        if m[t][t] == 0:
+            pivot = next((i for i in range(t + 1, n) if m[i][t] != 0), None)
+            if pivot is None:
+                return 0
+            m[t], m[pivot] = m[pivot], m[t]
+            sign = -sign
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                m[i][j] = (m[i][j] * m[t][t] - m[i][t] * m[t][j]) // prev
+            m[i][t] = 0
+        prev = m[t][t]
+    return sign * m[n - 1][n - 1]
 
 
 class ConstructionALattice:
@@ -310,11 +331,7 @@ class ConstructionALattice:
         return tuple(unit * row[c] for row, c in zip(near, word))
 
     # ------------------------------------------------------------------
-    # membership and coset labels
-
-    def is_coarse_point(self, x) -> bool:
-        return all(v.denominator == 1 and v.numerator % self.p == 0
-                   for v in self._unit_coords(x))
+    # membership and codewords
 
     def is_fine_point(self, x) -> bool:
         """Exact membership test for the fine lattice."""
@@ -323,31 +340,6 @@ class ConstructionALattice:
             return False
         residue = [v.numerator % self.p for v in t]
         return gfp.in_column_space(self._code_t, residue, self.p)
-
-    def coset_label(self, point) -> tuple:
-        """Label of a fine point's coset mod coarse, as a vector in [0, p)^n.
-
-        The label is in the frame of the code matrix G: the l with
-        T l = point * p / scale (mod p).
-        """
-        t = self._unit_coords(point)
-        if any(v.denominator != 1 for v in t):
-            raise ValueError("point is not in the fine lattice")
-        residue = [v.numerator % self.p for v in t]
-        return tuple(gfp.solve_column_comb(self.transform, residue, self.p))
-
-    def message_of_point(self, point) -> int:
-        """Index in [0, p**k) of the coset containing the given fine point."""
-        label = self.coset_label(point)
-        z = gfp.solve_column_comb(self.code_matrix, list(label), self.p)
-        if z is None:
-            raise ValueError("point label is outside the code span")
-        return sum(int(zi) * self.p ** i for i, zi in enumerate(z))
-
-    def message_digits(self, m: int) -> tuple:
-        if not 0 <= m < self.num_cosets:
-            raise ValueError(f"message index {m} out of range")
-        return tuple((m // self.p ** i) % self.p for i in range(self.k))
 
     def message_coords(self, messages) -> np.ndarray:
         """Codebook coordinates, in units of scale / p, of message indices.
@@ -363,13 +355,6 @@ class ConstructionALattice:
         digits = (m[..., None] // self.p ** np.arange(self.k, dtype=np.int64)) % self.p
         c = digits @ np.array(self._code_t, dtype=np.int64).T % self.p
         return c - self.p * (2 * c >= self.p)
-
-    def point_for_message(self, m: int) -> Point:
-        """Canonical codebook representative of message m (reduced mod coarse):
-        scale / p times message_coords(m)."""
-        self.message_digits(m)  # range check
-        unit = self.scale / self.p
-        return tuple(unit * int(v) for v in self.message_coords(m))
 
 
 # ----------------------------------------------------------------------

@@ -65,6 +65,15 @@ class TestRunEnvelope:
         b = run_json(SINGLE_LEMMA)
         assert envelope_without_clock(a) == envelope_without_clock(b)
 
+    def test_power_samples_is_retired(self):
+        # Power scaling uses the exact cell moment; the key is only echoed.
+        base = "kind=pipeline\na=0.3\nscale=4\nnum_bins=2\ntrials=20\n"
+        one = envelope_without_clock(run_json(base + "power_samples=1\n"))
+        many = envelope_without_clock(run_json(base + "power_samples=20000\n"))
+        assert one["config"].pop("power_samples") == 1
+        assert many["config"].pop("power_samples") == 20000
+        assert one == many
+
     def test_errors_carry_the_running_kind(self):
         config = parse_config("kind=lattice\nk=2\nn=2\nbudget=1\n")
         with pytest.raises(BudgetExceeded, match=r"while running kind='lattice'"):

@@ -19,7 +19,7 @@ from latsec import (
     NonDivisibleBins,
     ValidationError,
     build_layered,
-    dither_second_moment,
+    dither_sample,
     enumerate_codebook,
     random_code_matrix,
     random_unimodular,
@@ -42,7 +42,8 @@ class TestEnumeration:
         cb = enumerate_codebook(lat)
         assert len(cb) == 3
         assert cb.points[0] == (0, 0)
-        assert cb.points[1] == lat.point_for_message(1)
+        unit = lat.scale / lat.p
+        assert cb.points[1] == tuple(unit * int(v) for v in lat.message_coords(1))
 
     def test_points_distinct_and_folded(self):
         lat = ConstructionALattice(5, ((1, 0), (0, 1), (3, 2)), None, Fraction(1, 2))
@@ -51,14 +52,20 @@ class TestEnumeration:
         for pt in cb.points:
             assert lat.mod_coarse(pt) == pt
 
-    def test_coords_match_point_for_message_on_standard_grid(self):
+    def test_coords_are_folded_codewords_on_standard_grid(self):
+        # Codeword m is T G z mod p for the base-p digits z of m, each entry
+        # folded into [-p/2, p/2), in units of scale / p.
         for gp in standard_grid(draws=1):
             lat = gp.build_lattice(Fraction(3, 7))
             cb = enumerate_codebook(lat)
-            assert cb.unit == lat.scale / lat.p
+            p, k, n = lat.p, lat.k, lat.n
+            g, t = lat.code_matrix, lat.transform
+            assert cb.unit == lat.scale / p
             for m in range(lat.num_cosets):
-                expected = [v / cb.unit for v in lat.point_for_message(m)]
-                assert cb.coords[m].tolist() == expected
+                z = [(m // p**i) % p for i in range(k)]
+                gz = [sum(g[r][j] * z[j] for j in range(k)) for r in range(n)]
+                c = [sum(t[i][r] * gz[r] for r in range(n)) % p for i in range(n)]
+                assert cb.coords[m].tolist() == [v - p if 2 * v >= p else v for v in c]
 
     def test_floats_are_correctly_rounded(self):
         # At this unit, 3 * float(unit) is one ulp off the rounded 3 * unit.
@@ -132,34 +139,36 @@ class TestMinkowskiSum:
 
 
 class TestPowerScaling:
-    def test_second_moment_of_unit_cell(self):
-        # Uniform on [-1/2, 1/2)^n has per-dimension second moment 1/12.
-        lat = ConstructionALattice(2, ((1,), (1,)), None, 1)
-        est = dither_second_moment(lat, samples=40_000, seed=5)
-        assert abs(est - 1 / 12) < 2e-3
-
-    def test_second_moment_needs_a_sample(self):
-        for samples in (0, -1):
-            with pytest.raises(ValidationError):
-                dither_second_moment(small_lattice(), samples=samples)
-
-    def test_second_moment_scales_quadratically(self):
-        lat1 = small_lattice(scale=1)
-        lat3 = small_lattice(scale=3)
-        a = dither_second_moment(lat1, samples=20_000, seed=9)
-        b = dither_second_moment(lat3, samples=20_000, seed=9)
-        assert b == pytest.approx(9 * a, rel=1e-12)
+    def test_dither_power_is_the_exact_cell_moment(self):
+        # Monte Carlo cross-check of scale^2 / 12 through a non-identity T:
+        # the mean of |dither|^2 / n lies within 5 standard errors of it.
+        t = ((1, 1, 0), (0, 1, 0), (1, 1, 1))
+        for scale in (Fraction(1), Fraction(5, 3)):
+            lat = ConstructionALattice(3, ((1,), (2,), (0,)), t, scale)
+            rng = np.random.default_rng([scale.numerator, 17])
+            draws = np.array([dither_sample(lat, rng) for _ in range(20_000)])
+            per_draw = (draws**2).sum(axis=1) / lat.n
+            stderr = per_draw.std(ddof=1) / math.sqrt(len(per_draw))
+            assert abs(per_draw.mean() - float(scale**2 / 12)) < 5 * stderr
 
     def test_scaling_meets_budget_from_above(self):
+        # A binding budget P gets the largest ratio r on the 2^-40 grid
+        # with r^2 * scale^2 / 12 <= P.
         lat = small_lattice(scale=4)
         cb = enumerate_codebook(lat)
-        scaled = scale_to_power(cb, 0.01, samples=20_000, seed=1)
-        est = dither_second_moment(scaled.lattice, samples=40_000, seed=2)
-        assert est == pytest.approx(0.01, rel=0.05)
-        # The rescale maps the whole nested pair; codeword ratios survive.
-        ratio = scaled.lattice.scale / lat.scale
-        for before, after in zip(cb.points, scaled.points):
-            assert tuple(ratio * c for c in before) == after
+        moment = lat.scale**2 / 12
+        step = Fraction(1, 2**40)
+        for power in (0.01, 1.0, 1 / 3):
+            target = Fraction(power)
+            assert target < moment
+            scaled = scale_to_power(cb, power)
+            ratio = scaled.lattice.scale / lat.scale
+            assert (ratio / step).denominator == 1
+            assert scaled.lattice.scale**2 / 12 <= target
+            assert (ratio + step) ** 2 * moment > target
+            # The rescale maps the whole nested pair; codeword ratios survive.
+            for before, after in zip(cb.points, scaled.points):
+                assert tuple(ratio * c for c in before) == after
 
     def test_already_within_budget_returns_same_object(self):
         cb = enumerate_codebook(small_lattice())
@@ -284,8 +293,7 @@ class TestLayered:
         # budgets already hold and the layers keep their exact points.
         base = ConstructionALattice(2, ((1, 0), (0, 1)), None, 1)
         layered = build_layered(
-            base, [(2, Fraction(1)), (1, Fraction(2))], [0.1, 0.4],
-            samples=20_000,
+            base, [(2, Fraction(1)), (1, Fraction(2))], [0.1, 0.4]
         )
         assert [len(cb) for cb in layered.layers] == [4, 2]
         for cb in layered.layers:
@@ -299,6 +307,5 @@ class TestLayered:
         base = ConstructionALattice(2, ((1, 0), (0, 1)), None, 1)
         with pytest.raises(LayerNotNested):
             build_layered(
-                base, [(2, Fraction(1)), (1, Fraction(2))], [0.008, 0.02],
-                samples=20_000,
+                base, [(2, Fraction(1)), (1, Fraction(2))], [0.008, 0.02]
             )

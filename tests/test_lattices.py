@@ -12,16 +12,29 @@ from latsec import (
     NotPrime,
     NotUnimodular,
     RankDeficientG,
+    enumerate_codebook,
     random_code_matrix,
     random_unimodular,
 )
-from latsec.exactlin import det_int
+from latsec.gfp import solve_column_comb
+from latsec.lattices import det_int
 
 import oracles
 
 
 def lat_1d():
     return ConstructionALattice(2, ((1,),), None, 1)
+
+
+def unit_coords(lat, pt):
+    """pt in units of the fine grid scale / p, as Fractions."""
+    return [Fraction(v) / (lat.scale / lat.p) for v in pt]
+
+
+def is_coarse(lat, pt):
+    """Coarse membership: integer fine-grid coordinates, each divisible by p."""
+    t = unit_coords(lat, pt)
+    return all(v.denominator == 1 and v.numerator % lat.p == 0 for v in t)
 
 
 class TestQuantizeTieRule:
@@ -80,26 +93,31 @@ class TestCosetStructure:
         t = random_unimodular(n, seed=[p, k, n, 4], entry_cap=2)
         scale = Fraction(3, 2) if p == 2 else 1
         lat = ConstructionALattice(p, g, t, scale)
-        mine = {lat.point_for_message(m) for m in range(lat.num_cosets)}
+        mine = set(enumerate_codebook(lat).points)
         assert len(mine) == p**k
         assert mine == oracles.coset_reps_brute(p, g, t, scale, box=10)
 
     def test_message_roundtrip(self):
-        lat = ConstructionALattice(3, ((1, 0), (0, 1), (1, 2)), None, 1)
+        # Recover each message from its codeword's coset: solve T l = c mod p
+        # for the label l, then G z = l for the message digits z.
+        t = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+        lat = ConstructionALattice(3, ((1, 0), (0, 1), (1, 2)), t, 1)
         assert lat.num_cosets == 9
+        coords = lat.message_coords(np.arange(9))
         for m in range(9):
-            assert lat.message_of_point(lat.point_for_message(m)) == m
+            residue = [int(v) % 3 for v in coords[m]]
+            label = solve_column_comb(lat.transform, residue, 3)
+            z = solve_column_comb(lat.code_matrix, label, 3)
+            assert sum(int(d) * 3**i for i, d in enumerate(z)) == m
 
     def test_membership_hierarchy(self):
         lat = ConstructionALattice(2, ((1,), (0,)), ((1, 1), (0, 1)), 1)
-        for m in range(lat.num_cosets):
-            pt = lat.point_for_message(m)
+        cb = enumerate_codebook(lat)
+        for pt in cb.points:
             assert lat.is_fine_point(pt)
-        zero = lat.point_for_message(0)
-        assert zero == (0, 0)
-        assert lat.is_coarse_point(zero)
-        nonzero = lat.point_for_message(1)
-        assert not lat.is_coarse_point(nonzero)
+        assert cb.points[0] == (0, 0)
+        assert (cb.coords[0] % lat.p == 0).all()
+        assert not (cb.coords[1] % lat.p == 0).all()
 
     def test_coarse_points_are_fine(self):
         lat = ConstructionALattice(3, ((1,), (1,)), ((2, 1), (1, 1)), Fraction(1, 2))
@@ -110,22 +128,24 @@ class TestCosetStructure:
                 lat.scale * sum(lat.transform[i][j] * int(z[j]) for j in range(2))
                 for i in range(2)
             )
-            assert lat.is_coarse_point(pt)
+            assert is_coarse(lat, pt)
             assert lat.is_fine_point(pt)
             assert lat.mod_coarse(pt) == (0, 0)
 
     def test_scaling_scales_points(self):
         g = ((1,), (2,))
-        small = ConstructionALattice(3, g, None, 1)
-        big = ConstructionALattice(3, g, None, 2)
-        for m in range(3):
-            a = small.point_for_message(m)
-            b = big.point_for_message(m)
+        small = enumerate_codebook(ConstructionALattice(3, g, None, 1))
+        big = enumerate_codebook(ConstructionALattice(3, g, None, 2))
+        for a, b in zip(small.points, big.points):
             assert tuple(2 * c for c in a) == b
 
     def test_coset_labels_distinct(self):
         lat = ConstructionALattice(2, ((1, 0), (1, 1), (0, 1)), None, 1)
-        labels = {lat.coset_label(lat.point_for_message(m)) for m in range(4)}
+        coords = lat.message_coords(np.arange(4))
+        labels = {
+            tuple(solve_column_comb(lat.transform, [int(v) % 2 for v in row], 2))
+            for row in coords
+        }
         assert len(labels) == 4
 
 

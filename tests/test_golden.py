@@ -24,6 +24,9 @@ CASES = {
     "pipeline": "pipeline",
     # very-strong regime: both argmins of the interference-first decoder decide
     "pipeline_strong": "pipeline",
+    # weak regime at the narrowest and a wide width
+    "pipeline_n1": "pipeline",
+    "pipeline_n6": "pipeline",
     "sweep": "sweep",
 }
 FORMATS = ("json", "csv")

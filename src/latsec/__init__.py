@@ -52,17 +52,14 @@ from .infotheory import (
 from .channel import (
     ChannelParams,
     Regime,
-    Transcript,
     achievable_rate_weak,
     check_stage_conditions,
     classify_regime,
     decode_layered,
     decode_very_strong_batch,
     decode_weak,
-    dither_sample,
-    dithered_round,
+    dither_rows,
     effective_noise_variance,
-    encode_dithered,
     mmse_alpha,
     stage_condition_witnesses,
     transmit,

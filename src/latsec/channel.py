@@ -7,8 +7,11 @@ when interference is weak, interference-first successive decoding when it
 is very strong, and per-layer successive decoding for layered schemes.
 
 Monte Carlo determinism: every trial owns the stream
-numpy.random.default_rng([root_seed, trial_index]), and each helper
-consumes a fixed number of draws in a fixed order.
+numpy.random.default_rng([root_seed, trial_index]) and draws from it in a
+fixed order. A weak-regime trial draws message1, message2 (integers below
+the codebook size), the n uniforms of dither1, the n uniforms of dither2,
+then the 3n standard normals of transmit, in one call. Encoding, the
+channel and decoding then run on rows of many trials at once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     UnityGain,
     ValidationError,
 )
-from .lattices import ConstructionALattice, PointGrid, exact_vector, on_grid
+from .lattices import ConstructionALattice, PointGrid, _is_exact_rows, on_grid
 
 
 @dataclass(frozen=True)
@@ -117,109 +120,53 @@ def trial_rng(root_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([int(root_seed), int(trial_index)])
 
 
-def dither_sample(lattice: ConstructionALattice, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw from the coarse fundamental cell (parallelepiped then fold)."""
-    t = rng.random(lattice.n)
-    raw = lattice.coarse_basis_float() @ t
+def dither_rows(lattice: ConstructionALattice, uniforms) -> np.ndarray:
+    """Dithers uniform on the coarse fundamental cell, one per row of
+    uniform draws on [0, 1)^n: the parallelepiped point, then the fold."""
+    t = np.asarray(uniforms, dtype=np.float64)
+    # the stacked product rounds as each row's basis @ t does; t @ basis.T does not
+    raw = (lattice.coarse_basis_float()[None] @ t[:, :, None])[:, :, 0]
     return lattice.mod_coarse(raw)
 
 
-def encode_dithered(point, dither, lattice: ConstructionALattice):
-    """Transmit signal [point + dither] mod coarse lattice.
-
-    Exact in, exact out; float dither yields a float signal.
-    """
-    if isinstance(dither, np.ndarray):
-        raw = np.array([float(c) for c in point], dtype=np.float64) + dither
-        return lattice.mod_coarse(raw)
-    s = tuple(a + b for a, b in zip(exact_vector(point), exact_vector(dither)))
-    return lattice.mod_coarse(s)
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Everything one dithered round produced, for replay and diagnostics."""
-
-    message1: int
-    message2: int
-    codeword1: tuple
-    codeword2: tuple
-    dither1: np.ndarray
-    dither2: np.ndarray
-    signal1: np.ndarray
-    signal2: np.ndarray
-    received1: np.ndarray
-    received2: np.ndarray
-    eavesdropped: np.ndarray
-
-
-def transmit(x1, x2, params: ChannelParams, rng: np.random.Generator):
-    """One channel use. Consumes exactly 3n normal draws, in a fixed order."""
+def transmit(x1, x2, params: ChannelParams, noise):
+    """One channel use per row, given each row's 3n standard normals: the
+    first n for receiver 1, the next n for receiver 2, the last n for the
+    eavesdropper."""
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
-    n = x1.shape[0]
+    noise = np.asarray(noise, dtype=np.float64)
+    n = x1.shape[-1]
+    if noise.shape[-1] != 3 * n:
+        raise DimensionMismatch(f"need 3n = {3 * n} normals per row, got {noise.shape[-1]}")
     a, b = float(params.cross_gain), float(params.eve_gain)
-    n1 = rng.standard_normal(n) * math.sqrt(params.noise_var)
-    n2 = rng.standard_normal(n) * math.sqrt(params.noise_var)
-    ne = rng.standard_normal(n) * math.sqrt(params.eve_noise_var)
+    n1 = noise[..., :n] * math.sqrt(params.noise_var)
+    n2 = noise[..., n : 2 * n] * math.sqrt(params.noise_var)
+    ne = noise[..., 2 * n :] * math.sqrt(params.eve_noise_var)
     y1 = x1 + a * x2 + n1
     y2 = x2 + a * x1 + n2
     z = b * (x1 + x2) + ne
     return y1, y2, z
 
 
-def dithered_round(
-    codebook,
-    params: ChannelParams,
-    rng: np.random.Generator,
-    messages=None,
-) -> Transcript:
-    """Draw messages and dithers, encode both users, push through the channel.
+def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice) -> PointGrid:
+    """MMSE-scale each row, subtract its dither, fold, then decode to the
+    nearest fine point and fold again. Returns the codeword estimates as a
+    PointGrid over scale / p.
 
-    Draw order is fixed: message1, message2, dither1, dither2, then the
-    three noise vectors inside transmit.
-    """
-    lat = codebook.lattice
-    size = len(codebook)
-    if messages is None:
-        m1 = int(rng.integers(size))
-        m2 = int(rng.integers(size))
-    else:
-        m1, m2 = int(messages[0]), int(messages[1])
-    l1 = codebook.points[m1]
-    l2 = codebook.points[m2]
-    u1 = dither_sample(lat, rng)
-    u2 = dither_sample(lat, rng)
-    x1 = encode_dithered(l1, u1, lat)
-    x2 = encode_dithered(l2, u2, lat)
-    y1, y2, z = transmit(x1, x2, params, rng)
-    return Transcript(m1, m2, l1, l2, u1, u2, x1, x2, y1, y2, z)
-
-
-def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice):
-    """MMSE-scale, subtract the dither, fold, then decode to the nearest
-    fine point and fold again. Returns the exact codeword estimate.
-
-    Exact y and dither (neither an ndarray) are scaled by the exact rational
-    value of the float MMSE factor; otherwise the scaling is in floats.
+    y is a float array of shape (rows, n) or exact rows (a PointGrid or a
+    list of exact points); a single dither row applies to every row. Exact
+    rows are scaled by the exact rational value of the float MMSE factor.
     """
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
-    if isinstance(y, np.ndarray) or isinstance(dither, np.ndarray):
-        v = alpha * np.asarray(y, dtype=np.float64) - np.asarray(dither, dtype=np.float64)
+    if _is_exact_rows(y):
+        own, (yc,) = on_grid(y)
+        unit, (ay, u) = on_grid(PointGrid(Fraction(alpha) * own, yc), dither)
+        v = PointGrid(unit, ay - u)
     else:
-        af = Fraction(alpha)
-        v = tuple(af * yi - ui for yi, ui in zip(exact_vector(y), exact_vector(dither)))
-    folded = lattice.mod_coarse(v)
-    fine = lattice.quantize_fine(folded)
+        v = alpha * np.asarray(y, dtype=np.float64) - np.asarray(dither, dtype=np.float64)
+    fine = lattice.quantize_fine(lattice.mod_coarse(v))
     return lattice.mod_coarse(fine)
-
-
-def _is_exact_rows(y) -> bool:
-    return isinstance(y, PointGrid) or (
-        isinstance(y, (tuple, list))
-        and len(y) > 0
-        and isinstance(y[0], (tuple, list))
-    )
 
 
 def decode_very_strong_batch(received, codebook, params: ChannelParams):

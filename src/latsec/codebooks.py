@@ -198,8 +198,8 @@ def build_layered(
         )
         cb = enumerate_codebook(lat, budget)
         cb = scale_to_power(cb, p_i)
-        for pt in cb.points:
-            if not fine_lattice.is_fine_point(pt):
-                raise LayerNotNested(i, "scaled layer leaves the shared fine lattice")
+        _, (nearest, own) = on_grid(fine_lattice.quantize_fine(cb), cb)
+        if not np.array_equal(nearest, own):
+            raise LayerNotNested(i, "scaled layer leaves the shared fine lattice")
         layers.append(cb)
     return LayeredCodebook(fine_lattice, layers, pows)

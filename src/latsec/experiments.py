@@ -24,9 +24,8 @@ from .channel import (
     decode_layered,
     decode_very_strong_batch,
     decode_weak,
-    dithered_round,
+    dither_rows,
     effective_noise_variance,
-    encode_dithered,
     mmse_alpha,
     achievable_rate_weak,
     transmit,
@@ -52,11 +51,15 @@ from .lattices import (
     GRID_LIMIT,
     ConstructionALattice,
     PointGrid,
+    on_grid,
     random_code_matrix,
     random_unimodular,
 )
 
 ONEBIT_TOL = 1e-9
+# Weak-regime trials are encoded and decoded in blocks of this many rows,
+# which bounds the memory of a run whatever its trial count.
+WEAK_BLOCK = 1024
 
 
 # ----------------------------------------------------------------------
@@ -468,24 +471,43 @@ def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_see
     Also measures the unfolded effective noise alpha*Y - U - L + Q per
     trial; its variance has the closed-form prediction exactly, with no
     folding bias, because Q is the actual coarse point removed by the
-    encoder fold.
+    encoder fold. Each trial draws its messages, dither uniforms and noise
+    from its own stream; everything else runs on blocks of WEAK_BLOCK trials.
     """
     lat = codebook.lattice
+    n = codebook.n
+    size = len(codebook)
     floats = codebook.float_matrix()
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
     trials = int(trials)
     errors = 0
     trial_means = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        rng = trial_rng(root_seed, t)
-        tr = dithered_round(codebook, params, rng)
-        l1 = floats[tr.message1]
-        q1 = l1 + tr.dither1 - tr.signal1
-        residual = alpha * tr.received1 - tr.dither1 - l1 + q1
-        trial_means[t] = float((residual * residual).mean())
-        estimate = decode_weak(tr.received1, tr.dither1, params, lat)
-        if estimate != tr.codeword1:
-            errors += 1
+    for start in range(0, trials, WEAK_BLOCK):
+        block = slice(start, min(start + WEAK_BLOCK, trials))
+        rows = block.stop - start
+        m1 = np.empty(rows, dtype=np.int64)
+        m2 = np.empty(rows, dtype=np.int64)
+        t1 = np.empty((rows, n), dtype=np.float64)
+        t2 = np.empty((rows, n), dtype=np.float64)
+        noise = np.empty((rows, 3 * n), dtype=np.float64)
+        for i in range(rows):
+            rng = trial_rng(root_seed, start + i)
+            m1[i] = rng.integers(size)
+            m2[i] = rng.integers(size)
+            t1[i] = rng.random(n)
+            t2[i] = rng.random(n)
+            noise[i] = rng.standard_normal(3 * n)
+        u1 = dither_rows(lat, t1)
+        u2 = dither_rows(lat, t2)
+        l1 = floats[m1]
+        x1 = lat.mod_coarse(l1 + u1)
+        x2 = lat.mod_coarse(floats[m2] + u2)
+        y1, _, _ = transmit(x1, x2, params, noise)
+        q1 = l1 + u1 - x1
+        residual = alpha * y1 - u1 - l1 + q1
+        trial_means[block] = (residual * residual).mean(axis=1)
+        estimate = decode_weak(y1, u1, params, lat)
+        errors += int((estimate.coords != codebook.coords[m1]).any(axis=1).sum())
     variance = float(trial_means.mean())
     stderr = (
         float(trial_means.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -517,7 +539,7 @@ def very_strong_reliability(codebook: Codebook, params: ChannelParams, trials, r
         rng = trial_rng(root_seed, t)
         m1[t] = rng.integers(size)
         m2[t] = rng.integers(size)
-        y1, _, _ = transmit(pts[m1[t]], pts[m2[t]], params, rng)
+        y1, _, _ = transmit(pts[m1[t]], pts[m2[t]], params, rng.standard_normal(3 * n))
         received[t] = y1
     own, interferer = decode_very_strong_batch(received, codebook, params)
     return {
@@ -548,7 +570,7 @@ def layered_reliability(layered: LayeredCodebook, params: ChannelParams, trials,
             x1 += mats[li][m]
         for li, size in enumerate(sizes):
             x2 += mats[li][int(rng.integers(size))]
-        y1, _, _ = transmit(x1, x2, params, rng)
+        y1, _, _ = transmit(x1, x2, params, rng.standard_normal(3 * n))
         received[t] = y1
     own, _ = decode_layered(received, layered, params)
     per_layer = [float((own[li] != own_true[:, li]).mean()) for li in range(len(sizes))]
@@ -600,14 +622,11 @@ def noiseless_loopback(codebook: Codebook):
     quiet = ChannelParams(
         cross_gain=0.0, power=1.0, noise_var=0.0, eve_noise_var=0.0
     )
-    dither = lat.mod_coarse(tuple(Fraction(i + 1, 2 * n + 1) for i in range(n)))
-    weak_ok = True
-    for point in codebook.points:
-        x = encode_dithered(point, dither, lat)
-        estimate = decode_weak(x, dither, quiet, lat)
-        if estimate != point:
-            weak_ok = False
-            break
+    dither = lat.mod_coarse([tuple(Fraction(i + 1, 2 * n + 1) for i in range(n))])
+    unit, (c, u) = on_grid(codebook, dither)
+    signal = lat.mod_coarse(PointGrid(unit, c + u))
+    estimate = decode_weak(signal, dither, quiet, lat)
+    weak_ok = bool((estimate.coords == codebook.coords).all())
     gain = engineered_gain(codebook)
     strong = ChannelParams(
         cross_gain=float(gain), power=1.0, noise_var=0.0, eve_noise_var=0.0

@@ -80,7 +80,3 @@ def solve_column_comb(rows, vec, p):
         z[c] = red[r][k] % p
     # consistency holds by construction when the last column is not a pivot
     return z
-
-
-def in_column_space(rows, vec, p) -> bool:
-    return solve_column_comb(rows, vec, p) is not None

@@ -9,8 +9,10 @@ and a positive rational scale:
 
 Because T is unimodular, the coarse lattice is scale * Z^n and the fine
 lattice is (scale / p) * (C' + p Z^n), with C' the code spanned by T G mod p.
-Both are integer grids over the unit scale / p, so exact arithmetic stays in
-Fractions end to end. The coarse quantiser rounds each coordinate; the fine
+Both are integer grids over the unit scale / p. The quantisers work on rows:
+each row, float or exact, is first written exactly as Python-int numerators
+over a per-row denominator in units of scale / p, and every decision is made
+on those integers. The coarse quantiser rounds each coordinate; the fine
 quantiser rounds inside each coset of p Z^n (one per codeword of C') and
 keeps the nearest (Conway & Sloane, SPLAG ch. 20). Ties go to the
 lexicographically smallest residual, which makes the induced fundamental
@@ -34,8 +36,6 @@ from .errors import (
     NotUnimodular,
     RankDeficientG,
 )
-
-Point = tuple  # tuple of Fractions; alias for readability in signatures
 
 GRID_LIMIT = 1 << 62
 """Bound on the magnitude of an int64 grid coordinate: below it, the sum of
@@ -100,6 +100,22 @@ class PointGrid:
         return self._float
 
 
+def _is_exact_rows(x) -> bool:
+    """Exact rows: a PointGrid or a non-empty list of exact points."""
+    return isinstance(x, PointGrid) or (
+        isinstance(x, (tuple, list)) and len(x) > 0 and isinstance(x[0], (tuple, list))
+    )
+
+
+def _int64_grid(coords, factor=1) -> np.ndarray:
+    """Integer coords * factor as int64; BudgetExceeded when an entry
+    reaches GRID_LIMIT in magnitude."""
+    peak = int(abs(coords).max()) * factor if coords.size else 0
+    if peak >= GRID_LIMIT:
+        raise BudgetExceeded(f"exact coordinate {peak} on a common grid reaches 2^62")
+    return coords.astype(np.int64) * factor
+
+
 def _common_unit(values) -> Fraction:
     """The largest rational dividing every value (1 when all are zero)."""
     values = list(values)
@@ -131,26 +147,24 @@ def on_grid(*sets):
         ints = [[int(v / own) for v in row] for row in rows]
         grids.append((own, np.array(ints, dtype=object).reshape(len(rows), width)))
     unit = _common_unit(own for own, _ in grids)
-    out = []
-    for own, coords in grids:
-        factor = int(own / unit)
-        peak = int(abs(coords).max()) * factor if coords.size else 0
-        if peak >= GRID_LIMIT:
-            raise BudgetExceeded(f"exact coordinate {peak} on a common grid reaches 2^62")
-        out.append(coords.astype(np.int64) * factor)
-    return unit, out
+    return unit, [_int64_grid(coords, int(own / unit)) for own, coords in grids]
 
 
 def _round_half_up(num: int, den: int) -> int:
     """floor(num / den + 1/2) for den > 0: the nearest integer, halves
-    rounded up, which leaves the smaller residual -1/2."""
+    rounded up, which leaves the smaller residual -1/2. Elementwise on
+    object arrays of Python ints."""
     return (2 * num + den) // (2 * den)
 
 
-def _has_float(x) -> bool:
-    if isinstance(x, np.ndarray):
-        return np.issubdtype(x.dtype, np.floating)
-    return any(isinstance(v, (float, np.floating)) for v in x)
+def _lex_less(a, b) -> np.ndarray:
+    """Row-wise lexicographic a < b for two (rows, n) arrays."""
+    less = np.zeros(len(a), dtype=bool)
+    tied = np.ones(len(a), dtype=bool)
+    for i in range(a.shape[1]):
+        less |= tied & (a[:, i] < b[:, i])
+        tied &= a[:, i] == b[:, i]
+    return less
 
 
 def det_int(rows) -> int:
@@ -257,89 +271,94 @@ class ConstructionALattice:
             self._coarse_float = np.array(cols).T
         return self._coarse_float
 
-    def _exact(self, x) -> tuple:
-        xv = exact_vector(x)
-        if len(xv) != self.n:
-            raise ValueError("dimension mismatch")
-        return xv
-
-    def _unit_coords(self, x) -> list:
-        """x in units of scale / p: integers exactly on the fine grid."""
-        unit = self.scale / self.p
-        return [v / unit for v in self._exact(x)]
-
-    def _codewords(self) -> tuple:
+    def _codewords(self) -> np.ndarray:
         """Every codeword of C', one per coset of the fine lattice mod p Z^n."""
         if self._words is None:
-            words = self.message_coords(np.arange(self.num_cosets)) % self.p
-            self._words = tuple(map(tuple, words.tolist()))
+            self._words = self.message_coords(np.arange(self.num_cosets)) % self.p
         return self._words
+
+    def _unit_rows(self, x):
+        """Rows of x exactly, in units of scale / p: Python-int numerators of
+        shape (rows, n) over positive per-row denominators of shape (rows, 1),
+        both object arrays. Floats convert bit for bit."""
+        unit = self.scale / self.p
+        if isinstance(x, PointGrid):
+            ratio = x.unit / unit
+            num = x.coords.astype(object) * ratio.numerator
+            den = np.full((len(x), 1), ratio.denominator, dtype=object)
+        else:
+            if _is_exact_rows(x):
+                rows = [exact_vector(row) for row in x]
+            else:
+                rows = np.asarray(x, dtype=np.float64)
+                if rows.ndim != 2:
+                    raise DimensionMismatch(f"expected a batch of rows, got shape {rows.shape}")
+                rows = rows.tolist()
+            ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+            dens = [math.lcm(*(b for _, b in row)) for row in ratios]
+            nums = [[a * (d // b) for a, b in row] for row, d in zip(ratios, dens)]
+            num = np.array(nums, dtype=object) * unit.denominator
+            den = np.array(dens, dtype=object).reshape(-1, 1) * unit.numerator
+        if num.ndim != 2 or num.shape[1] != self.n:
+            raise DimensionMismatch(f"expected rows of width {self.n}, got shape {num.shape}")
+        return num, den
+
+    def _exact_grid(self, num, den) -> PointGrid:
+        """Rows num / den, in units of scale / p, as a PointGrid over
+        scale / (p L) with L the least common denominator of the rows."""
+        reduced = [d // math.gcd(d, *row) for row, d in zip(num.tolist(), den.ravel().tolist())]
+        lcd = math.lcm(1, *reduced)
+        return PointGrid(self.scale / (self.p * lcd), _int64_grid(num * lcd // den))
 
     # ------------------------------------------------------------------
     # quantisation
 
-    def quantize_coarse(self, x) -> Point:
-        """Closest coarse-lattice point to x, ties broken deterministically.
-
-        Exact for exact inputs; float inputs are rationalised bit for bit
-        first, so the decision is still exact for the given float vector.
-        """
-        s = self.scale
-        return tuple(
-            s * _round_half_up(v.numerator * s.denominator, v.denominator * s.numerator)
-            for v in self._exact(x)
-        )
-
     def mod_coarse(self, x):
-        """Reduce x into the half-open fundamental cell of the coarse lattice.
+        """Reduce each row into the half-open fundamental cell of the coarse
+        lattice: subtract the nearest coarse point scale * q, halves rounded up.
 
-        Returns Fractions for exact inputs and a float ndarray for float
-        inputs. Idempotent: mod(mod(x)) == mod(x).
+        x is a float array of shape (rows, n) or exact rows (a PointGrid or a
+        list of exact points). The decision is exact either way. Float rows
+        come back as the float array x - float(scale * q), each float(scale * q)
+        correctly rounded; exact rows as a PointGrid. Idempotent.
         """
-        if _has_float(x):
-            point = self.quantize_coarse(x)
-            return np.asarray(x, dtype=float) - np.array([float(v) for v in point])
-        xv = exact_vector(x)
-        point = self.quantize_coarse(xv)
-        return tuple(a - b for a, b in zip(xv, point))
+        num, den = self._unit_rows(x)
+        q = _round_half_up(num, self.p * den)
+        if _is_exact_rows(x):
+            return self._exact_grid(num - self.p * den * q, den)
+        return np.asarray(x, dtype=np.float64) - PointGrid(self.scale, q).float_matrix()
 
-    def quantize_fine(self, x) -> Point:
-        """Closest fine-lattice point to x (same tie rule as the coarse cell).
+    def quantize_fine(self, x) -> PointGrid:
+        """Closest fine-lattice point to each row (same tie rule as the coarse
+        cell), as a PointGrid over scale / p. Takes rows as mod_coarse does.
 
-        Rounds x into each coset of p Z^n in the fine grid, one per codeword
-        of C', and keeps the coset point with the least (distance, residual).
+        For each residue r, finds the nearest integer to each coordinate that
+        is r mod p; then, codeword by codeword of C', keeps each row's coset
+        point with the least (distance, residual).
         """
-        y = self._unit_coords(x)
+        num, den = self._unit_rows(x)
         p = self.p
-        den = math.lcm(*(v.denominator for v in y))
-        big = [v.numerator * (den // v.denominator) for v in y]  # y * den
-        # near[i][r]: nearest integer to y_i that is r mod p, halves up
-        near = [
-            [r + p * _round_half_up(b - r * den, p * den) for r in range(p)] for b in big
-        ]
-        resid = [[b - z * den for z in row] for b, row in zip(big, near)]
-        sq = [[e * e for e in row] for row in resid]
-        words = self._codewords()
-        dist = [sum(row[c] for row, c in zip(sq, w)) for w in words]
-        least = min(dist)
-        _, word = min(
-            (tuple(row[c] for row, c in zip(resid, w)), w)
-            for w, d in zip(words, dist)
-            if d == least
+        near = np.stack(
+            [r + p * _round_half_up(num - r * den, p * den) for r in range(p)], axis=-1
         )
-        unit = self.scale / p
-        return tuple(unit * row[c] for row, c in zip(near, word))
+        resid = num[..., None] - near * den[..., None]
+        sq = resid * resid
+        cols = np.arange(self.n)
+        best_dist = np.full(len(num), math.inf, dtype=object)
+        best_resid = num
+        for word in self._codewords():
+            dist = sq[:, cols, word].sum(axis=1)
+            res = resid[:, cols, word]
+            better = dist < best_dist
+            tied = dist == best_dist
+            if tied.any():
+                better |= tied & _lex_less(res, best_resid)
+            best_dist = np.where(better, dist, best_dist)
+            best_resid = np.where(better[:, None], res, best_resid)
+        return PointGrid(self.scale / p, _int64_grid((num - best_resid) // den))
 
     # ------------------------------------------------------------------
-    # membership and codewords
-
-    def is_fine_point(self, x) -> bool:
-        """Exact membership test for the fine lattice."""
-        t = self._unit_coords(x)
-        if any(v.denominator != 1 for v in t):
-            return False
-        residue = [v.numerator % self.p for v in t]
-        return gfp.in_column_space(self._code_t, residue, self.p)
+    # codewords
 
     def message_coords(self, messages) -> np.ndarray:
         """Codebook coordinates, in units of scale / p, of message indices.
@@ -363,6 +382,8 @@ class ConstructionALattice:
 
 def random_code_matrix(p, k, n, seed):
     """Rejection-sample an n x k matrix with full column rank over GF(p)."""
+    if not isinstance(p, (int, np.integer)) or not gfp.is_prime(int(p)):
+        raise NotPrime(f"modulus must be a prime integer, got {p!r}")
     if k > n:
         raise RankDeficientG(f"k={k} > n={n}: no n x k matrix has full column rank")
     rng = np.random.default_rng(seed)

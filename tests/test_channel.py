@@ -12,6 +12,7 @@ from latsec import (
     ConstructionALattice,
     DimensionMismatch,
     LayeredCodebook,
+    PointGrid,
     StageConditionViolated,
     UnityGain,
     ValidationError,
@@ -21,12 +22,11 @@ from latsec import (
     decode_layered,
     decode_very_strong_batch,
     decode_weak,
-    dither_sample,
-    dithered_round,
+    dither_rows,
     effective_noise_variance,
-    encode_dithered,
     enumerate_codebook,
     mmse_alpha,
+    random_unimodular,
     stage_condition_witnesses,
     transmit,
     trial_rng,
@@ -146,7 +146,7 @@ class TestTrialStreams:
     def test_dither_stays_in_coarse_cell_and_is_uniform(self):
         lat = ConstructionALattice(2, ((1,),), None, 1)
         rng = trial_rng(2026, 0)
-        samples = [float(dither_sample(lat, rng)[0]) for _ in range(20000)]
+        samples = dither_rows(lat, rng.random((20000, 1)))[:, 0].tolist()
         assert min(samples) >= -0.5
         assert max(samples) < 0.5
         chi2 = oracles.chi_square_uniform(samples, 16, -0.5, 0.5)
@@ -155,9 +155,22 @@ class TestTrialStreams:
     def test_dither_scales_with_coarse_cell(self):
         lat = ConstructionALattice(2, ((1,),), None, Fraction(3, 2))
         rng = trial_rng(2026, 1)
-        samples = [float(dither_sample(lat, rng)[0]) for _ in range(500)]
+        samples = dither_rows(lat, rng.random((500, 1)))[:, 0].tolist()
         assert min(samples) >= -0.75
         assert max(samples) < 0.75
+
+    def test_dither_rows_match_the_per_row_product(self):
+        # Each row's dither is bit for bit the fold of basis @ t for that row
+        # alone. At n >= 4 with a non-integer scale, uniforms @ basis.T
+        # rounds differently on some rows.
+        t = random_unimodular(5, seed=[5, 5])
+        lat = ConstructionALattice(3, ((1,), (2,), (0,), (1,), (1,)), t, Fraction(5, 3))
+        uniforms = np.random.default_rng(8).random((1000, 5))
+        batch = dither_rows(lat, uniforms)
+        basis = lat.coarse_basis_float()
+        for row, got in zip(uniforms, batch):
+            raw = basis @ row
+            assert np.array_equal(got, lat.mod_coarse(raw[None])[0])
 
 
 class TestTransmit:
@@ -165,20 +178,37 @@ class TestTransmit:
         params = ChannelParams(
             cross_gain=0.5, power=1.0, eve_gain=1.0, noise_var=0.0, eve_noise_var=0.0
         )
-        y1, y2, z = transmit((1.0,), (2.0,), params, trial_rng(0, 0))
+        y1, y2, z = transmit((1.0,), (2.0,), params, trial_rng(0, 0).standard_normal(3))
         assert y1 == pytest.approx([2.0])
         assert y2 == pytest.approx([2.5])
         assert z == pytest.approx([3.0])
 
     def test_consumes_exactly_three_noise_vectors(self):
-        params = ChannelParams(cross_gain=0.5, power=1.0)
+        # One draw of 3n normals is the three n-vectors drawn one by one:
+        # receiver 1's, receiver 2's, then the eavesdropper's.
+        params = ChannelParams(cross_gain=0.5, power=1.0, noise_var=4.0, eve_noise_var=9.0)
         rng = trial_rng(0, 0)
-        transmit((1.0, 0.0), (0.0, 1.0), params, rng)
+        noise = rng.standard_normal(6)
         probe = rng.random()
         ref = trial_rng(0, 0)
-        for _ in range(3):
-            ref.standard_normal(2)
+        n1, n2, ne = (ref.standard_normal(2) for _ in range(3))
         assert probe == ref.random()
+        x1, x2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        y1, y2, z = transmit(x1, x2, params, noise)
+        assert np.array_equal(y1, x1 + 0.5 * x2 + n1 * 2.0)
+        assert np.array_equal(y2, x2 + 0.5 * x1 + n2 * 2.0)
+        assert np.array_equal(z, (x1 + x2) + ne * 3.0)
+        with pytest.raises(DimensionMismatch):
+            transmit(x1, x2, params, noise[:5])
+
+    def test_rows_transmit_as_single_uses(self):
+        params = ChannelParams(cross_gain=0.3, power=1.0, eve_gain=2.0)
+        rng = np.random.default_rng(4)
+        x1, x2, noise = rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), rng.normal(size=(5, 6))
+        batch = transmit(x1, x2, params, noise)
+        for i in range(5):
+            for got, want in zip(batch, transmit(x1[i], x2[i], params, noise[i])):
+                assert np.array_equal(got[i], want)
 
     def test_eavesdropper_gain_scales_only_the_tap(self):
         params_b1 = ChannelParams(
@@ -187,8 +217,9 @@ class TestTransmit:
         params_b10 = ChannelParams(
             cross_gain=0.5, power=1.0, eve_gain=10.0, noise_var=0.0, eve_noise_var=0.0
         )
-        y1a, y2a, za = transmit((1.0,), (2.0,), params_b1, trial_rng(0, 0))
-        y1b, y2b, zb = transmit((1.0,), (2.0,), params_b10, trial_rng(0, 0))
+        noise = trial_rng(0, 0).standard_normal(3)
+        y1a, y2a, za = transmit((1.0,), (2.0,), params_b1, noise)
+        y1b, y2b, zb = transmit((1.0,), (2.0,), params_b10, noise)
         assert np.array_equal(y1a, y1b) and np.array_equal(y2a, y2b)
         assert zb == pytest.approx(10.0 * za)
 
@@ -203,36 +234,30 @@ class TestDitheredEncoding:
             (Fraction(5, 11), Fraction(1, 2)),
         ]
         for u in dithers:
-            for pt in cb.points:
-                x = encode_dithered(pt, u, lat)
-                shifted = tuple(a - b for a, b in zip(x, u))
-                assert lat.mod_coarse(shifted) == pt
+            x = lat.mod_coarse([tuple(a + b for a, b in zip(pt, u)) for pt in cb.points])
+            shifted = [tuple(a - b for a, b in zip(pt, u)) for pt in x.points]
+            assert lat.mod_coarse(shifted).points == cb.points
 
-    def test_float_dither_round_trips_through_transcript(self):
+    def test_float_dither_round_trips_through_the_channel(self):
+        # One weak trial by hand: draws in their fixed order, encode by the
+        # fold, then the channel; the folded signal minus the dither is the
+        # codeword modulo the coarse lattice.
         cb = codebook(2, ((1, 0), (0, 1)))
+        lat = cb.lattice
         params = ChannelParams(
             cross_gain=0.5, power=1.0, noise_var=0.0, eve_noise_var=0.0
         )
-        tr = dithered_round(cb, params, trial_rng(5, 0))
-        assert np.array_equal(
-            tr.signal1, encode_dithered(tr.codeword1, tr.dither1, cb.lattice)
-        )
-        assert tr.received1 == pytest.approx(tr.signal1 + 0.5 * tr.signal2)
-        assert tr.received2 == pytest.approx(tr.signal2 + 0.5 * tr.signal1)
-        assert tr.eavesdropped == pytest.approx(tr.signal1 + tr.signal2)
-
-    def test_round_is_deterministic_and_respects_message_override(self):
-        cb = codebook(2, ((1, 0), (0, 1)))
-        params = ChannelParams(cross_gain=0.5, power=1.0)
-        a = dithered_round(cb, params, trial_rng(9, 1))
-        b = dithered_round(cb, params, trial_rng(9, 1))
-        assert a.message1 == b.message1 and a.message2 == b.message2
-        assert np.array_equal(a.received1, b.received1)
-        assert np.array_equal(a.eavesdropped, b.eavesdropped)
-        forced = dithered_round(cb, params, trial_rng(9, 1), messages=(2, 3))
-        assert (forced.message1, forced.message2) == (2, 3)
-        assert forced.codeword1 == cb.points[2]
-        assert forced.codeword2 == cb.points[3]
+        rng = trial_rng(5, 0)
+        m = [int(rng.integers(len(cb))), int(rng.integers(len(cb)))]
+        u = dither_rows(lat, [rng.random(2), rng.random(2)])
+        x = lat.mod_coarse(cb.float_matrix()[m] + u)
+        assert ((-0.5 <= x) & (x < 0.5)).all()
+        y1, y2, z = transmit(x[0], x[1], params, rng.standard_normal(6))
+        assert y1 == pytest.approx(x[0] + 0.5 * x[1])
+        assert y2 == pytest.approx(x[1] + 0.5 * x[0])
+        assert z == pytest.approx(x[0] + x[1])
+        back = lat.mod_coarse(x - u)
+        assert back == pytest.approx(lat.mod_coarse(cb.float_matrix()[m]), abs=1e-12)
 
 
 # Zero cross gain and zero noise make the MMSE scaling exactly 1.
@@ -243,21 +268,27 @@ class TestWeakDecoder:
     def test_unit_scaling_recovers_every_message_noiselessly(self):
         cb = codebook(2, ((1, 0), (0, 1)))
         lat = cb.lattice
-        u = (Fraction(1, 3), Fraction(-1, 5))
-        for pt in cb.points:
-            x = encode_dithered(pt, u, lat)
-            assert decode_weak(x, u, UNIT_ALPHA, lat) == pt
+        u = [(Fraction(1, 3), Fraction(-1, 5))]
+        x = lat.mod_coarse([tuple(a + b for a, b in zip(pt, u[0])) for pt in cb.points])
+        estimate = decode_weak(x, u, UNIT_ALPHA, lat)
+        assert isinstance(estimate, PointGrid)
+        assert estimate.unit == cb.unit
+        assert np.array_equal(estimate.coords, cb.coords)
+        floats = decode_weak(x.float_matrix(), np.array(u, dtype=float), UNIT_ALPHA, lat)
+        assert np.array_equal(floats.coords, cb.coords)
 
     def test_exact_entry_point_matches_explicit_alpha(self):
         cb = codebook(2, ((1, 0), (0, 1)))
         lat = cb.lattice
         params = ChannelParams(cross_gain=0.3, power=1.0, noise_var=1.0)
         alpha = Fraction(mmse_alpha(params.power, params.cross_gain, params.noise_var))
-        y = (Fraction(3, 8), Fraction(-1, 4))
-        u = (Fraction(1, 7), Fraction(2, 9))
-        v = tuple(alpha * yi - ui for yi, ui in zip(y, u))
+        ys = [(Fraction(3, 8), Fraction(-1, 4)), (Fraction(-5, 6), Fraction(1, 2))]
+        us = [(Fraction(1, 7), Fraction(2, 9)), (Fraction(0), Fraction(-1, 3))]
+        v = [tuple(alpha * yi - ui for yi, ui in zip(y, u)) for y, u in zip(ys, us)]
         expected = lat.mod_coarse(lat.quantize_fine(lat.mod_coarse(v)))
-        assert decode_weak(y, u, params, lat) == expected
+        got = decode_weak(ys, us, params, lat)
+        assert got.unit == expected.unit == cb.unit
+        assert got.points == expected.points
 
     def test_reliability_improves_with_repetition_length(self):
         sigma = 0.2
@@ -267,15 +298,14 @@ class TestWeakDecoder:
             g = tuple((1,) for _ in range(n))
             cb = codebook(2, g)
             pts = cb.float_matrix()
-            zero = tuple(Fraction(0) for _ in range(n))
-            errors = 0
+            m = np.empty(trials, dtype=np.int64)
+            y = np.empty((trials, n))
             for t in range(trials):
                 rng = trial_rng(424242, t)
-                m = int(rng.integers(len(cb)))
-                y = pts[m] + rng.standard_normal(n) * sigma
-                decoded = decode_weak(tuple(float(v) for v in y), zero, UNIT_ALPHA, cb.lattice)
-                if decoded != cb.points[m]:
-                    errors += 1
+                m[t] = rng.integers(len(cb))
+                y[t] = pts[m[t]] + rng.standard_normal(n) * sigma
+            decoded = decode_weak(y, np.zeros(n), UNIT_ALPHA, cb.lattice)
+            errors = (decoded.coords != cb.coords[m]).any(axis=1).sum()
             rates[n] = errors / trials
         assert rates[1] > rates[2] > rates[4]
         assert rates[1] > 0.15

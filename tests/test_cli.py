@@ -11,6 +11,7 @@ from latsec.cli import (
     _LATTICE_COLUMNS,
     _LEMMA_COLUMNS,
     _PIPELINE_COLUMNS,
+    _SUBCOMMANDS,
     _SWEEP_COLUMNS,
     emit,
     main,
@@ -233,6 +234,23 @@ class TestMainExitCodes:
             assert main(argv + ["--config", path]) == 2
             assert "must not exceed n=2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["lattice", "build"], "kind=lattice\np=1\n"),
+            (["lattice", "build"], "kind=lattice\np=4\nk=1\nn=2\n"),
+            (["verify", "lemmas"], "kind=lemmas\np=1\nk=1\nn=1\n"),
+            (["verify", "lemmas"], "kind=lemmas\np_values=1\n"),
+            (["simulate", "pipeline"], "kind=pipeline\np=1\n"),
+            (["simulate", "layered"], "kind=layered\np=1\n"),
+        ],
+    )
+    def test_non_prime_modulus_is_two(self, tmp_path, capsys, argv, doc):
+        # p=1 used to hang in the code sampler and p=4 to escape from rref
+        path = self.write(tmp_path, doc)
+        assert main(argv + ["--config", path]) == 2
+        assert "must be a prime" in capsys.readouterr().err
+
     def test_infinite_noise_is_two(self, tmp_path, capsys):
         path = self.write(tmp_path, "kind=pipeline\nnoise_var=inf\n")
         assert main(["simulate", "pipeline", "--config", path]) == 2
@@ -321,3 +339,14 @@ class TestEavesdropperInvariance:
                 doc = json.loads(render(envelope, "json"))
                 serialized.add(json.dumps(doc["results"]["secrecy"], sort_keys=True))
         assert len(serialized) == 1
+
+
+@pytest.mark.parametrize(
+    "group,action,kind", [s[:3] for s in _SUBCOMMANDS], ids=[s[2] for s in _SUBCOMMANDS]
+)
+def test_default_config_passes_end_to_end(group, action, kind, capsys):
+    argv = [group] if action is None else [group, action]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == kind
+    assert doc["verdict"] == "pass"

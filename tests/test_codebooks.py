@@ -19,7 +19,7 @@ from latsec import (
     NonDivisibleBins,
     ValidationError,
     build_layered,
-    dither_sample,
+    dither_rows,
     enumerate_codebook,
     random_code_matrix,
     random_unimodular,
@@ -49,8 +49,7 @@ class TestEnumeration:
         lat = ConstructionALattice(5, ((1, 0), (0, 1), (3, 2)), None, Fraction(1, 2))
         cb = enumerate_codebook(lat)
         assert len(set(cb.points)) == 25
-        for pt in cb.points:
-            assert lat.mod_coarse(pt) == pt
+        assert lat.mod_coarse(cb).points == cb.points
 
     def test_coords_are_folded_codewords_on_standard_grid(self):
         # Codeword m is T G z mod p for the base-p digits z of m, each entry
@@ -146,7 +145,7 @@ class TestPowerScaling:
         for scale in (Fraction(1), Fraction(5, 3)):
             lat = ConstructionALattice(3, ((1,), (2,), (0,)), t, scale)
             rng = np.random.default_rng([scale.numerator, 17])
-            draws = np.array([dither_sample(lat, rng) for _ in range(20_000)])
+            draws = dither_rows(lat, rng.random((20_000, lat.n)))
             per_draw = (draws**2).sum(axis=1) / lat.n
             stderr = per_draw.std(ddof=1) / math.sqrt(len(per_draw))
             assert abs(per_draw.mean() - float(scale**2 / 12)) < 5 * stderr
@@ -252,8 +251,7 @@ class TestLayered:
         assert len(layered) == 2
         assert [len(cb) for cb in layered.layers] == [4, 2]
         for cb in layered.layers:
-            for pt in cb.points:
-                assert base.is_fine_point(pt)
+            assert base.quantize_fine(cb).points == cb.points
 
     def test_layer_uses_generator_prefix(self):
         base = self.base(p=3)
@@ -297,8 +295,7 @@ class TestLayered:
         )
         assert [len(cb) for cb in layered.layers] == [4, 2]
         for cb in layered.layers:
-            for pt in cb.points:
-                assert base.is_fine_point(pt)
+            assert base.quantize_fine(cb).points == cb.points
 
     def test_downscaling_breaks_nesting(self):
         # A binding power budget rescales by a generic dyadic ratio, whose

@@ -4,6 +4,7 @@ random-versus-lattice baseline, reliability runs, loopback, and the pipeline."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from latsec import (
@@ -16,9 +17,11 @@ from latsec import (
     StageConditionViolated,
     ValidationError,
     build_layered,
+    decode_weak,
     engineered_gain,
     enumerate_codebook,
     layered_reliability,
+    mmse_alpha,
     noiseless_loopback,
     random_codebook_baseline,
     run_layered_suite,
@@ -30,9 +33,12 @@ from latsec import (
     standard_layered_set,
     suite_passed,
     theorem_suite_passed,
+    transmit,
+    trial_rng,
     very_strong_reliability,
     weak_reliability,
 )
+from latsec.experiments import WEAK_BLOCK
 
 import oracles
 
@@ -246,6 +252,40 @@ class TestReliabilityRuns:
         cb = enumerate_codebook(unit_lattice())
         params = ChannelParams(cross_gain=0.3, power=1.0 / 12.0, noise_var=1.0)
         assert weak_reliability(cb, params, 50, 3) == weak_reliability(cb, params, 50, 3)
+
+    def test_weak_blocks_match_a_per_trial_reference(self):
+        # A run over two blocks equals a loop that draws, encodes, transmits
+        # and decodes one trial at a time.
+        lat = ConstructionALattice(3, ((1,), (2,)), ((2, 1), (1, 1)), Fraction(5, 2))
+        cb = enumerate_codebook(lat)
+        params = ChannelParams(cross_gain=0.2, power=0.5, noise_var=0.3)
+        trials = WEAK_BLOCK + 37
+        n = cb.n
+        alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
+        basis = lat.coarse_basis_float()
+        floats = cb.float_matrix()
+
+        def fold(v):
+            return lat.mod_coarse(v[None])[0]
+
+        errors = 0
+        means = np.empty(trials)
+        for t in range(trials):
+            rng = trial_rng(41, t)
+            m1, m2 = int(rng.integers(len(cb))), int(rng.integers(len(cb)))
+            u1 = fold(basis @ rng.random(n))
+            u2 = fold(basis @ rng.random(n))
+            x1 = fold(floats[m1] + u1)
+            x2 = fold(floats[m2] + u2)
+            y1, _, _ = transmit(x1, x2, params, rng.standard_normal(3 * n))
+            residual = alpha * y1 - u1 - floats[m1] + (floats[m1] + u1 - x1)
+            means[t] = (residual * residual).mean()
+            if decode_weak(y1[None], u1, params, lat).points[0] != cb.points[m1]:
+                errors += 1
+        out = weak_reliability(cb, params, trials, 41)
+        assert out["errors"] == errors > 0
+        assert out["residual_variance"] == float(means.mean())
+        assert out["residual_stderr"] == float(means.std(ddof=1) / math.sqrt(trials))
 
     def test_very_strong_decoding_is_error_free_at_high_gain(self):
         cb = enumerate_codebook(ConstructionALattice(3, ((1, 0), (0, 1)), None, 1))

@@ -1,13 +1,16 @@
 """Nested lattice pairs: closest-point search, folding, coset structure."""
 
-import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latsec import (
     ConstructionALattice,
+    DimensionMismatch,
     NonPositiveScale,
     NotPrime,
     NotUnimodular,
@@ -37,29 +40,52 @@ def is_coarse(lat, pt):
     return all(v.denominator == 1 and v.numerator % lat.p == 0 for v in t)
 
 
+def is_fine(lat, pts):
+    """Fine membership of exact points: each is its own nearest fine point."""
+    return lat.quantize_fine(pts).points == tuple(tuple(Fraction(v) for v in pt) for pt in pts)
+
+
+def minus(xs, ys):
+    return [tuple(a - b for a, b in zip(x, y)) for x, y in zip(xs, ys)]
+
+
 class TestQuantizeTieRule:
     def test_half_integer_rounds_up(self):
         lat = lat_1d()
-        assert lat.quantize_coarse((Fraction(1, 2),)) == (1,)
-        assert lat.mod_coarse((Fraction(1, 2),)) == (Fraction(-1, 2),)
+        x = [(Fraction(1, 2),)]
+        assert lat.mod_coarse(x).points == ((Fraction(-1, 2),),)
+        assert minus(x, lat.mod_coarse(x).points) == [(1,)]
 
     def test_negative_half_integer(self):
         lat = lat_1d()
-        assert lat.quantize_coarse((Fraction(-1, 2),)) == (0,)
-        assert lat.mod_coarse((Fraction(-1, 2),)) == (Fraction(-1, 2),)
+        x = [(Fraction(-1, 2),)]
+        assert lat.mod_coarse(x).points == ((Fraction(-1, 2),),)
+        assert minus(x, lat.mod_coarse(x).points) == [(0,)]
 
     def test_cell_is_half_open(self):
         lat = lat_1d()
-        for x in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(7, 2)):
-            assert lat.mod_coarse((x,)) == (Fraction(-1, 2),)
+        xs = [(x,) for x in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(7, 2))]
+        assert lat.mod_coarse(xs).points == ((Fraction(-1, 2),),) * 4
 
     def test_fold_is_idempotent(self):
         lat = ConstructionALattice(3, ((1,), (2,)), ((1, 1), (0, 1)), Fraction(3, 2))
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            x = tuple(Fraction(int(v), 8) for v in rng.integers(-40, 40, size=2))
-            once = lat.mod_coarse(x)
-            assert lat.mod_coarse(once) == once
+        xs = [tuple(Fraction(int(v), 8) for v in rng.integers(-40, 40, size=2)) for _ in range(20)]
+        once = lat.mod_coarse(xs)
+        assert lat.mod_coarse(once).points == once.points
+        assert lat.mod_coarse(list(once.points)).points == once.points
+
+    def test_single_vector_rejected(self):
+        lat = ConstructionALattice(3, ((1,), (2,)), None, 1)
+        for x in ((Fraction(1, 2), Fraction(1, 3)), np.array([0.5, 0.25])):
+            with pytest.raises(DimensionMismatch):
+                lat.mod_coarse(x)
+            with pytest.raises(DimensionMismatch):
+                lat.quantize_fine(x)
+        with pytest.raises(DimensionMismatch):
+            lat.mod_coarse(np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            lat.quantize_fine([(Fraction(1, 2),)])
 
 
 class TestAgainstExhaustiveSearch:
@@ -71,9 +97,9 @@ class TestAgainstExhaustiveSearch:
         scale = Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
         lat = ConstructionALattice(2, tuple((1,) for _ in range(n)), t, scale)
         basis = [tuple(scale * t[i][j] for i in range(n)) for j in range(n)]
-        for _ in range(6):
-            x = tuple(Fraction(int(v), 4) for v in rng.integers(-4, 5, size=n))
-            assert lat.mod_coarse(x) == oracles.fold_brute(x, basis, box=10)
+        xs = [tuple(Fraction(int(v), 4) for v in rng.integers(-4, 5, size=n)) for _ in range(6)]
+        got = lat.mod_coarse(xs).points
+        assert list(got) == [oracles.fold_brute(x, basis, box=10) for x in xs]
 
     def test_residual_on_multiway_tie(self):
         # Z^2 sees a four-way tie at the cell corner; the lexicographically
@@ -83,7 +109,7 @@ class TestAgainstExhaustiveSearch:
         winners, _ = oracles.exhaustive_nearest(x, [(1, 0), (0, 1)], box=2)
         assert len(winners) == 4
         expected = oracles.tie_break_residual(x, winners)
-        assert lat.mod_coarse(x) == expected == (Fraction(-1, 2), Fraction(-1, 2))
+        assert lat.mod_coarse([x]).points[0] == expected == (Fraction(-1, 2), Fraction(-1, 2))
 
 
 class TestCosetStructure:
@@ -113,8 +139,7 @@ class TestCosetStructure:
     def test_membership_hierarchy(self):
         lat = ConstructionALattice(2, ((1,), (0,)), ((1, 1), (0, 1)), 1)
         cb = enumerate_codebook(lat)
-        for pt in cb.points:
-            assert lat.is_fine_point(pt)
+        assert is_fine(lat, cb.points)
         assert cb.points[0] == (0, 0)
         assert (cb.coords[0] % lat.p == 0).all()
         assert not (cb.coords[1] % lat.p == 0).all()
@@ -122,15 +147,18 @@ class TestCosetStructure:
     def test_coarse_points_are_fine(self):
         lat = ConstructionALattice(3, ((1,), (1,)), ((2, 1), (1, 1)), Fraction(1, 2))
         rng = np.random.default_rng(11)
+        pts = []
         for _ in range(10):
             z = rng.integers(-3, 4, size=2)
-            pt = tuple(
+            pts.append(tuple(
                 lat.scale * sum(lat.transform[i][j] * int(z[j]) for j in range(2))
                 for i in range(2)
-            )
-            assert is_coarse(lat, pt)
-            assert lat.is_fine_point(pt)
-            assert lat.mod_coarse(pt) == (0, 0)
+            ))
+            assert is_coarse(lat, pts[-1])
+        assert is_fine(lat, pts)
+        assert lat.mod_coarse(pts).points == ((0, 0),) * 10
+        # a half step of the fine grid is off the fine lattice
+        assert not is_fine(lat, [(lat.scale / 6, 0)])
 
     def test_scaling_scales_points(self):
         g = ((1,), (2,))
@@ -171,6 +199,13 @@ class TestSeededGenerators:
         # say so instead of drawing forever.
         with pytest.raises(RankDeficientG):
             random_code_matrix(2, 3, 2, seed=[0])
+
+    @pytest.mark.parametrize("p", [1, 4, 0, -3, 2.0])
+    def test_non_prime_modulus_raises_before_sampling(self, p):
+        # GF(1) has no rank-k matrix and GF(4) is not Z/4: the sampler must
+        # refuse at once instead of drawing forever or failing in rref.
+        with pytest.raises(NotPrime):
+            random_code_matrix(p, 1, 2, seed=[0])
 
     def test_forced_shape_is_deterministic(self):
         # (2,1,1) admits exactly one full-rank matrix; every draw returns it.
@@ -217,9 +252,10 @@ class TestQuantizeFine:
         # Fine points are (c/2, c/2) + Z^2; quantizing a nearby target
         # recovers the exact fine point.
         fine_pt = (Fraction(1, 2), Fraction(1, 2))
-        assert lat.is_fine_point(fine_pt)
-        got = lat.quantize_fine((0.55, 0.52))
-        assert got == fine_pt
+        assert is_fine(lat, [fine_pt])
+        got = lat.quantize_fine(np.array([[0.55, 0.52]]))
+        assert got.unit == lat.scale / lat.p
+        assert got.points == (fine_pt,)
 
     def test_quantize_fine_exhaustive(self):
         lat = ConstructionALattice(3, ((1,), (2,)), None, Fraction(1, 2))
@@ -236,9 +272,8 @@ class TestQuantizeFine:
                         )
                     )
         rng = np.random.default_rng(3)
-        for _ in range(12):
-            x = tuple(Fraction(int(v), 16) for v in rng.integers(-8, 9, size=2))
-            got = lat.quantize_fine(x)
+        xs = [tuple(Fraction(int(v), 16) for v in rng.integers(-8, 9, size=2)) for _ in range(12)]
+        for x, got in zip(xs, lat.quantize_fine(xs).points):
             best = min(
                 ((sum((a - b) ** 2 for a, b in zip(x, f)), f) for f in fine),
                 key=lambda item: (item[0], tuple(x_i - f_i for x_i, f_i in zip(x, item[1]))),
@@ -272,11 +307,13 @@ class TestIntegerCoreAgainstOracle:
         lat = ConstructionALattice(p, g, t, scale)
         n = lat.n
         basis = [tuple(scale * t[i][j] for i in range(n)) for j in range(n)]
-        for x in self.half_grid_targets(scale, n, [case, 1]):
+        xs = self.half_grid_targets(scale, n, [case, 1])
+        got = lat.mod_coarse(xs).points
+        for x, folded in zip(xs, got):
             winners, _ = oracles.exhaustive_nearest(x, basis, box=7)
             expected = oracles.tie_break_residual(x, winners)
-            assert lat.mod_coarse(x) == expected
-            assert lat.quantize_coarse(x) == tuple(a - b for a, b in zip(x, expected))
+            assert folded == expected
+            assert minus([x], [folded])[0] in winners
 
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_quantize_fine_matches_oracle(self, case):
@@ -291,9 +328,82 @@ class TestIntegerCoreAgainstOracle:
             tuple(unit * sum(t[i][l] * c[l] for l in range(n)) for i in range(n))
             for c in gens
         ]
-        for x in self.half_grid_targets(unit, n, [case, 2]):
+        xs = self.half_grid_targets(unit, n, [case, 2])
+        got = lat.quantize_fine(xs)
+        assert got.unit == unit
+        assert is_fine(lat, got.points)
+        for x, pt in zip(xs, got.points):
             winners, _ = oracles.exhaustive_nearest(x, basis, box=9)
-            expected = oracles.tie_break_residual(x, winners)
-            got = lat.quantize_fine(x)
-            assert lat.is_fine_point(got)
-            assert tuple(a - b for a, b in zip(x, got)) == expected
+            assert minus([x], [pt])[0] == oracles.tie_break_residual(x, winners)
+
+
+# (p, code matrix [I_k; A], unimodular transform, scale): every scale / p is
+# dyadic, so the half steps of both grids are floats and a float row can sit
+# exactly on a cell boundary.
+DYADIC_CASES = [
+    (2, ((1,), (1,)), ((1, 1), (0, 1)), Fraction(3, 2)),
+    (3, ((1,), (2,)), ((2, 1), (1, 1)), Fraction(3, 2)),
+    (5, ((1,), (3,)), ((1, -1), (0, 1)), Fraction(5, 4)),
+]
+
+
+@st.composite
+def dyadic_float_rows(draw):
+    """(case, float rows): entries anywhere in [-2, 2], on half steps, or
+    one float away from a half step."""
+    case = draw(st.integers(0, len(DYADIC_CASES) - 1))
+    p, g, _, scale = DYADIC_CASES[case]
+    half = scale / p / 2
+    on_step = st.integers(-8, 8).map(lambda h: float(half * h))
+    entry = st.one_of(
+        st.floats(-2, 2),
+        on_step,
+        st.tuples(on_step, st.sampled_from([-math.inf, math.inf])).map(
+            lambda pair: math.nextafter(*pair)
+        ),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=len(g), max_size=len(g)), min_size=1, max_size=4))
+    return case, np.array(rows, dtype=np.float64)
+
+
+class TestFloatRowsAgainstOracle:
+    """Float rows get the exact decisions of their rationalised values."""
+
+    @staticmethod
+    def lattice_and_bases(case):
+        p, g, t, scale = DYADIC_CASES[case]
+        lat = ConstructionALattice(p, g, t, scale)
+        n, unit = lat.n, scale / p
+        coarse = [tuple(scale * t[i][j] for i in range(n)) for j in range(n)]
+        gens = [tuple(g[i][j] for i in range(n)) for j in range(lat.k)]
+        gens += [tuple(p * int(i == j) for i in range(n)) for j in range(lat.k, n)]
+        fine = [tuple(unit * sum(t[i][l] * c[l] for l in range(n)) for i in range(n)) for c in gens]
+        return lat, coarse, fine
+
+    @settings(max_examples=40)
+    @given(dyadic_float_rows())
+    def test_fold(self, drawn):
+        case, x = drawn
+        lat, coarse, _ = self.lattice_and_bases(case)
+        folded = lat.mod_coarse(x)
+        assert folded.dtype == np.float64 and folded.shape == x.shape
+        half = lat.scale / 2
+        for row, out in zip(x.tolist(), folded.tolist()):
+            exact = tuple(Fraction(v) for v in row)
+            assert tuple(Fraction(v) for v in out) == oracles.fold_brute(exact, coarse, box=6)
+            assert all(-half <= Fraction(v) < half for v in out)
+        assert np.array_equal(lat.mod_coarse(folded), folded)
+
+    @settings(max_examples=40)
+    @given(dyadic_float_rows())
+    def test_quantize_fine(self, drawn):
+        case, x = drawn
+        lat, _, fine = self.lattice_and_bases(case)
+        got = lat.quantize_fine(x)
+        assert got.unit == lat.scale / lat.p
+        for row, pt in zip(x.tolist(), got.points):
+            exact = tuple(Fraction(v) for v in row)
+            winners, _ = oracles.exhaustive_nearest(exact, fine, box=12)
+            assert minus([exact], [pt])[0] == oracles.tie_break_residual(exact, winners)
+        assert lat.quantize_fine(got).points == got.points
+        assert lat.quantize_fine(got.float_matrix()).points == got.points

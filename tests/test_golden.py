@@ -27,6 +27,8 @@ CASES = {
     # weak regime at the narrowest and a wide width
     "pipeline_n1": "pipeline",
     "pipeline_n6": "pipeline",
+    # weak regime at n = 5, non-dyadic scale: pins the dither product's rounding
+    "pipeline_n5": "pipeline",
     "sweep": "sweep",
 }
 FORMATS = ("json", "csv")

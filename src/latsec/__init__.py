@@ -23,7 +23,6 @@ from .errors import (
     ParseError,
     RankDeficientG,
     StageConditionViolated,
-    SupportMismatch,
     UnityGain,
     ValidationError,
 )

@@ -8,10 +8,16 @@ is very strong, and per-layer successive decoding for layered schemes.
 
 Monte Carlo determinism: every trial owns the stream
 numpy.random.default_rng([root_seed, trial_index]) and draws from it in a
-fixed order. A weak-regime trial draws message1, message2 (integers below
-the codebook size), the n uniforms of dither1, the n uniforms of dither2,
-then the 3n standard normals of transmit, in one call. Encoding, the
-channel and decoding then run on rows of many trials at once.
+fixed order, the same for all three schemes:
+
+1. user 1's message for each layer, an integer below that layer's
+   codebook size (the weak and very-strong schemes have one layer);
+2. user 2's message for each layer, likewise;
+3. weak scheme only: the 2n dither uniforms, in one call of shape (2, n)
+   (the same values as n for dither 1, then n for dither 2);
+4. the 3n standard normals of transmit, in one call.
+
+Encoding, the channel and decoding then run on rows of many trials at once.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import (
     UnityGain,
     ValidationError,
 )
-from .lattices import ConstructionALattice, PointGrid, _is_exact_rows, on_grid
+from .lattices import ConstructionALattice, PointGrid, _float_rows, on_grid
 
 
 @dataclass(frozen=True)
@@ -154,17 +160,17 @@ def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice)
     nearest fine point and fold again. Returns the codeword estimates as a
     PointGrid over scale / p.
 
-    y is a float array of shape (rows, n) or exact rows (a PointGrid or a
-    list of exact points); a single dither row applies to every row. Exact
-    rows are scaled by the exact rational value of the float MMSE factor.
+    y is a float array of shape (rows, n) with float dithers, or a PointGrid
+    with a PointGrid of dithers; a single dither row applies to every row.
+    Exact rows are scaled by the exact rational value of the float MMSE
+    factor.
     """
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
-    if _is_exact_rows(y):
-        own, (yc,) = on_grid(y)
-        unit, (ay, u) = on_grid(PointGrid(Fraction(alpha) * own, yc), dither)
+    if isinstance(y, PointGrid):
+        unit, (ay, u) = on_grid(PointGrid(Fraction(alpha) * y.unit, y.coords), dither)
         v = PointGrid(unit, ay - u)
     else:
-        v = alpha * np.asarray(y, dtype=np.float64) - np.asarray(dither, dtype=np.float64)
+        v = alpha * _float_rows(y) - _float_rows(np.atleast_2d(dither))
     fine = lattice.quantize_fine(lattice.mod_coarse(v))
     return lattice.mod_coarse(fine)
 
@@ -208,26 +214,24 @@ def _nearest(rows, pts):
 def _successive_decode(received, codebooks, gain):
     """Per-layer successive decoding, interference first inside each stage.
 
-    Exact rows (a list of exact points or a PointGrid) are decoded in int64
-    on one grid shared with the codebooks (see _exact_decode_grid); anything
-    else is a float batch of shape (rows, n). Each stage finds the nearest
-    interferer at the gain, strips it, then finds and strips the nearest own
-    codeword. Returns (own_indices, interferer_indices), one array per layer.
+    A PointGrid of rows is decoded in int64 on one grid shared with the
+    codebooks (see _exact_decode_grid); anything else is a float batch of
+    shape (rows, n). Each stage finds the nearest interferer at the gain,
+    strips it, then finds and strips the nearest own codeword. Returns
+    (own_indices, interferer_indices), one array per layer.
     """
-    if _is_exact_rows(received):
+    if isinstance(received, PointGrid):
         resid, stages = _exact_decode_grid(received, codebooks, Fraction(gain))
     else:
-        resid = np.array(received, dtype=np.float64)
-        if resid.ndim != 2:
-            raise DimensionMismatch(f"expected a batch of rows, got shape {resid.shape}")
+        resid = _float_rows(received)
         a = float(gain)
         stages = [(pts, a * pts) for pts in (cb.float_matrix() for cb in codebooks)]
     own_all, intf_all = [], []
     for own_pts, intf_pts in stages:
         j = _nearest(resid, intf_pts)
-        resid -= intf_pts[j]
+        resid = resid - intf_pts[j]
         i = _nearest(resid, own_pts)
-        resid -= own_pts[i]
+        resid = resid - own_pts[i]
         own_all.append(i.astype(np.int64))
         intf_all.append(j.astype(np.int64))
     return tuple(own_all), tuple(intf_all)
@@ -276,9 +280,9 @@ def check_stage_conditions(powers, cross_gain: float, noise_var: float = 1.0):
 
 def decode_layered(y, layered, params: ChannelParams):
     """Successive decoding of a batch of rows across layers, after checking
-    every stage condition. Exact rows (a list of exact points or a
-    PointGrid) are decoded in exact arithmetic. Returns
-    (own_indices, interferer_indices) as per-layer tuples of arrays.
+    every stage condition. A PointGrid of rows is decoded in exact
+    arithmetic. Returns (own_indices, interferer_indices) as per-layer
+    tuples of arrays.
     """
     check_stage_conditions(layered.powers, params.cross_gain, params.noise_var)
     return _successive_decode(y, layered.layers, params.cross_gain)

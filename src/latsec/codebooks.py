@@ -19,13 +19,11 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DegenerateCodebook,
-    DimensionMismatch,
-    EmptyCodebook,
     LayerNotNested,
     NonDivisibleBins,
     ValidationError,
 )
-from .lattices import ConstructionALattice, PointGrid, exact_vector, on_grid
+from .lattices import ConstructionALattice, PointGrid, on_grid
 
 
 class Codebook(PointGrid):
@@ -33,26 +31,11 @@ class Codebook(PointGrid):
 
     Codeword m is unit * coords[m] with unit = scale / p; every point lies
     in the half-open fundamental cell of the coarse lattice, so every
-    coordinate lies in [-p/2, p/2). Build one from exact points, or from
-    their integer coordinates with coords=.
+    coordinate lies in [-p/2, p/2).
     """
 
-    def __init__(self, lattice: ConstructionALattice, points=None, *, coords=None):
-        unit = lattice.scale / lattice.p
-        if coords is None:
-            pts = [exact_vector(pt) for pt in points]
-            if not pts:
-                raise EmptyCodebook("a codebook needs at least one point")
-            for pt in pts:
-                if len(pt) != lattice.n:
-                    raise DimensionMismatch(
-                        f"point of length {len(pt)} in dimension-{lattice.n} lattice"
-                    )
-            empty = PointGrid(unit, np.zeros((0, lattice.n), dtype=np.int64))
-            common, (_, coords) = on_grid(empty, pts)
-            if common != unit:
-                raise ValidationError("points", "codebook points must be multiples of scale / p")
-        super().__init__(unit, coords)
+    def __init__(self, lattice: ConstructionALattice, coords):
+        super().__init__(lattice.scale / lattice.p, coords)
         p = lattice.p
         if (2 * self.coords >= p).any() or (2 * self.coords < -p).any():
             raise ValidationError("points", "codebook points must lie in the coarse cell")

@@ -47,10 +47,6 @@ class LayerNotNested(LatsecError):
         self.layer = layer
 
 
-class SupportMismatch(LatsecError):
-    pass
-
-
 class UnityGain(LatsecError):
     pass
 

@@ -19,6 +19,7 @@ import numpy as np
 from .channel import (
     ChannelParams,
     Regime,
+    _successive_decode,
     check_stage_conditions,
     classify_regime,
     decode_layered,
@@ -57,9 +58,9 @@ from .lattices import (
 )
 
 ONEBIT_TOL = 1e-9
-# Weak-regime trials are encoded and decoded in blocks of this many rows,
+# Monte Carlo trials are encoded and decoded in blocks of this many rows,
 # which bounds the memory of a run whatever its trial count.
-WEAK_BLOCK = 1024
+TRIAL_BLOCK = 1024
 
 
 # ----------------------------------------------------------------------
@@ -465,6 +466,29 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
 # Monte Carlo reliability runs
 
 
+def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
+    """The per-trial draws of a Monte Carlo run, in blocks of TRIAL_BLOCK
+    trials, in the order the channel module documents. sizes holds each
+    layer's codebook size. Yields (start, m1, m2, uniforms, noise) per
+    block: the first trial's index, both users' messages of shape
+    (rows, layers), the dither uniforms of shape (2, rows, n) when dithers
+    is set (else None) and the channel normals of shape (rows, 3n).
+    """
+    layers = len(sizes)
+    for start in range(0, trials, TRIAL_BLOCK):
+        rows = min(TRIAL_BLOCK, trials - start)
+        messages = np.empty((rows, 2 * layers), dtype=np.int64)
+        uniforms = np.empty((2, rows, n), dtype=np.float64) if dithers else None
+        noise = np.empty((rows, 3 * n), dtype=np.float64)
+        for i in range(rows):
+            rng = trial_rng(root_seed, start + i)
+            messages[i] = [rng.integers(size) for size in (*sizes, *sizes)]
+            if dithers:
+                uniforms[:, i] = rng.random((2, n))
+            noise[i] = rng.standard_normal(3 * n)
+        yield start, messages[:, :layers], messages[:, layers:], uniforms, noise
+
+
 def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_seed):
     """Dithered modulo-lattice rounds with MMSE-scaled lattice decoding.
 
@@ -472,40 +496,27 @@ def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_see
     trial; its variance has the closed-form prediction exactly, with no
     folding bias, because Q is the actual coarse point removed by the
     encoder fold. Each trial draws its messages, dither uniforms and noise
-    from its own stream; everything else runs on blocks of WEAK_BLOCK trials.
+    from its own stream; everything else runs on blocks of TRIAL_BLOCK trials.
     """
     lat = codebook.lattice
     n = codebook.n
-    size = len(codebook)
     floats = codebook.float_matrix()
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
     trials = int(trials)
     errors = 0
     trial_means = np.empty(trials, dtype=np.float64)
-    for start in range(0, trials, WEAK_BLOCK):
-        block = slice(start, min(start + WEAK_BLOCK, trials))
-        rows = block.stop - start
-        m1 = np.empty(rows, dtype=np.int64)
-        m2 = np.empty(rows, dtype=np.int64)
-        t1 = np.empty((rows, n), dtype=np.float64)
-        t2 = np.empty((rows, n), dtype=np.float64)
-        noise = np.empty((rows, 3 * n), dtype=np.float64)
-        for i in range(rows):
-            rng = trial_rng(root_seed, start + i)
-            m1[i] = rng.integers(size)
-            m2[i] = rng.integers(size)
-            t1[i] = rng.random(n)
-            t2[i] = rng.random(n)
-            noise[i] = rng.standard_normal(3 * n)
-        u1 = dither_rows(lat, t1)
-        u2 = dither_rows(lat, t2)
+    blocks = _trial_blocks(trials, root_seed, [len(codebook)], n, dithers=True)
+    for start, m1, m2, uniforms, noise in blocks:
+        m1, m2 = m1[:, 0], m2[:, 0]
+        u1 = dither_rows(lat, uniforms[0])
+        u2 = dither_rows(lat, uniforms[1])
         l1 = floats[m1]
         x1 = lat.mod_coarse(l1 + u1)
         x2 = lat.mod_coarse(floats[m2] + u2)
         y1, _, _ = transmit(x1, x2, params, noise)
         q1 = l1 + u1 - x1
         residual = alpha * y1 - u1 - l1 + q1
-        trial_means[block] = (residual * residual).mean(axis=1)
+        trial_means[start : start + len(m1)] = (residual * residual).mean(axis=1)
         estimate = decode_weak(y1, u1, params, lat)
         errors += int((estimate.coords != codebook.coords[m1]).any(axis=1).sum())
     variance = float(trial_means.mean())
@@ -526,28 +537,40 @@ def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_see
     }
 
 
+def _successive_errors(layers, params: ChannelParams, trials, root_seed):
+    """Successive-decoding rounds over the given layer codebooks, one block
+    of trials at a time: each user sends the sum of one codeword per layer.
+    Returns per-layer counts of own and interferer decoding errors, and the
+    count of trials in which some own layer errs.
+    """
+    mats = [cb.float_matrix() for cb in layers]
+    own_errors = np.zeros(len(layers), dtype=np.int64)
+    intf_errors = np.zeros(len(layers), dtype=np.int64)
+    trial_errors = 0
+    blocks = _trial_blocks(trials, root_seed, [len(cb) for cb in layers], layers[0].n)
+    for _, m1, m2, _, noise in blocks:
+        x1 = sum(mat[m1[:, li]] for li, mat in enumerate(mats))
+        x2 = sum(mat[m2[:, li]] for li, mat in enumerate(mats))
+        y1, _, _ = transmit(x1, x2, params, noise)
+        own, intf = _successive_decode(y1, layers, params.cross_gain)
+        own_wrong = np.stack(own, axis=1) != m1
+        own_errors += own_wrong.sum(axis=0)
+        intf_errors += (np.stack(intf, axis=1) != m2).sum(axis=0)
+        trial_errors += int(own_wrong.any(axis=1).sum())
+    return own_errors, intf_errors, trial_errors
+
+
 def very_strong_reliability(codebook: Codebook, params: ChannelParams, trials, root_seed):
-    """Uncoded-codeword rounds decoded interference first, in one batch."""
+    """Uncoded-codeword rounds decoded interference first: successive
+    decoding with one layer."""
     trials = int(trials)
-    size = len(codebook)
-    pts = codebook.float_matrix()
-    n = codebook.n
-    m1 = np.empty(trials, dtype=np.int64)
-    m2 = np.empty(trials, dtype=np.int64)
-    received = np.empty((trials, n), dtype=np.float64)
-    for t in range(trials):
-        rng = trial_rng(root_seed, t)
-        m1[t] = rng.integers(size)
-        m2[t] = rng.integers(size)
-        y1, _, _ = transmit(pts[m1[t]], pts[m2[t]], params, rng.standard_normal(3 * n))
-        received[t] = y1
-    own, interferer = decode_very_strong_batch(received, codebook, params)
+    own_errors, intf_errors, errors = _successive_errors([codebook], params, trials, root_seed)
     return {
         "scheme": "very_strong",
         "trials": trials,
-        "errors": int((own != m1).sum()),
-        "error_rate": float((own != m1).mean()),
-        "interferer_error_rate": float((interferer != m2).mean()),
+        "errors": errors,
+        "error_rate": errors / trials,
+        "interferer_error_rate": int(intf_errors[0]) / trials,
     }
 
 
@@ -555,34 +578,13 @@ def layered_reliability(layered: LayeredCodebook, params: ChannelParams, trials,
     """Per-layer successive decoding rounds; a trial errs if any layer errs."""
     check_stage_conditions(layered.powers, params.cross_gain, params.noise_var)
     trials = int(trials)
-    sizes = [len(cb) for cb in layered.layers]
-    mats = [cb.float_matrix() for cb in layered.layers]
-    n = layered.n
-    own_true = np.empty((trials, len(sizes)), dtype=np.int64)
-    received = np.empty((trials, n), dtype=np.float64)
-    for t in range(trials):
-        rng = trial_rng(root_seed, t)
-        x1 = np.zeros(n, dtype=np.float64)
-        x2 = np.zeros(n, dtype=np.float64)
-        for li, size in enumerate(sizes):
-            m = int(rng.integers(size))
-            own_true[t, li] = m
-            x1 += mats[li][m]
-        for li, size in enumerate(sizes):
-            x2 += mats[li][int(rng.integers(size))]
-        y1, _, _ = transmit(x1, x2, params, rng.standard_normal(3 * n))
-        received[t] = y1
-    own, _ = decode_layered(received, layered, params)
-    per_layer = [float((own[li] != own_true[:, li]).mean()) for li in range(len(sizes))]
-    block_err = np.zeros(trials, dtype=bool)
-    for li in range(len(sizes)):
-        block_err |= own[li] != own_true[:, li]
+    own_errors, _, errors = _successive_errors(layered.layers, params, trials, root_seed)
     return {
         "scheme": "layered",
         "trials": trials,
-        "errors": int(block_err.sum()),
-        "error_rate": float(block_err.mean()),
-        "per_layer_error_rate": per_layer,
+        "errors": errors,
+        "error_rate": errors / trials,
+        "per_layer_error_rate": [int(e) / trials for e in own_errors],
     }
 
 
@@ -622,7 +624,7 @@ def noiseless_loopback(codebook: Codebook):
     quiet = ChannelParams(
         cross_gain=0.0, power=1.0, noise_var=0.0, eve_noise_var=0.0
     )
-    dither = lat.mod_coarse([tuple(Fraction(i + 1, 2 * n + 1) for i in range(n))])
+    dither = lat.mod_coarse(PointGrid(Fraction(1, 2 * n + 1), [list(range(1, n + 1))]))
     unit, (c, u) = on_grid(codebook, dither)
     signal = lat.mod_coarse(PointGrid(unit, c + u))
     estimate = decode_weak(signal, dither, quiet, lat)

@@ -2,10 +2,10 @@
 
 Every distribution is held as exact integer counts over one common total;
 entropy evaluation is the only floating-point step. Sum sets are counted
-on int64 coordinates: on_grid puts both point sets over one rational unit
+on int64 coordinates: on_grid puts both PointGrids over one rational unit
 (a codebook already is one: scale / p times coordinates in [-p/2, p/2)),
-and the sums keep that unit. Plain exact point lists are accepted too; a
-set whose coordinates reach GRID_LIMIT = 2^62 on the common grid raises
+and the sums keep that unit. Any other input raises TypeError; a set whose
+coordinates reach GRID_LIMIT = 2^62 on the common grid raises
 BudgetExceeded. Exact sum points are built only when a caller asks for
 them.
 

@@ -10,11 +10,12 @@ and a positive rational scale:
 Because T is unimodular, the coarse lattice is scale * Z^n and the fine
 lattice is (scale / p) * (C' + p Z^n), with C' the code spanned by T G mod p.
 Both are integer grids over the unit scale / p. The quantisers work on rows:
-each row, float or exact, is first written exactly as Python-int numerators
-over a per-row denominator in units of scale / p, and every decision is made
-on those integers. The coarse quantiser rounds each coordinate; the fine
-quantiser rounds inside each coset of p Z^n (one per codeword of C') and
-keeps the nearest (Conway & Sloane, SPLAG ch. 20). Ties go to the
+a float array of shape (rows, n) or a PointGrid. Each row is first written
+exactly as Python-int numerators over a denominator in units of scale / p
+(one per float row, one shared by a PointGrid's rows), and every decision
+is made on those integers. The coarse quantiser rounds each coordinate;
+the fine quantiser rounds inside each coset of p Z^n (one per codeword of
+C') and keeps the nearest (Conway & Sloane, SPLAG ch. 20). Ties go to the
 lexicographically smallest residual, which makes the induced fundamental
 cell half-open.
 """
@@ -35,32 +36,12 @@ from .errors import (
     NotPrime,
     NotUnimodular,
     RankDeficientG,
+    ValidationError,
 )
 
 GRID_LIMIT = 1 << 62
 """Bound on the magnitude of an int64 grid coordinate: below it, the sum of
 two coordinates cannot overflow. on_grid raises BudgetExceeded past it."""
-
-
-def exact_vector(x) -> tuple:
-    """Coerce a vector of ints, floats, Fractions or strings to exact Fractions.
-
-    Floats convert exactly (every float is a rational), so the result always
-    represents the argument bit for bit.
-    """
-    if isinstance(x, np.ndarray):
-        x = x.tolist()
-    out = []
-    for v in x:
-        if isinstance(v, Fraction):
-            out.append(v)
-        elif isinstance(v, (int, np.integer)):
-            out.append(Fraction(int(v)))
-        elif isinstance(v, (float, np.floating)):
-            out.append(Fraction(float(v)))
-        else:
-            out.append(Fraction(v))
-    return tuple(out)
 
 
 class PointGrid:
@@ -100,11 +81,16 @@ class PointGrid:
         return self._float
 
 
-def _is_exact_rows(x) -> bool:
-    """Exact rows: a PointGrid or a non-empty list of exact points."""
-    return isinstance(x, PointGrid) or (
-        isinstance(x, (tuple, list)) and len(x) > 0 and isinstance(x[0], (tuple, list))
-    )
+def _float_rows(x) -> np.ndarray:
+    """x as a float64 array of shape (rows, n). Exact rows come as a
+    PointGrid: an object array (a list of Fractions, say) raises TypeError
+    instead of being rounded to floats."""
+    rows = np.asarray(x)
+    if rows.dtype == object:
+        raise TypeError(f"exact rows must be a PointGrid, not {type(x).__name__}")
+    if rows.ndim != 2:
+        raise DimensionMismatch(f"expected a batch of rows, got shape {rows.shape}")
+    return rows.astype(np.float64, copy=False)
 
 
 def _int64_grid(coords, factor=1) -> np.ndarray:
@@ -125,29 +111,17 @@ def _common_unit(values) -> Fraction:
     )
 
 
-def on_grid(*sets):
-    """Express exact point sets as int64 coordinates over one common unit.
-
-    Each set is a PointGrid (a codebook, a sum structure) or a sequence of
-    exact points. The unit is the largest rational dividing every set's
-    unit, so set i is unit * coords[i] exactly, row for row. Returns
-    (unit, [coords, ...]); raises BudgetExceeded when a coordinate reaches
-    GRID_LIMIT in magnitude.
+def on_grid(*grids):
+    """Express PointGrids as int64 coordinates over one common unit: the
+    largest rational dividing every grid's unit, so grid i is
+    unit * coords[i] exactly, row for row. Returns (unit, [coords, ...]);
+    raises BudgetExceeded when a coordinate reaches GRID_LIMIT in magnitude.
     """
-    grids = []
-    for s in sets:
-        if isinstance(s, PointGrid):
-            grids.append((s.unit, s.coords))
-            continue
-        rows = [exact_vector(pt) for pt in s]
-        width = len(rows[0]) if rows else 0
-        if any(len(row) != width for row in rows):
-            raise DimensionMismatch("points of one set differ in length")
-        own = _common_unit(v for row in rows for v in row)
-        ints = [[int(v / own) for v in row] for row in rows]
-        grids.append((own, np.array(ints, dtype=object).reshape(len(rows), width)))
-    unit = _common_unit(own for own, _ in grids)
-    return unit, [_int64_grid(coords, int(own / unit)) for own, coords in grids]
+    for g in grids:
+        if not isinstance(g, PointGrid):
+            raise TypeError(f"exact point sets must be PointGrids, not {type(g).__name__}")
+    unit = _common_unit(g.unit for g in grids)
+    return unit, [_int64_grid(g.coords, int(g.unit / unit)) for g in grids]
 
 
 def _round_half_up(num: int, den: int) -> int:
@@ -280,21 +254,18 @@ class ConstructionALattice:
     def _unit_rows(self, x):
         """Rows of x exactly, in units of scale / p: Python-int numerators of
         shape (rows, n) over positive per-row denominators of shape (rows, 1),
-        both object arrays. Floats convert bit for bit."""
+        both object arrays. Floats convert bit for bit; a PointGrid's rows
+        share the denominator of x.unit / (scale / p)."""
         unit = self.scale / self.p
         if isinstance(x, PointGrid):
             ratio = x.unit / unit
             num = x.coords.astype(object) * ratio.numerator
             den = np.full((len(x), 1), ratio.denominator, dtype=object)
         else:
-            if _is_exact_rows(x):
-                rows = [exact_vector(row) for row in x]
-            else:
-                rows = np.asarray(x, dtype=np.float64)
-                if rows.ndim != 2:
-                    raise DimensionMismatch(f"expected a batch of rows, got shape {rows.shape}")
-                rows = rows.tolist()
-            ratios = [[v.as_integer_ratio() for v in row] for row in rows]
+            rows = _float_rows(x)
+            if not np.isfinite(rows).all():
+                raise ValidationError("rows", "rows must be finite")
+            ratios = [[v.as_integer_ratio() for v in row] for row in rows.tolist()]
             dens = [math.lcm(*(b for _, b in row)) for row in ratios]
             nums = [[a * (d // b) for a, b in row] for row, d in zip(ratios, dens)]
             num = np.array(nums, dtype=object) * unit.denominator
@@ -303,13 +274,6 @@ class ConstructionALattice:
             raise DimensionMismatch(f"expected rows of width {self.n}, got shape {num.shape}")
         return num, den
 
-    def _exact_grid(self, num, den) -> PointGrid:
-        """Rows num / den, in units of scale / p, as a PointGrid over
-        scale / (p L) with L the least common denominator of the rows."""
-        reduced = [d // math.gcd(d, *row) for row, d in zip(num.tolist(), den.ravel().tolist())]
-        lcd = math.lcm(1, *reduced)
-        return PointGrid(self.scale / (self.p * lcd), _int64_grid(num * lcd // den))
-
     # ------------------------------------------------------------------
     # quantisation
 
@@ -317,16 +281,20 @@ class ConstructionALattice:
         """Reduce each row into the half-open fundamental cell of the coarse
         lattice: subtract the nearest coarse point scale * q, halves rounded up.
 
-        x is a float array of shape (rows, n) or exact rows (a PointGrid or a
-        list of exact points). The decision is exact either way. Float rows
-        come back as the float array x - float(scale * q), each float(scale * q)
-        correctly rounded; exact rows as a PointGrid. Idempotent.
+        x is a float array of shape (rows, n) or a PointGrid. The decision is
+        exact either way. Float rows come back as the float array
+        x - float(scale * q), each float(scale * q) correctly rounded; a
+        PointGrid comes back as one over scale / (p b), with b the
+        denominator of x.unit / (scale / p). Idempotent. Raises
+        BudgetExceeded when q reaches GRID_LIMIT and ValidationError on a
+        non-finite float.
         """
         num, den = self._unit_rows(x)
         q = _round_half_up(num, self.p * den)
-        if _is_exact_rows(x):
-            return self._exact_grid(num - self.p * den * q, den)
-        return np.asarray(x, dtype=np.float64) - PointGrid(self.scale, q).float_matrix()
+        if isinstance(x, PointGrid):
+            b = (x.unit * self.p / self.scale).denominator
+            return PointGrid(self.scale / (self.p * b), _int64_grid(num - self.p * den * q))
+        return _float_rows(x) - PointGrid(self.scale, _int64_grid(q)).float_matrix()
 
     def quantize_fine(self, x) -> PointGrid:
         """Closest fine-lattice point to each row (same tie rule as the coarse

@@ -1,0 +1,21 @@
+"""Exact test points as a PointGrid, the one exact row format the package
+takes: a list of exact points becomes a PointGrid over the largest rational
+dividing every coordinate."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from latsec import PointGrid
+
+
+def grid(points) -> PointGrid:
+    rows = [[Fraction(v) for v in row] for row in points]
+    values = [v for row in rows for v in row]
+    unit = Fraction(
+        math.gcd(*(v.numerator for v in values)) or 1,
+        math.lcm(1, *(v.denominator for v in values)),
+    )
+    coords = [[int(v / unit) for v in row] for row in rows]
+    return PointGrid(unit, np.array(coords, dtype=np.int64).reshape(len(rows), -1))

@@ -33,6 +33,7 @@ from latsec import (
 )
 
 import oracles
+from exact_rows import grid
 
 
 def codebook(p, g, scale=1):
@@ -234,9 +235,9 @@ class TestDitheredEncoding:
             (Fraction(5, 11), Fraction(1, 2)),
         ]
         for u in dithers:
-            x = lat.mod_coarse([tuple(a + b for a, b in zip(pt, u)) for pt in cb.points])
+            x = lat.mod_coarse(grid([tuple(a + b for a, b in zip(pt, u)) for pt in cb.points]))
             shifted = [tuple(a - b for a, b in zip(pt, u)) for pt in x.points]
-            assert lat.mod_coarse(shifted).points == cb.points
+            assert lat.mod_coarse(grid(shifted)).points == cb.points
 
     def test_float_dither_round_trips_through_the_channel(self):
         # One weak trial by hand: draws in their fixed order, encode by the
@@ -269,8 +270,8 @@ class TestWeakDecoder:
         cb = codebook(2, ((1, 0), (0, 1)))
         lat = cb.lattice
         u = [(Fraction(1, 3), Fraction(-1, 5))]
-        x = lat.mod_coarse([tuple(a + b for a, b in zip(pt, u[0])) for pt in cb.points])
-        estimate = decode_weak(x, u, UNIT_ALPHA, lat)
+        x = lat.mod_coarse(grid([tuple(a + b for a, b in zip(pt, u[0])) for pt in cb.points]))
+        estimate = decode_weak(x, grid(u), UNIT_ALPHA, lat)
         assert isinstance(estimate, PointGrid)
         assert estimate.unit == cb.unit
         assert np.array_equal(estimate.coords, cb.coords)
@@ -285,8 +286,8 @@ class TestWeakDecoder:
         ys = [(Fraction(3, 8), Fraction(-1, 4)), (Fraction(-5, 6), Fraction(1, 2))]
         us = [(Fraction(1, 7), Fraction(2, 9)), (Fraction(0), Fraction(-1, 3))]
         v = [tuple(alpha * yi - ui for yi, ui in zip(y, u)) for y, u in zip(ys, us)]
-        expected = lat.mod_coarse(lat.quantize_fine(lat.mod_coarse(v)))
-        got = decode_weak(ys, us, params, lat)
+        expected = lat.mod_coarse(lat.quantize_fine(lat.mod_coarse(grid(v))))
+        got = decode_weak(grid(ys), grid(us), params, lat)
         assert got.unit == expected.unit == cb.unit
         assert got.points == expected.points
 
@@ -321,7 +322,7 @@ class TestVeryStrongDecoder:
             tuple(a + 4 * b for a, b in zip(cb.points[m1], cb.points[m2]))
             for m1, m2 in pairs
         ]
-        own, intf = decode_very_strong_batch(rows, cb, params)
+        own, intf = decode_very_strong_batch(grid(rows), cb, params)
         assert list(zip(own.tolist(), intf.tolist())) == pairs
 
     def test_float_and_exact_batches_agree(self):
@@ -336,7 +337,7 @@ class TestVeryStrongDecoder:
         own_f, intf_f = decode_very_strong_batch(
             np.array([[float(v) for v in r] for r in rows]), cb, params
         )
-        own_e, intf_e = decode_very_strong_batch(rows, cb, params)
+        own_e, intf_e = decode_very_strong_batch(grid(rows), cb, params)
         assert np.array_equal(own_f, own_e)
         assert np.array_equal(intf_f, intf_e)
 
@@ -346,13 +347,13 @@ class TestVeryStrongDecoder:
         cb = codebook(2, ((1,),))
         params = ChannelParams(cross_gain=4.0, power=1.0)
         tiny = Fraction(1, 2**31 + 1)
-        rows = [(Fraction(0) + tiny,), (Fraction(-5, 2) + tiny,)]
+        rows = grid([(Fraction(0) + tiny,), (Fraction(-5, 2) + tiny,)])
         with pytest.raises(BudgetExceeded):
             decode_very_strong_batch(rows, cb, params)
         layered = LayeredCodebook(cb.lattice, [cb], [1.0])
         with pytest.raises(BudgetExceeded):
             decode_layered(rows, layered, params)
-        grid_rows = [(Fraction(0),), (Fraction(-5, 2),)]
+        grid_rows = grid([(Fraction(0),), (Fraction(-5, 2),)])
         own_g, intf_g = decode_very_strong_batch(grid_rows, cb, params)
         assert own_g.tolist() == [0, 1] and intf_g.tolist() == [0, 1]
 
@@ -408,9 +409,8 @@ class TestLayeredDecoder:
         params = ChannelParams(cross_gain=4.0, power=1.0)
         y = tuple(a + 4 * b for a, b in zip(cb.points[5], cb.points[2]))
         for decode, book in ((decode_layered, layered), (decode_very_strong_batch, cb)):
-            for row in (y, np.array([float(v) for v in y])):
-                with pytest.raises(DimensionMismatch):
-                    decode(row, book, params)
+            with pytest.raises(DimensionMismatch):
+                decode(np.array([float(v) for v in y]), book, params)
 
     def test_two_layer_float_and_exact_paths_agree(self):
         coarse = codebook(2, ((1, 0), (0, 1)), scale=2)
@@ -427,7 +427,7 @@ class TestLayeredDecoder:
             (Fraction(0), Fraction(2)),
             (Fraction(-2), Fraction(1, 8)),
         ]
-        own_e, intf_e = decode_layered(exact_rows, layered, params)
+        own_e, intf_e = decode_layered(grid(exact_rows), layered, params)
         float_rows = np.array([[float(v) for v in r] for r in exact_rows])
         own_f, intf_f = decode_layered(float_rows, layered, params)
         for le, lf in zip(own_e, own_f):

@@ -17,6 +17,7 @@ from latsec import (
     LayerNotNested,
     LayeredCodebook,
     NonDivisibleBins,
+    PointGrid,
     ValidationError,
     build_layered,
     dither_rows,
@@ -29,6 +30,7 @@ from latsec import (
 )
 
 import oracles
+from exact_rows import grid
 
 
 def small_lattice(p=2, k=1, n=1, scale=1):
@@ -73,13 +75,6 @@ class TestEnumeration:
         expected = [[float(c) for c in pt] for pt in cb.points]
         assert cb.float_matrix().tolist() == expected
 
-    def test_points_off_the_fine_grid_or_cell_rejected(self):
-        lat = small_lattice()
-        with pytest.raises(ValidationError):
-            Codebook(lat, [(Fraction(1, 4),)])
-        with pytest.raises(ValidationError):
-            Codebook(lat, [(Fraction(1, 2),)])
-
     def test_budget(self):
         lat = ConstructionALattice(7, ((1, 0), (0, 1)), None, 1)
         with pytest.raises(BudgetExceeded):
@@ -92,16 +87,17 @@ class TestEnumeration:
         assert cb.rate_per_dim == 1.0
 
     def test_constructor_guards(self):
+        # Coordinates over scale / p must lie in the half-open cell [-p/2, p/2).
         lat = small_lattice()
-        with pytest.raises(EmptyCodebook):
-            Codebook(lat, [])
-        with pytest.raises(DimensionMismatch):
-            Codebook(lat, [(0, 0)])
+        for outside in ([[1]], [[-2]], [[0], [1]]):
+            with pytest.raises(ValidationError):
+                Codebook(lat, outside)
+        assert Codebook(lat, [[0], [-1]]).points == ((0,), (Fraction(-1, 2),))
 
 
 class TestMinkowskiSum:
     def test_hand_example(self):
-        a = [(0,), (Fraction(-1, 2),)]
+        a = PointGrid(Fraction(1, 2), [[0], [-1]])
         s = sum_structure(a, a, budget=10).points
         assert s == ((Fraction(-1),), (Fraction(-1, 2),), (Fraction(0),))
 
@@ -117,17 +113,17 @@ class TestMinkowskiSum:
         huge = Fraction(1, 2**31)
         a = [(Fraction(0),), (huge,)]
         b = [(Fraction(0),), (Fraction(1, 2),)]
-        s = sum_structure(a, b, budget=10).points
+        s = sum_structure(grid(a), grid(b), budget=10).points
         assert set(s) == set(oracles.pair_sum_histogram(a, b))
 
     def test_budget_and_dimension_errors(self):
-        a = [(0,)] * 1
+        a = PointGrid(1, [[0]])
         with pytest.raises(DimensionMismatch):
-            sum_structure([(0,)], [(0, 0)], budget=10)
+            sum_structure(a, PointGrid(1, [[0, 0]]), budget=10)
         with pytest.raises(BudgetExceeded):
-            sum_structure([(0,), (1,)], [(0,), (1,)], budget=3)
+            sum_structure(PointGrid(1, [[0], [1]]), PointGrid(1, [[0], [1]]), budget=3)
         with pytest.raises(EmptyCodebook):
-            sum_structure([], a, budget=10)
+            sum_structure(PointGrid(1, np.zeros((0, 1))), a, budget=10)
 
     def test_sum_bound_report(self):
         cb = enumerate_codebook(small_lattice())

@@ -17,6 +17,8 @@ from latsec import (
     StageConditionViolated,
     ValidationError,
     build_layered,
+    decode_layered,
+    decode_very_strong_batch,
     decode_weak,
     engineered_gain,
     enumerate_codebook,
@@ -38,7 +40,7 @@ from latsec import (
     very_strong_reliability,
     weak_reliability,
 )
-from latsec.experiments import WEAK_BLOCK
+from latsec.experiments import TRIAL_BLOCK
 
 import oracles
 
@@ -259,7 +261,7 @@ class TestReliabilityRuns:
         lat = ConstructionALattice(3, ((1,), (2,)), ((2, 1), (1, 1)), Fraction(5, 2))
         cb = enumerate_codebook(lat)
         params = ChannelParams(cross_gain=0.2, power=0.5, noise_var=0.3)
-        trials = WEAK_BLOCK + 37
+        trials = TRIAL_BLOCK + 37
         n = cb.n
         alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
         basis = lat.coarse_basis_float()
@@ -286,6 +288,70 @@ class TestReliabilityRuns:
         assert out["errors"] == errors > 0
         assert out["residual_variance"] == float(means.mean())
         assert out["residual_stderr"] == float(means.std(ddof=1) / math.sqrt(trials))
+
+    @staticmethod
+    def per_trial_successive(layers, params, trials, seed, decode):
+        """Successive-decoding rounds drawn, transmitted and decoded one
+        trial at a time: (own errors per layer, interferer errors per layer,
+        trials with an own error)."""
+        mats = [cb.float_matrix() for cb in layers]
+        n = layers[0].n
+        own_errors = [0] * len(layers)
+        intf_errors = [0] * len(layers)
+        errors = 0
+        for t in range(trials):
+            rng = trial_rng(seed, t)
+            m1 = [int(rng.integers(len(cb))) for cb in layers]
+            m2 = [int(rng.integers(len(cb))) for cb in layers]
+            x1 = sum(mat[m] for mat, m in zip(mats, m1))
+            x2 = sum(mat[m] for mat, m in zip(mats, m2))
+            y1, _, _ = transmit(x1, x2, params, rng.standard_normal(3 * n))
+            own, intf = decode(y1[None])
+            for li in range(len(layers)):
+                own_errors[li] += int(own[li][0] != m1[li])
+                intf_errors[li] += int(intf[li][0] != m2[li])
+            errors += any(int(own[li][0]) != m1[li] for li in range(len(layers)))
+        return own_errors, intf_errors, errors
+
+    def test_very_strong_blocks_match_a_per_trial_reference(self):
+        cb = enumerate_codebook(ConstructionALattice(3, ((1, 0), (0, 1)), None, 1))
+        params = ChannelParams(cross_gain=2.0, power=1.0, noise_var=0.3)
+        trials = TRIAL_BLOCK + 37
+
+        def decode(y):
+            own, intf = decode_very_strong_batch(y, cb, params)
+            return [own], [intf]
+
+        (own,), (intf,), errors = self.per_trial_successive([cb], params, trials, 29, decode)
+        assert own == errors > 0 and intf > 0
+        assert very_strong_reliability(cb, params, trials, 29) == {
+            "scheme": "very_strong",
+            "trials": trials,
+            "errors": errors,
+            "error_rate": errors / trials,
+            "interferer_error_rate": intf / trials,
+        }
+
+    def test_layered_blocks_match_a_per_trial_reference(self):
+        tower = standard_layered_set()[2][1]
+        layered = LayeredCodebook(
+            tower.fine_lattice,
+            tower.layers,
+            [float(cb.average_power) for cb in tower.layers],
+        )
+        params = ChannelParams(cross_gain=6.0, power=sum(layered.powers), noise_var=0.3)
+        trials = TRIAL_BLOCK + 37
+        own, _, errors = self.per_trial_successive(
+            layered.layers, params, trials, 31, lambda y: decode_layered(y, layered, params)
+        )
+        assert all(e > 0 for e in own) and errors > max(own)
+        assert layered_reliability(layered, params, trials, 31) == {
+            "scheme": "layered",
+            "trials": trials,
+            "errors": errors,
+            "error_rate": errors / trials,
+            "per_layer_error_rate": [e / trials for e in own],
+        }
 
     def test_very_strong_decoding_is_error_free_at_high_gain(self):
         cb = enumerate_codebook(ConstructionALattice(3, ((1, 0), (0, 1)), None, 1))

@@ -23,6 +23,7 @@ from latsec import (
 )
 
 import oracles
+from exact_rows import grid
 
 
 def seeded_codebook(p, k, n, seed=0, scale=1):
@@ -81,7 +82,7 @@ class TestPairSums:
         huge = Fraction(1, 2**31 + 1)
         a = [(Fraction(0),), (huge,), (Fraction(1, 3),)]
         b = [(Fraction(0),), (Fraction(1, 3),)]
-        s = sum_structure(a, b, 100)
+        s = sum_structure(grid(a), grid(b), 100)
         points, counts = s.points, s.counts()
         hist = oracles.pair_sum_histogram(a, b)
         assert {pt: int(c) for pt, c in zip(points, counts)} == hist
@@ -89,9 +90,9 @@ class TestPairSums:
     def test_coordinates_past_int64_bound_raise(self):
         for big in ((Fraction(2**62),), (Fraction(1),)), ((Fraction(1, 2**62),), (Fraction(1),)):
             with pytest.raises(BudgetExceeded):
-                sum_structure(big, [(Fraction(0),)], 10)
+                sum_structure(grid(big), grid([(Fraction(0),)]), 10)
         fits = ((Fraction(2**62 - 1),), (Fraction(1),))
-        assert sum_structure(fits, [(Fraction(0),)], 10).num_sums == 2
+        assert sum_structure(grid(fits), grid([(Fraction(0),)]), 10).num_sums == 2
 
     def test_budget(self):
         cb = seeded_codebook(5, 2, 2)
@@ -103,7 +104,7 @@ class TestPairSums:
         ca = np.array([2, 3], dtype=np.int64)
         b = [(Fraction(0),), (Fraction(1, 2),), (Fraction(1),)]
         cb_counts = np.array([1, 4, 2], dtype=np.int64)
-        s = sum_structure(a, b, 100)
+        s = sum_structure(grid(a), grid(b), 100)
         points, counts = s.points, s.weighted_counts(ca, cb_counts)
         expected = {}
         for x, wx in zip(a, ca):

@@ -9,20 +9,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latsec import (
+    BudgetExceeded,
+    ChannelParams,
     ConstructionALattice,
     DimensionMismatch,
+    LayeredCodebook,
     NonPositiveScale,
     NotPrime,
     NotUnimodular,
+    PointGrid,
     RankDeficientG,
+    ValidationError,
+    decode_layered,
+    decode_very_strong_batch,
+    decode_weak,
     enumerate_codebook,
     random_code_matrix,
     random_unimodular,
+    sum_structure,
 )
 from latsec.gfp import solve_column_comb
 from latsec.lattices import det_int
 
 import oracles
+from exact_rows import grid
 
 
 def lat_1d():
@@ -42,7 +52,7 @@ def is_coarse(lat, pt):
 
 def is_fine(lat, pts):
     """Fine membership of exact points: each is its own nearest fine point."""
-    return lat.quantize_fine(pts).points == tuple(tuple(Fraction(v) for v in pt) for pt in pts)
+    return lat.quantize_fine(grid(pts)).points == tuple(tuple(Fraction(v) for v in pt) for pt in pts)
 
 
 def minus(xs, ys):
@@ -53,31 +63,31 @@ class TestQuantizeTieRule:
     def test_half_integer_rounds_up(self):
         lat = lat_1d()
         x = [(Fraction(1, 2),)]
-        assert lat.mod_coarse(x).points == ((Fraction(-1, 2),),)
-        assert minus(x, lat.mod_coarse(x).points) == [(1,)]
+        assert lat.mod_coarse(grid(x)).points == ((Fraction(-1, 2),),)
+        assert minus(x, lat.mod_coarse(grid(x)).points) == [(1,)]
 
     def test_negative_half_integer(self):
         lat = lat_1d()
         x = [(Fraction(-1, 2),)]
-        assert lat.mod_coarse(x).points == ((Fraction(-1, 2),),)
-        assert minus(x, lat.mod_coarse(x).points) == [(0,)]
+        assert lat.mod_coarse(grid(x)).points == ((Fraction(-1, 2),),)
+        assert minus(x, lat.mod_coarse(grid(x)).points) == [(0,)]
 
     def test_cell_is_half_open(self):
         lat = lat_1d()
-        xs = [(x,) for x in (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2), Fraction(7, 2))]
+        xs = PointGrid(Fraction(1, 2), [[1], [3], [-1], [7]])
         assert lat.mod_coarse(xs).points == ((Fraction(-1, 2),),) * 4
 
     def test_fold_is_idempotent(self):
         lat = ConstructionALattice(3, ((1,), (2,)), ((1, 1), (0, 1)), Fraction(3, 2))
         rng = np.random.default_rng(7)
-        xs = [tuple(Fraction(int(v), 8) for v in rng.integers(-40, 40, size=2)) for _ in range(20)]
+        xs = PointGrid(Fraction(1, 8), rng.integers(-40, 40, size=(20, 2)))
         once = lat.mod_coarse(xs)
         assert lat.mod_coarse(once).points == once.points
-        assert lat.mod_coarse(list(once.points)).points == once.points
+        assert lat.mod_coarse(grid(once.points)).points == once.points
 
     def test_single_vector_rejected(self):
         lat = ConstructionALattice(3, ((1,), (2,)), None, 1)
-        for x in ((Fraction(1, 2), Fraction(1, 3)), np.array([0.5, 0.25])):
+        for x in (PointGrid(Fraction(1, 6), [3, 2]), np.array([0.5, 0.25])):
             with pytest.raises(DimensionMismatch):
                 lat.mod_coarse(x)
             with pytest.raises(DimensionMismatch):
@@ -85,7 +95,7 @@ class TestQuantizeTieRule:
         with pytest.raises(DimensionMismatch):
             lat.mod_coarse(np.zeros((2, 3)))
         with pytest.raises(DimensionMismatch):
-            lat.quantize_fine([(Fraction(1, 2),)])
+            lat.quantize_fine(PointGrid(Fraction(1, 2), [[1]]))
 
 
 class TestAgainstExhaustiveSearch:
@@ -98,7 +108,7 @@ class TestAgainstExhaustiveSearch:
         lat = ConstructionALattice(2, tuple((1,) for _ in range(n)), t, scale)
         basis = [tuple(scale * t[i][j] for i in range(n)) for j in range(n)]
         xs = [tuple(Fraction(int(v), 4) for v in rng.integers(-4, 5, size=n)) for _ in range(6)]
-        got = lat.mod_coarse(xs).points
+        got = lat.mod_coarse(grid(xs)).points
         assert list(got) == [oracles.fold_brute(x, basis, box=10) for x in xs]
 
     def test_residual_on_multiway_tie(self):
@@ -109,7 +119,7 @@ class TestAgainstExhaustiveSearch:
         winners, _ = oracles.exhaustive_nearest(x, [(1, 0), (0, 1)], box=2)
         assert len(winners) == 4
         expected = oracles.tie_break_residual(x, winners)
-        assert lat.mod_coarse([x]).points[0] == expected == (Fraction(-1, 2), Fraction(-1, 2))
+        assert lat.mod_coarse(grid([x])).points[0] == expected == (Fraction(-1, 2), Fraction(-1, 2))
 
 
 class TestCosetStructure:
@@ -156,7 +166,7 @@ class TestCosetStructure:
             ))
             assert is_coarse(lat, pts[-1])
         assert is_fine(lat, pts)
-        assert lat.mod_coarse(pts).points == ((0, 0),) * 10
+        assert lat.mod_coarse(grid(pts)).points == ((0, 0),) * 10
         # a half step of the fine grid is off the fine lattice
         assert not is_fine(lat, [(lat.scale / 6, 0)])
 
@@ -272,8 +282,8 @@ class TestQuantizeFine:
                         )
                     )
         rng = np.random.default_rng(3)
-        xs = [tuple(Fraction(int(v), 16) for v in rng.integers(-8, 9, size=2)) for _ in range(12)]
-        for x, got in zip(xs, lat.quantize_fine(xs).points):
+        xs = PointGrid(Fraction(1, 16), rng.integers(-8, 9, size=(12, 2)))
+        for x, got in zip(xs.points, lat.quantize_fine(xs).points):
             best = min(
                 ((sum((a - b) ** 2 for a, b in zip(x, f)), f) for f in fine),
                 key=lambda item: (item[0], tuple(x_i - f_i for x_i, f_i in zip(x, item[1]))),
@@ -308,7 +318,7 @@ class TestIntegerCoreAgainstOracle:
         n = lat.n
         basis = [tuple(scale * t[i][j] for i in range(n)) for j in range(n)]
         xs = self.half_grid_targets(scale, n, [case, 1])
-        got = lat.mod_coarse(xs).points
+        got = lat.mod_coarse(grid(xs)).points
         for x, folded in zip(xs, got):
             winners, _ = oracles.exhaustive_nearest(x, basis, box=7)
             expected = oracles.tie_break_residual(x, winners)
@@ -329,7 +339,7 @@ class TestIntegerCoreAgainstOracle:
             for c in gens
         ]
         xs = self.half_grid_targets(unit, n, [case, 2])
-        got = lat.quantize_fine(xs)
+        got = lat.quantize_fine(grid(xs))
         assert got.unit == unit
         assert is_fine(lat, got.points)
         for x, pt in zip(xs, got.points):
@@ -407,3 +417,102 @@ class TestFloatRowsAgainstOracle:
             assert minus([exact], [pt])[0] == oracles.tie_break_residual(exact, winners)
         assert lat.quantize_fine(got).points == got.points
         assert lat.quantize_fine(got.float_matrix()).points == got.points
+
+
+@st.composite
+def grid_rows(draw):
+    """(case, PointGrid) for a two-dimensional case of
+    TestIntegerCoreAgainstOracle: unit a * scale / (p d) and integer
+    coordinates in [-2d, 2d], so every row lies within a few fine steps of
+    the origin and many sit on half steps of both grids."""
+    case = draw(st.integers(0, 1))
+    p, _, _, scale = TestIntegerCoreAgainstOracle.CASES[case]
+    d = draw(st.integers(1, 8))
+    unit = scale / p * Fraction(draw(st.integers(1, 2)), d)
+    coords = draw(st.lists(st.lists(st.integers(-2 * d, 2 * d), min_size=2, max_size=2),
+                           min_size=1, max_size=3))
+    return case, PointGrid(unit, coords)
+
+
+class TestPointGridRowsAgainstOracle:
+    """PointGrid rows fold and quantise exactly, over the unit they share."""
+
+    @settings(max_examples=25)
+    @given(grid_rows())
+    def test_fold(self, drawn):
+        case, x = drawn
+        p, _, t, scale = TestIntegerCoreAgainstOracle.CASES[case]
+        lat = ConstructionALattice(*TestIntegerCoreAgainstOracle.CASES[case])
+        folded = lat.mod_coarse(x)
+        assert folded.unit == scale / (p * (x.unit * p / scale).denominator)
+        basis = [tuple(scale * t[i][j] for i in range(2)) for j in range(2)]
+        for row, out in zip(x.points, folded.points):
+            assert out == oracles.fold_brute(row, basis, box=12)
+        assert lat.mod_coarse(folded).points == folded.points
+
+    @settings(max_examples=25)
+    @given(grid_rows())
+    def test_quantize_fine(self, drawn):
+        case, x = drawn
+        p, g, t, scale = TestIntegerCoreAgainstOracle.CASES[case]
+        lat = ConstructionALattice(p, g, t, scale)
+        unit = scale / p
+        gens = [(g[0][0], g[1][0]), (0, p)]
+        fine = [tuple(unit * sum(t[i][l] * c[l] for l in range(2)) for i in range(2)) for c in gens]
+        got = lat.quantize_fine(x)
+        assert got.unit == unit
+        for row, pt in zip(x.points, got.points):
+            winners, _ = oracles.exhaustive_nearest(row, fine, box=12)
+            assert minus([row], [pt])[0] == oracles.tie_break_residual(row, winners)
+
+
+class TestOutOfRangeFloatRows:
+    """Float rows the exact kernel cannot hold fail with the package's errors."""
+
+    @pytest.mark.parametrize("big", [1e19, -1e19, 1e300])
+    def test_coarse_index_past_the_grid_limit(self, big):
+        lat = ConstructionALattice(3, ((1,), (2,)), None, 1)
+        x = np.array([[0.25, 0.5], [big, 0.5]])
+        with pytest.raises(BudgetExceeded):
+            lat.mod_coarse(x)
+        with pytest.raises(BudgetExceeded):
+            lat.quantize_fine(x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rows(self, bad):
+        lat = ConstructionALattice(3, ((1,), (2,)), None, 1)
+        x = np.array([[0.25, 0.5], [0.0, bad]])
+        with pytest.raises(ValidationError):
+            lat.mod_coarse(x)
+        with pytest.raises(ValidationError):
+            lat.quantize_fine(x)
+
+
+def _guarded_calls():
+    """name -> call(rows): every entry point that takes exact rows."""
+    cb = enumerate_codebook(ConstructionALattice(3, ((1,), (2,)), None, 1))
+    lat = cb.lattice
+    layered = LayeredCodebook(lat, [cb], [math.inf])
+    quiet = ChannelParams(cross_gain=0.0, power=1.0, noise_var=0.0)
+    strong = ChannelParams(cross_gain=4.0, power=1.0, noise_var=0.0)
+    return {
+        "mod_coarse": lat.mod_coarse,
+        "quantize_fine": lat.quantize_fine,
+        "decode_weak": lambda rows: decode_weak(
+            rows, PointGrid(1, [[0, 0]]) if isinstance(rows, PointGrid) else np.zeros(2), quiet, lat
+        ),
+        "decode_very_strong_batch": lambda rows: decode_very_strong_batch(rows, cb, strong),
+        "decode_layered": lambda rows: decode_layered(rows, layered, strong),
+        "sum_structure": lambda rows: sum_structure(rows, cb),
+    }
+
+
+class TestExactRowsArePointGrids:
+    @pytest.mark.parametrize("name", list(_guarded_calls()))
+    def test_fraction_lists_rejected(self, name):
+        # np.asarray(..., float64) would round these silently
+        rows = [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(5, 11), Fraction(0))]
+        call = _guarded_calls()[name]
+        with pytest.raises(TypeError, match="PointGrid"):
+            call(rows)
+        call(grid(rows))

@@ -475,6 +475,7 @@ def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
     is set (else None) and the channel normals of shape (rows, 3n).
     """
     layers = len(sizes)
+    both_users = (*sizes, *sizes)
     for start in range(0, trials, TRIAL_BLOCK):
         rows = min(TRIAL_BLOCK, trials - start)
         messages = np.empty((rows, 2 * layers), dtype=np.int64)
@@ -482,7 +483,7 @@ def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
         noise = np.empty((rows, 3 * n), dtype=np.float64)
         for i in range(rows):
             rng = trial_rng(root_seed, start + i)
-            messages[i] = [rng.integers(size) for size in (*sizes, *sizes)]
+            messages[i] = [rng.integers(size) for size in both_users]
             if dithers:
                 uniforms[:, i] = rng.random((2, n))
             noise[i] = rng.standard_normal(3 * n)

@@ -19,6 +19,8 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DegenerateCodebook,
+    DimensionMismatch,
+    EmptyCodebook,
     LayerNotNested,
     NonDivisibleBins,
     ValidationError,
@@ -35,7 +37,19 @@ class Codebook(PointGrid):
     """
 
     def __init__(self, lattice: ConstructionALattice, coords):
-        super().__init__(lattice.scale / lattice.p, coords)
+        raw = np.asarray(coords)
+        if raw.size == 0:
+            raise EmptyCodebook("a codebook needs at least one point")
+        if raw.ndim != 2 or raw.shape[1] != lattice.n:
+            raise DimensionMismatch(
+                f"coordinates of shape {raw.shape} in dimension-{lattice.n} lattice"
+            )
+        if raw.dtype.kind not in "iu":
+            # a point off the fine grid has a non-integral coordinate
+            with np.errstate(invalid="ignore"):
+                if (raw.astype(np.int64) != raw).any():
+                    raise ValidationError("points", "codebook points must be multiples of scale / p")
+        super().__init__(lattice.scale / lattice.p, raw)
         p = lattice.p
         if (2 * self.coords >= p).any() or (2 * self.coords < -p).any():
             raise ValidationError("points", "codebook points must lie in the coarse cell")

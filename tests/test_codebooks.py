@@ -75,6 +75,16 @@ class TestEnumeration:
         expected = [[float(c) for c in pt] for pt in cb.points]
         assert cb.float_matrix().tolist() == expected
 
+    def test_points_off_the_fine_grid_or_cell_rejected(self):
+        # Coordinates are in units of scale / p = 1/2: the point 1/4 is off
+        # the fine grid, and the point 1/2 is off the coarse cell.
+        lat = small_lattice()
+        for off_grid in ([[Fraction(1, 2)]], [[0.5]], [[0], [float("nan")]]):
+            with pytest.raises(ValidationError):
+                Codebook(lat, off_grid)
+        with pytest.raises(ValidationError):
+            Codebook(lat, [[1]])
+
     def test_budget(self):
         lat = ConstructionALattice(7, ((1, 0), (0, 1)), None, 1)
         with pytest.raises(BudgetExceeded):
@@ -89,6 +99,12 @@ class TestEnumeration:
     def test_constructor_guards(self):
         # Coordinates over scale / p must lie in the half-open cell [-p/2, p/2).
         lat = small_lattice()
+        for empty in ([], np.zeros((0, 1), dtype=np.int64)):
+            with pytest.raises(EmptyCodebook):
+                Codebook(lat, empty)
+        for wrong_shape in ([(0, 0)], [0, -1]):
+            with pytest.raises(DimensionMismatch):
+                Codebook(lat, wrong_shape)
         for outside in ([[1]], [[-2]], [[0], [1]]):
             with pytest.raises(ValidationError):
                 Codebook(lat, outside)

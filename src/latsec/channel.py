@@ -17,7 +17,12 @@ fixed order, the same for all three schemes:
    (the same values as n for dither 1, then n for dither 2);
 4. the 3n standard normals of transmit, in one call.
 
-Encoding, the channel and decoding then run on rows of many trials at once.
+trial_rng defines these streams. The blocked runs do not build a generator
+per trial: _trial_states derives the PCG64 state that trial_rng starts
+from for a whole block of trial indices at once, and _trial_streams reseeds
+one reused generator to each state in turn, so every draw equals
+trial_rng's. Encoding, the channel and decoding then run on rows of many
+trials at once.
 """
 
 from __future__ import annotations
@@ -126,6 +131,100 @@ def trial_rng(root_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([int(root_seed), int(trial_index)])
 
 
+# numpy's SeedSequence hash (a pool of four uint32 words) and PCG64 seeding,
+# as _trial_states reproduces them. No hash constant depends on the data.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_steps(const: int, mult: int):
+    """SeedSequence's running hash constant, as (before, after) pairs of
+    each step's multiplication by mult modulo 2^32."""
+    while True:
+        after = const * mult & _MASK32
+        yield const, after
+        const = after
+
+
+def _hash(words, step):
+    """One SeedSequence hash step on a uint32 array (wrapping arithmetic)."""
+    before, after = step
+    words = (words ^ before) * after
+    return words ^ (words >> 16)
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _trial_states(root_seed: int, indices) -> list:
+    """The (state, inc) pair of the PCG64 behind trial_rng(root_seed, t) for
+    each trial index t below 2^64, all computed at once.
+
+    SeedSequence([root_seed, t]) hashes the little-endian 32-bit words of
+    root_seed then those of t: the first four words (zero-padded) fill the
+    pool and are cross-mixed, later words are mixed in one at a time, and
+    generate_state(4, uint64) hashes the pool into (seed, seq). PCG64 then
+    sets inc = 2 seq + 1 and state = (inc + seed) M + inc modulo 2^128.
+    Here each word position is a uint32 column over all trials; a column
+    past a trial's own word count is zero in the pool, as the padding is,
+    and skipped after it.
+    """
+    root = int(root_seed)
+    if root < 0:
+        raise ValueError("expected non-negative integer")
+    head = [root & _MASK32]
+    while root > _MASK32:
+        root >>= 32
+        head.append(root & _MASK32)
+    t = np.asarray(indices, dtype=np.uint64)
+    zero = np.zeros(len(t), dtype=np.uint32)
+    cols = [np.full(len(t), w, dtype=np.uint32) for w in head]
+    cols += [(t & _MASK32).astype(np.uint32), (t >> 32).astype(np.uint32)]
+    lengths = len(head) + 1 + (t > _MASK32)
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    pool = [_hash(cols[i] if i < len(cols) else zero, next(steps)) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(steps)))
+    for src in range(_POOL, len(cols)):
+        live = lengths > src
+        for dst in range(_POOL):
+            pool[dst] = np.where(live, _mix(pool[dst], _hash(cols[src], next(steps))), pool[dst])
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    out = [_hash(pool[i % _POOL], next(steps)).astype(object) for i in range(8)]
+    # little-endian pairs of words make the uint64s (seed_hi, seed_lo, seq_hi, seq_lo)
+    seed, seq = [out[i + 1] << 96 | out[i] << 64 | out[i + 3] << 32 | out[i + 2] for i in (0, 4)]
+    inc = (seq << 1 | 1) & _MASK128
+    state = ((inc + seed) * _PCG_MULT + inc) & _MASK128
+    return list(zip(state.tolist(), inc.tolist()))
+
+
+def _trial_streams(root_seed: int, trials: int, block: int):
+    """The streams of trial_rng(root_seed, t) for t = 0 .. trials - 1, as one
+    Generator that is reseeded in place, with no buffered uint32, before it
+    is yielded for each trial. States are derived block trials at a time.
+    """
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for start in range(0, trials, block):
+        for state, inc in _trial_states(root_seed, np.arange(start, min(start + block, trials))):
+            bit_gen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
+
+
 def dither_rows(lattice: ConstructionALattice, uniforms) -> np.ndarray:
     """Dithers uniform on the coarse fundamental cell, one per row of
     uniform draws on [0, 1)^n: the parallelepiped point, then the fold."""
@@ -224,6 +323,8 @@ def _successive_decode(received, codebooks, gain):
         resid, stages = _exact_decode_grid(received, codebooks, Fraction(gain))
     else:
         resid = _float_rows(received)
+        if not np.isfinite(resid).all():
+            raise ValidationError("rows", "rows must be finite")
         a = float(gain)
         stages = [(pts, a * pts) for pts in (cb.float_matrix() for cb in codebooks)]
     own_all, intf_all = [], []

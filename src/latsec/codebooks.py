@@ -44,11 +44,7 @@ class Codebook(PointGrid):
             raise DimensionMismatch(
                 f"coordinates of shape {raw.shape} in dimension-{lattice.n} lattice"
             )
-        if raw.dtype.kind not in "iu":
-            # a point off the fine grid has a non-integral coordinate
-            with np.errstate(invalid="ignore"):
-                if (raw.astype(np.int64) != raw).any():
-                    raise ValidationError("points", "codebook points must be multiples of scale / p")
+        # a point off the fine grid has a non-integral coordinate: PointGrid rejects it
         super().__init__(lattice.scale / lattice.p, raw)
         p = lattice.p
         if (2 * self.coords >= p).any() or (2 * self.coords < -p).any():

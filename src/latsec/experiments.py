@@ -20,6 +20,7 @@ from .channel import (
     ChannelParams,
     Regime,
     _successive_decode,
+    _trial_streams,
     check_stage_conditions,
     classify_regime,
     decode_layered,
@@ -30,7 +31,6 @@ from .channel import (
     mmse_alpha,
     achievable_rate_weak,
     transmit,
-    trial_rng,
 )
 from .codebooks import (
     BinnedCodebook,
@@ -476,13 +476,14 @@ def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
     """
     layers = len(sizes)
     both_users = (*sizes, *sizes)
+    streams = _trial_streams(root_seed, trials, TRIAL_BLOCK)
     for start in range(0, trials, TRIAL_BLOCK):
         rows = min(TRIAL_BLOCK, trials - start)
         messages = np.empty((rows, 2 * layers), dtype=np.int64)
         uniforms = np.empty((2, rows, n), dtype=np.float64) if dithers else None
         noise = np.empty((rows, 3 * n), dtype=np.float64)
         for i in range(rows):
-            rng = trial_rng(root_seed, start + i)
+            rng = next(streams)
             messages[i] = [rng.integers(size) for size in both_users]
             if dithers:
                 uniforms[:, i] = rng.random((2, n))

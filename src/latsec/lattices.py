@@ -54,7 +54,7 @@ class PointGrid:
 
     def __init__(self, unit, coords):
         self.unit = Fraction(unit)
-        self.coords = np.asarray(coords, dtype=np.int64)
+        self.coords = _int64_coords(coords)
         self._float = None
 
     def __len__(self):
@@ -79,6 +79,23 @@ class PointGrid:
             table, inverse = self._per_value(lambda v: v * num / den)
             self._float = np.array(table, dtype=np.float64)[inverse].reshape(self.coords.shape)
         return self._float
+
+
+def _int64_coords(coords) -> np.ndarray:
+    """coords as an int64 array. An integer array only has its dtype
+    checked; anything else must hold integers within int64's range, or
+    ValidationError is raised instead of truncating."""
+    raw = np.asarray(coords)
+    if np.can_cast(raw.dtype, np.int64):
+        return raw.astype(np.int64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            ints = raw.astype(np.int64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError("coords", f"coordinates must be integers: {exc}") from exc
+    if not (ints == raw).all():
+        raise ValidationError("coords", "coordinates must be integers within int64's range")
+    return ints
 
 
 def _float_rows(x) -> np.ndarray:
@@ -347,6 +364,13 @@ class ConstructionALattice:
 # ----------------------------------------------------------------------
 # seeded generators used by configs and sweeps
 
+_MAX_DRAWS = 1000
+"""Draws a rejection sampler makes before it raises BudgetExceeded. A square
+matrix over GF(2), the likeliest code draw to be rejected, has full rank
+with probability above 0.28, so a sampler that can succeed almost surely
+does so within this many draws; one that cannot (an entry cap below 1, say)
+raises instead of drawing forever."""
+
 
 def random_code_matrix(p, k, n, seed):
     """Rejection-sample an n x k matrix with full column rank over GF(p)."""
@@ -355,20 +379,22 @@ def random_code_matrix(p, k, n, seed):
     if k > n:
         raise RankDeficientG(f"k={k} > n={n}: no n x k matrix has full column rank")
     rng = np.random.default_rng(seed)
-    while True:
+    for _ in range(_MAX_DRAWS):
         rows = rng.integers(0, p, size=(n, k)).tolist()
         if gfp.rank_modp(rows, p) == k:
             return tuple(tuple(int(v) for v in r) for r in rows)
+    raise BudgetExceeded(f"no full-rank {n} x {k} matrix over GF({p}) in {_MAX_DRAWS} draws")
 
 
 def random_unimodular(n, seed, entry_cap=6):
     """Random unimodular integer matrix via elementary row operations.
 
-    Draws with an entry above entry_cap in absolute value are redrawn. The
-    cap is part of the draw: changing it changes the matrix a seed yields.
+    Draws with an entry above entry_cap in absolute value are redrawn, at
+    most _MAX_DRAWS times. The cap is part of the draw: changing it changes
+    the matrix a seed yields.
     """
     rng = np.random.default_rng(seed)
-    while True:
+    for _ in range(_MAX_DRAWS):
         m = [[int(i == j) for j in range(n)] for i in range(n)]
         for _ in range(2 * n + 2):
             kind = int(rng.integers(0, 3)) if n > 1 else 1
@@ -384,3 +410,6 @@ def random_unimodular(n, seed, entry_cap=6):
                 m[i] = [a + c * b for a, b in zip(m[i], m[j])]
         if max(abs(v) for row in m for v in row) <= entry_cap:
             return tuple(tuple(r) for r in m)
+    raise BudgetExceeded(
+        f"no {n} x {n} unimodular draw with entries within {entry_cap} in {_MAX_DRAWS} draws"
+    )

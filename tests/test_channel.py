@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latsec import (
     BudgetExceeded,
@@ -31,6 +33,7 @@ from latsec import (
     transmit,
     trial_rng,
 )
+from latsec.channel import _trial_states, _trial_streams
 
 import oracles
 from exact_rows import grid
@@ -136,6 +139,17 @@ class TestMmseScaling:
         assert float(values.min()) >= target - 1e-9
 
 
+def _reference_states(root_seed, indices):
+    states = [trial_rng(root_seed, t).bit_generator.state["state"] for t in indices]
+    return [(s["state"], s["inc"]) for s in states]
+
+
+# seeds of one to four 32-bit words: from three on, SeedSequence mixes words
+# past its pool of four, for every index or only for those of two words
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**100 + 3]
+TRIAL_INDICES = [0, 1023, 1024, 2**32 - 1, 2**32, 2**40]
+
+
 class TestTrialStreams:
     def test_streams_reproducible_and_distinct(self):
         a = trial_rng(7, 3).random(4)
@@ -143,6 +157,40 @@ class TestTrialStreams:
         c = trial_rng(7, 4).random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("root_seed", SEEDS)
+    def test_block_states_match_trial_rng(self, root_seed):
+        # one block mixes trial indices of one and of two words
+        got = _trial_states(root_seed, TRIAL_INDICES)
+        assert got == _reference_states(root_seed, TRIAL_INDICES)
+
+    @given(
+        st.integers(0, 2**130),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+    )
+    def test_drawn_block_states_match_trial_rng(self, root_seed, indices):
+        assert _trial_states(root_seed, indices) == _reference_states(root_seed, indices)
+
+    def test_negative_root_seed_raises_as_trial_rng_does(self):
+        with pytest.raises(ValueError):
+            trial_rng(-1, 0)
+        with pytest.raises(ValueError):
+            _trial_states(-1, [0])
+
+    def test_reseeding_clears_a_buffered_uint32(self):
+        # integers(3) draws half of a 64-bit output and buffers the other
+        # half; the next trial must not start from that buffered word.
+        streams = _trial_streams(9, 5, block=2)
+        first = next(streams)
+        first.integers(3)
+        for t in range(1, 5):
+            rng = next(streams)
+            ref = trial_rng(9, t)
+            assert rng.integers(3) == ref.integers(3)
+            assert rng.integers(1000) == ref.integers(1000)
+            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+            rng.integers(3)
+        assert next(streams, None) is None
 
     def test_dither_stays_in_coarse_cell_and_is_uniform(self):
         lat = ConstructionALattice(2, ((1,),), None, 1)
@@ -340,6 +388,17 @@ class TestVeryStrongDecoder:
         own_e, intf_e = decode_very_strong_batch(grid(rows), cb, params)
         assert np.array_equal(own_f, own_e)
         assert np.array_equal(intf_f, intf_e)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rows_raise(self, bad):
+        cb = codebook(3, ((1, 0), (0, 1)))
+        params = ChannelParams(cross_gain=4.0, power=1.0)
+        rows = np.array([[0.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValidationError):
+            decode_very_strong_batch(rows, cb, params)
+        layered = LayeredCodebook(cb.lattice, [cb], [1.0])
+        with pytest.raises(ValidationError):
+            decode_layered(rows, layered, params)
 
     def test_exact_rows_past_int64_bound_raise(self):
         # A coordinate with a huge prime denominator makes the shared grid

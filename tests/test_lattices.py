@@ -28,6 +28,7 @@ from latsec import (
     random_unimodular,
     sum_structure,
 )
+from latsec import lattices
 from latsec.gfp import solve_column_comb
 from latsec.lattices import det_int
 
@@ -221,6 +222,19 @@ class TestSeededGenerators:
         # (2,1,1) admits exactly one full-rank matrix; every draw returns it.
         for d in range(5):
             assert random_code_matrix(2, 1, 1, seed=[d]) == ((1,),)
+
+    def test_code_matrix_draws_are_bounded(self, monkeypatch):
+        # seed [0] draws (1) first, seed [1] draws the rank-deficient (0)
+        monkeypatch.setattr(lattices, "_MAX_DRAWS", 1)
+        assert random_code_matrix(2, 1, 1, seed=[0]) == ((1,),)
+        with pytest.raises(BudgetExceeded, match="1 draws"):
+            random_code_matrix(2, 1, 1, seed=[1])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_unimodular_draws_are_bounded(self, n):
+        # every unimodular matrix has an entry of magnitude at least 1
+        with pytest.raises(BudgetExceeded, match="unimodular"):
+            random_unimodular(n, seed=[n], entry_cap=0)
 
 
 class TestConstructionErrors:
@@ -486,6 +500,35 @@ class TestOutOfRangeFloatRows:
             lat.mod_coarse(x)
         with pytest.raises(ValidationError):
             lat.quantize_fine(x)
+
+
+class TestPointGridCoords:
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [[Fraction(1, 2)]],
+            [[0.75]],
+            [[0], [math.nan]],
+            [[math.inf]],
+            [[2**63]],
+            [[2**64]],
+            np.array([[2**63]], dtype=np.uint64),
+            [[None]],
+        ],
+    )
+    def test_non_integral_or_out_of_range_coordinates_raise(self, coords):
+        with pytest.raises(ValidationError):
+            PointGrid(1, coords)
+
+    def test_integral_values_of_any_type_are_kept(self):
+        got = PointGrid(1, [[2.0, Fraction(-6, 3)], [2**62, -(2**63)]]).coords
+        assert got.dtype == np.int64
+        assert got.tolist() == [[2, -2], [2**62, -(2**63)]]
+
+    def test_int64_arrays_are_taken_as_they_are(self):
+        coords = np.arange(6, dtype=np.int64).reshape(3, 2)
+        assert PointGrid(1, coords).coords is coords
+        assert PointGrid(1, coords.astype(np.int32)).coords.dtype == np.int64
 
 
 def _guarded_calls():

@@ -17,12 +17,17 @@ fixed order, the same for all three schemes:
    (the same values as n for dither 1, then n for dither 2);
 4. the 3n standard normals of transmit, in one call.
 
-trial_rng defines these streams. The blocked runs do not build a generator
-per trial: _trial_states derives the PCG64 state that trial_rng starts
-from for a whole block of trial indices at once, and _trial_streams reseeds
-one reused generator to each state in turn, so every draw equals
-trial_rng's. Encoding, the channel and decoding then run on rows of many
-trials at once.
+trial_rng defines these streams. The blocked runs build no generator per
+trial. _trial_states derives the PCG64 state that trial_rng starts from
+for a whole block of trial indices at once. _trial_draws computes steps 1
+to 3 from those states for the whole block, as numpy does them: PCG64's
+XSL-RR output, numpy's 32-bit Lemire method for integers below 2^32 (low
+half of an output first, then the buffered high half) and (output >> 11)
+2^-53 for random. Only the normals of step 4 come from a generator, one
+reused PCG64 reseeded to each trial's state after its draws; a trial whose
+integers numpy would reject and redraw is drawn on that generator from its
+start state instead. Every draw equals trial_rng's. Encoding, the channel
+and decoding then run on rows of many trials at once.
 """
 
 from __future__ import annotations
@@ -134,6 +139,7 @@ def trial_rng(root_seed: int, trial_index: int) -> np.random.Generator:
 # numpy's SeedSequence hash (a pool of four uint32 words) and PCG64 seeding,
 # as _trial_states reproduces them. No hash constant depends on the data.
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -199,30 +205,76 @@ def _trial_states(root_seed: int, indices) -> list:
         for dst in range(_POOL):
             pool[dst] = np.where(live, _mix(pool[dst], _hash(cols[src], next(steps))), pool[dst])
     steps = _hash_steps(_INIT_B, _MULT_B)
-    out = [_hash(pool[i % _POOL], next(steps)).astype(object) for i in range(8)]
+    out = [_hash(pool[i % _POOL], next(steps)).astype(np.uint64) for i in range(8)]
     # little-endian pairs of words make the uint64s (seed_hi, seed_lo, seq_hi, seq_lo)
-    seed, seq = [out[i + 1] << 96 | out[i] << 64 | out[i + 3] << 32 | out[i + 2] for i in (0, 4)]
+    words64 = [(out[i + 1] << 32 | out[i]).astype(object) for i in range(0, 8, 2)]
+    seed, seq = words64[0] << 64 | words64[1], words64[2] << 64 | words64[3]
     inc = (seq << 1 | 1) & _MASK128
     state = ((inc + seed) * _PCG_MULT + inc) & _MASK128
     return list(zip(state.tolist(), inc.tolist()))
 
 
-def _trial_streams(root_seed: int, trials: int, block: int):
-    """The streams of trial_rng(root_seed, t) for t = 0 .. trials - 1, as one
-    Generator that is reseeded in place, with no buffered uint32, before it
-    is yielded for each trial. States are derived block trials at a time.
+def _reseed(bit_gen, state: int, inc: int) -> None:
+    """Set a PCG64 to (state, inc) with no buffered uint32, as a fresh
+    PCG64 with that state would be."""
+    bit_gen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _lcg_jumps(steps: int):
+    """(M^k, M^(k-1) + ... + M + 1) modulo 2^128 for k = 1 .. steps: k PCG64
+    steps take a state s with increment inc to M^k s + (...) inc."""
+    mult, add = [1], [0]
+    for _ in range(steps):
+        mult.append(mult[-1] * _PCG_MULT & _MASK128)
+        add.append((add[-1] * _PCG_MULT + 1) & _MASK128)
+    return np.array(mult[1:], dtype=object), np.array(add[1:], dtype=object)
+
+
+def _trial_draws(states, sizes, doubles: int):
+    """The first draws of a Generator on each row's PCG64 (state, inc), as
+    _trial_states gives them, computed for all rows at once: one
+    integers(size) per entry of sizes, then random(doubles).
+
+    PCG64 steps its 128-bit LCG, then outputs the XSL-RR of the new state.
+    integers(size) for 1 < size <= 2^32 is numpy's 32-bit Lemire method: a
+    uint32 w (the low half of an output, then the buffered high half) gives
+    m = w size and the draw m >> 32, unless m mod 2^32 < (2^32 - size) mod
+    size, which rejects w; a size of 1 draws nothing. random gives
+    (output >> 11) 2^-53. Returns (messages, uniforms, ends, exact):
+    messages of shape (rows, len(sizes)), uniforms of shape (rows, doubles),
+    each row's (state, inc) after these draws, and a mask of the rows where
+    no w is rejected. Rows off the mask, and every row when some size is
+    above 2^32 (numpy's 64-bit path), hold no valid draws.
     """
-    bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
-    for start in range(0, trials, block):
-        for state, inc in _trial_states(root_seed, np.arange(start, min(start + block, trials))):
-            bit_gen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield rng
+    sizes = [int(s) for s in sizes]
+    live = [j for j, size in enumerate(sizes) if size > 1]
+    words = -(-len(live) // 2)
+    steps = words + doubles
+    rows = len(states)
+    start, inc = (np.array(col, dtype=object).reshape(rows, 1) for col in zip(*states))
+    mult, add = _lcg_jumps(steps)
+    stepped = (start * mult + inc * add) & _MASK128
+    hi = (stepped >> 64).astype(np.uint64)
+    x = hi ^ (stepped & _MASK64).astype(np.uint64)
+    rot = hi >> 58
+    out = (x >> rot) | (x << ((64 - rot) & 63))
+    low_high = np.stack([out[:, :words] & _MASK32, out[:, :words] >> 32], axis=2)
+    drawn = low_high.reshape(rows, 2 * words)[:, : len(live)]
+    # a size above 2^32 takes numpy's 64-bit path, which no row here follows
+    bounds = [min(sizes[j], 1 << 32) for j in live]
+    m = drawn * np.array(bounds, dtype=np.uint64)
+    thresholds = np.array([((1 << 32) - b) % b for b in bounds], dtype=np.uint64)
+    exact = ((m & _MASK32) >= thresholds).all(axis=1) & (max(sizes, default=1) <= 1 << 32)
+    messages = np.zeros((rows, len(sizes)), dtype=np.int64)
+    messages[:, live] = m >> 32
+    uniforms = (out[:, words:] >> 11).astype(np.float64) * 2.0**-53
+    ends = stepped[:, -1] if steps else start[:, 0]
+    return messages, uniforms, list(zip(ends.tolist(), inc[:, 0].tolist())), exact
 
 
 def dither_rows(lattice: ConstructionALattice, uniforms) -> np.ndarray:

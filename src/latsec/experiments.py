@@ -19,8 +19,10 @@ import numpy as np
 from .channel import (
     ChannelParams,
     Regime,
+    _reseed,
     _successive_decode,
-    _trial_streams,
+    _trial_draws,
+    _trial_states,
     check_stage_conditions,
     classify_regime,
     decode_layered,
@@ -466,6 +468,15 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
 # Monte Carlo reliability runs
 
 
+def _checked_trials(trials, root_seed) -> int:
+    """trials as an int, once trials is checked to be an integer >= 1 and
+    root_seed an integer >= 0."""
+    for field, value, least in (("trials", trials, 1), ("root_seed", root_seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValidationError(field, f"{field} must be an integer >= {least}, got {value!r}")
+    return int(trials)
+
+
 def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
     """The per-trial draws of a Monte Carlo run, in blocks of TRIAL_BLOCK
     trials, in the order the channel module documents. sizes holds each
@@ -473,21 +484,35 @@ def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
     block: the first trial's index, both users' messages of shape
     (rows, layers), the dither uniforms of shape (2, rows, n) when dithers
     is set (else None) and the channel normals of shape (rows, 3n).
+
+    Messages and uniforms come from each trial's derived PCG64 state
+    (_trial_draws); one reused generator, reseeded per trial, draws the
+    normals. A trial whose draws _trial_draws cannot reproduce is redrawn
+    on that generator from its start state.
     """
     layers = len(sizes)
     both_users = (*sizes, *sizes)
-    streams = _trial_streams(root_seed, trials, TRIAL_BLOCK)
+    doubles = 2 * n if dithers else 0
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
     for start in range(0, trials, TRIAL_BLOCK):
         rows = min(TRIAL_BLOCK, trials - start)
-        messages = np.empty((rows, 2 * layers), dtype=np.int64)
-        uniforms = np.empty((2, rows, n), dtype=np.float64) if dithers else None
+        states = _trial_states(root_seed, np.arange(start, start + rows))
+        messages, uniforms, ends, exact = _trial_draws(states, both_users, doubles)
         noise = np.empty((rows, 3 * n), dtype=np.float64)
-        for i in range(rows):
-            rng = next(streams)
-            messages[i] = [rng.integers(size) for size in both_users]
-            if dithers:
-                uniforms[:, i] = rng.random((2, n))
-            noise[i] = rng.standard_normal(3 * n)
+        for i, fast in enumerate(exact.tolist()):
+            if fast:
+                _reseed(bit_gen, *ends[i])
+            else:
+                _reseed(bit_gen, *states[i])
+                messages[i] = [rng.integers(size) for size in both_users]
+                uniforms[i] = rng.random(doubles)
+            rng.standard_normal(out=noise[i])
+        if dithers:
+            # dither_rows keeps getting C-contiguous (rows, n) arrays, as it always has
+            uniforms = np.ascontiguousarray(uniforms.reshape(rows, 2, n).transpose(1, 0, 2))
+        else:
+            uniforms = None
         yield start, messages[:, :layers], messages[:, layers:], uniforms, noise
 
 
@@ -500,11 +525,11 @@ def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_see
     encoder fold. Each trial draws its messages, dither uniforms and noise
     from its own stream; everything else runs on blocks of TRIAL_BLOCK trials.
     """
+    trials = _checked_trials(trials, root_seed)
     lat = codebook.lattice
     n = codebook.n
     floats = codebook.float_matrix()
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
-    trials = int(trials)
     errors = 0
     trial_means = np.empty(trials, dtype=np.float64)
     blocks = _trial_blocks(trials, root_seed, [len(codebook)], n, dithers=True)
@@ -565,7 +590,7 @@ def _successive_errors(layers, params: ChannelParams, trials, root_seed):
 def very_strong_reliability(codebook: Codebook, params: ChannelParams, trials, root_seed):
     """Uncoded-codeword rounds decoded interference first: successive
     decoding with one layer."""
-    trials = int(trials)
+    trials = _checked_trials(trials, root_seed)
     own_errors, intf_errors, errors = _successive_errors([codebook], params, trials, root_seed)
     return {
         "scheme": "very_strong",
@@ -578,8 +603,8 @@ def very_strong_reliability(codebook: Codebook, params: ChannelParams, trials, r
 
 def layered_reliability(layered: LayeredCodebook, params: ChannelParams, trials, root_seed):
     """Per-layer successive decoding rounds; a trial errs if any layer errs."""
+    trials = _checked_trials(trials, root_seed)
     check_stage_conditions(layered.powers, params.cross_gain, params.noise_var)
-    trials = int(trials)
     own_errors, _, errors = _successive_errors(layered.layers, params, trials, root_seed)
     return {
         "scheme": "layered",

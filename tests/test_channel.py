@@ -33,7 +33,8 @@ from latsec import (
     transmit,
     trial_rng,
 )
-from latsec.channel import _trial_states, _trial_streams
+from latsec.channel import _reseed, _trial_draws, _trial_states
+from latsec.experiments import TRIAL_BLOCK
 
 import oracles
 from exact_rows import grid
@@ -180,17 +181,16 @@ class TestTrialStreams:
     def test_reseeding_clears_a_buffered_uint32(self):
         # integers(3) draws half of a 64-bit output and buffers the other
         # half; the next trial must not start from that buffered word.
-        streams = _trial_streams(9, 5, block=2)
-        first = next(streams)
-        first.integers(3)
-        for t in range(1, 5):
-            rng = next(streams)
+        bit_gen = np.random.PCG64(0)
+        rng = np.random.Generator(bit_gen)
+        rng.integers(3)
+        for t, start in enumerate(_trial_states(9, range(1, 5)), 1):
+            _reseed(bit_gen, *start)
             ref = trial_rng(9, t)
             assert rng.integers(3) == ref.integers(3)
             assert rng.integers(1000) == ref.integers(1000)
             assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
             rng.integers(3)
-        assert next(streams, None) is None
 
     def test_dither_stays_in_coarse_cell_and_is_uniform(self):
         lat = ConstructionALattice(2, ((1,),), None, 1)
@@ -220,6 +220,79 @@ class TestTrialStreams:
         for row, got in zip(uniforms, batch):
             raw = basis @ row
             assert np.array_equal(got, lat.mod_coarse(raw[None])[0])
+
+
+def _words_taken(start, state):
+    """The 32-bit words a Generator took from the PCG64 (state, inc) start
+    to the bit-generator state dict state: two per 64-bit output, less the
+    one still buffered."""
+    bit_gen = np.random.PCG64(0)
+    _reseed(bit_gen, *start)
+    steps = 0
+    while bit_gen.state["state"]["state"] != state["state"]["state"]:
+        bit_gen.random_raw()
+        steps += 1
+    return 2 * steps - state["has_uint32"]
+
+
+def _check_draws(root_seed, indices, sizes, doubles):
+    """Compare _trial_draws row by row with the draws of trial_rng: a row is
+    on the fast path exactly when numpy's integers took one 32-bit word per
+    size above 1, and then its messages, uniforms and end state are
+    trial_rng's. Returns the number of rows left to the fallback."""
+    states = _trial_states(root_seed, indices)
+    messages, uniforms, ends, exact = _trial_draws(states, sizes, doubles)
+    assert messages.shape == (len(indices), len(sizes))
+    assert uniforms.shape == (len(indices), doubles)
+    live = sum(size > 1 for size in sizes)
+    fits = max(sizes, default=1) <= 2**32
+    for i, t in enumerate(indices):
+        rng = trial_rng(root_seed, t)
+        start = rng.bit_generator.state["state"]
+        ref_messages = [int(rng.integers(size)) for size in sizes]
+        words = _words_taken((start["state"], start["inc"]), rng.bit_generator.state)
+        assert exact[i] == (fits and words == live)
+        if exact[i]:
+            assert messages[i].tolist() == ref_messages
+            assert np.array_equal(uniforms[i], rng.random(doubles))
+            end = rng.bit_generator.state["state"]
+            assert ends[i] == (end["state"], end["inc"])
+    return int((~exact).sum())
+
+
+# sizes below, at and above 2^32; at 2^31 + 1 and 3 * 2^30 numpy's Lemire
+# method rejects a word with probability about 1/2 and 1/4
+DRAW_SIZES = [1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1]
+REJECTING = {2**31 + 1, 3 * 2**30}
+
+
+class TestTrialDraws:
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    def test_messages_match_generator_integers(self, size):
+        fallback = _check_draws(5, range(2000), (size, size), 0)
+        if size > 2**32:
+            assert fallback == 2000
+        elif size in REJECTING:
+            assert 200 <= fallback < 2000
+        else:
+            assert fallback == 0
+
+    @pytest.mark.parametrize("root_seed", SEEDS)
+    @pytest.mark.parametrize("sizes", [(7, 1, 2), (1, 5), (2, 3, 5), (1,)])
+    def test_layer_mixes_and_uniforms_match_trial_rng(self, root_seed, sizes):
+        # odd and even counts of live draws, size-1 layers that draw nothing,
+        # then the dither uniforms; indices on both sides of TRIAL_BLOCK
+        indices = TRIAL_INDICES + list(range(TRIAL_BLOCK - 20, TRIAL_BLOCK + 20))
+        assert _check_draws(root_seed, indices, sizes, 6) == 0
+
+    @given(
+        st.integers(0, 2**70),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
+        st.lists(st.integers(1, 2**32 + 1), max_size=5),
+        st.integers(0, 5),
+    )
+    def test_drawn_blocks_match_trial_rng(self, root_seed, indices, sizes, doubles):
+        _check_draws(root_seed, indices, sizes, doubles)
 
 
 class TestTransmit:

@@ -40,7 +40,8 @@ from latsec import (
     very_strong_reliability,
     weak_reliability,
 )
-from latsec.experiments import TRIAL_BLOCK
+from latsec.channel import _trial_draws, _trial_states
+from latsec.experiments import TRIAL_BLOCK, _trial_blocks
 
 import oracles
 
@@ -388,6 +389,71 @@ class TestReliabilityRuns:
         params = ChannelParams(cross_gain=6.0, power=1.0, noise_var=1e-6)
         with pytest.raises(StageConditionViolated):
             layered_reliability(layered, params, 10, 0)
+
+
+    @pytest.mark.parametrize(
+        "sizes, dithers",
+        [((2**31 + 1,), True), ((3 * 2**30, 1, 2), False), ((9, 3), True), ((2**32 + 1, 5), False)],
+    )
+    def test_trial_blocks_match_per_trial_draws(self, sizes, dithers):
+        # Rows that _trial_draws rejects are redrawn on the reused generator
+        # from their start state; no buffered uint32 may pass from one row to
+        # the next, whichever path each row takes.
+        n, seed, trials = 2, 13, TRIAL_BLOCK + 37
+        blocks = list(_trial_blocks(trials, seed, sizes, n, dithers))
+        assert [b[0] for b in blocks] == [0, TRIAL_BLOCK]
+        m1, m2, noise = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 4))
+        if dithers:
+            uniforms = np.concatenate([b[3] for b in blocks], axis=1)
+        else:
+            assert all(b[3] is None for b in blocks)
+        both_users = (*sizes, *sizes)
+        fast = _trial_draws(_trial_states(seed, range(trials)), both_users, 2 * n * dithers)[3]
+        if max(sizes) > 2**32:
+            assert not fast.any()
+        elif sizes != (9, 3):
+            pairs = set(zip(fast[:-1].tolist(), fast[1:].tolist()))
+            assert pairs == {(False, False), (False, True), (True, False), (True, True)}
+        for t in range(trials):
+            rng = trial_rng(seed, t)
+            assert m1[t].tolist() == [rng.integers(size) for size in sizes]
+            assert m2[t].tolist() == [rng.integers(size) for size in sizes]
+            if dithers:
+                assert np.array_equal(uniforms[:, t], rng.random((2, n)))
+            assert np.array_equal(noise[t], rng.standard_normal(3 * n))
+
+    @pytest.mark.parametrize(
+        "trials, root_seed, field",
+        [(0, 1, "trials"), (-3, 1, "trials"), (2.7, 1, "trials"), (2.0, 1, "trials"),
+         (True, 1, "trials"), ("5", 1, "trials"), (5, -1, "root_seed"), (5, 1.5, "root_seed"),
+         (5, None, "root_seed")],
+    )
+    def test_runs_reject_bad_trials_and_seeds(self, trials, root_seed, field):
+        cb = enumerate_codebook(unit_lattice())
+        tower = standard_layered_set()[2][1]
+        layered = LayeredCodebook(
+            tower.fine_lattice,
+            tower.layers,
+            [float(cb.average_power) for cb in tower.layers],
+        )
+        runs = [
+            lambda: weak_reliability(cb, ChannelParams(0.3, 1 / 12), trials, root_seed),
+            lambda: very_strong_reliability(cb, ChannelParams(2.0, 1.0), trials, root_seed),
+            lambda: layered_reliability(
+                layered, ChannelParams(6.0, sum(layered.powers), noise_var=0.3), trials, root_seed
+            ),
+        ]
+        for run in runs:
+            with pytest.raises(ValidationError) as err:
+                run()
+            assert err.value.field == field
+
+    def test_runs_take_numpy_integers(self):
+        cb = enumerate_codebook(unit_lattice())
+        params = ChannelParams(0.3, 1 / 12)
+        assert weak_reliability(cb, params, np.int64(20), np.uint64(3)) == weak_reliability(
+            cb, params, 20, 3
+        )
 
 
 class TestNoiselessLoopback:

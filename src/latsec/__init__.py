@@ -73,6 +73,7 @@ from .experiments import (
     PipelineResult,
     SecrecyReport,
     engineered_gain,
+    equivocation_identity_exact,
     layered_reliability,
     noiseless_loopback,
     random_codebook_baseline,
@@ -80,6 +81,7 @@ from .experiments import (
     run_lemma_suite,
     run_loopback_suite,
     run_regime_pipeline,
+    run_sweep,
     run_theorem1_suite,
     standard_grid,
     standard_layered_set,

@@ -43,11 +43,13 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
+    equivocation_identity_exact,
     layered_reliability,
     random_codebook_baseline,
     run_layered_suite,
     run_lemma_suite,
     run_regime_pipeline,
+    run_sweep,
     run_theorem1_suite,
     standard_grid,
     suite_passed,
@@ -168,23 +170,19 @@ def _run_theorem1(config: ExperimentConfig):
     reports = run_theorem1_suite(
         _grid_items(config), config["bin_seed"], config["budget"]
     )
-    identity = all(
-        r.equivocation_per_dim == r.bin_rate_per_dim - r.leakage_per_dim
-        for r in reports
-    )
     results = {
         "provenance": PROV_EXACT,
         "reports": [asdict(r) for r in reports],
         "summary": {
             "configs": len(reports),
             "failures": sum(1 for r in reports if not r.onebit_pass),
-            "equivocation_identity_exact": identity,
+            "equivocation_identity_exact": equivocation_identity_exact(reports),
             "max_leakage_per_dim": max(
                 (r.leakage_per_dim for r in reports), default=0.0
             ),
         },
     }
-    return results, theorem_suite_passed(reports) and identity
+    return results, theorem_suite_passed(reports)
 
 
 def _run_layered(config: ExperimentConfig):
@@ -281,35 +279,27 @@ def _run_sweep(config: ExperimentConfig):
     grid = standard_grid(
         config["p_values"], config["n_max"], config["coset_limit"], config["draws"]
     )
+    bin_seed = config["bin_seed"] if config["include_bins"] else None
+    configs = run_sweep(grid, bin_seed, config["budget"])
     rows = []
-    all_pass = True
-    for gp in grid:
-        lemma = run_lemma_suite([gp], config["budget"])[0]
-        row = asdict(lemma)
-        row["scale"] = Fraction(1)
-        row["scale_float"] = 1.0
-        row["max_bin_leak_per_dim"] = None
-        row["bins_onebit_pass"] = None
-        row["identity_pass"] = None
-        if config["include_bins"] and lemma.skipped is None:
-            threps = run_theorem1_suite([gp], config["bin_seed"], config["budget"])
+    for lemma, threps in configs:
+        row = dict(asdict(lemma), scale=Fraction(1), scale_float=1.0)
+        row["max_bin_leak_per_dim"] = row["bins_onebit_pass"] = row["identity_pass"] = None
+        if threps is not None:
             row["max_bin_leak_per_dim"] = max(r.leakage_per_dim for r in threps)
             row["bins_onebit_pass"] = all(r.onebit_pass for r in threps)
-            row["identity_pass"] = all(
-                r.equivocation_per_dim == r.bin_rate_per_dim - r.leakage_per_dim
-                for r in threps
-            )
-            if not (row["bins_onebit_pass"] and row["identity_pass"]):
-                all_pass = False
-        if not lemma.passed:
-            all_pass = False
+            row["identity_pass"] = equivocation_identity_exact(threps)
         rows.append(row)
+    verdict = all(
+        lemma.passed and (threps is None or theorem_suite_passed(threps))
+        for lemma, threps in configs
+    )
     results = {
         "provenance": PROV_EXACT,
         "rows": rows,
         "summary": {"grid_points": len(rows)},
     }
-    return results, all_pass
+    return results, verdict
 
 
 _RUNNERS = {

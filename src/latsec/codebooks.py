@@ -116,9 +116,8 @@ def _floor_sqrt_fraction(value: Fraction, bits: int = 80) -> Fraction:
 class BinnedCodebook:
     """A codebook partitioned into equal-size bins by a seeded shuffle.
 
-    bins[w] is a sorted tuple of codeword indices and bin_index[i] the bin
-    of codeword i; the bin index is the secret message, the position inside
-    the bin is the random padding.
+    bin_index[i] is the bin of codeword i; the bin index is the secret
+    message, the position inside the bin is the random padding.
     """
 
     def __init__(self, codebook: Codebook, num_bins: int, seed: int = 0):
@@ -132,10 +131,6 @@ class BinnedCodebook:
         self.codebook = codebook
         self.num_bins = num_bins
         self.seed = int(seed)
-        self.bins = tuple(
-            tuple(sorted(int(v) for v in perm[w * per : (w + 1) * per]))
-            for w in range(num_bins)
-        )
         self.bin_index = np.empty(size, dtype=np.int64)
         self.bin_index[perm] = np.arange(size) // per
 

@@ -25,12 +25,12 @@ from .channel import (
     _trial_states,
     check_stage_conditions,
     classify_regime,
-    decode_layered,
     decode_very_strong_batch,
     decode_weak,
     dither_rows,
     effective_noise_variance,
     mmse_alpha,
+    stage_condition_witnesses,
     achievable_rate_weak,
     transmit,
 )
@@ -106,12 +106,16 @@ def _labeled_lattices(items):
     for item in items:
         if isinstance(item, GridPoint):
             out.append((item.label, item.build_lattice()))
-        elif isinstance(item, ConstructionALattice):
-            out.append((f"p{item.p}_k{item.k}_n{item.n}", item))
         else:
             label, lat = item
             out.append((str(label), lat))
     return out
+
+
+def _build(lat, budget):
+    """A configuration's codebook and pair sums: every exact report's one build."""
+    cb = enumerate_codebook(lat, budget)
+    return cb, sum_structure(cb, cb, budget)
 
 
 # ----------------------------------------------------------------------
@@ -143,11 +147,29 @@ class LemmaReport:
         return self.support_pass and self.entropy_pass and self.onebit_pass
 
 
-def _skipped_lemma_report(label, lat, reason) -> LemmaReport:
+def _lemma_report(label, lat, budget):
+    """One configuration's lemma report and the _build it comes from; the
+    build is None when the configuration is over budget, and the report
+    then says skipped."""
+    try:
+        cb, sums = _build(lat, budget)
+    except BudgetExceeded as exc:
+        return LemmaReport(
+            label, lat.p, lat.k, lat.n, lat.num_cosets, 0, 0, False,
+            0.0, 0.0, False, 0.0, 0.0, False, skipped=str(exc),
+        ), None
+    size = len(cb)
+    sum_size = sums.num_sums
+    sum_bound = (2**lat.n) * size
+    h_sum = entropy_from_counts(sums.counts(), size * size)
+    h_bound = math.log2(size) + lat.n
+    mi = h_sum - math.log2(size)
     return LemmaReport(
-        label, lat.p, lat.k, lat.n, lat.num_cosets, 0, 0, False,
-        0.0, 0.0, False, 0.0, 0.0, False, skipped=reason,
-    )
+        label, lat.p, lat.k, lat.n, size,
+        sum_size, sum_bound, sum_size <= sum_bound,
+        h_sum, h_bound, h_sum <= h_bound + ONEBIT_TOL,
+        mi, mi / lat.n, mi / lat.n <= 1 + ONEBIT_TOL,
+    ), (cb, sums)
 
 
 def run_lemma_suite(items, budget=10**6):
@@ -155,31 +177,10 @@ def run_lemma_suite(items, budget=10**6):
 
     Per configuration: |C+C| <= 2^n |C|, H(X1+X2) <= log2|C| + n, and
     (1/n) I(X1; X1+X2) <= 1, all from one exact pair-sum enumeration.
-    A configuration over budget is reported as skipped, not failed.
+    A configuration over budget is reported as skipped, not failed. Each
+    item is a GridPoint or a (label, lattice) pair.
     """
-    reports = []
-    for label, lat in _labeled_lattices(items):
-        try:
-            cb = enumerate_codebook(lat, budget)
-            sums = sum_structure(cb, cb, budget)
-        except BudgetExceeded as exc:
-            reports.append(_skipped_lemma_report(label, lat, str(exc)))
-            continue
-        size = len(cb)
-        sum_size = sums.num_sums
-        sum_bound = (2**lat.n) * size
-        h_sum = entropy_from_counts(sums.counts(), size * size)
-        h_bound = math.log2(size) + lat.n
-        mi = h_sum - math.log2(size)
-        reports.append(
-            LemmaReport(
-                label, lat.p, lat.k, lat.n, size,
-                sum_size, sum_bound, sum_size <= sum_bound,
-                h_sum, h_bound, h_sum <= h_bound + ONEBIT_TOL,
-                mi, mi / lat.n, mi / lat.n <= 1 + ONEBIT_TOL,
-            )
-        )
-    return reports
+    return [_lemma_report(label, lat, budget)[0] for label, lat in _labeled_lattices(items)]
 
 
 def suite_passed(reports) -> bool:
@@ -228,27 +229,51 @@ def make_secrecy_report(
     )
 
 
+def _theorem1_reports(label, lat, cb, sums, bin_seed, budget):
+    return [
+        make_secrecy_report(
+            BinnedCodebook(cb, lat.p**j, bin_seed), cb, budget,
+            label=f"{label}_b{lat.p**j}", structure=sums,
+        )
+        for j in range(lat.k + 1)
+    ]
+
+
 def run_theorem1_suite(items, bin_seed=0, budget=10**6):
     """Binned leakage checks: for each configuration, every divisor bin
-    count p^0 .. p^k against the identical codebook at the other user."""
+    count p^0 .. p^k against the identical codebook at the other user.
+    Each item is a GridPoint or a (label, lattice) pair; a configuration
+    over budget raises BudgetExceeded."""
     reports = []
     for label, lat in _labeled_lattices(items):
-        cb = enumerate_codebook(lat, budget)
-        structure = sum_structure(cb, cb, budget)
-        for j in range(lat.k + 1):
-            num_bins = lat.p**j
-            binned = BinnedCodebook(cb, num_bins, bin_seed)
-            reports.append(
-                make_secrecy_report(
-                    binned, cb, budget,
-                    label=f"{label}_b{num_bins}", structure=structure,
-                )
-            )
+        reports.extend(_theorem1_reports(label, lat, *_build(lat, budget), bin_seed, budget))
     return reports
 
 
+def equivocation_identity_exact(reports) -> bool:
+    """Whether equivocation = bin rate - leakage holds exactly in every report."""
+    return all(
+        r.equivocation_per_dim == r.bin_rate_per_dim - r.leakage_per_dim for r in reports
+    )
+
+
 def theorem_suite_passed(reports) -> bool:
-    return all(r.onebit_pass for r in reports)
+    """Every report within one bit per dimension and exact in its equivocation."""
+    return all(r.onebit_pass for r in reports) and equivocation_identity_exact(reports)
+
+
+def run_sweep(items, bin_seed=0, budget=10**6):
+    """One (LemmaReport, theorem-1 reports) pair per item, both from one
+    _build. The theorem-1 reports are None when bin_seed is None or the
+    configuration is over budget (its lemma report then says skipped)."""
+    out = []
+    for label, lat in _labeled_lattices(items):
+        lemma, built = _lemma_report(label, lat, budget)
+        if built is None or bin_seed is None:
+            out.append((lemma, None))
+        else:
+            out.append((lemma, _theorem1_reports(label, lat, *built, bin_seed, budget)))
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -468,12 +493,12 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
 # Monte Carlo reliability runs
 
 
-def _checked_trials(trials, root_seed) -> int:
-    """trials as an int, once trials is checked to be an integer >= 1 and
-    root_seed an integer >= 0."""
-    for field, value, least in (("trials", trials, 1), ("root_seed", root_seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValidationError(field, f"{field} must be an integer >= {least}, got {value!r}")
+def _checked_trials(trials, root_seed, least=1) -> int:
+    """trials as an int, once trials is checked to be an integer >= least
+    and root_seed an integer >= 0."""
+    for field, value, low in (("trials", trials, least), ("root_seed", root_seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValidationError(field, f"{field} must be an integer >= {low}, got {value!r}")
     return int(trials)
 
 
@@ -643,7 +668,10 @@ def noiseless_loopback(codebook: Codebook):
 
     The weak scheme runs at zero cross gain (its effective noise contains
     the interference term, so exactness requires a = 0); the successive
-    schemes run at an engineered very-strong integer gain.
+    schemes run at an engineered very-strong integer gain. The rows are
+    decoded once: decode_layered on the one-layer codebook at power inf
+    makes the same decode, so layered_ok is that decode plus the stage
+    conditions for [inf] at zero noise.
     """
     lat = codebook.lattice
     size = len(codebook)
@@ -667,11 +695,8 @@ def noiseless_loopback(codebook: Codebook):
     expected_intf = np.tile(np.arange(size, dtype=np.int64), size)
     own, intf = decode_very_strong_batch(rows, codebook, strong)
     strong_ok = bool((own == expected_own).all() and (intf == expected_intf).all())
-    layered = LayeredCodebook(lat, [codebook], [math.inf])
-    own_l, intf_l = decode_layered(rows, layered, strong)
-    layered_ok = bool(
-        (own_l[0] == expected_own).all() and (intf_l[0] == expected_intf).all()
-    )
+    witnesses = stage_condition_witnesses([math.inf], gain, 0.0)
+    layered_ok = strong_ok and all(w["satisfied"] for w in witnesses)
     return {
         "size": size,
         "gain": gain,
@@ -726,7 +751,10 @@ def run_regime_pipeline(
 
     The leakage fields depend only on the codebook and binning, never on
     the eavesdropper gain or noise; those enter the reference numbers only.
+    trials must be an integer >= 0 (0 skips the reliability run) and
+    root_seed an integer >= 0.
     """
+    trials = _checked_trials(trials, root_seed, least=0)
     regime = classify_regime(params.cross_gain, params.power, params.noise_var)
     cb = scale_to_power(codebook, params.power)
     binned = BinnedCodebook(cb, num_bins, bin_seed)

@@ -61,22 +61,3 @@ def rank_modp(rows, p) -> int:
     _, pivots = rref_modp(rows, p)
     return len(pivots)
 
-
-def solve_column_comb(rows, vec, p):
-    """Solve A z = vec (mod p) for z, where A is given as rows (n x k).
-
-    Returns the coefficient list z of length k, or None when vec is not in
-    the GF(p) column space. When A has full column rank the solution is
-    unique.
-    """
-    n = len(rows)
-    k = len(rows[0]) if n else 0
-    aug = [list(rows[i]) + [vec[i]] for i in range(n)]
-    red, pivots = rref_modp(aug, p)
-    if k in pivots:
-        return None
-    z = [0] * k
-    for r, c in enumerate(pivots):
-        z[c] = red[r][k] % p
-    # consistency holds by construction when the last column is not a pivot
-    return z

@@ -14,6 +14,17 @@ import math
 from fractions import Fraction
 
 
+def solve_mod_p(rows, vec, p):
+    """A coefficient list z with A z = vec (mod p), A given as n x k rows,
+    found by trying every z in GF(p)^k in lexicographic order; None when
+    vec is not in the column space."""
+    k = len(rows[0])
+    for z in itertools.product(range(p), repeat=k):
+        if all((sum(a * b for a, b in zip(row, z)) - v) % p == 0 for row, v in zip(rows, vec)):
+            return list(z)
+    return None
+
+
 def _frac_vec(x):
     return tuple(Fraction(v) for v in x)
 
@@ -113,6 +124,15 @@ def mutual_info_sum_oracle(points_a, points_b):
     equals H(X1 + X2) - H(X1 + x2) = H(sum) - log2 |B| by the uniform shift."""
     hist = pair_sum_histogram(points_a, points_b)
     return entropy_oracle(list(hist.values())) - math.log2(len(points_b))
+
+
+def bins_of(binned):
+    """Each bin's codeword indices in increasing order, rebuilt from
+    binned.bin_index by a plain scan."""
+    members = [[] for _ in range(binned.num_bins)]
+    for idx, w in enumerate(binned.bin_index.tolist()):
+        members[w].append(idx)
+    return tuple(tuple(m) for m in members)
 
 
 def joint_leakage_oracle(bins, points_a, points_b):

@@ -1,6 +1,7 @@
 """Result envelopes, serialization, and the command line entry point."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -88,6 +89,32 @@ class TestRunEnvelope:
         assert [w["stage"] for w in witnesses] == [1, 2]
         assert all(isinstance(p, float) for p in results["layer_powers"])
         assert results["reliability"] is None
+        assert envelope["verdict"] == "pass"
+
+
+class TestSweep:
+    def test_rows_equal_separate_suite_runs(self):
+        budget = 300
+        envelope = run_json(f"kind=sweep\np_values=2,3\nn_max=3\ndraws=1\nbudget={budget}\n")
+        grid = latsec.standard_grid((2, 3), 3, 512, 1)
+        rows = envelope["results"]["rows"]
+        assert [row["label"] for row in rows] == [gp.label for gp in grid]
+        skipped = 0
+        for gp, row in zip(grid, rows):
+            lemma = asdict(latsec.run_lemma_suite([gp], budget)[0])
+            assert {key: row[key] for key in lemma} == lemma
+            bin_fields = (row["max_bin_leak_per_dim"], row["bins_onebit_pass"], row["identity_pass"])
+            if lemma["skipped"] is not None:
+                skipped += 1
+                assert bin_fields == (None, None, None)
+                continue
+            reports = latsec.run_theorem1_suite([gp], 0, budget)
+            assert bin_fields == (
+                max(r.leakage_per_dim for r in reports),
+                all(r.onebit_pass for r in reports),
+                latsec.equivocation_identity_exact(reports),
+            )
+        assert 0 < skipped < len(rows)
         assert envelope["verdict"] == "pass"
 
 

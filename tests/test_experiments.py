@@ -30,6 +30,7 @@ from latsec import (
     run_lemma_suite,
     run_loopback_suite,
     run_regime_pipeline,
+    run_sweep,
     run_theorem1_suite,
     standard_grid,
     standard_layered_set,
@@ -40,6 +41,7 @@ from latsec import (
     very_strong_reliability,
     weak_reliability,
 )
+from latsec import channel, experiments, infotheory
 from latsec.channel import _trial_draws, _trial_states
 from latsec.experiments import TRIAL_BLOCK, _trial_blocks
 
@@ -165,6 +167,40 @@ class TestTheoremSuite:
         reports = run_theorem1_suite(standard_grid((2, 5), 3, 32, 2))
         assert theorem_suite_passed(reports)
         assert max(r.leakage_per_dim for r in reports) <= 1 + 1e-9
+
+
+class TestSweep:
+    def test_sweep_equals_the_two_suites(self):
+        grid = standard_grid((2, 3), 3, 32, 1)
+        configs = run_sweep(grid, budget=300)
+        lemmas = run_lemma_suite(grid, budget=300)
+        assert [lemma for lemma, _ in configs] == lemmas
+        assert any(r.skipped for r in lemmas) and not all(r.skipped for r in lemmas)
+        for lemma, bins in configs:
+            if lemma.skipped is None:
+                gp = next(gp for gp in grid if gp.label == lemma.label)
+                assert bins == run_theorem1_suite([gp], budget=300)
+            else:
+                assert bins is None
+
+    def test_no_bin_seed_derives_no_theorem_reports(self):
+        grid = standard_grid((2,), 2, 32, 1)
+        assert all(bins is None for _, bins in run_sweep(grid, bin_seed=None))
+
+    def test_each_configuration_is_built_once(self, monkeypatch):
+        calls = []
+        sum_structure = infotheory.sum_structure
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sum_structure(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sum_structure", counted)
+        monkeypatch.setattr(infotheory, "sum_structure", counted)
+        grid = standard_grid((2, 3), 2, 32, 1)
+        configs = run_sweep(grid)
+        assert all(bins for _, bins in configs)
+        assert len(calls) == len(grid)
 
 
 class TestLayeredSuite:
@@ -469,6 +505,18 @@ class TestNoiselessLoopback:
             "all_ok": True,
         }
 
+    def test_rows_are_decoded_once(self, monkeypatch):
+        calls = []
+        decode = channel._successive_decode
+
+        def counted(received, codebooks, gain):
+            calls.append(len(codebooks))
+            return decode(received, codebooks, gain)
+
+        monkeypatch.setattr(channel, "_successive_decode", counted)
+        assert noiseless_loopback(square_codebook())["all_ok"]
+        assert calls == [1]
+
     def test_engineered_gain_separates_interference(self):
         for p, g in ((2, ((1, 0), (0, 1))), (3, ((1,),)), (5, ((1,), (2,)))):
             cb = enumerate_codebook(ConstructionALattice(p, g, None, 1))
@@ -541,6 +589,15 @@ class TestRegimePipeline:
         )
         assert result.reliability is None
         assert result.notes == ("reliability run skipped (trials = 0)",)
+
+    @pytest.mark.parametrize(
+        "trials,root_seed,field",
+        [(-3, 7, "trials"), (2.7, 7, "trials"), (True, 7, "trials"), (0, -1, "root_seed")],
+    )
+    def test_trials_and_seed_must_be_nonnegative_integers(self, trials, root_seed, field):
+        with pytest.raises(ValidationError) as err:
+            run_regime_pipeline(square_codebook(), ChannelParams(0.3, 1.0), 2, trials, root_seed)
+        assert err.value.field == field
 
     def test_pipeline_is_deterministic(self):
         cb = square_codebook()

@@ -245,7 +245,7 @@ class TestBinnedLeakage:
         cb = seeded_codebook(p, k, n, seed=seed)
         binned = BinnedCodebook(cb, bins, seed=seed)
         leak = joint_bin_sum(binned, cb, 10**6).mutual_info_bits()
-        expected = oracles.joint_leakage_oracle(binned.bins, cb.points, cb.points)
+        expected = oracles.joint_leakage_oracle(oracles.bins_of(binned), cb.points, cb.points)
         assert leak == pytest.approx(expected, abs=1e-9)
 
     def test_single_bin_leaks_nothing(self):

@@ -29,7 +29,6 @@ from latsec import (
     sum_structure,
 )
 from latsec import lattices
-from latsec.gfp import solve_column_comb
 from latsec.lattices import det_int
 
 import oracles
@@ -143,8 +142,8 @@ class TestCosetStructure:
         coords = lat.message_coords(np.arange(9))
         for m in range(9):
             residue = [int(v) % 3 for v in coords[m]]
-            label = solve_column_comb(lat.transform, residue, 3)
-            z = solve_column_comb(lat.code_matrix, label, 3)
+            label = oracles.solve_mod_p(lat.transform, residue, 3)
+            z = oracles.solve_mod_p(lat.code_matrix, label, 3)
             assert sum(int(d) * 3**i for i, d in enumerate(z)) == m
 
     def test_membership_hierarchy(self):
@@ -182,7 +181,7 @@ class TestCosetStructure:
         lat = ConstructionALattice(2, ((1, 0), (1, 1), (0, 1)), None, 1)
         coords = lat.message_coords(np.arange(4))
         labels = {
-            tuple(solve_column_comb(lat.transform, [int(v) % 2 for v in row], 2))
+            tuple(oracles.solve_mod_p(lat.transform, [int(v) % 2 for v in row], 2))
             for row in coords
         }
         assert len(labels) == 4

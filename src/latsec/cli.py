@@ -34,7 +34,7 @@ from .codebooks import (
     build_layered,
     enumerate_codebook,
 )
-from .config import ExperimentConfig, config_echo, load_config, parse_config
+from .config import ExperimentConfig, load_config, parse_config
 from .errors import (
     BudgetExceeded,
     IoError,
@@ -68,13 +68,23 @@ PROV_FORMULA = "formula"
 # building blocks shared by the experiment kinds
 
 
+def _explicit_matrix(config: ExperimentConfig, field: str, rows: int, cols: int):
+    """config[field], which must be None or a rows x cols matrix."""
+    m = config.get(field)
+    if m is not None and (len(m), len(m[0])) != (rows, cols):
+        raise ValidationError(
+            field, f"{field!r} must be {rows}x{cols}, got {len(m)}x{len(m[0])}"
+        )
+    return m
+
+
 def lattice_from_config(config: ExperimentConfig) -> ConstructionALattice:
     """Lattice from explicit matrices when given, else from recorded seeds."""
     p, k, n = config["p"], config["k"], config["n"]
-    g = config.get("g")
+    g = _explicit_matrix(config, "g", n, k)
     if g is None:
         g = random_code_matrix(p, k, n, seed=[p, k, n, config["g_seed"], 11])
-    t = config.get("gprime")
+    t = _explicit_matrix(config, "gprime", n, n)
     if t is None:
         t = random_unimodular(n, seed=[p, k, n, config["gprime_seed"], 13])
     return ConstructionALattice(p, g, t, config["scale"])
@@ -93,10 +103,10 @@ def _layered_from_config(config: ExperimentConfig) -> LayeredCodebook:
     p, n = config["p"], config["n"]
     k1, k2 = config["k1"], config["k2"]
     scale = config["scale"]
-    g = config.get("g")
+    g = _explicit_matrix(config, "g", n, k1)
     if g is None:
         g = random_code_matrix(p, k1, n, seed=[p, n, k1, k2, config["g_seed"], 17])
-    t = config.get("gprime")
+    t = _explicit_matrix(config, "gprime", n, n)
     if t is None:
         t = random_unimodular(n, seed=[p, n, k1, k2, config["gprime_seed"], 19])
     base = ConstructionALattice(p, g, t, scale)
@@ -221,15 +231,9 @@ def _run_baseline(config: ExperimentConfig):
     )
     results = {
         "provenance": PROV_EXACT,
-        "codebook_size": cmp.codebook_size,
-        "random_dim": cmp.random_dim,
-        "lattice_dim": cmp.lattice_dim,
-        "power": cmp.power,
-        "grid_step": cmp.grid_step,
-        "grid_half_steps": cmp.grid_half_steps,
+        **asdict(cmp),
         "fraction_random_above_one": cmp.fraction_random_above_one,
         "fraction_lattice_within_one": cmp.fraction_lattice_within_one,
-        "rows": [asdict(r) for r in cmp.rows],
     }
     verdict = (
         cmp.fraction_random_above_one >= 0.95
@@ -327,7 +331,7 @@ def run(config: ExperimentConfig) -> dict:
         "schema_version": SCHEMA_VERSION,
         "package": {"name": "latsec", "version": __version__},
         "kind": config.kind,
-        "config": config_echo(config),
+        "config": {"kind": config.kind, **config.values},
         "results": results,
         "verdict": "pass" if verdict else "fail",
         "wall_clock_s": round(time.perf_counter() - start, 6),
@@ -362,17 +366,13 @@ def jsonable(value):
 
 
 def _cell(value) -> str:
+    """One CSV cell from jsonable's output: None empty, booleans in lower
+    case, lists space-joined; str of a float is its repr."""
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, list):
         return " ".join(_cell(item) for item in value)
     return str(value)
 
@@ -407,25 +407,25 @@ _PIPELINE_COLUMNS = (
     "reliability_provenance",
 )
 _LATTICE_COLUMNS = ("message", "point_rational", "point_float", "provenance")
+# kinds whose CSV is one row per entry of a results list:
+# kind -> (columns before "provenance", results key of the list)
+_ROW_TABLES = {
+    "lemmas": (_LEMMA_COLUMNS, "reports"),
+    "theorem1": (_THEOREM_COLUMNS, "reports"),
+    "layered": (_LAYERED_COLUMNS, "reports"),
+    "baseline": (_BASELINE_COLUMNS, "rows"),
+    "sweep": (_SWEEP_COLUMNS, "rows"),
+}
 
 
 def _csv_rows(envelope: dict):
     kind = envelope["kind"]
     results = envelope["results"]
     prov = results.get("provenance", PROV_EXACT)
-    if kind in ("lemmas", "theorem1"):
-        columns = _LEMMA_COLUMNS if kind == "lemmas" else _THEOREM_COLUMNS
-        rows = [dict(r, provenance=prov) for r in results["reports"]]
+    if kind in _ROW_TABLES:
+        columns, key = _ROW_TABLES[kind]
+        rows = [dict(r, provenance=prov) for r in results[key]]
         return columns + ("provenance",), rows
-    if kind == "layered":
-        rows = [dict(r, provenance=prov) for r in results["reports"]]
-        return _LAYERED_COLUMNS + ("provenance",), rows
-    if kind == "baseline":
-        rows = [dict(r, provenance=prov) for r in results["rows"]]
-        return _BASELINE_COLUMNS + ("provenance",), rows
-    if kind == "sweep":
-        rows = [dict(r, provenance=prov) for r in results["rows"]]
-        return _SWEEP_COLUMNS + ("provenance",), rows
     if kind == "pipeline":
         secrecy = results["secrecy"]
         reliability = results["reliability"] or {}
@@ -472,7 +472,7 @@ def render(envelope: dict, fmt: str) -> str:
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+            writer.writerow([_cell(jsonable(row.get(c))) for c in columns])
         return buffer.getvalue()
     raise ValidationError("format", f"unknown format {fmt!r}; expected csv or json")
 

@@ -101,16 +101,22 @@ def scale_to_power(codebook: Codebook, power) -> Codebook:
     if moment <= target:
         return codebook
     ratio = _floor_sqrt_fraction(target / moment)
+    if ratio == 0:
+        raise ValidationError(
+            "power",
+            f"power {power!r} is below {float(moment) * 2.0**-80:.3g}, the least "
+            f"reachable at scale {old.scale}: the scale ratio resolves to 2^-40",
+        )
     scaled = ConstructionALattice(
         old.p, old.code_matrix, old.transform, old.scale * ratio
     )
     return Codebook(scaled, coords=codebook.coords)
 
 
-def _floor_sqrt_fraction(value: Fraction, bits: int = 80) -> Fraction:
-    """Largest dyadic-denominator rational r with r*r <= value."""
-    root = math.isqrt((value.numerator << bits) // value.denominator)
-    return Fraction(root, 1 << (bits // 2))
+def _floor_sqrt_fraction(value: Fraction) -> Fraction:
+    """Largest rational r = m / 2^40 with r*r <= value."""
+    root = math.isqrt((value.numerator << 80) // value.denominator)
+    return Fraction(root, 1 << 40)
 
 
 class BinnedCodebook:

@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import ParseError, ValidationError
 
@@ -48,14 +48,10 @@ _LATTICE_FIELDS: dict[str, tuple[str, Any]] = {
 # Optional single-point override for grid kinds: when p, k and n are all
 # given the suite runs that one lattice instead of the standard grid.
 _SINGLE_POINT_FIELDS: dict[str, tuple[str, Any]] = {
+    **_LATTICE_FIELDS,
     "p": ("int", None),
     "k": ("int", None),
     "n": ("int", None),
-    "g": ("matrix", None),
-    "g_seed": ("int", 0),
-    "gprime": ("matrix", None),
-    "gprime_seed": ("int", 0),
-    "scale": ("fraction", Fraction(1)),
 }
 
 _COMMON_FIELDS: dict[str, tuple[str, Any]] = {
@@ -296,6 +292,9 @@ def _validate(kind: str, values: dict[str, Any]) -> None:
         single = [values.get(f) is not None for f in ("p", "k", "n")]
         if any(single) and not all(single):
             bad("p", "single-lattice runs need all of p, k and n")
+        for field in ("g", "gprime"):
+            if not any(single) and values.get(field) is not None:
+                bad(field, "needs a single-lattice run (all of p, k and n)")
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -340,23 +339,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
     _validate(kind, values)
     return ExperimentConfig(kind=kind, values=values)
-
-
-def config_echo(config: ExperimentConfig) -> dict[str, Any]:
-    """Config as JSON-ready primitives, for embedding in result documents."""
-    def plain(value: Any) -> Any:
-        if isinstance(value, Fraction):
-            return f"{value.numerator}/{value.denominator}"
-        if isinstance(value, float) and (value != value or value in (float("inf"), float("-inf"))):
-            return "nan" if value != value else ("inf" if value > 0 else "-inf")
-        if isinstance(value, tuple):
-            return [plain(item) for item in value]
-        return value
-
-    echo = {"kind": config.kind}
-    for key in sorted(config.values):
-        echo[key] = plain(config.values[key])
-    return echo
 
 
 def load_config(path: str) -> ExperimentConfig:

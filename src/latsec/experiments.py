@@ -311,7 +311,7 @@ def _layer_sum_distribution(layered: LayeredCodebook, budget):
 
 
 def run_layered_suite(items, budget=10**6):
-    """Sum-support and sum-entropy checks for layered codebooks.
+    """Sum-support and sum-entropy checks for (label, LayeredCodebook) pairs.
 
     The sum codebook is the Minkowski sum of the layers; the check is the
     same support/entropy pair as the single-codebook lemma, applied to two
@@ -320,11 +320,7 @@ def run_layered_suite(items, budget=10**6):
     diagnostic only, never gated.
     """
     reports = []
-    for item in items:
-        if isinstance(item, LayeredCodebook):
-            label, layered = f"layers{len(item)}", item
-        else:
-            label, layered = item
+    for label, layered in items:
         sums, counts = _layer_sum_distribution(layered, budget)
         sum_size = len(sums)
         pairs = sum_structure(sums, sums, budget)
@@ -742,23 +738,23 @@ def run_regime_pipeline(
     root_seed: int,
     bin_seed: int = 0,
     budget: int = 10**6,
-    layered: LayeredCodebook | None = None,
-    label: str = "pipeline",
 ) -> PipelineResult:
     """Classify the regime, scale the codebook to the power budget, compute
-    the exact secrecy report on the sum statistic, and run the matching
-    decoder's Monte Carlo reliability measurement.
+    the exact secrecy report (label "pipeline") on the sum statistic, and
+    run the matching decoder's Monte Carlo reliability measurement.
 
-    The leakage fields depend only on the codebook and binning, never on
-    the eavesdropper gain or noise; those enter the reference numbers only.
-    trials must be an integer >= 0 (0 skips the reliability run) and
-    root_seed an integer >= 0.
+    Only the weak and very-strong regimes have a single-codebook decoder;
+    in the general regime the reliability run is skipped with a note (the
+    layered kind measures layered reliability). The leakage fields depend
+    only on the codebook and binning, never on the eavesdropper gain or
+    noise; those enter the reference numbers only. trials must be an
+    integer >= 0 (0 skips the reliability run) and root_seed an integer >= 0.
     """
     trials = _checked_trials(trials, root_seed, least=0)
     regime = classify_regime(params.cross_gain, params.power, params.noise_var)
     cb = scale_to_power(codebook, params.power)
     binned = BinnedCodebook(cb, num_bins, bin_seed)
-    secrecy = make_secrecy_report(binned, cb, budget, label=label)
+    secrecy = make_secrecy_report(binned, cb, budget, label="pipeline")
     notes = []
     reliability = None
     if trials > 0:
@@ -766,8 +762,6 @@ def run_regime_pipeline(
             reliability = weak_reliability(cb, params, trials, root_seed)
         elif regime.tag == "very_strong":
             reliability = very_strong_reliability(cb, params, trials, root_seed)
-        elif layered is not None:
-            reliability = layered_reliability(layered, params, trials, root_seed)
         else:
             notes.append(
                 "general regime needs an explicit layered configuration; "

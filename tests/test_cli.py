@@ -1,20 +1,29 @@
 """Result envelopes, serialization, and the command line entry point."""
 
 import json
+import math
 from dataclasses import asdict
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import latsec
 from latsec import BudgetExceeded, ValidationError, parse_config, render, run
+from latsec.config import SCHEMAS
 from latsec.cli import (
     _BASELINE_COLUMNS,
     _LATTICE_COLUMNS,
     _LEMMA_COLUMNS,
     _PIPELINE_COLUMNS,
     _SUBCOMMANDS,
+    _ROW_TABLES,
+    _RUNNERS,
     _SWEEP_COLUMNS,
+    _cell,
+    _csv_rows,
     emit,
+    jsonable,
     main,
 )
 
@@ -141,6 +150,57 @@ class TestJsonRendering:
             render(envelope, "yaml")
 
 
+class TestValueSerialiser:
+    """Values no golden report reaches, held to their rendered bytes."""
+
+    VALUES = (
+        float("nan"), -math.inf, np.bool_(True), np.int64(7), np.float32(0.1),
+        [Fraction(1, 2), Fraction(-3, 4)], None,
+    )
+
+    def test_cells(self):
+        cells = [_cell(jsonable(value)) for value in self.VALUES]
+        assert cells == ["nan", "-inf", "true", "7", "0.10000000149011612", "1/2 -3/4", ""]
+        nested = (np.bool_(False), math.inf, [Fraction(2), 3])
+        assert _cell(jsonable(nested)) == "false inf 2/1 3"
+        assert _cell(jsonable(np.array([1.5, -2.0]))) == "1.5 -2.0"
+
+    def test_jsonable(self):
+        assert jsonable(list(self.VALUES)) == [
+            "nan", "-inf", True, 7, 0.10000000149011612, ["1/2", "-3/4"], None,
+        ]
+        assert type(jsonable(np.bool_(False))) is bool
+        assert type(jsonable(np.int64(7))) is int
+        assert type(jsonable(np.float32(0.5))) is float
+
+    def envelope(self):
+        nan, neg_inf, flag, count, single, fractions, none = self.VALUES
+        rows = [
+            {"seed": count, "random_leak_bits": nan, "random_leak_per_dim": neg_inf,
+             "lattice_leak_bits": fractions, "lattice_leak_per_dim": single},
+            {"seed": flag, "random_leak_bits": none, "random_leak_per_dim": math.inf,
+             "lattice_leak_bits": (np.int64(-1), 2.5), "lattice_leak_per_dim": Fraction(5, 3)},
+        ]
+        return {"kind": "baseline", "results": {"provenance": "exact-rational", "rows": rows}}
+
+    def test_csv_bytes(self):
+        assert render(self.envelope(), "csv") == (
+            "seed,random_leak_bits,random_leak_per_dim,lattice_leak_bits,"
+            "lattice_leak_per_dim,provenance\n"
+            "7,nan,-inf,1/2 -3/4,0.10000000149011612,exact-rational\n"
+            "true,,inf,-1 2.5,5/3,exact-rational\n"
+        )
+
+    def test_json_bytes(self):
+        doc = json.loads(render(self.envelope(), "json"))
+        assert doc["results"]["rows"] == [
+            {"seed": 7, "random_leak_bits": "nan", "random_leak_per_dim": "-inf",
+             "lattice_leak_bits": ["1/2", "-3/4"], "lattice_leak_per_dim": 0.10000000149011612},
+            {"seed": True, "random_leak_bits": None, "random_leak_per_dim": "inf",
+             "lattice_leak_bits": [-1, 2.5], "lattice_leak_per_dim": "5/3"},
+        ]
+
+
 class TestCsvRendering:
     def test_lemma_table(self):
         text = render(run_json(SINGLE_LEMMA), "csv")
@@ -195,6 +255,17 @@ class TestCsvRendering:
     def test_csv_is_byte_deterministic(self):
         doc = "kind=sweep\np_values=2\nn_max=2\ndraws=1\n"
         assert render(run_json(doc), "csv") == render(run_json(doc), "csv")
+
+
+class TestKindTables:
+    def test_every_kind_has_a_runner_subcommand_and_csv_schema(self):
+        kinds = set(SCHEMAS)
+        assert set(_RUNNERS) == kinds
+        assert sorted(s[2] for s in _SUBCOMMANDS) == sorted(kinds)
+        # pipeline and lattice have their own CSV branches in _csv_rows
+        assert set(_ROW_TABLES) | {"pipeline", "lattice"} == kinds
+        with pytest.raises(ValidationError, match="no CSV schema"):
+            _csv_rows({"kind": "bogus", "results": {}})
 
 
 class TestEmit:
@@ -313,6 +384,36 @@ class TestMainExitCodes:
         path = self.write(tmp_path, doc)
         assert main(argv + ["--config", path]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,doc,field",
+        [
+            # a 2x1 g used to run as k=1 while the echo said k=2
+            (["simulate", "pipeline"], "kind=pipeline\np=3\nk=2\nn=2\ng=1;0\ntrials=0\n", "'g'"),
+            (["verify", "lemmas"], "kind=lemmas\np=2\nk=2\nn=3\ng=1;1;0\n", "'g'"),
+            # a grid run used to ignore an explicit matrix
+            (["verify", "lemmas"], "kind=lemmas\np_values=2\nn_max=1\ng=1;0\n", "'g'"),
+            (["verify", "theorem1"], "kind=theorem1\nn_max=1\ngprime=1\n", "'gprime'"),
+            (["lattice", "build"], "kind=lattice\nn=1\ng=1;0\n", "'g'"),
+            (["lattice", "build"], "kind=lattice\nk=1\nn=2\ngprime=1,0\n", "'gprime'"),
+            (["simulate", "layered"], "kind=layered\ng=1;0\ntrials=0\n", "'g'"),
+            (["simulate", "layered"], "kind=layered\ngprime=1,0,0;0,1,0;0,0,1\ntrials=0\n", "'gprime'"),
+        ],
+        ids=["pipeline-g", "lemmas-g", "lemmas-grid-g", "theorem1-grid-gprime",
+             "lattice-g", "lattice-gprime", "layered-g", "layered-gprime"],
+    )
+    def test_explicit_matrices_must_match_the_shape(self, tmp_path, capsys, argv, doc, field):
+        path = self.write(tmp_path, doc)
+        assert main(argv + ["--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and field in err
+
+    def test_unreachable_power_is_two(self, tmp_path, capsys):
+        # the scale ratio used to floor to 0 and fail as "scale must be positive"
+        path = self.write(tmp_path, "kind=pipeline\npower=1e-30\n")
+        assert main(["simulate", "pipeline", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "power 1e-30 is below" in err
 
     def test_budget_exhaustion_is_three(self, tmp_path, capsys):
         path = self.write(tmp_path, "kind=lattice\nk=2\nn=2\nbudget=1\n")

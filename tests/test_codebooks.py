@@ -196,6 +196,19 @@ class TestPowerScaling:
         with pytest.raises(ValidationError):
             scale_to_power(cb, -2.0)
 
+    def test_power_below_the_ratio_resolution_rejected(self):
+        # The ratio lives on the 2^-40 grid, so the least reachable power is
+        # scale^2 / 12 * 2^-80; below it the ratio would floor to 0.
+        lat = small_lattice(scale=4)
+        cb = enumerate_codebook(lat)
+        least = float(lat.scale**2 / 12 / 2**80)
+        scaled = scale_to_power(cb, least * 1.01)
+        assert scaled.lattice.scale == lat.scale / 2**40
+        for power in (least * 0.99, 1e-30, 5e-324):
+            with pytest.raises(ValidationError, match="2\\^-40") as err:
+                scale_to_power(cb, power)
+            assert err.value.field == "power"
+
     def test_degenerate_codebook(self):
         lat = small_lattice()
         zero = Codebook(lat, [(0,)])

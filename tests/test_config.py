@@ -1,12 +1,14 @@
 """Config parsing, defaults, validation, and echoing."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from latsec import ExperimentConfig, ParseError, ValidationError, load_config, parse_config
-from latsec.config import SCHEMAS, config_echo
+from latsec import ParseError, ValidationError, load_config, parse_config, render, run
+from latsec.cli import jsonable
+from latsec.config import SCHEMAS
 
 
 class TestFlatFormat:
@@ -299,30 +301,30 @@ class TestValidation:
         assert (config["p"], config["k"], config["n"]) == (2, 1, 1)
 
 
+def rendered_echo(text):
+    """The config echo of a run, as the JSON report writes it."""
+    return json.loads(render(run(parse_config(text)), "json"))["config"]
+
+
 class TestEchoAndIo:
-    def test_echo_puts_kind_first_and_sorts_the_rest(self):
-        config = parse_config("kind=lattice\nscale=3/2\ng=1,0;0,1")
-        echo = config_echo(config)
-        keys = list(echo)
-        assert keys[0] == "kind"
-        assert keys[1:] == sorted(keys[1:])
+    def test_echo_sorts_keys_and_writes_rationals(self):
+        echo = rendered_echo("kind=lattice\nk=2\nn=2\nscale=3/2\ng=1,0;0,1")
+        assert list(echo) == sorted(echo)
+        assert echo["kind"] == "lattice"
         assert echo["scale"] == "3/2"
         assert echo["g"] == [[1, 0], [0, 1]]
 
     def test_echo_renders_nonfinite_floats_as_strings(self):
-        echo = config_echo(
-            ExperimentConfig(
-                "layered",
-                {"power1": math.inf, "power2": -math.inf, "a": float("nan")},
-            )
-        )
+        echo = rendered_echo("kind=layered\ntrials=0")
         assert echo["power1"] == "inf"
-        assert echo["power2"] == "-inf"
-        assert echo["a"] == "nan"
+        assert echo["power2"] == "inf"
+        # no valid config holds -inf or NaN; the echo writes them as any value
+        assert jsonable({"power2": -math.inf, "a": float("nan")}) == {
+            "power2": "-inf", "a": "nan",
+        }
 
     def test_echo_keeps_finite_primitives(self):
-        config = parse_config("kind=lemmas\np_values=2,3")
-        echo = config_echo(config)
+        echo = rendered_echo("kind=lemmas\np_values=2,3\nn_max=1\ndraws=1")
         assert echo["p_values"] == [2, 3]
         assert echo["budget"] == 10**6
         assert echo["p"] is None

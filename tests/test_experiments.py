@@ -230,10 +230,10 @@ class TestLayeredSuite:
         assert report.entropy_pass
         assert not report.passed
 
-    def test_bare_layered_codebooks_get_default_labels(self):
+    def test_unscaled_layers_report_infinite_powers(self):
         towers = standard_layered_set()
-        report = run_layered_suite([towers[0][1]])[0]
-        assert report.label == "layers2"
+        report = run_layered_suite([towers[0]])[0]
+        assert report.label == towers[0][0]
         assert report.powers == (math.inf, math.inf)
 
 

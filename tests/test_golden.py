@@ -30,6 +30,10 @@ CASES = {
     # weak regime at n = 5, non-dyadic scale: pins the dither product's rounding
     "pipeline_n5": "pipeline",
     "sweep": "sweep",
+    # 2100 trials cross a trial block boundary
+    "pipeline_2100": "pipeline",
+    "pipeline_strong_2100": "pipeline",
+    "layered_2100": "layered",
 }
 FORMATS = ("json", "csv")
 

@@ -17,17 +17,18 @@ fixed order, the same for all three schemes:
    (the same values as n for dither 1, then n for dither 2);
 4. the 3n standard normals of transmit, in one call.
 
-trial_rng defines these streams. The blocked runs build no generator per
-trial. _trial_states derives the PCG64 state that trial_rng starts from
-for a whole block of trial indices at once. _trial_draws computes steps 1
-to 3 from those states for the whole block, as numpy does them: PCG64's
-XSL-RR output, numpy's 32-bit Lemire method for integers below 2^32 (low
-half of an output first, then the buffered high half) and (output >> 11)
-2^-53 for random. Only the normals of step 4 come from a generator, one
-reused PCG64 reseeded to each trial's state after its draws; a trial whose
-integers numpy would reject and redraw is drawn on that generator from its
-start state instead. Every draw equals trial_rng's. Encoding, the channel
-and decoding then run on rows of many trials at once.
+trial_rng defines these streams, and _trial_blocks draws them for a
+whole run without building a generator per trial. _trial_states derives
+the PCG64 state that trial_rng starts from for a block of trial indices
+at once. One reused PCG64, reseeded to each trial's state, hands over the
+64-bit outputs that steps 1 to 3 consume (random_raw) and then draws the
+normals of step 4. _trial_draws turns those outputs into messages and
+uniforms as numpy does: its 32-bit Lemire method for integers below 2^32
+(low half of an output first, then the buffered high half) and
+(output >> 11) 2^-53 for random. A trial whose integers numpy would reject
+and redraw is drawn again on the generator from its start state. Every
+draw equals trial_rng's. Encoding, the channel and decoding then run on
+rows of many trials at once.
 """
 
 from __future__ import annotations
@@ -81,6 +82,16 @@ class Regime:
     witness: dict = field(compare=False)
 
 
+def _gain_power(cross_gain, k: int) -> float:
+    """cross_gain ** k as a float, or ValidationError when that overflows."""
+    try:
+        return float(cross_gain) ** k
+    except OverflowError:
+        raise ValidationError(
+            "cross_gain", f"cross gain {cross_gain!r}: a^{k} overflows a float"
+        ) from None
+
+
 def classify_regime(cross_gain: float, power: float, noise_var: float = 1.0) -> Regime:
     """Classify interference strength from the cross gain and power.
 
@@ -98,7 +109,7 @@ def classify_regime(cross_gain: float, power: float, noise_var: float = 1.0) -> 
         raise ValidationError("power", "power must be positive")
     a2 = a * a
     very_strong = a2 >= p + nv
-    weak_stat = abs(a + a**3 * p)
+    weak_stat = abs(a + _gain_power(a, 3) * p)
     weak = weak_stat <= 0.5
     tag = "very_strong" if very_strong else ("weak" if weak else "general")
     witness = {
@@ -139,7 +150,6 @@ def trial_rng(root_seed: int, trial_index: int) -> np.random.Generator:
 # numpy's SeedSequence hash (a pool of four uint32 words) and PCG64 seeding,
 # as _trial_states reproduces them. No hash constant depends on the data.
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -225,45 +235,33 @@ def _reseed(bit_gen, state: int, inc: int) -> None:
     }
 
 
-def _lcg_jumps(steps: int):
-    """(M^k, M^(k-1) + ... + M + 1) modulo 2^128 for k = 1 .. steps: k PCG64
-    steps take a state s with increment inc to M^k s + (...) inc."""
-    mult, add = [1], [0]
-    for _ in range(steps):
-        mult.append(mult[-1] * _PCG_MULT & _MASK128)
-        add.append((add[-1] * _PCG_MULT + 1) & _MASK128)
-    return np.array(mult[1:], dtype=object), np.array(add[1:], dtype=object)
+def _draw_words(sizes) -> int:
+    """64-bit outputs that one integers(size) per entry of sizes takes when
+    no word is rejected: one 32-bit word per size above 1."""
+    return -(-sum(int(size) > 1 for size in sizes) // 2)
 
 
-def _trial_draws(states, sizes, doubles: int):
-    """The first draws of a Generator on each row's PCG64 (state, inc), as
-    _trial_states gives them, computed for all rows at once: one
-    integers(size) per entry of sizes, then random(doubles).
+def _trial_draws(raw, sizes):
+    """The first draws of a Generator on each row's PCG64, computed for all
+    rows at once from the 64-bit outputs the PCG64 gives first
+    (random_raw): one integers(size) per entry of sizes, then random for
+    each output left over.
 
-    PCG64 steps its 128-bit LCG, then outputs the XSL-RR of the new state.
     integers(size) for 1 < size <= 2^32 is numpy's 32-bit Lemire method: a
     uint32 w (the low half of an output, then the buffered high half) gives
     m = w size and the draw m >> 32, unless m mod 2^32 < (2^32 - size) mod
     size, which rejects w; a size of 1 draws nothing. random gives
-    (output >> 11) 2^-53. Returns (messages, uniforms, ends, exact):
-    messages of shape (rows, len(sizes)), uniforms of shape (rows, doubles),
-    each row's (state, inc) after these draws, and a mask of the rows where
-    no w is rejected. Rows off the mask, and every row when some size is
-    above 2^32 (numpy's 64-bit path), hold no valid draws.
+    (output >> 11) 2^-53. Returns (messages, uniforms, exact): messages of
+    shape (rows, len(sizes)), the uniforms from the outputs after the first
+    _draw_words(sizes), and a mask of the rows where no w is rejected. Rows
+    off the mask, and every row when some size is above 2^32 (numpy's
+    64-bit path), hold no valid draws.
     """
     sizes = [int(s) for s in sizes]
     live = [j for j, size in enumerate(sizes) if size > 1]
-    words = -(-len(live) // 2)
-    steps = words + doubles
-    rows = len(states)
-    start, inc = (np.array(col, dtype=object).reshape(rows, 1) for col in zip(*states))
-    mult, add = _lcg_jumps(steps)
-    stepped = (start * mult + inc * add) & _MASK128
-    hi = (stepped >> 64).astype(np.uint64)
-    x = hi ^ (stepped & _MASK64).astype(np.uint64)
-    rot = hi >> 58
-    out = (x >> rot) | (x << ((64 - rot) & 63))
-    low_high = np.stack([out[:, :words] & _MASK32, out[:, :words] >> 32], axis=2)
+    words = _draw_words(sizes)
+    rows = len(raw)
+    low_high = np.stack([raw[:, :words] & _MASK32, raw[:, :words] >> 32], axis=2)
     drawn = low_high.reshape(rows, 2 * words)[:, : len(live)]
     # a size above 2^32 takes numpy's 64-bit path, which no row here follows
     bounds = [min(sizes[j], 1 << 32) for j in live]
@@ -272,9 +270,50 @@ def _trial_draws(states, sizes, doubles: int):
     exact = ((m & _MASK32) >= thresholds).all(axis=1) & (max(sizes, default=1) <= 1 << 32)
     messages = np.zeros((rows, len(sizes)), dtype=np.int64)
     messages[:, live] = m >> 32
-    uniforms = (out[:, words:] >> 11).astype(np.float64) * 2.0**-53
-    ends = stepped[:, -1] if steps else start[:, 0]
-    return messages, uniforms, list(zip(ends.tolist(), inc[:, 0].tolist())), exact
+    uniforms = (raw[:, words:] >> 11).astype(np.float64) * 2.0**-53
+    return messages, uniforms, exact
+
+
+# Monte Carlo trials are encoded and decoded in blocks of this many rows,
+# which bounds the memory of a run whatever its trial count.
+TRIAL_BLOCK = 1024
+
+
+def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
+    """The per-trial draws of a Monte Carlo run, in blocks of TRIAL_BLOCK
+    trials, in the order this module documents. sizes holds each layer's
+    codebook size. Yields (start, m1, m2, uniforms, noise) per block: the
+    first trial's index, both users' messages of shape (rows, layers), the
+    dither uniforms of shape (2, rows, n) when dithers is set (else None)
+    and the channel normals of shape (rows, 3n).
+    """
+    layers = len(sizes)
+    both_users = (*sizes, *sizes)
+    doubles = 2 * n if dithers else 0
+    width = _draw_words(both_users) + doubles
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for start in range(0, trials, TRIAL_BLOCK):
+        rows = min(TRIAL_BLOCK, trials - start)
+        states = _trial_states(root_seed, np.arange(start, start + rows))
+        raw = np.empty((rows, width), dtype=np.uint64)
+        noise = np.empty((rows, 3 * n), dtype=np.float64)
+        for i, state in enumerate(states):
+            _reseed(bit_gen, *state)
+            raw[i] = bit_gen.random_raw(width)
+            rng.standard_normal(out=noise[i])
+        messages, uniforms, exact = _trial_draws(raw, both_users)
+        for i in np.flatnonzero(~exact).tolist():
+            _reseed(bit_gen, *states[i])
+            messages[i] = [rng.integers(size) for size in both_users]
+            uniforms[i] = rng.random(doubles)
+            rng.standard_normal(out=noise[i])
+        if dithers:
+            # dither_rows keeps getting C-contiguous (rows, n) arrays, as it always has
+            uniforms = np.ascontiguousarray(uniforms.reshape(rows, 2, n).transpose(1, 0, 2))
+        else:
+            uniforms = None
+        yield start, messages[:, :layers], messages[:, layers:], uniforms, noise
 
 
 def dither_rows(lattice: ConstructionALattice, uniforms) -> np.ndarray:
@@ -399,7 +438,7 @@ def stage_condition_witnesses(powers, cross_gain: float, noise_var: float = 1.0)
     noise and no later layers there is no clutter at all, so the stage is
     recorded as vacuously feasible rather than dividing by zero.
     """
-    a2 = float(cross_gain) ** 2
+    a2 = _gain_power(cross_gain, 2)
     ps = [float(p) for p in powers]
     out = []
     for i, p_i in enumerate(ps):

@@ -248,7 +248,7 @@ def _parse_flat(text: str) -> tuple[dict[str, Any], dict[str, int]]:
     return values, lines
 
 
-def _validate(kind: str, values: dict[str, Any]) -> None:
+def _validate(kind: str, values: dict[str, Any], given: set[str]) -> None:
     def bad(field: str, why: str) -> None:
         raise ValidationError(field, f"{field!r} {why}")
 
@@ -292,8 +292,8 @@ def _validate(kind: str, values: dict[str, Any]) -> None:
         single = [values.get(f) is not None for f in ("p", "k", "n")]
         if any(single) and not all(single):
             bad("p", "single-lattice runs need all of p, k and n")
-        for field in ("g", "gprime"):
-            if not any(single) and values.get(field) is not None:
+        for field in ("g", "gprime", "g_seed", "gprime_seed", "scale"):
+            if not any(single) and field in given:
                 bad(field, "needs a single-lattice run (all of p, k and n)")
 
 
@@ -333,11 +333,12 @@ def parse_config(text: str) -> ExperimentConfig:
             values[key] = None
         else:
             values[key] = _COERCERS[typename](key, raw_value)
+    given = {key for key, value in values.items() if value is not None}
     for key, (_, default) in schema.items():
         if key not in values or values[key] is None:
             values[key] = default
 
-    _validate(kind, values)
+    _validate(kind, values, given)
     return ExperimentConfig(kind=kind, values=values)
 
 

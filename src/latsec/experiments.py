@@ -19,10 +19,8 @@ import numpy as np
 from .channel import (
     ChannelParams,
     Regime,
-    _reseed,
     _successive_decode,
-    _trial_draws,
-    _trial_states,
+    _trial_blocks,
     check_stage_conditions,
     classify_regime,
     decode_very_strong_batch,
@@ -60,9 +58,6 @@ from .lattices import (
 )
 
 ONEBIT_TOL = 1e-9
-# Monte Carlo trials are encoded and decoded in blocks of this many rows,
-# which bounds the memory of a run whatever its trial count.
-TRIAL_BLOCK = 1024
 
 
 # ----------------------------------------------------------------------
@@ -496,45 +491,6 @@ def _checked_trials(trials, root_seed, least=1) -> int:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
             raise ValidationError(field, f"{field} must be an integer >= {low}, got {value!r}")
     return int(trials)
-
-
-def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
-    """The per-trial draws of a Monte Carlo run, in blocks of TRIAL_BLOCK
-    trials, in the order the channel module documents. sizes holds each
-    layer's codebook size. Yields (start, m1, m2, uniforms, noise) per
-    block: the first trial's index, both users' messages of shape
-    (rows, layers), the dither uniforms of shape (2, rows, n) when dithers
-    is set (else None) and the channel normals of shape (rows, 3n).
-
-    Messages and uniforms come from each trial's derived PCG64 state
-    (_trial_draws); one reused generator, reseeded per trial, draws the
-    normals. A trial whose draws _trial_draws cannot reproduce is redrawn
-    on that generator from its start state.
-    """
-    layers = len(sizes)
-    both_users = (*sizes, *sizes)
-    doubles = 2 * n if dithers else 0
-    bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
-    for start in range(0, trials, TRIAL_BLOCK):
-        rows = min(TRIAL_BLOCK, trials - start)
-        states = _trial_states(root_seed, np.arange(start, start + rows))
-        messages, uniforms, ends, exact = _trial_draws(states, both_users, doubles)
-        noise = np.empty((rows, 3 * n), dtype=np.float64)
-        for i, fast in enumerate(exact.tolist()):
-            if fast:
-                _reseed(bit_gen, *ends[i])
-            else:
-                _reseed(bit_gen, *states[i])
-                messages[i] = [rng.integers(size) for size in both_users]
-                uniforms[i] = rng.random(doubles)
-            rng.standard_normal(out=noise[i])
-        if dithers:
-            # dither_rows keeps getting C-contiguous (rows, n) arrays, as it always has
-            uniforms = np.ascontiguousarray(uniforms.reshape(rows, 2, n).transpose(1, 0, 2))
-        else:
-            uniforms = None
-        yield start, messages[:, :layers], messages[:, layers:], uniforms, noise
 
 
 def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_seed):

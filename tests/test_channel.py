@@ -33,8 +33,7 @@ from latsec import (
     transmit,
     trial_rng,
 )
-from latsec.channel import _reseed, _trial_draws, _trial_states
-from latsec.experiments import TRIAL_BLOCK
+from latsec.channel import TRIAL_BLOCK, _reseed, _trial_draws, _trial_states
 
 import oracles
 from exact_rows import grid
@@ -110,6 +109,16 @@ class TestRegimeClassification:
     def test_nonfinite_inputs_rejected(self, a, p, nv):
         with pytest.raises(ValidationError):
             classify_regime(a, p, nv)
+
+    def test_overflowing_cross_gain_rejected(self):
+        # a^3 overflows a float just above 5.6e102; the witnesses below it
+        # keep a**3 exactly
+        for a in (6e102, -6e102):
+            with pytest.raises(ValidationError) as exc:
+                classify_regime(a, 1.0)
+            assert exc.value.field == "cross_gain"
+        w = classify_regime(5e102, 1.0).witness
+        assert w["weak_statistic"] == abs(5e102 + 5e102**3)
 
 
 class TestMmseScaling:
@@ -236,15 +245,20 @@ def _words_taken(start, state):
 
 
 def _check_draws(root_seed, indices, sizes, doubles):
-    """Compare _trial_draws row by row with the draws of trial_rng: a row is
-    on the fast path exactly when numpy's integers took one 32-bit word per
-    size above 1, and then its messages, uniforms and end state are
-    trial_rng's. Returns the number of rows left to the fallback."""
-    states = _trial_states(root_seed, indices)
-    messages, uniforms, ends, exact = _trial_draws(states, sizes, doubles)
+    """Feed _trial_draws the first 64-bit outputs of each trial's stream and
+    compare it row by row with the draws of trial_rng: a row is on the fast
+    path exactly when numpy's integers took one 32-bit word per size above
+    1, and then its messages and uniforms are trial_rng's. Returns the
+    number of rows left to the fallback."""
+    live = sum(size > 1 for size in sizes)
+    width = (live + 1) // 2 + doubles
+    raw = np.array(
+        [trial_rng(root_seed, t).bit_generator.random_raw(width) for t in indices],
+        dtype=np.uint64,
+    ).reshape(len(indices), width)
+    messages, uniforms, exact = _trial_draws(raw, sizes)
     assert messages.shape == (len(indices), len(sizes))
     assert uniforms.shape == (len(indices), doubles)
-    live = sum(size > 1 for size in sizes)
     fits = max(sizes, default=1) <= 2**32
     for i, t in enumerate(indices):
         rng = trial_rng(root_seed, t)
@@ -255,8 +269,6 @@ def _check_draws(root_seed, indices, sizes, doubles):
         if exact[i]:
             assert messages[i].tolist() == ref_messages
             assert np.array_equal(uniforms[i], rng.random(doubles))
-            end = rng.bit_generator.state["state"]
-            assert ends[i] == (end["state"], end["inc"])
     return int((~exact).sum())
 
 
@@ -519,6 +531,16 @@ class TestStageConditions:
     def test_passing_conditions_return_witnesses(self):
         w = check_stage_conditions([1.0, 1.0], 4.0, 1.0)
         assert all(entry["satisfied"] for entry in w)
+
+    def test_overflowing_cross_gain_rejected(self):
+        # a^2 overflows a float just above 1.3e154
+        for a in (2e154, -2e154):
+            with pytest.raises(ValidationError) as exc:
+                stage_condition_witnesses([1.0], a)
+            assert exc.value.field == "cross_gain"
+            with pytest.raises(ValidationError):
+                check_stage_conditions([1.0], a)
+        assert stage_condition_witnesses([1.0], 1e154)[0]["a_squared"] == 1e154**2
 
 
 class TestLayeredDecoder:

@@ -394,12 +394,17 @@ class TestMainExitCodes:
             # a grid run used to ignore an explicit matrix
             (["verify", "lemmas"], "kind=lemmas\np_values=2\nn_max=1\ng=1;0\n", "'g'"),
             (["verify", "theorem1"], "kind=theorem1\nn_max=1\ngprime=1\n", "'gprime'"),
+            # and echoed these keys, ignored them and exited 0
+            (["verify", "theorem1"], "kind=theorem1\np_values=2\nn_max=2\ndraws=1\nscale=5\n", "'scale'"),
+            (["verify", "theorem1"], "kind=theorem1\np_values=2\nn_max=2\ndraws=1\ng_seed=9\n", "'g_seed'"),
+            (["verify", "lemmas"], "kind=lemmas\nn_max=1\ngprime_seed=4\n", "'gprime_seed'"),
             (["lattice", "build"], "kind=lattice\nn=1\ng=1;0\n", "'g'"),
             (["lattice", "build"], "kind=lattice\nk=1\nn=2\ngprime=1,0\n", "'gprime'"),
             (["simulate", "layered"], "kind=layered\ng=1;0\ntrials=0\n", "'g'"),
             (["simulate", "layered"], "kind=layered\ngprime=1,0,0;0,1,0;0,0,1\ntrials=0\n", "'gprime'"),
         ],
         ids=["pipeline-g", "lemmas-g", "lemmas-grid-g", "theorem1-grid-gprime",
+             "theorem1-grid-scale", "theorem1-grid-g_seed", "lemmas-grid-gprime_seed",
              "lattice-g", "lattice-gprime", "layered-g", "layered-gprime"],
     )
     def test_explicit_matrices_must_match_the_shape(self, tmp_path, capsys, argv, doc, field):
@@ -407,6 +412,21 @@ class TestMainExitCodes:
         assert main(argv + ["--config", path]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and field in err
+
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["simulate", "pipeline"], "kind=pipeline\na=6e102\ntrials=0\n"),
+            (["simulate", "layered"], "kind=layered\na=2e154\n"),
+        ],
+        ids=["pipeline-a-cubed", "layered-a-squared"],
+    )
+    def test_overflowing_cross_gain_is_two(self, tmp_path, capsys, argv, doc):
+        # a**3 and a**2 used to raise a bare OverflowError, which exits 1
+        path = self.write(tmp_path, doc)
+        assert main(argv + ["--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "cross gain" in err and "overflows" in err
 
     def test_unreachable_power_is_two(self, tmp_path, capsys):
         # the scale ratio used to floor to 0 and fail as "scale must be positive"

@@ -300,6 +300,18 @@ class TestValidation:
         config = parse_config("kind=theorem1\np=2\nk=1\nn=1")
         assert (config["p"], config["k"], config["n"]) == (2, 1, 1)
 
+    @pytest.mark.parametrize("kind", ["lemmas", "theorem1"])
+    @pytest.mark.parametrize("line", ["scale=5", "g_seed=9", "gprime_seed=4", "scale=1"])
+    def test_grid_runs_reject_single_lattice_keys(self, kind, line):
+        # a grid run used to echo these keys and ignore them; set to their
+        # defaults they are still rejected, while left out they echo as before
+        with pytest.raises(ValidationError) as exc:
+            parse_config(f"kind={kind}\np_values=2\nn_max=2\n{line}")
+        assert exc.value.field == line.partition("=")[0]
+        assert parse_config(f"kind={kind}\np=2\nk=1\nn=2\n{line}")["p"] == 2
+        echo = rendered_echo(f"kind={kind}\np_values=2\nn_max=1\ndraws=1")
+        assert (echo["scale"], echo["g_seed"], echo["gprime_seed"]) == ("1/1", 0, 0)
+
 
 def rendered_echo(text):
     """The config echo of a run, as the JSON report writes it."""

@@ -42,8 +42,7 @@ from latsec import (
     weak_reliability,
 )
 from latsec import channel, experiments, infotheory
-from latsec.channel import _trial_draws, _trial_states
-from latsec.experiments import TRIAL_BLOCK, _trial_blocks
+from latsec.channel import TRIAL_BLOCK, _trial_blocks, _trial_draws
 
 import oracles
 
@@ -429,12 +428,13 @@ class TestReliabilityRuns:
 
     @pytest.mark.parametrize(
         "sizes, dithers",
-        [((2**31 + 1,), True), ((3 * 2**30, 1, 2), False), ((9, 3), True), ((2**32 + 1, 5), False)],
+        [((2**31 + 1,), True), ((3 * 2**30, 1, 2), False), ((9, 3), True), ((2**32 + 1, 5), False),
+         ((1,), False)],
     )
     def test_trial_blocks_match_per_trial_draws(self, sizes, dithers):
         # Rows that _trial_draws rejects are redrawn on the reused generator
         # from their start state; no buffered uint32 may pass from one row to
-        # the next, whichever path each row takes.
+        # the next, whichever path each row takes. (1,) draws no word at all.
         n, seed, trials = 2, 13, TRIAL_BLOCK + 37
         blocks = list(_trial_blocks(trials, seed, sizes, n, dithers))
         assert [b[0] for b in blocks] == [0, TRIAL_BLOCK]
@@ -444,12 +444,16 @@ class TestReliabilityRuns:
         else:
             assert all(b[3] is None for b in blocks)
         both_users = (*sizes, *sizes)
-        fast = _trial_draws(_trial_states(seed, range(trials)), both_users, 2 * n * dithers)[3]
+        width = (sum(size > 1 for size in both_users) + 1) // 2 + 2 * n * dithers
+        raw = np.array([trial_rng(seed, t).bit_generator.random_raw(width) for t in range(trials)])
+        fast = _trial_draws(raw.reshape(trials, width), both_users)[2]
         if max(sizes) > 2**32:
             assert not fast.any()
-        elif sizes != (9, 3):
+        elif max(sizes) > 2**31:
             pairs = set(zip(fast[:-1].tolist(), fast[1:].tolist()))
             assert pairs == {(False, False), (False, True), (True, False), (True, True)}
+        else:
+            assert fast.all()
         for t in range(trials):
             rng = trial_rng(seed, t)
             assert m1[t].tolist() == [rng.integers(size) for size in sizes]

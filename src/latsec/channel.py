@@ -99,14 +99,8 @@ def classify_regime(cross_gain: float, power: float, noise_var: float = 1.0) -> 
     weak: |a + a^3 P| <= 1/2, so residual interference folds away.
     general: neither test passes; a layered scheme is needed.
     """
+    ChannelParams(cross_gain, power, noise_var=noise_var)  # checks the arguments
     a, p, nv = float(cross_gain), float(power), float(noise_var)
-    if a == 1.0:
-        raise UnityGain("cross gain exactly 1 makes the channel degenerate")
-    for name, value in (("cross_gain", a), ("power", p), ("noise_var", nv)):
-        if not math.isfinite(value):
-            raise ValidationError(name, f"{name} must be finite")
-    if not p > 0:
-        raise ValidationError("power", "power must be positive")
     a2 = a * a
     very_strong = a2 >= p + nv
     weak_stat = abs(a + _gain_power(a, 3) * p)
@@ -438,6 +432,8 @@ def stage_condition_witnesses(powers, cross_gain: float, noise_var: float = 1.0)
     noise and no later layers there is no clutter at all, so the stage is
     recorded as vacuously feasible rather than dividing by zero.
     """
+    if not float(noise_var) >= 0:
+        raise ValidationError("noise_var", "noise variance must be nonnegative")
     a2 = _gain_power(cross_gain, 2)
     ps = [float(p) for p in powers]
     out = []

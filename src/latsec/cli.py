@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +43,10 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
+    BaselineRow,
+    LayeredReport,
+    LemmaReport,
+    SecrecyReport,
     equivocation_identity_exact,
     layered_reliability,
     random_codebook_baseline,
@@ -97,6 +101,10 @@ def _grid_items(config: ExperimentConfig):
     return standard_grid(
         config["p_values"], config["n_max"], config["coset_limit"], config["draws"]
     )
+
+
+def _channel_from_config(config: ExperimentConfig, power: float) -> ChannelParams:
+    return ChannelParams(config["a"], power, config["b"], config["noise_var"], config["ne"])
 
 
 def _layered_from_config(config: ExperimentConfig) -> LayeredCodebook:
@@ -209,13 +217,7 @@ def _run_layered(config: ExperimentConfig):
         "reliability": None,
     }
     if config["trials"] > 0:
-        params = ChannelParams(
-            cross_gain=config["a"],
-            power=sum(layered.powers),
-            eve_gain=config["b"],
-            noise_var=config["noise_var"],
-            eve_noise_var=config["ne"],
-        )
+        params = _channel_from_config(config, sum(layered.powers))
         reliability = layered_reliability(
             layered, params, config["trials"], config["seed"]
         )
@@ -245,16 +247,9 @@ def _run_baseline(config: ExperimentConfig):
 def _run_pipeline(config: ExperimentConfig):
     lat = lattice_from_config(config)
     cb = enumerate_codebook(lat, config["budget"])
-    params = ChannelParams(
-        cross_gain=config["a"],
-        power=config["power"],
-        eve_gain=config["b"],
-        noise_var=config["noise_var"],
-        eve_noise_var=config["ne"],
-    )
     result = run_regime_pipeline(
         cb,
-        params,
+        _channel_from_config(config, config["power"]),
         num_bins=config["num_bins"],
         trials=config["trials"],
         root_seed=config["seed"],
@@ -280,11 +275,8 @@ def _run_pipeline(config: ExperimentConfig):
 
 
 def _run_sweep(config: ExperimentConfig):
-    grid = standard_grid(
-        config["p_values"], config["n_max"], config["coset_limit"], config["draws"]
-    )
     bin_seed = config["bin_seed"] if config["include_bins"] else None
-    configs = run_sweep(grid, bin_seed, config["budget"])
+    configs = run_sweep(_grid_items(config), bin_seed, config["budget"])
     rows = []
     for lemma, threps in configs:
         row = dict(asdict(lemma), scale=Fraction(1), scale_float=1.0)
@@ -377,24 +369,9 @@ def _cell(value) -> str:
     return str(value)
 
 
-_LEMMA_COLUMNS = (
-    "label", "p", "k", "n", "size", "sum_size", "sum_bound", "support_pass",
-    "entropy_bits", "entropy_bound_bits", "entropy_pass",
-    "mi_bits", "mi_per_dim", "onebit_pass", "skipped",
-)
-_THEOREM_COLUMNS = (
-    "label", "dim", "codebook_size", "num_bins", "rate_per_dim",
-    "bin_rate_per_dim", "leakage_per_dim", "equivocation_per_dim",
-    "onebit_pass", "sum_gap_bits",
-)
-_LAYERED_COLUMNS = (
-    "label", "n", "layer_sizes", "powers", "sum_size", "pair_sum_size",
-    "support_bound", "support_pass", "entropy_bits", "entropy_bound_bits",
-    "entropy_pass", "tv_to_uniform",
-)
-_BASELINE_COLUMNS = (
-    "seed", "random_leak_bits", "random_leak_per_dim",
-    "lattice_leak_bits", "lattice_leak_per_dim",
+_LEMMA_COLUMNS, _THEOREM_COLUMNS, _LAYERED_COLUMNS, _BASELINE_COLUMNS = (
+    tuple(f.name for f in fields(report))
+    for report in (LemmaReport, SecrecyReport, LayeredReport, BaselineRow)
 )
 _SWEEP_COLUMNS = _LEMMA_COLUMNS + (
     "scale", "scale_float", "max_bin_leak_per_dim", "bins_onebit_pass",
@@ -532,28 +509,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_for(args: argparse.Namespace) -> ExperimentConfig:
+    overrides = {}
+    for field in ("seed", "trials", "budget"):
+        value = getattr(args, field)
+        if value is not None:
+            if value < 0:
+                raise ValidationError(field, f"--{field} must be nonnegative")
+            overrides[field] = value
     if args.config is not None:
-        config = load_config(args.config)
+        config = load_config(args.config, overrides)
     else:
-        config = parse_config(f"kind={args.kind}")
+        config = parse_config(f"kind={args.kind}", overrides)
     if config.kind != args.kind:
         raise ValidationError(
             "kind",
             f"config kind {config.kind!r} does not match subcommand "
             f"kind {args.kind!r}",
         )
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    for field, value in overrides.items():
-        if value < 0:
-            raise ValidationError(field, f"--{field} must be nonnegative")
-    if overrides:
-        config = ExperimentConfig(kind=config.kind, values={**config.values, **overrides})
     return config
 
 

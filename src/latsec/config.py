@@ -54,26 +54,30 @@ _SINGLE_POINT_FIELDS: dict[str, tuple[str, Any]] = {
     "n": ("int", None),
 }
 
-_COMMON_FIELDS: dict[str, tuple[str, Any]] = {
-    "seed": ("int", 0),
-    "trials": ("int", 0),
-    "budget": ("int", 10**6),
-}
+_COMMON_FIELDS: dict[str, tuple[str, Any]] = {"budget": ("int", 10**6)}
+
+# A key of type "unread" is one its kind never reads, such as seed and trials
+# in the exact kinds: left out it echoes its default, given (in the document
+# or by flag) it is a configuration error.
+_EXACT_ONLY: dict[str, tuple[str, Any]] = {"seed": ("unread", 0), "trials": ("unread", 0)}
 
 SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
     "lattice": {
         **_LATTICE_FIELDS,
+        **_EXACT_ONLY,
         **_COMMON_FIELDS,
         "max_points": ("int", 64),
     },
     "lemmas": {
         **_SINGLE_POINT_FIELDS,
         **_GRID_FIELDS,
+        **_EXACT_ONLY,
         **_COMMON_FIELDS,
     },
     "theorem1": {
         **_SINGLE_POINT_FIELDS,
         **_GRID_FIELDS,
+        **_EXACT_ONLY,
         **_COMMON_FIELDS,
         "bin_seed": ("int", 0),
     },
@@ -93,6 +97,8 @@ SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
         "b": ("float", 1.0),
         "noise_var": ("float", 1.0),
         "ne": ("float", 1.0),
+        "seed": ("int", 0),
+        "trials": ("int", 0),
         **_COMMON_FIELDS,
     },
     "baseline": {
@@ -100,6 +106,8 @@ SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
         "dim": ("int", 2),
         "power": ("float", 1.0),
         "num_seeds": ("int", 100),
+        "seed": ("int", 0),
+        "trials": ("unread", 0),
         **_COMMON_FIELDS,
     },
     "pipeline": {
@@ -113,11 +121,13 @@ SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
         "bin_seed": ("int", 0),
         # retired: power scaling is exact; still accepted, validated, echoed
         "power_samples": ("int", 20000),
-        **_COMMON_FIELDS,
+        "seed": ("int", 0),
         "trials": ("int", 1000),
+        **_COMMON_FIELDS,
     },
     "sweep": {
         **_GRID_FIELDS,
+        **_EXACT_ONLY,
         **_COMMON_FIELDS,
         "bin_seed": ("int", 0),
         "include_bins": ("bool", True),
@@ -281,8 +291,6 @@ def _validate(kind: str, values: dict[str, Any], given: set[str]) -> None:
         bad("b", "must not be NaN")
     if "scale" in values and values["scale"] is not None and values["scale"] <= 0:
         bad("scale", "must be positive")
-    if "p_values" in values and len(values["p_values"]) == 0:
-        bad("p_values", "must not be empty")
     # a rank-k code needs at least k coordinates
     for field in ("k", "k1", "k2"):
         if values.get(field) is not None and values.get("n") is not None \
@@ -295,13 +303,26 @@ def _validate(kind: str, values: dict[str, Any], given: set[str]) -> None:
         for field in ("g", "gprime", "g_seed", "gprime_seed", "scale"):
             if not any(single) and field in given:
                 bad(field, "needs a single-lattice run (all of p, k and n)")
+    if kind == "sweep" and not values["include_bins"] and "bin_seed" in given:
+        bad("bin_seed", "needs include_bins=true")
+    if "p_values" in values:
+        primes = values["p_values"]
+        if not primes:
+            bad("p_values", "must not be empty")
+        if len(set(primes)) != len(primes):
+            bad("p_values", "must not repeat a prime")
+        # a grid run gives a prime p its first point once p <= coset_limit
+        if values.get("p") is None and values["coset_limit"] < min(primes):
+            bad("coset_limit", "is below every prime in p_values, so the grid is empty")
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
     """Parse and validate a config document.
 
-    Accepts a JSON object or flat key=value lines.  Applies per-kind
-    defaults, rejects unknown keys, and checks value ranges.
+    Accepts a JSON object or flat key=value lines.  ``overrides`` (such as
+    command line flags) replace the document's values and are checked like
+    them.  Applies per-kind defaults, rejects unknown keys and keys the kind
+    never reads, and checks value ranges.
     """
     stripped = text.lstrip()
     lines: dict[str, int] = {}
@@ -324,13 +345,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
     schema = SCHEMAS[kind]
     values: dict[str, Any] = {}
-    for key, raw_value in raw.items():
+    for key, raw_value in {**raw, **(overrides or {})}.items():
         if key not in schema:
             raise ParseError(
                 f"unknown key {key!r} for kind {kind!r}", line=lines.get(key))
         typename, _ = schema[key]
         if raw_value is None or (isinstance(raw_value, str) and raw_value.strip() == ""):
             values[key] = None
+        elif typename == "unread":
+            raise ValidationError(key, f"{key!r} is not read by kind {kind!r}")
         else:
             values[key] = _COERCERS[typename](key, raw_value)
     given = {key for key, value in values.items() if value is not None}
@@ -342,10 +365,10 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(kind=kind, values=values)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, overrides: dict[str, Any] | None = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read config file {path!r}: {exc}") from None
-    return parse_config(text)
+    return parse_config(text, overrides)

@@ -110,6 +110,13 @@ class TestRegimeClassification:
         with pytest.raises(ValidationError):
             classify_regime(a, p, nv)
 
+    def test_negative_noise_rejected(self):
+        # a negative noise variance used to pass as a very strong channel
+        with pytest.raises(ValidationError) as exc:
+            classify_regime(0.3, 1.0, -5.0)
+        assert exc.value.field == "noise_var"
+        assert classify_regime(0.3, 1.0, 0.0).tag == "weak"
+
     def test_overflowing_cross_gain_rejected(self):
         # a^3 overflows a float just above 5.6e102; the witnesses below it
         # keep a**3 exactly
@@ -527,6 +534,17 @@ class TestStageConditions:
                 "vacuous_zero_noise": True,
             }
         ]
+
+    def test_negative_noise_rejected(self):
+        # a negative noise variance used to satisfy stage 1 with required 0.8
+        for powers in ([1.0], [math.inf]):
+            with pytest.raises(ValidationError) as exc:
+                stage_condition_witnesses(powers, 4.0, -5.0)
+            assert exc.value.field == "noise_var"
+            with pytest.raises(ValidationError):
+                check_stage_conditions(powers, 4.0, -5.0)
+        # an unscaled layer's power stays infinite
+        assert stage_condition_witnesses([math.inf], 2.0, 0.0)[0]["required"] == math.inf
 
     def test_passing_conditions_return_witnesses(self):
         w = check_stage_conditions([1.0, 1.0], 4.0, 1.0)

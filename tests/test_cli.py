@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 import latsec
 from latsec import BudgetExceeded, ValidationError, parse_config, render, run
 from latsec.config import SCHEMAS
+from latsec.experiments import BaselineRow, LayeredReport, LemmaReport, SecrecyReport
 from latsec.cli import (
     _BASELINE_COLUMNS,
     _LATTICE_COLUMNS,
@@ -268,6 +269,25 @@ class TestKindTables:
             _csv_rows({"kind": "bogus", "results": {}})
 
 
+    @pytest.mark.parametrize(
+        "kind,report",
+        [("lemmas", LemmaReport), ("theorem1", SecrecyReport),
+         ("layered", LayeredReport), ("baseline", BaselineRow)],
+    )
+    def test_row_table_columns_are_the_report_fields(self, kind, report):
+        columns, _ = _csv_rows({"kind": kind, "results": {_ROW_TABLES[kind][1]: []}})
+        assert columns == tuple(f.name for f in fields(report)) + ("provenance",)
+
+    def test_sweep_columns_extend_the_lemma_fields(self):
+        columns, _ = _csv_rows({"kind": "sweep", "results": {"rows": []}})
+        lemma = tuple(f.name for f in fields(LemmaReport))
+        assert columns[: len(lemma)] == lemma
+        assert columns[len(lemma):] == (
+            "scale", "scale_float", "max_bin_leak_per_dim", "bins_onebit_pass",
+            "identity_pass", "provenance",
+        )
+
+
 class TestEmit:
     def test_writes_rendered_text(self, tmp_path):
         envelope = run_json(SINGLE_LEMMA)
@@ -475,6 +495,69 @@ class TestMainExitCodes:
         ) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["results"]["reliability"] is None
+
+
+    @pytest.mark.parametrize(
+        "argv,kind,flag",
+        [
+            (["lattice", "build"], "lattice", "--seed"),
+            (["lattice", "build"], "lattice", "--trials"),
+            (["verify", "lemmas"], "lemmas", "--seed"),
+            (["verify", "lemmas"], "lemmas", "--trials"),
+            (["verify", "theorem1"], "theorem1", "--seed"),
+            (["verify", "theorem1"], "theorem1", "--trials"),
+            (["sweep"], "sweep", "--seed"),
+            (["sweep"], "sweep", "--trials"),
+            (["compare", "random"], "baseline", "--trials"),
+        ],
+    )
+    def test_flags_a_kind_never_reads_are_two(self, tmp_path, capsys, argv, kind, flag):
+        # the flag used to be echoed, ignored and the run to exit 0
+        key = flag[2:]
+        assert main(argv + [flag, "5"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{key}' is not read by kind '{kind}'" in err
+        path = self.write(tmp_path, f"kind={kind}\n{key}=5\n")
+        assert main(argv + ["--config", path]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,doc,flags",
+        [
+            (["compare", "random"], "kind=baseline\nnum_seeds=2\n", ["--seed", "4"]),
+            (["simulate", "pipeline"], "kind=pipeline\ntrials=40\n", ["--seed", "4"]),
+            (["simulate", "pipeline"], "kind=pipeline\nseed=4\n", ["--trials", "30"]),
+            (["simulate", "layered"], "kind=layered\ntrials=40\n", ["--seed", "4"]),
+            (["simulate", "layered"], "kind=layered\nseed=4\n", ["--trials", "30"]),
+        ],
+    )
+    def test_flags_equal_the_same_key_in_the_document(self, tmp_path, capsys, argv, doc, flags):
+        key, value = flags[0][2:], flags[1]
+        assert main(argv + ["--config", self.write(tmp_path, doc)] + flags) == 0
+        by_flag = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--config", self.write(tmp_path, doc + f"{key}={value}\n")]) == 0
+        by_doc = json.loads(capsys.readouterr().out)
+        assert by_flag["config"][key] == int(value)
+        del by_flag["wall_clock_s"], by_doc["wall_clock_s"]
+        assert by_flag == by_doc
+
+    @pytest.mark.parametrize(
+        "argv,doc,field",
+        [
+            (["verify", "lemmas"], "kind=lemmas\np_values=3\nn_max=2\ndraws=1\ncoset_limit=2\n", "'coset_limit'"),
+            (["verify", "theorem1"], "kind=theorem1\np_values=3\nn_max=2\ndraws=1\ncoset_limit=2\n", "'coset_limit'"),
+            (["sweep"], "kind=sweep\np_values=3\nn_max=2\ndraws=1\ncoset_limit=2\n", "'coset_limit'"),
+            (["sweep"], "kind=sweep\np_values=2,2\nn_max=1\ndraws=1\n", "'p_values'"),
+            (["sweep"], "kind=sweep\np_values=2\nn_max=1\ninclude_bins=false\nbin_seed=5\n", "'bin_seed'"),
+        ],
+        ids=["lemmas-empty", "theorem1-empty", "sweep-empty", "sweep-repeated", "sweep-no-bins"],
+    )
+    def test_empty_or_repeated_grids_are_two(self, tmp_path, capsys, argv, doc, field):
+        # an empty grid used to pass over 0 configurations, a repeated prime
+        # to repeat its rows, and a bin seed without bins to change nothing
+        assert main(argv + ["--config", self.write(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and field in err
 
 
 class TestEavesdropperInvariance:

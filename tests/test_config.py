@@ -313,6 +313,78 @@ class TestValidation:
         assert (echo["scale"], echo["g_seed"], echo["gprime_seed"]) == ("1/1", 0, 0)
 
 
+# every (kind, key) pair the kind never reads
+UNREAD = [
+    (kind, key)
+    for kind in ("lattice", "lemmas", "theorem1", "sweep")
+    for key in ("seed", "trials")
+] + [("baseline", "trials")]
+
+
+class TestKeysAKindReads:
+    @pytest.mark.parametrize("kind,key", UNREAD, ids=[f"{k}-{f}" for k, f in UNREAD])
+    def test_unread_keys_are_rejected_when_given(self, kind, key):
+        # these kinds used to echo the value and ignore it
+        for doc, overrides in ((f"kind={kind}\n{key}=3", None), (f"kind={kind}", {key: 3})):
+            with pytest.raises(ValidationError) as exc:
+                parse_config(doc, overrides)
+            assert exc.value.field == key
+            assert repr(key) in str(exc.value) and repr(kind) in str(exc.value)
+        # left out, or set to nothing, they echo their default as before
+        assert parse_config(f"kind={kind}")[key] == 0
+        assert parse_config(f"kind={kind}\n{key}=")[key] == 0
+
+    @pytest.mark.parametrize(
+        "kind,key",
+        [("pipeline", "seed"), ("pipeline", "trials"), ("layered", "seed"),
+         ("layered", "trials"), ("baseline", "seed")],
+    )
+    def test_overrides_replace_the_document_and_are_validated(self, kind, key):
+        config = parse_config(f"kind={kind}\n{key}=2", {key: 5})
+        assert config[key] == 5
+        with pytest.raises(ValidationError) as exc:
+            parse_config(f"kind={kind}", {key: -1})
+        assert exc.value.field == key
+
+    def test_overrides_count_as_given(self):
+        # a grid run rejects an explicit g_seed even at its default
+        with pytest.raises(ValidationError) as exc:
+            parse_config("kind=lemmas\np_values=2\nn_max=1", {"g_seed": 0})
+        assert exc.value.field == "g_seed"
+
+    def test_load_config_takes_overrides(self, tmp_path):
+        path = tmp_path / "doc.cfg"
+        path.write_text("kind=baseline\nseed=1\n", encoding="utf-8")
+        assert load_config(str(path), {"seed": 4})["seed"] == 4
+        with pytest.raises(ValidationError):
+            load_config(str(path), {"trials": 4})
+
+    def test_sweep_bin_seed_needs_bins(self):
+        # without bins the seed changed nothing in the report
+        with pytest.raises(ValidationError) as exc:
+            parse_config("kind=sweep\ninclude_bins=false\nbin_seed=5")
+        assert exc.value.field == "bin_seed"
+        assert parse_config("kind=sweep\ninclude_bins=false")["bin_seed"] == 0
+        assert parse_config("kind=sweep\nbin_seed=5")["bin_seed"] == 5
+
+    @pytest.mark.parametrize("kind", ["lemmas", "theorem1", "sweep"])
+    def test_repeated_primes_rejected(self, kind):
+        # a repeated prime used to repeat its grid rows
+        with pytest.raises(ValidationError) as exc:
+            parse_config(f"kind={kind}\np_values=2,3,2")
+        assert exc.value.field == "p_values"
+
+    @pytest.mark.parametrize("kind", ["lemmas", "theorem1", "sweep"])
+    def test_empty_grid_rejected(self, kind):
+        # a grid with no configuration used to pass
+        with pytest.raises(ValidationError) as exc:
+            parse_config(f"kind={kind}\np_values=3,5\ncoset_limit=2")
+        assert exc.value.field == "coset_limit"
+        assert parse_config(f"kind={kind}\np_values=3,5\ncoset_limit=3")["coset_limit"] == 3
+        if kind != "sweep":  # a single-lattice run has no grid
+            assert parse_config(f"kind={kind}\np=3\nk=1\nn=1\ncoset_limit=2")["p"] == 3
+
+
 def rendered_echo(text):
     """The config echo of a run, as the JSON report writes it."""
     return json.loads(render(run(parse_config(text)), "json"))["config"]

@@ -94,9 +94,10 @@ SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
         "power1": ("float", float("inf")),
         "power2": ("float", float("inf")),
         "a": ("float", 4.0),
-        "b": ("float", 1.0),
+        # the layered run drops the eavesdropper's output
+        "b": ("unread", 1.0),
         "noise_var": ("float", 1.0),
-        "ne": ("float", 1.0),
+        "ne": ("unread", 1.0),
         "seed": ("int", 0),
         "trials": ("int", 0),
         **_COMMON_FIELDS,
@@ -305,6 +306,10 @@ def _validate(kind: str, values: dict[str, Any], given: set[str]) -> None:
                 bad(field, "needs a single-lattice run (all of p, k and n)")
     if kind == "sweep" and not values["include_bins"] and "bin_seed" in given:
         bad("bin_seed", "needs include_bins=true")
+    if kind in ("layered", "pipeline") and values["trials"] == 0 and "seed" in given:
+        bad("seed", "needs trials of at least 1")
+    if kind == "pipeline" and values["num_bins"] == 1 and "bin_seed" in given:
+        bad("bin_seed", "needs num_bins of at least 2")
     if "p_values" in values:
         primes = values["p_values"]
         if not primes:

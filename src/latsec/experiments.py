@@ -46,7 +46,6 @@ from .infotheory import (
     joint_bin_sum,
     mutual_info_sum,
     sum_structure,
-    unique_rows,
 )
 from .lattices import (
     GRID_LIMIT,
@@ -437,6 +436,10 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
     at dimension k since p^k points need code rank k), leakage per
     dimension computed by the identical exact procedure.
     """
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise ValidationError("dim", f"dim must be an integer >= 1, got {dim!r}")
+    if not (math.isfinite(power) and power > 0):
+        raise ValidationError("power", f"power must be finite and positive, got {power!r}")
     size = int(size)
     dim = int(dim)
     if size * size > budget:
@@ -449,12 +452,8 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
     for seed in seeds:
         rng = np.random.default_rng([int(seed), 0xBA5E])
         draws = rng.integers(-GRID_HALF_STEPS, GRID_HALF_STEPS + 1, size=(size, dim))
-        sums = (draws[:, None, :] + draws[None, :, :]).reshape(-1, dim)
-        sum_counts = np.bincount(unique_rows(sums)[1])
-        point_counts = np.bincount(unique_rows(draws)[1])
-        h_sum = entropy_from_counts(sum_counts, size * size)
-        h_x = entropy_from_counts(point_counts, size)
-        random_leak = h_sum - h_x
+        points = PointGrid(1, draws)
+        random_leak = mutual_info_sum(points, points, budget)
         g = random_code_matrix(p, k, k, seed=[int(seed), 0x1A77])
         t = random_unimodular(k, seed=[int(seed), 0x7A11])
         lat = ConstructionALattice(p, g, t, 1)

@@ -1,17 +1,17 @@
 """Exact discrete information theory for lattice point distributions.
 
-Every distribution is held as exact integer counts over one common total;
-entropy evaluation is the only floating-point step. Sum sets are counted
-on int64 coordinates: on_grid puts both PointGrids over one rational unit
-(a codebook already is one: scale / p times coordinates in [-p/2, p/2)),
-and the sums keep that unit. Any other input raises TypeError; a set whose
-coordinates reach GRID_LIMIT = 2^62 on the common grid raises
-BudgetExceeded. Exact sum points are built only when a caller asks for
-them.
+Every distribution is held as exact integer counts of its occupied cells
+over one common total; entropy evaluation is the only floating-point step.
+Sum sets are counted on int64 coordinates: on_grid puts both PointGrids
+over one rational unit (a codebook already is one: scale / p times
+coordinates in [-p/2, p/2)), and the sums keep that unit. Any other input
+raises TypeError; a set whose coordinates reach GRID_LIMIT = 2^62 on the
+common grid raises BudgetExceeded. Exact sum points are built only when a
+caller asks for them.
 
-Rows are deduplicated on one int64 key per row that sorts like the row
-itself (lexicographically): each column, shifted by its minimum, is one
-mixed-radix digit, so a 1-D np.unique finds the distinct rows in row
+Rows are ranked on one int64 key per row that sorts like the row itself
+(lexicographically): each column, shifted by its minimum, is one
+mixed-radix digit, so a 1-D np.unique ranks the distinct rows in row
 order. Where the product of the digit spans would pass 2^63, the key so
 far (and, if it alone is that wide, the column) is replaced by its rank
 among its distinct values, which keeps the order.
@@ -31,7 +31,7 @@ class SumStructure(PointGrid):
     """Pairwise-sum bookkeeping for two point sets.
 
     The distinct sums are unit * coords[s], rows in lexicographic order
-    (found by unique_rows on order-preserving int64 row keys), and
+    (ranked by row_ranks on order-preserving int64 row keys), and
     ids[i, j] is the row of a_i + b_j. As a PointGrid the structure is
     the sum set itself, so sums of sums chain without leaving int64.
     Building it once lets callers derive counts for many binnings cheaply.
@@ -64,13 +64,11 @@ def _ranks(values):
     return rank, len(distinct)
 
 
-def unique_rows(rows):
-    """(first, inverse) for the distinct rows of a 2-D int64 array.
-
-    rows[first] are the distinct rows in lexicographic order, each at its
-    first occurrence, and rows[first][inverse] == rows. Each row is keyed
-    by one int64 whose order is the row order: per column,
-    key = key * span + (col - col.min()), with keys in [0, key_span).
+def row_ranks(rows):
+    """Rank of each row of a 2-D int64 array among its distinct rows in
+    lexicographic order. Each row is keyed by one int64 whose order is the
+    row order: per column, key = key * span + (col - col.min()), with keys
+    in [0, key_span).
     """
     rows = np.asarray(rows, dtype=np.int64)
     key, key_span = np.zeros(len(rows), dtype=np.int64), 1
@@ -85,8 +83,7 @@ def unique_rows(rows):
             col = col - lo
         key = key * span + col
         key_span *= span
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return first, inverse
+    return _ranks(key)[0]
 
 
 def sum_structure(a, b, budget=10**6) -> SumStructure:
@@ -98,8 +95,11 @@ def sum_structure(a, b, budget=10**6) -> SumStructure:
     if len(ga) * len(gb) > budget:
         raise BudgetExceeded(f"{len(ga)}*{len(gb)} pair sums exceed budget {budget}")
     sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
-    first, inverse = unique_rows(sums)
-    return SumStructure(unit, sums[first], inverse.reshape(len(ga), len(gb)))
+    ranks = row_ranks(sums)
+    # every row written to one rank is the same row, so the result is fixed
+    distinct = np.empty((ranks.max() + 1, sums.shape[1]), dtype=np.int64)
+    distinct[ranks] = sums
+    return SumStructure(unit, distinct, ranks.reshape(len(ga), len(gb)))
 
 
 def entropy_from_counts(counts, total=None) -> float:
@@ -115,46 +115,27 @@ def entropy_from_counts(counts, total=None) -> float:
 
 
 def mutual_info_sum(c1, c2, budget=10**6) -> float:
-    """I(X1; X1 + X2) in bits for X1, X2 independent and uniform on c1, c2."""
+    """I(X1; X1 + X2) in bits for X1, X2 independent and uniform on c1, c2,
+    counting a repeated row once per copy: H(X1 + X2) - H(X2)."""
     s = sum_structure(c1, c2, budget)
-    return entropy_from_counts(s.counts()) - math.log2(s.ids.shape[1])
+    return entropy_from_counts(s.counts()) - entropy_from_counts(np.bincount(row_ranks(c2.coords)))
 
 
 class JointBinSumDist:
-    """Joint law of (bin index W, sum point S), stored as exact pair counts;
-    column s counts sum s of the SumStructure the counts came from.
+    """Joint law of (bin index W, sum point S) as exact counts over one
+    total: the sum marginal and the occupied (w, s) cells in (bin, sum)
+    order. Bins carry equal mass (BinnedCodebook guarantees it), so
+    H(W) = log2(num_bins)."""
 
-    Probabilities are counts / total with a common integer total, so the
-    representation stays exact; entropies are evaluated in floats at the
-    very end.
-    """
-
-    def __init__(self, counts):
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 2:
-            raise ValueError("counts must be (num_bins, num_sums)")
-        row = counts.sum(axis=1)
-        if not (row == row[0]).all():
-            raise ValueError("bins must carry equal mass")
-        self.counts = counts
-        self.total = int(counts.sum())
-        self.num_bins = counts.shape[0]
-
-    def sum_marginal_counts(self):
-        return self.counts.sum(axis=0)
-
-    def bin_entropy_bits(self) -> float:
-        # uniform over bins by construction
-        return math.log2(self.num_bins)
-
-    def sum_entropy_bits(self) -> float:
-        return entropy_from_counts(self.sum_marginal_counts(), self.total)
-
-    def joint_entropy_bits(self) -> float:
-        return entropy_from_counts(self.counts.ravel(), self.total)
+    def __init__(self, num_bins, sum_counts, cell_counts):
+        self.num_bins = num_bins
+        self.sum_counts = sum_counts
+        self.cell_counts = cell_counts
+        self.total = int(sum_counts.sum())
 
     def mutual_info_bits(self) -> float:
-        return self.bin_entropy_bits() + self.sum_entropy_bits() - self.joint_entropy_bits()
+        h_sum = entropy_from_counts(self.sum_counts, self.total)
+        return math.log2(self.num_bins) + h_sum - entropy_from_counts(self.cell_counts, self.total)
 
 
 def joint_bin_sum(binned, other, budget=10**6, structure=None) -> JointBinSumDist:
@@ -163,11 +144,11 @@ def joint_bin_sum(binned, other, budget=10**6, structure=None) -> JointBinSumDis
     X1 is uniform on the binned codebook (bin uniform, codeword uniform in
     the bin), X2 independent and uniform on `other`. A precomputed
     SumStructure for (binned.codebook, other) may be passed to amortize the
-    pair enumeration across several binnings.
+    pair enumeration across several binnings. Cell (w, s) is keyed
+    w * num_sums + s.
     """
     if structure is None:
         structure = sum_structure(binned.codebook, other, budget)
-    num_sums = structure.num_sums
-    cells = binned.bin_index[:, None] * num_sums + structure.ids
-    counts = np.bincount(cells.ravel(), minlength=binned.num_bins * num_sums)
-    return JointBinSumDist(counts.reshape(binned.num_bins, num_sums))
+    cells = binned.bin_index[:, None] * structure.num_sums + structure.ids
+    _, cell_counts = np.unique(cells, return_counts=True)
+    return JointBinSumDist(binned.num_bins, structure.counts(), cell_counts)

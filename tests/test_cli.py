@@ -522,6 +522,23 @@ class TestMainExitCodes:
         assert f"'{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv,doc,flags,key",
+        [
+            (["simulate", "layered"], "kind=layered\ntrials=50\nseed=3\nb=3\n", [], "b"),
+            (["simulate", "layered"], "kind=layered\ntrials=50\nseed=3\nne=2\n", [], "ne"),
+            (["simulate", "layered"], "kind=layered\n", ["--seed", "9"], "seed"),
+            (["simulate", "pipeline"], "kind=pipeline\n", ["--trials", "0", "--seed", "9"], "seed"),
+            (["simulate", "pipeline"], "kind=pipeline\ntrials=0\nbin_seed=7\n", [], "bin_seed"),
+        ],
+        ids=["layered-b", "layered-ne", "layered-seed", "pipeline-seed", "pipeline-bin_seed"],
+    )
+    def test_keys_that_change_nothing_are_two(self, tmp_path, capsys, argv, doc, flags, key):
+        # each used to be echoed, leave the report unchanged and exit 0
+        assert main(argv + ["--config", self.write(tmp_path, doc)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{key}'" in err
+
+    @pytest.mark.parametrize(
         "argv,doc,flags",
         [
             (["compare", "random"], "kind=baseline\nnum_seeds=2\n", ["--seed", "4"]),

@@ -228,7 +228,9 @@ class TestValidation:
         with pytest.raises(ValidationError) as exc:
             parse_config(f"kind={kind}\n{field}=-1")
         assert exc.value.field == field
-        assert parse_config(f"kind={kind}\n{field}=0")[field] == 0
+        # a seed is read only with trials, a bin seed only with bins
+        reads = {("layered", "seed"): "\ntrials=1", ("pipeline", "bin_seed"): "\nnum_bins=2"}
+        assert parse_config(f"kind={kind}\n{field}=0" + reads.get((kind, field), ""))[field] == 0
 
     def test_power_samples_at_least_one(self):
         with pytest.raises(ValidationError) as exc:
@@ -340,11 +342,47 @@ class TestKeysAKindReads:
          ("layered", "trials"), ("baseline", "seed")],
     )
     def test_overrides_replace_the_document_and_are_validated(self, kind, key):
-        config = parse_config(f"kind={kind}\n{key}=2", {key: 5})
+        # layered runs no trials by default, and a seed needs some
+        trials = "\ntrials=1" if (kind, key) == ("layered", "seed") else ""
+        config = parse_config(f"kind={kind}\n{key}=2{trials}", {key: 5})
         assert config[key] == 5
         with pytest.raises(ValidationError) as exc:
             parse_config(f"kind={kind}", {key: -1})
         assert exc.value.field == key
+
+    @pytest.mark.parametrize("doc", ["b=3", "ne=2", "b=0.1\nne=0"])
+    def test_layered_rejects_eavesdropper_keys(self, doc):
+        # the layered run drops the eavesdropper's output, so b and ne
+        # used to leave the report unchanged
+        with pytest.raises(ValidationError) as exc:
+            parse_config(f"kind=layered\ntrials=50\nseed=3\n{doc}")
+        assert exc.value.field == doc[: doc.index("=")]
+        assert "is not read by kind 'layered'" in str(exc.value)
+        config = parse_config("kind=layered\ntrials=50\nseed=3")
+        assert (config["b"], config["ne"]) == (1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "doc,overrides,field",
+        [
+            ("kind=layered\nseed=9", None, "seed"),
+            ("kind=layered\ntrials=0", {"seed": 9}, "seed"),
+            ("kind=pipeline\ntrials=0\nseed=0", None, "seed"),
+            ("kind=pipeline\nseed=4", {"trials": 0}, "seed"),
+            ("kind=pipeline\nbin_seed=7", None, "bin_seed"),
+            ("kind=pipeline\nnum_bins=1\nbin_seed=0", None, "bin_seed"),
+        ],
+    )
+    def test_keys_unread_under_a_condition_are_rejected(self, doc, overrides, field):
+        # no trials means no seed is drawn, one bin means nothing to shuffle
+        with pytest.raises(ValidationError) as exc:
+            parse_config(doc, overrides)
+        assert exc.value.field == field
+
+    def test_keys_read_under_their_condition_are_kept(self):
+        assert parse_config("kind=layered\ntrials=1\nseed=9")["seed"] == 9
+        assert parse_config("kind=pipeline\ntrials=0")["seed"] == 0
+        assert parse_config("kind=pipeline\nnum_bins=2\nbin_seed=7")["bin_seed"] == 7
+        assert parse_config("kind=pipeline\nnum_bins=1")["bin_seed"] == 0
 
     def test_overrides_count_as_given(self):
         # a grid run rejects an explicit g_seed even at its default

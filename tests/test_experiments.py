@@ -270,6 +270,18 @@ class TestRandomBaseline:
         with pytest.raises(ValidationError):
             random_codebook_baseline(1, 2, 1.0, [0])
 
+    @pytest.mark.parametrize(
+        "dim,power,field",
+        [(0, 1.0, "dim"), (-1, 1.0, "dim"), (2.5, 1.0, "dim"), (True, 1.0, "dim"),
+         (2, math.nan, "power"), (2, math.inf, "power"), (2, -1.0, "power"), (2, 0.0, "power")],
+    )
+    def test_dim_and_power_validation(self, dim, power, field):
+        # NaN and inf powers used to report a NaN or inf grid step, power -1
+        # a bare math domain error and dim 0 a bare numpy reshape error
+        with pytest.raises(ValidationError) as exc:
+            random_codebook_baseline(16, dim, power, [0])
+        assert exc.value.field == field
+
 
 class TestReliabilityRuns:
     def test_weak_residual_variance_tracks_prediction(self):

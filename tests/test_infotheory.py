@@ -21,6 +21,7 @@ from latsec import (
     random_unimodular,
     sum_structure,
 )
+from latsec.infotheory import row_ranks
 
 import oracles
 from exact_rows import grid
@@ -207,6 +208,38 @@ class TestPairSumProperties:
         assert got == oracles.pair_sum_histogram(rep_a, rep_b)
 
 
+def value_bins(rows):
+    """One bin per distinct row: the indices of each value's copies. W is
+    then a function of X1 that fixes X1's value, so I(W; S) = I(X1; S)."""
+    members = {}
+    for i, row in enumerate(rows):
+        members.setdefault(tuple(row), []).append(i)
+    return tuple(tuple(m) for m in members.values())
+
+
+class TestRowRanks:
+    @pytest.mark.parametrize("p,k,n", [(2, 2, 2), (3, 2, 3), (5, 1, 2)])
+    def test_ranks_match_numpy_on_narrow_rows(self, p, k, n):
+        cb = seeded_codebook(p, k, n)
+        sums = (cb.coords[:, None, :] + cb.coords[None, :, :]).reshape(-1, n)
+        expected = np.unique(sums, axis=0, return_inverse=True)[1].ravel()
+        assert np.array_equal(row_ranks(sums), expected)
+        s = sum_structure(cb, cb, 10**6)
+        assert np.array_equal(s.coords, np.unique(sums, axis=0))
+        assert np.array_equal(s.ids.ravel(), expected)
+
+    @settings(max_examples=100)
+    @given(wide_grid_pairs())
+    def test_ranks_match_numpy_on_wide_rows(self, pair):
+        # the sum columns span past 2^63 together, so the keys are rank-compressed
+        a, b = pair
+        sums = (a.coords[:, None, :] + b.coords[None, :, :]).reshape(-1, a.coords.shape[1])
+        for rows in (sums, a.coords):
+            expected = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+            assert np.array_equal(row_ranks(rows), expected)
+        assert np.array_equal(sum_structure(a, b, 10**6).coords, np.unique(sums, axis=0))
+
+
 class TestMutualInfoSum:
     def test_line_codebook_closed_form(self):
         for p in (2, 3, 5, 7):
@@ -222,6 +255,35 @@ class TestMutualInfoSum:
         other = seeded_codebook(2, 2, 2, seed=1)
         assert mutual_info_sum(cb, other, 10**6) == pytest.approx(
             oracles.mutual_info_sum_oracle(cb.points, other.points), abs=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "rows_a,rows_b",
+        [
+            ([[0], [0]], [[0], [0]]),
+            ([[0], [0], [1]], [[0], [0], [1]]),
+            ([[0, 1], [2, 0], [0, 1], [0, 1], [1, 1]], [[1, 0], [1, 0], [0, 0]]),
+            ([[3], [-1]], [[0], [5], [5], [5]]),
+        ],
+    )
+    def test_repeated_rows_count_once_per_copy(self, rows_a, rows_b):
+        # H(X2) used to be log2 |c2|: [[0], [0]] gave -1.0 and {0, 0, 1} -0.193
+        a, b = PointGrid(1, rows_a), PointGrid(1, rows_b)
+        assert mutual_info_sum(a, b, 100) == pytest.approx(
+            oracles.joint_leakage_oracle(value_bins(rows_a), a.points, b.points), abs=1e-12
+        )
+
+    def test_one_repeated_point_leaks_nothing(self):
+        twice = PointGrid(1, [[0], [0]])
+        assert mutual_info_sum(twice, twice, 100) == 0.0
+
+    @settings(max_examples=60)
+    @given(wide_grid_pairs())
+    def test_repeated_wide_rows_match_oracle(self, pair):
+        a, b = pair
+        assert mutual_info_sum(a, b, 10**6) == pytest.approx(
+            oracles.joint_leakage_oracle(value_bins(a.coords.tolist()), a.points, b.points),
+            abs=1e-9,
         )
 
     def test_frozen_spot_values(self):
@@ -253,23 +315,34 @@ class TestBinnedLeakage:
         binned = BinnedCodebook(cb, 1)
         assert joint_bin_sum(binned, cb, 10**6).mutual_info_bits() == 0.0
 
+    @staticmethod
+    def dense_table(binned, structure):
+        """The (num_bins, num_sums) table of joint counts, as the reference."""
+        cells = binned.bin_index[:, None] * structure.num_sums + structure.ids
+        dense = np.bincount(cells.ravel(), minlength=binned.num_bins * structure.num_sums)
+        return dense.reshape(binned.num_bins, structure.num_sums)
+
     def test_joint_structure_consistency(self):
         cb = seeded_codebook(3, 2, 2, seed=2)
         binned = BinnedCodebook(cb, 3, seed=1)
         joint = joint_bin_sum(binned, cb, 10**6)
         structure = sum_structure(cb, cb, 10**6)
+        dense = self.dense_table(binned, structure)
+        # The occupied cells are the table's nonzero entries, in (bin, sum) order.
+        assert np.array_equal(joint.cell_counts, dense[dense > 0])
         # Sum marginal equals the unbinned pair-sum histogram.
-        assert np.array_equal(joint.sum_marginal_counts(), structure.counts())
-        # Bins are equal-probability by construction.
-        assert joint.bin_entropy_bits() == math.log2(3)
-        # Chain rule: the two orders of conditioning agree.
+        assert np.array_equal(joint.sum_counts, structure.counts())
+        assert np.array_equal(dense.sum(axis=0), structure.counts())
+        assert joint.total == int(dense.sum()) == 81
+        # Bins carry equal mass, so H(W) is log2(3).
+        assert (dense.sum(axis=1) == 27).all()
         mi = joint.mutual_info_bits()
-        alt = (
-            joint.bin_entropy_bits()
-            + joint.sum_entropy_bits()
-            - joint.joint_entropy_bits()
+        total = joint.total
+        assert mi == (
+            math.log2(3)
+            + entropy_from_counts(dense.sum(axis=0), total)
+            - entropy_from_counts(dense.ravel(), total)
         )
-        assert mi == alt
         assert mi >= -1e-12
 
     def test_structure_reuse_gives_identical_joint(self):
@@ -278,7 +351,11 @@ class TestBinnedLeakage:
         binned = BinnedCodebook(cb, 2, seed=0)
         a = joint_bin_sum(binned, cb, 10**6)
         b = joint_bin_sum(binned, cb, 10**6, structure=structure)
-        assert np.array_equal(a.counts, b.counts)
+        dense = self.dense_table(binned, structure)
+        assert np.array_equal(a.cell_counts, dense[dense > 0])
+        assert np.array_equal(a.cell_counts, b.cell_counts)
+        assert np.array_equal(a.sum_counts, b.sum_counts)
+        assert a.mutual_info_bits() == b.mutual_info_bits()
 
     def test_full_binning_recovers_unbinned_mi(self):
         # One codeword per bin: W determines X1, so I(W;S) = I(X1;S).

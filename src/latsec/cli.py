@@ -2,10 +2,10 @@
 machine-readable result emission.
 
 Every run produces a result envelope: schema version, package version, the
-echoed config, per-item results, a suite verdict, and the wall clock. Two
-runs of one config give byte-identical payloads except for the wall-clock
-field. Numeric result groups carry a provenance label, one of
-"exact-rational", "monte-carlo±stderr" or "formula".
+echoed config, per-item results and a suite verdict. The envelope holds no
+timing, so two runs of one config render byte-identical reports. Numeric
+result groups carry a provenance label, one of "exact-rational",
+"monte-carlo±stderr" or "formula".
 
 Grid items are processed sequentially in grid order; results are buffered
 and emitted by a single writer, so output ordering never depends on timing.
@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-import time
 from dataclasses import asdict, fields
 from fractions import Fraction
 
@@ -61,7 +60,7 @@ from .experiments import (
 )
 from .lattices import ConstructionALattice, random_code_matrix, random_unimodular
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 
 PROV_EXACT = "exact-rational"
 PROV_MC = "monte-carlo±stderr"
@@ -101,10 +100,6 @@ def _grid_items(config: ExperimentConfig):
     return standard_grid(
         config["p_values"], config["n_max"], config["coset_limit"], config["draws"]
     )
-
-
-def _channel_from_config(config: ExperimentConfig, power: float) -> ChannelParams:
-    return ChannelParams(config["a"], power, config["b"], config["noise_var"], config["ne"])
 
 
 def _layered_from_config(config: ExperimentConfig) -> LayeredCodebook:
@@ -217,7 +212,9 @@ def _run_layered(config: ExperimentConfig):
         "reliability": None,
     }
     if config["trials"] > 0:
-        params = _channel_from_config(config, sum(layered.powers))
+        params = ChannelParams(
+            config["a"], sum(layered.powers), noise_var=config["noise_var"]
+        )
         reliability = layered_reliability(
             layered, params, config["trials"], config["seed"]
         )
@@ -249,7 +246,8 @@ def _run_pipeline(config: ExperimentConfig):
     cb = enumerate_codebook(lat, config["budget"])
     result = run_regime_pipeline(
         cb,
-        _channel_from_config(config, config["power"]),
+        ChannelParams(config["a"], config["power"], config["b"],
+                      config["noise_var"], config["ne"]),
         num_bins=config["num_bins"],
         trials=config["trials"],
         root_seed=config["seed"],
@@ -313,7 +311,6 @@ def run(config: ExperimentConfig) -> dict:
     """Run the experiment a config describes and wrap it in an envelope."""
     from . import __version__
 
-    start = time.perf_counter()
     try:
         results, verdict = _RUNNERS[config.kind](config)
     except LatsecError as exc:
@@ -326,7 +323,6 @@ def run(config: ExperimentConfig) -> dict:
         "config": {"kind": config.kind, **config.values},
         "results": results,
         "verdict": "pass" if verdict else "fail",
-        "wall_clock_s": round(time.perf_counter() - start, 6),
     }
 
 
@@ -509,13 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_for(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {}
-    for field in ("seed", "trials", "budget"):
-        value = getattr(args, field)
-        if value is not None:
-            if value < 0:
-                raise ValidationError(field, f"--{field} must be nonnegative")
-            overrides[field] = value
+    overrides = {
+        field: getattr(args, field)
+        for field in ("seed", "trials", "budget")
+        if getattr(args, field) is not None
+    }
     if args.config is not None:
         config = load_config(args.config, overrides)
     else:

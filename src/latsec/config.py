@@ -56,28 +56,20 @@ _SINGLE_POINT_FIELDS: dict[str, tuple[str, Any]] = {
 
 _COMMON_FIELDS: dict[str, tuple[str, Any]] = {"budget": ("int", 10**6)}
 
-# A key of type "unread" is one its kind never reads, such as seed and trials
-# in the exact kinds: left out it echoes its default, given (in the document
-# or by flag) it is a configuration error.
-_EXACT_ONLY: dict[str, tuple[str, Any]] = {"seed": ("unread", 0), "trials": ("unread", 0)}
-
 SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
     "lattice": {
         **_LATTICE_FIELDS,
-        **_EXACT_ONLY,
         **_COMMON_FIELDS,
         "max_points": ("int", 64),
     },
     "lemmas": {
         **_SINGLE_POINT_FIELDS,
         **_GRID_FIELDS,
-        **_EXACT_ONLY,
         **_COMMON_FIELDS,
     },
     "theorem1": {
         **_SINGLE_POINT_FIELDS,
         **_GRID_FIELDS,
-        **_EXACT_ONLY,
         **_COMMON_FIELDS,
         "bin_seed": ("int", 0),
     },
@@ -94,10 +86,7 @@ SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
         "power1": ("float", float("inf")),
         "power2": ("float", float("inf")),
         "a": ("float", 4.0),
-        # the layered run drops the eavesdropper's output
-        "b": ("unread", 1.0),
         "noise_var": ("float", 1.0),
-        "ne": ("unread", 1.0),
         "seed": ("int", 0),
         "trials": ("int", 0),
         **_COMMON_FIELDS,
@@ -108,7 +97,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
         "power": ("float", 1.0),
         "num_seeds": ("int", 100),
         "seed": ("int", 0),
-        "trials": ("unread", 0),
         **_COMMON_FIELDS,
     },
     "pipeline": {
@@ -128,7 +116,6 @@ SCHEMAS: dict[str, dict[str, tuple[str, Any]]] = {
     },
     "sweep": {
         **_GRID_FIELDS,
-        **_EXACT_ONLY,
         **_COMMON_FIELDS,
         "bin_seed": ("int", 0),
         "include_bins": ("bool", True),
@@ -326,8 +313,8 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> Experime
 
     Accepts a JSON object or flat key=value lines.  ``overrides`` (such as
     command line flags) replace the document's values and are checked like
-    them.  Applies per-kind defaults, rejects unknown keys and keys the kind
-    never reads, and checks value ranges.
+    them.  Applies per-kind defaults, rejects unknown keys (a kind's schema
+    holds only the keys it reads), and checks value ranges.
     """
     stripped = text.lstrip()
     lines: dict[str, int] = {}
@@ -357,8 +344,6 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> Experime
         typename, _ = schema[key]
         if raw_value is None or (isinstance(raw_value, str) and raw_value.strip() == ""):
             values[key] = None
-        elif typename == "unread":
-            raise ValidationError(key, f"{key!r} is not read by kind {kind!r}")
         else:
             values[key] = _COERCERS[typename](key, raw_value)
     given = {key for key, value in values.items() if value is not None}

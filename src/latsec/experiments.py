@@ -426,6 +426,14 @@ def _matched_lattice_shape(size: int):
     return (size, 1)
 
 
+def _check_ints(*checks) -> None:
+    """Raise ValidationError unless each (field, value, low) names an
+    integer value >= low; a bool is not an integer here."""
+    for field, value, low in checks:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValidationError(field, f"{field} must be an integer >= {low}, got {value!r}")
+
+
 def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
     """Exact leakage of i.i.d. random codebooks versus matched lattice ones.
 
@@ -436,8 +444,10 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
     at dimension k since p^k points need code rank k), leakage per
     dimension computed by the identical exact procedure.
     """
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValidationError("dim", f"dim must be an integer >= 1, got {dim!r}")
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValidationError("seeds", "seeds must not be empty")
+    _check_ints(("size", size, 1), ("dim", dim, 1), *(("seeds", s, 0) for s in seeds))
     if not (math.isfinite(power) and power > 0):
         raise ValidationError("power", f"power must be finite and positive, got {power!r}")
     size = int(size)
@@ -486,9 +496,7 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
 def _checked_trials(trials, root_seed, least=1) -> int:
     """trials as an int, once trials is checked to be an integer >= least
     and root_seed an integer >= 0."""
-    for field, value, low in (("trials", trials, least), ("root_seed", root_seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-            raise ValidationError(field, f"{field} must be an integer >= {low}, got {value!r}")
+    _check_ints(("trials", trials, least), ("root_seed", root_seed, 0))
     return int(trials)
 
 

@@ -35,21 +35,18 @@ def run_json(text):
     return run(parse_config(text))
 
 
-def envelope_without_clock(envelope):
-    doc = json.loads(render(envelope, "json"))
-    doc.pop("wall_clock_s")
-    return doc
-
-
 class TestRunEnvelope:
     def test_envelope_shape_and_single_lattice_lemma(self):
         envelope = run_json(SINGLE_LEMMA)
-        assert envelope["schema_version"] == "1.0"
+        # the envelope is its deterministic payload: no timing field
+        assert list(envelope) == [
+            "schema_version", "package", "kind", "config", "results", "verdict"
+        ]
+        assert envelope["schema_version"] == "2.0"
         assert envelope["package"] == {"name": "latsec", "version": latsec.__version__}
         assert envelope["kind"] == "lemmas"
         assert list(envelope["config"])[0] == "kind"
         assert envelope["verdict"] == "pass"
-        assert isinstance(envelope["wall_clock_s"], float)
         results = envelope["results"]
         assert results["provenance"] == "exact-rational"
         assert results["summary"] == {
@@ -73,18 +70,18 @@ class TestRunEnvelope:
         assert envelope["results"]["references"]["provenance"] == "formula"
 
     def test_identical_configs_give_identical_payloads(self):
-        a = run_json(SINGLE_LEMMA)
-        b = run_json(SINGLE_LEMMA)
-        assert envelope_without_clock(a) == envelope_without_clock(b)
+        for fmt in ("json", "csv"):
+            assert render(run_json(SINGLE_LEMMA), fmt) == render(run_json(SINGLE_LEMMA), fmt)
 
     def test_power_samples_is_retired(self):
         # Power scaling uses the exact cell moment; the key is only echoed.
         base = "kind=pipeline\na=0.3\nscale=4\nnum_bins=2\ntrials=20\n"
-        one = envelope_without_clock(run_json(base + "power_samples=1\n"))
-        many = envelope_without_clock(run_json(base + "power_samples=20000\n"))
-        assert one["config"].pop("power_samples") == 1
-        assert many["config"].pop("power_samples") == 20000
-        assert one == many
+        one = run_json(base + "power_samples=1\n")
+        many = run_json(base + "power_samples=20000\n")
+        assert one["config"]["power_samples"] == 1
+        assert {**one["config"], "power_samples": 20000} == many["config"]
+        assert jsonable(one["results"]) == jsonable(many["results"])
+        assert one["verdict"] == many["verdict"] == "pass"
 
     def test_errors_carry_the_running_kind(self):
         config = parse_config("kind=lattice\nk=2\nn=2\nbudget=1\n")
@@ -385,7 +382,23 @@ class TestMainExitCodes:
         capsys.readouterr()
         path = self.write(tmp_path, "kind=pipeline\ntrials=10\npower_samples=100\n")
         assert main(["simulate", "pipeline", "--config", path, "--seed", "-1"]) == 2
-        assert "--seed must be nonnegative" in capsys.readouterr().err
+        assert "'seed' must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["simulate", "pipeline"], ["--seed", "-1"]),
+            (["simulate", "pipeline"], ["--trials", "-1"]),
+            (["verify", "lemmas"], ["--budget", "-1"]),
+            (["simulate", "layered"], ["--trials", "-2"]),
+            (["compare", "random"], ["--seed", "-3"]),
+        ],
+    )
+    def test_negative_flags_are_two_naming_the_key(self, capsys, argv, flag):
+        # the flag is checked by the config's own range check
+        assert main(argv + flag) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"'{flag[0][2:]}' must be nonnegative" in err
 
     @pytest.mark.parametrize(
         "argv,doc",
@@ -516,7 +529,7 @@ class TestMainExitCodes:
         key = flag[2:]
         assert main(argv + [flag, "5"]) == 2
         err = capsys.readouterr().err
-        assert "configuration error" in err and f"'{key}' is not read by kind '{kind}'" in err
+        assert "configuration error" in err and f"unknown key '{key}' for kind '{kind}'" in err
         path = self.write(tmp_path, f"kind={kind}\n{key}=5\n")
         assert main(argv + ["--config", path]) == 2
         assert f"'{key}'" in capsys.readouterr().err
@@ -551,11 +564,10 @@ class TestMainExitCodes:
     def test_flags_equal_the_same_key_in_the_document(self, tmp_path, capsys, argv, doc, flags):
         key, value = flags[0][2:], flags[1]
         assert main(argv + ["--config", self.write(tmp_path, doc)] + flags) == 0
-        by_flag = json.loads(capsys.readouterr().out)
+        by_flag = capsys.readouterr().out
         assert main(argv + ["--config", self.write(tmp_path, doc + f"{key}={value}\n")]) == 0
-        by_doc = json.loads(capsys.readouterr().out)
-        assert by_flag["config"][key] == int(value)
-        del by_flag["wall_clock_s"], by_doc["wall_clock_s"]
+        by_doc = capsys.readouterr().out
+        assert json.loads(by_flag)["config"][key] == int(value)
         assert by_flag == by_doc
 
     @pytest.mark.parametrize(

@@ -19,8 +19,7 @@ class TestFlatFormat:
         assert config["n_max"] == 6
         assert config["coset_limit"] == 512
         assert config["draws"] == 5
-        assert config["seed"] == 0
-        assert config["trials"] == 0
+        assert "seed" not in config.values and "trials" not in config.values
         assert config["budget"] == 10**6
         assert config["p"] is None and config["k"] is None and config["n"] is None
 
@@ -252,7 +251,9 @@ class TestValidation:
         with pytest.raises(ValidationError):
             parse_config("kind=pipeline\nnoise_var=-1")
         with pytest.raises(ValidationError):
-            parse_config("kind=layered\nne=-0.5")
+            parse_config("kind=pipeline\nne=-0.5")
+        with pytest.raises(ValidationError):
+            parse_config("kind=layered\nnoise_var=-0.5")
         assert parse_config("kind=pipeline\nnoise_var=0")["noise_var"] == 0.0
 
     @pytest.mark.parametrize(
@@ -261,7 +262,6 @@ class TestValidation:
             ("pipeline", "noise_var", "inf"),
             ("pipeline", "ne", "inf"),
             ("layered", "noise_var", "inf"),
-            ("layered", "ne", "inf"),
         ],
     )
     def test_infinite_noise_rejected(self, kind, field, value):
@@ -315,26 +315,26 @@ class TestValidation:
         assert (echo["scale"], echo["g_seed"], echo["gprime_seed"]) == ("1/1", 0, 0)
 
 
-# every (kind, key) pair the kind never reads
+# every (kind, key) pair the kind never reads, so its schema lacks the key
 UNREAD = [
     (kind, key)
     for kind in ("lattice", "lemmas", "theorem1", "sweep")
     for key in ("seed", "trials")
-] + [("baseline", "trials")]
+] + [("baseline", "trials")] + [("layered", "b"), ("layered", "ne")]
 
 
 class TestKeysAKindReads:
     @pytest.mark.parametrize("kind,key", UNREAD, ids=[f"{k}-{f}" for k, f in UNREAD])
     def test_unread_keys_are_rejected_when_given(self, kind, key):
-        # these kinds used to echo the value and ignore it
-        for doc, overrides in ((f"kind={kind}\n{key}=3", None), (f"kind={kind}", {key: 3})):
-            with pytest.raises(ValidationError) as exc:
+        # these kinds used to echo the value and ignore it; the key is now
+        # unknown to the kind, in the document, by override, and set to nothing
+        docs = ((f"kind={kind}\n{key}=3", None), (f"kind={kind}", {key: 3}),
+                (f"kind={kind}\n{key}=", None))
+        for doc, overrides in docs:
+            with pytest.raises(ParseError, match=f"unknown key {key!r} for kind {kind!r}"):
                 parse_config(doc, overrides)
-            assert exc.value.field == key
-            assert repr(key) in str(exc.value) and repr(kind) in str(exc.value)
-        # left out, or set to nothing, they echo their default as before
-        assert parse_config(f"kind={kind}")[key] == 0
-        assert parse_config(f"kind={kind}\n{key}=")[key] == 0
+        # left out, it is not echoed either: the echo is the config's values
+        assert key not in SCHEMAS[kind] and key not in parse_config(f"kind={kind}").values
 
     @pytest.mark.parametrize(
         "kind,key",
@@ -354,12 +354,12 @@ class TestKeysAKindReads:
     def test_layered_rejects_eavesdropper_keys(self, doc):
         # the layered run drops the eavesdropper's output, so b and ne
         # used to leave the report unchanged
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(ParseError) as exc:
             parse_config(f"kind=layered\ntrials=50\nseed=3\n{doc}")
-        assert exc.value.field == doc[: doc.index("=")]
-        assert "is not read by kind 'layered'" in str(exc.value)
+        assert f"unknown key {doc[: doc.index('=')]!r} for kind 'layered'" in str(exc.value)
+        assert exc.value.line == 4
         config = parse_config("kind=layered\ntrials=50\nseed=3")
-        assert (config["b"], config["ne"]) == (1.0, 1.0)
+        assert "b" not in config.values and "ne" not in config.values
 
     @pytest.mark.parametrize(
         "doc,overrides,field",
@@ -394,7 +394,7 @@ class TestKeysAKindReads:
         path = tmp_path / "doc.cfg"
         path.write_text("kind=baseline\nseed=1\n", encoding="utf-8")
         assert load_config(str(path), {"seed": 4})["seed"] == 4
-        with pytest.raises(ValidationError):
+        with pytest.raises(ParseError, match="unknown key 'trials' for kind 'baseline'"):
             load_config(str(path), {"trials": 4})
 
     def test_sweep_bin_seed_needs_bins(self):

@@ -282,6 +282,24 @@ class TestRandomBaseline:
             random_codebook_baseline(16, dim, power, [0])
         assert exc.value.field == field
 
+    @pytest.mark.parametrize(
+        "size,seeds,field",
+        [(16.7, [0], "size"), (16.0, [0], "size"), (True, [0], "size"),
+         (16, [], "seeds"), (16, [-1], "seeds"), (16, [True], "seeds"),
+         (16, [0.9], "seeds"), (16, [0, 1, "2"], "seeds")],
+    )
+    def test_size_and_seed_validation(self, size, seeds, field):
+        # size 16.7 and seed 0.9 used to run as 16 and 0, seed True as 1, an
+        # empty seed list to give a comparison whose fractions divide by
+        # zero, and seed -1 a bare ValueError
+        with pytest.raises(ValidationError) as exc:
+            random_codebook_baseline(size, 2, 1.0, seeds)
+        assert exc.value.field == field
+
+    def test_numpy_integer_size_and_seeds_are_integers(self):
+        result = random_codebook_baseline(np.int64(9), 2, 1.0, np.arange(2))
+        assert result.codebook_size == 9 and [r.seed for r in result.rows] == [0, 1]
+
 
 class TestReliabilityRuns:
     def test_weak_residual_variance_tracks_prediction(self):

@@ -1,16 +1,18 @@
 """Golden reports: small named configs covering every experiment kind,
 rendered through the CLI in JSON and CSV, pinned byte for byte.
 
-Only the wall clock is masked. Regenerate the files (after a deliberate
-change of output) with ``PYTHONPATH=src python tests/test_golden.py``.
+Nothing is masked: a report holds no timing. Regenerate the files (after a
+deliberate change of output) with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import os
 import pathlib
-import re
+import subprocess
 import sys
 
 import pytest
 
+import latsec
 from latsec.cli import _SUBCOMMANDS, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -37,37 +39,49 @@ CASES = {
 }
 FORMATS = ("json", "csv")
 
-_CLOCK = re.compile(r'("wall_clock_s": )[^,\n]*')
-
 
 def _argv(kind):
     group, action, _, _ = next(s for s in _SUBCOMMANDS if s[2] == kind)
     return [group] if action is None else [group, action]
 
 
-def render_masked(name, fmt, out_path):
+def render_case(name, fmt, out_path):
+    """Exit code and report bytes of one case, written to out_path."""
     argv = _argv(CASES[name]) + ["--config", str(GOLDEN / f"{name}.cfg"),
-                          "--format", fmt, "--out", str(out_path)]
+                                 "--format", fmt, "--out", str(out_path)]
     code = main(argv)
-    text = pathlib.Path(out_path).read_bytes().decode("utf-8")
-    return code, _CLOCK.sub(r"\g<1>0.0", text)
+    return code, pathlib.Path(out_path).read_bytes()
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", CASES)
 def test_report_matches_golden(name, fmt, tmp_path):
-    code, text = render_masked(name, fmt, tmp_path / f"out.{fmt}")
+    code, data = render_case(name, fmt, tmp_path / f"out.{fmt}")
     assert code == 0
-    expected = (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
-    assert text == expected
+    assert data == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["pipeline", "theorem1"])
+def test_fresh_processes_render_the_golden_bytes(name):
+    # one Monte Carlo and one exact case, each in two new interpreters with
+    # different hash seeds; stdout is compared as it is
+    package_root = str(pathlib.Path(latsec.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "latsec", *_argv(CASES[name]),
+            "--config", str(GOLDEN / f"{name}.cfg")]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=300, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] == (GOLDEN / f"{name}.json").read_bytes()
 
 
 if __name__ == "__main__":
     for name in CASES:
         for fmt in FORMATS:
             target = GOLDEN / f"{name}.{fmt}"
-            code, text = render_masked(name, fmt, target)
+            code, _ = render_case(name, fmt, target)
             if code != 0:
                 sys.exit(f"{name}: exit code {code}")
-            target.write_bytes(text.encode("utf-8"))
             print(target)

@@ -11,6 +11,7 @@ identical results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -448,7 +449,12 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
     if not seeds:
         raise ValidationError("seeds", "seeds must not be empty")
     _check_ints(("size", size, 1), ("dim", dim, 1), *(("seeds", s, 0) for s in seeds))
-    if not (math.isfinite(power) and power > 0):
+    # a bool is not a number here, as in _check_ints
+    if (
+        isinstance(power, bool)
+        or not isinstance(power, numbers.Real)
+        or not (math.isfinite(power) and power > 0)
+    ):
         raise ValidationError("power", f"power must be finite and positive, got {power!r}")
     size = int(size)
     dim = int(dim)

@@ -15,6 +15,19 @@ mixed-radix digit, so a 1-D np.unique ranks the distinct rows in row
 order. Where the product of the digit spans would pass 2^63, the key so
 far (and, if it alone is that wide, the column) is replaced by its rank
 among its distinct values, which keeps the order.
+
+A message-ordered Codebook summed with itself skips the sort over its
+|C|^2 pair sums. C is a group under digit-wise message addition mod p, so
+x + y is the codeword z of the summed messages with each coordinate left
+as z_i or moved by -+p: one carry bit per coordinate. The key
+z * 2^n + bits names the sum, so np.bincount over the |C| * 2^n keys finds
+the distinct sums (|C + C| <= 2^n |C|, the sum-set lemma) and only those
+are ranked; past 8 |C|^2 + 1024 keys the pairs are sorted instead.
+
+Binned joint counts take closed forms for 1 bin (the cells are the sum
+marginal) and for |C| bins against the binned codebook itself (every cell
+holds one pair), and count the other (bin, sum) cells by np.bincount
+instead of np.unique when the cell space is small next to the pairs.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ import math
 
 import numpy as np
 
+from .codebooks import Codebook
 from .errors import BudgetExceeded, DimensionMismatch, EmptyCodebook
 from .lattices import PointGrid, on_grid
 
@@ -32,9 +46,12 @@ class SumStructure(PointGrid):
 
     The distinct sums are unit * coords[s], rows in lexicographic order
     (ranked by row_ranks on order-preserving int64 row keys), and
-    ids[i, j] is the row of a_i + b_j. As a PointGrid the structure is
-    the sum set itself, so sums of sums chain without leaving int64.
-    Building it once lets callers derive counts for many binnings cheaply.
+    ids[i, j] is the row of a_i + b_j. For a message-ordered Codebook
+    summed with itself, only the distinct sums are ranked, found by their
+    codeword-and-carry keys; the result is the same. As a PointGrid the
+    structure is the sum set itself, so sums of sums chain without leaving
+    int64. Building it once lets callers derive counts for many binnings
+    cheaply.
     """
 
     def __init__(self, unit, coords, ids):
@@ -94,12 +111,58 @@ def sum_structure(a, b, budget=10**6) -> SumStructure:
         raise DimensionMismatch(f"dimensions {ga.shape[1]} and {gb.shape[1]} differ")
     if len(ga) * len(gb) > budget:
         raise BudgetExceeded(f"{len(ga)}*{len(gb)} pair sums exceed budget {budget}")
+    if _self_sum(a, b) and _dense(len(a) << a.n, len(a) ** 2):
+        return _carry_structure(a)
     sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
     ranks = row_ranks(sums)
     # every row written to one rank is the same row, so the result is fixed
     distinct = np.empty((ranks.max() + 1, sums.shape[1]), dtype=np.int64)
     distinct[ranks] = sums
     return SumStructure(unit, distinct, ranks.reshape(len(ga), len(gb)))
+
+
+def _dense(space, pairs) -> bool:
+    """Whether counting pairs over a key space of this size by np.bincount
+    beats sorting them."""
+    return space <= 8 * pairs + 1024
+
+
+def _self_sum(a, b) -> bool:
+    """Whether a + b is one Codebook summed with itself whose rows are its
+    lattice's codewords in message order (Codebook accepts any rows)."""
+    if a is not b or not isinstance(a, Codebook) or len(a) != a.lattice.num_cosets:
+        return False
+    return np.array_equal(a.coords, a.lattice.message_coords(np.arange(len(a))))
+
+
+def _carry_structure(cb) -> SumStructure:
+    """sum_structure(cb, cb) from the key z * 2^n + bits of each pair: z the
+    message index of the digit-wise message sum mod p, bit i set where
+    s_i = x_i + y_i leaves the cell, (2 s_i >= p) | (2 s_i < -p), which for
+    a prime p and coordinates in [-p/2, p/2) is |s_i| > p // 2."""
+    p, n, x = cb.lattice.p, cb.n, cb.coords
+    digit_sum = np.add.outer(np.arange(p), np.arange(p)) % p
+    z = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(cb.lattice.k):
+        # one more message digit on each side, as the least significant
+        z = (z[:, None, :, None] * p + digit_sum[:, None, :]).reshape(len(z) * p, -1)
+    small = x.astype(np.min_scalar_type(-2 * p))
+    # signed, so adding the bits to the int64 keys stays int64
+    bits = np.zeros(z.shape, dtype=np.min_scalar_type(-(1 << n)))
+    for i in range(n):
+        bits |= (np.abs(small[:, i, None] + small[:, i]) > p // 2).astype(bits.dtype) << i
+    keys = (z << n) + bits
+    space = len(cb) << n
+    occupied = np.flatnonzero(np.bincount(keys.ravel(), minlength=space))
+    codeword = x[occupied >> n]
+    carry = (occupied[:, None] >> np.arange(n)) & 1
+    rows = codeword + carry * np.where(codeword >= 0, -p, p)
+    ranks = row_ranks(rows)
+    distinct = np.empty_like(rows)
+    distinct[ranks] = rows
+    table = np.empty(space, dtype=np.int64)
+    table[occupied] = ranks
+    return SumStructure(cb.unit, distinct, table[keys])
 
 
 def entropy_from_counts(counts, total=None) -> float:
@@ -124,8 +187,8 @@ def mutual_info_sum(c1, c2, budget=10**6) -> float:
 class JointBinSumDist:
     """Joint law of (bin index W, sum point S) as exact counts over one
     total: the sum marginal and the occupied (w, s) cells in (bin, sum)
-    order. Bins carry equal mass (BinnedCodebook guarantees it), so
-    H(W) = log2(num_bins)."""
+    order, or None for cells that each hold one pair. Bins carry equal
+    mass (BinnedCodebook guarantees it), so H(W) = log2(num_bins)."""
 
     def __init__(self, num_bins, sum_counts, cell_counts):
         self.num_bins = num_bins
@@ -135,7 +198,11 @@ class JointBinSumDist:
 
     def mutual_info_bits(self) -> float:
         h_sum = entropy_from_counts(self.sum_counts, self.total)
-        return math.log2(self.num_bins) + h_sum - entropy_from_counts(self.cell_counts, self.total)
+        if self.cell_counts is None:
+            h_cells = math.log2(self.total)
+        else:
+            h_cells = entropy_from_counts(self.cell_counts, self.total)
+        return math.log2(self.num_bins) + h_sum - h_cells
 
 
 def joint_bin_sum(binned, other, budget=10**6, structure=None) -> JointBinSumDist:
@@ -145,10 +212,22 @@ def joint_bin_sum(binned, other, budget=10**6, structure=None) -> JointBinSumDis
     the bin), X2 independent and uniform on `other`. A precomputed
     SumStructure for (binned.codebook, other) may be passed to amortize the
     pair enumeration across several binnings. Cell (w, s) is keyed
-    w * num_sums + s.
+    w * num_sums + s. With one bin the cells are the sum marginal; with one
+    codeword per bin against the binned codebook itself, message-ordered,
+    every cell holds one pair (cell_counts None).
     """
     if structure is None:
         structure = sum_structure(binned.codebook, other, budget)
+    num_bins, sum_counts = binned.num_bins, structure.counts()
+    if num_bins == 1:
+        return JointBinSumDist(1, sum_counts, sum_counts)
+    if num_bins == len(binned.codebook) and _self_sum(binned.codebook, other):
+        return JointBinSumDist(num_bins, sum_counts, None)
     cells = binned.bin_index[:, None] * structure.num_sums + structure.ids
-    _, cell_counts = np.unique(cells, return_counts=True)
-    return JointBinSumDist(binned.num_bins, structure.counts(), cell_counts)
+    space = num_bins * structure.num_sums
+    if _dense(space, cells.size):
+        cell_counts = np.bincount(cells.ravel(), minlength=space)
+        cell_counts = cell_counts[cell_counts > 0]
+    else:
+        _, cell_counts = np.unique(cells, return_counts=True)
+    return JointBinSumDist(num_bins, sum_counts, cell_counts)

@@ -273,11 +273,13 @@ class TestRandomBaseline:
     @pytest.mark.parametrize(
         "dim,power,field",
         [(0, 1.0, "dim"), (-1, 1.0, "dim"), (2.5, 1.0, "dim"), (True, 1.0, "dim"),
-         (2, math.nan, "power"), (2, math.inf, "power"), (2, -1.0, "power"), (2, 0.0, "power")],
+         (2, math.nan, "power"), (2, math.inf, "power"), (2, -1.0, "power"), (2, 0.0, "power"),
+         (2, True, "power"), (2, "1", "power"), (2, None, "power")],
     )
     def test_dim_and_power_validation(self, dim, power, field):
         # NaN and inf powers used to report a NaN or inf grid step, power -1
-        # a bare math domain error and dim 0 a bare numpy reshape error
+        # a bare math domain error and dim 0 a bare numpy reshape error;
+        # power True ran as 1.0 and power "1" raised a bare TypeError
         with pytest.raises(ValidationError) as exc:
             random_codebook_baseline(16, dim, power, [0])
         assert exc.value.field == field
@@ -299,6 +301,11 @@ class TestRandomBaseline:
     def test_numpy_integer_size_and_seeds_are_integers(self):
         result = random_codebook_baseline(np.int64(9), 2, 1.0, np.arange(2))
         assert result.codebook_size == 9 and [r.seed for r in result.rows] == [0, 1]
+
+    def test_any_real_power_is_a_number(self):
+        expected = random_codebook_baseline(9, 2, 1.0, [0])
+        for power in (1, np.int64(1), np.float32(1.0), Fraction(1)):
+            assert random_codebook_baseline(9, 2, power, [0]) == expected
 
 
 class TestReliabilityRuns:

@@ -1,5 +1,6 @@
 """Exact count arithmetic: pair sums, entropies, binned leakage."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from latsec import (
     BinnedCodebook,
     BudgetExceeded,
+    Codebook,
     ConstructionALattice,
+    JointBinSumDist,
     PointGrid,
     entropy_from_counts,
     enumerate_codebook,
@@ -19,8 +22,11 @@ from latsec import (
     mutual_info_sum,
     random_code_matrix,
     random_unimodular,
+    scale_to_power,
+    standard_grid,
     sum_structure,
 )
+from latsec import infotheory
 from latsec.infotheory import row_ranks
 
 import oracles
@@ -373,3 +379,196 @@ class TestBinnedLeakage:
             binned = BinnedCodebook(cb, bins, seed=7)
             leaks.append(joint_bin_sum(binned, cb, 10**6).mutual_info_bits())
         assert all(b >= a - 1e-12 for a, b in zip(leaks, leaks[1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def standard_grid_builds():
+    """(GridPoint, codebook, sum_structure(cb, cb)) for every standard-grid point."""
+    out = []
+    for point in standard_grid():
+        cb = enumerate_codebook(point.build_lattice())
+        out.append((point, cb, sum_structure(cb, cb, 10**6)))
+    return tuple(out)
+
+
+def general_structure(cb):
+    """sum_structure over all |C|^2 sorted pair sums: cb against a copy of
+    its rows that is not the same Codebook."""
+    return sum_structure(cb, PointGrid(cb.unit, cb.coords), 10**6)
+
+
+def assert_same_structure(got, expected):
+    assert got.unit == expected.unit
+    assert np.array_equal(got.coords, expected.coords)
+    assert np.array_equal(got.ids, expected.ids)
+
+
+@pytest.fixture
+def carry_calls(monkeypatch):
+    """The codebooks the carry-key path is called with, in call order."""
+    calls = []
+    real = infotheory._carry_structure
+
+    def spy(cb):
+        calls.append(cb)
+        return real(cb)
+
+    monkeypatch.setattr(infotheory, "_carry_structure", spy)
+    return calls
+
+
+class TestCarryPath:
+    """A message-ordered Codebook summed with itself is counted by codeword
+    and carry bits; the SumStructure must be the one the sort gives."""
+
+    def test_standard_grid_matches_general_path(self):
+        for point, cb, structure in standard_grid_builds():
+            assert_same_structure(structure, general_structure(cb))
+
+    def test_standard_grid_takes_the_carry_path(self, carry_calls):
+        for point, cb, _ in standard_grid_builds()[::20]:
+            sum_structure(cb, cb, 10**6)
+            assert carry_calls[-1] is cb
+
+    @pytest.mark.parametrize("p,k,n", [(2, 1, 1), (3, 1, 1), (7, 1, 1), (2, 1, 3), (2, 3, 3)])
+    def test_one_dimension_and_binary_codes(self, p, k, n, carry_calls):
+        # p = 2 puts codewords at 0 and -1: the sum -2 is the carry of z_i = 0
+        cb = seeded_codebook(p, k, n)
+        s = sum_structure(cb, cb, 10**6)
+        assert carry_calls == [cb]
+        assert_same_structure(s, general_structure(cb))
+        got = {pt: int(c) for pt, c in zip(s.points, s.counts())}
+        assert got == oracles.pair_sum_histogram(cb.points, cb.points)
+
+    def test_power_scaled_codebook(self, carry_calls):
+        cb = seeded_codebook(3, 2, 3, scale=Fraction(7, 2))
+        scaled = scale_to_power(cb, 1e-3)
+        assert scaled.unit != cb.unit
+        s = sum_structure(scaled, scaled, 10**6)
+        assert carry_calls == [scaled]
+        assert s.unit == scaled.unit
+        assert_same_structure(s, general_structure(scaled))
+        assert np.array_equal(s.ids, sum_structure(cb, cb, 10**6).ids)
+
+    @settings(max_examples=30)
+    @given(st.integers(1, 3).flatmap(small_codebooks))
+    def test_any_scale_matches_general_path(self, cb):
+        assert_same_structure(sum_structure(cb, cb, 10**6), general_structure(cb))
+
+    def test_reversed_rows_take_the_general_path(self, carry_calls):
+        cb = seeded_codebook(3, 2, 2, seed=1)
+        reversed_cb = Codebook(cb.lattice, cb.coords[::-1])
+        s = sum_structure(reversed_cb, reversed_cb, 10**6)
+        assert carry_calls == []
+        got = {pt: int(c) for pt, c in zip(s.points, s.counts())}
+        assert got == oracles.pair_sum_histogram(reversed_cb.points, reversed_cb.points)
+        assert np.array_equal(s.ids, sum_structure(cb, cb, 10**6).ids[::-1, ::-1])
+
+    def test_two_codebooks_take_the_general_path(self, carry_calls):
+        cb = seeded_codebook(2, 2, 3, seed=2)
+        twin = Codebook(cb.lattice, cb.coords)
+        other = seeded_codebook(2, 2, 3, seed=3)
+        for b in (twin, other):
+            s = sum_structure(cb, b, 10**6)
+            got = {pt: int(c) for pt, c in zip(s.points, s.counts())}
+            assert got == oracles.pair_sum_histogram(cb.points, b.points)
+        assert carry_calls == []
+
+    def test_budget_text_is_unchanged(self):
+        cb = seeded_codebook(5, 2, 2)
+        with pytest.raises(BudgetExceeded, match=r"^25\*25 pair sums exceed budget 624$"):
+            sum_structure(cb, cb, budget=624)
+
+    def test_mutual_info_is_the_carry_entropy_given_the_codeword(self):
+        # z = x (+) y is uniform on C and the sum is (z, carry bits), so
+        # I(X1; X1 + X2) = H(S) - log2|C| = H(bits | z). The carries here
+        # come from the coordinates alone, not from the message digits.
+        for point, cb, _ in standard_grid_builds():
+            p, n, x = point.p, point.n, cb.coords
+            s = x[:, None, :] + x[None, :, :]
+            carry = (2 * s >= p) | (2 * s < -p)
+            folded = s - p * np.where(2 * s >= p, 1, 0) + p * np.where(2 * s < -p, 1, 0)
+            # each folded sum is a codeword: look its row up by base-p digits
+            radix = p ** np.arange(n)
+            row_of = np.full(p**n, -1)
+            row_of[(x + p // 2) @ radix] = np.arange(len(cb))
+            z = row_of[(folded + p // 2) @ radix]
+            assert (z >= 0).all()
+            keys = z * 2**n + carry @ (1 << np.arange(n))
+            z_of_key, counts = np.unique(keys, return_counts=True)
+            z_of_key //= 2**n
+            h = sum(
+                entropy_from_counts(counts[z_of_key == zi], len(cb)) for zi in range(len(cb))
+            ) / len(cb)
+            assert h == pytest.approx(mutual_info_sum(cb, cb, 10**6), abs=1e-12)
+
+
+def _cell_path(binned, structure):
+    if binned.num_bins == 1:
+        return "one bin"
+    if binned.num_bins == len(binned.codebook):
+        return "one codeword per bin"
+    pairs = structure.ids.size
+    return "dense" if infotheory._dense(binned.num_bins * structure.num_sums, pairs) else "sorted"
+
+
+def sorted_joint(binned, structure):
+    """JointBinSumDist with every (bin, sum) cell counted by np.unique."""
+    cells = binned.bin_index[:, None] * structure.num_sums + structure.ids
+    _, cell_counts = np.unique(cells, return_counts=True)
+    return JointBinSumDist(binned.num_bins, structure.counts(), cell_counts)
+
+
+class TestBinnedCellPaths:
+    def test_standard_grid_paths_match_sorted_cells(self):
+        # theorem-1's binnings: p^0 .. p^k bins, bin_seed 0
+        seen = set()
+        for point, cb, structure in standard_grid_builds():
+            for j in range(point.k + 1):
+                binned = BinnedCodebook(cb, point.p**j, 0)
+                joint = joint_bin_sum(binned, cb, 10**6, structure=structure)
+                seen.add(_cell_path(binned, structure))
+                assert joint.mutual_info_bits() == sorted_joint(binned, structure).mutual_info_bits()
+        # no standard-grid binning has a (bin, sum) space past 8 |C|^2 + 1024
+        assert seen == {"one bin", "one codeword per bin", "dense"}
+
+    def test_wide_binnings_take_the_sorted_path(self):
+        cb = seeded_codebook(2, 6, 10)
+        structure = sum_structure(cb, cb, 10**6)
+        binned = BinnedCodebook(cb, 32, seed=0)
+        assert _cell_path(binned, structure) == "sorted"
+        joint = joint_bin_sum(binned, cb, 10**6, structure=structure)
+        reference = sorted_joint(binned, structure)
+        assert np.array_equal(joint.cell_counts, reference.cell_counts)
+        assert joint.mutual_info_bits() == reference.mutual_info_bits()
+
+    @pytest.mark.parametrize("bins,path", [
+        (1, "one bin"), (27, "one codeword per bin"), (3, "dense"), (9, "dense"),
+    ])
+    def test_each_path_matches_reference_and_oracle(self, bins, path):
+        cb = seeded_codebook(3, 3, 3, seed=1)
+        structure = sum_structure(cb, cb, 10**6)
+        binned = BinnedCodebook(cb, bins, seed=0)
+        assert _cell_path(binned, structure) == path
+        leak = joint_bin_sum(binned, cb, 10**6).mutual_info_bits()
+        assert leak == sorted_joint(binned, structure).mutual_info_bits()
+        expected = oracles.joint_leakage_oracle(oracles.bins_of(binned), cb.points, cb.points)
+        assert leak == pytest.approx(expected, abs=1e-12)
+        if path == "one bin":
+            assert leak == 0.0
+
+    def test_closed_forms_need_the_binned_codebook_itself(self):
+        # one codeword per bin against another codebook counts its cells
+        cb = seeded_codebook(2, 2, 2)
+        reversed_cb = Codebook(cb.lattice, cb.coords[::-1])
+        for other in (Codebook(cb.lattice, cb.coords), reversed_cb):
+            joint = joint_bin_sum(BinnedCodebook(cb, 4), other, 10**6)
+            assert joint.cell_counts is not None
+        doubled = Codebook(cb.lattice, np.repeat(cb.coords[:2], 2, axis=0))
+        joint = joint_bin_sum(BinnedCodebook(doubled, 4), doubled, 10**6)
+        assert joint.cell_counts is not None and joint.cell_counts.max() == 2
+        leak = joint.mutual_info_bits()
+        expected = oracles.joint_leakage_oracle(
+            tuple((i,) for i in range(4)), doubled.points, doubled.points
+        )
+        assert leak == pytest.approx(expected, abs=1e-12)

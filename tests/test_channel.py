@@ -1,5 +1,6 @@
 """Channel model, regime classification, and the three decoders."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from latsec import (
     transmit,
     trial_rng,
 )
-from latsec.channel import TRIAL_BLOCK, _reseed, _trial_draws, _trial_states
+from latsec.channel import TRIAL_BLOCK, _reseed, _trial_blocks, _trial_draws, _trial_states
 
 import oracles
 from exact_rows import grid
@@ -283,6 +284,70 @@ def _check_draws(root_seed, indices, sizes, doubles):
 # method rejects a word with probability about 1/2 and 1/4
 DRAW_SIZES = [1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1]
 REJECTING = {2**31 + 1, 3 * 2**30}
+
+
+def _blocks_digest(trials, root_seed, sizes, n, dithers):
+    """sha256 over every block _trial_blocks yields: each block's start,
+    then each array's dtype, shape, C-contiguity and values."""
+    h = hashlib.sha256()
+    for start, *arrays in _trial_blocks(trials, root_seed, sizes, n, dithers):
+        h.update(f"start {start};".encode())
+        for a in arrays:
+            if a is None:
+                h.update(b"none;")
+            else:
+                h.update(f"{a.dtype.str} {a.shape} {a.flags.c_contiguous};".encode())
+                h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# (trials, sizes, n, dithers): the layered_mc shape; a weak-scheme run with
+# dithers; a layer numpy draws on its 64-bit integer path; and one whose
+# Lemire method rejects a word about one time in four
+BLOCK_RUNS = {
+    "layered": (40_000, (9, 3), 3, False),
+    "weak": (2_100, (9,), 4, True),
+    "wide": (TRIAL_BLOCK + 37, (2**32 + 1, 5), 2, False),
+    "rejecting": (TRIAL_BLOCK + 37, (3 * 2**30, 1, 2), 2, True),
+}
+BLOCK_SEEDS = [0, 1, 2**64 - 1, 2**100 + 3]
+# digests of the draws as trial_rng makes them one generator per trial,
+# taken before _trial_blocks computed them from limb arithmetic; a row on any
+# path (fast, normals redrawn, fully redrawn) that moves one bit moves these
+BLOCK_DIGESTS = {
+    "layered": [
+        "1936b746fb74fd4f95b2e90f82200e819a81a90dd8e9c505c09c6c3dc30b9c9d",
+        "af77289a1abb07cdb6e7862263773b00391428622ef28558863fa723f784471a",
+        "60fdd05b30201d7fb5e9b6a7de95221b58b55a18bd7c9f3d698136ea7afdbc70",
+        "868cfbc473d013b8673fc03163270669d833c5def86ee6044a3505289351b5e5",
+    ],
+    "weak": [
+        "23d09b9cd4eac3d3b1f37e299243936646121f8ee26c270dc57def26cf09b2c0",
+        "436e33b681fa59e7dfa3ad62d59cc5cffec866697042086a2ad8bfb5f165d67d",
+        "bfc71d38f9de9b072b96d809a05c0d23d6d3afb53ce6c6832a5a72fb5f528629",
+        "e19552d460a972c9a8486ff835e7a76834e1cccfdadc57768a15f98dc42cb81b",
+    ],
+    "wide": [
+        "3fcbe6060f4d9b2ea9f0bb8d31a0de644f7b65257252501797dcbfc636d768b1",
+        "02c1221f263ee1fb8b9efd314f2258829ec8d4164de5ab4f320ee4480b1982f6",
+        "5fb4a308acbe5a1aad44efa9905291c885888c44a913b0aaeb98465df15fdf35",
+        "30d9feb7b7c5c5cda8f4c46ef78e2e4f350c5a04fc1839e0712a00d7d29930bf",
+    ],
+    "rejecting": [
+        "41a5bc093797151cc4b57cd022addc3c0979f1363a67f42de01c958cfa209ef6",
+        "fbb6e5af1b756ebaa9a53366fd72f4db30cfafaccd2f0413e13e2e4d6a447d4d",
+        "6b2d903b4e71414a310efadefa0821b1601db6ffc571a3ab2086fa2f05678709",
+        "6655730dad75976f641c28cf4f8b0f1ecc98c4e92778cd10fb747a218b374308",
+    ],
+}
+
+
+@pytest.mark.parametrize("run", sorted(BLOCK_RUNS))
+@pytest.mark.parametrize("seed_at", range(len(BLOCK_SEEDS)))
+def test_trial_blocks_keep_their_pinned_digests(run, seed_at):
+    trials, sizes, n, dithers = BLOCK_RUNS[run]
+    got = _blocks_digest(trials, BLOCK_SEEDS[seed_at], sizes, n, dithers)
+    assert got == BLOCK_DIGESTS[run][seed_at]
 
 
 class TestTrialDraws:

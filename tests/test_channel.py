@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latsec import (
@@ -34,7 +34,19 @@ from latsec import (
     transmit,
     trial_rng,
 )
-from latsec.channel import TRIAL_BLOCK, _reseed, _trial_blocks, _trial_draws, _trial_states
+from latsec import channel
+from latsec.channel import (
+    TRIAL_BLOCK,
+    _fast_normals,
+    _jumps,
+    _limb_array,
+    _mul_add,
+    _reseed,
+    _trial_blocks,
+    _trial_draws,
+    _trial_states,
+    _xsl_rr,
+)
 
 import oracles
 from exact_rows import grid
@@ -162,6 +174,20 @@ def _reference_states(root_seed, indices):
     return [(s["state"], s["inc"]) for s in states]
 
 
+def _joined(limbs):
+    """The integers that 32-bit limbs along axis 0 hold, least significant
+    first, as nested lists over the other axes."""
+    assert limbs.dtype == np.uint64 and limbs.shape[0] == 4
+    assert not (limbs >> 32).any()
+    return sum(limbs[k].astype(object) << 32 * k for k in range(4)).tolist()
+
+
+def _joined_states(limbs):
+    """(state, inc) per trial from the limbs _trial_states returns."""
+    assert limbs.shape[1] == 2
+    return list(zip(*_joined(limbs)))
+
+
 # seeds of one to four 32-bit words: from three on, SeedSequence mixes words
 # past its pool of four, for every index or only for those of two words
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**100 + 3]
@@ -179,7 +205,7 @@ class TestTrialStreams:
     @pytest.mark.parametrize("root_seed", SEEDS)
     def test_block_states_match_trial_rng(self, root_seed):
         # one block mixes trial indices of one and of two words
-        got = _trial_states(root_seed, TRIAL_INDICES)
+        got = _joined_states(_trial_states(root_seed, TRIAL_INDICES))
         assert got == _reference_states(root_seed, TRIAL_INDICES)
 
     @given(
@@ -187,7 +213,8 @@ class TestTrialStreams:
         st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
     )
     def test_drawn_block_states_match_trial_rng(self, root_seed, indices):
-        assert _trial_states(root_seed, indices) == _reference_states(root_seed, indices)
+        got = _joined_states(_trial_states(root_seed, indices))
+        assert got == _reference_states(root_seed, indices)
 
     def test_negative_root_seed_raises_as_trial_rng_does(self):
         with pytest.raises(ValueError):
@@ -201,7 +228,7 @@ class TestTrialStreams:
         bit_gen = np.random.PCG64(0)
         rng = np.random.Generator(bit_gen)
         rng.integers(3)
-        for t, start in enumerate(_trial_states(9, range(1, 5)), 1):
+        for t, start in enumerate(_joined_states(_trial_states(9, range(1, 5))), 1):
             _reseed(bit_gen, *start)
             ref = trial_rng(9, t)
             assert rng.integers(3) == ref.integers(3)
@@ -237,6 +264,127 @@ class TestTrialStreams:
         for row, got in zip(uniforms, batch):
             raw = basis @ row
             assert np.array_equal(got, lat.mod_coarse(raw[None])[0])
+
+
+def _split(values):
+    """The four 32-bit limbs of each integer in a nested list, least
+    significant first, along a new axis 0 of a uint64 array."""
+    values = np.array(values, dtype=object)
+    return np.stack([values >> 32 * k & 0xFFFFFFFF for k in range(4)]).astype(np.uint64)
+
+
+# 128-bit values anywhere, and near 2^128 - 1, where a carry out of the
+# lowest limb runs through every limb above it
+LIMB_VALUES = st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128 - 2**40, 2**128 - 1))
+
+
+class TestLimbArithmetic:
+    @given(st.lists(st.tuples(LIMB_VALUES, LIMB_VALUES), min_size=1, max_size=4))
+    @example([(2**128 - 1, 1), (1, 1)])
+    @example([(2**128 - 1, 2**128 - 1)] * 4)
+    def test_mul_add_matches_python_ints(self, terms):
+        x, c = (_split(column)[..., None] for column in zip(*terms))
+        got = _joined(np.array(_mul_add(x, c)))
+        assert got == [sum(a * b for a, b in terms) % 2**128]
+
+    def test_mul_add_broadcasts(self):
+        x = [[3, 2**128 - 1], [2**127, 2**64 + 5]]
+        c = [[2**96 - 1, 7, 2**128 - 3]] * 2
+        got = _joined(np.array(_mul_add(_split(x)[..., None], _split(c)[:, :, None])))
+        want = [[(x[0][r] * c[0][k] + x[1][r] * c[1][k]) % 2**128 for k in range(3)]
+                for r in range(2)]
+        assert got == want
+
+    @given(LIMB_VALUES, LIMB_VALUES, st.integers(0, 12))
+    def test_jumps_match_pcg64_steps(self, state, seq, steps):
+        inc = (2 * seq + 1) % 2**128
+        bit_gen = np.random.PCG64(0)
+        _reseed(bit_gen, state, inc)
+        jumps = _jumps(steps)
+        assert len(jumps) == steps + 1
+        for a, b in jumps:
+            assert (a * state + b * inc) % 2**128 == bit_gen.state["state"]["state"]
+            bit_gen.random_raw()
+
+    @given(
+        st.lists(st.tuples(LIMB_VALUES, LIMB_VALUES), min_size=1, max_size=3),
+        st.integers(1, 12),
+    )
+    def test_jumped_outputs_match_random_raw(self, starts, steps):
+        # the (4, 2, rows, 1) by (4, 2, 1, steps) multiply-add of _trial_blocks
+        starts = [(state, (2 * seq + 1) % 2**128) for state, seq in starts]
+        seeds = np.stack([_split(column) for column in zip(*starts)], axis=1)
+        jumps = np.stack([_limb_array(ab) for ab in zip(*_jumps(steps)[1:])], axis=1)
+        words = _xsl_rr(_mul_add(seeds[..., None], jumps[:, :, None]))
+        bit_gen = np.random.PCG64(0)
+        for row, start in zip(words, starts):
+            _reseed(bit_gen, *start)
+            assert row.tolist() == bit_gen.random_raw(steps).tolist()
+
+
+class TestFastNormals:
+    def check(self, outputs):
+        normals, accepted = _fast_normals(np.array(outputs, dtype=np.uint64))
+        for r, x, ok in zip(outputs, normals.tolist(), accepted.tolist()):
+            want, one_output = oracles.normal_from_output(r)
+            assert ok == one_output
+            if ok:
+                assert float.hex(x) == float.hex(want)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    def test_outputs_match_standard_normal(self, outputs):
+        self.check(outputs)
+
+    @pytest.mark.parametrize("sign", [0, 1])
+    def test_acceptance_edges(self, sign):
+        # rabs just below and at ki[idx] in every layer, with the bits above
+        # rabs clear and set; layer 1 (ki = 0) rejects even rabs = 0
+        outputs = []
+        for idx in range(256):
+            for rabs in {max(int(channel._ZIG_KI[idx]) - 1, 0), int(channel._ZIG_KI[idx])}:
+                for top in (0, 7):
+                    outputs.append(top << 61 | rabs << 9 | sign << 8 | idx)
+        self.check(outputs)
+        assert not _fast_normals(np.array([sign << 8 | 1], dtype=np.uint64))[1].any()
+
+
+class TestTrialBlockPaths:
+    @pytest.mark.parametrize("n, dithers", [(1, True), (6, False)])
+    def test_rows_match_trial_rng_on_every_path(self, monkeypatch, n, dithers):
+        # Lemire rejects a word of size 3 * 2^30 about one time in four, so
+        # rows take all three paths: the fast one, their normals redrawn
+        # from the state after the message and dither outputs, or all their
+        # draws redrawn from their start state. The rows span a TRIAL_BLOCK
+        # boundary and many limb chunks.
+        sizes, seed, trials = (3 * 2**30, 5), 21, TRIAL_BLOCK + 37
+        outputs = 2 + 2 * n * dithers + 3 * n
+        assert channel._CHUNK_OUTPUTS // outputs < TRIAL_BLOCK // 2
+        reseeds = []
+
+        def spy(bit_gen, state, inc):
+            reseeds.append(state)
+            _reseed(bit_gen, state, inc)
+
+        monkeypatch.setattr(channel, "_reseed", spy)
+        blocks = list(_trial_blocks(trials, seed, sizes, n, dithers))
+        m1, m2, noise = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 4))
+        paths = []
+        for t in range(trials):
+            rng = trial_rng(seed, t)
+            start = rng.bit_generator.state["state"]["state"]
+            assert m1[t].tolist() == [rng.integers(size) for size in sizes]
+            assert m2[t].tolist() == [rng.integers(size) for size in sizes]
+            if dithers:
+                block = blocks[t // TRIAL_BLOCK]
+                assert np.array_equal(block[3][:, t % TRIAL_BLOCK], rng.random((2, n)))
+            before_normals = rng.bit_generator.state["state"]["state"]
+            assert np.array_equal(noise[t], rng.standard_normal(3 * n))
+            paths.append(
+                "redraw" if start in reseeds else "normals" if before_normals in reseeds else "fast"
+            )
+        counts = {path: paths.count(path) for path in ("fast", "normals", "redraw")}
+        assert min(counts.values()) > 0
+        assert counts["normals"] + counts["redraw"] == len(reseeds)
 
 
 def _words_taken(start, state):

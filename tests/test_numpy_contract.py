@@ -10,7 +10,10 @@ numpy 2.4.6.
 
 import numpy as np
 
+from latsec.channel import _ZIG_KI, _ZIG_WI
 from latsec.experiments import GRID_HALF_STEPS
+
+import oracles
 
 
 def test_trial_stream_seeding_and_draws():
@@ -30,12 +33,35 @@ def test_trial_stream_seeding_and_draws():
 
 
 def test_trial_stream_raw_words():
-    # channel._trial_blocks reads these 64-bit outputs with random_raw and
-    # turns them into the integers and random draws above
+    # channel._trial_blocks computes these 64-bit outputs from the start
+    # state pinned above and turns them into the integers and random draws
     bit_gen = np.random.default_rng([7, 3]).bit_generator
     assert bit_gen.random_raw(3).tolist() == [
         17986194428743177670, 16317385439118320161, 4279099214398288542,
     ]
+
+
+def test_ziggurat_tables():
+    # channel._fast_normals draws standard_normal's fast path from these
+    # tables: an output r = rabs 2^9 + sign 2^8 + idx gives +-rabs wi[idx],
+    # accepted when rabs < ki[idx]. Both are re-derived here from numpy's
+    # own draws. wi[idx] is the normal at rabs = 1 (layer 1 rejects it, but
+    # so small a normal passes the wedge test); ki[idx] is the least rabs
+    # that takes more than the one output.
+    wi, ki = [], []
+    for idx in range(256):
+        wi.append(oracles.normal_from_output(1 << 9 | idx)[0])
+        lo, hi = 0, 2**52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if oracles.normal_from_output(mid << 9 | idx)[1]:
+                lo = mid + 1
+            else:
+                hi = mid
+        ki.append(lo)
+    assert ki[1] == 0
+    assert ki == _ZIG_KI.tolist()
+    assert [float.hex(w) for w in wi] == [float.hex(w) for w in _ZIG_WI.tolist()]
 
 
 def test_binning_permutation():

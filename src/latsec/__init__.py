@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BudgetExceeded,
-    DegenerateCodebook,
     DimensionMismatch,
     EmptyCodebook,
     IoError,

@@ -100,24 +100,42 @@ def _gain_power(cross_gain, k: int) -> float:
         ) from None
 
 
+def _finite(value: float, formula: str, **inputs) -> float:
+    """value, or ValidationError when the closed form `formula` overflows a
+    float: the error names its input of largest magnitude."""
+    if math.isfinite(value):
+        return value
+    field = max(inputs, key=lambda name: abs(inputs[name]))
+    shown = ", ".join(f"{name}={v!r}" for name, v in inputs.items())
+    raise ValidationError(field, f"{formula} overflows a float at {shown}")
+
+
 def classify_regime(cross_gain: float, power: float, noise_var: float = 1.0) -> Regime:
     """Classify interference strength from the cross gain and power.
 
     very_strong: a^2 >= P + N, so interference can be decoded first.
     weak: |a + a^3 P| <= 1/2, so residual interference folds away.
     general: neither test passes; a layered scheme is needed.
+    A witness that overflows a float raises ValidationError.
     """
     ChannelParams(cross_gain, power, noise_var=noise_var)  # checks the arguments
     a, p, nv = float(cross_gain), float(power), float(noise_var)
     a2 = a * a
-    very_strong = a2 >= p + nv
-    weak_stat = abs(a + _gain_power(a, 3) * p)
+    threshold = _finite(p + nv, "P + N", power=p, noise_var=nv)
+    very_strong = a2 >= threshold
+    weak_stat = _finite(abs(a + _gain_power(a, 3) * p), "|a + a^3 P|", cross_gain=a, power=p)
     weak = weak_stat <= 0.5
     tag = "very_strong" if very_strong else ("weak" if weak else "general")
+    try:
+        interference = threshold**2 / p
+    except OverflowError:
+        interference = math.inf
     witness = {
         "a_squared": a2,
-        "very_strong_threshold": p + nv,
-        "interference_power_threshold": (p + nv) ** 2 / p,
+        "very_strong_threshold": threshold,
+        "interference_power_threshold": _finite(
+            interference, "(P + N)^2 / P", power=p, noise_var=nv
+        ),
         "weak_statistic": weak_stat,
         "weak_threshold": 0.5,
     }
@@ -133,15 +151,25 @@ def mmse_alpha(power: float, cross_gain: float, noise_var: float = 1.0) -> float
 def effective_noise_variance(
     power: float, cross_gain: float, noise_var: float = 1.0
 ) -> float:
-    """Per-dimension variance of the folded effective noise at the MMSE scaling."""
+    """Per-dimension variance of the folded effective noise at the MMSE
+    scaling; ValidationError when it overflows a float."""
     p, a, nv = float(power), float(cross_gain), float(noise_var)
-    return p * (a * a * p + nv) / ((1 + a * a) * p + nv)
+    return _finite(
+        p * (a * a * p + nv) / ((1 + a * a) * p + nv),
+        "P (a^2 P + N) / ((1 + a^2) P + N)", power=p, cross_gain=a, noise_var=nv,
+    )
 
 
 def achievable_rate_weak(power: float, cross_gain: float, noise_var: float = 1.0) -> float:
-    """Per-user rate 1/2 log2(1 + P / (a^2 P + N)) for the weak regime."""
+    """Per-user rate 1/2 log2(1 + P / (a^2 P + N)) for the weak regime: inf
+    with neither interference nor noise, ValidationError when the rate of a
+    finite channel overflows a float."""
     p, a, nv = float(power), float(cross_gain), float(noise_var)
-    return 0.5 * math.log2(1 + p / (a * a * p + nv))
+    if a == 0 and nv == 0:
+        return math.inf
+    den = a * a * p + nv  # 0 here only where a^2 P underflows
+    rate = 0.5 * math.log2(1 + p / den) if den else math.inf
+    return _finite(rate, "1/2 log2(1 + P / (a^2 P + N))", power=p, cross_gain=a, noise_var=nv)
 
 
 def trial_rng(root_seed: int, trial_index: int) -> np.random.Generator:

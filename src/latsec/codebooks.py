@@ -1,12 +1,13 @@
 """Codebooks carved out of nested lattices: enumeration, power scaling,
 binning, and layered (superposition) construction.
 
-A codebook is a PointGrid over the fine unit scale / p: codeword m is
-unit * coords[m] with int64 coordinates in [-p/2, p/2), computed for all
-messages at once by ConstructionALattice.message_coords. Power scaling
-holds the dither power, the coarse cell's exact second moment scale^2 / 12
-per dimension, at the budget by rescaling the unit only; the exact points
-and their floats are derived on demand.
+A codebook is its lattice's coset code: a PointGrid over the fine unit
+scale / p whose row m is message m's codeword, int64 coordinates in
+[-p/2, p/2), computed for all messages at once by
+ConstructionALattice.message_coords. Power scaling holds the dither power,
+the coarse cell's exact second moment scale^2 / 12 per dimension, at the
+budget by rescaling the unit only; the exact points and their floats are
+derived on demand.
 """
 
 from __future__ import annotations
@@ -16,39 +17,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    DegenerateCodebook,
-    DimensionMismatch,
-    EmptyCodebook,
-    LayerNotNested,
-    NonDivisibleBins,
-    ValidationError,
-)
+from .errors import BudgetExceeded, LayerNotNested, NonDivisibleBins, ValidationError
 from .lattices import ConstructionALattice, PointGrid, on_grid
 
 
 class Codebook(PointGrid):
-    """Coset representatives of a nested lattice pair, in message order.
+    """The coset code of a nested lattice pair, in message order.
 
-    Codeword m is unit * coords[m] with unit = scale / p; every point lies
-    in the half-open fundamental cell of the coarse lattice, so every
-    coordinate lies in [-p/2, p/2).
+    Codeword m is unit * coords[m] with unit = scale / p and coords[m] the
+    lattice's message_coords(m): every point lies in the half-open
+    fundamental cell of the coarse lattice, so every coordinate lies in
+    [-p/2, p/2).
     """
 
-    def __init__(self, lattice: ConstructionALattice, coords):
-        raw = np.asarray(coords)
-        if raw.size == 0:
-            raise EmptyCodebook("a codebook needs at least one point")
-        if raw.ndim != 2 or raw.shape[1] != lattice.n:
-            raise DimensionMismatch(
-                f"coordinates of shape {raw.shape} in dimension-{lattice.n} lattice"
-            )
-        # a point off the fine grid has a non-integral coordinate: PointGrid rejects it
-        super().__init__(lattice.scale / lattice.p, raw)
-        p = lattice.p
-        if (2 * self.coords >= p).any() or (2 * self.coords < -p).any():
-            raise ValidationError("points", "codebook points must lie in the coarse cell")
+    def __init__(self, lattice: ConstructionALattice):
+        super().__init__(
+            lattice.scale / lattice.p, lattice.message_coords(np.arange(lattice.num_cosets))
+        )
         self.lattice = lattice
         self.n = lattice.n
 
@@ -69,12 +54,12 @@ class Codebook(PointGrid):
 
 
 def enumerate_codebook(lattice: ConstructionALattice, budget: int = 10**6) -> Codebook:
-    """All coset representatives, ordered by message index."""
+    """The lattice's codebook, once its p^k cosets fit the budget."""
     if lattice.num_cosets > budget:
         raise BudgetExceeded(
             f"{lattice.num_cosets} cosets exceed enumeration budget {budget}"
         )
-    return Codebook(lattice, coords=lattice.message_coords(np.arange(lattice.num_cosets)))
+    return Codebook(lattice)
 
 
 def scale_to_power(codebook: Codebook, power) -> Codebook:
@@ -85,16 +70,14 @@ def scale_to_power(codebook: Codebook, power) -> Codebook:
     (the normalised second moment of Z^n). If that fits, the codebook is
     returned unchanged. Otherwise the whole nested pair is rescaled by the
     largest dyadic rational r with r^2 * scale^2 / 12 <= power, so the
-    constraint holds with certainty. Only the unit changes; the integer
-    coordinates are shared.
+    constraint holds with certainty. Only the unit changes: the integer
+    coordinates do not depend on the scale.
     """
     power = float(power)
     if math.isnan(power) or power <= 0:
         raise ValidationError("power", "power must be positive")
     if math.isinf(power):
         return codebook
-    if not codebook.coords.any():
-        raise DegenerateCodebook("all-zero codebook cannot be power scaled")
     old = codebook.lattice
     moment = old.scale**2 / 12
     target = Fraction(power)
@@ -110,7 +93,7 @@ def scale_to_power(codebook: Codebook, power) -> Codebook:
     scaled = ConstructionALattice(
         old.p, old.code_matrix, old.transform, old.scale * ratio
     )
-    return Codebook(scaled, coords=codebook.coords)
+    return Codebook(scaled)
 
 
 def _floor_sqrt_fraction(value: Fraction) -> Fraction:

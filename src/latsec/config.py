@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -174,7 +175,7 @@ def _coerce_fraction(field: str, raw: Any) -> Fraction:
             return Fraction(raw).limit_denominator(10**12)
         if isinstance(raw, str):
             return Fraction(raw.strip())
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ValidationError(field, f"{field!r} is not a rational: {raw!r}") from None
     raise ValidationError(field, f"{field!r} must be a rational")
 
@@ -246,6 +247,9 @@ def _parse_flat(text: str) -> tuple[dict[str, Any], dict[str, int]]:
     return values, lines
 
 
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+
 def _validate(kind: str, values: dict[str, Any], given: set[str]) -> None:
     def bad(field: str, why: str) -> None:
         raise ValidationError(field, f"{field!r} {why}")
@@ -279,6 +283,14 @@ def _validate(kind: str, values: dict[str, Any], given: set[str]) -> None:
         bad("b", "must not be NaN")
     if "scale" in values and values["scale"] is not None and values["scale"] <= 0:
         bad("scale", "must be positive")
+    # these kinds report or compare a coarse cell's power, at most the
+    # square of its scale, as a float; layered's second layer is at p * scale
+    if kind in ("lattice", "pipeline", "layered"):
+        coarse = values["scale"] * (values["p"] if kind == "layered" else 1)
+        if coarse * coarse > _FLOAT_MAX:
+            name = "(p * scale)^2" if kind == "layered" else "scale^2"
+            bad("scale", f"is too large: {name} must not exceed the largest float, "
+                         f"{sys.float_info.max:.4g}")
     # a rank-k code needs at least k coordinates
     for field in ("k", "k1", "k2"):
         if values.get(field) is not None and values.get("n") is not None \

@@ -33,10 +33,6 @@ class EmptyCodebook(LatsecError):
     pass
 
 
-class DegenerateCodebook(LatsecError):
-    pass
-
-
 class NonDivisibleBins(LatsecError):
     pass
 

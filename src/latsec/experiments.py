@@ -20,6 +20,7 @@ import numpy as np
 from .channel import (
     ChannelParams,
     Regime,
+    _finite,
     _successive_decode,
     _trial_blocks,
     check_stage_conditions,
@@ -188,8 +189,8 @@ def suite_passed(reports) -> bool:
 
 @dataclass(frozen=True)
 class SecrecyReport:
-    """One-bit secrecy bookkeeping for a binned codebook against a known
-    interferer codebook, computed on the noiseless sum statistic."""
+    """One-bit secrecy bookkeeping for a binned codebook against the same
+    codebook at the other user, computed on the noiseless sum statistic."""
 
     label: str
     dim: int
@@ -204,9 +205,9 @@ class SecrecyReport:
 
 
 def make_secrecy_report(
-    binned: BinnedCodebook, other, budget=10**6, label="", structure=None
+    binned: BinnedCodebook, budget=10**6, label="", structure=None
 ) -> SecrecyReport:
-    joint = joint_bin_sum(binned, other, budget, structure=structure)
+    joint = joint_bin_sum(binned, budget, structure=structure)
     n = binned.codebook.n
     leak_per_dim = joint.mutual_info_bits() / n
     rhat = binned.bin_rate_per_dim
@@ -227,7 +228,7 @@ def make_secrecy_report(
 def _theorem1_reports(label, lat, cb, sums, bin_seed, budget):
     return [
         make_secrecy_report(
-            BinnedCodebook(cb, lat.p**j, bin_seed), cb, budget,
+            BinnedCodebook(cb, lat.p**j, bin_seed), budget,
             label=f"{label}_b{lat.p**j}", structure=sums,
         )
         for j in range(lat.k + 1)
@@ -469,12 +470,12 @@ def random_codebook_baseline(size, dim, power, seeds, budget=10**6):
         rng = np.random.default_rng([int(seed), 0xBA5E])
         draws = rng.integers(-GRID_HALF_STEPS, GRID_HALF_STEPS + 1, size=(size, dim))
         points = PointGrid(1, draws)
-        random_leak = mutual_info_sum(points, points, budget)
+        random_leak = mutual_info_sum(points, budget)
         g = random_code_matrix(p, k, k, seed=[int(seed), 0x1A77])
         t = random_unimodular(k, seed=[int(seed), 0x7A11])
         lat = ConstructionALattice(p, g, t, 1)
         cb = enumerate_codebook(lat, budget)
-        lattice_leak = mutual_info_sum(cb, cb, budget)
+        lattice_leak = mutual_info_sum(cb, budget)
         rows.append(
             BaselineRow(
                 seed=int(seed),
@@ -617,8 +618,6 @@ def engineered_gain(codebook: Codebook) -> int:
     Both squared lengths carry the factor unit^2, so the ratio is taken on
     the integer coordinates, which lie in [-p/2, p/2)."""
     c = codebook.coords
-    if len(c) == 1:
-        return 2
     if codebook.n * codebook.lattice.p**2 >= GRID_LIMIT:
         raise BudgetExceeded(f"p={codebook.lattice.p} overflows int64 squared distances")
     max_norm2 = int((c * c).sum(axis=1).max())
@@ -718,12 +717,33 @@ def run_regime_pipeline(
     only on the codebook and binning, never on the eavesdropper gain or
     noise; those enter the reference numbers only. trials must be an
     integer >= 0 (0 skips the reliability run) and root_seed an integer >= 0.
+    The closed forms come first: one that overflows a float raises
+    ValidationError before any trial runs.
     """
     trials = _checked_trials(trials, root_seed, least=0)
     regime = classify_regime(params.cross_gain, params.power, params.noise_var)
+    b, ne = float(params.eve_gain), float(params.eve_noise_var)
+    p2 = 2 * float(params.power)
+    if ne > 0:
+        mac_bound = _finite(
+            0.5 * math.log2(1 + b * b * p2 / ne), "1/2 log2(1 + 2 b^2 P / N_e)",
+            eve_gain=b, power=float(params.power), eve_noise_var=ne,
+        )
+    else:
+        mac_bound = math.inf
+    references = {
+        "mmse_alpha": mmse_alpha(params.power, params.cross_gain, params.noise_var),
+        "effective_noise_variance": effective_noise_variance(
+            params.power, params.cross_gain, params.noise_var
+        ),
+        "achievable_rate_weak": achievable_rate_weak(
+            params.power, params.cross_gain, params.noise_var
+        ),
+        "eavesdropper_mac_sum_rate_bound": mac_bound,
+    }
     cb = scale_to_power(codebook, params.power)
     binned = BinnedCodebook(cb, num_bins, bin_seed)
-    secrecy = make_secrecy_report(binned, cb, budget, label="pipeline")
+    secrecy = make_secrecy_report(binned, budget, label="pipeline")
     notes = []
     reliability = None
     if trials > 0:
@@ -738,22 +758,6 @@ def run_regime_pipeline(
             )
     else:
         notes.append("reliability run skipped (trials = 0)")
-    b = float(params.eve_gain)
-    p2 = 2 * float(params.power)
-    if params.eve_noise_var > 0:
-        mac_bound = 0.5 * math.log2(1 + b * b * p2 / float(params.eve_noise_var))
-    else:
-        mac_bound = math.inf
-    references = {
-        "mmse_alpha": mmse_alpha(params.power, params.cross_gain, params.noise_var),
-        "effective_noise_variance": effective_noise_variance(
-            params.power, params.cross_gain, params.noise_var
-        ),
-        "achievable_rate_weak": achievable_rate_weak(
-            params.power, params.cross_gain, params.noise_var
-        ),
-        "eavesdropper_mac_sum_rate_bound": mac_bound,
-    }
     return PipelineResult(
         regime=regime,
         secrecy=secrecy,

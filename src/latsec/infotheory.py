@@ -16,18 +16,18 @@ order. Where the product of the digit spans would pass 2^63, the key so
 far (and, if it alone is that wide, the column) is replaced by its rank
 among its distinct values, which keeps the order.
 
-A message-ordered Codebook summed with itself skips the sort over its
-|C|^2 pair sums. C is a group under digit-wise message addition mod p, so
-x + y is the codeword z of the summed messages with each coordinate left
-as z_i or moved by -+p: one carry bit per coordinate. The key
+A Codebook summed with itself skips the sort over its |C|^2 pair sums.
+C is a group under digit-wise message addition mod p, so x + y is the
+codeword z of the summed messages with each coordinate left as z_i or
+moved by -+p: one carry bit per coordinate. The key
 z * 2^n + bits names the sum, so np.bincount over the |C| * 2^n keys finds
 the distinct sums (|C + C| <= 2^n |C|, the sum-set lemma) and only those
 are ranked; past 8 |C|^2 + 1024 keys the pairs are sorted instead.
 
 Binned joint counts take closed forms for 1 bin (the cells are the sum
-marginal) and for |C| bins against the binned codebook itself (every cell
-holds one pair), and count the other (bin, sum) cells by np.bincount
-instead of np.unique when the cell space is small next to the pairs.
+marginal) and for |C| bins over a Codebook (every cell holds one pair),
+and count the other (bin, sum) cells by np.bincount instead of np.unique
+when the cell space is small next to the pairs.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ class SumStructure(PointGrid):
 
     The distinct sums are unit * coords[s], rows in lexicographic order
     (ranked by row_ranks on order-preserving int64 row keys), and
-    ids[i, j] is the row of a_i + b_j. For a message-ordered Codebook
-    summed with itself, only the distinct sums are ranked, found by their
-    codeword-and-carry keys; the result is the same. As a PointGrid the
+    ids[i, j] is the row of a_i + b_j. For a Codebook summed with itself,
+    only the distinct sums are ranked, found by their codeword-and-carry
+    keys; the result is the same. As a PointGrid the
     structure is the sum set itself, so sums of sums chain without leaving
     int64. Building it once lets callers derive counts for many binnings
     cheaply.
@@ -111,7 +111,7 @@ def sum_structure(a, b, budget=10**6) -> SumStructure:
         raise DimensionMismatch(f"dimensions {ga.shape[1]} and {gb.shape[1]} differ")
     if len(ga) * len(gb) > budget:
         raise BudgetExceeded(f"{len(ga)}*{len(gb)} pair sums exceed budget {budget}")
-    if _self_sum(a, b) and _dense(len(a) << a.n, len(a) ** 2):
+    if a is b and isinstance(a, Codebook) and _dense(len(a) << a.n, len(a) ** 2):
         return _carry_structure(a)
     sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
     ranks = row_ranks(sums)
@@ -125,14 +125,6 @@ def _dense(space, pairs) -> bool:
     """Whether counting pairs over a key space of this size by np.bincount
     beats sorting them."""
     return space <= 8 * pairs + 1024
-
-
-def _self_sum(a, b) -> bool:
-    """Whether a + b is one Codebook summed with itself whose rows are its
-    lattice's codewords in message order (Codebook accepts any rows)."""
-    if a is not b or not isinstance(a, Codebook) or len(a) != a.lattice.num_cosets:
-        return False
-    return np.array_equal(a.coords, a.lattice.message_coords(np.arange(len(a))))
 
 
 def _carry_structure(cb) -> SumStructure:
@@ -177,11 +169,12 @@ def entropy_from_counts(counts, total=None) -> float:
     return math.log2(total) - s / total
 
 
-def mutual_info_sum(c1, c2, budget=10**6) -> float:
-    """I(X1; X1 + X2) in bits for X1, X2 independent and uniform on c1, c2,
-    counting a repeated row once per copy: H(X1 + X2) - H(X2)."""
-    s = sum_structure(c1, c2, budget)
-    return entropy_from_counts(s.counts()) - entropy_from_counts(np.bincount(row_ranks(c2.coords)))
+def mutual_info_sum(points, budget=10**6) -> float:
+    """I(X1; X1 + X2) in bits for X1, X2 independent and uniform on the rows
+    of one point set, counting a repeated row once per copy:
+    H(X1 + X2) - H(X2)."""
+    s = sum_structure(points, points, budget)
+    return entropy_from_counts(s.counts()) - entropy_from_counts(np.bincount(row_ranks(points.coords)))
 
 
 class JointBinSumDist:
@@ -205,23 +198,24 @@ class JointBinSumDist:
         return math.log2(self.num_bins) + h_sum - h_cells
 
 
-def joint_bin_sum(binned, other, budget=10**6, structure=None) -> JointBinSumDist:
+def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
     """Exact joint distribution of (bin of X1, X1 + X2).
 
     X1 is uniform on the binned codebook (bin uniform, codeword uniform in
-    the bin), X2 independent and uniform on `other`. A precomputed
-    SumStructure for (binned.codebook, other) may be passed to amortize the
-    pair enumeration across several binnings. Cell (w, s) is keyed
-    w * num_sums + s. With one bin the cells are the sum marginal; with one
-    codeword per bin against the binned codebook itself, message-ordered,
-    every cell holds one pair (cell_counts None).
+    the bin), X2 independent and uniform on the same codebook. A
+    precomputed SumStructure of the codebook with itself may be passed to
+    amortize the pair enumeration across several binnings. Cell (w, s) is
+    keyed w * num_sums + s. With one bin the cells are the sum marginal;
+    with one codeword per bin of a Codebook, whose rows are distinct, every
+    cell holds one pair (cell_counts None).
     """
+    cb = binned.codebook
     if structure is None:
-        structure = sum_structure(binned.codebook, other, budget)
+        structure = sum_structure(cb, cb, budget)
     num_bins, sum_counts = binned.num_bins, structure.counts()
     if num_bins == 1:
         return JointBinSumDist(1, sum_counts, sum_counts)
-    if num_bins == len(binned.codebook) and _self_sum(binned.codebook, other):
+    if num_bins == len(cb) and isinstance(cb, Codebook):
         return JointBinSumDist(num_bins, sum_counts, None)
     cells = binned.bin_index[:, None] * structure.num_sums + structure.ids
     space = num_bins * structure.num_sums

@@ -180,6 +180,19 @@ def det_int(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _integer_rows(field, matrix) -> list[list[int]]:
+    """matrix as lists of Python ints; ValidationError for an entry that is
+    not an integer value (1.5, nan, "1") instead of truncating it."""
+    matrix = [list(row) for row in matrix]
+    try:
+        rows = [[int(v) for v in row] for row in matrix]
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows != matrix:
+        raise ValidationError(field, f"{field} entries must be integers, got {matrix!r}")
+    return rows
+
+
 class ConstructionALattice:
     """A nested (fine, coarse) lattice pair from a mod-p code.
 
@@ -192,7 +205,8 @@ class ConstructionALattice:
             the identity).
         scale: positive rational overall scale (int, Fraction or "a/b").
 
-    The quotient fine/coarse has exactly p**k cosets.
+    The quotient fine/coarse has exactly p**k cosets. A non-integral entry
+    of either matrix raises ValidationError instead of being truncated.
     """
 
     def __init__(self, p, code_matrix, transform=None, scale=1):
@@ -200,7 +214,7 @@ class ConstructionALattice:
             raise NotPrime(f"modulus must be a prime integer, got {p!r}")
         p = int(p)
 
-        rows = [list(map(int, r)) for r in code_matrix]
+        rows = _integer_rows("code_matrix", code_matrix)
         n = len(rows)
         if n == 0 or len(rows[0]) == 0:
             raise RankDeficientG("code matrix must have at least one row and one column")
@@ -216,7 +230,7 @@ class ConstructionALattice:
         if transform is None:
             trows = [[int(i == j) for j in range(n)] for i in range(n)]
         else:
-            trows = [list(map(int, r)) for r in transform]
+            trows = _integer_rows("transform", transform)
             if len(trows) != n or any(len(r) != n for r in trows):
                 raise NotUnimodular(f"transform must be {n}x{n}")
         d = det_int(trows)
@@ -225,7 +239,7 @@ class ConstructionALattice:
 
         try:
             scale = Fraction(scale)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise NonPositiveScale(f"scale {scale!r} is not a rational") from exc
         if scale <= 0:
             raise NonPositiveScale(f"scale must be positive, got {scale}")

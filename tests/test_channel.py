@@ -153,6 +153,25 @@ class TestMmseScaling:
             0.5 * math.log2(1 + 1 / 1.09), rel=1e-15
         )
 
+    def test_rate_without_interference_or_noise_is_inf(self):
+        assert achievable_rate_weak(1.0, 0.0, 0.0) == math.inf
+        assert achievable_rate_weak(1.0, -0.0, 0.0) == math.inf
+        # a^2 P underflows to 0 or P / (a^2 P + N) overflows: the rate is finite
+        for p, a, nv in ((1.0, 1e-200, 0.0), (1e300, 0.0, 1e-100)):
+            with pytest.raises(ValidationError):
+                achievable_rate_weak(p, a, nv)
+
+    def test_overflowing_closed_forms_rejected(self):
+        # P (a^2 P + N) overflows though the variance is about P
+        with pytest.raises(ValidationError) as exc:
+            effective_noise_variance(1e110, 1e60, 1.0)
+        assert exc.value.field == "power"
+        for a, p, nv, field in ((0.3, 1e300, 1.0, "power"), (0.3, 1.0, 1e300, "noise_var"),
+                                (1e100, 1e150, 1.0, "power"), (0.3, 1e308, 1e308, "power")):
+            with pytest.raises(ValidationError) as exc:
+                classify_regime(a, p, nv)
+            assert exc.value.field == field
+
     @pytest.mark.parametrize("seed", range(6))
     def test_alpha_minimizes_residual_variance(self, seed):
         rng = np.random.default_rng([seed, 99])

@@ -468,6 +468,59 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "power 1e-30 is below" in err
 
+    def test_rate_without_interference_or_noise_is_inf(self, tmp_path, capsys):
+        # 1/2 log2(1 + P / 0) used to raise ZeroDivisionError, which exits 1
+        path = self.write(tmp_path, "kind=pipeline\na=0\nnoise_var=0\ntrials=0\n")
+        assert main(["simulate", "pipeline", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["results"]["references"]["achievable_rate_weak"] == "inf"
+        assert '"nan"' not in out
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            # (P + N) ** 2 used to raise a bare OverflowError, which exits 1
+            ("kind=pipeline\npower=1e300\ntrials=3\n", "power"),
+            ("kind=pipeline\nnoise_var=1e300\ntrials=3\n", "noise_var"),
+            # these passed with a NaN, or an infinite, effective noise variance
+            ("kind=pipeline\na=1e100\npower=1e150\ntrials=20\n", "power"),
+            ("kind=pipeline\na=1e60\npower=1e150\ntrials=20\n", "power"),
+            # a finite effective noise variance computed as inf
+            ("kind=pipeline\na=1e60\npower=1e110\ntrials=20\n", "power"),
+            # and an infinite eavesdropper bound at a finite eavesdropper gain
+            ("kind=pipeline\nb=1e200\ntrials=0\n", "eve_gain"),
+        ],
+        ids=["power", "noise_var", "nan-variance", "inf-variance", "product", "eve-gain"],
+    )
+    def test_overflowing_closed_forms_are_two(self, tmp_path, capsys, doc, field):
+        path = self.write(tmp_path, doc)
+        assert main(["simulate", "pipeline", "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "configuration error" in err and "overflows a float" in err
+        with pytest.raises(ValidationError) as exc:
+            run_json(doc)
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize(
+        "argv,name,doc",
+        [
+            (["lattice", "build"], "c.json", '{"kind": "lattice", "scale": Infinity}'),
+            (["lattice", "build"], "c.cfg", "kind=lattice\nscale=1e200\n"),
+            (["simulate", "pipeline"], "c.cfg", "kind=pipeline\nscale=1e300\ntrials=5\n"),
+            (["simulate", "layered"], "c.cfg", "kind=layered\nscale=1e300\n"),
+        ],
+        ids=["json-infinity", "lattice-1e200", "pipeline-1e300", "layered-1e300"],
+    )
+    def test_infinite_or_huge_scale_is_two(self, tmp_path, capsys, argv, name, doc):
+        # each used to raise a bare OverflowError, which exits 1
+        path = tmp_path / name
+        path.write_text(doc, encoding="utf-8")
+        assert main(argv + ["--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "configuration error" in err and "'scale'" in err
+
     def test_budget_exhaustion_is_three(self, tmp_path, capsys):
         path = self.write(tmp_path, "kind=lattice\nk=2\nn=2\nbudget=1\n")
         assert main(["lattice", "build", "--config", path]) == 3

@@ -11,7 +11,6 @@ from latsec import (
     BudgetExceeded,
     Codebook,
     ConstructionALattice,
-    DegenerateCodebook,
     DimensionMismatch,
     EmptyCodebook,
     LayerNotNested,
@@ -75,16 +74,6 @@ class TestEnumeration:
         expected = [[float(c) for c in pt] for pt in cb.points]
         assert cb.float_matrix().tolist() == expected
 
-    def test_points_off_the_fine_grid_or_cell_rejected(self):
-        # Coordinates are in units of scale / p = 1/2: the point 1/4 is off
-        # the fine grid, and the point 1/2 is off the coarse cell.
-        lat = small_lattice()
-        for off_grid in ([[Fraction(1, 2)]], [[0.5]], [[0], [float("nan")]]):
-            with pytest.raises(ValidationError):
-                Codebook(lat, off_grid)
-        with pytest.raises(ValidationError):
-            Codebook(lat, [[1]])
-
     def test_budget(self):
         lat = ConstructionALattice(7, ((1, 0), (0, 1)), None, 1)
         with pytest.raises(BudgetExceeded):
@@ -96,19 +85,19 @@ class TestEnumeration:
         assert cb.average_power == Fraction(1, 8)
         assert cb.rate_per_dim == 1.0
 
-    def test_constructor_guards(self):
-        # Coordinates over scale / p must lie in the half-open cell [-p/2, p/2).
-        lat = small_lattice()
-        for empty in ([], np.zeros((0, 1), dtype=np.int64)):
-            with pytest.raises(EmptyCodebook):
-                Codebook(lat, empty)
-        for wrong_shape in ([(0, 0)], [0, -1]):
-            with pytest.raises(DimensionMismatch):
-                Codebook(lat, wrong_shape)
-        for outside in ([[1]], [[-2]], [[0], [1]]):
-            with pytest.raises(ValidationError):
-                Codebook(lat, outside)
-        assert Codebook(lat, [[0], [-1]]).points == ((0,), (Fraction(-1, 2),))
+    def test_codebook_is_its_lattices_coset_code(self):
+        # rank k >= 1 puts a nonzero codeword in every codebook, so every
+        # codebook can be power scaled
+        for gp in standard_grid(draws=1):
+            lat = gp.build_lattice(Fraction(5, 3))
+            cb = Codebook(lat)
+            assert cb.unit == lat.scale / lat.p and cb.n == lat.n
+            assert np.array_equal(cb.coords, lat.message_coords(np.arange(lat.num_cosets)))
+            assert np.array_equal(enumerate_codebook(lat).coords, cb.coords)
+            assert cb.coords.any()
+            scaled = scale_to_power(cb, 1e-3)
+            assert type(scaled) is Codebook
+            assert np.array_equal(scaled.coords, cb.coords)
 
 
 class TestMinkowskiSum:
@@ -208,12 +197,6 @@ class TestPowerScaling:
             with pytest.raises(ValidationError, match="2\\^-40") as err:
                 scale_to_power(cb, power)
             assert err.value.field == "power"
-
-    def test_degenerate_codebook(self):
-        lat = small_lattice()
-        zero = Codebook(lat, [(0,)])
-        with pytest.raises(DegenerateCodebook):
-            scale_to_power(zero, 0.5)
 
 
 class TestBinning:

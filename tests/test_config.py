@@ -290,6 +290,30 @@ class TestValidation:
         with pytest.raises(ValidationError):
             parse_config("kind=lattice\nscale=-1/2")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"kind": "lattice", "scale": Infinity}',
+            '{"kind": "pipeline", "scale": -Infinity}',
+            "kind=lattice\nscale=1e200",
+            "kind=pipeline\nscale=1e300",
+            "kind=layered\nscale=1e154",
+            "kind=layered\np=7\nscale=2e153",
+        ],
+    )
+    def test_infinite_or_huge_scale_rejected(self, doc):
+        # each used to escape as a bare OverflowError
+        with pytest.raises(ValidationError) as err:
+            parse_config(doc)
+        assert err.value.field == "scale"
+
+    def test_scale_squared_up_to_the_largest_float_is_kept(self):
+        # 2^511 squared is 2^1022, a float; the layered kind's second layer is at p * scale
+        for doc in ("kind=lattice\nscale=1e154", "kind=pipeline\nscale=2**511",
+                    "kind=layered\nscale=5e153", "kind=lemmas\np=2\nk=1\nn=1\nscale=1e300"):
+            doc = doc.replace("2**511", str(2**511))
+            assert parse_config(doc)["scale"] > 10**150
+
     def test_p_values_must_be_nonempty(self):
         with pytest.raises(ValidationError):
             parse_config("kind=lemmas\np_values=,")

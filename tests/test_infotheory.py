@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from latsec import (
     BinnedCodebook,
     BudgetExceeded,
-    Codebook,
     ConstructionALattice,
     JointBinSumDist,
     PointGrid,
@@ -252,51 +251,53 @@ class TestMutualInfoSum:
             cb = enumerate_codebook(
                 ConstructionALattice(p, ((1,),), None, 1)
             )
-            assert mutual_info_sum(cb, cb, 10**6) == pytest.approx(
+            assert mutual_info_sum(cb, 10**6) == pytest.approx(
                 oracles.triangle_mi(p), abs=1e-12
             )
 
     def test_matches_generic_oracle(self):
         cb = seeded_codebook(2, 2, 2, seed=1)
-        other = seeded_codebook(2, 2, 2, seed=1)
-        assert mutual_info_sum(cb, other, 10**6) == pytest.approx(
-            oracles.mutual_info_sum_oracle(cb.points, other.points), abs=1e-12
+        assert mutual_info_sum(cb, 10**6) == pytest.approx(
+            oracles.mutual_info_sum_oracle(cb.points, cb.points), abs=1e-12
         )
 
     @pytest.mark.parametrize(
-        "rows_a,rows_b",
+        "rows",
         [
-            ([[0], [0]], [[0], [0]]),
-            ([[0], [0], [1]], [[0], [0], [1]]),
-            ([[0, 1], [2, 0], [0, 1], [0, 1], [1, 1]], [[1, 0], [1, 0], [0, 0]]),
-            ([[3], [-1]], [[0], [5], [5], [5]]),
+            [[0], [0]],
+            [[0], [0], [1]],
+            [[0, 1], [2, 0], [0, 1], [0, 1], [1, 1]],
+            [[0], [5], [5], [5]],
         ],
     )
-    def test_repeated_rows_count_once_per_copy(self, rows_a, rows_b):
-        # H(X2) used to be log2 |c2|: [[0], [0]] gave -1.0 and {0, 0, 1} -0.193
-        a, b = PointGrid(1, rows_a), PointGrid(1, rows_b)
-        assert mutual_info_sum(a, b, 100) == pytest.approx(
-            oracles.joint_leakage_oracle(value_bins(rows_a), a.points, b.points), abs=1e-12
+    def test_repeated_rows_count_once_per_copy(self, rows):
+        # H(X2) used to be log2 |C|: [[0], [0]] gave -1.0 and {0, 0, 1} -0.193
+        points = PointGrid(1, rows)
+        assert mutual_info_sum(points, 100) == pytest.approx(
+            oracles.joint_leakage_oracle(value_bins(rows), points.points, points.points),
+            abs=1e-12,
         )
 
     def test_one_repeated_point_leaks_nothing(self):
         twice = PointGrid(1, [[0], [0]])
-        assert mutual_info_sum(twice, twice, 100) == 0.0
+        assert mutual_info_sum(twice, 100) == 0.0
 
     @settings(max_examples=60)
     @given(wide_grid_pairs())
     def test_repeated_wide_rows_match_oracle(self, pair):
-        a, b = pair
-        assert mutual_info_sum(a, b, 10**6) == pytest.approx(
-            oracles.joint_leakage_oracle(value_bins(a.coords.tolist()), a.points, b.points),
-            abs=1e-9,
-        )
+        for points in pair:
+            assert mutual_info_sum(points, 10**6) == pytest.approx(
+                oracles.joint_leakage_oracle(
+                    value_bins(points.coords.tolist()), points.points, points.points
+                ),
+                abs=1e-9,
+            )
 
     def test_frozen_spot_values(self):
         two = enumerate_codebook(ConstructionALattice(2, ((1,),), None, 1))
         three = enumerate_codebook(ConstructionALattice(3, ((1,),), None, 1))
-        assert mutual_info_sum(two, two, 100) == 0.5
-        assert mutual_info_sum(three, three, 100) == pytest.approx(
+        assert mutual_info_sum(two, 100) == 0.5
+        assert mutual_info_sum(three, 100) == pytest.approx(
             0.612197222702993, abs=1e-9
         )
 
@@ -312,14 +313,14 @@ class TestBinnedLeakage:
     def test_leakage_matches_joint_oracle(self, p, k, n, bins, seed):
         cb = seeded_codebook(p, k, n, seed=seed)
         binned = BinnedCodebook(cb, bins, seed=seed)
-        leak = joint_bin_sum(binned, cb, 10**6).mutual_info_bits()
+        leak = joint_bin_sum(binned, 10**6).mutual_info_bits()
         expected = oracles.joint_leakage_oracle(oracles.bins_of(binned), cb.points, cb.points)
         assert leak == pytest.approx(expected, abs=1e-9)
 
     def test_single_bin_leaks_nothing(self):
         cb = seeded_codebook(2, 3, 3)
         binned = BinnedCodebook(cb, 1)
-        assert joint_bin_sum(binned, cb, 10**6).mutual_info_bits() == 0.0
+        assert joint_bin_sum(binned, 10**6).mutual_info_bits() == 0.0
 
     @staticmethod
     def dense_table(binned, structure):
@@ -331,7 +332,7 @@ class TestBinnedLeakage:
     def test_joint_structure_consistency(self):
         cb = seeded_codebook(3, 2, 2, seed=2)
         binned = BinnedCodebook(cb, 3, seed=1)
-        joint = joint_bin_sum(binned, cb, 10**6)
+        joint = joint_bin_sum(binned, 10**6)
         structure = sum_structure(cb, cb, 10**6)
         dense = self.dense_table(binned, structure)
         # The occupied cells are the table's nonzero entries, in (bin, sum) order.
@@ -355,8 +356,8 @@ class TestBinnedLeakage:
         cb = seeded_codebook(2, 3, 3, seed=3)
         structure = sum_structure(cb, cb, 10**6)
         binned = BinnedCodebook(cb, 2, seed=0)
-        a = joint_bin_sum(binned, cb, 10**6)
-        b = joint_bin_sum(binned, cb, 10**6, structure=structure)
+        a = joint_bin_sum(binned, 10**6)
+        b = joint_bin_sum(binned, 10**6, structure=structure)
         dense = self.dense_table(binned, structure)
         assert np.array_equal(a.cell_counts, dense[dense > 0])
         assert np.array_equal(a.cell_counts, b.cell_counts)
@@ -367,8 +368,8 @@ class TestBinnedLeakage:
         # One codeword per bin: W determines X1, so I(W;S) = I(X1;S).
         cb = seeded_codebook(3, 2, 2, seed=4)
         binned = BinnedCodebook(cb, len(cb), seed=0)
-        assert joint_bin_sum(binned, cb, 10**6).mutual_info_bits() == pytest.approx(
-            mutual_info_sum(cb, cb, 10**6), abs=1e-12
+        assert joint_bin_sum(binned, 10**6).mutual_info_bits() == pytest.approx(
+            mutual_info_sum(cb, 10**6), abs=1e-12
         )
 
     def test_leakage_monotone_in_bins(self):
@@ -377,7 +378,7 @@ class TestBinnedLeakage:
         leaks = []
         for bins in (1, 2, 4, 8, 16):
             binned = BinnedCodebook(cb, bins, seed=7)
-            leaks.append(joint_bin_sum(binned, cb, 10**6).mutual_info_bits())
+            leaks.append(joint_bin_sum(binned, 10**6).mutual_info_bits())
         assert all(b >= a - 1e-12 for a, b in zip(leaks, leaks[1:]))
 
 
@@ -418,8 +419,8 @@ def carry_calls(monkeypatch):
 
 
 class TestCarryPath:
-    """A message-ordered Codebook summed with itself is counted by codeword
-    and carry bits; the SumStructure must be the one the sort gives."""
+    """A Codebook summed with itself is counted by codeword and carry bits;
+    the SumStructure must be the one the sort gives."""
 
     def test_standard_grid_matches_general_path(self):
         for point, cb, structure in standard_grid_builds():
@@ -457,16 +458,16 @@ class TestCarryPath:
 
     def test_reversed_rows_take_the_general_path(self, carry_calls):
         cb = seeded_codebook(3, 2, 2, seed=1)
-        reversed_cb = Codebook(cb.lattice, cb.coords[::-1])
-        s = sum_structure(reversed_cb, reversed_cb, 10**6)
+        reversed_rows = PointGrid(cb.unit, cb.coords[::-1])
+        s = sum_structure(reversed_rows, reversed_rows, 10**6)
         assert carry_calls == []
         got = {pt: int(c) for pt, c in zip(s.points, s.counts())}
-        assert got == oracles.pair_sum_histogram(reversed_cb.points, reversed_cb.points)
+        assert got == oracles.pair_sum_histogram(reversed_rows.points, reversed_rows.points)
         assert np.array_equal(s.ids, sum_structure(cb, cb, 10**6).ids[::-1, ::-1])
 
     def test_two_codebooks_take_the_general_path(self, carry_calls):
         cb = seeded_codebook(2, 2, 3, seed=2)
-        twin = Codebook(cb.lattice, cb.coords)
+        twin = PointGrid(cb.unit, cb.coords)
         other = seeded_codebook(2, 2, 3, seed=3)
         for b in (twin, other):
             s = sum_structure(cb, b, 10**6)
@@ -500,7 +501,7 @@ class TestCarryPath:
             h = sum(
                 entropy_from_counts(counts[z_of_key == zi], len(cb)) for zi in range(len(cb))
             ) / len(cb)
-            assert h == pytest.approx(mutual_info_sum(cb, cb, 10**6), abs=1e-12)
+            assert h == pytest.approx(mutual_info_sum(cb, 10**6), abs=1e-12)
 
 
 def _cell_path(binned, structure):
@@ -526,7 +527,7 @@ class TestBinnedCellPaths:
         for point, cb, structure in standard_grid_builds():
             for j in range(point.k + 1):
                 binned = BinnedCodebook(cb, point.p**j, 0)
-                joint = joint_bin_sum(binned, cb, 10**6, structure=structure)
+                joint = joint_bin_sum(binned, 10**6, structure=structure)
                 seen.add(_cell_path(binned, structure))
                 assert joint.mutual_info_bits() == sorted_joint(binned, structure).mutual_info_bits()
         # no standard-grid binning has a (bin, sum) space past 8 |C|^2 + 1024
@@ -537,7 +538,7 @@ class TestBinnedCellPaths:
         structure = sum_structure(cb, cb, 10**6)
         binned = BinnedCodebook(cb, 32, seed=0)
         assert _cell_path(binned, structure) == "sorted"
-        joint = joint_bin_sum(binned, cb, 10**6, structure=structure)
+        joint = joint_bin_sum(binned, 10**6, structure=structure)
         reference = sorted_joint(binned, structure)
         assert np.array_equal(joint.cell_counts, reference.cell_counts)
         assert joint.mutual_info_bits() == reference.mutual_info_bits()
@@ -550,7 +551,7 @@ class TestBinnedCellPaths:
         structure = sum_structure(cb, cb, 10**6)
         binned = BinnedCodebook(cb, bins, seed=0)
         assert _cell_path(binned, structure) == path
-        leak = joint_bin_sum(binned, cb, 10**6).mutual_info_bits()
+        leak = joint_bin_sum(binned, 10**6).mutual_info_bits()
         assert leak == sorted_joint(binned, structure).mutual_info_bits()
         expected = oracles.joint_leakage_oracle(oracles.bins_of(binned), cb.points, cb.points)
         assert leak == pytest.approx(expected, abs=1e-12)
@@ -558,14 +559,16 @@ class TestBinnedCellPaths:
             assert leak == 0.0
 
     def test_closed_forms_need_the_binned_codebook_itself(self):
-        # one codeword per bin against another codebook counts its cells
+        # one codeword per bin of rows that are not a Codebook counts its cells
         cb = seeded_codebook(2, 2, 2)
-        reversed_cb = Codebook(cb.lattice, cb.coords[::-1])
-        for other in (Codebook(cb.lattice, cb.coords), reversed_cb):
-            joint = joint_bin_sum(BinnedCodebook(cb, 4), other, 10**6)
+        for rows in (cb.coords, cb.coords[::-1]):
+            joint = joint_bin_sum(BinnedCodebook(PointGrid(cb.unit, rows), 4), 10**6)
             assert joint.cell_counts is not None
-        doubled = Codebook(cb.lattice, np.repeat(cb.coords[:2], 2, axis=0))
-        joint = joint_bin_sum(BinnedCodebook(doubled, 4), doubled, 10**6)
+            assert joint.mutual_info_bits() == pytest.approx(
+                joint_bin_sum(BinnedCodebook(cb, 4), 10**6).mutual_info_bits(), abs=1e-12
+            )
+        doubled = PointGrid(cb.unit, np.repeat(cb.coords[:2], 2, axis=0))
+        joint = joint_bin_sum(BinnedCodebook(doubled, 4), 10**6)
         assert joint.cell_counts is not None and joint.cell_counts.max() == 2
         leak = joint.mutual_info_bits()
         expected = oracles.joint_leakage_oracle(

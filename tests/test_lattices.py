@@ -267,6 +267,31 @@ class TestConstructionErrors:
             ConstructionALattice(2, ((1,),), None, 0)
         with pytest.raises(NonPositiveScale):
             ConstructionALattice(2, ((1,),), None, Fraction(-1, 2))
+        with pytest.raises(NonPositiveScale):
+            ConstructionALattice(2, ((1,),), None, math.inf)
+
+    @pytest.mark.parametrize(
+        "g,t",
+        [
+            ([[1.5], [2]], None),
+            ([[1], [2]], [[1.5, 0], [0, 1]]),
+            ([[1], [math.nan]], None),
+            ([[1], [2]], [[1, 0], [0, math.inf]]),
+            ([["1"], [2]], None),
+        ],
+    )
+    def test_non_integral_matrix_entries_raise(self, g, t):
+        # [[1.5], [2]] used to build as ((1,), (2,)), and the 1.5 transform as the identity
+        field = "code_matrix" if t is None else "transform"
+        with pytest.raises(ValidationError) as err:
+            ConstructionALattice(3, g, t, 1)
+        assert err.value.field == field
+
+    def test_integral_matrix_entries_of_any_type_are_kept(self):
+        lat = ConstructionALattice(3, np.array([[1.0], [2.0]]), [[Fraction(1), 0], [0, 1]], 1)
+        assert lat.code_matrix == ((1,), (2,))
+        assert lat.transform == ((1, 0), (0, 1))
+        assert all(type(v) is int for row in lat.code_matrix + lat.transform for v in row)
 
 
 class TestQuantizeFine:

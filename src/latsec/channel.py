@@ -54,7 +54,7 @@ from .errors import (
     UnityGain,
     ValidationError,
 )
-from .lattices import ConstructionALattice, PointGrid, _float_rows, on_grid
+from .lattices import ConstructionALattice, PointGrid, _float_rows, _peak, on_grid
 
 
 @dataclass(frozen=True)
@@ -621,11 +621,16 @@ def _exact_decode_grid(received, codebooks, gain: Fraction):
 
     Returns (y_grid, [(own_grid, intf_grid), ...]) of int64 arrays over the
     common unit divided by gain.denominator. Raises BudgetExceeded when a
-    squared distance between them could overflow int64.
+    decoding distance could overflow int64.
+
+    Every residual a stage meets and every candidate point lies within
+    reach of the origin in each coordinate, so ||r - c||^2 <= n (2 reach)^2,
+    and the expanded terms _nearest ranks by, ||c||^2 and 2 |r.c|, add up
+    to at most 3 n reach^2: the one guard n (2 reach)^2 < 2^62 covers both.
     """
     _, (y_int, *layers) = on_grid(received, *codebooks)
     anum, aden = gain.numerator, gain.denominator
-    peak = [max(int(np.abs(a).max(initial=0)), 1) for a in (y_int, *layers)]
+    peak = [max(_peak(a), 1) for a in (y_int, *layers)]
     reach = peak[0] * aden + 2 * (abs(anum) + aden) * sum(peak[1:])
     if y_int.shape[1] * (2 * reach) ** 2 >= 2**62:
         raise BudgetExceeded(
@@ -634,33 +639,46 @@ def _exact_decode_grid(received, codebooks, gain: Fraction):
     return y_int * aden, [(c * aden, c * anum) for c in layers]
 
 
-def _nearest(rows, pts):
-    """Index of the nearest point of pts to each row; ties go to the lowest."""
-    return ((rows[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+def _nearest(rows, pts, norms=None):
+    """Index of the nearest point of pts to each row; ties go to the lowest.
+
+    Float rows rank the points by ||r - p||^2. Exact int64 rows come with
+    norms, each point's ||p||^2, and rank them by ||p||^2 - 2 r.p, which
+    differs from ||r - p||^2 by ||r||^2, the same for every point: the
+    order and its ties are the same, with no (rows, points, n) temporary.
+    """
+    if norms is None:
+        return ((rows[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    return (norms - 2 * (rows @ pts.T)).argmin(axis=1)
 
 
 def _successive_decode(received, codebooks, gain):
     """Per-layer successive decoding, interference first inside each stage.
 
     A PointGrid of rows is decoded in int64 on one grid shared with the
-    codebooks (see _exact_decode_grid); anything else is a float batch of
-    shape (rows, n). Each stage finds the nearest interferer at the gain,
-    strips it, then finds and strips the nearest own codeword. Returns
-    (own_indices, interferer_indices), one array per layer.
+    codebooks (see _exact_decode_grid), each stage's squared norms computed
+    once; anything else is a float batch of shape (rows, n). Each stage
+    finds the nearest interferer at the gain, strips it, then finds and
+    strips the nearest own codeword. Returns (own_indices,
+    interferer_indices), one array per layer.
     """
     if isinstance(received, PointGrid):
-        resid, stages = _exact_decode_grid(received, codebooks, Fraction(gain))
+        resid, layers = _exact_decode_grid(received, codebooks, Fraction(gain))
+        stages = [
+            (own, (own * own).sum(axis=1), intf, (intf * intf).sum(axis=1))
+            for own, intf in layers
+        ]
     else:
         resid = _float_rows(received)
         if not np.isfinite(resid).all():
             raise ValidationError("rows", "rows must be finite")
         a = float(gain)
-        stages = [(pts, a * pts) for pts in (cb.float_matrix() for cb in codebooks)]
+        stages = [(pts, None, a * pts, None) for pts in (cb.float_matrix() for cb in codebooks)]
     own_all, intf_all = [], []
-    for own_pts, intf_pts in stages:
-        j = _nearest(resid, intf_pts)
+    for own_pts, own_norms, intf_pts, intf_norms in stages:
+        j = _nearest(resid, intf_pts, intf_norms)
         resid = resid - intf_pts[j]
-        i = _nearest(resid, own_pts)
+        i = _nearest(resid, own_pts, own_norms)
         resid = resid - own_pts[i]
         own_all.append(i.astype(np.int64))
         intf_all.append(j.astype(np.int64))

@@ -12,6 +12,7 @@ derived on demand.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -87,13 +88,20 @@ def scale_to_power(codebook: Codebook, power) -> Codebook:
     if ratio == 0:
         raise ValidationError(
             "power",
-            f"power {power!r} is below {float(moment) * 2.0**-80:.3g}, the least "
-            f"reachable at scale {old.scale}: the scale ratio resolves to 2^-40",
+            f"power {power!r} is below {_sig3(moment / 2**80)}, the least "
+            f"reachable at scale {_sig3(old.scale)}: the scale ratio resolves to 2^-40",
         )
     scaled = ConstructionALattice(
         old.p, old.code_matrix, old.transform, old.scale * ratio
     )
     return Codebook(scaled)
+
+
+def _sig3(value: Fraction) -> str:
+    """A positive rational to three significant digits, at any magnitude:
+    decimal arithmetic with an unbounded exponent, so no float overflows."""
+    ctx = decimal.Context(prec=3, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    return f"{ctx.divide(decimal.Decimal(value.numerator), value.denominator):g}"
 
 
 def _floor_sqrt_fraction(value: Fraction) -> Fraction:

@@ -620,8 +620,10 @@ def engineered_gain(codebook: Codebook) -> int:
     c = codebook.coords
     if codebook.n * codebook.lattice.p**2 >= GRID_LIMIT:
         raise BudgetExceeded(f"p={codebook.lattice.p} overflows int64 squared distances")
-    max_norm2 = int((c * c).sum(axis=1).max())
-    dmin2 = min(int(((c[i + 1 :] - c[i]) ** 2).sum(axis=1).min()) for i in range(len(c) - 1))
+    norms = (c * c).sum(axis=1)
+    max_norm2 = int(norms.max())
+    dist2 = norms[:, None] + norms[None, :] - 2 * (c @ c.T)
+    dmin2 = int(dist2[np.triu_indices(len(c), 1)].min())
     a = math.isqrt(4 * max_norm2 // dmin2) + 1
     return max(a, 2)
 

@@ -11,11 +11,13 @@ Because T is unimodular, the coarse lattice is scale * Z^n and the fine
 lattice is (scale / p) * (C' + p Z^n), with C' the code spanned by T G mod p.
 Both are integer grids over the unit scale / p. The quantisers work on rows:
 a float array of shape (rows, n) or a PointGrid. Each row is first written
-exactly as Python-int numerators over a denominator in units of scale / p
+exactly as integer numerators over a denominator in units of scale / p
 (one per float row, one shared by a PointGrid's rows), and every decision
-is made on those integers. The coarse quantiser rounds each coordinate;
-the fine quantiser rounds inside each coset of p Z^n (one per codeword of
-C') and keeps the nearest (Conway & Sloane, SPLAG ch. 20). Ties go to the
+is made on those integers: int64 when a bound proves that nothing
+overflows, Python ints otherwise. The coarse quantiser rounds each
+coordinate; the fine quantiser rounds inside each coset of p Z^n (one per
+codeword of C'), gathers every codeword's coset point at once and keeps
+the nearest (Conway & Sloane, SPLAG ch. 20). Ties go to the
 lexicographically smallest residual, which makes the induced fundamental
 cell half-open.
 """
@@ -42,6 +44,11 @@ from .errors import (
 GRID_LIMIT = 1 << 62
 """Bound on the magnitude of an int64 grid coordinate: below it, the sum of
 two coordinates cannot overflow. on_grid raises BudgetExceeded past it."""
+
+_GATHER_LIMIT = 1 << 13
+"""Entries of the (rows, codewords, n) gather that quantize_fine makes at
+once: it takes rows in chunks, so its temporaries stay small whatever the
+batch and the code."""
 
 
 class PointGrid:
@@ -110,10 +117,16 @@ def _float_rows(x) -> np.ndarray:
     return rows.astype(np.float64, copy=False)
 
 
+def _peak(a) -> int:
+    """The largest magnitude in an integer array, as a Python int (0 when
+    empty). Taken from max() and -min(): abs() wraps int64's -2^63 to itself."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
 def _int64_grid(coords, factor=1) -> np.ndarray:
     """Integer coords * factor as int64; BudgetExceeded when an entry
     reaches GRID_LIMIT in magnitude."""
-    peak = int(abs(coords).max()) * factor if coords.size else 0
+    peak = _peak(coords) * factor
     if peak >= GRID_LIMIT:
         raise BudgetExceeded(f"exact coordinate {peak} on a common grid reaches 2^62")
     return coords.astype(np.int64) * factor
@@ -144,18 +157,32 @@ def on_grid(*grids):
 def _round_half_up(num: int, den: int) -> int:
     """floor(num / den + 1/2) for den > 0: the nearest integer, halves
     rounded up, which leaves the smaller residual -1/2. Elementwise on
-    object arrays of Python ints."""
+    integer arrays, int64 or Python ints."""
     return (2 * num + den) // (2 * den)
 
 
-def _lex_less(a, b) -> np.ndarray:
-    """Row-wise lexicographic a < b for two (rows, n) arrays."""
-    less = np.zeros(len(a), dtype=bool)
-    tied = np.ones(len(a), dtype=bool)
-    for i in range(a.shape[1]):
-        less |= tied & (a[:, i] < b[:, i])
-        tied &= a[:, i] == b[:, i]
-    return less
+def _least_word(resid, sq, words, sentinel) -> np.ndarray:
+    """Each row's least codeword by (distance, lexicographic residual).
+
+    resid and sq hold, for each row, coordinate and residue r mod p, the
+    residual of the nearest integer that is r mod p and its square: shape
+    (rows, n, p). One gather of sq over every codeword gives the distances,
+    shape (rows, codewords); rows whose least distance is tied are narrowed
+    column by column, n passes at most, until one codeword is left. Two
+    codewords differ in some coordinate, where their residuals differ, so
+    one always is. sentinel, of shape (rows, 1), exceeds every residual of
+    its row. Returns indices into words."""
+    n = words.shape[1]
+    dist = sq[:, np.arange(n), words].sum(axis=2)
+    alive = dist == dist.min(axis=1, keepdims=True)
+    tied = np.flatnonzero(alive.sum(axis=1) > 1)
+    for i in range(n):
+        if not tied.size:
+            break
+        col = np.where(alive[tied], resid[tied, i][:, words[:, i]], sentinel[tied])
+        alive[tied] &= col == col.min(axis=1, keepdims=True)
+        tied = tied[alive[tied].sum(axis=1) > 1]
+    return alive.argmax(axis=1)
 
 
 def det_int(rows) -> int:
@@ -283,15 +310,29 @@ class ConstructionALattice:
         return self._words
 
     def _unit_rows(self, x):
-        """Rows of x exactly, in units of scale / p: Python-int numerators of
-        shape (rows, n) over positive per-row denominators of shape (rows, 1),
-        both object arrays. Floats convert bit for bit; a PointGrid's rows
-        share the denominator of x.unit / (scale / p)."""
+        """Rows of x exactly, in units of scale / p: integer numerators of
+        shape (rows, n) over positive per-row denominators of shape (rows, 1).
+
+        Floats convert bit for bit, to object arrays of Python ints. A
+        PointGrid's rows are coords * a over b, with a / b = x.unit /
+        (scale / p) in lowest terms; they come as int64 when no
+        intermediate of mod_coarse or quantize_fine can overflow, else as
+        object arrays. With N the largest |numerator| (taken as at least a,
+        so that a itself fits) and P = p b, every linear intermediate of
+        either (2 num + 3P at most, in quantize_fine's rounding) is below
+        4 (N + P), every residual is at most P / 2 in magnitude and every
+        squared distance at most n P^2 / 4; so 2 (N + P) < GRID_LIMIT and
+        n P^2 < GRID_LIMIT keep all of them below 2^63.
+        """
         unit = self.scale / self.p
         if isinstance(x, PointGrid):
             ratio = x.unit / unit
-            num = x.coords.astype(object) * ratio.numerator
-            den = np.full((len(x), 1), ratio.denominator, dtype=object)
+            a, b = ratio.numerator, ratio.denominator
+            step = self.p * b
+            fits = 2 * (max(_peak(x.coords), 1) * a + step) < GRID_LIMIT
+            dtype = np.int64 if fits and self.n * step * step < GRID_LIMIT else object
+            num = x.coords.astype(dtype) * a
+            den = np.full((len(x), 1), b, dtype=dtype)
         else:
             rows = _float_rows(x)
             if not np.isfinite(rows).all():
@@ -332,8 +373,11 @@ class ConstructionALattice:
         cell), as a PointGrid over scale / p. Takes rows as mod_coarse does.
 
         For each residue r, finds the nearest integer to each coordinate that
-        is r mod p; then, codeword by codeword of C', keeps each row's coset
-        point with the least (distance, residual).
+        is r mod p, and the residual it leaves; then takes every codeword of
+        C' at once (see _least_word) and keeps each row's least (distance,
+        residual). Every residual is at most p den / 2 in magnitude, so
+        p den is a sentinel above all of a row's. Rows are taken in chunks
+        of at most _GATHER_LIMIT (row, codeword, coordinate) entries.
         """
         num, den = self._unit_rows(x)
         p = self.p
@@ -342,19 +386,15 @@ class ConstructionALattice:
         )
         resid = num[..., None] - near * den[..., None]
         sq = resid * resid
-        cols = np.arange(self.n)
-        best_dist = np.full(len(num), math.inf, dtype=object)
-        best_resid = num
-        for word in self._codewords():
-            dist = sq[:, cols, word].sum(axis=1)
-            res = resid[:, cols, word]
-            better = dist < best_dist
-            tied = dist == best_dist
-            if tied.any():
-                better |= tied & _lex_less(res, best_resid)
-            best_dist = np.where(better, dist, best_dist)
-            best_resid = np.where(better[:, None], res, best_resid)
-        return PointGrid(self.scale / p, _int64_grid((num - best_resid) // den))
+        words = self._codewords()
+        step = max(1, _GATHER_LIMIT // words.size)
+        best = np.empty(len(num), dtype=np.int64)
+        for start in range(0, len(num), step):
+            part = slice(start, start + step)
+            best[part] = _least_word(resid[part], sq[part], words, p * den[part])
+        rows = np.arange(len(num))[:, None]
+        least = resid[rows, np.arange(self.n), words[best]]
+        return PointGrid(self.scale / p, _int64_grid((num - least) // den))
 
     # ------------------------------------------------------------------
     # codewords

@@ -1,13 +1,14 @@
 """Exact test points as a PointGrid, the one exact row format the package
 takes: a list of exact points becomes a PointGrid over the largest rational
-dividing every coordinate."""
+dividing every coordinate. record_row_dtypes shows which integer dtype the
+lattice quantisers take such rows in."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from latsec import PointGrid
+from latsec import ConstructionALattice, PointGrid
 
 
 def grid(points) -> PointGrid:
@@ -19,3 +20,19 @@ def grid(points) -> PointGrid:
     )
     coords = [[int(v / unit) for v in row] for row in rows]
     return PointGrid(unit, np.array(coords, dtype=np.int64).reshape(len(rows), -1))
+
+
+def record_row_dtypes(monkeypatch) -> list:
+    """Spy on ConstructionALattice._unit_rows: the list it returns collects
+    the numerator dtype of every call, in call order."""
+    seen = []
+    unit_rows = ConstructionALattice._unit_rows
+
+    def spy(self, x):
+        num, den = unit_rows(self, x)
+        assert den.dtype == num.dtype
+        seen.append(num.dtype)
+        return num, den
+
+    monkeypatch.setattr(ConstructionALattice, "_unit_rows", spy)
+    return seen

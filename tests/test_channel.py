@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latsec import (
@@ -49,7 +49,7 @@ from latsec.channel import (
 )
 
 import oracles
-from exact_rows import grid
+from exact_rows import grid, record_row_dtypes
 
 
 def codebook(p, g, scale=1):
@@ -663,6 +663,18 @@ class TestWeakDecoder:
         assert got.unit == expected.unit == cb.unit
         assert got.points == expected.points
 
+    def test_exact_entry_point_rows_take_python_ints(self, monkeypatch):
+        # Fraction(alpha) has a denominator near 2^54: the MMSE-scaled rows
+        # and their fold take Python ints; the quantised points, back over
+        # scale / p, fold in int64
+        cb = codebook(2, ((1, 0), (0, 1)))
+        params = ChannelParams(cross_gain=0.3, power=1.0, noise_var=1.0)
+        ys = [(Fraction(3, 8), Fraction(-1, 4)), (Fraction(-5, 6), Fraction(1, 2))]
+        us = [(Fraction(1, 7), Fraction(2, 9)), (Fraction(0), Fraction(-1, 3))]
+        seen = record_row_dtypes(monkeypatch)
+        decode_weak(grid(ys), grid(us), params, cb.lattice)
+        assert seen == [np.dtype(object), np.dtype(object), np.dtype(np.int64)]
+
     def test_reliability_improves_with_repetition_length(self):
         sigma = 0.2
         trials = 600
@@ -739,6 +751,73 @@ class TestVeryStrongDecoder:
         grid_rows = grid([(Fraction(0),), (Fraction(-5, 2),)])
         own_g, intf_g = decode_very_strong_batch(grid_rows, cb, params)
         assert own_g.tolist() == [0, 1] and intf_g.tolist() == [0, 1]
+
+
+def nearest_brute(rows, pts):
+    """Per row, the lowest index of a nearest point: exact arithmetic on
+    Python ints or Fractions, ||r - p||^2 written out."""
+    out = []
+    for r in rows:
+        dist = [sum((a - b) ** 2 for a, b in zip(r, pt)) for pt in pts]
+        out.append(dist.index(min(dist)))
+    return out
+
+
+@st.composite
+def rows_and_points(draw):
+    """Integer rows and points with forced ties: a repeated point, and the
+    mirror 2 r - p of a point p through a row r, which is as near r as p."""
+    n = draw(st.integers(1, 4))
+    bound = draw(st.sampled_from([3, 2**20, 2**28]))
+    vec = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+    rows = draw(st.lists(vec, min_size=1, max_size=6))
+    pts = draw(st.lists(vec, min_size=1, max_size=6))
+    index = st.integers(0, len(pts) - 1)
+    extra = [pts[i] for i in draw(st.lists(index, max_size=2))]
+    for r, i in draw(st.lists(st.tuples(st.sampled_from(rows), index), max_size=3)):
+        extra.append([2 * a - b for a, b in zip(r, pts[i])])
+    return rows, draw(st.permutations(pts + extra))
+
+
+class TestExactNearest:
+    """Exact stages rank points by ||p||^2 - 2 r.p in int64; that must pick
+    what ||r - p||^2 in Python ints picks, ties to the lowest index."""
+
+    @settings(max_examples=200)
+    @given(rows_and_points())
+    @example(([[0, 0]], [[1, 0], [0, 1], [-1, 0], [1, 0]]))
+    def test_expanded_argmin_matches_python_ints(self, drawn):
+        rows, pts = drawn
+        r, p = np.array(rows, dtype=np.int64), np.array(pts, dtype=np.int64)
+        got = channel._nearest(r, p, (p * p).sum(axis=1))
+        assert got.tolist() == nearest_brute(rows, pts)
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 3),
+        gain=st.sampled_from([Fraction(2), Fraction(5, 2), Fraction(7, 4), Fraction(2**20 + 1)]),
+        data=st.data(),
+    )
+    def test_rows_at_the_guard(self, n, gain, data):
+        # Rows over the codebook's unit, codeword coordinates in {-1, 0, 1}:
+        # reach = peak aden + 2 (anum + aden), and the guard admits it while
+        # n (2 reach)^2 < 2^62
+        cb = codebook(3, ((1,),) * n)
+        params = ChannelParams(cross_gain=float(gain), power=1.0)
+        top = math.isqrt((2**62 - 1) // (4 * n))
+        peak = (top - 2 * (gain.numerator + gain.denominator)) // gain.denominator
+        entry = st.integers(-peak, peak)
+        coords = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5))
+        coords.append(data.draw(st.lists(st.sampled_from([-peak, peak]), min_size=n, max_size=n)))
+        rows = PointGrid(cb.unit, coords)
+        own, intf = decode_very_strong_batch(rows, cb, params)
+        for row, i, j in zip(rows.points, own.tolist(), intf.tolist()):
+            assert j == nearest_brute([row], [[gain * c for c in pt] for pt in cb.points])[0]
+            rest = [v - gain * c for v, c in zip(row, cb.points[j])]
+            assert i == nearest_brute([rest], cb.points)[0]
+        coords[-1][0] = peak + 1
+        with pytest.raises(BudgetExceeded):
+            decode_very_strong_batch(PointGrid(cb.unit, coords), cb, params)
 
 
 class TestStageConditions:

@@ -198,6 +198,15 @@ class TestPowerScaling:
                 scale_to_power(cb, power)
             assert err.value.field == "power"
 
+    @pytest.mark.parametrize("scale", [10**300, Fraction(10**5000, 3)])
+    def test_unreachable_power_at_a_huge_scale_rejected(self, scale):
+        # the least reachable power, scale^2 / 12 * 2^-80, is past the
+        # largest float; formatting it used to raise OverflowError
+        cb = enumerate_codebook(ConstructionALattice(2, ((1,),), None, scale))
+        with pytest.raises(ValidationError, match="is below [0-9.]+e\\+[0-9]+, the least") as err:
+            scale_to_power(cb, 1.0)
+        assert err.value.field == "power"
+
 
 class TestBinning:
     def test_bins_partition_evenly(self):

@@ -45,6 +45,7 @@ from latsec import channel, experiments, infotheory
 from latsec.channel import TRIAL_BLOCK, _trial_blocks, _trial_draws
 
 import oracles
+from exact_rows import record_row_dtypes
 
 
 def unit_lattice():
@@ -557,6 +558,25 @@ class TestNoiselessLoopback:
         monkeypatch.setattr(channel, "_successive_decode", counted)
         assert noiseless_loopback(square_codebook())["all_ok"]
         assert calls == [1]
+
+    def test_rows_take_int64(self, monkeypatch):
+        # the dither and signal folds, then decode_weak's fold, quantiser
+        # and fold: every row set of the loopback fits the int64 bound
+        seen = record_row_dtypes(monkeypatch)
+        assert noiseless_loopback(square_codebook())["all_ok"]
+        assert seen == [np.dtype(np.int64)] * 5
+
+    def test_engineered_gain_matches_pairwise_python_ints(self):
+        for gp in standard_grid((2, 3, 5, 7), 4, 64, 8):
+            cb = enumerate_codebook(gp.build_lattice())
+            rows = cb.coords.tolist()
+            max_norm2 = max(sum(v * v for v in r) for r in rows)
+            dmin2 = min(
+                sum((x - y) ** 2 for x, y in zip(a, b))
+                for i, a in enumerate(rows)
+                for b in rows[i + 1 :]
+            )
+            assert engineered_gain(cb) == max(math.isqrt(4 * max_norm2 // dmin2) + 1, 2)
 
     def test_engineered_gain_separates_interference(self):
         for p, g in ((2, ((1, 0), (0, 1))), (3, ((1,),)), (5, ((1,), (2,)))):

@@ -32,7 +32,7 @@ from latsec import lattices
 from latsec.lattices import det_int
 
 import oracles
-from exact_rows import grid
+from exact_rows import grid, record_row_dtypes
 
 
 def lat_1d():
@@ -583,3 +583,101 @@ class TestExactRowsArePointGrids:
         with pytest.raises(TypeError, match="PointGrid"):
             call(rows)
         call(grid(rows))
+
+
+class TestInt64Magnitudes:
+    """int64's minimum has no int64 magnitude: abs(-2^63) wraps to itself."""
+
+    def test_on_grid_rejects_int64_minimum(self):
+        with pytest.raises(BudgetExceeded):
+            lattices.on_grid(PointGrid(1, [[-(2**63)]]), PointGrid(Fraction(1, 2), [[1]]))
+        with pytest.raises(BudgetExceeded):
+            lattices.on_grid(PointGrid(1, [[5, -(2**63)]]))
+
+    def test_fold_of_int64_minimum_takes_python_ints(self, monkeypatch):
+        # -2^63 halves is a coarse point of Z: the fold is 0, and int64
+        # arithmetic would have wrapped 2 * num to 0 on the way
+        seen = record_row_dtypes(monkeypatch)
+        folded = lat_1d().mod_coarse(PointGrid(Fraction(1, 2), [[-(2**63)], [3]]))
+        assert folded.coords.tolist() == [[0], [-1]]
+        assert seen == [np.dtype(object)]
+
+    @pytest.mark.parametrize("call", ["decode_very_strong_batch", "decode_layered"])
+    def test_exact_decoders_reject_int64_minimum(self, call):
+        with pytest.raises(BudgetExceeded):
+            _guarded_calls()[call](PointGrid(Fraction(1, 3), [[0, -(2**63)]]))
+
+
+class TestRowDtypeBound:
+    """A PointGrid's rows are folded and quantised in int64 exactly when
+    2 (N + P) < GRID_LIMIT and n P^2 < GRID_LIMIT, with N the largest
+    |numerator| and P = p b, b the denominator of x.unit / (scale / p).
+    Rows just inside and just past the bound give the oracle's answers."""
+
+    @staticmethod
+    def check_against_oracle(lat, x, fine_basis):
+        """x is a PointGrid over a multiple of the fine unit's divisors: each
+        row is x0 + v with v coarse and x0 small, and fold(x) = fold(x0),
+        quantize_fine(x) = v + quantize_fine(x0) hold for the oracle's x0."""
+        n, scale = lat.n, lat.scale
+        coarse = [tuple(scale * lat.transform[i][j] for i in range(n)) for j in range(n)]
+        folded = lat.mod_coarse(x).points
+        fine = lat.quantize_fine(x).points
+        for row, fold, pt in zip(x.points, folded, fine):
+            v = tuple(scale * math.floor(c / scale + Fraction(1, 2)) for c in row)
+            x0 = minus([row], [v])[0]
+            assert fold == oracles.fold_brute(x0, coarse, box=6)
+            winners, _ = oracles.exhaustive_nearest(x0, fine_basis, box=9)
+            assert minus([row], [pt])[0] == oracles.tie_break_residual(x0, winners)
+
+    @staticmethod
+    def fine_basis(lat):
+        p, n, unit = lat.p, lat.n, lat.scale / lat.p
+        g, t = lat.code_matrix, lat.transform
+        gens = [tuple(g[i][j] for i in range(n)) for j in range(lat.k)]
+        gens += [tuple(p * int(i == j) for i in range(n)) for j in range(lat.k, n)]
+        return [tuple(unit * sum(t[i][l] * c[l] for l in range(n)) for i in range(n)) for c in gens]
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_largest_numerator(self, monkeypatch, past):
+        # TestIntegerCoreAgainstOracle.CASES[0], rows over half the fine
+        # unit: a = 1, b = 2, P = 4, so 2 (N + 4) < 2^62 reads N <= 2^61 - 5
+        lat = ConstructionALattice(*TestIntegerCoreAgainstOracle.CASES[0])
+        top = 2**61 - 5 + past
+        coords = [[top, -top + 3], [-top, 7], [1 - top, top - 2], [2, -3], [0, 0], [-2, 2]]
+        x = PointGrid(lat.scale / lat.p / 2, coords)
+        seen = record_row_dtypes(monkeypatch)
+        self.check_against_oracle(lat, x, self.fine_basis(lat))
+        assert seen == [np.dtype(object) if past else np.dtype(np.int64)] * 2
+
+    @pytest.mark.parametrize("past", [False, True])
+    def test_squared_step(self, monkeypatch, past):
+        # p = 2, n = 1, rows over unit 1 / (2 b): P = 2 b, and n P^2 < 2^62
+        # reads b < 2^30
+        lat = lat_1d()
+        b = 2**30 - 1 + past
+        coords = [[c] for c in (0, 1, -1, b // 2, -(b // 2), b, -b, 2 * b - 1, 3 * b + 1)]
+        x = PointGrid(Fraction(1, 2 * b), coords)
+        seen = record_row_dtypes(monkeypatch)
+        self.check_against_oracle(lat, x, self.fine_basis(lat))
+        assert seen == [np.dtype(object) if past else np.dtype(np.int64)] * 2
+
+    def test_float_rows_take_python_ints(self, monkeypatch):
+        seen = record_row_dtypes(monkeypatch)
+        lat = lat_1d()
+        lat.quantize_fine(lat.mod_coarse(np.array([[0.25], [-3.0]])))
+        assert seen == [np.dtype(object)] * 2
+
+    def test_chunked_rows_match_one_gather(self, monkeypatch):
+        # more rows than one gather takes: every chunk decides as the whole
+        lat = ConstructionALattice(*TestIntegerCoreAgainstOracle.CASES[1])
+        rng = np.random.default_rng(5)
+        x = PointGrid(lat.scale / lat.p / 2, rng.integers(-6, 7, size=(700, lat.n)))
+        whole = lat.quantize_fine(x)
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", 7 * lat.num_cosets * lat.n)
+        assert np.array_equal(lat.quantize_fine(x).coords, whole.coords)
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", 1)
+        assert np.array_equal(lat.quantize_fine(x).coords, whole.coords)
+        for row, pt in zip(x.points[:12], whole.points[:12]):
+            winners, _ = oracles.exhaustive_nearest(row, self.fine_basis(lat), box=12)
+            assert minus([row], [pt])[0] == oracles.tie_break_residual(row, winners)

@@ -61,7 +61,6 @@ from .channel import (
     mmse_alpha,
     stage_condition_witnesses,
     transmit,
-    trial_rng,
 )
 from .experiments import (
     BaselineComparison,

@@ -46,9 +46,10 @@ GRID_LIMIT = 1 << 62
 two coordinates cannot overflow. on_grid raises BudgetExceeded past it."""
 
 _GATHER_LIMIT = 1 << 13
-"""Entries of the (rows, codewords, n) gather that quantize_fine makes at
-once: it takes rows in chunks, so its temporaries stay small whatever the
-batch and the code."""
+"""Entries of the (rows, codewords, n) temporary that quantize_fine, and
+the float stages of channel's successive decoder, make at once: both take
+rows in chunks, so their temporaries stay small whatever the batch and the
+code."""
 
 
 class PointGrid:
@@ -284,7 +285,6 @@ class ConstructionALattice:
             for trow in trows
         )
         self._words = None
-        self._coarse_float = None
 
     # ------------------------------------------------------------------
     # basic structure
@@ -292,16 +292,6 @@ class ConstructionALattice:
     @property
     def num_cosets(self) -> int:
         return self.p ** self.k
-
-    def coarse_basis_float(self) -> np.ndarray:
-        """Coarse basis as a float matrix whose columns are basis vectors."""
-        if self._coarse_float is None:
-            # Built as rows of basis vectors, then transposed: the
-            # column-major layout fixes how products with it round.
-            s, t = self.scale, self.transform
-            cols = [[float(s * t[i][j]) for i in range(self.n)] for j in range(self.n)]
-            self._coarse_float = np.array(cols).T
-        return self._coarse_float
 
     def _codewords(self) -> np.ndarray:
         """Every codeword of C', one per coset of the fine lattice mod p Z^n."""

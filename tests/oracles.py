@@ -13,8 +13,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 
 def solve_mod_p(rows, vec, p):
     """A coefficient list z with A z = vec (mod p), A given as n x k rows,
@@ -197,28 +195,3 @@ def convolve_oracle(dist_a, dist_b):
         for y, py in dist_b.items():
             out[x + y] = out.get(x + y, Fraction(0)) + px * py
     return out
-
-
-
-# PCG64's 128-bit LCG multiplier (O'Neill's PCG, as numpy uses it), and its
-# inverse modulo 2^128
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG64_INV = pow(PCG64_MULT, -1, 2**128)
-_NORMAL_GEN = np.random.Generator(np.random.PCG64(0))
-
-
-def normal_from_output(r):
-    """numpy's standard_normal() on a PCG64 whose next 64-bit output is r,
-    and whether it took that one output only. The PCG64 is set to the state
-    whose next state is r itself: a state below 2^64 has a zero high half,
-    so the xor-shift-rotate output of that state is the state."""
-    inc = 1
-    bit_gen = _NORMAL_GEN.bit_generator
-    bit_gen.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": (r - inc) * _PCG64_INV % 2**128, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    x = float(_NORMAL_GEN.standard_normal())
-    return x, bit_gen.state["state"]["state"] == r

@@ -32,21 +32,9 @@ from latsec import (
     random_unimodular,
     stage_condition_witnesses,
     transmit,
-    trial_rng,
 )
-from latsec import channel
-from latsec.channel import (
-    TRIAL_BLOCK,
-    _fast_normals,
-    _jumps,
-    _limb_array,
-    _mul_add,
-    _reseed,
-    _trial_blocks,
-    _trial_draws,
-    _trial_states,
-    _xsl_rr,
-)
+from latsec import lattices
+from latsec.channel import TRIAL_BLOCK, _nearest, _trial_blocks
 
 import oracles
 from exact_rows import grid, record_row_dtypes
@@ -188,76 +176,73 @@ class TestMmseScaling:
         assert float(values.min()) >= target - 1e-9
 
 
-def _reference_states(root_seed, indices):
-    states = [trial_rng(root_seed, t).bit_generator.state["state"] for t in indices]
-    return [(s["state"], s["inc"]) for s in states]
+def run_draws(trials, root_seed, sizes, n, dithers):
+    """A run's draws from _trial_blocks joined over its blocks: (m1, m2,
+    uniforms, noise), the uniforms of shape (2, trials, n) or None."""
+    blocks = list(_trial_blocks(trials, root_seed, sizes, n, dithers))
+    assert [b[0] for b in blocks] == list(range(0, trials, TRIAL_BLOCK))
+    m1, m2, noise = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 4))
+    if not dithers:
+        assert all(b[3] is None for b in blocks)
+        return m1, m2, None, noise
+    return m1, m2, np.concatenate([b[3] for b in blocks], axis=1), noise
 
 
-def _joined(limbs):
-    """The integers that 32-bit limbs along axis 0 hold, least significant
-    first, as nested lists over the other axes."""
-    assert limbs.dtype == np.uint64 and limbs.shape[0] == 4
-    assert not (limbs >> 32).any()
-    return sum(limbs[k].astype(object) << 32 * k for k in range(4)).tolist()
-
-
-def _joined_states(limbs):
-    """(state, inc) per trial from the limbs _trial_states returns."""
-    assert limbs.shape[1] == 2
-    return list(zip(*_joined(limbs)))
-
-
-# seeds of one to four 32-bit words: from three on, SeedSequence mixes words
-# past its pool of four, for every index or only for those of two words
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64, 2**100 + 3]
-TRIAL_INDICES = [0, 1023, 1024, 2**32 - 1, 2**32, 2**40]
+def standard_normal_cdf(x):
+    return 0.5 * (1 + math.erf(x / math.sqrt(2)))
 
 
 class TestTrialStreams:
     def test_streams_reproducible_and_distinct(self):
-        a = trial_rng(7, 3).random(4)
-        b = trial_rng(7, 3).random(4)
-        c = trial_rng(7, 4).random(4)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        # the same seed draws the same; another seed, or another block of
+        # the same seed, draws otherwise
+        sizes, n = (9, 3), 2
+        first = run_draws(2 * TRIAL_BLOCK, 7, sizes, n, True)
+        again = run_draws(2 * TRIAL_BLOCK, 7, sizes, n, True)
+        other = run_draws(2 * TRIAL_BLOCK, 8, sizes, n, True)
+        for a, b, c in zip(first, again, other):
+            assert np.array_equal(a, b)
+            assert not np.array_equal(a, c)
+        m1, _, uniforms, noise = first
+        block0, block1 = slice(0, TRIAL_BLOCK), slice(TRIAL_BLOCK, None)
+        assert not np.array_equal(m1[block0], m1[block1])
+        assert not np.array_equal(uniforms[:, block0], uniforms[:, block1])
+        assert not np.array_equal(noise[block0], noise[block1])
 
-    @pytest.mark.parametrize("root_seed", SEEDS)
-    def test_block_states_match_trial_rng(self, root_seed):
-        # one block mixes trial indices of one and of two words
-        got = _joined_states(_trial_states(root_seed, TRIAL_INDICES))
-        assert got == _reference_states(root_seed, TRIAL_INDICES)
+    @pytest.mark.parametrize("dithers", [True, False])
+    def test_a_run_is_a_prefix_of_every_longer_run(self, dithers):
+        # each block draws whole, so trial t's draws do not depend on the
+        # trial count: the runs agree on the trials they share
+        sizes, n, seed = (9, 1, 3), 2, 11
+        runs = [run_draws(trials, seed, sizes, n, dithers)
+                for trials in (10, TRIAL_BLOCK + 37, 2 * TRIAL_BLOCK)]
+        longest = runs[-1]
+        for run in runs[:-1]:
+            rows = len(run[0])
+            for got, want in zip(run, longest):
+                if want is None:
+                    assert got is None
+                elif want.ndim == 3:
+                    assert np.array_equal(got, want[:, :rows])
+                else:
+                    assert np.array_equal(got, want[:rows])
 
-    @given(
-        st.integers(0, 2**130),
-        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
-    )
-    def test_drawn_block_states_match_trial_rng(self, root_seed, indices):
-        got = _joined_states(_trial_states(root_seed, indices))
-        assert got == _reference_states(root_seed, indices)
+    def test_block_draws_are_uniform_and_normal(self):
+        # the dither uniforms are uniform on [0, 1), and the normals through
+        # the normal CDF too
+        _, _, uniforms, noise = run_draws(2 * TRIAL_BLOCK, 2026, (2,), 2, True)
+        chi2 = oracles.chi_square_uniform(uniforms.ravel().tolist(), 16, 0.0, 1.0)
+        assert chi2 < oracles.CHI2_CRIT_DF15_P001
+        probs = [standard_normal_cdf(x) for x in noise.ravel().tolist()]
+        assert oracles.chi_square_uniform(probs, 16, 0.0, 1.0) < oracles.CHI2_CRIT_DF15_P001
 
-    def test_negative_root_seed_raises_as_trial_rng_does(self):
+    def test_negative_root_seed_raises(self):
         with pytest.raises(ValueError):
-            trial_rng(-1, 0)
-        with pytest.raises(ValueError):
-            _trial_states(-1, [0])
-
-    def test_reseeding_clears_a_buffered_uint32(self):
-        # integers(3) draws half of a 64-bit output and buffers the other
-        # half; the next trial must not start from that buffered word.
-        bit_gen = np.random.PCG64(0)
-        rng = np.random.Generator(bit_gen)
-        rng.integers(3)
-        for t, start in enumerate(_joined_states(_trial_states(9, range(1, 5))), 1):
-            _reseed(bit_gen, *start)
-            ref = trial_rng(9, t)
-            assert rng.integers(3) == ref.integers(3)
-            assert rng.integers(1000) == ref.integers(1000)
-            assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
-            rng.integers(3)
+            next(_trial_blocks(1, -1, (2,), 1))
 
     def test_dither_stays_in_coarse_cell_and_is_uniform(self):
         lat = ConstructionALattice(2, ((1,),), None, 1)
-        rng = trial_rng(2026, 0)
+        rng = np.random.default_rng([2026, 0])
         samples = dither_rows(lat, rng.random((20000, 1)))[:, 0].tolist()
         assert min(samples) >= -0.5
         assert max(samples) < 0.5
@@ -266,196 +251,57 @@ class TestTrialStreams:
 
     def test_dither_scales_with_coarse_cell(self):
         lat = ConstructionALattice(2, ((1,),), None, Fraction(3, 2))
-        rng = trial_rng(2026, 1)
+        rng = np.random.default_rng([2026, 1])
         samples = dither_rows(lat, rng.random((500, 1)))[:, 0].tolist()
         assert min(samples) >= -0.75
         assert max(samples) < 0.75
 
-    def test_dither_rows_match_the_per_row_product(self):
-        # Each row's dither is bit for bit the fold of basis @ t for that row
-        # alone. At n >= 4 with a non-integer scale, uniforms @ basis.T
-        # rounds differently on some rows.
+    def test_dithers_are_the_centred_cube_whatever_t(self):
+        # T is unimodular, so the coarse cell is the cube scale [-1/2, 1/2)^n
+        # for every T: the fold leaves each dither where it is, and the
+        # cube's ends hold at u = 0 and at the largest u below 1
         t = random_unimodular(5, seed=[5, 5])
-        lat = ConstructionALattice(3, ((1,), (2,), (0,), (1,), (1,)), t, Fraction(5, 3))
+        lat = ConstructionALattice(3, ((1,), (2,), (0,), (1,), (1,)), t, Fraction(5, 4))
         uniforms = np.random.default_rng(8).random((1000, 5))
-        batch = dither_rows(lat, uniforms)
-        basis = lat.coarse_basis_float()
-        for row, got in zip(uniforms, batch):
-            raw = basis @ row
-            assert np.array_equal(got, lat.mod_coarse(raw[None])[0])
+        uniforms[0] = 0.0
+        uniforms[1] = np.nextafter(1.0, 0.0)
+        dithers = dither_rows(lat, uniforms)
+        assert np.array_equal(dithers, 1.25 * (uniforms - 0.5))
+        assert np.array_equal(lat.mod_coarse(dithers), dithers)
+        assert (dithers[0] == -0.625).all() and (dithers[1] < 0.625).all()
 
 
-def _split(values):
-    """The four 32-bit limbs of each integer in a nested list, least
-    significant first, along a new axis 0 of a uint64 array."""
-    values = np.array(values, dtype=object)
-    return np.stack([values >> 32 * k & 0xFFFFFFFF for k in range(4)]).astype(np.uint64)
-
-
-# 128-bit values anywhere, and near 2^128 - 1, where a carry out of the
-# lowest limb runs through every limb above it
-LIMB_VALUES = st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128 - 2**40, 2**128 - 1))
-
-
-class TestLimbArithmetic:
-    @given(st.lists(st.tuples(LIMB_VALUES, LIMB_VALUES), min_size=1, max_size=4))
-    @example([(2**128 - 1, 1), (1, 1)])
-    @example([(2**128 - 1, 2**128 - 1)] * 4)
-    def test_mul_add_matches_python_ints(self, terms):
-        x, c = (_split(column)[..., None] for column in zip(*terms))
-        got = _joined(np.array(_mul_add(x, c)))
-        assert got == [sum(a * b for a, b in terms) % 2**128]
-
-    def test_mul_add_broadcasts(self):
-        x = [[3, 2**128 - 1], [2**127, 2**64 + 5]]
-        c = [[2**96 - 1, 7, 2**128 - 3]] * 2
-        got = _joined(np.array(_mul_add(_split(x)[..., None], _split(c)[:, :, None])))
-        want = [[(x[0][r] * c[0][k] + x[1][r] * c[1][k]) % 2**128 for k in range(3)]
-                for r in range(2)]
-        assert got == want
-
-    @given(LIMB_VALUES, LIMB_VALUES, st.integers(0, 12))
-    def test_jumps_match_pcg64_steps(self, state, seq, steps):
-        inc = (2 * seq + 1) % 2**128
-        bit_gen = np.random.PCG64(0)
-        _reseed(bit_gen, state, inc)
-        jumps = _jumps(steps)
-        assert len(jumps) == steps + 1
-        for a, b in jumps:
-            assert (a * state + b * inc) % 2**128 == bit_gen.state["state"]["state"]
-            bit_gen.random_raw()
-
-    @given(
-        st.lists(st.tuples(LIMB_VALUES, LIMB_VALUES), min_size=1, max_size=3),
-        st.integers(1, 12),
-    )
-    def test_jumped_outputs_match_random_raw(self, starts, steps):
-        # the (4, 2, rows, 1) by (4, 2, 1, steps) multiply-add of _trial_blocks
-        starts = [(state, (2 * seq + 1) % 2**128) for state, seq in starts]
-        seeds = np.stack([_split(column) for column in zip(*starts)], axis=1)
-        jumps = np.stack([_limb_array(ab) for ab in zip(*_jumps(steps)[1:])], axis=1)
-        words = _xsl_rr(_mul_add(seeds[..., None], jumps[:, :, None]))
-        bit_gen = np.random.PCG64(0)
-        for row, start in zip(words, starts):
-            _reseed(bit_gen, *start)
-            assert row.tolist() == bit_gen.random_raw(steps).tolist()
-
-
-class TestFastNormals:
-    def check(self, outputs):
-        normals, accepted = _fast_normals(np.array(outputs, dtype=np.uint64))
-        for r, x, ok in zip(outputs, normals.tolist(), accepted.tolist()):
-            want, one_output = oracles.normal_from_output(r)
-            assert ok == one_output
-            if ok:
-                assert float.hex(x) == float.hex(want)
-
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
-    def test_outputs_match_standard_normal(self, outputs):
-        self.check(outputs)
-
-    @pytest.mark.parametrize("sign", [0, 1])
-    def test_acceptance_edges(self, sign):
-        # rabs just below and at ki[idx] in every layer, with the bits above
-        # rabs clear and set; layer 1 (ki = 0) rejects even rabs = 0
-        outputs = []
-        for idx in range(256):
-            for rabs in {max(int(channel._ZIG_KI[idx]) - 1, 0), int(channel._ZIG_KI[idx])}:
-                for top in (0, 7):
-                    outputs.append(top << 61 | rabs << 9 | sign << 8 | idx)
-        self.check(outputs)
-        assert not _fast_normals(np.array([sign << 8 | 1], dtype=np.uint64))[1].any()
-
-
-class TestTrialBlockPaths:
-    @pytest.mark.parametrize("n, dithers", [(1, True), (6, False)])
-    def test_rows_match_trial_rng_on_every_path(self, monkeypatch, n, dithers):
-        # Lemire rejects a word of size 3 * 2^30 about one time in four, so
-        # rows take all three paths: the fast one, their normals redrawn
-        # from the state after the message and dither outputs, or all their
-        # draws redrawn from their start state. The rows span a TRIAL_BLOCK
-        # boundary and many limb chunks.
-        sizes, seed, trials = (3 * 2**30, 5), 21, TRIAL_BLOCK + 37
-        outputs = 2 + 2 * n * dithers + 3 * n
-        assert channel._CHUNK_OUTPUTS // outputs < TRIAL_BLOCK // 2
-        reseeds = []
-
-        def spy(bit_gen, state, inc):
-            reseeds.append(state)
-            _reseed(bit_gen, state, inc)
-
-        monkeypatch.setattr(channel, "_reseed", spy)
-        blocks = list(_trial_blocks(trials, seed, sizes, n, dithers))
-        m1, m2, noise = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 4))
-        paths = []
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            start = rng.bit_generator.state["state"]["state"]
-            assert m1[t].tolist() == [rng.integers(size) for size in sizes]
-            assert m2[t].tolist() == [rng.integers(size) for size in sizes]
-            if dithers:
-                block = blocks[t // TRIAL_BLOCK]
-                assert np.array_equal(block[3][:, t % TRIAL_BLOCK], rng.random((2, n)))
-            before_normals = rng.bit_generator.state["state"]["state"]
-            assert np.array_equal(noise[t], rng.standard_normal(3 * n))
-            paths.append(
-                "redraw" if start in reseeds else "normals" if before_normals in reseeds else "fast"
-            )
-        counts = {path: paths.count(path) for path in ("fast", "normals", "redraw")}
-        assert min(counts.values()) > 0
-        assert counts["normals"] + counts["redraw"] == len(reseeds)
-
-
-def _words_taken(start, state):
-    """The 32-bit words a Generator took from the PCG64 (state, inc) start
-    to the bit-generator state dict state: two per 64-bit output, less the
-    one still buffered."""
-    bit_gen = np.random.PCG64(0)
-    _reseed(bit_gen, *start)
-    steps = 0
-    while bit_gen.state["state"]["state"] != state["state"]["state"]:
-        bit_gen.random_raw()
-        steps += 1
-    return 2 * steps - state["has_uint32"]
-
-
-def _check_draws(root_seed, indices, sizes, doubles):
-    """Feed _trial_draws the first 64-bit outputs of each trial's stream and
-    compare it row by row with the draws of trial_rng: a row is on the fast
-    path exactly when numpy's integers took one 32-bit word per size above
-    1, and then its messages and uniforms are trial_rng's. Returns the
-    number of rows left to the fallback."""
-    live = sum(size > 1 for size in sizes)
-    width = (live + 1) // 2 + doubles
-    raw = np.array(
-        [trial_rng(root_seed, t).bit_generator.random_raw(width) for t in indices],
-        dtype=np.uint64,
-    ).reshape(len(indices), width)
-    messages, uniforms, exact = _trial_draws(raw, sizes)
-    assert messages.shape == (len(indices), len(sizes))
-    assert uniforms.shape == (len(indices), doubles)
-    fits = max(sizes, default=1) <= 2**32
-    for i, t in enumerate(indices):
-        rng = trial_rng(root_seed, t)
-        start = rng.bit_generator.state["state"]
-        ref_messages = [int(rng.integers(size)) for size in sizes]
-        words = _words_taken((start["state"], start["inc"]), rng.bit_generator.state)
-        assert exact[i] == (fits and words == live)
-        if exact[i]:
-            assert messages[i].tolist() == ref_messages
-            assert np.array_equal(uniforms[i], rng.random(doubles))
-    return int((~exact).sum())
-
-
-# sizes below, at and above 2^32; at 2^31 + 1 and 3 * 2^30 numpy's Lemire
-# method rejects a word with probability about 1/2 and 1/4
+# sizes below, at and above 2^32; numpy's integers rejects and redraws a
+# word for 2^31 + 1 and 3 * 2^30 about one time in two and in four
 DRAW_SIZES = [1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1]
-REJECTING = {2**31 + 1, 3 * 2**30}
+
+
+class TestTrialDraws:
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    def test_messages_match_generator_integers(self, size):
+        # block b's messages are default_rng([seed, b]).integers on the
+        # array of every layer's size, twice over, for a whole block; each
+        # message is uniform below its size (bins of whole messages below 16,
+        # where the 15-degree critical value bounds the smaller ones' from above)
+        sizes, trials = (size, 5), 2 * TRIAL_BLOCK
+        m1, m2, _, _ = run_draws(trials, 31, sizes, 1, False)
+        for b in range(2):
+            rng = np.random.default_rng([31, b])
+            want = rng.integers(0, np.array([size, 5, size, 5]), size=(TRIAL_BLOCK, 4))
+            rows = slice(b * TRIAL_BLOCK, (b + 1) * TRIAL_BLOCK)
+            assert np.array_equal(np.hstack([m1[rows], m2[rows]]), want)
+        assert m1.dtype == m2.dtype == np.int64
+        messages = np.concatenate([m1[:, 0], m2[:, 0]]).tolist()
+        if size == 1:
+            assert not any(messages)
+        else:
+            chi2 = oracles.chi_square_uniform(messages, min(size, 16), 0, size)
+            assert chi2 < oracles.CHI2_CRIT_DF15_P001
 
 
 def _blocks_digest(trials, root_seed, sizes, n, dithers):
     """sha256 over every block _trial_blocks yields: each block's start,
-    then each array's dtype, shape, C-contiguity and values."""
+    then each array's dtype, shape and values."""
     h = hashlib.sha256()
     for start, *arrays in _trial_blocks(trials, root_seed, sizes, n, dithers):
         h.update(f"start {start};".encode())
@@ -463,14 +309,14 @@ def _blocks_digest(trials, root_seed, sizes, n, dithers):
             if a is None:
                 h.update(b"none;")
             else:
-                h.update(f"{a.dtype.str} {a.shape} {a.flags.c_contiguous};".encode())
-                h.update(a.tobytes())
+                h.update(f"{a.dtype.str} {a.shape};".encode())
+                h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
 
 # (trials, sizes, n, dithers): the layered_mc shape; a weak-scheme run with
-# dithers; a layer numpy draws on its 64-bit integer path; and one whose
-# Lemire method rejects a word about one time in four
+# dithers; a layer above 2^32, which numpy draws on its 64-bit integer path;
+# and one whose sizes make numpy reject and redraw words often
 BLOCK_RUNS = {
     "layered": (40_000, (9, 3), 3, False),
     "weak": (2_100, (9,), 4, True),
@@ -478,33 +324,32 @@ BLOCK_RUNS = {
     "rejecting": (TRIAL_BLOCK + 37, (3 * 2**30, 1, 2), 2, True),
 }
 BLOCK_SEEDS = [0, 1, 2**64 - 1, 2**100 + 3]
-# digests of the draws as trial_rng makes them one generator per trial,
-# taken before _trial_blocks computed them from limb arithmetic; a row on any
-# path (fast, normals redrawn, fully redrawn) that moves one bit moves these
+# digests of whole runs of block draws: a row of any block that moves one
+# bit moves these
 BLOCK_DIGESTS = {
     "layered": [
-        "1936b746fb74fd4f95b2e90f82200e819a81a90dd8e9c505c09c6c3dc30b9c9d",
-        "af77289a1abb07cdb6e7862263773b00391428622ef28558863fa723f784471a",
-        "60fdd05b30201d7fb5e9b6a7de95221b58b55a18bd7c9f3d698136ea7afdbc70",
-        "868cfbc473d013b8673fc03163270669d833c5def86ee6044a3505289351b5e5",
+        "91adc68d00be3a564a8eef1916a02acf1eb080ac4ac673add7bd77edfa8d98b5",
+        "e5feee182f7e09df84fcd84a325d226f422425870e8578b8e19de50446a456f1",
+        "d17009a8c41ea4241809ef9e55780f084ace3486151ceb322f1a00c68ff2b253",
+        "afc615f277f8812f11958b2b91ff6bba7e5991b0f098ba6ec3920cd853636f33",
     ],
     "weak": [
-        "23d09b9cd4eac3d3b1f37e299243936646121f8ee26c270dc57def26cf09b2c0",
-        "436e33b681fa59e7dfa3ad62d59cc5cffec866697042086a2ad8bfb5f165d67d",
-        "bfc71d38f9de9b072b96d809a05c0d23d6d3afb53ce6c6832a5a72fb5f528629",
-        "e19552d460a972c9a8486ff835e7a76834e1cccfdadc57768a15f98dc42cb81b",
+        "8803c1ceadb5d2b618d369276e9e8feab47a1a894d101669415c2218cc87dd91",
+        "ce4e5f8f319c9841c8ba7f4a73f800ad3f4de7bace2b6365d1f66a35ee9e7da0",
+        "a8bb6260f3a0731b51170574edd9fff37711c1c99f18b640fcab6307f40a99d9",
+        "38167f711a92eaa1aa60278467a67420a17a55e7133a853008096b9416cf8821",
     ],
     "wide": [
-        "3fcbe6060f4d9b2ea9f0bb8d31a0de644f7b65257252501797dcbfc636d768b1",
-        "02c1221f263ee1fb8b9efd314f2258829ec8d4164de5ab4f320ee4480b1982f6",
-        "5fb4a308acbe5a1aad44efa9905291c885888c44a913b0aaeb98465df15fdf35",
-        "30d9feb7b7c5c5cda8f4c46ef78e2e4f350c5a04fc1839e0712a00d7d29930bf",
+        "45615af4925a34e7f06d569458e349ce14b9c61bf105ed683cccb10ad0dc4bbb",
+        "f9cccb335cf389d7f45f2b7aea841749ca0beeef9e5f733666d24b96b96b8d60",
+        "81aaf40f8b25bca679d1bbf7ca0be02ccfc83b878558b8241723f1a7f6a8a0fc",
+        "dcb4ab2411478c3b50c160926f9de5cd38928e513f979170b8ffc75222e2f214",
     ],
     "rejecting": [
-        "41a5bc093797151cc4b57cd022addc3c0979f1363a67f42de01c958cfa209ef6",
-        "fbb6e5af1b756ebaa9a53366fd72f4db30cfafaccd2f0413e13e2e4d6a447d4d",
-        "6b2d903b4e71414a310efadefa0821b1601db6ffc571a3ab2086fa2f05678709",
-        "6655730dad75976f641c28cf4f8b0f1ecc98c4e92778cd10fb747a218b374308",
+        "ce5f524e7129340db8513084ff16b73cbe36d893357ea1d3cc974f87da4a48da",
+        "2f22585f5baca4804b3852f1501481e9a6c17817286fa5c59cf5486a3b136a6f",
+        "3171a9b63bc3b91d254b8b896c199b898d4286082043cf38507a09977f5be36a",
+        "69e893c54454e2037585015cfad089357e17c33780d287e71c8b5423f177ce67",
     ],
 }
 
@@ -517,41 +362,12 @@ def test_trial_blocks_keep_their_pinned_digests(run, seed_at):
     assert got == BLOCK_DIGESTS[run][seed_at]
 
 
-class TestTrialDraws:
-    @pytest.mark.parametrize("size", DRAW_SIZES)
-    def test_messages_match_generator_integers(self, size):
-        fallback = _check_draws(5, range(2000), (size, size), 0)
-        if size > 2**32:
-            assert fallback == 2000
-        elif size in REJECTING:
-            assert 200 <= fallback < 2000
-        else:
-            assert fallback == 0
-
-    @pytest.mark.parametrize("root_seed", SEEDS)
-    @pytest.mark.parametrize("sizes", [(7, 1, 2), (1, 5), (2, 3, 5), (1,)])
-    def test_layer_mixes_and_uniforms_match_trial_rng(self, root_seed, sizes):
-        # odd and even counts of live draws, size-1 layers that draw nothing,
-        # then the dither uniforms; indices on both sides of TRIAL_BLOCK
-        indices = TRIAL_INDICES + list(range(TRIAL_BLOCK - 20, TRIAL_BLOCK + 20))
-        assert _check_draws(root_seed, indices, sizes, 6) == 0
-
-    @given(
-        st.integers(0, 2**70),
-        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4),
-        st.lists(st.integers(1, 2**32 + 1), max_size=5),
-        st.integers(0, 5),
-    )
-    def test_drawn_blocks_match_trial_rng(self, root_seed, indices, sizes, doubles):
-        _check_draws(root_seed, indices, sizes, doubles)
-
-
 class TestTransmit:
     def test_noiseless_hand_example(self):
         params = ChannelParams(
             cross_gain=0.5, power=1.0, eve_gain=1.0, noise_var=0.0, eve_noise_var=0.0
         )
-        y1, y2, z = transmit((1.0,), (2.0,), params, trial_rng(0, 0).standard_normal(3))
+        y1, y2, z = transmit((1.0,), (2.0,), params, np.random.default_rng(0).standard_normal(3))
         assert y1 == pytest.approx([2.0])
         assert y2 == pytest.approx([2.5])
         assert z == pytest.approx([3.0])
@@ -560,10 +376,10 @@ class TestTransmit:
         # One draw of 3n normals is the three n-vectors drawn one by one:
         # receiver 1's, receiver 2's, then the eavesdropper's.
         params = ChannelParams(cross_gain=0.5, power=1.0, noise_var=4.0, eve_noise_var=9.0)
-        rng = trial_rng(0, 0)
+        rng = np.random.default_rng(0)
         noise = rng.standard_normal(6)
         probe = rng.random()
-        ref = trial_rng(0, 0)
+        ref = np.random.default_rng(0)
         n1, n2, ne = (ref.standard_normal(2) for _ in range(3))
         assert probe == ref.random()
         x1, x2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
@@ -590,7 +406,7 @@ class TestTransmit:
         params_b10 = ChannelParams(
             cross_gain=0.5, power=1.0, eve_gain=10.0, noise_var=0.0, eve_noise_var=0.0
         )
-        noise = trial_rng(0, 0).standard_normal(3)
+        noise = np.random.default_rng(0).standard_normal(3)
         y1a, y2a, za = transmit((1.0,), (2.0,), params_b1, noise)
         y1b, y2b, zb = transmit((1.0,), (2.0,), params_b10, noise)
         assert np.array_equal(y1a, y1b) and np.array_equal(y2a, y2b)
@@ -612,7 +428,7 @@ class TestDitheredEncoding:
             assert lat.mod_coarse(grid(shifted)).points == cb.points
 
     def test_float_dither_round_trips_through_the_channel(self):
-        # One weak trial by hand: draws in their fixed order, encode by the
+        # One weak trial by hand: the first trial's draws, encode by the
         # fold, then the channel; the folded signal minus the dither is the
         # codeword modulo the coarse lattice.
         cb = codebook(2, ((1, 0), (0, 1)))
@@ -620,12 +436,12 @@ class TestDitheredEncoding:
         params = ChannelParams(
             cross_gain=0.5, power=1.0, noise_var=0.0, eve_noise_var=0.0
         )
-        rng = trial_rng(5, 0)
-        m = [int(rng.integers(len(cb))), int(rng.integers(len(cb)))]
-        u = dither_rows(lat, [rng.random(2), rng.random(2)])
+        m1, m2, uniforms, noise = run_draws(1, 5, (len(cb),), 2, True)
+        m = [int(m1[0, 0]), int(m2[0, 0])]
+        u = dither_rows(lat, uniforms[:, 0])
         x = lat.mod_coarse(cb.float_matrix()[m] + u)
         assert ((-0.5 <= x) & (x < 0.5)).all()
-        y1, y2, z = transmit(x[0], x[1], params, rng.standard_normal(6))
+        y1, y2, z = transmit(x[0], x[1], params, noise[0])
         assert y1 == pytest.approx(x[0] + 0.5 * x[1])
         assert y2 == pytest.approx(x[1] + 0.5 * x[0])
         assert z == pytest.approx(x[0] + x[1])
@@ -682,13 +498,9 @@ class TestWeakDecoder:
         for n in (1, 2, 4):
             g = tuple((1,) for _ in range(n))
             cb = codebook(2, g)
-            pts = cb.float_matrix()
-            m = np.empty(trials, dtype=np.int64)
-            y = np.empty((trials, n))
-            for t in range(trials):
-                rng = trial_rng(424242, t)
-                m[t] = rng.integers(len(cb))
-                y[t] = pts[m[t]] + rng.standard_normal(n) * sigma
+            m1, _, _, noise = run_draws(trials, 424242, (len(cb),), n, False)
+            m = m1[:, 0]
+            y = cb.float_matrix()[m] + noise[:, :n] * sigma
             decoded = decode_weak(y, np.zeros(n), UNIT_ALPHA, cb.lattice)
             errors = (decoded.coords != cb.coords[m]).any(axis=1).sum()
             rates[n] = errors / trials
@@ -789,7 +601,7 @@ class TestExactNearest:
     def test_expanded_argmin_matches_python_ints(self, drawn):
         rows, pts = drawn
         r, p = np.array(rows, dtype=np.int64), np.array(pts, dtype=np.int64)
-        got = channel._nearest(r, p, (p * p).sum(axis=1))
+        got = _nearest(r, p, (p * p).sum(axis=1))
         assert got.tolist() == nearest_brute(rows, pts)
 
     @settings(max_examples=40)
@@ -818,6 +630,31 @@ class TestExactNearest:
         coords[-1][0] = peak + 1
         with pytest.raises(BudgetExceeded):
             decode_very_strong_batch(PointGrid(cb.unit, coords), cb, params)
+
+
+class TestFloatNearest:
+    """Float stages rank points by ||r - p||^2 in chunks of rows; the chunks
+    must pick what one (rows, points, n) temporary picks, bit for bit."""
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, 64])
+    def test_chunked_argmin_matches_one_temporary(self, monkeypatch, rows_per_chunk):
+        cb = codebook(3, ((1, 0), (0, 1), (1, 1)), Fraction(5, 3))
+        pts = cb.float_matrix()
+        rng = np.random.default_rng(12)
+        rows = rng.normal(scale=2.0, size=(200, 3))
+        rows[:8] = (pts[:8] + pts[1:]) / 2  # midpoints of two codewords: ties
+        whole = ((rows[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", rows_per_chunk * pts.size)
+        assert np.array_equal(_nearest(rows, pts), whole)
+
+    def test_chunked_decoding_matches_the_default_limit(self, monkeypatch):
+        cb = codebook(3, ((1, 0), (0, 1)))
+        params = ChannelParams(cross_gain=2.0, power=1.0)
+        rows = np.random.default_rng(3).normal(scale=3.0, size=(300, 2))
+        want = decode_very_strong_batch(rows, cb, params)
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", 1)
+        got = decode_very_strong_batch(rows, cb, params)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestStageConditions:

@@ -37,15 +37,22 @@ from latsec import (
     suite_passed,
     theorem_suite_passed,
     transmit,
-    trial_rng,
     very_strong_reliability,
     weak_reliability,
 )
 from latsec import channel, experiments, infotheory
-from latsec.channel import TRIAL_BLOCK, _trial_blocks, _trial_draws
+from latsec.channel import TRIAL_BLOCK, _trial_blocks
 
 import oracles
 from exact_rows import record_row_dtypes
+
+
+def trial_rows(trials, root_seed, sizes, n, dithers=False):
+    """Each trial's draws in turn, one row of _trial_blocks' blocks at a
+    time: (m1, m2, uniforms, noise), the uniforms of shape (2, n) or None."""
+    for _, m1, m2, uniforms, noise in _trial_blocks(trials, root_seed, sizes, n, dithers):
+        for i in range(len(noise)):
+            yield m1[i], m2[i], None if uniforms is None else uniforms[:, i], noise[i]
 
 
 def unit_lattice():
@@ -330,15 +337,15 @@ class TestReliabilityRuns:
         assert weak_reliability(cb, params, 50, 3) == weak_reliability(cb, params, 50, 3)
 
     def test_weak_blocks_match_a_per_trial_reference(self):
-        # A run over two blocks equals a loop that draws, encodes, transmits
-        # and decodes one trial at a time.
+        # A run over two blocks equals a loop that takes one row of the block
+        # draws at a time and encodes, transmits and decodes it alone; a
+        # dither is the cube point scale (u - 1/2), at scale 5/2 here.
         lat = ConstructionALattice(3, ((1,), (2,)), ((2, 1), (1, 1)), Fraction(5, 2))
         cb = enumerate_codebook(lat)
         params = ChannelParams(cross_gain=0.2, power=0.5, noise_var=0.3)
         trials = TRIAL_BLOCK + 37
         n = cb.n
         alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
-        basis = lat.coarse_basis_float()
         floats = cb.float_matrix()
 
         def fold(v):
@@ -346,14 +353,12 @@ class TestReliabilityRuns:
 
         errors = 0
         means = np.empty(trials)
-        for t in range(trials):
-            rng = trial_rng(41, t)
-            m1, m2 = int(rng.integers(len(cb))), int(rng.integers(len(cb)))
-            u1 = fold(basis @ rng.random(n))
-            u2 = fold(basis @ rng.random(n))
+        rows = trial_rows(trials, 41, [len(cb)], n, dithers=True)
+        for t, ((m1,), (m2,), uniforms, noise) in enumerate(rows):
+            u1, u2 = (2.5 * (u - 0.5) for u in uniforms)
             x1 = fold(floats[m1] + u1)
             x2 = fold(floats[m2] + u2)
-            y1, _, _ = transmit(x1, x2, params, rng.standard_normal(3 * n))
+            y1, _, _ = transmit(x1, x2, params, noise)
             residual = alpha * y1 - u1 - floats[m1] + (floats[m1] + u1 - x1)
             means[t] = (residual * residual).mean()
             if decode_weak(y1[None], u1, params, lat).points[0] != cb.points[m1]:
@@ -373,13 +378,10 @@ class TestReliabilityRuns:
         own_errors = [0] * len(layers)
         intf_errors = [0] * len(layers)
         errors = 0
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            m1 = [int(rng.integers(len(cb))) for cb in layers]
-            m2 = [int(rng.integers(len(cb))) for cb in layers]
+        for m1, m2, _, noise in trial_rows(trials, seed, [len(cb) for cb in layers], n):
             x1 = sum(mat[m] for mat, m in zip(mats, m1))
             x2 = sum(mat[m] for mat, m in zip(mats, m2))
-            y1, _, _ = transmit(x1, x2, params, rng.standard_normal(3 * n))
+            y1, _, _ = transmit(x1, x2, params, noise)
             own, intf = decode(y1[None])
             for li in range(len(layers)):
                 own_errors[li] += int(own[li][0] != m1[li])
@@ -469,36 +471,25 @@ class TestReliabilityRuns:
         [((2**31 + 1,), True), ((3 * 2**30, 1, 2), False), ((9, 3), True), ((2**32 + 1, 5), False),
          ((1,), False)],
     )
-    def test_trial_blocks_match_per_trial_draws(self, sizes, dithers):
-        # Rows that _trial_draws rejects are redrawn on the reused generator
-        # from their start state; no buffered uint32 may pass from one row to
-        # the next, whichever path each row takes. (1,) draws no word at all.
+    def test_trial_blocks_are_whole_block_generator_calls(self, sizes, dithers):
+        # Block b is three calls on default_rng([seed, b]), each for a whole
+        # block and cut to its rows: size-1 layers, sizes whose words numpy
+        # rejects and redraws, and sizes above 2^32 alike.
         n, seed, trials = 2, 13, TRIAL_BLOCK + 37
         blocks = list(_trial_blocks(trials, seed, sizes, n, dithers))
         assert [b[0] for b in blocks] == [0, TRIAL_BLOCK]
-        m1, m2, noise = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 4))
-        if dithers:
-            uniforms = np.concatenate([b[3] for b in blocks], axis=1)
-        else:
-            assert all(b[3] is None for b in blocks)
-        both_users = (*sizes, *sizes)
-        width = (sum(size > 1 for size in both_users) + 1) // 2 + 2 * n * dithers
-        raw = np.array([trial_rng(seed, t).bit_generator.random_raw(width) for t in range(trials)])
-        fast = _trial_draws(raw.reshape(trials, width), both_users)[2]
-        if max(sizes) > 2**32:
-            assert not fast.any()
-        elif max(sizes) > 2**31:
-            pairs = set(zip(fast[:-1].tolist(), fast[1:].tolist()))
-            assert pairs == {(False, False), (False, True), (True, False), (True, True)}
-        else:
-            assert fast.all()
-        for t in range(trials):
-            rng = trial_rng(seed, t)
-            assert m1[t].tolist() == [rng.integers(size) for size in sizes]
-            assert m2[t].tolist() == [rng.integers(size) for size in sizes]
+        bounds = np.array([*sizes, *sizes], dtype=np.int64)
+        for b, (start, m1, m2, uniforms, noise) in enumerate(blocks):
+            rows = min(TRIAL_BLOCK, trials - start)
+            rng = np.random.default_rng([seed, b])
+            messages = rng.integers(0, bounds, size=(TRIAL_BLOCK, 2 * len(sizes)))[:rows]
+            assert np.array_equal(m1, messages[:, : len(sizes)])
+            assert np.array_equal(m2, messages[:, len(sizes) :])
             if dithers:
-                assert np.array_equal(uniforms[:, t], rng.random((2, n)))
-            assert np.array_equal(noise[t], rng.standard_normal(3 * n))
+                assert np.array_equal(uniforms, rng.random((2, TRIAL_BLOCK, n))[:, :rows])
+            else:
+                assert uniforms is None
+            assert np.array_equal(noise, rng.standard_normal((TRIAL_BLOCK, 3 * n))[:rows])
 
     @pytest.mark.parametrize(
         "trials, root_seed, field",

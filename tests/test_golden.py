@@ -29,7 +29,7 @@ CASES = {
     # weak regime at the narrowest and a wide width
     "pipeline_n1": "pipeline",
     "pipeline_n6": "pipeline",
-    # weak regime at n = 5, non-dyadic scale: pins the dither product's rounding
+    # weak regime at n = 5 with a non-dyadic scale: dithers use its float
     "pipeline_n5": "pipeline",
     "sweep": "sweep",
     # 2100 trials cross a trial block boundary

@@ -10,58 +10,47 @@ numpy 2.4.6.
 
 import numpy as np
 
-from latsec.channel import _ZIG_KI, _ZIG_WI
+from latsec.channel import TRIAL_BLOCK
 from latsec.experiments import GRID_HALF_STEPS
-
-import oracles
 
 
 def test_trial_stream_seeding_and_draws():
-    # channel.trial_rng: default_rng([root_seed, trial_index]); the trial
-    # draws messages with integers, dithers with random, noise with
-    # standard_normal, in that order
+    # channel._trial_blocks: block b draws from default_rng([root_seed, b])
+    # its messages with integers on an int64 array of bounds (each layer's
+    # size, for user 1 then user 2), the weak scheme's dither uniforms with
+    # random((2, B, n)) and the normals with standard_normal((B, 3n)), each
+    # for a whole block, in that order
     rng = np.random.default_rng([7, 3])
     assert rng.bit_generator.state["state"] == {
         "state": 32432357684061543701087222144349624191,
         "inc": 150795630292607300648757720611875732857,
     }
-    assert [int(rng.integers(9)) for _ in range(4)] == [6, 8, 4, 7]
-    assert rng.random(2).tolist() == [0.23197043322658195, 0.7312624263827884]
-    assert rng.standard_normal(3).tolist() == [
-        -0.41154969128643465, 0.40432197965195565, -1.5239942546930803,
+    bounds = np.array([9, 3, 9, 3], dtype=np.int64)
+    messages = rng.integers(0, bounds, size=(TRIAL_BLOCK, 4))
+    assert messages.dtype == np.int64
+    assert messages[:2].tolist() == [[6, 2, 4, 2], [3, 0, 0, 2]]
+    assert messages[-1].tolist() == [7, 2, 6, 1]
+    uniforms = rng.random((2, TRIAL_BLOCK, 2))
+    assert uniforms[0, 0].tolist() == [0.14998653114091165, 0.5965506249981121]
+    assert uniforms[1, -1].tolist() == [0.6715465383561541, 0.20658555438132664]
+    normals = rng.standard_normal((TRIAL_BLOCK, 6))
+    assert normals[0].tolist() == [
+        1.259375914453058, 1.1015645871892144, 0.5252980443298908,
+        -1.177510389961451, -0.8394186631648324, 1.3584023027910708,
+    ]
+    assert normals[-1].tolist() == [
+        -0.5190834067693525, -0.7446179516060427, 1.2403461864636258,
+        0.055613114503117705, -0.4430176406816599, 1.4852748089736245,
     ]
 
 
-def test_trial_stream_raw_words():
-    # channel._trial_blocks computes these 64-bit outputs from the start
-    # state pinned above and turns them into the integers and random draws
-    bit_gen = np.random.default_rng([7, 3]).bit_generator
-    assert bit_gen.random_raw(3).tolist() == [
-        17986194428743177670, 16317385439118320161, 4279099214398288542,
+def test_trial_stream_wide_and_unit_bounds():
+    # a size above 2^32 takes integers' 64-bit path; a size of 1 draws 0
+    rng = np.random.default_rng([7, 3])
+    bounds = np.array([2**32 + 1, 1, 2**32 + 1, 1], dtype=np.int64)
+    assert rng.integers(0, bounds, size=(TRIAL_BLOCK, 4))[:2].tolist() == [
+        [4187737226, 0, 3799187355, 0], [996305424, 0, 3140748206, 0],
     ]
-
-
-def test_ziggurat_tables():
-    # channel._fast_normals draws standard_normal's fast path from these
-    # tables: an output r = rabs 2^9 + sign 2^8 + idx gives +-rabs wi[idx],
-    # accepted when rabs < ki[idx]. Both are re-derived here from numpy's
-    # own draws. wi[idx] is the normal at rabs = 1 (layer 1 rejects it, but
-    # so small a normal passes the wedge test); ki[idx] is the least rabs
-    # that takes more than the one output.
-    wi, ki = [], []
-    for idx in range(256):
-        wi.append(oracles.normal_from_output(1 << 9 | idx)[0])
-        lo, hi = 0, 2**52
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if oracles.normal_from_output(mid << 9 | idx)[1]:
-                lo = mid + 1
-            else:
-                hi = mid
-        ki.append(lo)
-    assert ki[1] == 0
-    assert ki == _ZIG_KI.tolist()
-    assert [float.hex(w) for w in wi] == [float.hex(w) for w in _ZIG_WI.tolist()]
 
 
 def test_binning_permutation():

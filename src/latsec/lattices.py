@@ -10,16 +10,21 @@ and a positive rational scale:
 Because T is unimodular, the coarse lattice is scale * Z^n and the fine
 lattice is (scale / p) * (C' + p Z^n), with C' the code spanned by T G mod p.
 Both are integer grids over the unit scale / p. The quantisers work on rows:
-a float array of shape (rows, n) or a PointGrid. Each row is first written
-exactly as integer numerators over a denominator in units of scale / p
-(one per float row, one shared by a PointGrid's rows), and every decision
-is made on those integers: int64 when a bound proves that nothing
-overflows, Python ints otherwise. The coarse quantiser rounds each
-coordinate; the fine quantiser rounds inside each coset of p Z^n (one per
-codeword of C'), gathers every codeword's coset point at once and keeps
+a float array of shape (rows, n) or a PointGrid. The coarse quantiser rounds
+each coordinate; the fine quantiser rounds inside each coset of p Z^n (one
+per codeword of C'), gathers every codeword's coset point at once and keeps
 the nearest (Conway & Sloane, SPLAG ch. 20). Ties go to the
 lexicographically smallest residual, which makes the induced fundamental
 cell half-open.
+
+Every decision is the exact one for the row's rational value. Float rows are
+decided in float64 first, and a row is kept only when each of its decisions
+is farther from its boundary than a derived rounding-error bound (the filter
+of Shewchuk's adaptive predicates, with Higham's gamma_n bounds); such a row
+never has a tie. Only the rows left uncertified are written exactly. Exact
+rows are integer numerators over a denominator in units of scale / p (one
+per float row, one shared by a PointGrid's rows), decided on those integers:
+int64 when a bound proves that nothing overflows, Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -50,6 +55,17 @@ _GATHER_LIMIT = 1 << 13
 the float stages of channel's successive decoder, make at once: both take
 rows in chunks, so their temporaries stay small whatever the batch and the
 code."""
+
+_ROUNDOFF = 2.0**-53
+"""u, the unit roundoff of float64: a correctly rounded operation whose
+result is a normal float returns its exact value times 1 + d, |d| <= u."""
+
+_FLOAT_REACH = 2.0**50
+"""Float rows are decided in float64 only while every |x / scale| and
+|x p / scale| stays below this. Coarse indices and coset points then lie
+well below 2^53, so they are exact integer floats and cast to int64 as they
+are; rows past it take the exact path, which raises BudgetExceeded for
+them as before."""
 
 
 class PointGrid:
@@ -299,12 +315,35 @@ class ConstructionALattice:
             self._words = self.message_coords(np.arange(self.num_cosets)) % self.p
         return self._words
 
+    @cached_property
+    def _float_steps(self) -> tuple:
+        """(float(scale), float(p / scale)), which the float filters divide
+        and multiply by: each within a factor 1 + u of its exact value when
+        both are normal floats. Otherwise both are NaN, which certifies no
+        row, and every float row takes the exact path."""
+        try:
+            steps = (float(self.scale), float(self.p / self.scale))
+        except OverflowError:
+            return (math.nan, math.nan)
+        return steps if min(steps) >= np.finfo(np.float64).tiny else (math.nan, math.nan)
+
+    def _checked_rows(self, x) -> np.ndarray:
+        """Float rows x as a float64 array of shape (rows, n): ValidationError
+        for a non-finite entry, then DimensionMismatch for another width."""
+        rows = _float_rows(x)
+        if not np.isfinite(rows).all():
+            raise ValidationError("rows", "rows must be finite")
+        if rows.shape[1] != self.n:
+            raise DimensionMismatch(f"expected rows of width {self.n}, got shape {rows.shape}")
+        return rows
+
     def _unit_rows(self, x):
         """Rows of x exactly, in units of scale / p: integer numerators of
         shape (rows, n) over positive per-row denominators of shape (rows, 1).
 
-        Floats convert bit for bit, to object arrays of Python ints. A
-        PointGrid's rows are coords * a over b, with a / b = x.unit /
+        x is a PointGrid, or checked float rows that the float filters could
+        not certify; those convert bit for bit, to object arrays of Python
+        ints. A PointGrid's rows are coords * a over b, with a / b = x.unit /
         (scale / p) in lowest terms; they come as int64 when no
         intermediate of mod_coarse or quantize_fine can overflow, else as
         object arrays. With N the largest |numerator| (taken as at least a,
@@ -315,26 +354,101 @@ class ConstructionALattice:
         n P^2 < GRID_LIMIT keep all of them below 2^63.
         """
         unit = self.scale / self.p
-        if isinstance(x, PointGrid):
-            ratio = x.unit / unit
-            a, b = ratio.numerator, ratio.denominator
-            step = self.p * b
-            fits = 2 * (max(_peak(x.coords), 1) * a + step) < GRID_LIMIT
-            dtype = np.int64 if fits and self.n * step * step < GRID_LIMIT else object
-            num = x.coords.astype(dtype) * a
-            den = np.full((len(x), 1), b, dtype=dtype)
-        else:
-            rows = _float_rows(x)
-            if not np.isfinite(rows).all():
-                raise ValidationError("rows", "rows must be finite")
-            ratios = [[v.as_integer_ratio() for v in row] for row in rows.tolist()]
+        if not isinstance(x, PointGrid):
+            ratios = [[v.as_integer_ratio() for v in row] for row in x.tolist()]
             dens = [math.lcm(*(b for _, b in row)) for row in ratios]
             nums = [[a * (d // b) for a, b in row] for row, d in zip(ratios, dens)]
             num = np.array(nums, dtype=object) * unit.denominator
-            den = np.array(dens, dtype=object).reshape(-1, 1) * unit.numerator
+            return num, np.array(dens, dtype=object).reshape(-1, 1) * unit.numerator
+        ratio = x.unit / unit
+        a, b = ratio.numerator, ratio.denominator
+        step = self.p * b
+        fits = 2 * (max(_peak(x.coords), 1) * a + step) < GRID_LIMIT
+        dtype = np.int64 if fits and self.n * step * step < GRID_LIMIT else object
+        num = x.coords.astype(dtype) * a
         if num.ndim != 2 or num.shape[1] != self.n:
             raise DimensionMismatch(f"expected rows of width {self.n}, got shape {num.shape}")
-        return num, den
+        return num, np.full((len(x), 1), b, dtype=dtype)
+
+    def _float_coarse(self, rows):
+        """Each float row's coarse index q = floor(x / scale + 1/2), decided
+        in float64, and a mask of the rows whose every index is certified.
+
+        With s = float(scale) = scale (1 + d1) and z = fl(x / s), z =
+        Z (1 + d2) / (1 + d1) + eta for Z = x / scale, |d1|, |d2| <= u and
+        |eta| <= 2^-1075 should the quotient underflow; the factor is
+        1 + theta with |theta| <= gamma_2 = 2u / (1 - 2u) (Higham, Lemma 3.3),
+        hence |z - Z| <= 2.01 u |z| + 3 eta. The candidate q = floor(z + 1/2)
+        is an integer float, and g = fl(z - q) is (z - q)(1 + d), |d| <= u,
+        so while |g| <= 1/2, |Z - q| <= |g| + 0.51 u + 2.01 u |z| + 3 eta.
+        q is exact once |Z - q| < 1/2, and the test 1/2 - |g| > 3u (1 + |z|)
+        ensures it: its two sides are each evaluated within a factor 1 +- 2u,
+        which leaves at least 2.99 u (1 + |z|) of margin. A row is certified
+        when all its coordinates pass with |z| < _FLOAT_REACH; a row on a
+        half step has margin 0 and never is. Uncertified rows get index 0.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = rows / self._float_steps[0]
+            q = np.floor(z + 0.5)
+            size = np.abs(z)
+            ok = (size < _FLOAT_REACH) & (0.5 - np.abs(z - q) > 3 * _ROUNDOFF * (1 + size))
+        certain = ok.all(axis=1)
+        return np.where(certain[:, None], q, 0).astype(np.int64), certain
+
+    def _float_fine(self, rows):
+        """Each float row's fine point in units of scale / p, decided in
+        float64, and a mask of the rows whose every decision is certified.
+
+        Residues. With w = float(p / scale) and t = fl(x w), |t - T| <=
+        2.01 u |t| + 3 eta for T = x p / scale, as in _float_coarse. For each
+        residue r the candidate c_r = r + p floor((t - r) / p + 1/2) is an
+        integer float, and rho_r = fl(t - c_r) = (t - c_r)(1 + d). While
+        |rho_r| <= p / 2, the exact residual R_r = T - c_r is within
+        E = 2.01 u |t| + 0.51 u p + 3 eta of rho_r, and the test
+        p / 2 - |rho_r| > e, with e = 3u (|t| + p), leaves 2.99 u (|t| + p)
+        > E of margin after its own rounding: then |R_r| < p / 2, so c_r is
+        the integer = r (mod p) nearest T, and |R_r - rho_r| <= e.
+
+        Distances. A codeword's distance D = sum_i R_i^2 over its residues
+        is computed as d = fl(sum_i fl(rho_i^2)). With |R_i|, |rho_i| < p / 2,
+        |R_i^2 - rho_i^2| <= e_i |R_i + rho_i| < p e_i, squaring adds at most
+        u p^2 / 4 + eta, and summing n terms in any order at most
+        gamma_{n-1} n (p^2 / 4)(1 + u), as each term meets at most n - 1
+        roundings (Higham, Lemma 3.1). So |d - D| < beta
+        = p sum_i e_i + n^2 u p^2 / 2, which keeps room for the rounding of
+        beta and of the test below.
+
+        Codeword. With d_1 <= d_2 the two least computed distances, every
+        other codeword's exact distance exceeds the first's once
+        d_2 - d_1 > 2 beta: the least exact distance is then unique, so a
+        certified row never has a tie, and its point is that codeword's
+        coset points c_r. A row is certified when every residue of every
+        coordinate passes, with |t| < _FLOAT_REACH, and its gap does; the
+        (rows, codewords, n) gather is taken in chunks of _GATHER_LIMIT
+        entries. Uncertified rows get the point 0.
+        """
+        p, n = self.p, self.n
+        words = self._codewords()
+        best = np.empty(len(rows), dtype=np.intp)
+        step = max(1, _GATHER_LIMIT // words.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = rows * self._float_steps[1]
+            r = np.arange(p, dtype=np.float64)
+            near = r + p * np.floor((t[..., None] - r) / p + 0.5)
+            resid = t[..., None] - near
+            size = np.abs(t)
+            e = 3 * _ROUNDOFF * (size + p)
+            certain = ((size < _FLOAT_REACH) & (p / 2 - np.abs(resid).max(axis=2) > e)).all(axis=1)
+            beta = p * e.sum(axis=1) + n * n * _ROUNDOFF * p * p / 2
+            sq = resid * resid
+            for start in range(0, len(rows), step):
+                part = slice(start, start + step)
+                dist = sq[part][:, np.arange(n), words].sum(axis=2)
+                least = np.partition(dist, 1, axis=1)
+                certain[part] &= least[:, 1] - least[:, 0] > 2 * beta[part]
+                best[part] = dist.argmin(axis=1)
+        point = near[np.arange(len(rows))[:, None], np.arange(n), words[best]]
+        return np.where(certain[:, None], point, 0).astype(np.int64), certain
 
     # ------------------------------------------------------------------
     # quantisation
@@ -344,23 +458,43 @@ class ConstructionALattice:
         lattice: subtract the nearest coarse point scale * q, halves rounded up.
 
         x is a float array of shape (rows, n) or a PointGrid. The decision is
-        exact either way. Float rows come back as the float array
-        x - float(scale * q), each float(scale * q) correctly rounded; a
-        PointGrid comes back as one over scale / (p b), with b the
-        denominator of x.unit / (scale / p). Idempotent. Raises
-        BudgetExceeded when q reaches GRID_LIMIT and ValidationError on a
-        non-finite float.
+        exact either way: float rows are decided in float64 by
+        _float_coarse, and only the rows it cannot certify are written
+        exactly. Float rows come back as the float array x - float(scale * q),
+        each float(scale * q) correctly rounded; a PointGrid comes back as
+        one over scale / (p b), with b the denominator of x.unit /
+        (scale / p). Idempotent. Raises BudgetExceeded when q reaches
+        GRID_LIMIT and ValidationError on a non-finite float.
         """
-        num, den = self._unit_rows(x)
-        q = _round_half_up(num, self.p * den)
         if isinstance(x, PointGrid):
+            num, den = self._unit_rows(x)
+            q = _round_half_up(num, self.p * den)
             b = (x.unit * self.p / self.scale).denominator
             return PointGrid(self.scale / (self.p * b), _int64_grid(num - self.p * den * q))
-        return _float_rows(x) - PointGrid(self.scale, _int64_grid(q)).float_matrix()
+        rows = self._checked_rows(x)
+        q, certain = self._float_coarse(rows)
+        if not certain.all():
+            num, den = self._unit_rows(rows[~certain])
+            q[~certain] = _int64_grid(_round_half_up(num, self.p * den))
+        return rows - PointGrid(self.scale, q).float_matrix()
 
     def quantize_fine(self, x) -> PointGrid:
         """Closest fine-lattice point to each row (same tie rule as the coarse
-        cell), as a PointGrid over scale / p. Takes rows as mod_coarse does.
+        cell), as a PointGrid over scale / p. Takes rows as mod_coarse does:
+        float rows are decided in float64 by _float_fine, and only the rows
+        it cannot certify take the exact path, _exact_fine.
+        """
+        if isinstance(x, PointGrid):
+            return PointGrid(self.scale / self.p, self._exact_fine(x))
+        rows = self._checked_rows(x)
+        coords, certain = self._float_fine(rows)
+        if not certain.all():
+            coords[~certain] = self._exact_fine(rows[~certain])
+        return PointGrid(self.scale / self.p, coords)
+
+    def _exact_fine(self, x) -> np.ndarray:
+        """Fine points of exact rows (see _unit_rows), as int64 coordinates
+        in units of scale / p.
 
         For each residue r, finds the nearest integer to each coordinate that
         is r mod p, and the residual it leaves; then takes every codeword of
@@ -384,7 +518,7 @@ class ConstructionALattice:
             best[part] = _least_word(resid[part], sq[part], words, p * den[part])
         rows = np.arange(len(num))[:, None]
         least = resid[rows, np.arange(self.n), words[best]]
-        return PointGrid(self.scale / p, _int64_grid((num - least) // den))
+        return _int64_grid((num - least) // den)
 
     # ------------------------------------------------------------------
     # codewords

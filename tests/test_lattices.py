@@ -32,7 +32,7 @@ from latsec import lattices
 from latsec.lattices import det_int
 
 import oracles
-from exact_rows import grid, record_row_dtypes
+from exact_rows import grid, record_exact_rows, record_row_dtypes
 
 
 def lat_1d():
@@ -457,6 +457,161 @@ class TestFloatRowsAgainstOracle:
         assert lat.quantize_fine(got.float_matrix()).points == got.points
 
 
+# (p, code matrix [I_k; A], unimodular transform, scale): float(scale) and
+# float(p / scale) are both rounded, so no half step of either grid is a
+# float and every float decision meets the rounding of the steps themselves.
+NON_DYADIC_CASES = [
+    (3, ((1,), (2,)), ((2, 1), (1, 1)), Fraction(2, 3)),
+    (2, ((1,), (1,)), ((1, 1), (0, 1)), Fraction(1, 3)),
+    (5, ((1,), (3,)), ((1, -1), (0, 1)), Fraction(7, 5)),
+]
+
+
+def ulps(v: float, k: int) -> float:
+    """The float k steps above v (below it for k < 0)."""
+    for _ in range(abs(k)):
+        v = math.nextafter(v, math.copysign(math.inf, k))
+    return v
+
+
+def boundary_rows(lat, seed) -> np.ndarray:
+    """Two-dimensional float rows at and within two floats of each kind of
+    decision boundary of lat's quantisers:
+
+    - one entry on a half step of the coarse grid (scale) or of the fine
+      grid (scale / p), the other anywhere;
+    - a point on the bisector of two fine points, where their distances tie;
+    - an entry 2^50 +- 2 coarse or fine steps out, either side of the reach
+      of the float filters.
+
+    Each exact point is rounded to floats, and its first entry is moved by
+    -2 to 2 floats; the half-step rows come again with their entries
+    swapped."""
+    rng = np.random.default_rng(seed)
+    scale, unit = lat.scale, lat.scale / lat.p
+    anywhere = lambda: unit * Fraction(int(rng.integers(-20, 21)), 7)
+    points = [
+        (step * (j + Fraction(1, 2)), anywhere())
+        for step in (scale, unit)
+        for j in (-1, 0)
+    ]
+    words = lat.message_coords(np.arange(lat.num_cosets)).tolist()
+    fine = [(unit * c0 + scale * a, unit * c1 + scale * b)
+            for c0, c1 in words for a in (-1, 0) for b in (0, 1)]
+    for _ in range(8):
+        f, g = (fine[int(i)] for i in rng.choice(len(fine), size=2, replace=False))
+        lam = Fraction(int(rng.integers(-3, 4)), 5)
+        points.append(((f[0] + g[0]) / 2 - lam * (g[1] - f[1]), (f[1] + g[1]) / 2 + lam * (g[0] - f[0])))
+    for step in (scale, unit):
+        for j in (-6, 6):
+            points.append((step * (2**50 + Fraction(j, 3)), anywhere()))
+    rows = [[ulps(float(a), k), float(b)] for a, b in points for k in range(-2, 3)]
+    rows += [row[::-1] for row in rows[: 4 * 5]]
+    return np.array(rows, dtype=np.float64)
+
+
+def check_float_rows(lat, x):
+    """mod_coarse and quantize_fine of float rows x against the oracles.
+
+    Each row is exactly v + x0 with v = scale round(x / scale) on the coarse
+    lattice, so the oracles search around x0 alone: the fold must be the
+    float x - float(x - fold_brute(x0)), and the fine point must leave the
+    residual tie_break_residual picks among exhaustive_nearest(x0)."""
+    n, scale = lat.n, lat.scale
+    coarse = [tuple(scale * lat.transform[i][j] for i in range(n)) for j in range(n)]
+    fine = TestRowDtypeBound.fine_basis(lat)
+    folded = lat.mod_coarse(x)
+    points = lat.quantize_fine(x).points
+    for row, fold, pt in zip(x.tolist(), folded.tolist(), points):
+        exact = [Fraction(v) for v in row]
+        x0 = [c - scale * math.floor(c / scale + Fraction(1, 2)) for c in exact]
+        coarse_point = minus([exact], [oracles.fold_brute(x0, coarse, box=3)])[0]
+        assert fold == [a - float(c) for a, c in zip(row, coarse_point)]
+        winners, _ = oracles.exhaustive_nearest(x0, fine, box=5)
+        assert minus([exact], [pt])[0] == oracles.tie_break_residual(x0, winners)
+
+
+class TestFloatFilters:
+    """Float rows are decided in float64, and a row is left to the exact
+    path when a decision lies within the rounding-error bound of its
+    boundary. Rows at and beside every kind of boundary get the oracle's
+    answers, at dyadic scales (boundaries are floats) and at non-dyadic ones
+    (the steps themselves are rounded)."""
+
+    CASES = DYADIC_CASES + NON_DYADIC_CASES
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_boundary_rows_match_oracle(self, monkeypatch, case):
+        lat = ConstructionALattice(*self.CASES[case])
+        x = boundary_rows(lat, [case, 3])
+        seen = record_exact_rows(monkeypatch)
+        check_float_rows(lat, x)
+        fallback = [row for dtype, rows in seen for row in rows]
+        assert all(dtype == np.dtype(object) for dtype, _ in seen)
+        assert 0 < len(fallback) < 2 * len(x)
+        # a row more than 2^50 fine steps out is past the filters' reach
+        past = [row for row in x.tolist() if max(map(abs, row)) * lat.p > (2**50 + 1) * lat.scale]
+        assert past and all(row in fallback for row in past)
+
+    @pytest.mark.parametrize("kind", ["coarse", "residue", "gap"])
+    def test_rows_within_the_bounds_take_the_exact_path(self, monkeypatch, kind):
+        # float(scale) and float(p / scale) are exact here, and so is each
+        # row's float margin: j u past a coarse half step, where the bound
+        # 3u (1 + |z|) is 4.5u; 4 j u inside a half step of residue 1's
+        # coset, where 3u (|t| + p) is 16.5u; or a gap of 2 j u between two
+        # codewords' distances, where 2 beta = 2 (p e + n^2 u p^2 / 2) is
+        # 34u. Rows within a bound take the exact path, rows beyond it do
+        # not, and all get the oracle's answers.
+        u = 2.0**-53
+        if kind == "coarse":
+            lat, call, row, last = lat_1d(), "mod_coarse", lambda j: [0.5 + j * u], 4
+        elif kind == "residue":
+            lat = ConstructionALattice(3, ((1,), (2,)), None, 3)
+            call, row, last = "quantize_fine", lambda j: [2.5 - 4 * j * u, 1.0], 4
+        else:
+            lat = ConstructionALattice(2, ((1,),), None, 2)
+            call, row, last = "quantize_fine", lambda j: [0.5 - j * u], 16
+        js = [1, last // 2 + 1, last, last + 2, 2 * last]
+        x = np.array([row(j) for j in js])
+        seen = record_exact_rows(monkeypatch)
+        getattr(lat, call)(x)
+        assert seen == [(np.dtype(object), [row(j) for j in js if j <= last])]
+        check_float_rows(lat, x)
+
+    def test_empty_float_batch(self):
+        lat = ConstructionALattice(*NON_DYADIC_CASES[0])
+        empty = np.zeros((0, 2))
+        folded = lat.mod_coarse(empty)
+        assert folded.dtype == np.float64 and folded.shape == (0, 2)
+        fine = lat.quantize_fine(empty)
+        assert fine.unit == lat.scale / lat.p and fine.coords.shape == (0, 2)
+        weak = ChannelParams(cross_gain=0.1, power=1.0, noise_var=0.01)
+        assert decode_weak(empty, np.zeros(2), weak, lat).coords.shape == (0, 2)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_float_rows_of_another_width_rejected(self, width):
+        lat = ConstructionALattice(*NON_DYADIC_CASES[0])
+        for rows in (np.full((2, width), 0.25), np.zeros((0, width))):
+            with pytest.raises(DimensionMismatch):
+                lat.mod_coarse(rows)
+            with pytest.raises(DimensionMismatch):
+                lat.quantize_fine(rows)
+
+    @pytest.mark.parametrize("scale", [Fraction(10**400), Fraction(1, 10**400), Fraction(1, 2**1070)])
+    def test_steps_outside_normal_floats_take_the_exact_path(self, monkeypatch, scale):
+        # float(scale) overflows, underflows to 0 or is subnormal: no float
+        # row is certified, and each gets the exact answer
+        lat = ConstructionALattice(3, ((1,), (2,)), None, scale)
+        x = np.array([[0.25, -1e300], [0.0, 0.0]]) if scale > 1 else np.zeros((2, 2))
+        seen = record_exact_rows(monkeypatch)
+        assert np.array_equal(lat.mod_coarse(x), x)
+        assert lat.quantize_fine(x).coords.tolist() == [[0, 0], [0, 0]]
+        assert seen == [(np.dtype(object), x.tolist())] * 2
+        if scale < 1:
+            with pytest.raises(BudgetExceeded):
+                lat.mod_coarse(np.array([[0.25, 0.0]]))
+
+
 @st.composite
 def grid_rows(draw):
     """(case, PointGrid) for a two-dimensional case of
@@ -662,11 +817,20 @@ class TestRowDtypeBound:
         self.check_against_oracle(lat, x, self.fine_basis(lat))
         assert seen == [np.dtype(object) if past else np.dtype(np.int64)] * 2
 
-    def test_float_rows_take_python_ints(self, monkeypatch):
-        seen = record_row_dtypes(monkeypatch)
+    def test_only_uncertified_float_rows_take_python_ints(self, monkeypatch):
+        # Z in units of 1 / 2: 0.5 lies on a half step of the coarse grid,
+        # 0.25 ties two fine points, and 0.0 and -0.5 each sit on a half
+        # step of one residue's coset (the odd one, the even one); the float
+        # filters certify every other row, and those never reach the exact
+        # path, within a mixed batch or in a batch of their own
+        seen = record_exact_rows(monkeypatch)
         lat = lat_1d()
-        lat.quantize_fine(lat.mod_coarse(np.array([[0.25], [-3.0]])))
-        assert seen == [np.dtype(object)] * 2
+        folded = lat.mod_coarse(np.array([[0.1], [0.25], [-3.0], [0.5], [0.8]]))
+        assert folded.tolist() == [[0.1], [0.25], [0.0], [-0.5], [0.8 - 1.0]]
+        assert lat.quantize_fine(folded).coords.tolist() == [[0], [1], [0], [-1], [0]]
+        assert seen == [(np.dtype(object), [[0.5]]), (np.dtype(object), [[0.25], [0.0], [-0.5]])]
+        lat.quantize_fine(lat.mod_coarse(np.array([[0.1], [0.8], [-2.9]])))
+        assert len(seen) == 2
 
     def test_chunked_rows_match_one_gather(self, monkeypatch):
         # more rows than one gather takes: every chunk decides as the whole

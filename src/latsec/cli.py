@@ -47,6 +47,7 @@ from .experiments import (
     LemmaReport,
     SecrecyReport,
     equivocation_identity_exact,
+    iter_grid,
     layered_reliability,
     random_codebook_baseline,
     run_layered_suite,
@@ -54,7 +55,6 @@ from .experiments import (
     run_regime_pipeline,
     run_sweep,
     run_theorem1_suite,
-    standard_grid,
     suite_passed,
     theorem_suite_passed,
 )
@@ -94,10 +94,12 @@ def lattice_from_config(config: ExperimentConfig) -> ConstructionALattice:
 
 
 def _grid_items(config: ExperimentConfig):
+    """The run's one explicit lattice, or its grid's points streamed one at
+    a time, so only the configuration in hand keeps its build."""
     if config.get("p") is not None:
         lat = lattice_from_config(config)
         return [(f"p{lat.p}_k{lat.k}_n{lat.n}", lat)]
-    return standard_grid(
+    return iter_grid(
         config["p_values"], config["n_max"], config["coset_limit"], config["draws"]
     )
 

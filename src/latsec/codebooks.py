@@ -54,12 +54,17 @@ class Codebook(PointGrid):
         return self.unit**2 * acc / self.coords.size
 
 
-def enumerate_codebook(lattice: ConstructionALattice, budget: int = 10**6) -> Codebook:
-    """The lattice's codebook, once its p^k cosets fit the budget."""
+def check_coset_budget(lattice: ConstructionALattice, budget) -> None:
+    """Raise BudgetExceeded when the lattice's p^k cosets exceed the budget."""
     if lattice.num_cosets > budget:
         raise BudgetExceeded(
             f"{lattice.num_cosets} cosets exceed enumeration budget {budget}"
         )
+
+
+def enumerate_codebook(lattice: ConstructionALattice, budget: int = 10**6) -> Codebook:
+    """The lattice's codebook, once its p^k cosets fit the budget."""
+    check_coset_budget(lattice, budget)
     return Codebook(lattice)
 
 

@@ -22,12 +22,20 @@ codeword z of the summed messages with each coordinate left as z_i or
 moved by -+p: one carry bit per coordinate. The key
 z * 2^n + bits names the sum, so np.bincount over the |C| * 2^n keys finds
 the distinct sums (|C + C| <= 2^n |C|, the sum-set lemma) and only those
-are ranked; past 8 |C|^2 + 1024 keys the pairs are sorted instead.
+are ranked; past 8 |C|^2 + 1024 keys the pairs are sorted instead. The
+keys are formed in place in the narrowest unsigned dtype that holds them.
+
+The pair table SumStructure.ids is stored in the narrowest unsigned dtype
+that holds num_sums - 1: 2 bytes per pair on the standard grid, where
+num_sums <= 10 177, so a structure kept for reuse is a quarter of an
+int64 table.
 
 Binned joint counts take closed forms for 1 bin (the cells are the sum
 marginal) and for |C| bins over a Codebook (every cell holds one pair),
-and count the other (bin, sum) cells by np.bincount instead of np.unique
-when the cell space is small next to the pairs.
+and count the other (bin, sum) cells one bin at a time over the bin's rows
+of the pair table: by np.bincount over the num_sums cells when the cell
+space is small next to the pairs, by np.unique otherwise. Bins are taken
+in order, so the cells come out in (bin, sum) order.
 """
 
 from __future__ import annotations
@@ -46,7 +54,8 @@ class SumStructure(PointGrid):
 
     The distinct sums are unit * coords[s], rows in lexicographic order
     (ranked by row_ranks on order-preserving int64 row keys), and
-    ids[i, j] is the row of a_i + b_j. For a Codebook summed with itself,
+    ids[i, j] is the row of a_i + b_j, in the narrowest unsigned dtype that
+    holds num_sums - 1. For a Codebook summed with itself,
     only the distinct sums are ranked, found by their codeword-and-carry
     keys; the result is the same. As a PointGrid the
     structure is the sum set itself, so sums of sums chain without leaving
@@ -56,11 +65,19 @@ class SumStructure(PointGrid):
 
     def __init__(self, unit, coords, ids):
         super().__init__(unit, coords)
-        self.ids = np.asarray(ids, dtype=np.int64)
         self.num_sums = len(self.coords)
+        self.ids = np.asarray(ids).astype(np.min_scalar_type(self.num_sums - 1), copy=False)
+        self._counts = None
 
     def counts(self) -> np.ndarray:
-        return np.bincount(self.ids.ravel(), minlength=self.num_sums).astype(np.int64)
+        """How many pairs give each sum, counted on the first call and then
+        returned read-only, since every binning of a reused structure asks
+        for it."""
+        if self._counts is None:
+            counts = np.bincount(self.ids.ravel(), minlength=self.num_sums)
+            self._counts = counts.astype(np.int64, copy=False)
+            self._counts.flags.writeable = False
+        return self._counts
 
     def weighted_counts(self, counts_a, counts_b) -> np.ndarray:
         """Multiplicity of each sum when a_i carries counts_a[i] and b_j counts_b[j]."""
@@ -103,14 +120,19 @@ def row_ranks(rows):
     return _ranks(key)[0]
 
 
+def check_pair_budget(size_a, size_b, budget) -> None:
+    """Raise BudgetExceeded when size_a * size_b pair sums exceed the budget."""
+    if size_a * size_b > budget:
+        raise BudgetExceeded(f"{size_a}*{size_b} pair sums exceed budget {budget}")
+
+
 def sum_structure(a, b, budget=10**6) -> SumStructure:
     unit, (ga, gb) = on_grid(a, b)
     if not len(ga) or not len(gb):
         raise EmptyCodebook("point sets must be non-empty")
     if ga.shape[1] != gb.shape[1]:
         raise DimensionMismatch(f"dimensions {ga.shape[1]} and {gb.shape[1]} differ")
-    if len(ga) * len(gb) > budget:
-        raise BudgetExceeded(f"{len(ga)}*{len(gb)} pair sums exceed budget {budget}")
+    check_pair_budget(len(ga), len(gb), budget)
     if a is b and isinstance(a, Codebook) and _dense(len(a) << a.n, len(a) ** 2):
         return _carry_structure(a)
     sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
@@ -131,20 +153,24 @@ def _carry_structure(cb) -> SumStructure:
     """sum_structure(cb, cb) from the key z * 2^n + bits of each pair: z the
     message index of the digit-wise message sum mod p, bit i set where
     s_i = x_i + y_i leaves the cell, (2 s_i >= p) | (2 s_i < -p), which for
-    a prime p and coordinates in [-p/2, p/2) is |s_i| > p // 2."""
+    a prime p and coordinates in [-p/2, p/2) is |s_i| > p // 2. Every key is
+    below |C| * 2^n, so the keys and the key-to-rank table are narrow."""
     p, n, x = cb.lattice.p, cb.n, cb.coords
-    digit_sum = np.add.outer(np.arange(p), np.arange(p)) % p
-    z = np.zeros((1, 1), dtype=np.int64)
+    space = len(cb) << n
+    key_type = np.min_scalar_type(space - 1)
+    digit_sum = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(key_type)
+    keys = np.zeros((1, 1), dtype=key_type)
     for _ in range(cb.lattice.k):
         # one more message digit on each side, as the least significant
-        z = (z[:, None, :, None] * p + digit_sum[:, None, :]).reshape(len(z) * p, -1)
+        keys = (keys[:, None, :, None] * key_type.type(p) + digit_sum[:, None, :]).reshape(
+            len(keys) * p, -1
+        )
+    keys <<= key_type.type(n)
     small = x.astype(np.min_scalar_type(-2 * p))
-    # signed, so adding the bits to the int64 keys stays int64
-    bits = np.zeros(z.shape, dtype=np.min_scalar_type(-(1 << n)))
     for i in range(n):
-        bits |= (np.abs(small[:, i, None] + small[:, i]) > p // 2).astype(bits.dtype) << i
-    keys = (z << n) + bits
-    space = len(cb) << n
+        bit = (np.abs(small[:, i, None] + small[:, i]) > p // 2).astype(key_type)
+        bit <<= key_type.type(i)
+        keys |= bit
     occupied = np.flatnonzero(np.bincount(keys.ravel(), minlength=space))
     codeword = x[occupied >> n]
     carry = (occupied[:, None] >> np.arange(n)) & 1
@@ -152,7 +178,7 @@ def _carry_structure(cb) -> SumStructure:
     ranks = row_ranks(rows)
     distinct = np.empty_like(rows)
     distinct[ranks] = rows
-    table = np.empty(space, dtype=np.int64)
+    table = np.empty(space, dtype=np.min_scalar_type(len(rows) - 1))
     table[occupied] = ranks
     return SumStructure(cb.unit, distinct, table[keys])
 
@@ -204,10 +230,12 @@ def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
     X1 is uniform on the binned codebook (bin uniform, codeword uniform in
     the bin), X2 independent and uniform on the same codebook. A
     precomputed SumStructure of the codebook with itself may be passed to
-    amortize the pair enumeration across several binnings. Cell (w, s) is
-    keyed w * num_sums + s. With one bin the cells are the sum marginal;
-    with one codeword per bin of a Codebook, whose rows are distinct, every
-    cell holds one pair (cell_counts None).
+    amortize the pair enumeration across several binnings. The cells of
+    bin w are counted over its codewords' rows of the pair table, one bin
+    at a time, so cell_counts lists the occupied cells in (bin, sum) order
+    with no num_bins * num_sums table. With one bin the cells are the sum
+    marginal; with one codeword per bin of a Codebook, whose rows are
+    distinct, every cell holds one pair (cell_counts None).
     """
     cb = binned.codebook
     if structure is None:
@@ -217,11 +245,17 @@ def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
         return JointBinSumDist(1, sum_counts, sum_counts)
     if num_bins == len(cb) and isinstance(cb, Codebook):
         return JointBinSumDist(num_bins, sum_counts, None)
-    cells = binned.bin_index[:, None] * structure.num_sums + structure.ids
-    space = num_bins * structure.num_sums
-    if _dense(space, cells.size):
-        cell_counts = np.bincount(cells.ravel(), minlength=space)
-        cell_counts = cell_counts[cell_counts > 0]
-    else:
-        _, cell_counts = np.unique(cells, return_counts=True)
-    return JointBinSumDist(num_bins, sum_counts, cell_counts)
+    ids, num_sums = structure.ids, structure.num_sums
+    dense = _dense(num_bins * num_sums, ids.size)
+    # row w holds the codewords of bin w, in any order (bins are equal in
+    # size), and row w of by_bin their rows of the pair table
+    members = np.argsort(binned.bin_index).reshape(num_bins, -1)
+    by_bin = ids[members].reshape(num_bins, -1)
+    cell_counts = []
+    for cells in by_bin:
+        if dense:
+            counts = np.bincount(cells, minlength=num_sums)
+            cell_counts.append(counts[counts > 0])
+        else:
+            cell_counts.append(np.unique(cells, return_counts=True)[1])
+    return JointBinSumDist(num_bins, sum_counts, np.concatenate(cell_counts))

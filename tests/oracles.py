@@ -135,6 +135,22 @@ def bins_of(binned):
     return tuple(tuple(m) for m in members)
 
 
+def joint_counts_oracle(bins, points_a, points_b):
+    """How many pairs (x in bin w, y) give each (w, x + y), as a dict, by
+    direct joint enumeration.
+
+    bins: sequence of index tuples partitioning points_a.
+    """
+    counts = {}
+    for w, members in enumerate(bins):
+        for idx in members:
+            x = points_a[idx]
+            for y in points_b:
+                key = (w, tuple(Fraction(u) + Fraction(v) for u, v in zip(x, y)))
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def joint_leakage_oracle(bins, points_a, points_b):
     """I(W; X1 + X2) with W the bin of X1, by direct joint enumeration.
 
@@ -142,14 +158,10 @@ def joint_leakage_oracle(bins, points_a, points_b):
     masses are exact rationals; only the final logarithms are floats.
     """
     na, nb = len(points_a), len(points_b)
-    joint = {}
-    for w, members in enumerate(bins):
-        for idx in members:
-            x = points_a[idx]
-            for y in points_b:
-                s = tuple(Fraction(u) + Fraction(v) for u, v in zip(x, y))
-                key = (w, s)
-                joint[key] = joint.get(key, Fraction(0)) + Fraction(1, na * nb)
+    joint = {
+        key: Fraction(c, na * nb)
+        for key, c in joint_counts_oracle(bins, points_a, points_b).items()
+    }
     def entropy(dist):
         return -sum(float(q) * math.log2(float(q)) for q in dist.values() if q)
     w_marg = {}

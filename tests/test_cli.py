@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 from dataclasses import asdict, fields
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import latsec
-from latsec import BudgetExceeded, ValidationError, parse_config, render, run
+from latsec import BudgetExceeded, ValidationError, experiments, parse_config, render, run
 from latsec.config import SCHEMAS
 from latsec.experiments import BaselineRow, LayeredReport, LemmaReport, SecrecyReport
 from latsec.cli import (
@@ -123,6 +124,24 @@ class TestSweep:
             )
         assert 0 < skipped < len(rows)
         assert envelope["verdict"] == "pass"
+
+
+class TestGridStreaming:
+    @pytest.mark.parametrize("kind", ["lemmas", "theorem1", "sweep"])
+    def test_grid_kinds_hold_one_build_at_a_time(self, kind, monkeypatch):
+        # each configuration's build is freed before the next one is made
+        built = []
+        real = experiments.sum_structure
+
+        def one_at_a_time(cb, other, budget):
+            assert all(ref() is None for ref in built)
+            built.append(weakref.ref(cb))
+            return real(cb, other, budget)
+
+        monkeypatch.setattr(experiments, "sum_structure", one_at_a_time)
+        envelope = run_json(f"kind={kind}\np_values=2,3\nn_max=3\ndraws=2\n")
+        assert envelope["verdict"] == "pass"
+        assert len(built) == len(latsec.standard_grid((2, 3), 3, 512, 2))
 
 
 class TestJsonRendering:

@@ -2,6 +2,7 @@
 random-versus-lattice baseline, reliability runs, loopback, and the pipeline."""
 
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -208,6 +209,102 @@ class TestSweep:
         configs = run_sweep(grid)
         assert all(bins for _, bins in configs)
         assert len(calls) == len(grid)
+
+
+def spy(monkeypatch, name, modules=(experiments,)):
+    """The argument tuples of every call to name, looked up in modules."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestBuildReuse:
+    """A GridPoint, or the lattice of a (label, lattice) item, keeps its
+    lattice draw, codebook and self pair sums for every suite given it."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        draws = spy(monkeypatch, "random_unimodular")
+        sums = spy(monkeypatch, "sum_structure", (experiments, infotheory))
+        return draws, sums
+
+    def test_both_suites_build_each_point_once(self, builds):
+        grid = standard_grid((2, 3), 3, 32, 1)
+        lemmas = run_lemma_suite(grid)
+        theorems = run_theorem1_suite(grid)
+        run_sweep(grid)
+        draws, sums = builds
+        assert len(draws) == len(sums) == len(grid)
+        fresh = standard_grid((2, 3), 3, 32, 1)
+        assert run_theorem1_suite(fresh) == theorems
+        assert run_lemma_suite(fresh) == lemmas
+
+    def test_a_lattice_item_keeps_its_build(self, builds):
+        lat = GridPoint(3, 2, 2, 0).build_lattice()
+        _, sums = builds
+        run_lemma_suite([("x", lat)])
+        run_theorem1_suite([("x", lat)])
+        assert len(sums) == 1
+
+    def test_two_standard_grids_share_no_build(self, builds):
+        a = standard_grid((2, 3), 2, 32, 1)
+        b = standard_grid((2, 3), 2, 32, 1)
+        assert a == b
+        run_lemma_suite(a)
+        run_theorem1_suite(b)
+        draws, sums = builds
+        assert len(draws) == len(sums) == 2 * len(a)
+        assert all(x.lattice is not y.lattice for x, y in zip(a, b))
+
+    def test_a_build_is_freed_with_its_point(self, builds):
+        gp = GridPoint(3, 2, 2, 0)
+        run_lemma_suite([gp])
+        _, sums = builds
+        codebook = weakref.ref(sums[0][0])
+        lattice = weakref.ref(gp.lattice)
+        sums.clear()
+        assert codebook() is not None
+        del gp
+        # nothing refers back to the point, so no cycle collection is needed
+        assert codebook() is None and lattice() is None
+
+
+class TestBudgetBeforeBuild:
+    """The budget is checked on every call, so a point built under a large
+    budget reports like a fresh point under a small one, and back."""
+
+    @pytest.mark.parametrize("budget,message", [
+        (300, "27*27 pair sums exceed budget 300"),
+        (20, "27 cosets exceed enumeration budget 20"),
+    ])
+    def test_a_built_point_reports_as_a_fresh_one(self, budget, message):
+        fresh = run_lemma_suite([GridPoint(3, 3, 3, 0)], budget=budget)
+        assert fresh[0].skipped == message
+        gp = GridPoint(3, 3, 3, 0)
+        assert not run_lemma_suite([gp], budget=10**6)[0].skipped
+        assert run_lemma_suite([gp], budget=budget) == fresh
+        with pytest.raises(BudgetExceeded) as fresh_exc:
+            run_theorem1_suite([GridPoint(3, 3, 3, 0)], budget=budget)
+        with pytest.raises(BudgetExceeded) as built_exc:
+            run_theorem1_suite([gp], budget=budget)
+        assert str(built_exc.value) == str(fresh_exc.value) == message
+        assert run_sweep([gp], budget=budget) == [(fresh[0], None)]
+
+    def test_a_point_skipped_under_a_small_budget_builds_under_a_large_one(self):
+        gp = GridPoint(3, 3, 3, 0)
+        assert run_lemma_suite([gp], budget=300)[0].skipped
+        with pytest.raises(BudgetExceeded):
+            run_theorem1_suite([gp], budget=300)
+        assert run_lemma_suite([gp]) == run_lemma_suite([GridPoint(3, 3, 3, 0)])
+        assert run_theorem1_suite([gp]) == run_theorem1_suite([GridPoint(3, 3, 3, 0)])
+        assert run_lemma_suite([gp])[0].skipped is None
 
 
 class TestLayeredSuite:

@@ -120,6 +120,23 @@ class TestPairSums:
         assert {tuple(p): int(c) for p, c in zip(points, counts)} == expected
         assert int(counts.sum()) == 5 * 7
 
+    @pytest.mark.parametrize("num_sums,dtype", [
+        (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
+    ])
+    def test_ids_dtype_holds_the_last_sum(self, num_sums, dtype):
+        a = PointGrid(1, np.arange(num_sums)[:, None])
+        s = sum_structure(a, PointGrid(1, [[0]]), 10**6)
+        assert s.num_sums == num_sums
+        assert s.ids.dtype == dtype
+        assert np.array_equal(s.ids.ravel(), np.arange(num_sums))
+
+    def test_counts_are_counted_once_and_read_only(self):
+        cb = seeded_codebook(3, 2, 2)
+        s = sum_structure(cb, cb, 10**6)
+        counts = s.counts()
+        assert s.counts() is counts and not counts.flags.writeable
+        assert counts.dtype == np.int64 and int(counts.sum()) == 81
+
 
 def _grid_codebook(p, k, n, draw, scale):
     g = random_code_matrix(p, k, n, [p, k, n, draw, 11])
@@ -475,6 +492,21 @@ class TestCarryPath:
             assert got == oracles.pair_sum_histogram(cb.points, b.points)
         assert carry_calls == []
 
+    def test_standard_grid_ids_are_compact_and_equal_the_sort_ids(self, carry_calls):
+        widths = set()
+        for point in standard_grid(draws=1):
+            cb = enumerate_codebook(point.build_lattice())
+            carry = sum_structure(cb, cb, 10**6)
+            assert carry_calls[-1] is cb
+            general = general_structure(cb)
+            assert_same_structure(carry, general)
+            for s in (carry, general):
+                assert s.ids.dtype == np.min_scalar_type(s.num_sums - 1)
+                assert s.ids.dtype.kind == "u"
+            widths.add(carry.ids.dtype.itemsize)
+        # num_sums reaches past 255 but stays within 65 536 on the grid
+        assert widths == {1, 2}
+
     def test_budget_text_is_unchanged(self):
         cb = seeded_codebook(5, 2, 2)
         with pytest.raises(BudgetExceeded, match=r"^25\*25 pair sums exceed budget 624$"):
@@ -542,6 +574,24 @@ class TestBinnedCellPaths:
         reference = sorted_joint(binned, structure)
         assert np.array_equal(joint.cell_counts, reference.cell_counts)
         assert joint.mutual_info_bits() == reference.mutual_info_bits()
+
+    @pytest.mark.parametrize("p,k,n,seed,bins,path", [
+        (3, 3, 3, 1, 3, "dense"), (3, 3, 3, 1, 9, "dense"), (2, 4, 4, 2, 4, "dense"),
+        (2, 6, 10, 0, 32, "sorted"),
+    ])
+    def test_cell_counts_match_the_joint_oracle(self, p, k, n, seed, bins, path):
+        cb = seeded_codebook(p, k, n, seed=seed)
+        structure = sum_structure(cb, cb, 10**6)
+        binned = BinnedCodebook(cb, bins, seed=0)
+        assert _cell_path(binned, structure) == path
+        joint = joint_bin_sum(binned, 10**6, structure=structure)
+        bins_of = oracles.bins_of(binned)
+        expected = oracles.joint_counts_oracle(bins_of, cb.points, cb.points)
+        # the unit is positive, so sorted (bin, sum point) keys are (bin, sum) order
+        assert joint.cell_counts.tolist() == [expected[key] for key in sorted(expected)]
+        assert joint.mutual_info_bits() == pytest.approx(
+            oracles.joint_leakage_oracle(bins_of, cb.points, cb.points), abs=1e-12
+        )
 
     @pytest.mark.parametrize("bins,path", [
         (1, "one bin"), (27, "one codeword per bin"), (3, "dense"), (9, "dense"),

@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from . import lattices
-from .lattices import ConstructionALattice, PointGrid, _float_rows, _peak, on_grid
+from .lattices import _ROUNDOFF, ConstructionALattice, PointGrid, _float_rows, _peak, on_grid
 
 
 @dataclass(frozen=True)
@@ -271,18 +271,128 @@ def _exact_decode_grid(received, codebooks, gain: Fraction):
     return y_int * aden, [(c * aden, c * anum) for c in layers]
 
 
-def _nearest(rows, pts, norms=None):
-    """Index of the nearest point of pts to each row; ties go to the lowest.
+# Entries of the (rows, points) score matrix that _nearest forms at once: it
+# takes rows in chunks, so its memory does not grow with the codebook.
+_SCORE_LIMIT = 1 << 14
 
-    Float rows rank the points by ||r - p||^2, in chunks of rows whose
-    (rows, points, n) temporary holds at most lattices._GATHER_LIMIT
-    entries (or one row). Exact int64 rows come with norms, each point's
-    ||p||^2, and rank them by ||p||^2 - 2 r.p, which differs from
-    ||r - p||^2 by ||r||^2, the same for every point: the order and its
-    ties are the same, with no such temporary.
+# _nearest certifies no float row with fl(||r||_1^2 + max ||p||^2) at or
+# past this: below it no score, distance or bound term overflows.
+_SCORE_REACH = 2.0**1000
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    return k * _ROUNDOFF / (1 - k * _ROUNDOFF)
+
+
+class _Candidates:
+    """One stage's candidate points, prepared once per run for _nearest: the
+    points, twice the points and each point's squared norm, all int64 or all
+    float64. Float candidates also hold the constants of _nearest's bound:
+    the largest computed ||p||^2, the largest |p_i|, the coefficients k_s
+    and k_d and the underflow term."""
+
+    def __init__(self, pts):
+        self.pts = pts
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.twice = 2 * pts
+            self.norms = (pts * pts).sum(axis=1)
+        self.bound = None
+        if pts.dtype == np.float64:
+            n = pts.shape[1]
+            slack = 1 + _gamma(3 * n + 8)
+            self.bound = (
+                self.norms.max(),
+                np.abs(pts).max(),
+                2 * _gamma(n + 1) * slack,
+                4 * _gamma(n + 2) * slack,
+                n * 2.0**-1070,
+            )
+
+
+def _nearest(rows, points):
+    """Index of the nearest candidate point to each row; ties go to the
+    lowest. points is a _Candidates, or an array of points to prepare.
+
+    Rows rank the points by the score s = ||p||^2 - 2 r.p, which differs
+    from D = ||r - p||^2 by ||r||^2, the same for every point: the order
+    and its ties are those of D. Rows are taken in chunks whose (rows,
+    points) score matrix holds at most _SCORE_LIMIT entries (or one row).
+    Int64 rows and points (see _exact_decode_grid) score exactly.
+
+    A float row must get the index that the float distance
+    D^ = fl(sum_i fl(r_i - p_i)^2) gives, ties to the lowest, and its scores
+    decide it only when they prove that they agree. With u the unit
+    roundoff, gamma_k = k u / (1 - k u), eta = 2^-1075 the absolute error of
+    a product that underflows (a sum or difference that underflows is
+    exact), R = ||r||_1, P = max ||p||^2 and M = max |p_i| over the points:
+
+    Score. s^ = fl(fl(||p||^2) - fl(r.(2p))), both inner products summed in
+    any order, fused multiply-adds or not (a BLAS product). Each is within
+    gamma_n of the sum of its terms' magnitudes, plus n eta, and the
+    subtraction adds u |s^|; so |s^ - s| <= E_s = gamma_{n+1} (P + 2 R M)
+    + 3 n eta, as gamma_n + u (1 + gamma_n) <= gamma_{n+1} (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3).
+
+    Distance. Each term of D^ meets a subtraction, a squaring and at most
+    n - 1 additions, in whatever order the sum takes them, so |D^ - D| <=
+    E_d = gamma_{n+2} D + 2 n eta, and D <= 2 (||r||^2 + ||p||^2)
+    <= 2 (R^2 + P).
+
+    Decision. Let s^_1 <= s^_2 be a row's two least scores, s^_1 first at
+    point c. If s^_2 - s^_1 > 2 E_s + 2 E_d, every other point q has
+    s_q - s_c = D_q - D_c > 2 E_d, so D^_q > D^_c: c is the unique least
+    D^, and a certified row never has a tie. The test is
+    fl(s^_2 - s^_1) > B = k_s (P + 2 R M) + k_d (R^2 + P) + n 2^-1070,
+    evaluated in float64 from R = fl(sum_i |r_i|) and the stage's computed
+    P, with k_s = 2 gamma_{n+1} and k_d = 4 gamma_{n+2}, each times
+    1 + gamma_{3n+8}. That factor covers the rounding of R, P, B, the gap
+    and the constants themselves, at most 2n + 9 roundings along any one
+    chain, and n 2^-1070 = 32 n eta covers the 10 n eta above and every
+    underflow of B. A row with fl(R^2 + P) >= _SCORE_REACH, where no term
+    is sure not to overflow, is not certified. Every row left uncertified,
+    such as one whose scores overflow, takes the float distance in
+    _nearest_by_distance; no overflow here raises a warning.
     """
-    if norms is not None:
-        return (norms - 2 * (rows @ pts.T)).argmin(axis=1)
+    if not isinstance(points, _Candidates):
+        points = _Candidates(points)
+    best = np.empty(len(rows), dtype=np.intp)
+    step = max(1, _SCORE_LIMIT // len(points.pts))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(rows), step):
+            part = slice(start, start + step)
+            scores = rows[part] @ points.twice.T
+            np.subtract(points.norms, scores, out=scores)
+            best[part] = scores.argmin(axis=1)
+            if points.bound is None:
+                continue
+            unsure = ~_certified(rows[part], scores, best[part], points.bound)
+            if unsure.any():
+                best[part][unsure] = _nearest_by_distance(rows[part][unsure], points.pts)
+    return best
+
+
+def _certified(rows, scores, least, bound):
+    """Mask of the float rows whose least score, at index least, _nearest's
+    bound certifies. Overwrites each row's least score with +inf."""
+    p2, p_max, score_k, dist_k, tiny = bound
+    at = np.arange(len(rows))
+    first = scores[at, least]
+    scores[at, least] = np.inf
+    # numpy reduces a short last axis one row at a time; the transposed
+    # copy is reduced across all rows at once
+    gap = np.ascontiguousarray(scores.T).min(axis=0) - first
+    size = np.abs(rows) @ np.ones(rows.shape[1])
+    reach = size * size + p2
+    margin = score_k * (p2 + 2 * p_max * size) + dist_k * reach + tiny
+    return (reach < _SCORE_REACH) & (gap > margin)
+
+
+def _nearest_by_distance(rows, pts):
+    """Index of the nearest point of float pts to each float row by the float
+    distance fl(sum_i (r_i - p_i)^2), ties to the lowest, in chunks of rows
+    whose (rows, points, n) temporary holds at most lattices._GATHER_LIMIT
+    entries (or one row)."""
     step = max(1, lattices._GATHER_LIMIT // pts.size)
     best = np.empty(len(rows), dtype=np.intp)
     for start in range(0, len(rows), step):
@@ -291,34 +401,44 @@ def _nearest(rows, pts, norms=None):
     return best
 
 
+def _float_stages(codebooks, gain):
+    """Each layer's (own, interferer) candidates for float rows, prepared
+    once per run: the codewords' floats, and float(gain) times them."""
+    a = float(gain)
+    floats = (cb.float_matrix() for cb in codebooks)
+    return [(_Candidates(pts), _Candidates(a * pts)) for pts in floats]
+
+
 def _successive_decode(received, codebooks, gain):
     """Per-layer successive decoding, interference first inside each stage.
 
     A PointGrid of rows is decoded in int64 on one grid shared with the
-    codebooks (see _exact_decode_grid), each stage's squared norms computed
-    once; anything else is a float batch of shape (rows, n). Each stage
-    finds the nearest interferer at the gain, strips it, then finds and
-    strips the nearest own codeword. Returns (own_indices,
+    codebooks (see _exact_decode_grid); anything else is a float batch of
+    shape (rows, n), decided as _nearest documents. Returns (own_indices,
     interferer_indices), one array per layer.
     """
     if isinstance(received, PointGrid):
         resid, layers = _exact_decode_grid(received, codebooks, Fraction(gain))
-        stages = [
-            (own, (own * own).sum(axis=1), intf, (intf * intf).sum(axis=1))
-            for own, intf in layers
-        ]
-    else:
-        resid = _float_rows(received)
-        if not np.isfinite(resid).all():
-            raise ValidationError("rows", "rows must be finite")
-        a = float(gain)
-        stages = [(pts, None, a * pts, None) for pts in (cb.float_matrix() for cb in codebooks)]
+        stages = [(_Candidates(own), _Candidates(intf)) for own, intf in layers]
+        return _decode_stages(resid, stages)
+    return _decode_stages(_float_rows(received), _float_stages(codebooks, gain))
+
+
+def _decode_stages(resid, stages):
+    """Successive decoding of rows over prepared stages, one (own,
+    interferer) pair of _Candidates per layer: each stage finds the nearest
+    interferer point, strips it, then finds and strips the nearest own
+    codeword. Rows must be finite. Returns (own_indices,
+    interferer_indices), one array per layer.
+    """
+    if not np.isfinite(resid).all():
+        raise ValidationError("rows", "rows must be finite")
     own_all, intf_all = [], []
-    for own_pts, own_norms, intf_pts, intf_norms in stages:
-        j = _nearest(resid, intf_pts, intf_norms)
-        resid = resid - intf_pts[j]
-        i = _nearest(resid, own_pts, own_norms)
-        resid = resid - own_pts[i]
+    for own, intf in stages:
+        j = _nearest(resid, intf)
+        resid = resid - intf.pts[j]
+        i = _nearest(resid, own)
+        resid = resid - own.pts[i]
         own_all.append(i.astype(np.int64))
         intf_all.append(j.astype(np.int64))
     return tuple(own_all), tuple(intf_all)

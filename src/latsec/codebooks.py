@@ -15,6 +15,7 @@ from __future__ import annotations
 import decimal
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -119,7 +120,9 @@ class BinnedCodebook:
     """A codebook partitioned into equal-size bins by a seeded shuffle.
 
     bin_index[i] is the bin of codeword i; the bin index is the secret
-    message, the position inside the bin is the random padding.
+    message, the position inside the bin is the random padding. The
+    shuffle is drawn when bin_index is first read, so a binning that is
+    never read, such as the closed forms of joint_bin_sum, draws nothing.
     """
 
     def __init__(self, codebook: Codebook, num_bins: int, seed: int = 0):
@@ -128,13 +131,20 @@ class BinnedCodebook:
             raise ValidationError("num_bins", f"need 1 <= num_bins <= {size}")
         if size % num_bins != 0:
             raise NonDivisibleBins(f"{num_bins} bins do not divide {size} codewords")
-        perm = np.random.default_rng(int(seed)).permutation(size)
-        per = size // num_bins
         self.codebook = codebook
         self.num_bins = num_bins
         self.seed = int(seed)
-        self.bin_index = np.empty(size, dtype=np.int64)
-        self.bin_index[perm] = np.arange(size) // per
+        # default_rng(seed) seeds from this; making it here raises a bad
+        # seed's error from the constructor
+        self._seed_sequence = np.random.SeedSequence(self.seed)
+
+    @cached_property
+    def bin_index(self) -> np.ndarray:
+        size = len(self.codebook)
+        perm = np.random.default_rng(self._seed_sequence).permutation(size)
+        bin_index = np.empty(size, dtype=np.int64)
+        bin_index[perm] = np.arange(size) // (size // self.num_bins)
+        return bin_index
 
     @property
     def rate_per_dim(self) -> float:

@@ -21,8 +21,9 @@ import numpy as np
 from .channel import (
     ChannelParams,
     Regime,
+    _decode_stages,
     _finite,
-    _successive_decode,
+    _float_stages,
     _trial_blocks,
     check_stage_conditions,
     classify_regime,
@@ -595,9 +596,11 @@ def _successive_errors(layers, params: ChannelParams, trials, root_seed):
     """Successive-decoding rounds over the given layer codebooks, one block
     of trials at a time: each user sends the sum of one codeword per layer.
     Returns per-layer counts of own and interferer decoding errors, and the
-    count of trials in which some own layer errs.
+    count of trials in which some own layer errs. The decoding stages are
+    prepared once per run.
     """
     mats = [cb.float_matrix() for cb in layers]
+    stages = _float_stages(layers, params.cross_gain)
     own_errors = np.zeros(len(layers), dtype=np.int64)
     intf_errors = np.zeros(len(layers), dtype=np.int64)
     trial_errors = 0
@@ -606,7 +609,7 @@ def _successive_errors(layers, params: ChannelParams, trials, root_seed):
         x1 = sum(mat[m1[:, li]] for li, mat in enumerate(mats))
         x2 = sum(mat[m2[:, li]] for li, mat in enumerate(mats))
         y1, _, _ = transmit(x1, x2, params, noise)
-        own, intf = _successive_decode(y1, layers, params.cross_gain)
+        own, intf = _decode_stages(y1, stages)
         own_wrong = np.stack(own, axis=1) != m1
         own_errors += own_wrong.sum(axis=0)
         intf_errors += (np.stack(intf, axis=1) != m2).sum(axis=0)

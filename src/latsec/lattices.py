@@ -52,9 +52,9 @@ two coordinates cannot overflow. on_grid raises BudgetExceeded past it."""
 
 _GATHER_LIMIT = 1 << 13
 """Entries of the (rows, codewords, n) temporary that quantize_fine, and
-the float stages of channel's successive decoder, make at once: both take
-rows in chunks, so their temporaries stay small whatever the batch and the
-code."""
+the float distance that channel's successive decoder leaves its
+uncertified rows to, make at once: both take rows in chunks, so their
+temporaries stay small whatever the batch and the code."""
 
 _ROUNDOFF = 2.0**-53
 """u, the unit roundoff of float64: a correctly rounded operation whose

@@ -33,8 +33,9 @@ from latsec import (
     stage_condition_witnesses,
     transmit,
 )
-from latsec import lattices
+from latsec import channel, lattices
 from latsec.channel import TRIAL_BLOCK, _nearest, _trial_blocks
+from latsec.experiments import layered_reliability, very_strong_reliability
 
 import oracles
 from exact_rows import grid, record_row_dtypes
@@ -601,7 +602,7 @@ class TestExactNearest:
     def test_expanded_argmin_matches_python_ints(self, drawn):
         rows, pts = drawn
         r, p = np.array(rows, dtype=np.int64), np.array(pts, dtype=np.int64)
-        got = _nearest(r, p, (p * p).sum(axis=1))
+        got = _nearest(r, p)
         assert got.tolist() == nearest_brute(rows, pts)
 
     @settings(max_examples=40)
@@ -633,8 +634,9 @@ class TestExactNearest:
 
 
 class TestFloatNearest:
-    """Float stages rank points by ||r - p||^2 in chunks of rows; the chunks
-    must pick what one (rows, points, n) temporary picks, bit for bit."""
+    """Float stages rank points in chunks of rows, and uncertified rows by
+    ||r - p||^2 in chunks of their own; the chunks must pick what one
+    (rows, points, n) temporary picks, bit for bit."""
 
     @pytest.mark.parametrize("rows_per_chunk", [1, 7, 64])
     def test_chunked_argmin_matches_one_temporary(self, monkeypatch, rows_per_chunk):
@@ -655,6 +657,188 @@ class TestFloatNearest:
         monkeypatch.setattr(lattices, "_GATHER_LIMIT", 1)
         got = decode_very_strong_batch(rows, cb, params)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, 64])
+    def test_score_chunks_match_one_temporary(self, monkeypatch, rows_per_chunk):
+        cb = codebook(3, ((1, 0), (0, 1), (1, 1)), Fraction(5, 3))
+        params = ChannelParams(cross_gain=2.5, power=1.0)
+        pts = cb.float_matrix()
+        rows = np.random.default_rng(5).normal(scale=3.0, size=(200, 3))
+        rows[:8] = (pts[:8] + pts[1:]) / 2  # ties, left to the float distance
+        whole = float_distance_argmin(rows, pts)
+        want = decode_very_strong_batch(rows, cb, params)
+        monkeypatch.setattr(channel, "_SCORE_LIMIT", rows_per_chunk * len(pts))
+        assert np.array_equal(_nearest(rows, pts), whole)
+        got = decode_very_strong_batch(rows, cb, params)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def float_distance_argmin(rows, pts):
+    """The float distance fl(sum_i (r_i - p_i)^2) over one (rows, points, n)
+    temporary, ties to the lowest index; overflow gives inf, silently."""
+    with np.errstate(over="ignore"):
+        return ((rows[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+def record_distance_rows(monkeypatch) -> list:
+    """Spy on channel._nearest_by_distance: the list it returns collects the
+    (rows, points) of every call, that is, the float rows _nearest left
+    uncertified."""
+    seen = []
+    by_distance = channel._nearest_by_distance
+
+    def spy(rows, pts):
+        seen.append((rows.copy(), pts))
+        return by_distance(rows, pts)
+
+    monkeypatch.setattr(channel, "_nearest_by_distance", spy)
+    return seen
+
+
+def row_set(rows) -> set:
+    return {tuple(r) for r in rows.tolist()}
+
+
+def stated_bound(row, pts) -> float:
+    """The gap bound of _nearest's docstring for a float row: k_s (P + 2 R M)
+    + k_d (R^2 + P) + n 2^-1070, written out independently."""
+    u = 2.0**-53
+    n = len(row)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    slack = 1 + gamma(3 * n + 8)
+    big_p = max(sum(v * v for v in p) for p in pts)
+    m = max(abs(v) for p in pts for v in p)
+    r = sum(abs(v) for v in row)
+    score_term = 2 * gamma(n + 1) * slack * (big_p + 2 * r * m)
+    distance_term = 4 * gamma(n + 2) * slack * (r * r + big_p)
+    return score_term + distance_term + n * 2.0**-1070
+
+
+@st.composite
+def float_rows_and_points(draw):
+    """Float rows and points: duplicate points, rows at midpoints of two
+    points, and rows and points far out, where the scores or the distances
+    overflow."""
+    n = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1.0, 5 / 3, 2.5, 1e150]))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    pts = [[scale * v for v in p] for p in draw(st.lists(vec, min_size=1, max_size=6))]
+    index = st.integers(0, len(pts) - 1)
+    pts += [pts[i] for i in draw(st.lists(index, max_size=2))]
+    reach = draw(st.sampled_from([1.0, 1e150, 1e300]))
+    coord = st.floats(-4, 4).map(lambda v: v * reach)
+    rows = draw(st.lists(st.lists(coord, min_size=n, max_size=n), max_size=6))
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        rows.append([(a + b) / 2 for a, b in zip(pts[i], pts[j])])
+    pts = draw(st.permutations(pts))
+    return np.array(rows, dtype=np.float64).reshape(-1, n), np.array(pts)
+
+
+class TestCertifiedNearest:
+    """Float rows are ranked by ||p||^2 - 2 r.p and keep that ranking only
+    when its gap beats the bound in _nearest's docstring; every row must get
+    the index the float distance ||r - p||^2 gives, ties to the lowest."""
+
+    @settings(max_examples=300)
+    @given(float_rows_and_points())
+    @example((np.empty((0, 2)), np.array([[1.0, 0.0], [0.0, 1.0]])))
+    @example((np.array([[0.5, 0.5]]), np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])))
+    @example((np.array([[1e200]]), np.array([[1e200], [-1e200]])))
+    @example((np.array([[3e300, -1e300]]), np.array([[1.0, 0.0], [0.0, 1.0]])))
+    # the scores are finite and rank point 1 first, but both distances
+    # overflow, which leaves point 0 first
+    @example((np.array([[1e154]]), np.array([[-5e153], [-4e153]])))
+    # a tie where the squares underflow: only the underflow term of the
+    # bound keeps the row from a certified, wrong index
+    @example((np.array([[(2 * 1.7e-158 + 1.7e-158) / 2]]), np.array([[2 * 1.7e-158], [1.7e-158]])))
+    def test_matches_the_float_distance(self, drawn):
+        # warnings are errors in this suite: scores that overflow must not warn
+        rows, pts = drawn
+        assert np.array_equal(_nearest(rows, pts), float_distance_argmin(rows, pts))
+
+    def test_rows_near_ties_take_the_float_distance(self, monkeypatch):
+        cb = codebook(3, ((1, 0), (0, 1), (1, 1)), Fraction(5, 3))
+        a = 2.5
+        params = ChannelParams(cross_gain=a, power=1.0)
+        pts = cb.float_matrix()
+        exact = [[Fraction(v) for v in p] for p in pts.tolist()]
+        dist = [[sum((x - y) ** 2 for x, y in zip(pi, pj)) / 4 for pj in exact] for pi in exact]
+        # midpoints of two codewords with no nearer codeword: genuine ties
+        ties = []
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                mid = [(x + y) / 2 for x, y in zip(exact[i], exact[j])]
+                if all(sum((x - y) ** 2 for x, y in zip(mid, q)) >= dist[i][j] for q in exact):
+                    ties.append((pts[i] + pts[j]) / 2)
+        assert len(ties) >= 4
+        near = []
+        for mid in ties:
+            for steps in (-3, -1, 0, 1, 3):
+                row = mid.copy()
+                for _ in range(abs(steps)):
+                    row = np.nextafter(row, math.copysign(math.inf, steps))
+                near.append(row)
+        near = np.array(near)
+        # noiseless rows a p_k + p_m: far from every tie in both stages
+        clean = np.array([a * pts[k] + pts[m] for k in range(len(pts)) for m in range(len(pts))])
+        seen = record_distance_rows(monkeypatch)
+        for stage_pts, ties in ((pts, near), (a * pts, a * near)):
+            rows = np.concatenate([ties, clean])
+            del seen[:]
+            got = _nearest(rows, stage_pts)
+            assert np.array_equal(got, float_distance_argmin(rows, stage_pts))
+            assert row_set(np.concatenate([r for r, _ in seen])) == row_set(ties)
+        # decoding: the interferer stage leaves its ties to the float distance
+        del seen[:]
+        own, intf = decode_very_strong_batch(np.concatenate([a * near, clean]), cb, params)
+        first, stage_pts = seen[0]
+        assert np.array_equal(stage_pts, a * pts)
+        assert row_set(first) == row_set(a * near)
+        assert own[len(near) :].tolist() == [m for _ in range(len(pts)) for m in range(len(pts))]
+        assert intf[len(near) :].tolist() == [k for k in range(len(pts)) for _ in range(len(pts))]
+
+    def test_certified_exactly_past_the_stated_bound(self, monkeypatch):
+        # ||p||^2 - 2 r.p is exact for these points, so a row's float gap is
+        # its exact gap |1 - 2 r_1|; r_2 sets R, and with it each term's share
+        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+        rows = []
+        for r2 in (1.0, 3.0, 6.0):
+            bound = stated_bound([0.5, r2], pts)
+            for ratio in (0.3, 0.7, 0.93, 0.97, 1.03, 1.07, 1.5, 3.0):
+                for side in (-1, 1):
+                    rows.append([0.5 + side * ratio * bound / 2, r2])
+        rows = np.array(rows)
+        seen = record_distance_rows(monkeypatch)
+        got = _nearest(rows, pts)
+        fell_back = row_set(np.concatenate([part for part, _ in seen]))
+        for row, index in zip(rows.tolist(), got.tolist()):
+            ratio = abs(1 - 2 * Fraction(row[0])) / Fraction(stated_bound(row, pts))
+            assert abs(ratio - 1) > 0.001
+            assert (tuple(row) in fell_back) == (ratio < 1)
+            assert index == (0 if row[0] < 0.5 else 1)
+
+    def test_stages_are_prepared_once_per_run(self, monkeypatch):
+        made = []
+        init = channel._Candidates.__init__
+
+        def spy(self, pts):
+            made.append(pts.shape)
+            init(self, pts)
+
+        monkeypatch.setattr(channel._Candidates, "__init__", spy)
+        cb = codebook(3, ((1, 0), (0, 1)))
+        params = ChannelParams(cross_gain=4.0, power=1.0)
+        very_strong_reliability(cb, params, 3 * TRIAL_BLOCK + 5, 1)
+        assert made == [(9, 2), (9, 2)]
+        del made[:]
+        coarse = codebook(2, ((1, 0), (0, 1)), scale=2)
+        fine = codebook(2, ((1, 0), (0, 1)))
+        layered = LayeredCodebook(fine.lattice, [fine, coarse], [0.01, 0.001])
+        layered_reliability(layered, ChannelParams(cross_gain=40.0, power=1.0), 2 * TRIAL_BLOCK, 2)
+        assert made == [(4, 2)] * 4
 
 
 class TestStageConditions:

@@ -251,6 +251,38 @@ class TestBinning:
         assert oracles.bins_of(binned) == ((0, 1),)
         assert binned.bin_rate_per_dim == 0.0
 
+    @pytest.mark.parametrize("bins, seed", [(1, 0), (2, 0), (4, 3), (16, 9)])
+    def test_bin_index_is_the_seeded_shuffle(self, bins, seed):
+        cb = enumerate_codebook(
+            ConstructionALattice(2, random_code_matrix(2, 4, 4, [41]), None, 1)
+        )
+        perm = np.random.default_rng(seed).permutation(16)
+        want = np.empty(16, dtype=np.int64)
+        want[perm] = np.arange(16) // (16 // bins)
+        got = BinnedCodebook(cb, bins, seed).bin_index
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_shuffle_is_drawn_once_when_read(self, monkeypatch):
+        cb = enumerate_codebook(
+            ConstructionALattice(2, random_code_matrix(2, 4, 4, [41]), None, 1)
+        )
+        draws = []
+        default_rng = np.random.default_rng
+
+        def spy(seed):
+            draws.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        binned = BinnedCodebook(cb, 4, seed=3)
+        assert draws == []
+        first = binned.bin_index
+        assert binned.bin_index is first
+        assert len(draws) == 1
+        # a bad seed still fails in the constructor
+        with pytest.raises(ValueError, match="non-negative"):
+            BinnedCodebook(cb, 4, seed=-1)
+
 
 class TestLayered:
     def base(self, p=2, n=2):

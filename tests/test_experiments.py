@@ -246,6 +246,22 @@ class TestBuildReuse:
         assert run_theorem1_suite(fresh) == theorems
         assert run_lemma_suite(fresh) == lemmas
 
+    def test_theorem1_suite_draws_only_the_binnings_it_reads(self, monkeypatch):
+        # the closed forms for 1 bin and |C| bins never read a shuffle
+        grid = standard_grid((2, 3), 3, 32, 1)
+        for point in grid:
+            point.lattice
+        draws = []
+        default_rng = np.random.default_rng
+
+        def spy(seed):
+            draws.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", spy)
+        run_theorem1_suite(grid)
+        assert len(draws) == sum(point.k - 1 for point in grid)
+
     def test_a_lattice_item_keeps_its_build(self, builds):
         lat = GridPoint(3, 2, 2, 0).build_lattice()
         _, sums = builds

@@ -251,24 +251,34 @@ def decode_very_strong_batch(received, codebook, params: ChannelParams):
 def _exact_decode_grid(received, codebooks, gain: Fraction):
     """Put received rows and every layer's codebook on one integer grid.
 
-    Returns (y_grid, [(own_grid, intf_grid), ...]) of int64 arrays over the
-    common unit divided by gain.denominator. Raises BudgetExceeded when a
-    decoding distance could overflow int64.
+    Returns (y_grid, [(own_grid, intf_grid), ...]), integer arrays over the
+    common unit divided by gain.denominator: float64 when the bound
+    n (2 reach)^2 below is under 2^53, int64 otherwise. Raises
+    BudgetExceeded when a decoding distance could overflow int64.
 
     Every residual a stage meets and every candidate point lies within
     reach of the origin in each coordinate, so ||r - c||^2 <= n (2 reach)^2,
     and the expanded terms _nearest ranks by, ||c||^2 and 2 |r.c|, add up
     to at most 3 n reach^2: the one guard n (2 reach)^2 < 2^62 covers both.
+    Below 2^53 the same bound holds every coordinate, product, partial sum,
+    norm, score and residual to an integer of magnitude under 2^53, which
+    float64 holds exactly (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 2): the float64 scores then equal the int64 ones, in
+    any summation order, and BLAS forms them.
     """
     _, (y_int, *layers) = on_grid(received, *codebooks)
     anum, aden = gain.numerator, gain.denominator
     peak = [max(_peak(a), 1) for a in (y_int, *layers)]
     reach = peak[0] * aden + 2 * (abs(anum) + aden) * sum(peak[1:])
-    if y_int.shape[1] * (2 * reach) ** 2 >= 2**62:
+    bound = y_int.shape[1] * (2 * reach) ** 2
+    if bound >= 2**62:
         raise BudgetExceeded(
             f"exact decoding distances reach {reach} grid steps; int64 overflows"
         )
-    return y_int * aden, [(c * aden, c * anum) for c in layers]
+    dtype = np.float64 if bound < 2**53 else np.int64
+    return np.asarray(y_int * aden, dtype), [
+        (np.asarray(c * aden, dtype), np.asarray(c * anum, dtype)) for c in layers
+    ]
 
 
 # Entries of the (rows, points) score matrix that _nearest forms at once: it
@@ -288,17 +298,19 @@ def _gamma(k: int) -> float:
 class _Candidates:
     """One stage's candidate points, prepared once per run for _nearest: the
     points, twice the points and each point's squared norm, all int64 or all
-    float64. Float candidates also hold the constants of _nearest's bound:
-    the largest computed ||p||^2, the largest |p_i|, the coefficients k_s
-    and k_d and the underflow term."""
+    float64. Float candidates that are not exact also hold the constants of
+    _nearest's bound: the largest computed ||p||^2, the largest |p_i|, the
+    coefficients k_s and k_d and the underflow term. exact marks float64
+    points of an exact grid (see _exact_decode_grid), whose scores need no
+    certificate; int64 points are exact whatever it says."""
 
-    def __init__(self, pts):
+    def __init__(self, pts, exact=False):
         self.pts = pts
         with np.errstate(over="ignore", invalid="ignore"):
             self.twice = 2 * pts
             self.norms = (pts * pts).sum(axis=1)
         self.bound = None
-        if pts.dtype == np.float64:
+        if pts.dtype == np.float64 and not exact:
             n = pts.shape[1]
             slack = 1 + _gamma(3 * n + 8)
             self.bound = (
@@ -412,14 +424,17 @@ def _float_stages(codebooks, gain):
 def _successive_decode(received, codebooks, gain):
     """Per-layer successive decoding, interference first inside each stage.
 
-    A PointGrid of rows is decoded in int64 on one grid shared with the
-    codebooks (see _exact_decode_grid); anything else is a float batch of
-    shape (rows, n), decided as _nearest documents. Returns (own_indices,
+    A PointGrid of rows is decoded exactly on one integer grid shared with
+    the codebooks (see _exact_decode_grid); anything else is a float batch
+    of shape (rows, n), decided as _nearest documents. Returns (own_indices,
     interferer_indices), one array per layer.
     """
     if isinstance(received, PointGrid):
         resid, layers = _exact_decode_grid(received, codebooks, Fraction(gain))
-        stages = [(_Candidates(own), _Candidates(intf)) for own, intf in layers]
+        stages = [
+            (_Candidates(own, exact=True), _Candidates(intf, exact=True))
+            for own, intf in layers
+        ]
         return _decode_stages(resid, stages)
     return _decode_stages(_float_rows(received), _float_stages(codebooks, gain))
 

@@ -33,9 +33,7 @@ class Codebook(PointGrid):
     """
 
     def __init__(self, lattice: ConstructionALattice):
-        super().__init__(
-            lattice.scale / lattice.p, lattice.message_coords(np.arange(lattice.num_cosets))
-        )
+        super().__init__(lattice.unit, lattice.message_coords(np.arange(lattice.num_cosets)))
         self.lattice = lattice
         self.n = lattice.n
 

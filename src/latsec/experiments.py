@@ -662,7 +662,8 @@ def engineered_gain(codebook: Codebook) -> int:
     norms = (c * c).sum(axis=1)
     max_norm2 = int(norms.max())
     dist2 = norms[:, None] + norms[None, :] - 2 * (c @ c.T)
-    dmin2 = int(dist2[np.triu_indices(len(c), 1)].min())
+    np.fill_diagonal(dist2, np.iinfo(np.int64).max)
+    dmin2 = int(dist2.min())
     a = math.isqrt(4 * max_norm2 // dmin2) + 1
     return max(a, 2)
 

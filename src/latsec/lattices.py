@@ -294,6 +294,8 @@ class ConstructionALattice:
         self.code_matrix = tuple(tuple(r) for r in rows)
         self.transform = tuple(tuple(r) for r in trows)
         self.scale = scale
+        # the fine unit: both lattices are integer grids over it
+        self.unit = scale / p
 
         # generator of C' = T G mod p, the code the fine lattice lifts
         self._code_t = tuple(
@@ -338,14 +340,17 @@ class ConstructionALattice:
         return rows
 
     def _unit_rows(self, x):
-        """Rows of x exactly, in units of scale / p: integer numerators of
-        shape (rows, n) over positive per-row denominators of shape (rows, 1).
+        """Rows of x exactly, in units of the fine unit scale / p (formed once,
+        in __init__): integer numerators of shape (rows, n) over positive
+        denominators that broadcast against them, of shape (rows, 1) for
+        float rows and (1, 1) for a PointGrid, whose rows share one.
 
         x is a PointGrid, or checked float rows that the float filters could
         not certify; those convert bit for bit, to object arrays of Python
         ints. A PointGrid's rows are coords * a over b, with a / b = x.unit /
-        (scale / p) in lowest terms; they come as int64 when no
-        intermediate of mod_coarse or quantize_fine can overflow, else as
+        (scale / p) in lowest terms: b is their shared denominator, and
+        mod_coarse names its result's unit by it. They come as int64 when
+        no intermediate of mod_coarse or quantize_fine can overflow, else as
         object arrays. With N the largest |numerator| (taken as at least a,
         so that a itself fits) and P = p b, every linear intermediate of
         either (2 num + 3P at most, in quantize_fine's rounding) is below
@@ -353,14 +358,13 @@ class ConstructionALattice:
         squared distance at most n P^2 / 4; so 2 (N + P) < GRID_LIMIT and
         n P^2 < GRID_LIMIT keep all of them below 2^63.
         """
-        unit = self.scale / self.p
         if not isinstance(x, PointGrid):
             ratios = [[v.as_integer_ratio() for v in row] for row in x.tolist()]
             dens = [math.lcm(*(b for _, b in row)) for row in ratios]
             nums = [[a * (d // b) for a, b in row] for row, d in zip(ratios, dens)]
-            num = np.array(nums, dtype=object) * unit.denominator
-            return num, np.array(dens, dtype=object).reshape(-1, 1) * unit.numerator
-        ratio = x.unit / unit
+            num = np.array(nums, dtype=object) * self.unit.denominator
+            return num, np.array(dens, dtype=object).reshape(-1, 1) * self.unit.numerator
+        ratio = x.unit / self.unit
         a, b = ratio.numerator, ratio.denominator
         step = self.p * b
         fits = 2 * (max(_peak(x.coords), 1) * a + step) < GRID_LIMIT
@@ -368,7 +372,7 @@ class ConstructionALattice:
         num = x.coords.astype(dtype) * a
         if num.ndim != 2 or num.shape[1] != self.n:
             raise DimensionMismatch(f"expected rows of width {self.n}, got shape {num.shape}")
-        return num, np.full((len(x), 1), b, dtype=dtype)
+        return num, np.full((1, 1), b, dtype=dtype)
 
     def _float_coarse(self, rows):
         """Each float row's coarse index q = floor(x / scale + 1/2), decided
@@ -463,14 +467,14 @@ class ConstructionALattice:
         exactly. Float rows come back as the float array x - float(scale * q),
         each float(scale * q) correctly rounded; a PointGrid comes back as
         one over scale / (p b), with b the denominator of x.unit /
-        (scale / p). Idempotent. Raises BudgetExceeded when q reaches
+        (scale / p), which _unit_rows has already formed: it is their shared
+        denominator. Idempotent. Raises BudgetExceeded when q reaches
         GRID_LIMIT and ValidationError on a non-finite float.
         """
         if isinstance(x, PointGrid):
             num, den = self._unit_rows(x)
             q = _round_half_up(num, self.p * den)
-            b = (x.unit * self.p / self.scale).denominator
-            return PointGrid(self.scale / (self.p * b), _int64_grid(num - self.p * den * q))
+            return PointGrid(self.unit / int(den[0, 0]), _int64_grid(num - self.p * den * q))
         rows = self._checked_rows(x)
         q, certain = self._float_coarse(rows)
         if not certain.all():
@@ -485,12 +489,12 @@ class ConstructionALattice:
         it cannot certify take the exact path, _exact_fine.
         """
         if isinstance(x, PointGrid):
-            return PointGrid(self.scale / self.p, self._exact_fine(x))
+            return PointGrid(self.unit, self._exact_fine(x))
         rows = self._checked_rows(x)
         coords, certain = self._float_fine(rows)
         if not certain.all():
             coords[~certain] = self._exact_fine(rows[~certain])
-        return PointGrid(self.scale / self.p, coords)
+        return PointGrid(self.unit, coords)
 
     def _exact_fine(self, x) -> np.ndarray:
         """Fine points of exact rows (see _unit_rows), as int64 coordinates
@@ -500,8 +504,9 @@ class ConstructionALattice:
         is r mod p, and the residual it leaves; then takes every codeword of
         C' at once (see _least_word) and keeps each row's least (distance,
         residual). Every residual is at most p den / 2 in magnitude, so
-        p den is a sentinel above all of a row's. Rows are taken in chunks
-        of at most _GATHER_LIMIT (row, codeword, coordinate) entries.
+        p den, broadcast to one per row, is a sentinel above all of a row's.
+        Rows are taken in chunks of at most _GATHER_LIMIT (row, codeword,
+        coordinate) entries.
         """
         num, den = self._unit_rows(x)
         p = self.p
@@ -511,11 +516,12 @@ class ConstructionALattice:
         resid = num[..., None] - near * den[..., None]
         sq = resid * resid
         words = self._codewords()
+        sentinel = np.broadcast_to(p * den, (len(num), 1))
         step = max(1, _GATHER_LIMIT // words.size)
         best = np.empty(len(num), dtype=np.int64)
         for start in range(0, len(num), step):
             part = slice(start, start + step)
-            best[part] = _least_word(resid[part], sq[part], words, p * den[part])
+            best[part] = _least_word(resid[part], sq[part], words, sentinel[part])
         rows = np.arange(len(num))[:, None]
         least = resid[rows, np.arange(self.n), words[best]]
         return _int64_grid((num - least) // den)
@@ -584,7 +590,8 @@ def random_unimodular(n, seed, entry_cap=6):
                 m[i] = [-v for v in m[i]]
             else:
                 i, j = rng.choice(n, size=2, replace=False)
-                c = int(rng.choice([-2, -1, 1, 2]))
+                # the draw of rng.choice([-2, -1, 1, 2]), without its overhead
+                c = (-2, -1, 1, 2)[int(rng.integers(0, 4))]
                 m[i] = [a + c * b for a, b in zip(m[i], m[j])]
         if max(abs(v) for row in m for v in row) <= entry_cap:
             return tuple(tuple(r) for r in m)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latsec import (
@@ -577,11 +577,12 @@ def nearest_brute(rows, pts):
 
 
 @st.composite
-def rows_and_points(draw):
+def rows_and_points(draw, bounds=(3, 2**20, 2**28)):
     """Integer rows and points with forced ties: a repeated point, and the
-    mirror 2 r - p of a point p through a row r, which is as near r as p."""
+    mirror 2 r - p of a point p through a row r, which is as near r as p.
+    Entries are drawn within one of bounds; a mirror reaches three times it."""
     n = draw(st.integers(1, 4))
-    bound = draw(st.sampled_from([3, 2**20, 2**28]))
+    bound = draw(st.sampled_from(bounds))
     vec = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
     rows = draw(st.lists(vec, min_size=1, max_size=6))
     pts = draw(st.lists(vec, min_size=1, max_size=6))
@@ -593,8 +594,9 @@ def rows_and_points(draw):
 
 
 class TestExactNearest:
-    """Exact stages rank points by ||p||^2 - 2 r.p in int64; that must pick
-    what ||r - p||^2 in Python ints picks, ties to the lowest index."""
+    """Exact stages rank points by ||p||^2 - 2 r.p, in float64 while every
+    term stays below 2^53 and in int64 past it; that must pick what
+    ||r - p||^2 in Python ints picks, ties to the lowest index."""
 
     @settings(max_examples=200)
     @given(rows_and_points())
@@ -631,6 +633,56 @@ class TestExactNearest:
         coords[-1][0] = peak + 1
         with pytest.raises(BudgetExceeded):
             decode_very_strong_batch(PointGrid(cb.unit, coords), cb, params)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("gain", [Fraction(2), Fraction(5, 2), Fraction(2**20 + 1)])
+    def test_rows_at_the_float_bound(self, monkeypatch, n, gain):
+        # As in test_rows_at_the_guard, at 2^53: the largest peak with
+        # n (2 reach)^2 < 2^53 scores in float64, one grid step more in int64
+        cb = codebook(3, ((1,),) * n)
+        params = ChannelParams(cross_gain=float(gain), power=1.0)
+        top = math.isqrt((2**53 - 1) // (4 * n))
+        below = (top - 2 * (gain.numerator + gain.denominator)) // gain.denominator
+        seen = []
+        decode = channel._decode_stages
+
+        def spy(resid, stages):
+            seen.append((resid.dtype, [(own.bound, intf.bound) for own, intf in stages]))
+            return decode(resid, stages)
+
+        monkeypatch.setattr(channel, "_decode_stages", spy)
+        rng = np.random.default_rng(n)
+        for peak, dtype in ((below, np.float64), (below + 1, np.int64)):
+            reach = peak * gain.denominator + 2 * (gain.numerator + gain.denominator)
+            assert (n * (2 * reach) ** 2 < 2**53) == (dtype == np.float64)
+            corners = [[peak if (i >> j) & 1 else -peak for j in range(n)] for i in range(2**n)]
+            inner = rng.integers(-peak, peak + 1, size=(4, n)).tolist()
+            rows = PointGrid(cb.unit, corners + inner)
+            del seen[:]
+            own, intf = decode_very_strong_batch(rows, cb, params)
+            assert seen == [(np.dtype(dtype), [(None, None)])]
+            for row, i, j in zip(rows.points, own.tolist(), intf.tolist()):
+                assert j == nearest_brute([row], [[gain * c for c in pt] for pt in cb.points])[0]
+                rest = [v - gain * c for v, c in zip(row, cb.points[j])]
+                assert i == nearest_brute([rest], cb.points)[0]
+
+    @settings(max_examples=200)
+    @given(rows_and_points(bounds=(3, 2**10, 2**22)))
+    @example(([[0, 0]], [[1, 0], [0, 1], [-1, 0], [1, 0]]))
+    @example(([[2**22]], [[2**22 - 1], [2**22 + 1], [-(2**22)]]))
+    # one coordinate at the largest reach with 4 reach^2 < 2^53: a tie
+    @example(([[47453131]], [[-47453132], [47453130], [47453132]]))
+    def test_float64_scores_match_int64(self, drawn):
+        # integer rows and points whose every score term stays below 2^53:
+        # float64 and int64 scores pick the same index, ties included
+        rows, pts = drawn
+        reach = max(abs(v) for v in [*sum(rows, []), *sum(pts, [])])
+        assume(len(rows[0]) * (2 * reach) ** 2 < 2**53)
+        r, p = np.array(rows, dtype=np.int64), np.array(pts, dtype=np.int64)
+        exact = channel._Candidates(p.astype(np.float64), exact=True)
+        assert exact.bound is None
+        got = _nearest(r.astype(np.float64), exact)
+        assert got.tolist() == _nearest(r, p).tolist() == nearest_brute(rows, pts)
 
 
 class TestFloatNearest:

@@ -682,6 +682,20 @@ class TestNoiselessLoopback:
             )
             assert engineered_gain(cb) == max(math.isqrt(4 * max_norm2 // dmin2) + 1, 2)
 
+    def test_engineered_gain_matches_pairwise_fractions(self):
+        # dmin^2 over the exact points of every distinct pair, with no
+        # integer coordinates and no distance matrix
+        for gp in standard_grid(coset_limit=64, draws=1):
+            cb = enumerate_codebook(gp.build_lattice())
+            pts = cb.points
+            max_norm2 = max(sum(v * v for v in pt) for pt in pts)
+            dmin2 = min(
+                sum((x - y) ** 2 for x, y in zip(pts[i], pts[j]))
+                for i in range(len(pts))
+                for j in range(i + 1, len(pts))
+            )
+            assert engineered_gain(cb) == max(math.isqrt(math.floor(4 * max_norm2 / dmin2)) + 1, 2)
+
     def test_engineered_gain_separates_interference(self):
         for p, g in ((2, ((1, 0), (0, 1))), (3, ((1,),)), (5, ((1,), (2,)))):
             cb = enumerate_codebook(ConstructionALattice(p, g, None, 1))

@@ -26,6 +26,7 @@ from latsec import (
     enumerate_codebook,
     random_code_matrix,
     random_unimodular,
+    scale_to_power,
     sum_structure,
 )
 from latsec import lattices
@@ -657,6 +658,47 @@ class TestPointGridRowsAgainstOracle:
         for row, pt in zip(x.points, got.points):
             winners, _ = oracles.exhaustive_nearest(row, fine, box=12)
             assert minus([row], [pt])[0] == oracles.tie_break_residual(row, winners)
+
+
+class TestFineUnit:
+    """The fine unit scale / p is formed once per lattice; every exact
+    result over it, and every fold over a finer unit, must be what the
+    Fraction arithmetic and the oracles give."""
+
+    @pytest.mark.parametrize("case", TestIntegerCoreAgainstOracle.CASES)
+    def test_unit_is_scale_over_p(self, case):
+        p, g, t, scale = case
+        lat = ConstructionALattice(p, g, t, scale)
+        assert lat.unit == Fraction(scale) / p
+        cb = enumerate_codebook(lat)
+        assert cb.unit == lat.unit
+        for power in (1e-3, 0.5, math.inf):
+            scaled = scale_to_power(cb, power)
+            assert scaled.lattice.unit == scaled.lattice.scale / p
+            assert scaled.unit == scaled.lattice.unit
+            assert scaled.lattice.quantize_fine(np.zeros((1, len(g)))).unit == scaled.lattice.unit
+        assert scale_to_power(cb, 1e-3).lattice.scale < lat.scale
+
+    @pytest.mark.parametrize("case", TestIntegerCoreAgainstOracle.CASES)
+    def test_fold_over_mixed_units(self, case):
+        # units finer than, equal to and coarser than scale / p, whose
+        # ratios to it have denominators 1 to 6; every row a few steps out. T is
+        # unimodular, so scale T Z^n = scale Z^n: the oracle searches the
+        # basis scale I, which keeps its box small in three dimensions
+        p, g, t, scale = case
+        lat = ConstructionALattice(p, g, t, scale)
+        n = len(g)
+        basis = [tuple(scale * (i == j) for i in range(n)) for j in range(n)]
+        rng = np.random.default_rng(len(g) * p)
+        for ratio in (Fraction(1, 3), Fraction(3, 4), Fraction(1), Fraction(5, 2), Fraction(7, 6)):
+            x = PointGrid(Fraction(scale) / p * ratio, rng.integers(-4, 5, size=(3, n)))
+            folded = lat.mod_coarse(x)
+            assert folded.unit == Fraction(scale) / (p * (x.unit * p / Fraction(scale)).denominator)
+            box = int(max(abs(v) for row in x.points for v in row) / scale) + 2
+            assert list(folded.points) == [oracles.fold_brute(row, basis, box) for row in x.points]
+            assert lat.mod_coarse(folded).points == folded.points
+            empty = lat.mod_coarse(PointGrid(x.unit, np.zeros((0, n), dtype=np.int64)))
+            assert empty.unit == folded.unit and empty.coords.shape == (0, n)
 
 
 class TestOutOfRangeFloatRows:

@@ -67,12 +67,23 @@ def test_code_matrix_draw():
 
 
 def test_unimodular_draw():
-    # lattices.random_unimodular: integers and choice, one row operation
+    # lattices.random_unimodular: integers and choice, one row operation;
+    # the shear factor is (-2, -1, 1, 2)[integers(0, 4)]
     rng = np.random.default_rng([4, 0, 13])
     assert int(rng.integers(0, 3)) == 2
     assert rng.choice(4, size=2, replace=False).tolist() == [0, 2]
     assert int(rng.integers(0, 4)) == 3
-    assert int(rng.choice([-2, -1, 1, 2])) == 2
+    assert (-2, -1, 1, 2)[int(rng.integers(0, 4))] == 2
+
+
+def test_shear_draw_is_the_choice_draw():
+    # The shear factor was drawn as choice([-2, -1, 1, 2]); with replacement
+    # and no weights, choice draws integers(0, 4), so the same seeds still
+    # give the same matrices: the value and the generator state agree
+    for seed in range(200):
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert int(old.choice([-2, -1, 1, 2])) == (-2, -1, 1, 2)[int(new.integers(0, 4))]
+        assert old.bit_generator.state == new.bit_generator.state
 
 
 def test_baseline_grid_draw():

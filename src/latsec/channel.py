@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from . import lattices
-from .lattices import _ROUNDOFF, ConstructionALattice, PointGrid, _float_rows, _peak, on_grid
+from .lattices import _ROUNDOFF, ConstructionALattice, PointGrid, _float_rows, _on_grid, on_grid
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice)
     """
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
     if isinstance(y, PointGrid):
-        unit, (ay, u) = on_grid(PointGrid(Fraction(alpha) * y.unit, y.coords), dither)
+        unit, (ay, u) = on_grid(PointGrid(Fraction(alpha) * y.unit, y.coords, y.peak), dither)
         v = PointGrid(unit, ay - u)
     else:
         v = alpha * _float_rows(y) - _float_rows(np.atleast_2d(dither))
@@ -264,11 +264,13 @@ def _exact_decode_grid(received, codebooks, gain: Fraction):
     norm, score and residual to an integer of magnitude under 2^53, which
     float64 holds exactly (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 2): the float64 scores then equal the int64 ones, in
-    any summation order, and BLAS forms them.
+    any summation order, and BLAS forms them. reach is taken from each
+    grid's peak times its factor onto the common unit: a proven bound that
+    may only overestimate, so the guard and the dtype err on the safe side.
     """
-    _, (y_int, *layers) = on_grid(received, *codebooks)
+    _, (y_int, *layers), peaks = _on_grid((received, *codebooks))
     anum, aden = gain.numerator, gain.denominator
-    peak = [max(_peak(a), 1) for a in (y_int, *layers)]
+    peak = [max(b, 1) for b in peaks]
     reach = peak[0] * aden + 2 * (abs(anum) + aden) * sum(peak[1:])
     bound = y_int.shape[1] * (2 * reach) ** 2
     if bound >= 2**62:

@@ -29,11 +29,11 @@ class Codebook(PointGrid):
     Codeword m is unit * coords[m] with unit = scale / p and coords[m] the
     lattice's message_coords(m): every point lies in the half-open
     fundamental cell of the coarse lattice, so every coordinate lies in
-    [-p/2, p/2).
+    [-p/2, p/2): the codebook's peak is p // 2, with no scan.
     """
 
     def __init__(self, lattice: ConstructionALattice):
-        super().__init__(lattice.unit, lattice.message_coords(np.arange(lattice.num_cosets)))
+        super().__init__(lattice.unit, lattice.message_table, lattice.p // 2)
         self.lattice = lattice
         self.n = lattice.n
 

@@ -696,11 +696,16 @@ def noiseless_loopback(codebook: Codebook):
     )
     c = codebook.coords
     # row m1 * size + m2 is codeword m1 plus gain times codeword m2
-    rows = PointGrid(codebook.unit, (c[:, None, :] + gain * c[None, :, :]).reshape(-1, n))
-    expected_own = np.repeat(np.arange(size, dtype=np.int64), size)
-    expected_intf = np.tile(np.arange(size, dtype=np.int64), size)
+    rows = PointGrid(
+        codebook.unit, (c[:, None, :] + gain * c[None, :, :]).reshape(-1, n),
+        (1 + gain) * codebook.peak,
+    )
     own, intf = decode_very_strong_batch(rows, codebook, strong)
-    strong_ok = bool((own == expected_own).all() and (intf == expected_intf).all())
+    messages = np.arange(size)
+    strong_ok = bool(
+        (own.reshape(size, size) == messages[:, None]).all()
+        and (intf.reshape(size, size) == messages).all()
+    )
     witnesses = stage_condition_witnesses([math.inf], gain, 0.0)
     layered_ok = strong_ok and all(w["satisfied"] for w in witnesses)
     return {

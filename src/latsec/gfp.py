@@ -1,8 +1,9 @@
-"""Dense linear algebra over the prime field GF(p).
+"""Primality, and the rank of a matrix over the prime field GF(p).
 
-Matrices are lists of row lists holding Python ints. Everything runs on
-exact integer arithmetic; sizes here are tiny (n <= 10 or so), so plain
-Gaussian elimination is enough.
+Matrices are sequences of row sequences holding Python ints. Everything
+runs on exact integer arithmetic; sizes here are tiny (n <= 10 or so), so
+plain Gaussian elimination is enough. Only the rank is needed, which
+forward elimination gives without a reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -23,41 +24,25 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def rref_modp(rows, p):
-    """Reduced row echelon form over GF(p).
-
-    Args:
-        rows: matrix as a sequence of row sequences of ints.
-        p: prime modulus.
-
-    Returns:
-        (R, pivot_cols): R is a list of row lists with entries in [0, p),
-        pivot_cols the list of pivot column indices (its length is the rank).
-    """
+def rank_modp(rows, p) -> int:
+    """Rank over GF(p) of a matrix given as a sequence of row sequences of
+    ints, by forward elimination: each pivot row clears its column in the
+    rows below it, and the rank is the number of pivots."""
     mat = [[v % p for v in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivot_cols = []
-    r = 0
+    ncols = len(mat[0]) if mat else 0
+    rank = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] % p != 0), None)
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(v * inv) % p for v in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        inv = pow(top[c], -1, p)
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] * inv % p
+            if f:
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], top)]
+        rank += 1
+        if rank == len(mat):
             break
-    return mat, pivot_cols
-
-
-def rank_modp(rows, p) -> int:
-    _, pivots = rref_modp(rows, p)
-    return len(pivots)
-
+    return rank

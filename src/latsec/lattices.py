@@ -72,17 +72,29 @@ class PointGrid:
     """Exact points unit * coords[i]: a positive rational unit times rows of
     int64 coordinates, the one exact format for point sets.
 
+    peak is a proven upper bound on |coords|, never below their largest
+    magnitude. A constructor whose range follows from the construction
+    passes it (a Codebook, an exact fold); any other grid scans its coords
+    once, on first read. The coords are not changed after construction, so
+    the bound holds for the grid's life.
+
     The Fraction points and their floats are derived on demand, once each;
     every float is the correctly rounded value of its exact coordinate.
     """
 
-    def __init__(self, unit, coords):
-        self.unit = Fraction(unit)
+    def __init__(self, unit, coords, peak=None):
+        self.unit = unit if type(unit) is Fraction else Fraction(unit)
         self.coords = _int64_coords(coords)
         self._float = None
+        if peak is not None:
+            self.peak = peak
 
     def __len__(self):
         return len(self.coords)
+
+    @cached_property
+    def peak(self) -> int:
+        return _peak(self.coords)
 
     def _per_value(self, convert):
         """convert(v) for every coordinate v, evaluated once per distinct value."""
@@ -107,8 +119,11 @@ class PointGrid:
 
 def _int64_coords(coords) -> np.ndarray:
     """coords as an int64 array. An integer array only has its dtype
-    checked; anything else must hold integers within int64's range, or
-    ValidationError is raised instead of truncating."""
+    checked, and an int64 array is taken as it is; anything else must hold
+    integers within int64's range, or ValidationError is raised instead of
+    truncating."""
+    if isinstance(coords, np.ndarray) and coords.dtype == np.int64:
+        return coords
     raw = np.asarray(coords)
     if np.can_cast(raw.dtype, np.int64):
         return raw.astype(np.int64, copy=False)
@@ -140,35 +155,51 @@ def _peak(a) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _int64_grid(coords, factor=1) -> np.ndarray:
+def _int64_grid(coords, factor=1, peak=None) -> np.ndarray:
     """Integer coords * factor as int64; BudgetExceeded when an entry
-    reaches GRID_LIMIT in magnitude."""
-    peak = _peak(coords) * factor
-    if peak >= GRID_LIMIT:
-        raise BudgetExceeded(f"exact coordinate {peak} on a common grid reaches 2^62")
-    return coords.astype(np.int64) * factor
+    reaches GRID_LIMIT in magnitude. peak is a proven bound on |coords|,
+    scanned for when not given. int64 coords with factor 1 come back as
+    they are, uncopied."""
+    bound = (_peak(coords) if peak is None else peak) * abs(factor)
+    if bound >= GRID_LIMIT:
+        raise BudgetExceeded(f"exact coordinate bound {bound} on a common grid reaches 2^62")
+    if factor == 1 and coords.dtype == np.int64:
+        return coords
+    return coords.astype(np.int64, copy=False) * factor
 
 
-def _common_unit(values) -> Fraction:
-    """The largest rational dividing every value (1 when all are zero)."""
-    values = list(values)
-    return Fraction(
-        math.gcd(*(v.numerator for v in values)) or 1,
-        math.lcm(1, *(v.denominator for v in values)),
-    )
+def _on_grid(grids):
+    """on_grid's unit and coordinates, and a proven bound on each grid's
+    |coordinates| over that unit: its peak times its factor, the integer
+    g.unit / unit. Equal units take neither a gcd nor a division, and their
+    coords come back as they are."""
+    for g in grids:
+        if not isinstance(g, PointGrid):
+            raise TypeError(f"exact point sets must be PointGrids, not {type(g).__name__}")
+    unit = grids[0].unit if grids else Fraction(1)
+    if all(g.unit == unit for g in grids):
+        factors = [1] * len(grids)
+    else:
+        # the largest rational dividing every unit
+        top = math.gcd(*(g.unit.numerator for g in grids))
+        bottom = math.lcm(*(g.unit.denominator for g in grids))
+        unit = Fraction(top, bottom)
+        factors = [g.unit.numerator // top * (bottom // g.unit.denominator) for g in grids]
+    peaks = [g.peak * abs(f) for g, f in zip(grids, factors)]
+    coords = [_int64_grid(g.coords, f, g.peak) for g, f in zip(grids, factors)]
+    return unit, coords, peaks
 
 
 def on_grid(*grids):
     """Express PointGrids as int64 coordinates over one common unit: the
     largest rational dividing every grid's unit, so grid i is
     unit * coords[i] exactly, row for row. Returns (unit, [coords, ...]);
-    raises BudgetExceeded when a coordinate reaches GRID_LIMIT in magnitude.
+    a grid already over that unit gives its own coords, not a copy. Raises
+    BudgetExceeded when a coordinate's bound, the grid's peak times its
+    factor, reaches GRID_LIMIT.
     """
-    for g in grids:
-        if not isinstance(g, PointGrid):
-            raise TypeError(f"exact point sets must be PointGrids, not {type(g).__name__}")
-    unit = _common_unit(g.unit for g in grids)
-    return unit, [_int64_grid(g.coords, int(g.unit / unit)) for g in grids]
+    unit, coords, _ = _on_grid(grids)
+    return unit, coords
 
 
 def _round_half_up(num: int, den: int) -> int:
@@ -298,11 +329,10 @@ class ConstructionALattice:
         self.unit = scale / p
 
         # generator of C' = T G mod p, the code the fine lattice lifts
+        cols = tuple(zip(*rows))
         self._code_t = tuple(
-            tuple(sum(t * rows[l][j] for l, t in enumerate(trow)) % p for j in range(k))
-            for trow in trows
+            tuple(sum(t * g for t, g in zip(trow, col)) % p for col in cols) for trow in trows
         )
-        self._words = None
 
     # ------------------------------------------------------------------
     # basic structure
@@ -311,11 +341,19 @@ class ConstructionALattice:
     def num_cosets(self) -> int:
         return self.p ** self.k
 
+    @cached_property
+    def message_table(self) -> np.ndarray:
+        """message_coords of every message, in message order: formed once per
+        lattice, for its Codebook and its codewords, and read-only, as both
+        share it."""
+        table = self.message_coords(np.arange(self.num_cosets))
+        table.flags.writeable = False
+        return table
+
+    @cached_property
     def _codewords(self) -> np.ndarray:
         """Every codeword of C', one per coset of the fine lattice mod p Z^n."""
-        if self._words is None:
-            self._words = self.message_coords(np.arange(self.num_cosets)) % self.p
-        return self._words
+        return self.message_table % self.p
 
     @cached_property
     def _float_steps(self) -> tuple:
@@ -351,8 +389,8 @@ class ConstructionALattice:
         (scale / p) in lowest terms: b is their shared denominator, and
         mod_coarse names its result's unit by it. They come as int64 when
         no intermediate of mod_coarse or quantize_fine can overflow, else as
-        object arrays. With N the largest |numerator| (taken as at least a,
-        so that a itself fits) and P = p b, every linear intermediate of
+        object arrays. With N = x.peak a, a bound on the largest |numerator|
+        (taken as at least a, so that a itself fits), and P = p b, every linear intermediate of
         either (2 num + 3P at most, in quantize_fine's rounding) is below
         4 (N + P), every residual is at most P / 2 in magnitude and every
         squared distance at most n P^2 / 4; so 2 (N + P) < GRID_LIMIT and
@@ -367,12 +405,12 @@ class ConstructionALattice:
         ratio = x.unit / self.unit
         a, b = ratio.numerator, ratio.denominator
         step = self.p * b
-        fits = 2 * (max(_peak(x.coords), 1) * a + step) < GRID_LIMIT
+        fits = 2 * (max(x.peak, 1) * a + step) < GRID_LIMIT
         dtype = np.int64 if fits and self.n * step * step < GRID_LIMIT else object
-        num = x.coords.astype(dtype) * a
+        num = x.coords.astype(dtype, copy=False) * a
         if num.ndim != 2 or num.shape[1] != self.n:
             raise DimensionMismatch(f"expected rows of width {self.n}, got shape {num.shape}")
-        return num, np.full((1, 1), b, dtype=dtype)
+        return num, np.array([[b]], dtype=dtype)
 
     def _float_coarse(self, rows):
         """Each float row's coarse index q = floor(x / scale + 1/2), decided
@@ -432,7 +470,7 @@ class ConstructionALattice:
         entries. Uncertified rows get the point 0.
         """
         p, n = self.p, self.n
-        words = self._codewords()
+        words = self._codewords
         best = np.empty(len(rows), dtype=np.intp)
         step = max(1, _GATHER_LIMIT // words.size)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -468,13 +506,21 @@ class ConstructionALattice:
         each float(scale * q) correctly rounded; a PointGrid comes back as
         one over scale / (p b), with b the denominator of x.unit /
         (scale / p), which _unit_rows has already formed: it is their shared
-        denominator. Idempotent. Raises BudgetExceeded when q reaches
+        denominator. Its peak is p b // 2, the residual's bound, while that
+        is below GRID_LIMIT. Idempotent. Raises BudgetExceeded when q reaches
         GRID_LIMIT and ValidationError on a non-finite float.
         """
         if isinstance(x, PointGrid):
             num, den = self._unit_rows(x)
-            q = _round_half_up(num, self.p * den)
-            return PointGrid(self.unit / int(den[0, 0]), _int64_grid(num - self.p * den * q))
+            step = self.p * den
+            b = int(den[0, 0])
+            # the residual lies in [-p b / 2, p b / 2); a bound that reaches
+            # GRID_LIMIT would refuse small residuals, so those are scanned
+            peak = self.p * b // 2
+            if peak >= GRID_LIMIT:
+                peak = None
+            resid = _int64_grid(num - step * _round_half_up(num, step), peak=peak)
+            return PointGrid(self.unit / b, resid, peak)
         rows = self._checked_rows(x)
         q, certain = self._float_coarse(rows)
         if not certain.all():
@@ -510,12 +556,12 @@ class ConstructionALattice:
         """
         num, den = self._unit_rows(x)
         p = self.p
-        near = np.stack(
-            [r + p * _round_half_up(num - r * den, p * den) for r in range(p)], axis=-1
-        )
-        resid = num[..., None] - near * den[..., None]
+        r = np.arange(p)
+        num3, den3 = num[..., None], den[..., None]
+        near = r + p * _round_half_up(num3 - r * den3, p * den3)
+        resid = num3 - near * den3
         sq = resid * resid
-        words = self._codewords()
+        words = self._codewords
         sentinel = np.broadcast_to(p * den, (len(num), 1))
         step = max(1, _GATHER_LIMIT // words.size)
         best = np.empty(len(num), dtype=np.int64)

@@ -25,6 +25,22 @@ def solve_mod_p(rows, vec, p):
     return None
 
 
+def rank_brute(rows, p):
+    """Rank over GF(p) of the n x k matrix G given as rows: log_p of the
+    number of distinct vectors G z mod p over every z in GF(p)^k, the size
+    of G's column space. A matrix with no rows or no columns has rank 0."""
+    k = len(rows[0]) if rows else 0
+    span = {
+        tuple(sum(a * b for a, b in zip(row, z)) % p for row in rows)
+        for z in itertools.product(range(p), repeat=k)
+    }
+    rank = 0
+    while p**rank < len(span):
+        rank += 1
+    assert p**rank == len(span)
+    return rank
+
+
 def _frac_vec(x):
     return tuple(Fraction(v) for v in x)
 

@@ -20,6 +20,7 @@ from latsec import (
     UnityGain,
     ValidationError,
     achievable_rate_weak,
+    build_layered,
     check_stage_conditions,
     classify_regime,
     decode_layered,
@@ -31,11 +32,12 @@ from latsec import (
     mmse_alpha,
     random_unimodular,
     stage_condition_witnesses,
+    sum_structure,
     transmit,
 )
 from latsec import channel, lattices
 from latsec.channel import TRIAL_BLOCK, _nearest, _trial_blocks
-from latsec.experiments import layered_reliability, very_strong_reliability
+from latsec.experiments import layered_reliability, noiseless_loopback, very_strong_reliability
 
 import oracles
 from exact_rows import grid, record_row_dtypes
@@ -683,6 +685,79 @@ class TestExactNearest:
         assert exact.bound is None
         got = _nearest(r.astype(np.float64), exact)
         assert got.tolist() == _nearest(r, p).tolist() == nearest_brute(rows, pts)
+
+
+class TestExactDecodeGridBound:
+    """_exact_decode_grid takes reach from each grid's peak, not from a scan:
+    at the 2^53 and 2^62 boundary rows it must choose what the bound of the
+    scanned on-grid arrays chooses."""
+
+    @staticmethod
+    def scanned_choice(rows, cb, gain):
+        _, (y, c) = lattices.on_grid(rows, cb)
+        peak = [max(lattices._peak(a), 1) for a in (y, c)]
+        reach = peak[0] * gain.denominator + 2 * (gain.numerator + gain.denominator) * peak[1]
+        bound = y.shape[1] * (2 * reach) ** 2
+        return None if bound >= 2**62 else np.dtype(np.float64 if bound < 2**53 else np.int64)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("gain", [Fraction(2), Fraction(5, 2), Fraction(2**20 + 1)])
+    def test_dtype_at_the_boundaries(self, n, gain):
+        # the rows of test_rows_at_the_float_bound and test_rows_at_the_guard:
+        # the largest peak below each limit, and one grid step more
+        cb = codebook(3, ((1,),) * n)
+        choices = []
+        for limit in (2**53, 2**62):
+            top = math.isqrt((limit - 1) // (4 * n))
+            below = (top - 2 * (gain.numerator + gain.denominator)) // gain.denominator
+            for peak in (below, below + 1):
+                rows = PointGrid(cb.unit, [[peak] * n, [-peak] + [0] * (n - 1)])
+                want = self.scanned_choice(rows, cb, gain)
+                choices.append(want)
+                if want is None:
+                    with pytest.raises(BudgetExceeded):
+                        channel._exact_decode_grid(rows, [cb], gain)
+                    continue
+                y, [(own, intf)] = channel._exact_decode_grid(rows, [cb], gain)
+                assert y.dtype == own.dtype == intf.dtype == want
+        assert choices == [np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int64), None]
+
+
+class TestInputsAreNotWritten:
+    """on_grid hands back a grid's own coords when its unit is the common
+    one, so no caller may write to what it gets: every input grid's coords
+    keep their bytes through the exact entry points."""
+
+    @staticmethod
+    def snapshot(*grids):
+        return [(g.coords.dtype, g.coords.shape, g.coords.tobytes()) for g in grids]
+
+    def test_exact_entry_points(self):
+        lat = ConstructionALattice(3, ((1, 0), (0, 1), (1, 2)), random_unimodular(3, [3, 7]), 1)
+        cb = enumerate_codebook(lat)
+        other = PointGrid(cb.unit / 2, [[1, -3, 2], [0, 5, -1]])
+        rows = PointGrid(cb.unit, (cb.coords[:, None, :] + 4 * cb.coords).reshape(-1, 3))
+        dither = lat.mod_coarse(PointGrid(Fraction(1, 7), [[1, 2, 3]]))
+        grids = (cb, other, rows, dither)
+        before = self.snapshot(*grids)
+        table = lat.message_coords(np.arange(lat.num_cosets))
+        assert noiseless_loopback(cb)["all_ok"]
+        sum_structure(cb, cb)
+        sum_structure(cb, other)
+        sum_structure(other, other)
+        quiet = ChannelParams(cross_gain=0.0, power=1.0, noise_var=0.0)
+        decode_weak(rows, dither, quiet, lat)
+        decode_weak(dither, dither, quiet, lat)
+        own, intf = decode_very_strong_batch(rows, cb, ChannelParams(cross_gain=4.0, power=1.0))
+        assert np.array_equal(own, np.repeat(np.arange(len(cb)), len(cb)))
+        # a gain of 9/2 scales every on-grid array, so a write in place would show
+        decode_very_strong_batch(other, cb, ChannelParams(cross_gain=4.5, power=1.0))
+        decode_very_strong_batch(rows, cb, ChannelParams(cross_gain=4.5, power=1.0))
+        layered = build_layered(lat, [(2, Fraction(1)), (1, Fraction(3))], [math.inf, math.inf])
+        assert self.snapshot(*grids) == before
+        assert np.array_equal(cb.coords, table) and np.array_equal(lat.message_table, table)
+        for layer in layered.layers:
+            assert np.array_equal(layer.coords, layer.lattice.message_coords(np.arange(len(layer))))
 
 
 class TestFloatNearest:

@@ -28,6 +28,8 @@ from latsec import (
     sum_structure,
 )
 
+from latsec import lattices
+
 import oracles
 from exact_rows import grid
 
@@ -98,6 +100,45 @@ class TestEnumeration:
             scaled = scale_to_power(cb, 1e-3)
             assert type(scaled) is Codebook
             assert np.array_equal(scaled.coords, cb.coords)
+
+
+class TestPeak:
+    """A codebook's peak is p // 2, set by the construction: its
+    coordinates lie in [-p/2, p/2). An exact fold's peak is P // 2 over
+    scale / P, P = p b. Neither may fall below a scan of the coordinates."""
+
+    UNITS = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4), Fraction(5, 2), Fraction(7, 6))
+
+    def test_standard_grid_codebooks(self):
+        points = standard_grid(coset_limit=64, draws=1)
+        assert len(points) == 58
+        for gp in points:
+            cb = enumerate_codebook(gp.lattice)
+            p = gp.p
+            assert "peak" in vars(cb) and cb.peak == p // 2
+            # a nonzero code reaches every residue in some coordinate
+            assert cb.peak == lattices._peak(cb.coords)
+            scaled = scale_to_power(cb, 1e-3)
+            assert scaled.peak == lattices._peak(scaled.coords) == p // 2
+
+    def test_folds_of_standard_grid_codebooks(self):
+        # each codebook's rows, times 3 and moved by one step, and a ramp
+        # through a whole coarse cell, over units that make b = 1 to 6
+        for gp in standard_grid(coset_limit=64, draws=1):
+            lat = gp.lattice
+            cb = enumerate_codebook(lat)
+            assert lat.mod_coarse(cb).peak == cb.peak
+            for ratio in self.UNITS:
+                step = lat.p * ratio.denominator
+                ramp = np.repeat(np.arange(-step, step + 1)[:, None], lat.n, axis=1)
+                x = PointGrid(cb.unit * ratio, np.vstack([3 * cb.coords + 1, ramp]))
+                folded = lat.mod_coarse(x)
+                assert folded.unit == cb.unit / ratio.denominator
+                assert "peak" in vars(folded) and folded.peak == step // 2
+                assert folded.peak >= lattices._peak(folded.coords)
+                if ratio.numerator == 1:
+                    # the ramp meets every residue, so the bound is reached
+                    assert folded.peak == lattices._peak(folded.coords)
 
 
 class TestMinkowskiSum:

@@ -30,6 +30,7 @@ from latsec import (
     sum_structure,
 )
 from latsec import lattices
+from latsec.gfp import rank_modp
 from latsec.lattices import det_int
 
 import oracles
@@ -191,8 +192,6 @@ class TestCosetStructure:
 class TestSeededGenerators:
     @pytest.mark.parametrize("p,k,n", [(2, 1, 1), (2, 3, 4), (5, 2, 3), (7, 1, 6)])
     def test_code_matrix_full_rank(self, p, k, n):
-        from latsec.gfp import rank_modp
-
         g = random_code_matrix(p, k, n, seed=[p, k, n, 9])
         assert len(g) == n and len(g[0]) == k
         assert rank_modp([list(r) for r in g], p) == k
@@ -235,6 +234,55 @@ class TestSeededGenerators:
         # every unimodular matrix has an entry of magnitude at least 1
         with pytest.raises(BudgetExceeded, match="unimodular"):
             random_unimodular(n, seed=[n], entry_cap=0)
+
+
+@st.composite
+def modp_matrices(draw):
+    """(rows, p): an n x k integer matrix, n and k from 0 to 4, with
+    entries of either sign. Half of the draws are products A B of an n x r
+    and an r x k matrix with r < min(n, k), so rank deficient mod p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = st.integers(-2 * p, 2 * p)
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if min(n, k) > 1 and draw(st.booleans()):
+        r = draw(st.integers(1, min(n, k) - 1))
+        a, b = matrix(n, r), matrix(r, k)
+        return [[sum(a[i][l] * b[l][j] for l in range(r)) for j in range(k)] for i in range(n)], p
+    return matrix(n, k), p
+
+
+class TestRankModp:
+    """gfp.rank_modp against the size of the column space, counted by brute
+    force."""
+
+    @settings(max_examples=300)
+    @given(modp_matrices())
+    def test_matches_the_span_oracle(self, drawn):
+        rows, p = drawn
+        assert rank_modp(rows, p) == oracles.rank_brute(rows, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],  # no rows
+            [[], [], []],  # no columns
+            [[0, 0, 0], [0, 0, 0]],
+            [[0, 1], [1, 0]],  # the first pivot is below the first row
+            [[0, 0, 1], [0, 1, 1], [1, 1, 1]],
+            [[0, 2, 4], [0, 1, 2], [3, 1, 0]],
+            [[1, 2], [2, 4], [3, 6]],  # rank 1 over every field
+            [[7, 0], [0, 5], [35, 35]],  # each a multiple of some p
+            [[-1, 1], [1, -1]],
+        ],
+    )
+    def test_fixed_matrices(self, rows, p):
+        assert rank_modp(rows, p) == oracles.rank_brute(rows, p)
 
 
 class TestConstructionErrors:
@@ -699,6 +747,107 @@ class TestFineUnit:
             assert lat.mod_coarse(folded).points == folded.points
             empty = lat.mod_coarse(PointGrid(x.unit, np.zeros((0, n), dtype=np.int64)))
             assert empty.unit == folded.unit and empty.coords.shape == (0, n)
+
+
+@st.composite
+def mixed_unit_grids(draw):
+    """One to four PointGrids of width 2, each over its own positive unit
+    (numerator and denominator from 1 to 12, or a shared one), with
+    coordinates up to 2^20 in magnitude."""
+    units = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+    shared = draw(units)
+    grids = []
+    for _ in range(draw(st.integers(1, 4))):
+        unit = draw(st.one_of(st.just(shared), units))
+        coords = draw(st.lists(st.lists(st.integers(-(2**20), 2**20), min_size=2, max_size=2),
+                               min_size=0, max_size=4))
+        grids.append(PointGrid(unit, np.array(coords, dtype=np.int64).reshape(-1, 2)))
+    return grids
+
+
+class TestPeak:
+    """PointGrid.peak is a proven bound on |coords|: the scan itself for a
+    grid built from arbitrary coordinates, read once; the construction's
+    bound for an exact fold, never below the scan; and on_grid's arrays
+    are exactly the Fraction points over the unit it names."""
+
+    @settings(max_examples=50)
+    @given(st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=3, max_size=3),
+                    min_size=1, max_size=4))
+    def test_a_grid_without_a_bound_scans_once(self, coords):
+        x = PointGrid(1, coords)
+        assert x.peak == max(abs(v) for row in coords for v in row)
+        x.coords = None  # a second read must not scan again
+        assert x.peak == max(abs(v) for row in coords for v in row)
+
+    def test_an_empty_grid_has_peak_zero(self):
+        assert PointGrid(1, np.zeros((0, 3), dtype=np.int64)).peak == 0
+
+    @settings(max_examples=50)
+    @given(grid_rows())
+    def test_fold_bound(self, drawn):
+        # the fold's residual lies in [-p b / 2, p b / 2), over scale / (p b)
+        case, x = drawn
+        p, _, _, scale = TestIntegerCoreAgainstOracle.CASES[case]
+        lat = ConstructionALattice(*TestIntegerCoreAgainstOracle.CASES[case])
+        folded = lat.mod_coarse(x)
+        b = (x.unit * p / scale).denominator
+        assert "peak" in vars(folded) and folded.peak == p * b // 2
+        assert folded.peak >= lattices._peak(folded.coords)
+        fine = lat.quantize_fine(x)
+        assert fine.peak == lattices._peak(fine.coords)
+
+    @pytest.mark.parametrize("case", TestIntegerCoreAgainstOracle.CASES)
+    def test_fold_bound_is_reached(self, case):
+        # rows over unit scale / (p d) that run through a whole coarse cell,
+        # d = 1 to 6: some residual is -P / 2 or -(P - 1) / 2, P = p d, so the
+        # bound P // 2 is the scan
+        p, g, t, scale = case
+        lat = ConstructionALattice(p, g, t, scale)
+        for d in range(1, 7):
+            ramp = np.arange(-p * d, p * d + 1)
+            x = PointGrid(Fraction(scale) / (p * d), np.repeat(ramp[:, None], len(g), axis=1))
+            folded = lat.mod_coarse(x)
+            assert folded.peak == lattices._peak(folded.coords) == p * d // 2
+
+    def test_fold_bound_past_the_grid_limit_is_scanned(self):
+        # over 1 / 2^63, b = 2^62 and P // 2 = 2^62 reaches GRID_LIMIT: the
+        # bound would refuse a fold whose residuals are small, so it is scanned
+        folded = lat_1d().mod_coarse(PointGrid(Fraction(1, 2**63), [[3], [-5]]))
+        assert folded.unit == Fraction(1, 2**63) and folded.coords.tolist() == [[3], [-5]]
+        assert folded.peak == 5
+
+    def test_grid_limit_is_checked_on_the_bound(self):
+        x = PointGrid(1, [[2**62 - 1]])
+        assert lattices.on_grid(x)[1][0] is x.coords
+        with pytest.raises(BudgetExceeded):
+            lattices.on_grid(PointGrid(1, [[1]], peak=lattices.GRID_LIMIT))
+        with pytest.raises(BudgetExceeded):
+            lattices.on_grid(x, PointGrid(Fraction(1, 2), [[1]]))
+
+    @settings(max_examples=100)
+    @given(mixed_unit_grids())
+    def test_on_grid_matches_the_fraction_points(self, grids):
+        unit, arrays, peaks = lattices._on_grid(grids)
+        multiples = [g.unit / unit for g in grids]
+        assert all(m.denominator == 1 for m in multiples)
+        assert math.gcd(*(m.numerator for m in multiples)) == 1
+        for g, a, b in zip(grids, arrays, peaks):
+            assert a.dtype == np.int64 and a.shape == g.coords.shape
+            assert [tuple(unit * int(v) for v in row) for row in a] == list(g.points)
+            assert b >= lattices._peak(a)
+            if g.unit == unit:
+                assert a is g.coords
+        again, public = lattices.on_grid(*grids)
+        assert again == unit and all(np.array_equal(a, b) for a, b in zip(public, arrays))
+
+    def test_equal_units_hand_back_the_coords(self):
+        a = PointGrid(Fraction(2, 3), [[1, -2], [3, 4]])
+        b = PointGrid(Fraction(4, 6), np.array([[5, 6]]))
+        unit, (ca, cb) = lattices.on_grid(a, b)
+        assert unit == Fraction(2, 3) and ca is a.coords and cb is b.coords
+        unit, (ca, cb) = lattices.on_grid(a, PointGrid(Fraction(1, 3), [[5, 6]]))
+        assert unit == Fraction(1, 3) and ca.tolist() == [[2, -4], [6, 8]] and cb.tolist() == [[5, 6]]
 
 
 class TestOutOfRangeFloatRows:

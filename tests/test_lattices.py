@@ -213,7 +213,7 @@ class TestSeededGenerators:
     @pytest.mark.parametrize("p", [1, 4, 0, -3, 2.0])
     def test_non_prime_modulus_raises_before_sampling(self, p):
         # GF(1) has no rank-k matrix and GF(4) is not Z/4: the sampler must
-        # refuse at once instead of drawing forever or failing in rref.
+        # refuse at once instead of drawing forever or failing in rank_modp.
         with pytest.raises(NotPrime):
             random_code_matrix(p, 1, 2, seed=[0])
 

@@ -1,8 +1,8 @@
 """Record the benchmark's end-to-end figures for one checkout.
 
-    python3 bench/record.py --out BENCH_<n>.json [--seconds S] [--repeats R] [--seed N]
+    python3 bench/record.py --out BENCH_<n>.json [--seconds S] [--repeats R]
 
-Runs `python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`
+Runs `python3 perfbench/run.py --workload W --seed 1 --seconds S --trace 0`
 as a subprocess for every workload, R times, round robin, so that a slow
 spell of a shared host falls on every workload alike. Each run's last
 stdout line holds its metrics and its first line its provenance. The
@@ -24,11 +24,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("grid_exact", "weak_mc", "exact_loopback", "layered_mc")
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
+SEED = 1
 
 
-def run_once(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_once(workload: str, seconds: float) -> tuple[dict, dict]:
     """(provenance, result) of one perfbench run."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
@@ -49,12 +50,12 @@ def git(*args: str) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
-def record(seed: int, seconds: float, repeats: int, workloads) -> dict:
-    results = {w: [] for w in workloads}
+def record(seconds: float, repeats: int) -> dict:
+    results = {w: [] for w in WORKLOADS}
     provenance = None
     for _ in range(repeats):
-        for w in workloads:
-            provenance, result = run_once(w, seed, seconds)
+        for w in WORKLOADS:
+            provenance, result = run_once(w, seconds)
             results[w].append(result)
     entries = {}
     for w, runs in results.items():
@@ -70,7 +71,7 @@ def record(seed: int, seconds: float, repeats: int, workloads) -> dict:
         "python": provenance["python"],
         "numpy": provenance["numpy"],
         "cpu_model": provenance["cpu_model"],
-        "command": f"python3 perfbench/run.py --workload W --seed {seed} --seconds {seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {seconds:g} --trace 0",
         "repeats": repeats,
         "workloads": entries,
     }
@@ -81,13 +82,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to run (repeatable; default all four)")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    data = record(args.seed, args.seconds, args.repeats, tuple(args.workload or WORKLOADS))
+    data = record(args.seconds, args.repeats)
     args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 

@@ -45,7 +45,15 @@ from .errors import (
     ValidationError,
 )
 from . import lattices
-from .lattices import _ROUNDOFF, ConstructionALattice, PointGrid, _float_rows, _on_grid, on_grid
+from .lattices import (
+    _ROUNDOFF,
+    ConstructionALattice,
+    PointGrid,
+    _float_rows,
+    _on_grid,
+    _peak,
+    on_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -227,7 +235,8 @@ def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice)
     """
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
     if isinstance(y, PointGrid):
-        unit, (ay, u) = on_grid(PointGrid(Fraction(alpha) * y.unit, y.coords, y.peak), dither)
+        scaled = PointGrid(Fraction(alpha) * y.unit, y.coords, _bound=y.peak)
+        unit, (ay, u) = on_grid(scaled, dither)
         v = PointGrid(unit, ay - u)
     else:
         v = alpha * _float_rows(y) - _float_rows(np.atleast_2d(dither))
@@ -265,14 +274,21 @@ def _exact_decode_grid(received, codebooks, gain: Fraction):
     float64 holds exactly (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 2): the float64 scores then equal the int64 ones, in
     any summation order, and BLAS forms them. reach is taken from each
-    grid's peak times its factor onto the common unit: a proven bound that
-    may only overestimate, so the guard and the dtype err on the safe side.
+    grid's peak times its factor onto the common unit, a proven bound that
+    may overestimate; where it reaches 2^53, scans of the on-grid arrays
+    decide the dtype and the guard, so both are as a scan makes them.
     """
     _, (y_int, *layers), peaks = _on_grid((received, *codebooks))
     anum, aden = gain.numerator, gain.denominator
-    peak = [max(b, 1) for b in peaks]
-    reach = peak[0] * aden + 2 * (abs(anum) + aden) * sum(peak[1:])
-    bound = y_int.shape[1] * (2 * reach) ** 2
+
+    def reach_and_bound(peaks):
+        peak = [max(b, 1) for b in peaks]
+        reach = peak[0] * aden + 2 * (abs(anum) + aden) * sum(peak[1:])
+        return reach, y_int.shape[1] * (2 * reach) ** 2
+
+    reach, bound = reach_and_bound(peaks)
+    if bound >= 2**53:
+        reach, bound = reach_and_bound([_peak(a) for a in (y_int, *layers)])
     if bound >= 2**62:
         raise BudgetExceeded(
             f"exact decoding distances reach {reach} grid steps; int64 overflows"

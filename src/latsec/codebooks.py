@@ -33,7 +33,7 @@ class Codebook(PointGrid):
     """
 
     def __init__(self, lattice: ConstructionALattice):
-        super().__init__(lattice.unit, lattice.message_table, lattice.p // 2)
+        super().__init__(lattice.unit, lattice.message_table, _bound=lattice.p // 2)
         self.lattice = lattice
         self.n = lattice.n
 

@@ -698,7 +698,7 @@ def noiseless_loopback(codebook: Codebook):
     # row m1 * size + m2 is codeword m1 plus gain times codeword m2
     rows = PointGrid(
         codebook.unit, (c[:, None, :] + gain * c[None, :, :]).reshape(-1, n),
-        (1 + gain) * codebook.peak,
+        _bound=(1 + gain) * codebook.peak,
     )
     own, intf = decode_very_strong_batch(rows, codebook, strong)
     messages = np.arange(size)

@@ -72,29 +72,32 @@ class PointGrid:
     """Exact points unit * coords[i]: a positive rational unit times rows of
     int64 coordinates, the one exact format for point sets.
 
-    peak is a proven upper bound on |coords|, never below their largest
-    magnitude. A constructor whose range follows from the construction
-    passes it (a Codebook, an exact fold); any other grid scans its coords
-    once, on first read. The coords are not changed after construction, so
-    the bound holds for the grid's life.
+    peak is a proven upper bound on |coords|. Inside the package, a
+    constructor whose range follows from the construction gives it as
+    _bound (a Codebook, an exact fold), with no scan; any other grid scans
+    its coords, once, on first read. A bound may overestimate, so readers
+    take it only to accept: where it would trip a guard, a scan of the
+    coords decides, as before.
 
     The Fraction points and their floats are derived on demand, once each;
-    every float is the correctly rounded value of its exact coordinate.
+    every float is the correctly rounded value of its exact coordinate. So
+    that none of these goes stale, the grid makes its coords read-only: an
+    int64 array is kept as it is, and is read-only from then on.
     """
 
-    def __init__(self, unit, coords, peak=None):
+    def __init__(self, unit, coords, *, _bound=None):
         self.unit = unit if type(unit) is Fraction else Fraction(unit)
         self.coords = _int64_coords(coords)
+        self.coords.setflags(write=False)
+        self._bound = _bound
         self._float = None
-        if peak is not None:
-            self.peak = peak
 
     def __len__(self):
         return len(self.coords)
 
     @cached_property
     def peak(self) -> int:
-        return _peak(self.coords)
+        return _peak(self.coords) if self._bound is None else self._bound
 
     def _per_value(self, convert):
         """convert(v) for every coordinate v, evaluated once per distinct value."""
@@ -119,13 +122,10 @@ class PointGrid:
 
 def _int64_coords(coords) -> np.ndarray:
     """coords as an int64 array. An integer array only has its dtype
-    checked, and an int64 array is taken as it is; anything else must hold
-    integers within int64's range, or ValidationError is raised instead of
-    truncating."""
-    if isinstance(coords, np.ndarray) and coords.dtype == np.int64:
-        return coords
+    checked; anything else must hold integers within int64's range, or
+    ValidationError is raised instead of truncating."""
     raw = np.asarray(coords)
-    if np.can_cast(raw.dtype, np.int64):
+    if raw.dtype == np.int64 or np.can_cast(raw.dtype, np.int64):
         return raw.astype(np.int64, copy=False)
     try:
         with np.errstate(invalid="ignore"):
@@ -157,12 +157,13 @@ def _peak(a) -> int:
 
 def _int64_grid(coords, factor=1, peak=None) -> np.ndarray:
     """Integer coords * factor as int64; BudgetExceeded when an entry
-    reaches GRID_LIMIT in magnitude. peak is a proven bound on |coords|,
-    scanned for when not given. int64 coords with factor 1 come back as
-    they are, uncopied."""
-    bound = (_peak(coords) if peak is None else peak) * abs(factor)
-    if bound >= GRID_LIMIT:
-        raise BudgetExceeded(f"exact coordinate bound {bound} on a common grid reaches 2^62")
+    reaches GRID_LIMIT in magnitude. peak, when given, is a proven bound on
+    |coords| that only accepts: where it would refuse, a scan decides.
+    int64 coords with factor 1 come back as they are, uncopied."""
+    if peak is None or peak * factor >= GRID_LIMIT:
+        peak = _peak(coords)
+    if peak * factor >= GRID_LIMIT:
+        raise BudgetExceeded(f"exact coordinate {peak * factor} on a common grid reaches 2^62")
     if factor == 1 and coords.dtype == np.int64:
         return coords
     return coords.astype(np.int64, copy=False) * factor
@@ -185,7 +186,7 @@ def _on_grid(grids):
         bottom = math.lcm(*(g.unit.denominator for g in grids))
         unit = Fraction(top, bottom)
         factors = [g.unit.numerator // top * (bottom // g.unit.denominator) for g in grids]
-    peaks = [g.peak * abs(f) for g, f in zip(grids, factors)]
+    peaks = [g.peak * f for g, f in zip(grids, factors)]
     coords = [_int64_grid(g.coords, f, g.peak) for g, f in zip(grids, factors)]
     return unit, coords, peaks
 
@@ -194,9 +195,9 @@ def on_grid(*grids):
     """Express PointGrids as int64 coordinates over one common unit: the
     largest rational dividing every grid's unit, so grid i is
     unit * coords[i] exactly, row for row. Returns (unit, [coords, ...]);
-    a grid already over that unit gives its own coords, not a copy. Raises
-    BudgetExceeded when a coordinate's bound, the grid's peak times its
-    factor, reaches GRID_LIMIT.
+    a grid already over that unit gives its own read-only coords, not a
+    copy. Raises BudgetExceeded when a coordinate reaches GRID_LIMIT in
+    magnitude.
     """
     unit, coords, _ = _on_grid(grids)
     return unit, coords
@@ -389,12 +390,13 @@ class ConstructionALattice:
         (scale / p) in lowest terms: b is their shared denominator, and
         mod_coarse names its result's unit by it. They come as int64 when
         no intermediate of mod_coarse or quantize_fine can overflow, else as
-        object arrays. With N = x.peak a, a bound on the largest |numerator|
-        (taken as at least a, so that a itself fits), and P = p b, every linear intermediate of
+        object arrays. With N the largest |numerator| (taken as at least a,
+        so that a itself fits) and P = p b, every linear intermediate of
         either (2 num + 3P at most, in quantize_fine's rounding) is below
         4 (N + P), every residual is at most P / 2 in magnitude and every
         squared distance at most n P^2 / 4; so 2 (N + P) < GRID_LIMIT and
-        n P^2 < GRID_LIMIT keep all of them below 2^63.
+        n P^2 < GRID_LIMIT keep all of them below 2^63. N is taken from
+        x.peak a, and from a scan of x's coords where that bound fails.
         """
         if not isinstance(x, PointGrid):
             ratios = [[v.as_integer_ratio() for v in row] for row in x.tolist()]
@@ -406,6 +408,8 @@ class ConstructionALattice:
         a, b = ratio.numerator, ratio.denominator
         step = self.p * b
         fits = 2 * (max(x.peak, 1) * a + step) < GRID_LIMIT
+        if not fits:
+            fits = 2 * (max(_peak(x.coords), 1) * a + step) < GRID_LIMIT
         dtype = np.int64 if fits and self.n * step * step < GRID_LIMIT else object
         num = x.coords.astype(dtype, copy=False) * a
         if num.ndim != 2 or num.shape[1] != self.n:
@@ -506,21 +510,18 @@ class ConstructionALattice:
         each float(scale * q) correctly rounded; a PointGrid comes back as
         one over scale / (p b), with b the denominator of x.unit /
         (scale / p), which _unit_rows has already formed: it is their shared
-        denominator. Its peak is p b // 2, the residual's bound, while that
-        is below GRID_LIMIT. Idempotent. Raises BudgetExceeded when q reaches
-        GRID_LIMIT and ValidationError on a non-finite float.
+        denominator. Its peak is p b // 2, the residual's bound. Idempotent.
+        Raises BudgetExceeded when q reaches GRID_LIMIT and ValidationError
+        on a non-finite float.
         """
         if isinstance(x, PointGrid):
             num, den = self._unit_rows(x)
             step = self.p * den
             b = int(den[0, 0])
-            # the residual lies in [-p b / 2, p b / 2); a bound that reaches
-            # GRID_LIMIT would refuse small residuals, so those are scanned
-            peak = self.p * b // 2
-            if peak >= GRID_LIMIT:
-                peak = None
-            resid = _int64_grid(num - step * _round_half_up(num, step), peak=peak)
-            return PointGrid(self.unit / b, resid, peak)
+            # the residual lies in [-p b / 2, p b / 2)
+            bound = self.p * b // 2
+            resid = _int64_grid(num - step * _round_half_up(num, step), peak=bound)
+            return PointGrid(self.unit / b, resid, _bound=bound)
         rows = self._checked_rows(x)
         q, certain = self._float_coarse(rows)
         if not certain.all():

@@ -688,8 +688,9 @@ class TestExactNearest:
 
 
 class TestExactDecodeGridBound:
-    """_exact_decode_grid takes reach from each grid's peak, not from a scan:
-    at the 2^53 and 2^62 boundary rows it must choose what the bound of the
+    """_exact_decode_grid takes reach from each grid's peak, and scans only
+    where that reaches 2^53: at the 2^53 and 2^62 boundary rows, and for
+    grids whose bound overestimates, it must choose what the bound of the
     scanned on-grid arrays chooses."""
 
     @staticmethod
@@ -721,6 +722,17 @@ class TestExactDecodeGridBound:
                 y, [(own, intf)] = channel._exact_decode_grid(rows, [cb], gain)
                 assert y.dtype == own.dtype == intf.dtype == want
         assert choices == [np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int64), None]
+
+    @pytest.mark.parametrize("bound", [2**26, 2**40, 2**62])
+    def test_a_loose_bound_decides_nothing(self, bound):
+        # rows whose construction bound is far above their coordinates: the
+        # bound alone would pick int64 or refuse; the scans pick float64
+        cb = codebook(3, ((1,), (1,)))
+        rows = PointGrid(cb.unit, [[1, -1], [0, 1]], _bound=bound)
+        assert self.scanned_choice(rows, cb, Fraction(2)) == np.float64
+        y, [(own, intf)] = channel._exact_decode_grid(rows, [cb], Fraction(2))
+        assert y.dtype == own.dtype == intf.dtype == np.float64
+        assert y.tolist() == [[1, -1], [0, 1]] and intf.tolist() == (2 * cb.coords).tolist()
 
 
 class TestInputsAreNotWritten:

@@ -115,7 +115,7 @@ class TestPeak:
         for gp in points:
             cb = enumerate_codebook(gp.lattice)
             p = gp.p
-            assert "peak" in vars(cb) and cb.peak == p // 2
+            assert cb._bound == cb.peak == p // 2
             # a nonzero code reaches every residue in some coordinate
             assert cb.peak == lattices._peak(cb.coords)
             scaled = scale_to_power(cb, 1e-3)
@@ -134,7 +134,7 @@ class TestPeak:
                 x = PointGrid(cb.unit * ratio, np.vstack([3 * cb.coords + 1, ramp]))
                 folded = lat.mod_coarse(x)
                 assert folded.unit == cb.unit / ratio.denominator
-                assert "peak" in vars(folded) and folded.peak == step // 2
+                assert folded._bound == folded.peak == step // 2
                 assert folded.peak >= lattices._peak(folded.coords)
                 if ratio.numerator == 1:
                     # the ramp meets every residue, so the bound is reached

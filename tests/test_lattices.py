@@ -768,8 +768,9 @@ def mixed_unit_grids(draw):
 class TestPeak:
     """PointGrid.peak is a proven bound on |coords|: the scan itself for a
     grid built from arbitrary coordinates, read once; the construction's
-    bound for an exact fold, never below the scan; and on_grid's arrays
-    are exactly the Fraction points over the unit it names."""
+    bound for an exact fold, never below the scan, and taken only to
+    accept; and on_grid's arrays are exactly the Fraction points over the
+    unit it names."""
 
     @settings(max_examples=50)
     @given(st.lists(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=3, max_size=3),
@@ -792,7 +793,7 @@ class TestPeak:
         lat = ConstructionALattice(*TestIntegerCoreAgainstOracle.CASES[case])
         folded = lat.mod_coarse(x)
         b = (x.unit * p / scale).denominator
-        assert "peak" in vars(folded) and folded.peak == p * b // 2
+        assert folded._bound == folded.peak == p * b // 2
         assert folded.peak >= lattices._peak(folded.coords)
         fine = lat.quantize_fine(x)
         assert fine.peak == lattices._peak(fine.coords)
@@ -810,20 +811,36 @@ class TestPeak:
             folded = lat.mod_coarse(x)
             assert folded.peak == lattices._peak(folded.coords) == p * d // 2
 
-    def test_fold_bound_past_the_grid_limit_is_scanned(self):
-        # over 1 / 2^63, b = 2^62 and P // 2 = 2^62 reaches GRID_LIMIT: the
-        # bound would refuse a fold whose residuals are small, so it is scanned
-        folded = lat_1d().mod_coarse(PointGrid(Fraction(1, 2**63), [[3], [-5]]))
-        assert folded.unit == Fraction(1, 2**63) and folded.coords.tolist() == [[3], [-5]]
-        assert folded.peak == 5
+    def test_a_bound_past_a_guard_is_rescanned(self):
+        # over 1 / 2^62, b = 2^61 and the fold's bound P // 2 = 2^61 times
+        # the factor 2 onto 1 / 2^63 reaches GRID_LIMIT; the residuals are
+        # small, so the scans accept, as they did before bounds were kept
+        lat = lat_1d()
+        folded = lat.mod_coarse(PointGrid(Fraction(1, 2**62), [[3], [-5]]))
+        assert folded.unit == Fraction(1, 2**62) and folded.coords.tolist() == [[3], [-5]]
+        assert folded.peak == 2**61
+        unit, (a, c) = lattices.on_grid(folded, PointGrid(Fraction(1, 2**63), [[1]]))
+        assert unit == Fraction(1, 2**63) and a.tolist() == [[6], [-10]] and c.tolist() == [[1]]
+        assert lat.mod_coarse(folded).coords.tolist() == [[3], [-5]]
+        assert lat.quantize_fine(folded).coords.tolist() == [[0], [0]]
+        # a bound that overestimates past GRID_LIMIT refuses nothing a scan
+        # accepts, and costs no int64 row the scan would give
+        loose = PointGrid(1, [[2**62 - 1]], _bound=2**63)
+        assert lattices.on_grid(loose)[1][0].tolist() == [[2**62 - 1]]
+        num, den = lat._unit_rows(PointGrid(lat.unit, [[3], [-5]], _bound=2**61))
+        assert num.dtype == den.dtype == np.int64 and num.tolist() == [[3], [-5]]
 
-    def test_grid_limit_is_checked_on_the_bound(self):
+    def test_grid_limit_is_checked_on_the_coords(self):
+        # a grid built from outside the package has no bound but its scan
         x = PointGrid(1, [[2**62 - 1]])
         assert lattices.on_grid(x)[1][0] is x.coords
-        with pytest.raises(BudgetExceeded):
-            lattices.on_grid(PointGrid(1, [[1]], peak=lattices.GRID_LIMIT))
+        for coords in ([[2**62]], [[-(2**62)]], [[0], [2**62]]):
+            with pytest.raises(BudgetExceeded):
+                lattices.on_grid(PointGrid(1, coords))
         with pytest.raises(BudgetExceeded):
             lattices.on_grid(x, PointGrid(Fraction(1, 2), [[1]]))
+        with pytest.raises(TypeError):
+            PointGrid(1, [[2**62]], 1)
 
     @settings(max_examples=100)
     @given(mixed_unit_grids())
@@ -899,6 +916,16 @@ class TestPointGridCoords:
         coords = np.arange(6, dtype=np.int64).reshape(3, 2)
         assert PointGrid(1, coords).coords is coords
         assert PointGrid(1, coords.astype(np.int32)).coords.dtype == np.int64
+
+    def test_coords_are_read_only(self):
+        # the points, floats and peak derived from them cannot go stale
+        coords = np.arange(6, dtype=np.int64).reshape(3, 2)
+        x = PointGrid(1, coords)
+        assert x.peak == 5
+        for target in (x.coords, coords, lattices.on_grid(x)[1][0]):
+            with pytest.raises(ValueError):
+                target[0, 0] = 7
+        assert x.peak == 5 and x.coords.tolist() == [[0, 1], [2, 3], [4, 5]]
 
 
 def _guarded_calls():

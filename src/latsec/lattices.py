@@ -125,7 +125,7 @@ def _int64_coords(coords) -> np.ndarray:
     checked; anything else must hold integers within int64's range, or
     ValidationError is raised instead of truncating."""
     raw = np.asarray(coords)
-    if raw.dtype == np.int64 or np.can_cast(raw.dtype, np.int64):
+    if np.can_cast(raw.dtype, np.int64):
         return raw.astype(np.int64, copy=False)
     try:
         with np.errstate(invalid="ignore"):

@@ -119,11 +119,14 @@ class BinnedCodebook:
 
     bin_index[i] is the bin of codeword i; the bin index is the secret
     message, the position inside the bin is the random padding. The
-    shuffle is drawn when bin_index is first read, so a binning that is
-    never read, such as the closed forms of joint_bin_sum, draws nothing.
+    shuffle, default_rng(seed).permutation(|C|), is drawn when bin_index is
+    first read, so a binning that is never read, such as the closed forms
+    of joint_bin_sum, draws nothing. Binnings of one codebook with one seed
+    share that shuffle: a caller that has drawn it may pass it as the
+    private keyword _shuffle, and it is used as drawn.
     """
 
-    def __init__(self, codebook: Codebook, num_bins: int, seed: int = 0):
+    def __init__(self, codebook: Codebook, num_bins: int, seed: int = 0, *, _shuffle=None):
         size = len(codebook)
         if num_bins < 1 or num_bins > size:
             raise ValidationError("num_bins", f"need 1 <= num_bins <= {size}")
@@ -135,11 +138,14 @@ class BinnedCodebook:
         # default_rng(seed) seeds from this; making it here raises a bad
         # seed's error from the constructor
         self._seed_sequence = np.random.SeedSequence(self.seed)
+        self._shuffle = _shuffle
 
     @cached_property
     def bin_index(self) -> np.ndarray:
         size = len(self.codebook)
-        perm = np.random.default_rng(self._seed_sequence).permutation(size)
+        perm = self._shuffle
+        if perm is None:
+            perm = np.random.default_rng(self._seed_sequence).permutation(size)
         bin_index = np.empty(size, dtype=np.int64)
         bin_index[perm] = np.arange(size) // (size // self.num_bins)
         return bin_index

@@ -189,7 +189,7 @@ def _lemma_report(label, lat, owner, budget):
     size = len(cb)
     sum_size = sums.num_sums
     sum_bound = (2**lat.n) * size
-    h_sum = entropy_from_counts(sums.counts(), size * size)
+    h_sum = sums.entropy_bits
     h_bound = math.log2(size) + lat.n
     mi = h_sum - math.log2(size)
     return LemmaReport(
@@ -259,11 +259,17 @@ def make_secrecy_report(
 
 
 def _theorem1_reports(label, lat, owner, bin_seed, budget):
-    """One configuration's theorem-1 reports from its _build."""
+    """One configuration's theorem-1 reports from its _build. Every binning
+    shuffles with bin_seed, so the shuffle is drawn once, and only when a
+    binning between 1 and |C| bins (k >= 2) reads it: the closed forms of
+    joint_bin_sum read none."""
     cb, sums = _build(lat, owner, budget)
+    shuffle = None
+    if lat.k > 1:
+        shuffle = np.random.default_rng(int(bin_seed)).permutation(len(cb))
     return [
         make_secrecy_report(
-            BinnedCodebook(cb, lat.p**j, bin_seed), budget,
+            BinnedCodebook(cb, lat.p**j, bin_seed, _shuffle=shuffle), budget,
             label=f"{label}_b{lat.p**j}", structure=sums,
         )
         for j in range(lat.k + 1)

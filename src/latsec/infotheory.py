@@ -21,9 +21,10 @@ C is a group under digit-wise message addition mod p, so x + y is the
 codeword z of the summed messages with each coordinate left as z_i or
 moved by -+p: one carry bit per coordinate. The key
 z * 2^n + bits names the sum, so np.bincount over the |C| * 2^n keys finds
-the distinct sums (|C + C| <= 2^n |C|, the sum-set lemma) and only those
-are ranked; past 8 |C|^2 + 1024 keys the pairs are sorted instead. The
-keys are formed in place in the narrowest unsigned dtype that holds them.
+the distinct sums (|C + C| <= 2^n |C|, the sum-set lemma) and their pair
+counts, and only those sums are ranked; past 8 |C|^2 + 1024 keys the pairs
+are sorted instead. The keys are formed in place in the narrowest unsigned
+dtype that holds them.
 
 The pair table SumStructure.ids is stored in the narrowest unsigned dtype
 that holds num_sums - 1: 2 bytes per pair on the standard grid, where
@@ -31,16 +32,22 @@ num_sums <= 10 177, so a structure kept for reuse is a quarter of an
 int64 table.
 
 Binned joint counts take closed forms for 1 bin (the cells are the sum
-marginal) and for |C| bins over a Codebook (every cell holds one pair),
-and count the other (bin, sum) cells one bin at a time over the bin's rows
-of the pair table: by np.bincount over the num_sums cells when the cell
-space is small next to the pairs, by np.unique otherwise. Bins are taken
-in order, so the cells come out in (bin, sum) order.
+marginal, and I(W; S) = log2(1) + H(S) - H(S) = 0.0) and for |C| bins
+over a Codebook (every cell holds one pair). Other binnings gather the
+pair table's rows by bin into one (num_bins, pairs per bin) array and
+count each row's occupied sum cells: by np.bincount over the num_sums
+cells of each bin when the whole cell space num_bins * num_sums is at most
+the pair count, else by sorting every row in place (a stable sort: numpy
+sorts ids of 16 bits or fewer by radix) and taking the run lengths, split
+at every value change and every row start. Either way the cells come out in (bin, sum)
+order, as the same integers. H(S) is evaluated once per SumStructure and
+shared by every report on it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -60,24 +67,32 @@ class SumStructure(PointGrid):
     keys; the result is the same. As a PointGrid the
     structure is the sum set itself, so sums of sums chain without leaving
     int64. Building it once lets callers derive counts for many binnings
-    cheaply.
+    cheaply: the pair counts and the sum entropy H(S) are each formed once.
     """
 
-    def __init__(self, unit, coords, ids):
+    def __init__(self, unit, coords, ids, *, _counts=None):
         super().__init__(unit, coords)
         self.num_sums = len(self.coords)
         self.ids = np.asarray(ids).astype(np.min_scalar_type(self.num_sums - 1), copy=False)
-        self._counts = None
+        self._counts = _counts
+        if _counts is not None:
+            _counts.flags.writeable = False
 
     def counts(self) -> np.ndarray:
-        """How many pairs give each sum, counted on the first call and then
-        returned read-only, since every binning of a reused structure asks
-        for it."""
+        """How many pairs give each sum, read-only: from the carry keys when
+        the structure came from them, else counted on the first call, since
+        every binning of a reused structure asks for it."""
         if self._counts is None:
             counts = np.bincount(self.ids.ravel(), minlength=self.num_sums)
             self._counts = counts.astype(np.int64, copy=False)
             self._counts.flags.writeable = False
         return self._counts
+
+    @cached_property
+    def entropy_bits(self) -> float:
+        """H(S) in bits for S the sum of a uniform pair: formed on the first
+        read, then shared by the lemma report and every binning."""
+        return entropy_from_counts(self.counts(), self.ids.size)
 
     def weighted_counts(self, counts_a, counts_b) -> np.ndarray:
         """Multiplicity of each sum when a_i carries counts_a[i] and b_j counts_b[j]."""
@@ -154,7 +169,8 @@ def _carry_structure(cb) -> SumStructure:
     message index of the digit-wise message sum mod p, bit i set where
     s_i = x_i + y_i leaves the cell, (2 s_i >= p) | (2 s_i < -p), which for
     a prime p and coordinates in [-p/2, p/2) is |s_i| > p // 2. Every key is
-    below |C| * 2^n, so the keys and the key-to-rank table are narrow."""
+    below |C| * 2^n, so the keys and the key-to-rank table are narrow, and
+    the keys' bincount is also each sum's pair count."""
     p, n, x = cb.lattice.p, cb.n, cb.coords
     space = len(cb) << n
     key_type = np.min_scalar_type(space - 1)
@@ -171,16 +187,25 @@ def _carry_structure(cb) -> SumStructure:
         bit = (np.abs(small[:, i, None] + small[:, i]) > p // 2).astype(key_type)
         bit <<= key_type.type(i)
         keys |= bit
-    occupied = np.flatnonzero(np.bincount(keys.ravel(), minlength=space))
-    codeword = x[occupied >> n]
-    carry = (occupied[:, None] >> np.arange(n)) & 1
-    rows = codeword + carry * np.where(codeword >= 0, -p, p)
+    per_key = np.bincount(keys.ravel(), minlength=space)
+    occupied = np.flatnonzero(per_key)
+    # only the occupied keys' pair counts are kept, so the |C| * 2^n table
+    # is freed before the (num_sums, n) temporaries, the build's peak
+    per_key = per_key[occupied]
+    # each distinct sum is its codeword moved by -+p where its carry bit is
+    # set, formed in place
+    rows = x[occupied >> n]
+    move = np.where(rows >= 0, -p, p)
+    move *= (occupied[:, None] >> np.arange(n)) & 1
+    rows += move
     ranks = row_ranks(rows)
     distinct = np.empty_like(rows)
     distinct[ranks] = rows
     table = np.empty(space, dtype=np.min_scalar_type(len(rows) - 1))
     table[occupied] = ranks
-    return SumStructure(cb.unit, distinct, table[keys])
+    counts = np.empty(len(rows), dtype=np.int64)
+    counts[ranks] = per_key
+    return SumStructure(cb.unit, distinct, table[keys], _counts=counts)
 
 
 def entropy_from_counts(counts, total=None) -> float:
@@ -200,28 +225,61 @@ def mutual_info_sum(points, budget=10**6) -> float:
     of one point set, counting a repeated row once per copy:
     H(X1 + X2) - H(X2)."""
     s = sum_structure(points, points, budget)
-    return entropy_from_counts(s.counts()) - entropy_from_counts(np.bincount(row_ranks(points.coords)))
+    return s.entropy_bits - entropy_from_counts(np.bincount(row_ranks(points.coords)))
 
 
 class JointBinSumDist:
     """Joint law of (bin index W, sum point S) as exact counts over one
     total: the sum marginal and the occupied (w, s) cells in (bin, sum)
-    order, or None for cells that each hold one pair. Bins carry equal
-    mass (BinnedCodebook guarantees it), so H(W) = log2(num_bins)."""
+    order, the marginal itself for one bin, or None for cells that each
+    hold one pair. Bins carry equal mass (BinnedCodebook guarantees it), so
+    H(W) = log2(num_bins). joint_bin_sum passes H(S), already formed from
+    sum_counts (SumStructure.entropy_bits), as the private _sum_entropy."""
 
-    def __init__(self, num_bins, sum_counts, cell_counts):
+    def __init__(self, num_bins, sum_counts, cell_counts, *, _sum_entropy=None):
         self.num_bins = num_bins
         self.sum_counts = sum_counts
         self.cell_counts = cell_counts
         self.total = int(sum_counts.sum())
+        self._sum_entropy = _sum_entropy
 
     def mutual_info_bits(self) -> float:
-        h_sum = entropy_from_counts(self.sum_counts, self.total)
+        h_sum = self._sum_entropy
+        if h_sum is None:
+            h_sum = entropy_from_counts(self.sum_counts, self.total)
         if self.cell_counts is None:
             h_cells = math.log2(self.total)
+        elif self.cell_counts is self.sum_counts:
+            h_cells = h_sum
         else:
             h_cells = entropy_from_counts(self.cell_counts, self.total)
         return math.log2(self.num_bins) + h_sum - h_cells
+
+
+def _bincount_cells(by_bin, num_sums) -> np.ndarray:
+    """The occupied cells of each row of by_bin, in (row, sum) order, by
+    np.bincount over the row's num_sums cells."""
+    cells = []
+    for row in by_bin:
+        counts = np.bincount(row, minlength=num_sums)
+        cells.append(counts[counts > 0])
+    return np.concatenate(cells)
+
+
+def _sorted_cells(by_bin) -> np.ndarray:
+    """The occupied cells of each row of by_bin, in (row, sum) order: each
+    row is sorted in place, and the cells are the run lengths of the
+    flattened rows, split at every value change and at every row start."""
+    by_bin.sort(axis=1, kind="stable")
+    flat = by_bin.ravel()
+    run_start = np.empty(flat.size, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=run_start[1:])
+    run_start[:: by_bin.shape[1]] = True
+    starts = np.flatnonzero(run_start)
+    counts = np.empty(starts.size, dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = flat.size - starts[-1]
+    return counts
 
 
 def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
@@ -230,32 +288,32 @@ def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
     X1 is uniform on the binned codebook (bin uniform, codeword uniform in
     the bin), X2 independent and uniform on the same codebook. A
     precomputed SumStructure of the codebook with itself may be passed to
-    amortize the pair enumeration across several binnings. The cells of
-    bin w are counted over its codewords' rows of the pair table, one bin
-    at a time, so cell_counts lists the occupied cells in (bin, sum) order
-    with no num_bins * num_sums table. With one bin the cells are the sum
-    marginal; with one codeword per bin of a Codebook, whose rows are
-    distinct, every cell holds one pair (cell_counts None).
+    amortize the pair enumeration, its counts and H(S) across several
+    binnings. The pair table's rows are gathered by bin into one (num_bins,
+    pairs per bin) array and each row's occupied sum cells counted, by
+    np.bincount when num_bins * num_sums is at most the pair count, else by
+    sorting the row, so cell_counts lists the occupied cells in (bin, sum)
+    order with no num_bins * num_sums table past the pair count. With one
+    bin the cells are the sum marginal; with one codeword per bin of a
+    Codebook, whose rows are distinct, every cell holds one pair
+    (cell_counts None).
     """
     cb = binned.codebook
     if structure is None:
         structure = sum_structure(cb, cb, budget)
     num_bins, sum_counts = binned.num_bins, structure.counts()
+    h_sum = structure.entropy_bits
     if num_bins == 1:
-        return JointBinSumDist(1, sum_counts, sum_counts)
+        return JointBinSumDist(1, sum_counts, sum_counts, _sum_entropy=h_sum)
     if num_bins == len(cb) and isinstance(cb, Codebook):
-        return JointBinSumDist(num_bins, sum_counts, None)
+        return JointBinSumDist(num_bins, sum_counts, None, _sum_entropy=h_sum)
     ids, num_sums = structure.ids, structure.num_sums
-    dense = _dense(num_bins * num_sums, ids.size)
     # row w holds the codewords of bin w, in any order (bins are equal in
     # size), and row w of by_bin their rows of the pair table
     members = np.argsort(binned.bin_index).reshape(num_bins, -1)
     by_bin = ids[members].reshape(num_bins, -1)
-    cell_counts = []
-    for cells in by_bin:
-        if dense:
-            counts = np.bincount(cells, minlength=num_sums)
-            cell_counts.append(counts[counts > 0])
-        else:
-            cell_counts.append(np.unique(cells, return_counts=True)[1])
-    return JointBinSumDist(num_bins, sum_counts, np.concatenate(cell_counts))
+    if num_bins * num_sums <= ids.size:
+        cell_counts = _bincount_cells(by_bin, num_sums)
+    else:
+        cell_counts = _sorted_cells(by_bin)
+    return JointBinSumDist(num_bins, sum_counts, cell_counts, _sum_entropy=h_sum)

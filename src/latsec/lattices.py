@@ -404,8 +404,11 @@ class ConstructionALattice:
             nums = [[a * (d // b) for a, b in row] for row, d in zip(ratios, dens)]
             num = np.array(nums, dtype=object) * self.unit.denominator
             return num, np.array(dens, dtype=object).reshape(-1, 1) * self.unit.numerator
-        ratio = x.unit / self.unit
-        a, b = ratio.numerator, ratio.denominator
+        # a / b = x.unit / unit in lowest terms, from the two units' coprime
+        # integer pairs, without a Fraction division
+        (xn, xd), (un, ud) = x.unit.as_integer_ratio(), self.unit.as_integer_ratio()
+        g, h = math.gcd(xn, un), math.gcd(xd, ud)
+        a, b = (xn // g) * (ud // h), (un // g) * (xd // h)
         step = self.p * b
         fits = 2 * (max(x.peak, 1) * a + step) < GRID_LIMIT
         if not fits:
@@ -521,7 +524,8 @@ class ConstructionALattice:
             # the residual lies in [-p b / 2, p b / 2)
             bound = self.p * b // 2
             resid = _int64_grid(num - step * _round_half_up(num, step), peak=bound)
-            return PointGrid(self.unit / b, resid, _bound=bound)
+            unit = self.unit if b == 1 else Fraction(self.unit.numerator, self.unit.denominator * b)
+            return PointGrid(unit, resid, _bound=bound)
         rows = self._checked_rows(x)
         q, certain = self._float_coarse(rows)
         if not certain.all():

@@ -324,6 +324,18 @@ class TestBinning:
         with pytest.raises(ValueError, match="non-negative"):
             BinnedCodebook(cb, 4, seed=-1)
 
+    def test_a_given_shuffle_is_used_as_drawn(self, monkeypatch):
+        cb = enumerate_codebook(
+            ConstructionALattice(2, random_code_matrix(2, 4, 4, [41]), None, 1)
+        )
+        own = [BinnedCodebook(cb, bins, 3).bin_index for bins in (2, 4, 8)]
+        shuffle = np.random.default_rng(3).permutation(16)
+        draws = []
+        monkeypatch.setattr(np.random, "default_rng", draws.append)
+        shared = [BinnedCodebook(cb, bins, 3, _shuffle=shuffle).bin_index for bins in (2, 4, 8)]
+        assert draws == []
+        assert [b.tobytes() for b in shared] == [b.tobytes() for b in own]
+
 
 class TestLayered:
     def base(self, p=2, n=2):

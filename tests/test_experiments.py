@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from latsec import (
+    BinnedCodebook,
     BudgetExceeded,
     ChannelParams,
     ConstructionALattice,
@@ -176,6 +177,26 @@ class TestTheoremSuite:
         assert theorem_suite_passed(reports)
         assert max(r.leakage_per_dim for r in reports) <= 1 + 1e-9
 
+    def test_binnings_read_the_shuffle_of_their_own_seed(self):
+        # the suite draws one shuffle per configuration; each binning must
+        # report as a BinnedCodebook that draws its own does, at every
+        # seed and whatever seed ran before
+        grid = standard_grid((2, 3), 4, 81, 1)
+        by_seed = {}
+        for seed in (0, 3, 0, 7):
+            expected = []
+            for point in grid:
+                cb = enumerate_codebook(point.build_lattice())
+                expected += [
+                    experiments.make_secrecy_report(
+                        BinnedCodebook(cb, point.p**j, seed), label=f"{point.label}_b{point.p**j}"
+                    )
+                    for j in range(point.k + 1)
+                ]
+            by_seed[seed] = run_theorem1_suite(grid, bin_seed=seed)
+            assert by_seed[seed] == expected
+        assert by_seed[0] != by_seed[3] and by_seed[3] != by_seed[7] and by_seed[0] != by_seed[7]
+
 
 class TestSweep:
     def test_sweep_equals_the_two_suites(self):
@@ -247,7 +268,8 @@ class TestBuildReuse:
         assert run_lemma_suite(fresh) == lemmas
 
     def test_theorem1_suite_draws_only_the_binnings_it_reads(self, monkeypatch):
-        # the closed forms for 1 bin and |C| bins never read a shuffle
+        # the closed forms for 1 bin and |C| bins never read a shuffle, and
+        # the binnings between them (k >= 2) share one draw of bin_seed
         grid = standard_grid((2, 3), 3, 32, 1)
         for point in grid:
             point.lattice
@@ -259,8 +281,8 @@ class TestBuildReuse:
             return default_rng(seed)
 
         monkeypatch.setattr(np.random, "default_rng", spy)
-        run_theorem1_suite(grid)
-        assert len(draws) == sum(point.k - 1 for point in grid)
+        run_theorem1_suite(grid, bin_seed=5)
+        assert draws == [5] * sum(point.k > 1 for point in grid)
 
     def test_a_lattice_item_keeps_its_build(self, builds):
         lat = GridPoint(3, 2, 2, 0).build_lattice()

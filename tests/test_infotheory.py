@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from latsec import (
     BinnedCodebook,
     BudgetExceeded,
+    Codebook,
     ConstructionALattice,
     JointBinSumDist,
     PointGrid,
@@ -21,11 +22,12 @@ from latsec import (
     mutual_info_sum,
     random_code_matrix,
     random_unimodular,
+    run_lemma_suite,
     scale_to_power,
     standard_grid,
     sum_structure,
 )
-from latsec import infotheory
+from latsec import experiments, infotheory
 from latsec.infotheory import row_ranks
 
 import oracles
@@ -319,6 +321,13 @@ class TestMutualInfoSum:
         )
 
 
+def dense_table(binned, structure):
+    """The (num_bins, num_sums) table of joint counts, as the reference."""
+    cells = binned.bin_index[:, None] * structure.num_sums + structure.ids
+    dense = np.bincount(cells.ravel(), minlength=binned.num_bins * structure.num_sums)
+    return dense.reshape(binned.num_bins, structure.num_sums)
+
+
 class TestBinnedLeakage:
     @pytest.mark.parametrize("p,k,n,bins,seed", [
         (2, 2, 2, 2, 0),
@@ -339,19 +348,12 @@ class TestBinnedLeakage:
         binned = BinnedCodebook(cb, 1)
         assert joint_bin_sum(binned, 10**6).mutual_info_bits() == 0.0
 
-    @staticmethod
-    def dense_table(binned, structure):
-        """The (num_bins, num_sums) table of joint counts, as the reference."""
-        cells = binned.bin_index[:, None] * structure.num_sums + structure.ids
-        dense = np.bincount(cells.ravel(), minlength=binned.num_bins * structure.num_sums)
-        return dense.reshape(binned.num_bins, structure.num_sums)
-
     def test_joint_structure_consistency(self):
         cb = seeded_codebook(3, 2, 2, seed=2)
         binned = BinnedCodebook(cb, 3, seed=1)
         joint = joint_bin_sum(binned, 10**6)
         structure = sum_structure(cb, cb, 10**6)
-        dense = self.dense_table(binned, structure)
+        dense = dense_table(binned, structure)
         # The occupied cells are the table's nonzero entries, in (bin, sum) order.
         assert np.array_equal(joint.cell_counts, dense[dense > 0])
         # Sum marginal equals the unbinned pair-sum histogram.
@@ -375,7 +377,7 @@ class TestBinnedLeakage:
         binned = BinnedCodebook(cb, 2, seed=0)
         a = joint_bin_sum(binned, 10**6)
         b = joint_bin_sum(binned, 10**6, structure=structure)
-        dense = self.dense_table(binned, structure)
+        dense = dense_table(binned, structure)
         assert np.array_equal(a.cell_counts, dense[dense > 0])
         assert np.array_equal(a.cell_counts, b.cell_counts)
         assert np.array_equal(a.sum_counts, b.sum_counts)
@@ -537,12 +539,50 @@ class TestCarryPath:
 
 
 def _cell_path(binned, structure):
+    """The path joint_bin_sum must take, by its rule on the input sizes;
+    "dense" counts each bin by np.bincount over its num_sums cells."""
     if binned.num_bins == 1:
         return "one bin"
-    if binned.num_bins == len(binned.codebook):
+    if binned.num_bins == len(binned.codebook) and isinstance(binned.codebook, Codebook):
         return "one codeword per bin"
-    pairs = structure.ids.size
-    return "dense" if infotheory._dense(binned.num_bins * structure.num_sums, pairs) else "sorted"
+    if binned.num_bins * structure.num_sums <= structure.ids.size:
+        return "dense"
+    return "sorted"
+
+
+@pytest.fixture
+def cell_calls(monkeypatch):
+    """The cell counter each joint_bin_sum call runs, in call order."""
+    calls = []
+    for name, path in (("_bincount_cells", "dense"), ("_sorted_cells", "sorted")):
+        def spy(*args, real=getattr(infotheory, name), path=path):
+            calls.append(path)
+            return real(*args)
+
+        monkeypatch.setattr(infotheory, name, spy)
+    return calls
+
+
+def counted_joint(binned, structure, cell_calls):
+    """joint_bin_sum over a kept structure, and the path it took: the cell
+    counter it ran, else the closed form its cells show."""
+    before = len(cell_calls)
+    joint = joint_bin_sum(binned, 10**6, structure=structure)
+    if len(cell_calls) > before:
+        assert len(cell_calls) == before + 1
+        return joint, cell_calls[-1]
+    if joint.cell_counts is None:
+        return joint, "one codeword per bin"
+    assert joint.cell_counts is joint.sum_counts
+    return joint, "one bin"
+
+
+def oracle_cells(binned):
+    """The occupied cells by direct joint enumeration, in (bin, sum) order:
+    the unit is positive, so sorted (bin, sum point) keys are that order."""
+    cb = binned.codebook
+    expected = oracles.joint_counts_oracle(oracles.bins_of(binned), cb.points, cb.points)
+    return [expected[key] for key in sorted(expected)]
 
 
 def sorted_joint(binned, structure):
@@ -552,61 +592,122 @@ def sorted_joint(binned, structure):
     return JointBinSumDist(binned.num_bins, structure.counts(), cell_counts)
 
 
+@st.composite
+def binned_rows(draw):
+    """A (rows, row length) id table in a narrow unsigned dtype, whose rows
+    share values, so that runs meet at row starts."""
+    dtype = draw(st.sampled_from((np.uint8, np.uint16)))
+    rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    values = draw(st.lists(st.integers(0, 4), min_size=rows * width, max_size=rows * width))
+    return np.array(values, dtype=dtype).reshape(rows, width)
+
+
 class TestBinnedCellPaths:
-    def test_standard_grid_paths_match_sorted_cells(self):
+    def test_standard_grid_paths_match_sorted_cells(self, cell_calls):
         # theorem-1's binnings: p^0 .. p^k bins, bin_seed 0
         seen = set()
         for point, cb, structure in standard_grid_builds():
             for j in range(point.k + 1):
                 binned = BinnedCodebook(cb, point.p**j, 0)
-                joint = joint_bin_sum(binned, 10**6, structure=structure)
-                seen.add(_cell_path(binned, structure))
+                joint, path = counted_joint(binned, structure, cell_calls)
+                assert path == _cell_path(binned, structure)
+                seen.add(path)
+                if joint.cell_counts is not None:
+                    dense = dense_table(binned, structure)
+                    assert np.array_equal(joint.cell_counts, dense[dense > 0])
                 assert joint.mutual_info_bits() == sorted_joint(binned, structure).mutual_info_bits()
-        # no standard-grid binning has a (bin, sum) space past 8 |C|^2 + 1024
-        assert seen == {"one bin", "one codeword per bin", "dense"}
+        # the grid has binnings on both sides of num_bins * num_sums = |C|^2
+        assert seen == {"one bin", "one codeword per bin", "dense", "sorted"}
 
-    def test_wide_binnings_take_the_sorted_path(self):
+    def test_wide_binnings_take_the_sorted_path(self, cell_calls):
         cb = seeded_codebook(2, 6, 10)
         structure = sum_structure(cb, cb, 10**6)
         binned = BinnedCodebook(cb, 32, seed=0)
         assert _cell_path(binned, structure) == "sorted"
-        joint = joint_bin_sum(binned, 10**6, structure=structure)
+        joint, taken = counted_joint(binned, structure, cell_calls)
+        assert taken == "sorted"
         reference = sorted_joint(binned, structure)
         assert np.array_equal(joint.cell_counts, reference.cell_counts)
         assert joint.mutual_info_bits() == reference.mutual_info_bits()
 
+    @settings(max_examples=200)
+    @given(binned_rows())
+    def test_cell_counters_count_each_row(self, by_bin):
+        # per row, the occupied values' counts in value order, rows in order
+        expected = np.concatenate([np.unique(row, return_counts=True)[1] for row in by_bin])
+        num_sums = int(by_bin.max()) + 1
+        assert np.array_equal(infotheory._bincount_cells(by_bin, num_sums), expected)
+        assert np.array_equal(infotheory._sorted_cells(by_bin.copy()), expected)
+
     @pytest.mark.parametrize("p,k,n,seed,bins,path", [
-        (3, 3, 3, 1, 3, "dense"), (3, 3, 3, 1, 9, "dense"), (2, 4, 4, 2, 4, "dense"),
-        (2, 6, 10, 0, 32, "sorted"),
+        (3, 3, 3, 1, 3, "dense"), (3, 3, 3, 1, 9, "sorted"), (2, 4, 4, 2, 4, "sorted"),
+        (2, 6, 10, 0, 32, "sorted"), (2, 4, 4, 2, 2, "dense"), (2, 4, 4, 2, 8, "sorted"),
     ])
-    def test_cell_counts_match_the_joint_oracle(self, p, k, n, seed, bins, path):
+    def test_cell_counts_match_the_joint_oracle(self, p, k, n, seed, bins, path, cell_calls):
         cb = seeded_codebook(p, k, n, seed=seed)
         structure = sum_structure(cb, cb, 10**6)
         binned = BinnedCodebook(cb, bins, seed=0)
         assert _cell_path(binned, structure) == path
-        joint = joint_bin_sum(binned, 10**6, structure=structure)
-        bins_of = oracles.bins_of(binned)
-        expected = oracles.joint_counts_oracle(bins_of, cb.points, cb.points)
-        # the unit is positive, so sorted (bin, sum point) keys are (bin, sum) order
-        assert joint.cell_counts.tolist() == [expected[key] for key in sorted(expected)]
+        joint, taken = counted_joint(binned, structure, cell_calls)
+        assert taken == path
+        dense = dense_table(binned, structure)
+        assert np.array_equal(joint.cell_counts, dense[dense > 0])
+        assert joint.cell_counts.tolist() == oracle_cells(binned)
         assert joint.mutual_info_bits() == pytest.approx(
-            oracles.joint_leakage_oracle(bins_of, cb.points, cb.points), abs=1e-12
+            oracles.joint_leakage_oracle(oracles.bins_of(binned), cb.points, cb.points), abs=1e-12
         )
 
     @pytest.mark.parametrize("bins,path", [
-        (1, "one bin"), (27, "one codeword per bin"), (3, "dense"), (9, "dense"),
+        (1, "one bin"), (27, "one codeword per bin"), (3, "dense"), (9, "sorted"),
     ])
-    def test_each_path_matches_reference_and_oracle(self, bins, path):
+    def test_each_path_matches_reference_and_oracle(self, bins, path, cell_calls):
         cb = seeded_codebook(3, 3, 3, seed=1)
         structure = sum_structure(cb, cb, 10**6)
         binned = BinnedCodebook(cb, bins, seed=0)
         assert _cell_path(binned, structure) == path
-        leak = joint_bin_sum(binned, 10**6).mutual_info_bits()
+        joint, taken = counted_joint(binned, structure, cell_calls)
+        assert taken == path
+        dense = dense_table(binned, structure)
+        if joint.cell_counts is None:
+            assert (dense[dense > 0] == 1).all()
+        else:
+            assert np.array_equal(joint.cell_counts, dense[dense > 0])
+            assert joint.cell_counts.tolist() == oracle_cells(binned)
+        leak = joint.mutual_info_bits()
         assert leak == sorted_joint(binned, structure).mutual_info_bits()
+        assert leak == joint_bin_sum(binned, 10**6).mutual_info_bits()
         expected = oracles.joint_leakage_oracle(oracles.bins_of(binned), cb.points, cb.points)
         assert leak == pytest.approx(expected, abs=1e-12)
         if path == "one bin":
             assert leak == 0.0
+
+    @pytest.mark.parametrize("bins,path", [(2, "dense"), (5, "dense"), (10, "sorted")])
+    def test_repeated_rows_take_both_counters(self, bins, path, cell_calls):
+        # five points with distinct pair sums, each twice: a PointGrid, so
+        # one row per bin still counts its cells
+        grid = PointGrid(1, np.repeat([[0], [1], [3], [7], [15]], 2, axis=0))
+        structure = sum_structure(grid, grid, 10**6)
+        binned = BinnedCodebook(grid, bins, seed=4)
+        assert _cell_path(binned, structure) == path
+        joint, taken = counted_joint(binned, structure, cell_calls)
+        assert taken == path
+        dense = dense_table(binned, structure)
+        assert np.array_equal(joint.cell_counts, dense[dense > 0])
+        assert joint.cell_counts.tolist() == oracle_cells(binned)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_run_across_a_bin_boundary_is_split(self, seed, cell_calls):
+        # bins {0}, {3}, {1} of the line {0, 1, 3}: bin 0's largest sum 3 is
+        # bin 1's least, so the sorted rows hold one run of 3 across the
+        # row start, which must count as two cells
+        values = np.array([[0], [3], [1]])
+        bin_index = BinnedCodebook(PointGrid(1, values), 3, seed).bin_index
+        grid = PointGrid(1, values[bin_index])
+        structure = sum_structure(grid, grid, 10**6)
+        binned = BinnedCodebook(grid, 3, seed)
+        joint, taken = counted_joint(binned, structure, cell_calls)
+        assert taken == "sorted"
+        assert joint.cell_counts.tolist() == oracle_cells(binned) == [1] * 9
 
     def test_closed_forms_need_the_binned_codebook_itself(self):
         # one codeword per bin of rows that are not a Codebook counts its cells
@@ -625,3 +726,46 @@ class TestBinnedCellPaths:
             tuple((i,) for i in range(4)), doubled.points, doubled.points
         )
         assert leak == pytest.approx(expected, abs=1e-12)
+
+
+class TestSumCountsOnce:
+    """A structure's pair counts come from its carry keys, and H(S) is
+    formed once and shared by the lemma and every binning."""
+
+    def test_carry_counts_are_the_pair_table_counts(self):
+        for point in standard_grid(draws=8):
+            cb = enumerate_codebook(point.build_lattice())
+            s = sum_structure(cb, cb, 10**6)
+            counts = s.counts()
+            assert counts.dtype == np.int64 and not counts.flags.writeable
+            assert np.array_equal(counts, np.bincount(s.ids.ravel(), minlength=s.num_sums))
+
+    def test_lemma_entropy_is_the_pair_table_entropy(self):
+        grid = standard_grid(draws=2)
+        for point, lemma in zip(grid, run_lemma_suite(grid)):
+            cb, s = experiments._build(point.lattice, point, 10**6)
+            h = entropy_from_counts(np.bincount(s.ids.ravel()), len(cb) ** 2)
+            assert lemma.entropy_bits == h == s.entropy_bits
+            assert s.entropy_bits is s.entropy_bits
+
+    def test_binnings_share_the_structure_entropy(self, monkeypatch):
+        cb = seeded_codebook(3, 3, 3, seed=1)
+        structure = sum_structure(cb, cb, 10**6)
+        h = structure.entropy_bits
+        evaluated = []
+        real = infotheory.entropy_from_counts
+
+        def spy(counts, total=None):
+            evaluated.append(counts)
+            return real(counts, total)
+
+        monkeypatch.setattr(infotheory, "entropy_from_counts", spy)
+        leaks = [
+            joint_bin_sum(BinnedCodebook(cb, bins, 0), 10**6, structure=structure).mutual_info_bits()
+            for bins in (1, 3, 9, 27)
+        ]
+        # only the two counted binnings evaluate an entropy: their cells
+        assert len(evaluated) == 2
+        assert all(c is not structure.counts() for c in evaluated)
+        assert leaks[0] == 0.0
+        assert leaks[3] == math.log2(27) + h - math.log2(27 * 27)

@@ -748,6 +748,20 @@ class TestFineUnit:
             empty = lat.mod_coarse(PointGrid(x.unit, np.zeros((0, n), dtype=np.int64)))
             assert empty.unit == folded.unit and empty.coords.shape == (0, n)
 
+    @settings(max_examples=200)
+    @given(st.sampled_from((2, 3, 5, 7)), *[st.integers(1, 360)] * 4)
+    def test_unit_ratio_is_in_lowest_terms(self, p, scale_num, scale_den, num, den):
+        # small integers share factors often, so both gcds are exercised
+        lat = ConstructionALattice(p, ((1,),), None, Fraction(scale_num, scale_den))
+        x = PointGrid(Fraction(num, den), [[1]])
+        ratio = x.unit / lat.unit
+        a, b = lat._unit_rows(x)
+        assert (int(a[0, 0]), int(b[0, 0])) == (ratio.numerator, ratio.denominator)
+        folded = lat.mod_coarse(x)
+        assert folded.unit == lat.unit / ratio.denominator
+        q = math.floor(x.unit / lat.scale + Fraction(1, 2))
+        assert folded.unit * int(folded.coords[0, 0]) == x.unit - lat.scale * q
+
 
 @st.composite
 def mixed_unit_grids(draw):

@@ -54,7 +54,8 @@ def test_trial_stream_wide_and_unit_bounds():
 
 
 def test_binning_permutation():
-    # codebooks.BinnedCodebook: default_rng(seed).permutation(size)
+    # codebooks.BinnedCodebook, and experiments._theorem1_reports for the
+    # binnings it shares one shuffle among: default_rng(seed).permutation(size)
     assert np.random.default_rng(5).permutation(12).tolist() == [
         9, 11, 1, 3, 2, 4, 6, 7, 0, 10, 5, 8,
     ]

@@ -9,22 +9,33 @@ raises TypeError; a set whose coordinates reach GRID_LIMIT = 2^62 on the
 common grid raises BudgetExceeded. Exact sum points are built only when a
 caller asks for them.
 
-Rows are ranked on one int64 key per row that sorts like the row itself
-(lexicographically): each column, shifted by its minimum, is one
-mixed-radix digit, so a 1-D np.unique ranks the distinct rows in row
-order. Where the product of the digit spans would pass 2^63, the key so
-far (and, if it alone is that wide, the column) is replaced by its rank
-among its distinct values, which keeps the order.
+Pair sums are ranked by one additive key. Column j of the sums spans
+max_a + max_b - min_a - min_b + 1 values, and the mixed-radix key with
+column 0 most significant orders sums lexicographically; being linear, it
+is key_a(x) + key_b(y), each side offset by its own column minima. Where
+that key space, a Python int, is at most 2 |A||B| + 1024, all pair keys
+are one np.add.outer of the two sides' keys, in the narrowest unsigned
+dtype below the space, and one np.bincount counts every sum: the occupied
+keys, ascending, are the distinct sums in lexicographic order, so ranks
+come with no sort and each sum's coordinates are its key's digits.
 
-A Codebook summed with itself skips the sort over its |C|^2 pair sums.
-C is a group under digit-wise message addition mod p, so x + y is the
-codeword z of the summed messages with each coordinate left as z_i or
-moved by -+p: one carry bit per coordinate. The key
+A Codebook summed with itself whose key space is sparser than that (p = 7,
+k = 3, n = 6 spans 13^6 keys for 7^6 pairs) skips the sort over its |C|^2
+pair sums another way. C is a group under digit-wise message addition mod
+p, so x + y is the codeword z of the summed messages with each coordinate
+left as z_i or moved by -+p: one carry bit per coordinate. The key
 z * 2^n + bits names the sum, so np.bincount over the |C| * 2^n keys finds
 the distinct sums (|C + C| <= 2^n |C|, the sum-set lemma) and their pair
-counts, and only those sums are ranked; past 8 |C|^2 + 1024 keys the pairs
-are sorted instead. The keys are formed in place in the narrowest unsigned
-dtype that holds them.
+counts, and only those sums are ordered, by one argsort of their additive
+key; past 8 |C|^2 + 1024 carry keys the pairs are sorted instead. The keys
+are formed in place in the narrowest unsigned dtype that holds them.
+
+Any other pair sums are sorted: rows are ranked on one int64 key per row
+that sorts like the row itself (row_ranks): each column, shifted by its
+minimum, is one mixed-radix digit, so a 1-D np.unique ranks the distinct
+rows in row order. Where the product of the digit spans would pass 2^63,
+the key so far (and, if it alone is that wide, the column) is replaced by
+its rank among its distinct values, which keeps the order.
 
 The pair table SumStructure.ids is stored in the narrowest unsigned dtype
 that holds num_sums - 1: 2 bytes per pair on the standard grid, where
@@ -59,15 +70,17 @@ from .lattices import PointGrid, on_grid
 class SumStructure(PointGrid):
     """Pairwise-sum bookkeeping for two point sets.
 
-    The distinct sums are unit * coords[s], rows in lexicographic order
-    (ranked by row_ranks on order-preserving int64 row keys), and
-    ids[i, j] is the row of a_i + b_j, in the narrowest unsigned dtype that
-    holds num_sums - 1. For a Codebook summed with itself,
-    only the distinct sums are ranked, found by their codeword-and-carry
-    keys; the result is the same. As a PointGrid the
-    structure is the sum set itself, so sums of sums chain without leaving
-    int64. Building it once lets callers derive counts for many binnings
-    cheaply: the pair counts and the sum entropy H(S) are each formed once.
+    The distinct sums are unit * coords[s], rows in lexicographic order,
+    and ids[i, j] is the row of a_i + b_j, in the narrowest unsigned dtype
+    that holds num_sums - 1. Whichever path builds it, the result is the
+    same: the occupied additive sum keys, counted by one bincount, where
+    their space is small; a Codebook summed with itself by its
+    codeword-and-carry keys; any other sums ranked by row_ranks on
+    order-preserving int64 row keys. As a PointGrid the structure is the
+    sum set itself, so sums of sums chain without leaving int64. Building
+    it once lets callers derive counts for many binnings cheaply: the pair
+    counts and the sum entropy H(S) are each formed once, the counts from
+    the build's bincount where it made one.
     """
 
     def __init__(self, unit, coords, ids, *, _counts=None):
@@ -79,8 +92,8 @@ class SumStructure(PointGrid):
             _counts.flags.writeable = False
 
     def counts(self) -> np.ndarray:
-        """How many pairs give each sum, read-only: from the carry keys when
-        the structure came from them, else counted on the first call, since
+        """How many pairs give each sum, read-only: from the build's key
+        bincount when it made one, else counted on the first call, since
         every binning of a reused structure asks for it."""
         if self._counts is None:
             counts = np.bincount(self.ids.ravel(), minlength=self.num_sums)
@@ -141,6 +154,37 @@ def check_pair_budget(size_a, size_b, budget) -> None:
         raise BudgetExceeded(f"{size_a}*{size_b} pair sums exceed budget {budget}")
 
 
+class _SumKey:
+    """The additive key of the pair sums of two int64 grids ga and gb.
+
+    Column j of the sums spans spans[j] = max_a + max_b - min_a - min_b + 1
+    values. The mixed-radix key sum_j (s_j - lo[j]) * weights[j], column 0
+    most significant and weights[j] the product of the later spans, orders
+    the sums lexicographically, and, being linear, is key_a(x) + key_b(y)
+    with each side offset by its own column minima. space, the number of
+    keys, is a Python int and may pass 2^63; the spans and weights are
+    int64 arrays only while it does not."""
+
+    def __init__(self, ga, gb):
+        self.lo_a = ga.min(axis=0)
+        hi_a = ga.max(axis=0)
+        self.lo_b, hi_b = (self.lo_a, hi_a) if gb is ga else (gb.min(axis=0), gb.max(axis=0))
+        # both minima are above -GRID_LIMIT, so their int64 sum is exact
+        self.lo = self.lo_a + self.lo_b
+        bounds = zip(hi_a.tolist(), hi_b.tolist(), self.lo.tolist())
+        spans = [ha + hb - lo + 1 for ha, hb, lo in bounds]
+        weights = [math.prod(spans[j + 1 :]) for j in range(len(spans))]
+        self.space = math.prod(spans)
+        if self.space <= _KEY_LIMIT:
+            self.spans = np.array(spans, dtype=np.int64)
+            self.weights = np.array(weights, dtype=np.int64)
+
+    def of(self, rows, lo) -> np.ndarray:
+        """The int64 key of each row of rows, offset by lo: every partial
+        sum lies in [0, space), so it needs space <= _KEY_LIMIT."""
+        return (rows - lo) @ self.weights
+
+
 def sum_structure(a, b, budget=10**6) -> SumStructure:
     unit, (ga, gb) = on_grid(a, b)
     if not len(ga) or not len(gb):
@@ -148,8 +192,24 @@ def sum_structure(a, b, budget=10**6) -> SumStructure:
     if ga.shape[1] != gb.shape[1]:
         raise DimensionMismatch(f"dimensions {ga.shape[1]} and {gb.shape[1]} differ")
     check_pair_budget(len(ga), len(gb), budget)
-    if a is b and isinstance(a, Codebook) and _dense(len(a) << a.n, len(a) ** 2):
-        return _carry_structure(a)
+    pairs = len(ga) * len(gb)
+    key = _SumKey(ga, gb)
+    if _countable(key.space, pairs, 2):
+        return _dense_structure(unit, ga, gb, key)
+    if a is b and isinstance(a, Codebook) and _countable(len(a) << a.n, pairs, 8):
+        return _carry_structure(a, key)
+    return _sorted_structure(unit, ga, gb)
+
+
+def _countable(space, pairs, per_pair) -> bool:
+    """Whether counting pairs by np.bincount over a key space of this size
+    beats sorting them: at most per_pair keys per pair, plus 1024."""
+    return space <= per_pair * pairs + 1024
+
+
+def _sorted_structure(unit, ga, gb) -> SumStructure:
+    """sum_structure of two grids on one unit by ranking all |a| * |b| sum
+    rows with row_ranks."""
     sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
     ranks = row_ranks(sums)
     # every row written to one rank is the same row, so the result is fixed
@@ -158,19 +218,34 @@ def sum_structure(a, b, budget=10**6) -> SumStructure:
     return SumStructure(unit, distinct, ranks.reshape(len(ga), len(gb)))
 
 
-def _dense(space, pairs) -> bool:
-    """Whether counting pairs over a key space of this size by np.bincount
-    beats sorting them."""
-    return space <= 8 * pairs + 1024
+def _dense_structure(unit, ga, gb, key) -> SumStructure:
+    """sum_structure of two grids on one unit whose additive key space is
+    countable: all pair keys are one np.add.outer of the two sides' keys,
+    in the narrowest unsigned dtype below the space, and one np.bincount
+    counts every sum. The occupied keys, ascending, are the distinct sums
+    in lexicographic order, so a sum's rank is its key's index among them,
+    with no sort, and its coordinates are its key's digits."""
+    key_type = np.min_scalar_type(key.space - 1)
+    key_a = key.of(ga, key.lo_a).astype(key_type)
+    key_b = key_a if gb is ga else key.of(gb, key.lo_b).astype(key_type)
+    keys = np.add.outer(key_a, key_b)
+    per_key = np.bincount(keys.ravel(), minlength=key.space)
+    occupied = np.flatnonzero(per_key)
+    table = np.empty(key.space, dtype=np.min_scalar_type(len(occupied) - 1))
+    table[occupied] = np.arange(len(occupied))
+    coords = occupied[:, None] // key.weights % key.spans + key.lo
+    return SumStructure(unit, coords, table[keys], _counts=per_key[occupied])
 
 
-def _carry_structure(cb) -> SumStructure:
+def _carry_structure(cb, key) -> SumStructure:
     """sum_structure(cb, cb) from the key z * 2^n + bits of each pair: z the
     message index of the digit-wise message sum mod p, bit i set where
     s_i = x_i + y_i leaves the cell, (2 s_i >= p) | (2 s_i < -p), which for
     a prime p and coordinates in [-p/2, p/2) is |s_i| > p // 2. Every key is
     below |C| * 2^n, so the keys and the key-to-rank table are narrow, and
-    the keys' bincount is also each sum's pair count."""
+    the keys' bincount is also each sum's pair count. The distinct sums,
+    one per occupied key, are ordered by one argsort of their additive
+    key (row_ranks where that passes int64)."""
     p, n, x = cb.lattice.p, cb.n, cb.coords
     space = len(cb) << n
     key_type = np.min_scalar_type(space - 1)
@@ -198,14 +273,11 @@ def _carry_structure(cb) -> SumStructure:
     move = np.where(rows >= 0, -p, p)
     move *= (occupied[:, None] >> np.arange(n)) & 1
     rows += move
-    ranks = row_ranks(rows)
-    distinct = np.empty_like(rows)
-    distinct[ranks] = rows
+    # the rows are distinct, so either key orders them with no ties
+    order = np.argsort(key.of(rows, key.lo) if key.space <= _KEY_LIMIT else row_ranks(rows))
     table = np.empty(space, dtype=np.min_scalar_type(len(rows) - 1))
-    table[occupied] = ranks
-    counts = np.empty(len(rows), dtype=np.int64)
-    counts[ranks] = per_key
-    return SumStructure(cb.unit, distinct, table[keys], _counts=counts)
+    table[occupied[order]] = np.arange(len(rows))
+    return SumStructure(cb.unit, rows[order], table[keys], _counts=per_key[order])
 
 
 def entropy_from_counts(counts, total=None) -> float:
@@ -297,10 +369,25 @@ def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
     bin the cells are the sum marginal; with one codeword per bin of a
     Codebook, whose rows are distinct, every cell holds one pair
     (cell_counts None).
+
+    A structure whose pair table is not |C| x |C|, whose dimension is not
+    the codebook's, or whose unit is not the codebook's raises
+    DimensionMismatch. The check cannot catch the structure of a different
+    codebook of the same size, dimension and unit.
     """
     cb = binned.codebook
     if structure is None:
         structure = sum_structure(cb, cb, budget)
+    elif (
+        structure.ids.shape != (len(cb), len(cb))
+        or structure.coords.shape[1] != cb.coords.shape[1]
+        or structure.unit != cb.unit
+    ):
+        raise DimensionMismatch(
+            f"a structure of {structure.ids.shape} pairs in dimension {structure.coords.shape[1]}"
+            f" over unit {structure.unit} is not the pair sums of {len(cb)} codewords in"
+            f" dimension {cb.coords.shape[1]} over unit {cb.unit}"
+        )
     num_bins, sum_counts = binned.num_bins, structure.counts()
     h_sum = structure.entropy_bits
     if num_bins == 1:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from latsec import (
@@ -28,6 +28,8 @@ from latsec import (
     sum_structure,
 )
 from latsec import experiments, infotheory
+from latsec.errors import DimensionMismatch
+from latsec.lattices import on_grid
 from latsec.infotheory import row_ranks
 
 import oracles
@@ -383,6 +385,21 @@ class TestBinnedLeakage:
         assert np.array_equal(a.sum_counts, b.sum_counts)
         assert a.mutual_info_bits() == b.mutual_info_bits()
 
+    @pytest.mark.parametrize("other", [
+        pytest.param(lambda cb: seeded_codebook(3, 3, 3), id="size"),
+        pytest.param(lambda cb: seeded_codebook(3, 2, 4), id="dimension"),
+        pytest.param(lambda cb: scale_to_power(cb, 1e-3), id="unit"),
+    ])
+    def test_structure_of_another_codebook_raises(self, other):
+        # the p3 k2 n3 structures of the wrong size and dimension read
+        # -1.1515 and 0.6868 bits where the leakage is 0.4547
+        cb = seeded_codebook(3, 2, 3)
+        binned = BinnedCodebook(cb, 3)
+        assert joint_bin_sum(binned, 10**6).mutual_info_bits() == pytest.approx(0.4547, abs=1e-4)
+        wrong = other(cb)
+        with pytest.raises(DimensionMismatch, match="is not the pair sums of 9 codewords"):
+            joint_bin_sum(binned, 10**6, structure=sum_structure(wrong, wrong, 10**6))
+
     def test_full_binning_recovers_unbinned_mi(self):
         # One codeword per bin: W determines X1, so I(W;S) = I(X1;S).
         cb = seeded_codebook(3, 2, 2, seed=4)
@@ -412,79 +429,115 @@ def standard_grid_builds():
 
 
 def general_structure(cb):
-    """sum_structure over all |C|^2 sorted pair sums: cb against a copy of
-    its rows that is not the same Codebook."""
-    return sum_structure(cb, PointGrid(cb.unit, cb.coords), 10**6)
+    """cb's pair sums by the sort path: all |C|^2 sum rows ranked by row_ranks."""
+    return infotheory._sorted_structure(cb.unit, cb.coords, cb.coords)
+
+
+def carry_structure(cb):
+    """cb's pair sums by the carry path, whatever sum_structure would take."""
+    return infotheory._carry_structure(cb, infotheory._SumKey(cb.coords, cb.coords))
 
 
 def assert_same_structure(got, expected):
     assert got.unit == expected.unit
     assert np.array_equal(got.coords, expected.coords)
     assert np.array_equal(got.ids, expected.ids)
+    assert got.ids.dtype == expected.ids.dtype
+    assert np.array_equal(got.counts(), expected.counts())
+
+
+def sum_key_space(a, b):
+    """The number of additive sum keys of two grids, from their coordinates
+    on one unit as Python ints: the product over columns of
+    max_a + max_b - min_a - min_b + 1."""
+    _, (ga, gb) = on_grid(a, b)
+    cols_a, cols_b = zip(*ga.tolist()), zip(*gb.tolist())
+    return math.prod(max(x) + max(y) - min(x) - min(y) + 1 for x, y in zip(cols_a, cols_b))
+
+
+def expected_path(a, b):
+    """The path sum_structure must take, by its rule on the key spaces."""
+    pairs = len(a) * len(b)
+    if sum_key_space(a, b) <= 2 * pairs + 1024:
+        return "dense"
+    if a is b and isinstance(a, Codebook) and len(a) << a.n <= 8 * pairs + 1024:
+        return "carry"
+    return "sorted"
 
 
 @pytest.fixture
-def carry_calls(monkeypatch):
-    """The codebooks the carry-key path is called with, in call order."""
+def path_calls(monkeypatch):
+    """The path each sum_structure call takes, in call order."""
     calls = []
-    real = infotheory._carry_structure
+    for path in ("dense", "carry", "sorted"):
+        def spy(*args, real=getattr(infotheory, f"_{path}_structure"), path=path):
+            calls.append(path)
+            return real(*args)
 
-    def spy(cb):
-        calls.append(cb)
-        return real(cb)
-
-    monkeypatch.setattr(infotheory, "_carry_structure", spy)
+        monkeypatch.setattr(infotheory, f"_{path}_structure", spy)
     return calls
 
 
 class TestCarryPath:
-    """A Codebook summed with itself is counted by codeword and carry bits;
-    the SumStructure must be the one the sort gives."""
+    """A grid summed with another is counted by one bincount over its
+    additive sum keys where their space is small (the dense path), a
+    Codebook summed with itself by codeword and carry bits where it is not
+    (the carry path), and any other sums are sorted; dense and sorted are
+    the general paths, which take any grids. Every path must give the
+    SumStructure the sort gives."""
 
     def test_standard_grid_matches_general_path(self):
         for point, cb, structure in standard_grid_builds():
             assert_same_structure(structure, general_structure(cb))
 
-    def test_standard_grid_takes_the_carry_path(self, carry_calls):
-        for point, cb, _ in standard_grid_builds()[::20]:
+    def test_standard_grid_takes_the_carry_path(self, path_calls):
+        # the carry path where the additive space is sparse, such as p7 k3
+        # n6's 13^6 keys, and the dense path everywhere else
+        for point, cb, _ in standard_grid_builds():
             sum_structure(cb, cb, 10**6)
-            assert carry_calls[-1] is cb
+            assert path_calls[-1] == expected_path(cb, cb)
+        assert set(path_calls) == {"dense", "carry"}
 
     @pytest.mark.parametrize("p,k,n", [(2, 1, 1), (3, 1, 1), (7, 1, 1), (2, 1, 3), (2, 3, 3)])
-    def test_one_dimension_and_binary_codes(self, p, k, n, carry_calls):
+    def test_one_dimension_and_binary_codes(self, p, k, n, path_calls):
         # p = 2 puts codewords at 0 and -1: the sum -2 is the carry of z_i = 0
         cb = seeded_codebook(p, k, n)
         s = sum_structure(cb, cb, 10**6)
-        assert carry_calls == [cb]
-        assert_same_structure(s, general_structure(cb))
-        got = {pt: int(c) for pt, c in zip(s.points, s.counts())}
-        assert got == oracles.pair_sum_histogram(cb.points, cb.points)
+        assert path_calls == ["dense"]
+        general = general_structure(cb)
+        for got in (s, carry_structure(cb)):
+            assert_same_structure(got, general)
+            hist = {pt: int(c) for pt, c in zip(got.points, got.counts())}
+            assert hist == oracles.pair_sum_histogram(cb.points, cb.points)
 
-    def test_power_scaled_codebook(self, carry_calls):
+    def test_power_scaled_codebook(self, path_calls):
         cb = seeded_codebook(3, 2, 3, scale=Fraction(7, 2))
         scaled = scale_to_power(cb, 1e-3)
         assert scaled.unit != cb.unit
         s = sum_structure(scaled, scaled, 10**6)
-        assert carry_calls == [scaled]
+        assert path_calls[0] == "dense"
         assert s.unit == scaled.unit
-        assert_same_structure(s, general_structure(scaled))
+        for got in (s, carry_structure(scaled)):
+            assert_same_structure(got, general_structure(scaled))
         assert np.array_equal(s.ids, sum_structure(cb, cb, 10**6).ids)
 
     @settings(max_examples=30)
     @given(st.integers(1, 3).flatmap(small_codebooks))
     def test_any_scale_matches_general_path(self, cb):
-        assert_same_structure(sum_structure(cb, cb, 10**6), general_structure(cb))
+        general = general_structure(cb)
+        assert_same_structure(sum_structure(cb, cb, 10**6), general)
+        assert_same_structure(carry_structure(cb), general)
 
-    def test_reversed_rows_take_the_general_path(self, carry_calls):
+    def test_reversed_rows_take_the_general_path(self, path_calls):
         cb = seeded_codebook(3, 2, 2, seed=1)
         reversed_rows = PointGrid(cb.unit, cb.coords[::-1])
         s = sum_structure(reversed_rows, reversed_rows, 10**6)
-        assert carry_calls == []
+        assert path_calls == ["dense"]
         got = {pt: int(c) for pt, c in zip(s.points, s.counts())}
         assert got == oracles.pair_sum_histogram(reversed_rows.points, reversed_rows.points)
         assert np.array_equal(s.ids, sum_structure(cb, cb, 10**6).ids[::-1, ::-1])
 
-    def test_two_codebooks_take_the_general_path(self, carry_calls):
+    def test_two_codebooks_take_the_general_path(self, path_calls):
         cb = seeded_codebook(2, 2, 3, seed=2)
         twin = PointGrid(cb.unit, cb.coords)
         other = seeded_codebook(2, 2, 3, seed=3)
@@ -492,27 +545,43 @@ class TestCarryPath:
             s = sum_structure(cb, b, 10**6)
             got = {pt: int(c) for pt, c in zip(s.points, s.counts())}
             assert got == oracles.pair_sum_histogram(cb.points, b.points)
-        assert carry_calls == []
+        assert path_calls == ["dense", "dense"]
 
-    def test_standard_grid_ids_are_compact_and_equal_the_sort_ids(self, carry_calls):
+    def test_standard_grid_ids_are_compact_and_equal_the_sort_ids(self, path_calls):
         widths = set()
+        checked = set()
         for point in standard_grid(draws=1):
             cb = enumerate_codebook(point.build_lattice())
-            carry = sum_structure(cb, cb, 10**6)
-            assert carry_calls[-1] is cb
+            s = sum_structure(cb, cb, 10**6)
+            path = path_calls[-1]
             general = general_structure(cb)
-            assert_same_structure(carry, general)
-            for s in (carry, general):
-                assert s.ids.dtype == np.min_scalar_type(s.num_sums - 1)
-                assert s.ids.dtype.kind == "u"
-            widths.add(carry.ids.dtype.itemsize)
+            assert_same_structure(s, general)
+            assert s.ids.dtype == np.min_scalar_type(s.num_sums - 1)
+            assert s.ids.dtype.kind == "u"
+            widths.add(s.ids.dtype.itemsize)
+            # the Fraction oracle on the codebooks it checks in well under a second
+            if len(cb) <= 32:
+                got = {pt: int(c) for pt, c in zip(s.points, s.counts())}
+                assert got == oracles.pair_sum_histogram(cb.points, cb.points)
+                checked.add(path)
         # num_sums reaches past 255 but stays within 65 536 on the grid
         assert widths == {1, 2}
+        assert checked == {"dense", "carry"}
 
     def test_budget_text_is_unchanged(self):
         cb = seeded_codebook(5, 2, 2)
         with pytest.raises(BudgetExceeded, match=r"^25\*25 pair sums exceed budget 624$"):
             sum_structure(cb, cb, budget=624)
+
+    def test_carry_path_past_int64_keys_ranks_by_rows(self, path_calls):
+        # p = 127, k = 1, n = 10: 2^10 carry bits per codeword are within
+        # 8 |C| + 1024 / |C|, and the additive space (about 253^10) passes
+        # 2^63, so the carry path ranks its sums with row_ranks
+        cb = seeded_codebook(127, 1, 10)
+        assert sum_key_space(cb, cb) > 2**63
+        s = sum_structure(cb, cb, 10**6)
+        assert path_calls == ["carry"]
+        assert_same_structure(s, general_structure(cb))
 
     def test_mutual_info_is_the_carry_entropy_given_the_codeword(self):
         # z = x (+) y is uniform on C and the sum is (z, carry bits), so
@@ -536,6 +605,104 @@ class TestCarryPath:
                 entropy_from_counts(counts[z_of_key == zi], len(cb)) for zi in range(len(cb))
             ) / len(cb)
             assert h == pytest.approx(mutual_info_sum(cb, 10**6), abs=1e-12)
+
+
+@st.composite
+def unit_grids(draw, n):
+    """PointGrid(unit, coords) with repeated rows and narrow columns: small
+    coordinates over a unit with a drawn denominator, or, over unit 1, each
+    column shifted to anywhere within GRID_LIMIT."""
+    rows = draw(
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+    if draw(st.booleans()):
+        unit = Fraction(draw(st.integers(1, 6)), draw(st.sampled_from(_DENOMINATORS[:4])))
+        return PointGrid(unit, rows)
+    shifts = draw(st.lists(st.integers(-_COORD_MAX + 4, _COORD_MAX - 4), min_size=n, max_size=n))
+    return PointGrid(1, np.array(rows, dtype=np.int64) + shifts)
+
+
+@st.composite
+def sum_key_pairs(draw):
+    """Two grids of one dimension whose additive key space may or may not
+    be countable: codebooks of any p (p = 2 too) and unit, narrow grids
+    over mixed units or near GRID_LIMIT, wide grids whose space passes
+    2^63, or one grid summed with itself."""
+    n = draw(st.integers(1, 4))
+    grids = st.one_of(small_codebooks(n), unit_grids(n), wide_grids(n))
+    a = draw(grids)
+    b = a if draw(st.booleans()) else draw(grids)
+    return a, b
+
+
+class TestDenseSumKeys:
+    """The dense path keys each sum additively, key_a(x) + key_b(y), and
+    counts all keys with one bincount; it must give the sort path's
+    structure whenever its rule takes it, and decline, with no int64
+    overflow, where the key space is too large."""
+
+    @example(pair=(PointGrid(1, [[2**62 - 1, -(2**62) + 1]]),) * 2)
+    @example(pair=(
+        PointGrid(1, [[2**62 - 5, -(2**62) + 5], [2**62 - 4, -(2**62) + 7]]),
+        PointGrid(1, [[-(2**62) + 3, 2**62 - 9], [-(2**62) + 4, 2**62 - 9]]),
+    ))
+    @example(pair=(PointGrid(1, [[2**62 - 1], [-(2**62) + 1]]), PointGrid(1, [[0]])))
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pair=sum_key_pairs())
+    def test_dense_path_matches_the_sort_path(self, pair, path_calls):
+        a, b = pair
+        path_calls.clear()
+        try:
+            unit, (ga, gb) = on_grid(a, b)
+        except BudgetExceeded:
+            # mixed units put a wide grid past GRID_LIMIT
+            with pytest.raises(BudgetExceeded):
+                sum_structure(a, b, 10**6)
+            return
+        s = sum_structure(a, b, 10**6)
+        assert path_calls == [expected_path(a, b)]
+        assert_same_structure(s, infotheory._sorted_structure(unit, ga, gb))
+
+    @pytest.mark.parametrize("rows,path", [
+        ([[0], [1027]], "dense"),
+        ([[0], [1028]], "sorted"),
+        ([[0, 0], [1, 513]], "dense"),
+        ([[0, 0], [1, 514]], "sorted"),
+        ([[-(2**61), 2**61], [-(2**61) + 1, 2**61 + 513]], "dense"),
+    ])
+    def test_threshold_is_two_keys_per_pair_and_1024(self, rows, path, path_calls):
+        # 2 pairs: the dense path counts key spaces of up to 2 * 2 + 1024 keys
+        a, b = PointGrid(1, rows), PointGrid(1, [[0] * len(rows[0])])
+        space = sum_key_space(a, b)
+        assert (space <= 1028) == (path == "dense") and space in (1028, 1029, 1030)
+        s = sum_structure(a, b, 10**6)
+        assert path_calls == [path]
+        assert_same_structure(s, infotheory._sorted_structure(1, a.coords, b.coords))
+
+    def test_pair_keys_take_the_narrowest_dtype_below_the_space(self, monkeypatch):
+        seen = []
+
+        class Add:
+            @staticmethod
+            def outer(x, y):
+                out = np.add.outer(x, y)
+                seen.append(out.dtype)
+                return out
+
+        class Numpy:
+            """numpy as infotheory sees it, with np.add.outer recorded."""
+
+            add = Add
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(infotheory, "np", Numpy())
+        widths = ((255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32))
+        for top, dtype in widths:
+            s = sum_structure(PointGrid(1, [[0], [top]]), PointGrid(1, [[0]] * 40000), 10**6)
+            assert seen.pop() == dtype and s.num_sums == 2
+
 
 
 def _cell_path(binned, structure):

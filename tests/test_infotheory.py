@@ -14,6 +14,7 @@ from latsec import (
     BudgetExceeded,
     Codebook,
     ConstructionALattice,
+    DimensionMismatch,
     JointBinSumDist,
     PointGrid,
     entropy_from_counts,
@@ -28,7 +29,6 @@ from latsec import (
     sum_structure,
 )
 from latsec import experiments, infotheory
-from latsec.errors import DimensionMismatch
 from latsec.lattices import on_grid
 from latsec.infotheory import row_ranks
 

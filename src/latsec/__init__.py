@@ -53,7 +53,6 @@ from .channel import (
     achievable_rate_weak,
     check_stage_conditions,
     classify_regime,
-    decode_layered,
     decode_very_strong_batch,
     decode_weak,
     dither_rows,

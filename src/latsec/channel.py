@@ -5,6 +5,10 @@ user's signal; the eavesdropper sees a scaled sum. Encoding is dithered
 modulo-lattice; decoding is regime specific: MMSE-scaled lattice decoding
 when interference is weak, interference-first successive decoding when it
 is very strong, and per-layer successive decoding for layered schemes.
+Successive decoding runs over prepared stages, one (own, interferer) pair
+of candidates per layer (_decode_stages): decode_very_strong_batch builds
+its one stage from exact or float rows, and the Monte Carlo runs build
+theirs once per run from float rows (_float_stages).
 
 Monte Carlo determinism: trials come in blocks of TRIAL_BLOCK. Block b
 holds trials b TRIAL_BLOCK to (b + 1) TRIAL_BLOCK - 1 and draws from the
@@ -223,6 +227,13 @@ def transmit(x1, x2, params: ChannelParams, noise):
     return y1, y2, z
 
 
+def _of_width(rows, n):
+    """rows, or DimensionMismatch when they are not a batch of width n."""
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise DimensionMismatch(f"expected rows of width {n}, got shape {rows.shape}")
+    return rows
+
+
 def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice) -> PointGrid:
     """MMSE-scale each row, subtract its dither, fold, then decode to the
     nearest fine point and fold again. Returns the codeword estimates as a
@@ -231,41 +242,57 @@ def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice)
     y is a float array of shape (rows, n) with float dithers, or a PointGrid
     with a PointGrid of dithers; a single dither row applies to every row.
     Exact rows are scaled by the exact rational value of the float MMSE
-    factor.
+    factor. Rows or dithers of another width, or a dither count other than
+    1 or the row count, raise DimensionMismatch.
     """
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
     if isinstance(y, PointGrid):
         scaled = PointGrid(Fraction(alpha) * y.unit, y.coords, _bound=y.peak)
         unit, (ay, u) = on_grid(scaled, dither)
-        v = PointGrid(unit, ay - u)
     else:
-        v = alpha * _float_rows(y) - _float_rows(np.atleast_2d(dither))
+        unit, ay, u = None, alpha * _float_rows(y), _float_rows(np.atleast_2d(dither))
+    _of_width(ay, lattice.n)
+    if len(_of_width(u, lattice.n)) not in (1, len(ay)):
+        raise DimensionMismatch(f"expected 1 or {len(ay)} dither rows, got {len(u)}")
+    v = ay - u if unit is None else PointGrid(unit, ay - u)
     fine = lattice.quantize_fine(lattice.mod_coarse(v))
     return lattice.mod_coarse(fine)
 
 
 def decode_very_strong_batch(received, codebook, params: ChannelParams):
-    """Interference-first decoding of many rows at once.
+    """Interference-first decoding of many rows at once: successive decoding
+    with one layer. Finds each row's interfering codeword at gain a, strips
+    it, then decodes the own codeword.
 
-    Finds each row's interfering codeword at gain a, strips it, then
-    decodes the own codeword; this is successive decoding with one layer.
-    Returns (own_indices, interferer_indices). Ties resolve to the lowest
-    message index. The very-strong regime test is the caller's; no stage
-    condition is checked here.
+    A PointGrid of rows is decoded exactly on one integer grid shared with
+    the codebook (see _exact_decode_grid); anything else is a float batch of
+    shape (rows, n), decided as _nearest documents. Returns (own_indices,
+    interferer_indices). Ties resolve to the lowest message index. Rows of
+    another width raise DimensionMismatch. The very-strong regime test is
+    the caller's; no stage condition is checked here.
     """
-    own, intf = _successive_decode(received, [codebook], params.cross_gain)
-    return own[0], intf[0]
+    gain = params.cross_gain
+    if isinstance(received, PointGrid):
+        _of_width(received.coords, codebook.n)
+        y, own, intf = _exact_decode_grid(received, codebook, Fraction(gain))
+        stages = [(_Candidates(own, exact=True), _Candidates(intf, exact=True))]
+    else:
+        y = _of_width(_float_rows(received), codebook.n)
+        stages = _float_stages([codebook], gain)
+    (own,), (intf,) = _decode_stages(y, stages)
+    return own, intf
 
 
-def _exact_decode_grid(received, codebooks, gain: Fraction):
-    """Put received rows and every layer's codebook on one integer grid.
+def _exact_decode_grid(received, codebook, gain: Fraction):
+    """Put received rows and a codebook on one integer grid.
 
-    Returns (y_grid, [(own_grid, intf_grid), ...]), integer arrays over the
-    common unit divided by gain.denominator: float64 when the bound
-    n (2 reach)^2 below is under 2^53, int64 otherwise. Raises
-    BudgetExceeded when a decoding distance could overflow int64.
+    Returns (y, own, intf): the rows, the codewords and gain times the
+    codewords, integer arrays over the common unit divided by
+    gain.denominator: float64 when the bound n (2 reach)^2 below is under
+    2^53, int64 otherwise. Raises BudgetExceeded when a decoding distance
+    could overflow int64.
 
-    Every residual a stage meets and every candidate point lies within
+    Every residual decoding meets and every candidate point lies within
     reach of the origin in each coordinate, so ||r - c||^2 <= n (2 reach)^2,
     and the expanded terms _nearest ranks by, ||c||^2 and 2 |r.c|, add up
     to at most 3 n reach^2: the one guard n (2 reach)^2 < 2^62 covers both.
@@ -278,25 +305,26 @@ def _exact_decode_grid(received, codebooks, gain: Fraction):
     may overestimate; where it reaches 2^53, scans of the on-grid arrays
     decide the dtype and the guard, so both are as a scan makes them.
     """
-    _, (y_int, *layers), peaks = _on_grid((received, *codebooks))
+    _, (y_int, c), peaks = _on_grid((received, codebook))
     anum, aden = gain.numerator, gain.denominator
 
-    def reach_and_bound(peaks):
-        peak = [max(b, 1) for b in peaks]
-        reach = peak[0] * aden + 2 * (abs(anum) + aden) * sum(peak[1:])
+    def reach_and_bound(peak_y, peak_c):
+        reach = max(peak_y, 1) * aden + 2 * (abs(anum) + aden) * max(peak_c, 1)
         return reach, y_int.shape[1] * (2 * reach) ** 2
 
-    reach, bound = reach_and_bound(peaks)
+    reach, bound = reach_and_bound(*peaks)
     if bound >= 2**53:
-        reach, bound = reach_and_bound([_peak(a) for a in (y_int, *layers)])
+        reach, bound = reach_and_bound(_peak(y_int), _peak(c))
     if bound >= 2**62:
         raise BudgetExceeded(
             f"exact decoding distances reach {reach} grid steps; int64 overflows"
         )
     dtype = np.float64 if bound < 2**53 else np.int64
-    return np.asarray(y_int * aden, dtype), [
-        (np.asarray(c * aden, dtype), np.asarray(c * anum, dtype)) for c in layers
-    ]
+    return (
+        np.asarray(y_int * aden, dtype),
+        np.asarray(c * aden, dtype),
+        np.asarray(c * anum, dtype),
+    )
 
 
 # Entries of the (rows, points) score matrix that _nearest forms at once: it
@@ -341,8 +369,8 @@ class _Candidates:
 
 
 def _nearest(rows, points):
-    """Index of the nearest candidate point to each row; ties go to the
-    lowest. points is a _Candidates, or an array of points to prepare.
+    """Index of the nearest of one stage's candidate points, a _Candidates,
+    to each row; ties go to the lowest.
 
     Rows rank the points by the score s = ||p||^2 - 2 r.p, which differs
     from D = ||r - p||^2 by ||r||^2, the same for every point: the order
@@ -384,8 +412,6 @@ def _nearest(rows, points):
     such as one whose scores overflow, takes the float distance in
     _nearest_by_distance; no overflow here raises a warning.
     """
-    if not isinstance(points, _Candidates):
-        points = _Candidates(points)
     best = np.empty(len(rows), dtype=np.intp)
     step = max(1, _SCORE_LIMIT // len(points.pts))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -437,24 +463,6 @@ def _float_stages(codebooks, gain):
     a = float(gain)
     floats = (cb.float_matrix() for cb in codebooks)
     return [(_Candidates(pts), _Candidates(a * pts)) for pts in floats]
-
-
-def _successive_decode(received, codebooks, gain):
-    """Per-layer successive decoding, interference first inside each stage.
-
-    A PointGrid of rows is decoded exactly on one integer grid shared with
-    the codebooks (see _exact_decode_grid); anything else is a float batch
-    of shape (rows, n), decided as _nearest documents. Returns (own_indices,
-    interferer_indices), one array per layer.
-    """
-    if isinstance(received, PointGrid):
-        resid, layers = _exact_decode_grid(received, codebooks, Fraction(gain))
-        stages = [
-            (_Candidates(own, exact=True), _Candidates(intf, exact=True))
-            for own, intf in layers
-        ]
-        return _decode_stages(resid, stages)
-    return _decode_stages(_float_rows(received), _float_stages(codebooks, gain))
 
 
 def _decode_stages(resid, stages):
@@ -518,13 +526,3 @@ def check_stage_conditions(powers, cross_gain: float, noise_var: float = 1.0):
                 f"{w['required']:.6g}",
             )
     return witnesses
-
-
-def decode_layered(y, layered, params: ChannelParams):
-    """Successive decoding of a batch of rows across layers, after checking
-    every stage condition. A PointGrid of rows is decoded in exact
-    arithmetic. Returns (own_indices, interferer_indices) as per-layer
-    tuples of arrays.
-    """
-    check_stage_conditions(layered.powers, params.cross_gain, params.noise_var)
-    return _successive_decode(y, layered.layers, params.cross_gain)

@@ -38,12 +38,8 @@ class Codebook(PointGrid):
         self.n = lattice.n
 
     @property
-    def size_log2(self) -> float:
-        return math.log2(len(self))
-
-    @property
     def rate_per_dim(self) -> float:
-        return self.size_log2 / self.n
+        return math.log2(len(self)) / self.n
 
     @property
     def average_power(self) -> Fraction:

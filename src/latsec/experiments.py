@@ -681,9 +681,10 @@ def noiseless_loopback(codebook: Codebook):
     The weak scheme runs at zero cross gain (its effective noise contains
     the interference term, so exactness requires a = 0); the successive
     schemes run at an engineered very-strong integer gain. The rows are
-    decoded once: decode_layered on the one-layer codebook at power inf
-    makes the same decode, so layered_ok is that decode plus the stage
-    conditions for [inf] at zero noise.
+    decoded once, by decode_very_strong_batch: layered decoding of the
+    one-layer codebook at power inf is the same successive decode, so
+    layered_ok is that decode plus the stage conditions for [inf] at zero
+    noise.
     """
     lat = codebook.lattice
     size = len(codebook)

@@ -27,8 +27,9 @@ left as z_i or moved by -+p: one carry bit per coordinate. The key
 z * 2^n + bits names the sum, so np.bincount over the |C| * 2^n keys finds
 the distinct sums (|C + C| <= 2^n |C|, the sum-set lemma) and their pair
 counts, and only those sums are ordered, by one argsort of their additive
-key; past 8 |C|^2 + 1024 carry keys the pairs are sorted instead. The keys
-are formed in place in the narrowest unsigned dtype that holds them.
+key; past 8 |C|^2 + 1024 carry keys, or where the additive key space passes
+int64, the pairs are sorted instead. The keys are formed in place in the
+narrowest unsigned dtype that holds them.
 
 Any other pair sums are sorted: rows are ranked on one int64 key per row
 that sorts like the row itself (row_ranks): each column, shifted by its
@@ -196,7 +197,8 @@ def sum_structure(a, b, budget=10**6) -> SumStructure:
     key = _SumKey(ga, gb)
     if _countable(key.space, pairs, 2):
         return _dense_structure(unit, ga, gb, key)
-    if a is b and isinstance(a, Codebook) and _countable(len(a) << a.n, pairs, 8):
+    carry = a is b and isinstance(a, Codebook) and key.space <= _KEY_LIMIT
+    if carry and _countable(len(a) << a.n, pairs, 8):
         return _carry_structure(a, key)
     return _sorted_structure(unit, ga, gb)
 
@@ -245,7 +247,7 @@ def _carry_structure(cb, key) -> SumStructure:
     below |C| * 2^n, so the keys and the key-to-rank table are narrow, and
     the keys' bincount is also each sum's pair count. The distinct sums,
     one per occupied key, are ordered by one argsort of their additive
-    key (row_ranks where that passes int64)."""
+    key, which needs key.space within int64."""
     p, n, x = cb.lattice.p, cb.n, cb.coords
     space = len(cb) << n
     key_type = np.min_scalar_type(space - 1)
@@ -273,8 +275,8 @@ def _carry_structure(cb, key) -> SumStructure:
     move = np.where(rows >= 0, -p, p)
     move *= (occupied[:, None] >> np.arange(n)) & 1
     rows += move
-    # the rows are distinct, so either key orders them with no ties
-    order = np.argsort(key.of(rows, key.lo) if key.space <= _KEY_LIMIT else row_ranks(rows))
+    # the rows are distinct, so their keys order them with no ties
+    order = np.argsort(key.of(rows, key.lo))
     table = np.empty(space, dtype=np.min_scalar_type(len(rows) - 1))
     table[occupied[order]] = np.arange(len(rows))
     return SumStructure(cb.unit, rows[order], table[keys], _counts=per_key[order])

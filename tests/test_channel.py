@@ -23,7 +23,6 @@ from latsec import (
     build_layered,
     check_stage_conditions,
     classify_regime,
-    decode_layered,
     decode_very_strong_batch,
     decode_weak,
     dither_rows,
@@ -36,7 +35,14 @@ from latsec import (
     transmit,
 )
 from latsec import channel, lattices
-from latsec.channel import TRIAL_BLOCK, _nearest, _trial_blocks
+from latsec.channel import (
+    TRIAL_BLOCK,
+    _Candidates,
+    _decode_stages,
+    _float_stages,
+    _nearest,
+    _trial_blocks,
+)
 from latsec.experiments import layered_reliability, noiseless_loopback, very_strong_reliability
 
 import oracles
@@ -494,6 +500,17 @@ class TestWeakDecoder:
         decode_weak(grid(ys), grid(us), params, cb.lattice)
         assert seen == [np.dtype(object), np.dtype(object), np.dtype(np.int64)]
 
+    def test_dithers_of_another_count_or_width_rejected(self):
+        # numpy's broadcasting raised ValueError for 3 dithers on 2 rows;
+        # one dither of width 1 broadcast silently across both columns
+        lat = codebook(3, ((1, 0), (0, 1))).lattice
+        rows = PointGrid(Fraction(1, 6), [[1, 2], [3, -1]])
+        for dither in ([[0, 0]] * 3, [[0]], [[0, 0, 0]]):
+            exact = PointGrid(Fraction(1, 7), dither)
+            for y, u in ((rows, exact), (rows.float_matrix(), exact.float_matrix())):
+                with pytest.raises(DimensionMismatch):
+                    decode_weak(y, u, UNIT_ALPHA, lat)
+
     def test_reliability_improves_with_repetition_length(self):
         sigma = 0.2
         trials = 600
@@ -547,9 +564,9 @@ class TestVeryStrongDecoder:
         rows = np.array([[0.0, 0.0], [bad, 1.0]])
         with pytest.raises(ValidationError):
             decode_very_strong_batch(rows, cb, params)
-        layered = LayeredCodebook(cb.lattice, [cb], [1.0])
+        # the layered Monte Carlo decodes its rows over the same stages
         with pytest.raises(ValidationError):
-            decode_layered(rows, layered, params)
+            _decode_stages(rows, _float_stages([cb], params.cross_gain))
 
     def test_exact_rows_past_int64_bound_raise(self):
         # A coordinate with a huge prime denominator makes the shared grid
@@ -560,12 +577,14 @@ class TestVeryStrongDecoder:
         rows = grid([(Fraction(0) + tiny,), (Fraction(-5, 2) + tiny,)])
         with pytest.raises(BudgetExceeded):
             decode_very_strong_batch(rows, cb, params)
-        layered = LayeredCodebook(cb.lattice, [cb], [1.0])
-        with pytest.raises(BudgetExceeded):
-            decode_layered(rows, layered, params)
         grid_rows = grid([(Fraction(0),), (Fraction(-5, 2),)])
         own_g, intf_g = decode_very_strong_batch(grid_rows, cb, params)
         assert own_g.tolist() == [0, 1] and intf_g.tolist() == [0, 1]
+
+
+def nearest(rows, pts):
+    """_nearest over pts prepared as one stage's candidates."""
+    return _nearest(rows, _Candidates(pts))
 
 
 def nearest_brute(rows, pts):
@@ -606,7 +625,7 @@ class TestExactNearest:
     def test_expanded_argmin_matches_python_ints(self, drawn):
         rows, pts = drawn
         r, p = np.array(rows, dtype=np.int64), np.array(pts, dtype=np.int64)
-        got = _nearest(r, p)
+        got = nearest(r, p)
         assert got.tolist() == nearest_brute(rows, pts)
 
     @settings(max_examples=40)
@@ -684,7 +703,7 @@ class TestExactNearest:
         exact = channel._Candidates(p.astype(np.float64), exact=True)
         assert exact.bound is None
         got = _nearest(r.astype(np.float64), exact)
-        assert got.tolist() == _nearest(r, p).tolist() == nearest_brute(rows, pts)
+        assert got.tolist() == nearest(r, p).tolist() == nearest_brute(rows, pts)
 
 
 class TestExactDecodeGridBound:
@@ -717,9 +736,9 @@ class TestExactDecodeGridBound:
                 choices.append(want)
                 if want is None:
                     with pytest.raises(BudgetExceeded):
-                        channel._exact_decode_grid(rows, [cb], gain)
+                        channel._exact_decode_grid(rows, cb, gain)
                     continue
-                y, [(own, intf)] = channel._exact_decode_grid(rows, [cb], gain)
+                y, own, intf = channel._exact_decode_grid(rows, cb, gain)
                 assert y.dtype == own.dtype == intf.dtype == want
         assert choices == [np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.int64), None]
 
@@ -730,7 +749,7 @@ class TestExactDecodeGridBound:
         cb = codebook(3, ((1,), (1,)))
         rows = PointGrid(cb.unit, [[1, -1], [0, 1]], _bound=bound)
         assert self.scanned_choice(rows, cb, Fraction(2)) == np.float64
-        y, [(own, intf)] = channel._exact_decode_grid(rows, [cb], Fraction(2))
+        y, own, intf = channel._exact_decode_grid(rows, cb, Fraction(2))
         assert y.dtype == own.dtype == intf.dtype == np.float64
         assert y.tolist() == [[1, -1], [0, 1]] and intf.tolist() == (2 * cb.coords).tolist()
 
@@ -786,7 +805,7 @@ class TestFloatNearest:
         rows[:8] = (pts[:8] + pts[1:]) / 2  # midpoints of two codewords: ties
         whole = ((rows[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
         monkeypatch.setattr(lattices, "_GATHER_LIMIT", rows_per_chunk * pts.size)
-        assert np.array_equal(_nearest(rows, pts), whole)
+        assert np.array_equal(nearest(rows, pts), whole)
 
     def test_chunked_decoding_matches_the_default_limit(self, monkeypatch):
         cb = codebook(3, ((1, 0), (0, 1)))
@@ -807,7 +826,7 @@ class TestFloatNearest:
         whole = float_distance_argmin(rows, pts)
         want = decode_very_strong_batch(rows, cb, params)
         monkeypatch.setattr(channel, "_SCORE_LIMIT", rows_per_chunk * len(pts))
-        assert np.array_equal(_nearest(rows, pts), whole)
+        assert np.array_equal(nearest(rows, pts), whole)
         got = decode_very_strong_batch(rows, cb, params)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -896,7 +915,7 @@ class TestCertifiedNearest:
     def test_matches_the_float_distance(self, drawn):
         # warnings are errors in this suite: scores that overflow must not warn
         rows, pts = drawn
-        assert np.array_equal(_nearest(rows, pts), float_distance_argmin(rows, pts))
+        assert np.array_equal(nearest(rows, pts), float_distance_argmin(rows, pts))
 
     def test_rows_near_ties_take_the_float_distance(self, monkeypatch):
         cb = codebook(3, ((1, 0), (0, 1), (1, 1)), Fraction(5, 3))
@@ -927,7 +946,7 @@ class TestCertifiedNearest:
         for stage_pts, ties in ((pts, near), (a * pts, a * near)):
             rows = np.concatenate([ties, clean])
             del seen[:]
-            got = _nearest(rows, stage_pts)
+            got = nearest(rows, stage_pts)
             assert np.array_equal(got, float_distance_argmin(rows, stage_pts))
             assert row_set(np.concatenate([r for r, _ in seen])) == row_set(ties)
         # decoding: the interferer stage leaves its ties to the float distance
@@ -951,7 +970,7 @@ class TestCertifiedNearest:
                     rows.append([0.5 + side * ratio * bound / 2, r2])
         rows = np.array(rows)
         seen = record_distance_rows(monkeypatch)
-        got = _nearest(rows, pts)
+        got = nearest(rows, pts)
         fell_back = row_set(np.concatenate([part for part, _ in seen]))
         for row, index in zip(rows.tolist(), got.tolist()):
             ratio = abs(1 - 2 * Fraction(row[0])) / Fraction(stated_bound(row, pts))
@@ -1033,6 +1052,9 @@ class TestStageConditions:
 
 
 class TestLayeredDecoder:
+    """Layered rows are decoded by the Monte Carlo runs over prepared float
+    stages; with one layer that is the interference-first decoder."""
+
     def _single_layer(self):
         cb = codebook(3, ((1, 0), (0, 1)))
         return LayeredCodebook(cb.lattice, [cb], [float(cb.average_power)]), cb
@@ -1042,45 +1064,15 @@ class TestLayeredDecoder:
         params = ChannelParams(cross_gain=4.0, power=1.0)
         rng = np.random.default_rng(3)
         rows = rng.normal(scale=2.0, size=(12, 2))
-        own_l, intf_l = decode_layered(rows, layered, params)
+        own_l, intf_l = _decode_stages(rows, _float_stages(layered.layers, params.cross_gain))
         own_s, intf_s = decode_very_strong_batch(rows, cb, params)
         assert np.array_equal(own_l[0], own_s)
         assert np.array_equal(intf_l[0], intf_s)
 
     def test_single_vector_rejected(self):
-        layered, cb = self._single_layer()
+        _, cb = self._single_layer()
         params = ChannelParams(cross_gain=4.0, power=1.0)
-        y = tuple(a + 4 * b for a, b in zip(cb.points[5], cb.points[2]))
-        for decode, book in ((decode_layered, layered), (decode_very_strong_batch, cb)):
+        y = cb.coords[5] + 4 * cb.coords[2]
+        for rows in (PointGrid(cb.unit, y), PointGrid(cb.unit, y).float_matrix()):
             with pytest.raises(DimensionMismatch):
-                decode(np.array([float(v) for v in y]), book, params)
-
-    def test_two_layer_float_and_exact_paths_agree(self):
-        coarse = codebook(2, ((1, 0), (0, 1)), scale=2)
-        fine = codebook(2, ((1, 0), (0, 1)), scale=1)
-        layered = LayeredCodebook(
-            fine.lattice,
-            [fine, coarse],
-            [float(fine.average_power), float(coarse.average_power)],
-        )
-        params = ChannelParams(cross_gain=4.0, power=1.0, noise_var=1.0)
-        exact_rows = [
-            (Fraction(1, 4), Fraction(-3, 4)),
-            (Fraction(-9, 8), Fraction(7, 8)),
-            (Fraction(0), Fraction(2)),
-            (Fraction(-2), Fraction(1, 8)),
-        ]
-        own_e, intf_e = decode_layered(grid(exact_rows), layered, params)
-        float_rows = np.array([[float(v) for v in r] for r in exact_rows])
-        own_f, intf_f = decode_layered(float_rows, layered, params)
-        for le, lf in zip(own_e, own_f):
-            assert np.array_equal(le, lf)
-        for le, lf in zip(intf_e, intf_f):
-            assert np.array_equal(le, lf)
-
-    def test_decoding_checks_stage_conditions(self):
-        cb = codebook(2, ((1,),))
-        layered = LayeredCodebook(cb.lattice, [cb, cb], [0.1, 10.0])
-        params = ChannelParams(cross_gain=1.2, power=1.0, noise_var=0.1)
-        with pytest.raises(StageConditionViolated):
-            decode_layered(np.zeros((2, 1)), layered, params)
+                decode_very_strong_batch(rows, cb, params)

@@ -19,7 +19,6 @@ from latsec import (
     StageConditionViolated,
     ValidationError,
     build_layered,
-    decode_layered,
     decode_very_strong_batch,
     decode_weak,
     engineered_gain,
@@ -43,7 +42,7 @@ from latsec import (
     weak_reliability,
 )
 from latsec import channel, experiments, infotheory
-from latsec.channel import TRIAL_BLOCK, _trial_blocks
+from latsec.channel import TRIAL_BLOCK, _decode_stages, _float_stages, _trial_blocks
 
 import oracles
 from exact_rows import record_row_dtypes
@@ -552,8 +551,9 @@ class TestReliabilityRuns:
         )
         params = ChannelParams(cross_gain=6.0, power=sum(layered.powers), noise_var=0.3)
         trials = TRIAL_BLOCK + 37
+        stages = _float_stages(layered.layers, params.cross_gain)
         own, _, errors = self.per_trial_successive(
-            layered.layers, params, trials, 31, lambda y: decode_layered(y, layered, params)
+            layered.layers, params, trials, 31, lambda y: _decode_stages(y, stages)
         )
         assert all(e > 0 for e in own) and errors > max(own)
         assert layered_reliability(layered, params, trials, 31) == {
@@ -675,13 +675,13 @@ class TestNoiselessLoopback:
 
     def test_rows_are_decoded_once(self, monkeypatch):
         calls = []
-        decode = channel._successive_decode
+        decode = channel._decode_stages
 
-        def counted(received, codebooks, gain):
-            calls.append(len(codebooks))
-            return decode(received, codebooks, gain)
+        def counted(resid, stages):
+            calls.append(len(stages))
+            return decode(resid, stages)
 
-        monkeypatch.setattr(channel, "_successive_decode", counted)
+        monkeypatch.setattr(channel, "_decode_stages", counted)
         assert noiseless_loopback(square_codebook())["all_ok"]
         assert calls == [1]
 

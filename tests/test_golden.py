@@ -61,10 +61,18 @@ def test_report_matches_golden(name, fmt, tmp_path):
     assert data == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["pipeline", "theorem1"])
+# cases rendered again in new interpreters: the Monte Carlo draws, float
+# rows decided in float64 at the non-dyadic scale 2/3 (pipeline_n5), the
+# grid kinds' reused builds and SumStructures (theorem1, lemmas), and
+# successive decoding of float rows, layered across a trial block boundary
+# and very strong
+FRESH_CASES = ["pipeline", "theorem1", "pipeline_n5", "lemmas", "layered_2100", "pipeline_strong"]
+
+
+@pytest.mark.parametrize("name", FRESH_CASES)
 def test_fresh_processes_render_the_golden_bytes(name):
-    # one Monte Carlo and one exact case, each in two new interpreters with
-    # different hash seeds; stdout is compared as it is
+    # each case in two new interpreters with different hash seeds; stdout is
+    # compared as it is
     package_root = str(pathlib.Path(latsec.__file__).resolve().parents[1])
     argv = [sys.executable, "-m", "latsec", *_argv(CASES[name]),
             "--config", str(GOLDEN / f"{name}.cfg")]

@@ -458,9 +458,11 @@ def sum_key_space(a, b):
 def expected_path(a, b):
     """The path sum_structure must take, by its rule on the key spaces."""
     pairs = len(a) * len(b)
-    if sum_key_space(a, b) <= 2 * pairs + 1024:
+    space = sum_key_space(a, b)
+    if space <= 2 * pairs + 1024:
         return "dense"
-    if a is b and isinstance(a, Codebook) and len(a) << a.n <= 8 * pairs + 1024:
+    carry = a is b and isinstance(a, Codebook) and space < 2**63
+    if carry and len(a) << a.n <= 8 * pairs + 1024:
         return "carry"
     return "sorted"
 
@@ -575,12 +577,14 @@ class TestCarryPath:
 
     def test_carry_path_past_int64_keys_ranks_by_rows(self, path_calls):
         # p = 127, k = 1, n = 10: 2^10 carry bits per codeword are within
-        # 8 |C| + 1024 / |C|, and the additive space (about 253^10) passes
-        # 2^63, so the carry path ranks its sums with row_ranks
+        # 8 |C| + 1024 / |C|, but the additive space (about 253^10) passes
+        # 2^63, where the carry path could not order its sums by an int64
+        # key: the sort path ranks the pair sums with row_ranks
         cb = seeded_codebook(127, 1, 10)
         assert sum_key_space(cb, cb) > 2**63
+        assert len(cb) << cb.n <= 8 * len(cb) ** 2 + 1024
         s = sum_structure(cb, cb, 10**6)
-        assert path_calls == ["carry"]
+        assert path_calls == ["sorted"] == [expected_path(cb, cb)]
         assert_same_structure(s, general_structure(cb))
 
     def test_mutual_info_is_the_carry_entropy_given_the_codeword(self):

@@ -13,14 +13,12 @@ from latsec import (
     ChannelParams,
     ConstructionALattice,
     DimensionMismatch,
-    LayeredCodebook,
     NonPositiveScale,
     NotPrime,
     NotUnimodular,
     PointGrid,
     RankDeficientG,
     ValidationError,
-    decode_layered,
     decode_very_strong_batch,
     decode_weak,
     enumerate_codebook,
@@ -946,7 +944,6 @@ def _guarded_calls():
     """name -> call(rows): every entry point that takes exact rows."""
     cb = enumerate_codebook(ConstructionALattice(3, ((1,), (2,)), None, 1))
     lat = cb.lattice
-    layered = LayeredCodebook(lat, [cb], [math.inf])
     quiet = ChannelParams(cross_gain=0.0, power=1.0, noise_var=0.0)
     strong = ChannelParams(cross_gain=4.0, power=1.0, noise_var=0.0)
     return {
@@ -956,7 +953,6 @@ def _guarded_calls():
             rows, PointGrid(1, [[0, 0]]) if isinstance(rows, PointGrid) else np.zeros(2), quiet, lat
         ),
         "decode_very_strong_batch": lambda rows: decode_very_strong_batch(rows, cb, strong),
-        "decode_layered": lambda rows: decode_layered(rows, layered, strong),
         "sum_structure": lambda rows: sum_structure(rows, cb),
     }
 
@@ -970,6 +966,17 @@ class TestExactRowsArePointGrids:
         with pytest.raises(TypeError, match="PointGrid"):
             call(rows)
         call(grid(rows))
+
+    @pytest.mark.parametrize("name", list(_guarded_calls()))
+    def test_rows_of_another_width_rejected(self, name):
+        # rows of width 3 for a width-2 lattice: the decoders raised numpy's
+        # ValueError from matmul or broadcasting
+        call = _guarded_calls()[name]
+        rows = PointGrid(1, [[0, 0, 0]])
+        # sum_structure takes exact point sets only
+        for bad in (rows,) if name == "sum_structure" else (rows, rows.float_matrix()):
+            with pytest.raises(DimensionMismatch):
+                call(bad)
 
 
 class TestInt64Magnitudes:
@@ -989,7 +996,7 @@ class TestInt64Magnitudes:
         assert folded.coords.tolist() == [[0], [-1]]
         assert seen == [np.dtype(object)]
 
-    @pytest.mark.parametrize("call", ["decode_very_strong_batch", "decode_layered"])
+    @pytest.mark.parametrize("call", ["decode_very_strong_batch"])
     def test_exact_decoders_reject_int64_minimum(self, call):
         with pytest.raises(BudgetExceeded):
             _guarded_calls()[call](PointGrid(Fraction(1, 3), [[0, -(2**63)]]))

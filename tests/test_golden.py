@@ -23,6 +23,8 @@ CASES = {
     "theorem1": "theorem1",
     "layered": "layered",
     "baseline": "baseline",
+    # dim 5: the random side's sum key space passes 2^63
+    "baseline_wide": "baseline",
     "pipeline": "pipeline",
     # very-strong regime: both argmins of the interference-first decoder decide
     "pipeline_strong": "pipeline",

@@ -9,34 +9,37 @@ raises TypeError; a set whose coordinates reach GRID_LIMIT = 2^62 on the
 common grid raises BudgetExceeded. Exact sum points are built only when a
 caller asks for them.
 
-Pair sums are ranked by one additive key. Column j of the sums spans
-max_a + max_b - min_a - min_b + 1 values, and the mixed-radix key with
-column 0 most significant orders sums lexicographically; being linear, it
-is key_a(x) + key_b(y), each side offset by its own column minima. Where
-that key space, a Python int, is at most 2 |A||B| + 1024, all pair keys
-are one np.add.outer of the two sides' keys, in the narrowest unsigned
-dtype below the space, and one np.bincount counts every sum: the occupied
-keys, ascending, are the distinct sums in lexicographic order, so ranks
-come with no sort and each sum's coordinates are its key's digits.
+Pair sums are counted by one of three builds, and each gives the same
+SumStructure: the distinct sums in lexicographic order, each pair's rank
+among them and each sum's pair count.
 
-A Codebook summed with itself whose key space is sparser than that (p = 7,
-k = 3, n = 6 spans 13^6 keys for 7^6 pairs) skips the sort over its |C|^2
-pair sums another way. C is a group under digit-wise message addition mod
-p, so x + y is the codeword z of the summed messages with each coordinate
-left as z_i or moved by -+p: one carry bit per coordinate. The key
-z * 2^n + bits names the sum, so np.bincount over the |C| * 2^n keys finds
-the distinct sums (|C + C| <= 2^n |C|, the sum-set lemma) and their pair
-counts, and only those sums are ordered, by one argsort of their additive
-key; past 8 |C|^2 + 1024 carry keys, or where the additive key space passes
-int64, the pairs are sorted instead. The keys are formed in place in the
-narrowest unsigned dtype that holds them.
+The keyed build serves every key space within int64. Column j of the sums
+spans max_a + max_b - min_a - min_b + 1 values, and the mixed-radix key
+with column 0 most significant orders sums lexicographically; being
+linear, it is key_a(x) + key_b(y), each side offset by its own column
+minima, so all pair keys are one np.add.outer of the two sides' keys.
+Where that key space, a Python int, is at most 2 |A||B| + 1024, the keys
+take the narrowest unsigned dtype below the space and one np.bincount
+counts every sum; over any larger space within int64 one np.unique of the
+int64 keys counts them. Either way the occupied keys come out ascending,
+so they are the distinct sums in lexicographic order, and each sum's
+coordinates are its key's digits.
 
-Any other pair sums are sorted: rows are ranked on one int64 key per row
-that sorts like the row itself (row_ranks): each column, shifted by its
-minimum, is one mixed-radix digit, so a 1-D np.unique ranks the distinct
-rows in row order. Where the product of the digit spans would pass 2^63,
-the key so far (and, if it alone is that wide, the column) is replaced by
-its rank among its distinct values, which keeps the order.
+The carry build serves a Codebook summed with itself whose key space is
+sparser than that (p = 7, k = 3, n = 6 spans 13^6 keys for 7^6 pairs). C
+is a group under digit-wise message addition mod p, so x + y is the
+codeword z of the summed messages with each coordinate left as z_i or
+moved by -+p: one carry bit per coordinate. The key z * 2^n + bits names
+the sum, so np.bincount over the |C| * 2^n keys finds the distinct sums
+(|C + C| <= 2^n |C|, the sum-set lemma) and their pair counts, and only
+those sums are ordered, by one argsort of their additive key. Past
+8 |C|^2 + 1024 carry keys the keyed build sorts the pair keys instead.
+The keys are formed in place in the narrowest unsigned dtype that holds
+them.
+
+The row build serves key spaces past 2^63, such as random baseline points
+at dim 5 (7093^5 keys) or p = 127, k = 1, n = 10: one
+np.unique(axis=0) ranks and counts the |A||B| sum rows themselves.
 
 The pair table SumStructure.ids is stored in the narrowest unsigned dtype
 that holds num_sums - 1: 2 bytes per pair on the standard grid, where
@@ -64,89 +67,60 @@ from functools import cached_property
 import numpy as np
 
 from .codebooks import Codebook
-from .errors import BudgetExceeded, DimensionMismatch, EmptyCodebook
+from .errors import BudgetExceeded, DimensionMismatch, EmptyCodebook, ValidationError
 from .lattices import PointGrid, on_grid
 
 
 class SumStructure(PointGrid):
     """Pairwise-sum bookkeeping for two point sets.
 
-    The distinct sums are unit * coords[s], rows in lexicographic order,
-    and ids[i, j] is the row of a_i + b_j, in the narrowest unsigned dtype
-    that holds num_sums - 1. Whichever path builds it, the result is the
-    same: the occupied additive sum keys, counted by one bincount, where
-    their space is small; a Codebook summed with itself by its
-    codeword-and-carry keys; any other sums ranked by row_ranks on
-    order-preserving int64 row keys. As a PointGrid the structure is the
+    The distinct sums are unit * coords[s], rows in lexicographic order;
+    ids[i, j] is the row of a_i + b_j, in the narrowest unsigned dtype that
+    holds num_sums - 1, and counts[s] the number of pairs that give sum s.
+    Whichever build makes it (the keyed, carry or row build: see the module
+    docstring), the result is the same, and the build hands over the
+    counts it counted the sums with. As a PointGrid the structure is the
     sum set itself, so sums of sums chain without leaving int64. Building
     it once lets callers derive counts for many binnings cheaply: the pair
-    counts and the sum entropy H(S) are each formed once, the counts from
-    the build's bincount where it made one.
+    counts and the sum entropy H(S) are each formed once.
     """
 
-    def __init__(self, unit, coords, ids, *, _counts=None):
+    def __init__(self, unit, coords, ids, counts):
         super().__init__(unit, coords)
         self.num_sums = len(self.coords)
         self.ids = np.asarray(ids).astype(np.min_scalar_type(self.num_sums - 1), copy=False)
-        self._counts = _counts
-        if _counts is not None:
-            _counts.flags.writeable = False
+        self._counts = counts
+        counts.flags.writeable = False
 
     def counts(self) -> np.ndarray:
-        """How many pairs give each sum, read-only: from the build's key
-        bincount when it made one, else counted on the first call, since
-        every binning of a reused structure asks for it."""
-        if self._counts is None:
-            counts = np.bincount(self.ids.ravel(), minlength=self.num_sums)
-            self._counts = counts.astype(np.int64, copy=False)
-            self._counts.flags.writeable = False
+        """How many pairs give each sum, as the build counted them, read-only."""
         return self._counts
 
     @cached_property
     def entropy_bits(self) -> float:
         """H(S) in bits for S the sum of a uniform pair: formed on the first
         read, then shared by the lemma report and every binning."""
-        return entropy_from_counts(self.counts(), self.ids.size)
+        return entropy_from_counts(self._counts, self.ids.size)
 
     def weighted_counts(self, counts_a, counts_b) -> np.ndarray:
-        """Multiplicity of each sum when a_i carries counts_a[i] and b_j counts_b[j]."""
+        """Multiplicity of each sum when a_i carries counts_a[i] and b_j
+        counts_b[j]. Weights of another shape than (len a,) and (len b,)
+        raise DimensionMismatch, and a negative weight ValidationError."""
         ca = np.asarray(counts_a, dtype=np.int64)
         cb = np.asarray(counts_b, dtype=np.int64)
+        if (ca.shape, cb.shape) != ((len(self.ids),), self.ids.shape[1:]):
+            raise DimensionMismatch(
+                f"weights of shapes {ca.shape} and {cb.shape} for a {self.ids.shape} pair table"
+            )
+        if ca.min() < 0 or cb.min() < 0:
+            raise ValidationError("counts", "pair weights must be non-negative")
         acc = np.zeros(self.num_sums, dtype=np.int64)
         np.add.at(acc, self.ids, ca[:, None] * cb[None, :])
         return acc
 
 
 _KEY_LIMIT = (1 << 63) - 1
-"""Largest int64: key_span * span stays at or below it, so every key fits."""
-
-
-def _ranks(values):
-    """Rank of each value among the distinct values, and their count."""
-    distinct, rank = np.unique(values, return_inverse=True)
-    return rank, len(distinct)
-
-
-def row_ranks(rows):
-    """Rank of each row of a 2-D int64 array among its distinct rows in
-    lexicographic order. Each row is keyed by one int64 whose order is the
-    row order: per column, key = key * span + (col - col.min()), with keys
-    in [0, key_span).
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    key, key_span = np.zeros(len(rows), dtype=np.int64), 1
-    for col in rows.T:
-        lo = int(col.min())
-        span = int(col.max()) - lo + 1
-        if key_span * span > _KEY_LIMIT:
-            key, key_span = _ranks(key)
-        if key_span * span > _KEY_LIMIT:
-            col, span = _ranks(col)
-        else:
-            col = col - lo
-        key = key * span + col
-        key_span *= span
-    return _ranks(key)[0]
+"""Largest int64: a key space of at most this many keys fits int64 keys."""
 
 
 def check_pair_budget(size_a, size_b, budget) -> None:
@@ -195,12 +169,13 @@ def sum_structure(a, b, budget=10**6) -> SumStructure:
     check_pair_budget(len(ga), len(gb), budget)
     pairs = len(ga) * len(gb)
     key = _SumKey(ga, gb)
+    if key.space > _KEY_LIMIT:
+        return _row_structure(unit, ga, gb)
     if _countable(key.space, pairs, 2):
-        return _dense_structure(unit, ga, gb, key)
-    carry = a is b and isinstance(a, Codebook) and key.space <= _KEY_LIMIT
-    if carry and _countable(len(a) << a.n, pairs, 8):
+        return _keyed_structure(unit, ga, gb, key, True)
+    if a is b and isinstance(a, Codebook) and _countable(len(a) << a.n, pairs, 8):
         return _carry_structure(a, key)
-    return _sorted_structure(unit, ga, gb)
+    return _keyed_structure(unit, ga, gb, key, False)
 
 
 def _countable(space, pairs, per_pair) -> bool:
@@ -209,34 +184,40 @@ def _countable(space, pairs, per_pair) -> bool:
     return space <= per_pair * pairs + 1024
 
 
-def _sorted_structure(unit, ga, gb) -> SumStructure:
-    """sum_structure of two grids on one unit by ranking all |a| * |b| sum
-    rows with row_ranks."""
-    sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
-    ranks = row_ranks(sums)
-    # every row written to one rank is the same row, so the result is fixed
-    distinct = np.empty((ranks.max() + 1, sums.shape[1]), dtype=np.int64)
-    distinct[ranks] = sums
-    return SumStructure(unit, distinct, ranks.reshape(len(ga), len(gb)))
-
-
-def _dense_structure(unit, ga, gb, key) -> SumStructure:
+def _keyed_structure(unit, ga, gb, key, countable) -> SumStructure:
     """sum_structure of two grids on one unit whose additive key space is
-    countable: all pair keys are one np.add.outer of the two sides' keys,
-    in the narrowest unsigned dtype below the space, and one np.bincount
-    counts every sum. The occupied keys, ascending, are the distinct sums
-    in lexicographic order, so a sum's rank is its key's index among them,
-    with no sort, and its coordinates are its key's digits."""
-    key_type = np.min_scalar_type(key.space - 1)
-    key_a = key.of(ga, key.lo_a).astype(key_type)
-    key_b = key_a if gb is ga else key.of(gb, key.lo_b).astype(key_type)
+    within int64: all pair keys are one np.add.outer of the two sides'
+    keys. A countable space takes the narrowest unsigned dtype below it
+    and one np.bincount counts every key; any other takes int64 keys and
+    one np.unique. Either way the occupied keys come out ascending, so
+    they are the distinct sums in lexicographic order, and each sum's
+    coordinates are its key's digits."""
+    key_type = np.min_scalar_type(key.space - 1) if countable else np.int64
+    key_a = key.of(ga, key.lo_a).astype(key_type, copy=False)
+    key_b = key_a if gb is ga else key.of(gb, key.lo_b).astype(key_type, copy=False)
     keys = np.add.outer(key_a, key_b)
-    per_key = np.bincount(keys.ravel(), minlength=key.space)
-    occupied = np.flatnonzero(per_key)
-    table = np.empty(key.space, dtype=np.min_scalar_type(len(occupied) - 1))
-    table[occupied] = np.arange(len(occupied))
+    if countable:
+        per_key = np.bincount(keys.ravel(), minlength=key.space)
+        occupied = np.flatnonzero(per_key)
+        counts = per_key[occupied]
+        table = np.empty(key.space, dtype=np.min_scalar_type(len(occupied) - 1))
+        table[occupied] = np.arange(len(occupied))
+        ids = table[keys]
+    else:
+        occupied, ids, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        # numpy 1.x returns the inverse of a 2-D array flat, 2.x in its shape
+        ids = ids.reshape(len(ga), len(gb))
     coords = occupied[:, None] // key.weights % key.spans + key.lo
-    return SumStructure(unit, coords, table[keys], _counts=per_key[occupied])
+    return SumStructure(unit, coords, ids, counts)
+
+
+def _row_structure(unit, ga, gb) -> SumStructure:
+    """sum_structure of two grids on one unit whose additive key space
+    passes int64: np.unique(axis=0) ranks and counts the |a| * |b| sum rows
+    in lexicographic order."""
+    sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
+    coords, ids, counts = np.unique(sums, axis=0, return_inverse=True, return_counts=True)
+    return SumStructure(unit, coords, ids.reshape(len(ga), len(gb)), counts)
 
 
 def _carry_structure(cb, key) -> SumStructure:
@@ -247,7 +228,8 @@ def _carry_structure(cb, key) -> SumStructure:
     below |C| * 2^n, so the keys and the key-to-rank table are narrow, and
     the keys' bincount is also each sum's pair count. The distinct sums,
     one per occupied key, are ordered by one argsort of their additive
-    key, which needs key.space within int64."""
+    key, which needs key.space within int64: sum_structure sends a wider
+    space to the row build."""
     p, n, x = cb.lattice.p, cb.n, cb.coords
     space = len(cb) << n
     key_type = np.min_scalar_type(space - 1)
@@ -279,17 +261,21 @@ def _carry_structure(cb, key) -> SumStructure:
     order = np.argsort(key.of(rows, key.lo))
     table = np.empty(space, dtype=np.min_scalar_type(len(rows) - 1))
     table[occupied[order]] = np.arange(len(rows))
-    return SumStructure(cb.unit, rows[order], table[keys], _counts=per_key[order])
+    return SumStructure(cb.unit, rows[order], table[keys], per_key[order])
 
 
 def entropy_from_counts(counts, total=None) -> float:
-    """Entropy in bits of the distribution counts / sum(counts)."""
-    c = np.asarray(counts, dtype=np.float64)
+    """Entropy in bits of the distribution counts / sum(counts). A negative
+    count raises ValueError."""
+    c = np.asarray(counts)
+    if c.size and c.min() < 0:
+        raise ValueError(f"negative count {c.min():g}")
     if total is None:
         total = int(np.asarray(counts, dtype=np.int64).sum())
     if total <= 0:
         raise ValueError("empty count vector")
-    c = c[c > 1.0]
+    # counts of 0 and 1 add nothing; only the rest are taken to float64
+    c = c[c > 1].astype(np.float64)
     s = float((c * np.log2(c)).sum()) if c.size else 0.0
     return math.log2(total) - s / total
 
@@ -297,9 +283,11 @@ def entropy_from_counts(counts, total=None) -> float:
 def mutual_info_sum(points, budget=10**6) -> float:
     """I(X1; X1 + X2) in bits for X1, X2 independent and uniform on the rows
     of one point set, counting a repeated row once per copy:
-    H(X1 + X2) - H(X2)."""
+    H(X1 + X2) - H(X2), with H(X2) over the copies of each distinct row
+    that np.unique(axis=0) counts."""
     s = sum_structure(points, points, budget)
-    return s.entropy_bits - entropy_from_counts(np.bincount(row_ranks(points.coords)))
+    _, copies = np.unique(points.coords, axis=0, return_counts=True)
+    return s.entropy_bits - entropy_from_counts(copies)
 
 
 class JointBinSumDist:

@@ -17,6 +17,7 @@ from latsec import (
     DimensionMismatch,
     JointBinSumDist,
     PointGrid,
+    ValidationError,
     entropy_from_counts,
     enumerate_codebook,
     joint_bin_sum,
@@ -30,7 +31,6 @@ from latsec import (
 )
 from latsec import experiments, infotheory
 from latsec.lattices import on_grid
-from latsec.infotheory import row_ranks
 
 import oracles
 from exact_rows import grid
@@ -58,6 +58,12 @@ class TestEntropy:
         assert entropy_from_counts(counts) == pytest.approx(
             oracles.entropy_oracle(list(counts)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("counts,total", [([3, -1], None), ([3, -1], 2), ([-1], 1)])
+    def test_negative_counts_raise(self, counts, total):
+        # [3, -1] used to give -1.377 bits
+        with pytest.raises(ValueError, match="negative count"):
+            entropy_from_counts(counts, total)
 
     def test_explicit_total_scales_distribution(self):
         # Counts summing below the stated total mean missing mass is spread
@@ -124,6 +130,23 @@ class TestPairSums:
         assert {tuple(p): int(c) for p, c in zip(points, counts)} == expected
         assert int(counts.sum()) == 5 * 7
 
+    @pytest.mark.parametrize("ca,cb", [
+        ([5], [1]), ([1, 1, 1], [1]), ([1, 1], [1, 1]), ([[1, 1]], [1]), ([1, 1], 1), (1, [1]),
+    ])
+    def test_weights_of_another_shape_raise(self, ca, cb):
+        # one weight for two points used to broadcast: [5] gave [5 5]
+        s = sum_structure(PointGrid(1, [[0], [1]]), PointGrid(1, [[0]]), 10)
+        with pytest.raises(DimensionMismatch):
+            s.weighted_counts(ca, cb)
+
+    @pytest.mark.parametrize("ca,cb", [([1, -5], [1]), ([1, 1], [-1]), ([0, -1], [0])])
+    def test_negative_weights_raise(self, ca, cb):
+        # [1, -5] used to give the negative count [1 -5]
+        s = sum_structure(PointGrid(1, [[0], [1]]), PointGrid(1, [[0]]), 10)
+        with pytest.raises(ValidationError):
+            s.weighted_counts(ca, cb)
+        assert s.weighted_counts([0, 2], [3]).tolist() == [0, 6]
+
     @pytest.mark.parametrize("num_sums,dtype", [
         (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
     ])
@@ -168,7 +191,7 @@ def codebook_pairs(draw):
 
 # Largest coordinate on_grid accepts. Sum columns then span up to about
 # 2^64, and the product of their spans passes 2^63 already at n = 1, which
-# forces the row keys through rank compression.
+# sends the sums to the row build.
 _COORD_MAX = 2**62 - 1
 
 
@@ -243,27 +266,25 @@ def value_bins(rows):
     return tuple(tuple(m) for m in members.values())
 
 
-class TestRowRanks:
-    @pytest.mark.parametrize("p,k,n", [(2, 2, 2), (3, 2, 3), (5, 1, 2)])
-    def test_ranks_match_numpy_on_narrow_rows(self, p, k, n):
-        cb = seeded_codebook(p, k, n)
-        sums = (cb.coords[:, None, :] + cb.coords[None, :, :]).reshape(-1, n)
-        expected = np.unique(sums, axis=0, return_inverse=True)[1].ravel()
-        assert np.array_equal(row_ranks(sums), expected)
-        s = sum_structure(cb, cb, 10**6)
-        assert np.array_equal(s.coords, np.unique(sums, axis=0))
-        assert np.array_equal(s.ids.ravel(), expected)
+class TestRowBuild:
+    """The row build, np.unique(axis=0) over the sum rows, takes key spaces
+    past 2^63 and is the reference the keyed and carry builds are compared
+    with, so it is checked against the brute-force histogram."""
 
-    @settings(max_examples=100)
-    @given(wide_grid_pairs())
-    def test_ranks_match_numpy_on_wide_rows(self, pair):
-        # the sum columns span past 2^63 together, so the keys are rank-compressed
+    # one column: 2^63 + 1 sum keys
+    @example(pair=(PointGrid(1, [[-(2**61)], [2**61]]),) * 2)
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(pair=wide_grid_pairs())
+    def test_wide_sums_match_oracle(self, pair, path_calls):
         a, b = pair
-        sums = (a.coords[:, None, :] + b.coords[None, :, :]).reshape(-1, a.coords.shape[1])
-        for rows in (sums, a.coords):
-            expected = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
-            assert np.array_equal(row_ranks(rows), expected)
-        assert np.array_equal(sum_structure(a, b, 10**6).coords, np.unique(sums, axis=0))
+        path_calls.clear()
+        expected = oracles.pair_sum_histogram(a.points, b.points)
+        for s in (sum_structure(a, b, 10**6), infotheory._row_structure(1, a.coords, b.coords)):
+            rows = [tuple(r) for r in s.coords.tolist()]
+            assert all(x < y for x, y in zip(rows, rows[1:]))
+            assert {pt: int(c) for pt, c in zip(s.points, s.counts())} == expected
+            assert np.array_equal(s.coords[s.ids], a.coords[:, None, :] + b.coords[None, :, :])
+        assert path_calls == [expected_path(a, b), "rows"]
 
 
 class TestMutualInfoSum:
@@ -429,8 +450,8 @@ def standard_grid_builds():
 
 
 def general_structure(cb):
-    """cb's pair sums by the sort path: all |C|^2 sum rows ranked by row_ranks."""
-    return infotheory._sorted_structure(cb.unit, cb.coords, cb.coords)
+    """cb's pair sums by the row build: np.unique(axis=0) over all |C|^2 sum rows."""
+    return infotheory._row_structure(cb.unit, cb.coords, cb.coords)
 
 
 def carry_structure(cb):
@@ -459,24 +480,32 @@ def expected_path(a, b):
     """The path sum_structure must take, by its rule on the key spaces."""
     pairs = len(a) * len(b)
     space = sum_key_space(a, b)
+    if space >= 2**63:
+        return "rows"
     if space <= 2 * pairs + 1024:
         return "dense"
-    carry = a is b and isinstance(a, Codebook) and space < 2**63
-    if carry and len(a) << a.n <= 8 * pairs + 1024:
+    if a is b and isinstance(a, Codebook) and len(a) << a.n <= 8 * pairs + 1024:
         return "carry"
     return "sorted"
 
 
 @pytest.fixture
 def path_calls(monkeypatch):
-    """The path each sum_structure call takes, in call order."""
+    """The path each sum_structure call takes, in call order: the keyed
+    build counting a countable key space ("dense") or sorting the keys
+    ("sorted"), the carry build ("carry") or the row build ("rows")."""
     calls = []
-    for path in ("dense", "carry", "sorted"):
-        def spy(*args, real=getattr(infotheory, f"_{path}_structure"), path=path):
-            calls.append(path)
+    paths = {
+        "_keyed_structure": lambda *args: "dense" if args[-1] else "sorted",
+        "_carry_structure": lambda *args: "carry",
+        "_row_structure": lambda *args: "rows",
+    }
+    for name, path_of in paths.items():
+        def spy(*args, real=getattr(infotheory, name), path_of=path_of):
+            calls.append(path_of(*args))
             return real(*args)
 
-        monkeypatch.setattr(infotheory, f"_{path}_structure", spy)
+        monkeypatch.setattr(infotheory, name, spy)
     return calls
 
 
@@ -484,9 +513,10 @@ class TestCarryPath:
     """A grid summed with another is counted by one bincount over its
     additive sum keys where their space is small (the dense path), a
     Codebook summed with itself by codeword and carry bits where it is not
-    (the carry path), and any other sums are sorted; dense and sorted are
-    the general paths, which take any grids. Every path must give the
-    SumStructure the sort gives."""
+    (the carry path), any other key space within int64 by sorting the keys
+    (the sorted path) and a wider one by sorting the sum rows (the row
+    path); all but the carry path take any grids. Every path must give the
+    SumStructure the row build gives."""
 
     def test_standard_grid_matches_general_path(self):
         for point, cb, structure in standard_grid_builds():
@@ -579,12 +609,12 @@ class TestCarryPath:
         # p = 127, k = 1, n = 10: 2^10 carry bits per codeword are within
         # 8 |C| + 1024 / |C|, but the additive space (about 253^10) passes
         # 2^63, where the carry path could not order its sums by an int64
-        # key: the sort path ranks the pair sums with row_ranks
+        # key: the row build ranks the pair sums by np.unique(axis=0)
         cb = seeded_codebook(127, 1, 10)
         assert sum_key_space(cb, cb) > 2**63
         assert len(cb) << cb.n <= 8 * len(cb) ** 2 + 1024
         s = sum_structure(cb, cb, 10**6)
-        assert path_calls == ["sorted"] == [expected_path(cb, cb)]
+        assert path_calls == ["rows"] == [expected_path(cb, cb)]
         assert_same_structure(s, general_structure(cb))
 
     def test_mutual_info_is_the_carry_entropy_given_the_codeword(self):
@@ -639,11 +669,35 @@ def sum_key_pairs(draw):
     return a, b
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """The np.bincount and np.unique calls infotheory makes, by name."""
+    calls = []
+
+    class Numpy:
+        """numpy as infotheory sees it, with its counting calls recorded."""
+
+        def __getattr__(self, name):
+            real = getattr(np, name)
+            if name not in ("bincount", "unique"):
+                return real
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return spy
+
+    monkeypatch.setattr(infotheory, "np", Numpy())
+    return calls
+
+
 class TestDenseSumKeys:
-    """The dense path keys each sum additively, key_a(x) + key_b(y), and
-    counts all keys with one bincount; it must give the sort path's
-    structure whenever its rule takes it, and decline, with no int64
-    overflow, where the key space is too large."""
+    """The keyed build keys each sum additively, key_a(x) + key_b(y), and
+    counts all keys with one bincount (the dense path) or one sort (the
+    sorted path); either must give the row build's structure whenever its
+    rule takes it, with no int64 overflow, and leave key spaces past 2^63
+    to the row build."""
 
     @example(pair=(PointGrid(1, [[2**62 - 1, -(2**62) + 1]]),) * 2)
     @example(pair=(
@@ -665,7 +719,7 @@ class TestDenseSumKeys:
             return
         s = sum_structure(a, b, 10**6)
         assert path_calls == [expected_path(a, b)]
-        assert_same_structure(s, infotheory._sorted_structure(unit, ga, gb))
+        assert_same_structure(s, infotheory._row_structure(unit, ga, gb))
 
     @pytest.mark.parametrize("rows,path", [
         ([[0], [1027]], "dense"),
@@ -674,14 +728,16 @@ class TestDenseSumKeys:
         ([[0, 0], [1, 514]], "sorted"),
         ([[-(2**61), 2**61], [-(2**61) + 1, 2**61 + 513]], "dense"),
     ])
-    def test_threshold_is_two_keys_per_pair_and_1024(self, rows, path, path_calls):
+    def test_threshold_is_two_keys_per_pair_and_1024(self, rows, path, path_calls, count_calls):
         # 2 pairs: the dense path counts key spaces of up to 2 * 2 + 1024 keys
         a, b = PointGrid(1, rows), PointGrid(1, [[0] * len(rows[0])])
         space = sum_key_space(a, b)
         assert (space <= 1028) == (path == "dense") and space in (1028, 1029, 1030)
         s = sum_structure(a, b, 10**6)
         assert path_calls == [path]
-        assert_same_structure(s, infotheory._sorted_structure(1, a.coords, b.coords))
+        # the dense path counts its keys with no sort, the sorted path with one
+        assert count_calls == [{"dense": "bincount", "sorted": "unique"}[path]]
+        assert_same_structure(s, infotheory._row_structure(1, a.coords, b.coords))
 
     def test_pair_keys_take_the_narrowest_dtype_below_the_space(self, monkeypatch):
         seen = []

@@ -1,11 +1,12 @@
-"""numpy's Generator contract, pinned where latsec relies on it.
+"""numpy's Generator and np.unique contracts, pinned where latsec relies on them.
 
 Every Monte Carlo report, every seeded lattice and every binning encodes
 numpy's SeedSequence, PCG64 and Generator algorithms. These tests pin a few
 outputs of each Generator call latsec makes, with the arguments it makes
 them with, so that a numpy release that changes one of them fails here by
 name instead of as scattered golden diffs. The values were taken on
-numpy 2.4.6.
+numpy 2.4.6. The pair-sum builds rank sums with np.unique, whose order and
+inverse are pinned here too, on numpy 1.x and 2.x alike.
 """
 
 import numpy as np
@@ -94,3 +95,36 @@ def test_baseline_grid_draw():
     assert rng.integers(-1773, 1774, size=(3, 2)).tolist() == [
         [-224, -1068], [495, -1607], [-1250, 464],
     ]
+
+
+def test_row_unique_orders_int64_rows_by_signed_value():
+    # infotheory._row_structure: np.unique(axis=0) over int64 sum rows takes
+    # the rows in lexicographic order of their signed values, magnitudes
+    # near 2^62 and negative values included; its inverse, read flat, maps
+    # each row to its distinct row, and its counts count the copies
+    big = 2**62
+    rows = np.array([
+        [big - 1, -3], [-big, 5], [0, -1], [-big, 5], [big - 1, -big],
+        [0, -1], [-1, big - 1], [-big, -big], [0, -1],
+    ], dtype=np.int64)
+    distinct, inverse, counts = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    assert distinct.tolist() == [
+        [-big, -big], [-big, 5], [-1, big - 1], [0, -1], [big - 1, -big], [big - 1, -3],
+    ]
+    assert counts.tolist() == [1, 2, 1, 3, 1, 1]
+    assert inverse.size == len(rows)
+    assert np.array_equal(distinct[inverse.reshape(-1)], rows)
+
+
+def test_key_unique_inverse_of_a_table_needs_a_reshape():
+    # infotheory._keyed_structure ranks its (|a|, |b|) table of int64 pair
+    # keys with np.unique: the distinct keys ascending, with their counts;
+    # the inverse is flat on numpy 1.x and has the table's shape on 2.x, so
+    # the build reshapes it
+    keys = np.array([[5, 2, 5], [2**62, 2, 0]], dtype=np.int64)
+    distinct, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    assert distinct.tolist() == [0, 2, 5, 2**62]
+    assert counts.tolist() == [1, 2, 2, 1]
+    major = int(np.__version__.split(".")[0])
+    assert inverse.shape == ((6,) if major < 2 else (2, 3))
+    assert inverse.reshape(2, 3).tolist() == [[2, 1, 2], [3, 1, 0]]

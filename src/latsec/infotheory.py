@@ -13,33 +13,32 @@ Pair sums are counted by one of three builds, and each gives the same
 SumStructure: the distinct sums in lexicographic order, each pair's rank
 among them and each sum's pair count.
 
-The keyed build serves every key space within int64. Column j of the sums
+The keyed build serves every countable key space. Column j of the sums
 spans max_a + max_b - min_a - min_b + 1 values, and the mixed-radix key
 with column 0 most significant orders sums lexicographically; being
 linear, it is key_a(x) + key_b(y), each side offset by its own column
 minima, so all pair keys are one np.add.outer of the two sides' keys.
 Where that key space, a Python int, is at most 2 |A||B| + 1024, the keys
 take the narrowest unsigned dtype below the space and one np.bincount
-counts every sum; over any larger space within int64 one np.unique of the
-int64 keys counts them. Either way the occupied keys come out ascending,
-so they are the distinct sums in lexicographic order, and each sum's
-coordinates are its key's digits.
+counts every sum. The occupied keys come out ascending, so they are the
+distinct sums in lexicographic order, and each sum's coordinates are its
+key's digits.
 
 The carry build serves a Codebook summed with itself whose key space is
-sparser than that (p = 7, k = 3, n = 6 spans 13^6 keys for 7^6 pairs). C
-is a group under digit-wise message addition mod p, so x + y is the
-codeword z of the summed messages with each coordinate left as z_i or
-moved by -+p: one carry bit per coordinate. The key z * 2^n + bits names
-the sum, so np.bincount over the |C| * 2^n keys finds the distinct sums
-(|C + C| <= 2^n |C|, the sum-set lemma) and their pair counts, and only
-those sums are ordered, by one argsort of their additive key. Past
-8 |C|^2 + 1024 carry keys the keyed build sorts the pair keys instead.
-The keys are formed in place in the narrowest unsigned dtype that holds
-them.
+sparser than that but within int64 (p = 7, k = 3, n = 6 spans 13^6 keys
+for 7^6 pairs). C is a group under digit-wise message addition mod p, so
+x + y is the codeword z of the summed messages with each coordinate left
+as z_i or moved by -+p: one carry bit per coordinate. The key
+z * 2^n + bits names the sum, so np.bincount over the |C| * 2^n keys
+finds the distinct sums (|C + C| <= 2^n |C|, the sum-set lemma) and their
+pair counts, and only those sums are ordered, by one argsort of their
+additive key. The keys are formed in place in the narrowest unsigned
+dtype that holds them.
 
-The row build serves key spaces past 2^63, such as random baseline points
-at dim 5 (7093^5 keys) or p = 127, k = 1, n = 10: one
-np.unique(axis=0) ranks and counts the |A||B| sum rows themselves.
+The sorted build serves every other space, such as random baseline
+points at dim 5 (7093^5 keys) or p = 127, k = 1, n = 10: one sort of the
+pairs, by np.argsort of their int64 key or, past 2^63, np.lexsort of
+each column's sums, whose runs of equal sums give the ranks and counts.
 
 The pair table SumStructure.ids is stored in the narrowest unsigned dtype
 that holds num_sums - 1: 2 bytes per pair on the standard grid, where
@@ -77,8 +76,8 @@ class SumStructure(PointGrid):
     The distinct sums are unit * coords[s], rows in lexicographic order;
     ids[i, j] is the row of a_i + b_j, in the narrowest unsigned dtype that
     holds num_sums - 1, and counts[s] the number of pairs that give sum s.
-    Whichever build makes it (the keyed, carry or row build: see the module
-    docstring), the result is the same, and the build hands over the
+    Whichever build makes it (the keyed, carry or sorted build: see the
+    module docstring), the result is the same, and the build hands over the
     counts it counted the sums with. As a PointGrid the structure is the
     sum set itself, so sums of sums chain without leaving int64. Building
     it once lets callers derive counts for many binnings cheaply: the pair
@@ -105,15 +104,16 @@ class SumStructure(PointGrid):
     def weighted_counts(self, counts_a, counts_b) -> np.ndarray:
         """Multiplicity of each sum when a_i carries counts_a[i] and b_j
         counts_b[j]. Weights of another shape than (len a,) and (len b,)
-        raise DimensionMismatch, and a negative weight ValidationError."""
-        ca = np.asarray(counts_a, dtype=np.int64)
-        cb = np.asarray(counts_b, dtype=np.int64)
+        raise DimensionMismatch, and a negative or non-integer weight
+        ValidationError."""
+        ca, cb = np.asarray(counts_a), np.asarray(counts_b)
         if (ca.shape, cb.shape) != ((len(self.ids),), self.ids.shape[1:]):
             raise DimensionMismatch(
                 f"weights of shapes {ca.shape} and {cb.shape} for a {self.ids.shape} pair table"
             )
-        if ca.min() < 0 or cb.min() < 0:
-            raise ValidationError("counts", "pair weights must be non-negative")
+        if ca.dtype.kind not in "iu" or cb.dtype.kind not in "iu" or min(ca.min(), cb.min()) < 0:
+            raise ValidationError("counts", "pair weights must be non-negative integers")
+        ca, cb = ca.astype(np.int64, copy=False), cb.astype(np.int64, copy=False)
         acc = np.zeros(self.num_sums, dtype=np.int64)
         np.add.at(acc, self.ids, ca[:, None] * cb[None, :])
         return acc
@@ -169,13 +169,12 @@ def sum_structure(a, b, budget=10**6) -> SumStructure:
     check_pair_budget(len(ga), len(gb), budget)
     pairs = len(ga) * len(gb)
     key = _SumKey(ga, gb)
-    if key.space > _KEY_LIMIT:
-        return _row_structure(unit, ga, gb)
     if _countable(key.space, pairs, 2):
-        return _keyed_structure(unit, ga, gb, key, True)
-    if a is b and isinstance(a, Codebook) and _countable(len(a) << a.n, pairs, 8):
+        return _keyed_structure(unit, ga, gb, key)
+    wide = key.space > _KEY_LIMIT
+    if not wide and a is b and isinstance(a, Codebook) and _countable(len(a) << a.n, pairs, 8):
         return _carry_structure(a, key)
-    return _keyed_structure(unit, ga, gb, key, False)
+    return _sorted_structure(unit, ga, gb, key, wide)
 
 
 def _countable(space, pairs, per_pair) -> bool:
@@ -184,39 +183,50 @@ def _countable(space, pairs, per_pair) -> bool:
     return space <= per_pair * pairs + 1024
 
 
-def _keyed_structure(unit, ga, gb, key, countable) -> SumStructure:
+def _keyed_structure(unit, ga, gb, key) -> SumStructure:
     """sum_structure of two grids on one unit whose additive key space is
-    within int64: all pair keys are one np.add.outer of the two sides'
-    keys. A countable space takes the narrowest unsigned dtype below it
-    and one np.bincount counts every key; any other takes int64 keys and
-    one np.unique. Either way the occupied keys come out ascending, so
-    they are the distinct sums in lexicographic order, and each sum's
-    coordinates are its key's digits."""
-    key_type = np.min_scalar_type(key.space - 1) if countable else np.int64
+    countable: all pair keys are one np.add.outer of the two sides' keys,
+    in the narrowest unsigned dtype below the space, and one np.bincount
+    counts every key. The occupied keys come out ascending, so they are
+    the distinct sums in lexicographic order, and each sum's coordinates
+    are its key's digits."""
+    key_type = np.min_scalar_type(key.space - 1)
     key_a = key.of(ga, key.lo_a).astype(key_type, copy=False)
     key_b = key_a if gb is ga else key.of(gb, key.lo_b).astype(key_type, copy=False)
     keys = np.add.outer(key_a, key_b)
-    if countable:
-        per_key = np.bincount(keys.ravel(), minlength=key.space)
-        occupied = np.flatnonzero(per_key)
-        counts = per_key[occupied]
-        table = np.empty(key.space, dtype=np.min_scalar_type(len(occupied) - 1))
-        table[occupied] = np.arange(len(occupied))
-        ids = table[keys]
-    else:
-        occupied, ids, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        # numpy 1.x returns the inverse of a 2-D array flat, 2.x in its shape
-        ids = ids.reshape(len(ga), len(gb))
+    per_key = np.bincount(keys.ravel(), minlength=key.space)
+    occupied = np.flatnonzero(per_key)
+    table = np.empty(key.space, dtype=np.min_scalar_type(len(occupied) - 1))
+    table[occupied] = np.arange(len(occupied))
     coords = occupied[:, None] // key.weights % key.spans + key.lo
-    return SumStructure(unit, coords, ids, counts)
+    return SumStructure(unit, coords, table[keys], per_key[occupied])
 
 
-def _row_structure(unit, ga, gb) -> SumStructure:
-    """sum_structure of two grids on one unit whose additive key space
-    passes int64: np.unique(axis=0) ranks and counts the |a| * |b| sum rows
-    in lexicographic order."""
-    sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
-    coords, ids, counts = np.unique(sums, axis=0, return_inverse=True, return_counts=True)
+def _sorted_structure(unit, ga, gb, key, wide) -> SumStructure:
+    """sum_structure of two grids on one unit by one sort of the pairs by
+    sum: np.argsort of the int64 additive key or, where the key space
+    passes int64 (wide), np.lexsort of each column's sums, which GRID_LIMIT
+    keeps within int64, column 0 most significant. In each run of equal
+    sums a pair's rank is the run starts so far less one, the sum's count
+    the run length and its coordinates the run's first pair's, so the
+    order of the pairs inside a run changes nothing."""
+    if wide:
+        columns = [np.add.outer(ga[:, j], gb[:, j]).ravel() for j in range(ga.shape[1])]
+        order = np.lexsort(columns[::-1])
+    else:
+        columns = [np.add.outer(key.of(ga, key.lo_a), key.of(gb, key.lo_b)).ravel()]
+        order = np.argsort(columns[0])
+    run_start = np.zeros(len(order), dtype=bool)
+    run_start[0] = True
+    for column in columns:
+        ordered = column[order]
+        run_start[1:] |= ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(run_start)
+    ids = np.empty(len(order), dtype=np.min_scalar_type(len(starts) - 1))
+    ids[order] = np.cumsum(run_start) - 1
+    first = order[starts]
+    coords = ga[first // len(gb)] + gb[first % len(gb)]
+    counts = np.diff(starts, append=len(order))
     return SumStructure(unit, coords, ids.reshape(len(ga), len(gb)), counts)
 
 
@@ -228,8 +238,8 @@ def _carry_structure(cb, key) -> SumStructure:
     below |C| * 2^n, so the keys and the key-to-rank table are narrow, and
     the keys' bincount is also each sum's pair count. The distinct sums,
     one per occupied key, are ordered by one argsort of their additive
-    key, which needs key.space within int64: sum_structure sends a wider
-    space to the row build."""
+    key, which needs key.space within int64: sum_structure hands a wider
+    space to the sorted build."""
     p, n, x = cb.lattice.p, cb.n, cb.coords
     space = len(cb) << n
     key_type = np.min_scalar_type(space - 1)
@@ -265,13 +275,15 @@ def _carry_structure(cb, key) -> SumStructure:
 
 
 def entropy_from_counts(counts, total=None) -> float:
-    """Entropy in bits of the distribution counts / sum(counts). A negative
-    count raises ValueError."""
+    """Entropy in bits of the distribution counts / sum(counts). A count
+    that is negative or not an integer raises ValueError."""
     c = np.asarray(counts)
+    if c.size and c.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, not {c.dtype}")
     if c.size and c.min() < 0:
         raise ValueError(f"negative count {c.min():g}")
     if total is None:
-        total = int(np.asarray(counts, dtype=np.int64).sum())
+        total = int(c.sum(dtype=np.int64))
     if total <= 0:
         raise ValueError("empty count vector")
     # counts of 0 and 1 add nothing; only the rest are taken to float64

@@ -65,6 +65,17 @@ class TestEntropy:
         with pytest.raises(ValueError, match="negative count"):
             entropy_from_counts(counts, total)
 
+    @pytest.mark.parametrize("counts", [[1.5, 1.5], [0.5, 0.5, 1], [2.0, 2.0], np.array([3.0])])
+    def test_fractional_counts_raise(self, counts):
+        # [1.5, 1.5] used to give 0.1226 bits and [0.5, 0.5, 1] 0.0
+        with pytest.raises(ValueError, match="must be integers"):
+            entropy_from_counts(counts)
+
+    @pytest.mark.parametrize("counts", [[], [0, 0]])
+    def test_empty_counts_raise(self, counts):
+        with pytest.raises(ValueError, match="empty count vector"):
+            entropy_from_counts(counts)
+
     def test_explicit_total_scales_distribution(self):
         # Counts summing below the stated total mean missing mass is spread
         # implicitly; the implementation requires exact totals instead.
@@ -147,6 +158,16 @@ class TestPairSums:
             s.weighted_counts(ca, cb)
         assert s.weighted_counts([0, 2], [3]).tolist() == [0, 6]
 
+    @pytest.mark.parametrize("ca,cb", [
+        ([1.5, 2.7], [1]), ([1, 1], [1.0]), ([2.0, 1.0], [1]), ([1, 1], [Fraction(1)]),
+    ])
+    def test_fractional_weights_raise(self, ca, cb):
+        # [1.5, 2.7] used to be truncated to the counts [1 2]
+        s = sum_structure(PointGrid(1, [[0], [1]]), PointGrid(1, [[0]]), 10)
+        with pytest.raises(ValidationError, match="non-negative integers"):
+            s.weighted_counts(ca, cb)
+        assert s.weighted_counts(np.array([1, 2], dtype=np.uint8), [3]).tolist() == [3, 6]
+
     @pytest.mark.parametrize("num_sums,dtype", [
         (1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32),
     ])
@@ -191,7 +212,7 @@ def codebook_pairs(draw):
 
 # Largest coordinate on_grid accepts. Sum columns then span up to about
 # 2^64, and the product of their spans passes 2^63 already at n = 1, which
-# sends the sums to the row build.
+# sends the sums to the sorted build's wide path.
 _COORD_MAX = 2**62 - 1
 
 
@@ -266,10 +287,18 @@ def value_bins(rows):
     return tuple(tuple(m) for m in members.values())
 
 
-class TestRowBuild:
-    """The row build, np.unique(axis=0) over the sum rows, takes key spaces
-    past 2^63 and is the reference the keyed and carry builds are compared
-    with, so it is checked against the brute-force histogram."""
+def unique_rows_structure(unit, ga, gb):
+    """The pair sums of two grids on one unit by np.unique(axis=0) over all
+    |a| * |b| sum rows: a reference no build of sum_structure shares."""
+    sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
+    coords, ids, counts = np.unique(sums, axis=0, return_inverse=True, return_counts=True)
+    return infotheory.SumStructure(unit, coords, ids.reshape(len(ga), len(gb)), counts)
+
+
+class TestSortedBuild:
+    """The sorted build's wide path, np.lexsort of each column's sums,
+    takes key spaces past 2^63. Forced here on grids of any width, it is
+    checked against the brute-force histogram and np.unique(axis=0)."""
 
     # one column: 2^63 + 1 sum keys
     @example(pair=(PointGrid(1, [[-(2**61)], [2**61]]),) * 2)
@@ -279,12 +308,15 @@ class TestRowBuild:
         a, b = pair
         path_calls.clear()
         expected = oracles.pair_sum_histogram(a.points, b.points)
-        for s in (sum_structure(a, b, 10**6), infotheory._row_structure(1, a.coords, b.coords)):
+        key = infotheory._SumKey(a.coords, b.coords)
+        wide = infotheory._sorted_structure(1, a.coords, b.coords, key, True)
+        for s in (sum_structure(a, b, 10**6), wide):
             rows = [tuple(r) for r in s.coords.tolist()]
             assert all(x < y for x, y in zip(rows, rows[1:]))
             assert {pt: int(c) for pt, c in zip(s.points, s.counts())} == expected
             assert np.array_equal(s.coords[s.ids], a.coords[:, None, :] + b.coords[None, :, :])
-        assert path_calls == [expected_path(a, b), "rows"]
+        assert_same_structure(wide, unique_rows_structure(1, a.coords, b.coords))
+        assert path_calls == ["wide", expected_path(a, b)]
 
 
 class TestMutualInfoSum:
@@ -450,8 +482,12 @@ def standard_grid_builds():
 
 
 def general_structure(cb):
-    """cb's pair sums by the row build: np.unique(axis=0) over all |C|^2 sum rows."""
-    return infotheory._row_structure(cb.unit, cb.coords, cb.coords)
+    """cb's pair sums by the sorted build, whatever sum_structure would
+    take: one sort of all |C|^2 pairs, whose runs rank and count the sums
+    apart from the keyed and carry builds."""
+    key = infotheory._SumKey(cb.coords, cb.coords)
+    wide = key.space > infotheory._KEY_LIMIT
+    return infotheory._sorted_structure(cb.unit, cb.coords, cb.coords, key, wide)
 
 
 def carry_structure(cb):
@@ -481,7 +517,7 @@ def expected_path(a, b):
     pairs = len(a) * len(b)
     space = sum_key_space(a, b)
     if space >= 2**63:
-        return "rows"
+        return "wide"
     if space <= 2 * pairs + 1024:
         return "dense"
     if a is b and isinstance(a, Codebook) and len(a) << a.n <= 8 * pairs + 1024:
@@ -492,13 +528,14 @@ def expected_path(a, b):
 @pytest.fixture
 def path_calls(monkeypatch):
     """The path each sum_structure call takes, in call order: the keyed
-    build counting a countable key space ("dense") or sorting the keys
-    ("sorted"), the carry build ("carry") or the row build ("rows")."""
+    build counting a countable key space ("dense"), the carry build
+    ("carry"), or the sorted build by int64 keys ("sorted") or, past 2^63,
+    by each column's sums ("wide")."""
     calls = []
     paths = {
-        "_keyed_structure": lambda *args: "dense" if args[-1] else "sorted",
+        "_keyed_structure": lambda *args: "dense",
         "_carry_structure": lambda *args: "carry",
-        "_row_structure": lambda *args: "rows",
+        "_sorted_structure": lambda *args: "wide" if args[-1] else "sorted",
     }
     for name, path_of in paths.items():
         def spy(*args, real=getattr(infotheory, name), path_of=path_of):
@@ -514,9 +551,9 @@ class TestCarryPath:
     additive sum keys where their space is small (the dense path), a
     Codebook summed with itself by codeword and carry bits where it is not
     (the carry path), any other key space within int64 by sorting the keys
-    (the sorted path) and a wider one by sorting the sum rows (the row
-    path); all but the carry path take any grids. Every path must give the
-    SumStructure the row build gives."""
+    (the sorted path) and a wider one by sorting each column's sums (the
+    wide path); all but the carry path take any grids. Every path must
+    give the SumStructure the sorted build gives."""
 
     def test_standard_grid_matches_general_path(self):
         for point, cb, structure in standard_grid_builds():
@@ -609,12 +646,14 @@ class TestCarryPath:
         # p = 127, k = 1, n = 10: 2^10 carry bits per codeword are within
         # 8 |C| + 1024 / |C|, but the additive space (about 253^10) passes
         # 2^63, where the carry path could not order its sums by an int64
-        # key: the row build ranks the pair sums by np.unique(axis=0)
+        # key: the sorted build ranks the pair sums by np.lexsort of their
+        # columns
         cb = seeded_codebook(127, 1, 10)
         assert sum_key_space(cb, cb) > 2**63
         assert len(cb) << cb.n <= 8 * len(cb) ** 2 + 1024
         s = sum_structure(cb, cb, 10**6)
-        assert path_calls == ["rows"] == [expected_path(cb, cb)]
+        assert path_calls == ["wide"] == [expected_path(cb, cb)]
+        assert_same_structure(s, unique_rows_structure(cb.unit, cb.coords, cb.coords))
         assert_same_structure(s, general_structure(cb))
 
     def test_mutual_info_is_the_carry_entropy_given_the_codeword(self):
@@ -693,11 +732,11 @@ def count_calls(monkeypatch):
 
 
 class TestDenseSumKeys:
-    """The keyed build keys each sum additively, key_a(x) + key_b(y), and
-    counts all keys with one bincount (the dense path) or one sort (the
-    sorted path); either must give the row build's structure whenever its
-    rule takes it, with no int64 overflow, and leave key spaces past 2^63
-    to the row build."""
+    """Each sum is keyed additively, key_a(x) + key_b(y), and all keys are
+    counted with one bincount (the keyed build's dense path) or one sort
+    (the sorted build); either must give np.unique(axis=0)'s structure
+    whenever its rule takes it, with no int64 overflow, and leave key
+    spaces past 2^63 to the sorted build's wide path."""
 
     @example(pair=(PointGrid(1, [[2**62 - 1, -(2**62) + 1]]),) * 2)
     @example(pair=(
@@ -719,7 +758,7 @@ class TestDenseSumKeys:
             return
         s = sum_structure(a, b, 10**6)
         assert path_calls == [expected_path(a, b)]
-        assert_same_structure(s, infotheory._row_structure(unit, ga, gb))
+        assert_same_structure(s, unique_rows_structure(unit, ga, gb))
 
     @pytest.mark.parametrize("rows,path", [
         ([[0], [1027]], "dense"),
@@ -735,9 +774,10 @@ class TestDenseSumKeys:
         assert (space <= 1028) == (path == "dense") and space in (1028, 1029, 1030)
         s = sum_structure(a, b, 10**6)
         assert path_calls == [path]
-        # the dense path counts its keys with no sort, the sorted path with one
-        assert count_calls == [{"dense": "bincount", "sorted": "unique"}[path]]
-        assert_same_structure(s, infotheory._row_structure(1, a.coords, b.coords))
+        # the dense path counts its keys with one bincount, the sorted path
+        # by the runs of one sort, with neither bincount nor unique
+        assert count_calls == {"dense": ["bincount"], "sorted": []}[path]
+        assert_same_structure(s, unique_rows_structure(1, a.coords, b.coords))
 
     def test_pair_keys_take_the_narrowest_dtype_below_the_space(self, monkeypatch):
         seen = []

@@ -289,6 +289,9 @@ class TestConstructionErrors:
             ConstructionALattice(4, ((1,),), None, 1)
         with pytest.raises(NotPrime):
             ConstructionALattice(1, ((1,),), None, 1)
+        # an odd composite: is_prime finds its divisor 3
+        with pytest.raises(NotPrime):
+            ConstructionALattice(9, ((1,),), None, 1)
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficientG):
@@ -297,6 +300,11 @@ class TestConstructionErrors:
             ConstructionALattice(2, ((1, 1), (1, 1)), None, 1)
         with pytest.raises(RankDeficientG):
             ConstructionALattice(2, ((1, 0, 1),), None, 1)
+        for empty in ((), ((),)):
+            with pytest.raises(RankDeficientG, match="at least one row and one column"):
+                ConstructionALattice(2, empty, None, 1)
+        with pytest.raises(RankDeficientG, match="inconsistent lengths"):
+            ConstructionALattice(2, ((1, 0), (1,)), None, 1)
 
     def test_rank_over_the_field_not_the_rationals(self):
         # Full rank over Q but rank 1 over GF(2): columns differ by 2.
@@ -308,6 +316,9 @@ class TestConstructionErrors:
             ConstructionALattice(2, ((1,), (0,)), ((2, 0), (0, 1)), 1)
         with pytest.raises(NotUnimodular):
             ConstructionALattice(2, ((1,),), ((1, 0), (0, 1)), 1)
+        # singular: det_int finds no pivot in the first column
+        with pytest.raises(NotUnimodular, match="determinant is 0"):
+            ConstructionALattice(2, ((1,), (0,)), ((0, 1), (0, 1)), 1)
 
     def test_bad_scale(self):
         with pytest.raises(NonPositiveScale):

@@ -5,8 +5,10 @@ numpy's SeedSequence, PCG64 and Generator algorithms. These tests pin a few
 outputs of each Generator call latsec makes, with the arguments it makes
 them with, so that a numpy release that changes one of them fails here by
 name instead of as scattered golden diffs. The values were taken on
-numpy 2.4.6. The pair-sum builds rank sums with np.unique, whose order and
-inverse are pinned here too, on numpy 1.x and 2.x alike.
+numpy 2.4.6. The sorted pair-sum build orders int64 sums with np.lexsort,
+and mutual_info_sum and the tests' reference count rows with
+np.unique(axis=0); the order each of them gives is pinned here too, on
+numpy 1.x and 2.x alike.
 """
 
 import numpy as np
@@ -98,10 +100,12 @@ def test_baseline_grid_draw():
 
 
 def test_row_unique_orders_int64_rows_by_signed_value():
-    # infotheory._row_structure: np.unique(axis=0) over int64 sum rows takes
-    # the rows in lexicographic order of their signed values, magnitudes
-    # near 2^62 and negative values included; its inverse, read flat, maps
-    # each row to its distinct row, and its counts count the copies
+    # infotheory.mutual_info_sum counts the copies of each row with
+    # np.unique(axis=0), and test_infotheory.py's reference structure ranks
+    # int64 sum rows with it: the distinct rows come in lexicographic order
+    # of their signed values, magnitudes near 2^62 and negative values
+    # included; the inverse, read flat, maps each row to its distinct row,
+    # and the counts count the copies
     big = 2**62
     rows = np.array([
         [big - 1, -3], [-big, 5], [0, -1], [-big, 5], [big - 1, -big],
@@ -116,15 +120,17 @@ def test_row_unique_orders_int64_rows_by_signed_value():
     assert np.array_equal(distinct[inverse.reshape(-1)], rows)
 
 
-def test_key_unique_inverse_of_a_table_needs_a_reshape():
-    # infotheory._keyed_structure ranks its (|a|, |b|) table of int64 pair
-    # keys with np.unique: the distinct keys ascending, with their counts;
-    # the inverse is flat on numpy 1.x and has the table's shape on 2.x, so
-    # the build reshapes it
-    keys = np.array([[5, 2, 5], [2**62, 2, 0]], dtype=np.int64)
-    distinct, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    assert distinct.tolist() == [0, 2, 5, 2**62]
-    assert counts.tolist() == [1, 2, 2, 1]
-    major = int(np.__version__.split(".")[0])
-    assert inverse.shape == ((6,) if major < 2 else (2, 3))
-    assert inverse.reshape(2, 3).tolist() == [[2, 1, 2], [3, 1, 0]]
+def test_lexsort_orders_int64_columns_by_the_last_key_first():
+    # infotheory._sorted_structure orders the pair sums past 2^63 keys with
+    # np.lexsort of each column's int64 sums, given last column first: the
+    # last key passed is the primary one, and each key orders by signed
+    # value, magnitudes near 2^62 and negative values included
+    big = 2**62
+    first = np.array([big - 1, -big, 0, -big, big - 1, 0, -1, -big, 0], dtype=np.int64)
+    second = np.array([-3, 5, -1, 5, -big, -1, big - 1, -big, -2], dtype=np.int64)
+    order = np.lexsort([second, first])
+    assert [(int(first[i]), int(second[i])) for i in order] == [
+        (-big, -big), (-big, 5), (-big, 5), (-1, big - 1), (0, -2), (0, -1), (0, -1),
+        (big - 1, -big), (big - 1, -3),
+    ]
+    assert sorted(order[1:3].tolist()) == [1, 3] and sorted(order[5:7].tolist()) == [2, 5]

@@ -37,6 +37,8 @@ CASES = {
     # 2100 trials cross a trial block boundary
     "pipeline_2100": "pipeline",
     "pipeline_strong_2100": "pipeline",
+    # 729 codewords: score chunks hold fewer rows than points
+    "pipeline_strong_729": "pipeline",
     "layered_2100": "layered",
 }
 FORMATS = ("json", "csv")

@@ -346,9 +346,11 @@ class _Candidates:
     points, twice the points and each point's squared norm, all int64 or all
     float64. Float candidates that are not exact also hold the constants of
     _nearest's bound: the largest computed ||p||^2, the largest |p_i|, the
-    coefficients k_s and k_d and the underflow term. exact marks float64
-    points of an exact grid (see _exact_decode_grid), whose scores need no
-    certificate; int64 points are exact whatever it says."""
+    coefficients k_s and k_d and the underflow term; and the tally, rows
+    (1, ..., 1) and (0, 1, ...) that count a row's marks and sum their
+    indices. exact marks float64 points of an exact grid (see
+    _exact_decode_grid), whose scores need no certificate; int64 points are
+    exact whatever it says."""
 
     def __init__(self, pts, exact=False):
         self.pts = pts
@@ -366,6 +368,7 @@ class _Candidates:
                 4 * _gamma(n + 2) * slack,
                 n * 2.0**-1070,
             )
+            self.tally = np.stack([np.ones(len(pts)), np.arange(len(pts), dtype=np.float64)])
 
 
 def _nearest(rows, points):
@@ -407,41 +410,55 @@ def _nearest(rows, points):
     1 + gamma_{3n+8}. That factor covers the rounding of R, P, B, the gap
     and the constants themselves, at most 2n + 9 roundings along any one
     chain, and n 2^-1070 = 32 n eta covers the 10 n eta above and every
-    underflow of B. A row with fl(R^2 + P) >= _SCORE_REACH, where no term
-    is sure not to overflow, is not certified. Every row left uncertified,
-    such as one whose scores overflow, takes the float distance in
+    underflow of B. It is applied by marking every point q with
+    fl(s^_q - s^_1) <= B: as fl(x - s^_1) is monotone in x, c is the only
+    point marked exactly when fl(s^_2 - s^_1) > B, and the mark gives c. A
+    row with fl(R^2 + P) >= _SCORE_REACH, where no term is sure not to
+    overflow, is not certified. Every row left uncertified, such as one
+    whose scores overflow, takes the float distance in
     _nearest_by_distance; no overflow here raises a warning.
+
+    Layout. B is formed once for all rows. Each chunk's float scores form a
+    (points, rows) block whose longer axis is contiguous: 2P @ rows.T when
+    the chunk holds at least as many rows as points, else the transposed
+    view of rows @ (2P).T. So the least score and the marks are taken over
+    points across contiguous rows, or along each contiguous row, never one
+    short row at a time; one product with the rows (1, ..., 1) and
+    (0, 1, ...) counts each row's marks and sums their indices. Exact
+    candidates keep the row-major block and its argmin.
     """
     best = np.empty(len(rows), dtype=np.intp)
     step = max(1, _SCORE_LIMIT // len(points.pts))
+    chunks = [slice(start, start + step) for start in range(0, len(rows), step)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(rows), step):
-            part = slice(start, start + step)
-            scores = rows[part] @ points.twice.T
-            np.subtract(points.norms, scores, out=scores)
-            best[part] = scores.argmin(axis=1)
-            if points.bound is None:
-                continue
-            unsure = ~_certified(rows[part], scores, best[part], points.bound)
-            if unsure.any():
-                best[part][unsure] = _nearest_by_distance(rows[part][unsure], points.pts)
+        if points.bound is None:
+            for part in chunks:
+                scores = rows[part] @ points.twice.T
+                np.subtract(points.norms, scores, out=scores)
+                best[part] = scores.argmin(axis=1)
+            return best
+        p2, p_max, score_k, dist_k, tiny = points.bound
+        size = np.abs(rows) @ np.ones(rows.shape[1])
+        reach = size * size + p2
+        margin = score_k * (p2 + 2 * p_max * size) + dist_k * reach + tiny
+        # each row's count of marks and the sum of their indices
+        tallies = np.empty((2, len(rows)))
+        for part in chunks:
+            chunk = rows[part]
+            if len(chunk) >= len(points.pts):
+                gaps = points.twice @ chunk.T
+            else:
+                gaps = (chunk @ points.twice.T).T
+            np.subtract(points.norms[:, None], gaps, out=gaps)
+            gaps -= gaps.min(axis=0)
+            marks = np.less_equal(gaps, margin[part], out=gaps)
+            tallies[:, part] = points.tally @ marks
+        count, index = tallies
+        best[:] = index
+        sure = (count == 1) & (reach < _SCORE_REACH)
+        if not sure.all():
+            best[~sure] = _nearest_by_distance(rows[~sure], points.pts)
     return best
-
-
-def _certified(rows, scores, least, bound):
-    """Mask of the float rows whose least score, at index least, _nearest's
-    bound certifies. Overwrites each row's least score with +inf."""
-    p2, p_max, score_k, dist_k, tiny = bound
-    at = np.arange(len(rows))
-    first = scores[at, least]
-    scores[at, least] = np.inf
-    # numpy reduces a short last axis one row at a time; the transposed
-    # copy is reduced across all rows at once
-    gap = np.ascontiguousarray(scores.T).min(axis=0) - first
-    size = np.abs(rows) @ np.ones(rows.shape[1])
-    reach = size * size + p2
-    margin = score_k * (p2 + 2 * p_max * size) + dist_k * reach + tiny
-    return (reach < _SCORE_REACH) & (gap > margin)
 
 
 def _nearest_by_distance(rows, pts):

@@ -335,8 +335,6 @@ def parse_config(text: str, overrides: dict[str, Any] | None = None) -> Experime
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
-        if not isinstance(raw, dict):
-            raise ParseError("top-level JSON value must be an object")
     else:
         raw, lines = _parse_flat(text)
 

@@ -612,14 +612,19 @@ def _successive_errors(layers, params: ChannelParams, trials, root_seed):
     trial_errors = 0
     blocks = _trial_blocks(trials, root_seed, [len(cb) for cb in layers], layers[0].n)
     for _, m1, m2, _, noise in blocks:
-        x1 = sum(mat[m1[:, li]] for li, mat in enumerate(mats))
-        x2 = sum(mat[m2[:, li]] for li, mat in enumerate(mats))
+        x1, x2 = mats[0][m1[:, 0]], mats[0][m2[:, 0]]
+        for li, mat in enumerate(mats[1:], 1):
+            x1 += mat[m1[:, li]]
+            x2 += mat[m2[:, li]]
         y1, _, _ = transmit(x1, x2, params, noise)
         own, intf = _decode_stages(y1, stages)
-        own_wrong = np.stack(own, axis=1) != m1
-        own_errors += own_wrong.sum(axis=0)
-        intf_errors += (np.stack(intf, axis=1) != m2).sum(axis=0)
-        trial_errors += int(own_wrong.any(axis=1).sum())
+        wrong = np.zeros(len(m1), dtype=bool)
+        for li, (i, j) in enumerate(zip(own, intf)):
+            own_wrong = i != m1[:, li]
+            own_errors[li] += np.count_nonzero(own_wrong)
+            intf_errors[li] += np.count_nonzero(j != m2[:, li])
+            wrong |= own_wrong
+        trial_errors += int(np.count_nonzero(wrong))
     return own_errors, intf_errors, trial_errors
 
 

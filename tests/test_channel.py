@@ -895,6 +895,20 @@ def float_rows_and_points(draw):
     return np.array(rows, dtype=np.float64).reshape(-1, n), np.array(pts)
 
 
+# _SCORE_LIMIT as set, whose chunks here hold every row, and one entry, whose
+# chunks hold one row: _nearest forms a float score block point-major where a
+# chunk holds at least as many rows as points, else row-major, so the first
+# takes both layouts as rows and points come and the second only row-major
+SCORE_LIMITS = (channel._SCORE_LIMIT, 1)
+
+
+def nearest_at_limit(rows, pts, limit):
+    """nearest(rows, pts) with _SCORE_LIMIT set to limit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel, "_SCORE_LIMIT", limit)
+        return nearest(rows, pts)
+
+
 class TestCertifiedNearest:
     """Float rows are ranked by ||p||^2 - 2 r.p and keep that ranking only
     when its gap beats the bound in _nearest's docstring; every row must get
@@ -915,7 +929,9 @@ class TestCertifiedNearest:
     def test_matches_the_float_distance(self, drawn):
         # warnings are errors in this suite: scores that overflow must not warn
         rows, pts = drawn
-        assert np.array_equal(nearest(rows, pts), float_distance_argmin(rows, pts))
+        want = float_distance_argmin(rows, pts)
+        for limit in SCORE_LIMITS:
+            assert np.array_equal(nearest_at_limit(rows, pts, limit), want)
 
     def test_rows_near_ties_take_the_float_distance(self, monkeypatch):
         cb = codebook(3, ((1, 0), (0, 1), (1, 1)), Fraction(5, 3))
@@ -970,13 +986,50 @@ class TestCertifiedNearest:
                     rows.append([0.5 + side * ratio * bound / 2, r2])
         rows = np.array(rows)
         seen = record_distance_rows(monkeypatch)
-        got = nearest(rows, pts)
-        fell_back = row_set(np.concatenate([part for part, _ in seen]))
-        for row, index in zip(rows.tolist(), got.tolist()):
-            ratio = abs(1 - 2 * Fraction(row[0])) / Fraction(stated_bound(row, pts))
-            assert abs(ratio - 1) > 0.001
-            assert (tuple(row) in fell_back) == (ratio < 1)
-            assert index == (0 if row[0] < 0.5 else 1)
+        for limit in SCORE_LIMITS:
+            del seen[:]
+            got = nearest_at_limit(rows, pts, limit)
+            fell_back = row_set(np.concatenate([part for part, _ in seen]))
+            for row, index in zip(rows.tolist(), got.tolist()):
+                ratio = abs(1 - 2 * Fraction(row[0])) / Fraction(stated_bound(row, pts))
+                assert abs(ratio - 1) > 0.001
+                assert (tuple(row) in fell_back) == (ratio < 1)
+                assert index == (0 if row[0] < 0.5 else 1)
+
+    def test_a_gap_at_the_stated_bound_is_not_certified(self, monkeypatch):
+        # under the points of the test above, rows (1/2 - d, r_2) and
+        # (1/2 + d, r_2) have the exact gap 2 d. For d a multiple of ulp(1/2)
+        # near half the bound, r_2 is bisected to the least float whose bound
+        # reaches 2 d: where the bound equals the gap, the row must fall back,
+        # and at the float below that r_2 it is certified
+        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+        def bits(x):
+            return int(np.float64(x).view(np.int64))
+
+        def value(b):
+            return float(np.int64(b).view(np.float64))
+
+        at, below = [], []
+        for r2 in (1.0, 3.0, 6.0):
+            for shift in range(-4, 5):
+                d = math.ulp(0.5) * (round(stated_bound([0.5, r2], pts) / 2 / math.ulp(0.5)) + shift)
+                for r1 in (0.5 - d, 0.5 + d):
+                    lo, hi = bits(r2 - 0.5), bits(r2 + 0.5)
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        lo, hi = (lo, mid) if stated_bound([r1, value(mid)], pts) >= 2 * d else (mid, hi)
+                    if stated_bound([r1, value(hi)], pts) == 2 * d:
+                        at.append([r1, value(hi)])
+                        below.append([r1, value(lo)])
+        assert len(at) >= 10
+        rows = np.array(at + below)
+        seen = record_distance_rows(monkeypatch)
+        for limit in SCORE_LIMITS:
+            del seen[:]
+            got = nearest_at_limit(rows, pts, limit)
+            assert row_set(np.concatenate([part for part, _ in seen])) == row_set(np.array(at))
+            assert got.tolist() == [0 if r1 < 0.5 else 1 for r1, _ in at + below]
 
     def test_stages_are_prepared_once_per_run(self, monkeypatch):
         made = []

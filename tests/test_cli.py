@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import weakref
 from dataclasses import asdict, fields
 from fractions import Fraction
@@ -540,6 +544,43 @@ class TestMainExitCodes:
         assert out == ""
         assert "configuration error" in err and "'scale'" in err
 
+    @pytest.mark.parametrize(
+        "argv,doc,message",
+        [
+            (["lattice", "build"], '{"kind": "lattice", "p": true}', "'p' must be an integer"),
+            (["lattice", "build"], '{"kind": "lattice", "p": [3]}', "'p' must be an integer"),
+            (["simulate", "pipeline"], '{"kind": "pipeline", "a": true}', "'a' must be a number"),
+            (["simulate", "pipeline"], '{"kind": "pipeline", "a": [4.0]}', "'a' must be a number"),
+            (["lattice", "build"], '{"kind": "lattice", "scale": true}', "'scale' is not a rational"),
+            (["lattice", "build"], '{"kind": "lattice", "scale": [1]}', "'scale' must be a rational"),
+            (["sweep"], '{"kind": "sweep", "include_bins": [true]}', "'include_bins' must be a boolean"),
+            (["sweep"], '{"kind": "sweep", "p_values": {"p": 2}}', "'p_values' must be a list of integers"),
+        ],
+        ids=["int-bool", "int-list", "float-bool", "float-list", "rational-bool", "rational-list",
+             "bool-list", "intlist-object"],
+    )
+    def test_json_values_of_the_wrong_type_are_two(self, tmp_path, capsys, argv, doc, message):
+        assert main(argv + ["--config", self.write(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "configuration error" in err and message in err
+
+    @pytest.mark.parametrize("doc", ["[1, 2]", '"kind=lattice"', "3", "null"])
+    def test_json_documents_that_are_not_objects_are_two(self, tmp_path, capsys, doc):
+        # only a document opening with "{" is read as JSON, so any other
+        # JSON value is read as key=value lines, and none of these is one
+        assert main(["lattice", "build", "--config", self.write(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "configuration error" in err
+
+    def test_codebooks_above_max_points_omit_their_points(self, tmp_path, capsys):
+        path = self.write(tmp_path, "kind=lattice\np=3\nk=2\nn=2\nmax_points=8\n")
+        assert main(["lattice", "build", "--config", path]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["codebook_size"] == 9 and results["points"] is None
+        assert "points_float" not in results
+        assert results["points_note"] == "codebook has 9 points, above max_points=8; points omitted"
+
     def test_budget_exhaustion_is_three(self, tmp_path, capsys):
         path = self.write(tmp_path, "kind=lattice\nk=2\nn=2\nbudget=1\n")
         assert main(["lattice", "build", "--config", path]) == 3
@@ -671,6 +712,23 @@ class TestEavesdropperInvariance:
                 doc = json.loads(render(envelope, "json"))
                 serialized.add(json.dumps(doc["results"]["secrecy"], sort_keys=True))
         assert len(serialized) == 1
+
+
+def test_module_entry_point_exits_with_main(tmp_path):
+    # python -m latsec hands main's exit code to the shell: 2 for a JSON
+    # document that is not an object, 0 for a lattice whose points are omitted
+    package_root = str(pathlib.Path(latsec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    codes = []
+    for doc in ("[1, 2]\n", "kind=lattice\np=3\nk=2\nn=2\nmax_points=8\n"):
+        path = tmp_path / "config.cfg"
+        path.write_text(doc, encoding="utf-8")
+        argv = [sys.executable, "-m", "latsec", "lattice", "build", "--config", str(path)]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        codes.append(done.returncode)
+    assert codes == [2, 0]
+    assert "points omitted" in done.stdout
 
 
 @pytest.mark.parametrize(

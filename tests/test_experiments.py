@@ -564,6 +564,23 @@ class TestReliabilityRuns:
             "per_layer_error_rate": [e / trials for e in own],
         }
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_successive_error_counts_match_a_per_trial_count(self, layers):
+        # every count _successive_errors returns: own and interferer errors
+        # per layer, and trials where some own layer errs, over 2100 trials
+        tower = standard_layered_set()[2][1]
+        codebooks = tower.layers[:layers]
+        params = ChannelParams(cross_gain=6.0, power=1.0, noise_var=0.5)
+        stages = _float_stages(codebooks, params.cross_gain)
+        own, intf, errors = self.per_trial_successive(
+            codebooks, params, 2100, 43, lambda y: _decode_stages(y, stages)
+        )
+        assert all(e > 0 for e in own + intf)
+        if layers == 2:
+            assert max(own) < errors < sum(own)
+        got = experiments._successive_errors(codebooks, params, 2100, 43)
+        assert [got[0].tolist(), got[1].tolist(), got[2]] == [own, intf, errors]
+
     def test_very_strong_decoding_is_error_free_at_high_gain(self):
         cb = enumerate_codebook(ConstructionALattice(3, ((1, 0), (0, 1)), None, 1))
         params = ChannelParams(cross_gain=10.0, power=1.0, noise_var=1e-4)

@@ -8,7 +8,15 @@ spell of a shared host falls on every workload alike. Each run's last
 stdout line holds its metrics and its first line its provenance. The
 record keeps the commit, nproc, the Python and numpy versions and, per
 workload, the median and quartiles of wall_s, cpu_s and peak_rss_mb with
-every run's value. Uses the standard library only.
+every run's value.
+
+It then times the runs at scale that no workload makes (SCALE_RUNS), R
+times each, round robin, every run in a fresh interpreter with one BLAS
+thread: `python3 bench/record.py --scale-run NAME` builds the run's inputs
+from the checkout's `src`, times the one call and prints its wall_s,
+cpu_s, peak_rss_mb and error count. The record keeps their median and
+quartiles, and every run's error count, which a run fixes by its seeds.
+The recorder itself uses the standard library only.
 """
 
 from __future__ import annotations
@@ -16,15 +24,24 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("grid_exact", "weak_mc", "exact_loopback", "layered_mc")
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
 SEED = 1
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# weak_reliability at scale: 8 192 trials, seed 7, a = 0.3, power 4/3 (the
+# second moment of scale 4), noise 0.01, on draw 0 of each (p, k, n) shape
+WEAK_SHAPES = ((3, 2, 4), (5, 3, 6), (7, 3, 6), (3, 6, 6))
+WEAK_TRIALS = 8192
+PIPELINE_CONFIG = "kind=pipeline a=0.3 p=3 k=2 n=4 scale=4 num_bins=3 trials=20000"
+SCALE_RUNS = tuple(f"weak_p{p}_k{k}_n{n}" for p, k, n in WEAK_SHAPES) + ("pipeline_weak_20000",)
 
 
 def run_once(workload: str, seconds: float) -> tuple[dict, dict]:
@@ -34,6 +51,41 @@ def run_once(workload: str, seconds: float) -> tuple[dict, dict]:
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     return json.loads(lines[0])["provenance"], json.loads(lines[-1])
+
+
+def scale_call(name: str):
+    """(call, errors) for the run at scale NAME: call() runs it and returns
+    the result that errors(result) reads its error count from."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from fractions import Fraction
+
+    import latsec
+    from latsec.experiments import GridPoint, weak_reliability
+
+    if name.startswith("weak_"):
+        p, k, n = next(s for s in WEAK_SHAPES if name == f"weak_p{s[0]}_k{s[1]}_n{s[2]}")
+        codebook = latsec.Codebook(GridPoint(p, k, n, 0).build_lattice(scale=4))
+        params = latsec.ChannelParams(cross_gain=0.3, power=Fraction(4, 3), noise_var=0.01)
+        return (lambda: weak_reliability(codebook, params, WEAK_TRIALS, 7)), (lambda r: r["errors"])
+    config = latsec.parse_config(PIPELINE_CONFIG.replace(" ", "\n") + "\n")
+    return (lambda: latsec.run(config)), (lambda r: r["results"]["reliability"]["errors"])
+
+
+def scale_run(name: str) -> dict:
+    """Time one call of the run at scale NAME in this interpreter."""
+    call, errors = scale_call(name)
+    wall, cpu = time.perf_counter(), time.process_time()
+    result = call()
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    return {"wall_s": wall, "cpu_s": cpu, "errors": errors(result),
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
+def run_scale_once(name: str) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED="0", **dict.fromkeys(THREAD_VARS, "1"))
+    argv = [sys.executable, "bench/record.py", "--scale-run", name]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def summary(values: list) -> dict:
@@ -64,6 +116,16 @@ def record(seconds: float, repeats: int) -> dict:
         for name in METRICS:
             entry[name] = summary([r["metrics"][name]["value"] for r in runs])
         entries[w] = entry
+    scale = {name: [] for name in SCALE_RUNS}
+    for _ in range(repeats):
+        for name in SCALE_RUNS:
+            scale[name].append(run_scale_once(name))
+    scale_entries = {}
+    for name, runs in scale.items():
+        entry = {"runs": len(runs), "errors": [r["errors"] for r in runs]}
+        for metric in METRICS:
+            entry[metric] = summary([r[metric] for r in runs])
+        scale_entries[name] = entry
     return {
         "commit": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
@@ -74,15 +136,29 @@ def record(seconds: float, repeats: int) -> dict:
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {seconds:g} --trace 0",
         "repeats": repeats,
         "workloads": entries,
+        "scale_runs": {
+            "command": "python3 bench/record.py --scale-run NAME",
+            "weak": f"weak_reliability, {WEAK_TRIALS} trials, seed 7, a = 0.3, power 4/3, "
+                    "noise 0.01, Codebook(GridPoint(p, k, n, 0).build_lattice(scale=4))",
+            "pipeline": PIPELINE_CONFIG,
+            "runs": scale_entries,
+        },
     }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, type=Path, help="the JSON file to write")
+    parser.add_argument("--out", type=Path, help="the JSON file to write")
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--scale-run", choices=SCALE_RUNS,
+                        help="time one run at scale in this interpreter and print it as JSON")
     args = parser.parse_args(argv)
+    if args.scale_run:
+        print(json.dumps(scale_run(args.scale_run)))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     data = record(args.seconds, args.repeats)

@@ -12,10 +12,11 @@ lattice is (scale / p) * (C' + p Z^n), with C' the code spanned by T G mod p.
 Both are integer grids over the unit scale / p. The quantisers work on rows:
 a float array of shape (rows, n) or a PointGrid. The coarse quantiser rounds
 each coordinate; the fine quantiser rounds inside each coset of p Z^n (one
-per codeword of C'), gathers every codeword's coset point at once and keeps
-the nearest (Conway & Sloane, SPLAG ch. 20). Ties go to the
-lexicographically smallest residual, which makes the induced fundamental
-cell half-open.
+per codeword of C'), takes every codeword's distance at once and keeps the
+nearest (Conway & Sloane, SPLAG ch. 20): float rows as n column adds into a
+(codewords, rows) block, exact rows as one (rows, codewords, n) gather. Ties
+go to the lexicographically smallest residual, which makes the induced
+fundamental cell half-open.
 
 Every decision is the exact one for the row's rational value. Float rows are
 decided in float64 first, and a row is kept only when each of its decisions
@@ -51,10 +52,12 @@ GRID_LIMIT = 1 << 62
 two coordinates cannot overflow. on_grid raises BudgetExceeded past it."""
 
 _GATHER_LIMIT = 1 << 13
-"""Entries of the (rows, codewords, n) temporary that quantize_fine, and
-the float distance that channel's successive decoder leaves its
-uncertified rows to, make at once: both take rows in chunks, so their
-temporaries stay small whatever the batch and the code."""
+"""Entries of the temporaries that the fine quantiser and the float
+distance of channel's successive decoder make at once: the (codewords,
+rows) distance block of _float_fine, and the (rows, codewords, n) gathers
+of _exact_fine and of the rows the decoder leaves uncertified. Each takes
+rows in chunks, so its temporaries stay small whatever the batch and the
+code."""
 
 _ROUNDOFF = 2.0**-53
 """u, the unit roundoff of float64: a correctly rounded operation whose
@@ -81,8 +84,9 @@ class PointGrid:
 
     The Fraction points and their floats are derived on demand, once each;
     every float is the correctly rounded value of its exact coordinate. So
-    that none of these goes stale, the grid makes its coords read-only: an
-    int64 array is kept as it is, and is read-only from then on.
+    that none of these goes stale, the grid makes its coords read-only (an
+    int64 array is kept as it is, and is read-only from then on), and its
+    float array read-only too.
     """
 
     def __init__(self, unit, coords, *, _bound=None):
@@ -112,11 +116,26 @@ class PointGrid:
         return tuple(tuple(flat[i : i + n]) for i in range(0, len(flat), n))
 
     def float_matrix(self) -> np.ndarray:
+        """The float64 array of float(unit * v) for every coordinate v,
+        formed once and read-only.
+
+        With unit = num / den, while max(peak, 1) num <= 2^53 and den <=
+        2^53 every v num and den is an exact float, and one correctly
+        rounded division of the two gives float(unit * v) bit for bit: it is
+        coords * float(num) / float(den). Past that bound each distinct
+        value is converted once by int / int, which is correctly rounded,
+        as float(Fraction) is. Neither yields -0.0.
+        """
         if self._float is None:
             num, den = self.unit.numerator, self.unit.denominator
-            # int / int is correctly rounded, as float(Fraction) is
-            table, inverse = self._per_value(lambda v: v * num / den)
-            self._float = np.array(table, dtype=np.float64)[inverse].reshape(self.coords.shape)
+            if max(self.peak, 1) * num <= 2**53 and den <= 2**53:
+                floats = self.coords * float(num)
+                floats /= float(den)
+            else:
+                table, inverse = self._per_value(lambda v: v * num / den)
+                floats = np.array(table, dtype=np.float64)[inverse].reshape(self.coords.shape)
+            floats.setflags(write=False)
+            self._float = floats
         return self._float
 
 
@@ -472,32 +491,53 @@ class ConstructionALattice:
         d_2 - d_1 > 2 beta: the least exact distance is then unique, so a
         certified row never has a tie, and its point is that codeword's
         coset points c_r. A row is certified when every residue of every
-        coordinate passes, with |t| < _FLOAT_REACH, and its gap does; the
-        (rows, codewords, n) gather is taken in chunks of _GATHER_LIMIT
-        entries. Uncertified rows get the point 0.
+        coordinate passes, with |t| < _FLOAT_REACH, and its gap does.
+
+        Layout. The arrays are point-major: t is (n, rows) and the
+        candidates c_r and residuals rho_r are (p, n, rows), so the residue
+        tests and beta reduce over leading axes. Rows are taken in chunks of
+        at most _GATHER_LIMIT (codeword, row) entries (or one row); a
+        chunk's distances are n column adds, sq[words[:, i], i], into a
+        (codewords, rows) block, each d summed left to right, one of the
+        orders the bound above covers. Over the block's codeword axis the
+        chunk takes d_1, marks the codewords at d_1, counts the marks and
+        sums their indices, and takes d_2 as the least unmarked distance; a
+        row whose count is not 1 has a tie at d_1 and is not certified, and
+        one that counts 1 gets the marked index as its codeword. Uncertified
+        rows get the point 0.
         """
         p, n = self.p, self.n
         words = self._codewords
-        best = np.empty(len(rows), dtype=np.intp)
-        step = max(1, _GATHER_LIMIT // words.size)
+        count = len(rows)
+        step = max(1, _GATHER_LIMIT // len(words))
+        # each row's count of marks, the sum of their indices and its gap
+        tally = np.array([np.ones(len(words)), np.arange(len(words))])
+        stats = np.empty((3, count))
         with np.errstate(over="ignore", invalid="ignore"):
-            t = rows * self._float_steps[1]
-            r = np.arange(p, dtype=np.float64)
-            near = r + p * np.floor((t[..., None] - r) / p + 0.5)
-            resid = t[..., None] - near
+            t = np.multiply(rows.T, self._float_steps[1], order="C")
+            r = np.arange(p, dtype=np.float64).reshape(p, 1, 1)
+            near = r + p * np.floor((t - r) / p + 0.5)
+            resid = t - near
             size = np.abs(t)
             e = 3 * _ROUNDOFF * (size + p)
-            certain = ((size < _FLOAT_REACH) & (p / 2 - np.abs(resid).max(axis=2) > e)).all(axis=1)
-            beta = p * e.sum(axis=1) + n * n * _ROUNDOFF * p * p / 2
+            certain = ((size < _FLOAT_REACH) & (p / 2 - np.abs(resid).max(axis=0) > e)).all(axis=0)
+            beta = p * e.sum(axis=0) + n * n * _ROUNDOFF * p * p / 2
             sq = resid * resid
-            for start in range(0, len(rows), step):
+            for start in range(0, count, step):
                 part = slice(start, start + step)
-                dist = sq[part][:, np.arange(n), words].sum(axis=2)
-                least = np.partition(dist, 1, axis=1)
-                certain[part] &= least[:, 1] - least[:, 0] > 2 * beta[part]
-                best[part] = dist.argmin(axis=1)
-        point = near[np.arange(len(rows))[:, None], np.arange(n), words[best]]
-        return np.where(certain[:, None], point, 0).astype(np.int64), certain
+                dist = sq[words[:, 0], 0, part]
+                for i in range(1, n):
+                    dist += sq[words[:, i], i, part]
+                least = dist.min(axis=0)
+                marks = dist == least
+                stats[:2, part] = tally @ marks
+                np.copyto(dist, np.inf, where=marks)
+                stats[2, part] = dist.min(axis=0) - least
+            marked, index, gap = stats
+            certain &= (marked == 1) & (gap > 2 * beta)
+        best = np.where(certain, index, 0).astype(np.intp)
+        point = near[words[best].T, np.arange(n)[:, None], np.arange(count)]
+        return np.where(certain, point, 0).T.astype(np.int64, order="C"), certain
 
     # ------------------------------------------------------------------
     # quantisation

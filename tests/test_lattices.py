@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latsec import (
@@ -670,6 +670,115 @@ class TestFloatFilters:
                 lat.mod_coarse(np.array([[0.25, 0.0]]))
 
 
+def drawn_lattice(p, k, n, scale) -> ConstructionALattice:
+    return ConstructionALattice(
+        p, random_code_matrix(p, k, n, seed=[p, k, n, 0, 11]),
+        random_unimodular(n, seed=[p, k, n, 0, 13]), scale,
+    )
+
+
+def record_exact_fine(monkeypatch) -> list:
+    """Spy on ConstructionALattice._exact_fine: the list it returns collects
+    every float row it is given, as a tuple."""
+    seen = []
+    exact_fine = ConstructionALattice._exact_fine
+
+    def spy(self, x):
+        if not isinstance(x, PointGrid):
+            seen.extend(tuple(row) for row in x.tolist())
+        return exact_fine(self, x)
+
+    monkeypatch.setattr(ConstructionALattice, "_exact_fine", spy)
+    return seen
+
+
+class TestFloatFineBlocks:
+    """_float_fine takes its distances in (codewords, rows) blocks of at most
+    _GATHER_LIMIT entries: any block size decides as one block does, a
+    certified row gets the exact answer, and ties and residue half steps
+    are left to the exact path."""
+
+    # (p, k, n, scale): 2, 9, 25, 27 and 49 codewords
+    CASES = [(2, 1, 2, 1), (3, 2, 4, 4), (5, 2, 3, Fraction(7, 5)), (3, 3, 3, Fraction(2, 3)),
+             (7, 2, 3, 2)]
+
+    @staticmethod
+    def rows(lat, seed) -> np.ndarray:
+        """Rows anywhere, rows near codewords, and the float midpoints of
+        random pairs of fine points."""
+        rng = np.random.default_rng(seed)
+        unit = float(lat.unit)
+        words = lat.message_table
+        near = words[rng.integers(len(words), size=60)] * unit + rng.normal(0, 0.3 * unit, (60, lat.n))
+        pairs = words[rng.integers(len(words), size=(2, 40))]
+        shift = lat.p * rng.integers(-1, 2, size=(40, lat.n))
+        mid = (pairs[0] + pairs[1] + shift) * (unit / 2)
+        anywhere = rng.normal(0, 2 * float(lat.scale), (60, lat.n))
+        return np.concatenate([anywhere, near, mid])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_block_sizes_decide_as_one_block(self, monkeypatch, case):
+        lat = drawn_lattice(*case)
+        x = self.rows(lat, list(case[:3]))
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", 10**9)
+        coords, certain = lat._float_fine(x)
+        assert coords.flags.c_contiguous and coords.dtype == np.int64
+        exact = lat._exact_fine(x)
+        assert 100 <= certain.sum() < len(x)
+        assert np.array_equal(coords[certain], exact[certain])
+        assert not coords[~certain].any()
+        for limit in (1, 7, 64):
+            monkeypatch.setattr(lattices, "_GATHER_LIMIT", limit)
+            got, sure = lat._float_fine(x)
+            assert np.array_equal(sure, certain) and np.array_equal(got, coords)
+            assert np.array_equal(lat.quantize_fine(x).coords, exact)
+
+    @pytest.mark.parametrize("limit", [1, 7, 8192])
+    def test_ties_and_residue_half_steps_fall_back(self, monkeypatch, limit):
+        # over unit 1: the midpoint (1/2, 1/2) of the codewords (0, 0) and
+        # (1, 1) of a p = 2 code, and two points on the bisector of (0, 0)
+        # and (1, -1) of a p = 3 code (the midpoint (1/2, -1/2) lies on a
+        # half step of residue 2), tie; an integer coordinate is on a half
+        # step of one residue for p = 2, and a half-integer one for p = 3.
+        # Those rows take the exact path, the others beside them do not,
+        # and each gets the oracle's point.
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", limit)
+        seen = record_exact_fine(monkeypatch)
+        for p, g, fall, stay in [
+            (2, ((1,), (1,)), [(0.5, 0.5), (-1.5, 0.5), (1.0, 0.25), (0.3, -2.0)],
+             [(0.45, 0.5), (0.9, 0.25), (0.3, -1.9)]),
+            (3, ((1,), (2,)), [(0.75, -0.25), (-0.25, 0.75), (0.5, -0.5), (2.5, 1.0), (0.2, -1.5)],
+             [(0.7, -0.25), (2.4, 1.0), (0.2, -1.4)]),
+        ]:
+            lat = ConstructionALattice(p, g, None, p)
+            del seen[:]
+            x = np.array(fall + stay)
+            points = lat.quantize_fine(x).points
+            assert sorted(seen) == sorted(fall)
+            fine = TestRowDtypeBound.fine_basis(lat)
+            for row, pt in zip(x.tolist(), points):
+                exact = [Fraction(v) for v in row]
+                winners, _ = oracles.exhaustive_nearest(exact, fine, box=5)
+                assert minus([exact], [pt])[0] == oracles.tie_break_residual(exact, winners)
+
+    def test_a_gap_at_the_stated_bound_is_not_certified(self, monkeypatch):
+        # with the unit roundoff taken as 2^-11, a looser bound that still
+        # certifies only exact answers, beta's arithmetic is exact on these
+        # rows. p = 2, code (1, 0) over unit 1: row (1/2 - d, 15.5625) has
+        # the gap 2 d between the codewords (0, 0) and (1, 0), and
+        # beta = 2 * 3 u (2.5 - d + 17.5625) + 8 u. At d = 1/16 the gap is
+        # 1/8 = 2 beta exactly, and the row must fall back; at d = 1/8 the
+        # gap is 1/4 > 2 beta, at d = 1/32 it is 1/16 < 2 beta.
+        monkeypatch.setattr(lattices, "_ROUNDOFF", 2.0**-11)
+        lat = ConstructionALattice(2, ((1,), (0,)), None, 2)
+        rows = [(0.5 - d, 15.5625) for d in (1 / 8, 1 / 16, 1 / 32)]
+        _, certain = lat._float_fine(np.array(rows))
+        assert certain.tolist() == [True, False, False]
+        seen = record_exact_fine(monkeypatch)
+        assert lat.quantize_fine(np.array(rows)).coords.tolist() == [[0, 16]] * 3
+        assert seen == rows[1:]
+
+
 @st.composite
 def grid_rows(draw):
     """(case, PointGrid) for a two-dimensional case of
@@ -949,6 +1058,81 @@ class TestPointGridCoords:
             with pytest.raises(ValueError):
                 target[0, 0] = 7
         assert x.peak == 5 and x.coords.tolist() == [[0, 1], [2, 3], [4, 5]]
+
+
+def exact_floats(x) -> np.ndarray:
+    """float(unit * v) for every coordinate v of the PointGrid x."""
+    values = [[float(x.unit * v) for v in row] for row in x.coords.tolist()]
+    return np.array(values, dtype=np.float64).reshape(x.coords.shape)
+
+
+@st.composite
+def guard_grids(draw):
+    """PointGrids over unit num / den with max(peak, 1) num within two num of
+    2^53, on either side; den small, near 2^53 on either side, or large;
+    coordinates that reach the peak, with zero and negative ones; and
+    sometimes a _bound that overestimates the peak."""
+    peak = draw(st.integers(1, 2**24))
+    num = max(1, 2**53 // peak + draw(st.integers(-2, 2)))
+    den = draw(st.one_of(st.integers(1, 2**12), st.integers(2**53 - 8, 2**53 + 8),
+                         st.integers(1, 2**60)))
+    assume(math.gcd(num, den) == 1)
+    values = draw(st.lists(st.integers(-peak, peak), max_size=5)) + [peak, -peak, 0]
+    values += [0] * (-len(values) % 2)
+    over = draw(st.sampled_from([None, 0, 1, 2**30]))
+    bound = None if over is None else peak + over
+    return PointGrid(Fraction(num, den), np.array(values).reshape(-1, 2), _bound=bound)
+
+
+class TestFloatMatrix:
+    """float_matrix holds float(unit * v) bit for bit, from one division of
+    exact floats under 2^53 and from the per-value table past it, and it is
+    read-only."""
+
+    @settings(max_examples=200)
+    @given(guard_grids())
+    @example(PointGrid(Fraction(2**53 + 1, 7), [[1, 0], [-1, 0]]))
+    def test_floats_are_correctly_rounded(self, x):
+        assert x.float_matrix().tobytes() == exact_floats(x).tobytes()
+
+    @pytest.mark.parametrize(
+        "unit, coords, bound, table",
+        [
+            (Fraction(2**53, 3), [[1, 0, -1]], None, False),
+            (Fraction(3, 2**53), [[2**51, -7, 0]], None, False),
+            (Fraction(7, 2**53 - 1), [[2**50, -(2**50), 3]], None, False),
+            # num peak = 2^53 + 1: 2^53 + 1 rounds to 2^53 as a float
+            (Fraction(2**53 + 1, 7), [[1, 0, -1]], None, True),
+            (Fraction(1, 2**53 + 1), [[5, -5, 0]], None, True),
+            (Fraction(1, 3), [[5, -5, 0]], 2**53 + 1, True),
+            (Fraction(10**300), [[1, -2, 0]], None, True),
+            (Fraction(1, 2**60 + 1), [[1, -5, 2**40]], None, True),
+        ],
+    )
+    def test_the_table_is_taken_only_past_the_guard(self, monkeypatch, unit, coords, bound, table):
+        calls = []
+        per_value = PointGrid._per_value
+
+        def spy(self, convert):
+            calls.append(len(self.coords))
+            return per_value(self, convert)
+
+        monkeypatch.setattr(PointGrid, "_per_value", spy)
+        x = PointGrid(unit, coords, _bound=bound)
+        assert x.float_matrix().tobytes() == exact_floats(x).tobytes()
+        assert bool(calls) == table
+
+    @pytest.mark.parametrize("unit", [Fraction(1, 2), Fraction(1, 2**60 + 1)])
+    def test_the_floats_are_read_only(self, unit):
+        # a write into the floats would leave them stale against the coords
+        x = PointGrid(unit, [[0, 0, 0, 0], [1, -2, 3, -4]])
+        with pytest.raises(ValueError):
+            x.float_matrix()[0, 0] = 9.0
+        assert x.float_matrix().tobytes() == exact_floats(x).tobytes()
+        cb = enumerate_codebook(ConstructionALattice(3, ((1,), (2,)), None, 1))
+        with pytest.raises(ValueError):
+            cb.float_matrix()[0, 0] = 9.0
+        assert cb.float_matrix().tobytes() == exact_floats(cb).tobytes()
 
 
 def _guarded_calls():

@@ -53,9 +53,9 @@ def run_once(workload: str, seconds: float) -> tuple[dict, dict]:
     return json.loads(lines[0])["provenance"], json.loads(lines[-1])
 
 
-def scale_call(name: str):
-    """(call, errors) for the run at scale NAME: call() runs it and returns
-    the result that errors(result) reads its error count from."""
+def scale_run(name: str) -> dict:
+    """Time one call of the run at scale NAME in this interpreter: its
+    inputs are built first, and the call returns the run's error count."""
     sys.path.insert(0, str(ROOT / "src"))
     from fractions import Fraction
 
@@ -66,18 +66,14 @@ def scale_call(name: str):
         p, k, n = next(s for s in WEAK_SHAPES if name == f"weak_p{s[0]}_k{s[1]}_n{s[2]}")
         codebook = latsec.Codebook(GridPoint(p, k, n, 0).build_lattice(scale=4))
         params = latsec.ChannelParams(cross_gain=0.3, power=Fraction(4, 3), noise_var=0.01)
-        return (lambda: weak_reliability(codebook, params, WEAK_TRIALS, 7)), (lambda r: r["errors"])
-    config = latsec.parse_config(PIPELINE_CONFIG.replace(" ", "\n") + "\n")
-    return (lambda: latsec.run(config)), (lambda r: r["results"]["reliability"]["errors"])
-
-
-def scale_run(name: str) -> dict:
-    """Time one call of the run at scale NAME in this interpreter."""
-    call, errors = scale_call(name)
+        call = lambda: weak_reliability(codebook, params, WEAK_TRIALS, 7)["errors"]
+    else:
+        config = latsec.parse_config(PIPELINE_CONFIG.replace(" ", "\n") + "\n")
+        call = lambda: latsec.run(config)["results"]["reliability"]["errors"]
     wall, cpu = time.perf_counter(), time.process_time()
-    result = call()
+    errors = call()
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-    return {"wall_s": wall, "cpu_s": cpu, "errors": errors(result),
+    return {"wall_s": wall, "cpu_s": cpu, "errors": errors,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 

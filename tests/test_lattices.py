@@ -677,21 +677,6 @@ def drawn_lattice(p, k, n, scale) -> ConstructionALattice:
     )
 
 
-def record_exact_fine(monkeypatch) -> list:
-    """Spy on ConstructionALattice._exact_fine: the list it returns collects
-    every float row it is given, as a tuple."""
-    seen = []
-    exact_fine = ConstructionALattice._exact_fine
-
-    def spy(self, x):
-        if not isinstance(x, PointGrid):
-            seen.extend(tuple(row) for row in x.tolist())
-        return exact_fine(self, x)
-
-    monkeypatch.setattr(ConstructionALattice, "_exact_fine", spy)
-    return seen
-
-
 class TestFloatFineBlocks:
     """_float_fine takes its distances in (codewords, rows) blocks of at most
     _GATHER_LIMIT entries: any block size decides as one block does, a
@@ -743,7 +728,7 @@ class TestFloatFineBlocks:
         # Those rows take the exact path, the others beside them do not,
         # and each gets the oracle's point.
         monkeypatch.setattr(lattices, "_GATHER_LIMIT", limit)
-        seen = record_exact_fine(monkeypatch)
+        seen = record_exact_rows(monkeypatch)
         for p, g, fall, stay in [
             (2, ((1,), (1,)), [(0.5, 0.5), (-1.5, 0.5), (1.0, 0.25), (0.3, -2.0)],
              [(0.45, 0.5), (0.9, 0.25), (0.3, -1.9)]),
@@ -754,7 +739,7 @@ class TestFloatFineBlocks:
             del seen[:]
             x = np.array(fall + stay)
             points = lat.quantize_fine(x).points
-            assert sorted(seen) == sorted(fall)
+            assert seen == [(np.dtype(object), [list(row) for row in fall])]
             fine = TestRowDtypeBound.fine_basis(lat)
             for row, pt in zip(x.tolist(), points):
                 exact = [Fraction(v) for v in row]
@@ -774,9 +759,9 @@ class TestFloatFineBlocks:
         rows = [(0.5 - d, 15.5625) for d in (1 / 8, 1 / 16, 1 / 32)]
         _, certain = lat._float_fine(np.array(rows))
         assert certain.tolist() == [True, False, False]
-        seen = record_exact_fine(monkeypatch)
+        seen = record_exact_rows(monkeypatch)
         assert lat.quantize_fine(np.array(rows)).coords.tolist() == [[0, 16]] * 3
-        assert seen == rows[1:]
+        assert seen == [(np.dtype(object), [list(row) for row in rows[1:]])]
 
 
 @st.composite

@@ -13,6 +13,7 @@ from latsec import (
     ChannelParams,
     ConstructionALattice,
     DimensionMismatch,
+    GridPoint,
     NonPositiveScale,
     NotPrime,
     NotUnimodular,
@@ -670,13 +671,6 @@ class TestFloatFilters:
                 lat.mod_coarse(np.array([[0.25, 0.0]]))
 
 
-def drawn_lattice(p, k, n, scale) -> ConstructionALattice:
-    return ConstructionALattice(
-        p, random_code_matrix(p, k, n, seed=[p, k, n, 0, 11]),
-        random_unimodular(n, seed=[p, k, n, 0, 13]), scale,
-    )
-
-
 class TestFloatFineBlocks:
     """_float_fine takes its distances in (codewords, rows) blocks of at most
     _GATHER_LIMIT entries: any block size decides as one block does, a
@@ -703,7 +697,8 @@ class TestFloatFineBlocks:
 
     @pytest.mark.parametrize("case", CASES)
     def test_block_sizes_decide_as_one_block(self, monkeypatch, case):
-        lat = drawn_lattice(*case)
+        p, k, n, scale = case
+        lat = GridPoint(p, k, n, 0).build_lattice(scale)
         x = self.rows(lat, list(case[:3]))
         monkeypatch.setattr(lattices, "_GATHER_LIMIT", 10**9)
         coords, certain = lat._float_fine(x)

@@ -14,8 +14,9 @@ It then times the runs at scale that no workload makes (SCALE_RUNS), R
 times each, round robin, every run in a fresh interpreter with one BLAS
 thread: `python3 bench/record.py --scale-run NAME` builds the run's inputs
 from the checkout's `src`, times the one call and prints its wall_s,
-cpu_s, peak_rss_mb and error count. The record keeps their median and
-quartiles, and every run's error count, which a run fixes by its seeds.
+cpu_s, peak_rss_mb and error count (for the fine_exact runs, a checksum of
+the points). The record keeps their median and quartiles, and every run's
+error count, which a run fixes by its seeds.
 The recorder itself uses the standard library only.
 """
 
@@ -41,7 +42,26 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 WEAK_SHAPES = ((3, 2, 4), (5, 3, 6), (7, 3, 6), (3, 6, 6))
 WEAK_TRIALS = 8192
 PIPELINE_CONFIG = "kind=pipeline a=0.3 p=3 k=2 n=4 scale=4 num_bins=3 trials=20000"
-SCALE_RUNS = tuple(f"weak_p{p}_k{k}_n{n}" for p, k, n in WEAK_SHAPES) + ("pipeline_weak_20000",)
+# quantize_fine on exact rows: 1 024 int64 rows over half the fine unit of
+# draw 0 of each shape at scale 4, so that some rows are tied, drawn by
+# default_rng(7) within two coarse steps of 0; the error slot holds the
+# CRC-32 of the points' int64 bytes, which the seed fixes
+FINE_SHAPES = ((7, 3, 6), (3, 6, 6))
+FINE_ROWS = 1024
+# very_strong_p3_k6_n6: very_strong_reliability, 8 192 trials, seed 7, a = 4,
+# power 4/3, noise 0.1, on draw 0 of p3 k6 n6 (729 codewords) at scale 4
+SCALE_RUNS = (
+    tuple(f"weak_p{p}_k{k}_n{n}" for p, k, n in WEAK_SHAPES)
+    + ("pipeline_weak_20000",)
+    + tuple(f"fine_exact_p{p}_k{k}_n{n}" for p, k, n in FINE_SHAPES)
+    + ("very_strong_p3_k6_n6",)
+)
+
+
+def shape_of(name: str) -> tuple:
+    """The (p, k, n) that a run name such as weak_p3_k2_n4 ends in."""
+    p, k, n = name.rsplit("_", 3)[1:]
+    return int(p[1:]), int(k[1:]), int(n[1:])
 
 
 def run_once(workload: str, seconds: float) -> tuple[dict, dict]:
@@ -55,21 +75,34 @@ def run_once(workload: str, seconds: float) -> tuple[dict, dict]:
 
 def scale_run(name: str) -> dict:
     """Time one call of the run at scale NAME in this interpreter: its
-    inputs are built first, and the call returns the run's error count."""
+    inputs are built first, and the call returns the run's error count (a
+    checksum of the points, for fine_exact runs)."""
     sys.path.insert(0, str(ROOT / "src"))
+    import zlib
     from fractions import Fraction
 
-    import latsec
-    from latsec.experiments import GridPoint, weak_reliability
+    import numpy as np
 
-    if name.startswith("weak_"):
-        p, k, n = next(s for s in WEAK_SHAPES if name == f"weak_p{s[0]}_k{s[1]}_n{s[2]}")
-        codebook = latsec.Codebook(GridPoint(p, k, n, 0).build_lattice(scale=4))
-        params = latsec.ChannelParams(cross_gain=0.3, power=Fraction(4, 3), noise_var=0.01)
-        call = lambda: weak_reliability(codebook, params, WEAK_TRIALS, 7)["errors"]
-    else:
+    import latsec
+    from latsec.experiments import GridPoint, very_strong_reliability, weak_reliability
+
+    if name == "pipeline_weak_20000":
         config = latsec.parse_config(PIPELINE_CONFIG.replace(" ", "\n") + "\n")
         call = lambda: latsec.run(config)["results"]["reliability"]["errors"]
+    else:
+        p, k, n = shape_of(name)
+        lattice = GridPoint(p, k, n, 0).build_lattice(scale=4)
+        codebook = latsec.Codebook(lattice)
+    if name.startswith("weak_"):
+        params = latsec.ChannelParams(cross_gain=0.3, power=Fraction(4, 3), noise_var=0.01)
+        call = lambda: weak_reliability(codebook, params, WEAK_TRIALS, 7)["errors"]
+    elif name.startswith("very_strong_"):
+        params = latsec.ChannelParams(cross_gain=4, power=Fraction(4, 3), noise_var=0.1)
+        call = lambda: very_strong_reliability(codebook, params, WEAK_TRIALS, 7)["errors"]
+    elif name.startswith("fine_exact_"):
+        coords = np.random.default_rng(7).integers(-4 * p, 4 * p + 1, size=(FINE_ROWS, n))
+        rows = latsec.PointGrid(lattice.unit / 2, coords)
+        call = lambda: zlib.crc32(lattice.quantize_fine(rows).coords.astype("<i8").tobytes())
     wall, cpu = time.perf_counter(), time.process_time()
     errors = call()
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
@@ -137,6 +170,11 @@ def record(seconds: float, repeats: int) -> dict:
             "weak": f"weak_reliability, {WEAK_TRIALS} trials, seed 7, a = 0.3, power 4/3, "
                     "noise 0.01, Codebook(GridPoint(p, k, n, 0).build_lattice(scale=4))",
             "pipeline": PIPELINE_CONFIG,
+            "fine_exact": f"quantize_fine on {FINE_ROWS} int64 rows over half the fine unit, "
+                          "default_rng(7).integers(-4p, 4p + 1), draw 0 at scale 4; "
+                          "errors holds the CRC-32 of the points",
+            "very_strong": f"very_strong_reliability, {WEAK_TRIALS} trials, seed 7, a = 4, "
+                           "power 4/3, noise 0.1, the weak runs' codebook",
             "runs": scale_entries,
         },
     }

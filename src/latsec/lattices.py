@@ -13,10 +13,10 @@ Both are integer grids over the unit scale / p. The quantisers work on rows:
 a float array of shape (rows, n) or a PointGrid. The coarse quantiser rounds
 each coordinate; the fine quantiser rounds inside each coset of p Z^n (one
 per codeword of C'), takes every codeword's distance at once and keeps the
-nearest (Conway & Sloane, SPLAG ch. 20): float rows as n column adds into a
-(codewords, rows) block, exact rows as one (rows, codewords, n) gather. Ties
-go to the lexicographically smallest residual, which makes the induced
-fundamental cell half-open.
+nearest (Conway & Sloane, SPLAG ch. 20): float and exact rows alike, as n
+column adds into one (codewords, rows) block. Ties go to the
+lexicographically smallest residual, which makes the induced fundamental
+cell half-open.
 
 Every decision is the exact one for the row's rational value. Float rows are
 decided in float64 first, and a row is kept only when each of its decisions
@@ -54,8 +54,8 @@ two coordinates cannot overflow. on_grid raises BudgetExceeded past it."""
 _GATHER_LIMIT = 1 << 13
 """Entries of the temporaries that the fine quantiser and the float
 distance of channel's successive decoder make at once: the (codewords,
-rows) distance block of _float_fine, and the (rows, codewords, n) gathers
-of _exact_fine and of the rows the decoder leaves uncertified. Each takes
+rows) distance block of _float_fine and _exact_fine, and the (rows,
+codewords, n) gather of the rows the decoder leaves uncertified. Each takes
 rows in chunks, so its temporaries stay small whatever the batch and the
 code."""
 
@@ -229,28 +229,17 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def _least_word(resid, sq, words, sentinel) -> np.ndarray:
-    """Each row's least codeword by (distance, lexicographic residual).
-
-    resid and sq hold, for each row, coordinate and residue r mod p, the
-    residual of the nearest integer that is r mod p and its square: shape
-    (rows, n, p). One gather of sq over every codeword gives the distances,
-    shape (rows, codewords); rows whose least distance is tied are narrowed
-    column by column, n passes at most, until one codeword is left. Two
-    codewords differ in some coordinate, where their residuals differ, so
-    one always is. sentinel, of shape (rows, 1), exceeds every residual of
-    its row. Returns indices into words."""
-    n = words.shape[1]
-    dist = sq[:, np.arange(n), words].sum(axis=2)
-    alive = dist == dist.min(axis=1, keepdims=True)
-    tied = np.flatnonzero(alive.sum(axis=1) > 1)
-    for i in range(n):
-        if not tied.size:
-            break
-        col = np.where(alive[tied], resid[tied, i][:, words[:, i]], sentinel[tied])
-        alive[tied] &= col == col.min(axis=1, keepdims=True)
-        tied = tied[alive[tied].sum(axis=1) > 1]
-    return alive.argmax(axis=1)
+def _distances(sq, words, part) -> np.ndarray:
+    """The (codewords, rows) block of squared distances of the rows in slice
+    part. sq holds, for each residue r mod p, coordinate and row, the square
+    of the residual that r's coset point leaves: shape (p, n, rows). A
+    codeword's distance is its n column entries sq[words[:, i], i], added
+    left to right in sq's own dtype: float64, int64, or Python ints in an
+    object array."""
+    dist = sq[words[:, 0], 0, part]
+    for i in range(1, words.shape[1]):
+        dist += sq[words[:, i], i, part]
+    return dist
 
 
 def det_int(rows) -> int:
@@ -498,13 +487,13 @@ class ConstructionALattice:
         tests and beta reduce over leading axes. Rows are taken in chunks of
         at most _GATHER_LIMIT (codeword, row) entries (or one row); a
         chunk's distances are n column adds, sq[words[:, i], i], into a
-        (codewords, rows) block, each d summed left to right, one of the
-        orders the bound above covers. Over the block's codeword axis the
-        chunk takes d_1, marks the codewords at d_1, counts the marks and
-        sums their indices, and takes d_2 as the least unmarked distance; a
-        row whose count is not 1 has a tie at d_1 and is not certified, and
-        one that counts 1 gets the marked index as its codeword. Uncertified
-        rows get the point 0.
+        (codewords, rows) block (_distances, which _exact_fine shares), each
+        d summed left to right, one of the orders the bound above covers.
+        Over the block's codeword axis the chunk takes d_1, marks the
+        codewords at d_1, counts the marks and sums their indices, and takes
+        d_2 as the least unmarked distance; a row whose count is not 1 has a
+        tie at d_1 and is not certified, and one that counts 1 gets the
+        marked index as its codeword. Uncertified rows get the point 0.
         """
         p, n = self.p, self.n
         words = self._codewords
@@ -525,9 +514,7 @@ class ConstructionALattice:
             sq = resid * resid
             for start in range(0, count, step):
                 part = slice(start, start + step)
-                dist = sq[words[:, 0], 0, part]
-                for i in range(1, n):
-                    dist += sq[words[:, i], i, part]
+                dist = _distances(sq, words, part)
                 least = dist.min(axis=0)
                 marks = dist == least
                 stats[:2, part] = tally @ marks
@@ -591,31 +578,44 @@ class ConstructionALattice:
         """Fine points of exact rows (see _unit_rows), as int64 coordinates
         in units of scale / p.
 
-        For each residue r, finds the nearest integer to each coordinate that
-        is r mod p, and the residual it leaves; then takes every codeword of
-        C' at once (see _least_word) and keeps each row's least (distance,
-        residual). Every residual is at most p den / 2 in magnitude, so
-        p den, broadcast to one per row, is a sentinel above all of a row's.
-        Rows are taken in chunks of at most _GATHER_LIMIT (row, codeword,
-        coordinate) entries.
+        For each residue r, finds the integer near = r (mod p) nearest each
+        coordinate, and the residual num - near den it leaves; a row's fine
+        point is the coset point of its least codeword by (distance,
+        lexicographic residual), read from near. The layout is _float_fine's:
+        numerators are (n, rows), near and the residuals (p, n, rows), and
+        rows are taken in chunks of at most _GATHER_LIMIT (codeword, row)
+        entries (or one row), whose distances come from _distances. Each
+        chunk marks the least distance over the codeword axis, and rows with
+        more than one mark are narrowed column by column on their residuals,
+        n passes at most, until one mark is left: two codewords differ in
+        some coordinate, where their residuals differ, so one always is.
+        Every residual is at most p den / 2 in magnitude, so p den is a
+        sentinel above all of a row's.
         """
         num, den = self._unit_rows(x)
-        p = self.p
-        r = np.arange(p)
-        num3, den3 = num[..., None], den[..., None]
-        near = r + p * _round_half_up(num3 - r * den3, p * den3)
-        resid = num3 - near * den3
+        p, n, words = self.p, self.n, self._codewords
+        num, den = num.T, den.T
+        count = num.shape[1]
+        r = np.arange(p).reshape(p, 1, 1)
+        near = r + p * _round_half_up(num - r * den, p * den)
+        resid = num - near * den
         sq = resid * resid
-        words = self._codewords
-        sentinel = np.broadcast_to(p * den, (len(num), 1))
-        step = max(1, _GATHER_LIMIT // words.size)
-        best = np.empty(len(num), dtype=np.int64)
-        for start in range(0, len(num), step):
-            part = slice(start, start + step)
-            best[part] = _least_word(resid[part], sq[part], words, sentinel[part])
-        rows = np.arange(len(num))[:, None]
-        least = resid[rows, np.arange(self.n), words[best]]
-        return _int64_grid((num - least) // den)
+        sentinel = np.broadcast_to(p * den, (1, count))[0]
+        step = max(1, _GATHER_LIMIT // len(words))
+        best = np.empty(count, dtype=np.intp)
+        for start in range(0, count, step):
+            dist = _distances(sq, words, slice(start, start + step))
+            alive = dist == dist.min(axis=0)
+            tied = np.flatnonzero(alive.sum(axis=0) > 1)
+            for i in range(n):
+                if not tied.size:
+                    break
+                rows = start + tied
+                col = np.where(alive[:, tied], resid[words[:, i, None], i, rows], sentinel[rows])
+                alive[:, tied] &= col == col.min(axis=0)
+                tied = tied[alive[:, tied].sum(axis=0) > 1]
+            best[start : start + step] = alive.argmax(axis=0)
+        return _int64_grid(near[words[best], np.arange(n), np.arange(count)[:, None]])
 
     # ------------------------------------------------------------------
     # codewords

@@ -1246,16 +1246,28 @@ class TestRowDtypeBound:
         lat.quantize_fine(lat.mod_coarse(np.array([[0.1], [0.8], [-2.9]])))
         assert len(seen) == 2
 
-    def test_chunked_rows_match_one_gather(self, monkeypatch):
-        # more rows than one gather takes: every chunk decides as the whole
+    def test_chunked_rows_match_one_block(self, monkeypatch):
+        # more rows than one block takes, on half steps, where the least
+        # distance is often tied, in int64 and past the int64 bound (the
+        # same rows moved by the coarse vector 2^59 (1, 1), N > 2^61): every
+        # chunk size decides as one block does, and as the oracle does
         lat = ConstructionALattice(*TestIntegerCoreAgainstOracle.CASES[1])
-        rng = np.random.default_rng(5)
-        x = PointGrid(lat.scale / lat.p / 2, rng.integers(-6, 7, size=(700, lat.n)))
-        whole = lat.quantize_fine(x)
-        monkeypatch.setattr(lattices, "_GATHER_LIMIT", 7 * lat.num_cosets * lat.n)
-        assert np.array_equal(lat.quantize_fine(x).coords, whole.coords)
-        monkeypatch.setattr(lattices, "_GATHER_LIMIT", 1)
-        assert np.array_equal(lat.quantize_fine(x).coords, whole.coords)
-        for row, pt in zip(x.points[:12], whole.points[:12]):
-            winners, _ = oracles.exhaustive_nearest(row, self.fine_basis(lat), box=12)
-            assert minus([row], [pt])[0] == oracles.tie_break_residual(row, winners)
+        unit, basis = lat.scale / lat.p / 2, self.fine_basis(lat)
+        default = lattices._GATHER_LIMIT
+        small = np.random.default_rng(5).integers(-6, 7, size=(700, lat.n))
+        seen = record_row_dtypes(monkeypatch)
+        for shift in (0, 2**59):
+            x = PointGrid(unit, small + int(lat.scale / unit) * shift)
+            monkeypatch.setattr(lattices, "_GATHER_LIMIT", 10**9)
+            whole = lat.quantize_fine(x)
+            for limit in (1, 7, default):
+                monkeypatch.setattr(lattices, "_GATHER_LIMIT", limit)
+                assert np.array_equal(lat.quantize_fine(x).coords, whole.coords)
+            ties = 0
+            for row, pt in zip(x.points[:24], whole.points[:24]):
+                x0 = tuple(c - lat.scale * shift for c in row)
+                winners, _ = oracles.exhaustive_nearest(x0, basis, box=12)
+                assert minus([row], [pt])[0] == oracles.tie_break_residual(x0, winners)
+                ties += len(winners) > 1
+            assert ties >= 4
+        assert seen == [np.dtype(np.int64)] * 4 + [np.dtype(object)] * 4

@@ -15,8 +15,9 @@ times each, round robin, every run in a fresh interpreter with one BLAS
 thread: `python3 bench/record.py --scale-run NAME` builds the run's inputs
 from the checkout's `src`, times the one call and prints its wall_s,
 cpu_s, peak_rss_mb and error count (for the fine_exact runs, a checksum of
-the points). The record keeps their median and quartiles, and every run's
-error count, which a run fixes by its seeds.
+the points; for the grid suites, the wide lemma and the wide baseline, the
+number of failed verdicts). The record keeps their median and quartiles,
+and every run's error count, which a run fixes by its seeds.
 The recorder itself uses the standard library only.
 """
 
@@ -50,11 +51,20 @@ FINE_SHAPES = ((7, 3, 6), (3, 6, 6))
 FINE_ROWS = 1024
 # very_strong_p3_k6_n6: very_strong_reliability, 8 192 trials, seed 7, a = 4,
 # power 4/3, noise 0.1, on draw 0 of p3 k6 n6 (729 codewords) at scale 4
+# grid_suites_d5: run_lemma_suite then run_theorem1_suite (bin seed 0) over
+# standard_grid(draws=5), held in one list, so every build is kept for the
+# second suite, as in criteria 1 and 3; lemma_wide: run_lemma_suite on
+# GridPoint(127, 1, 10, 0), whose pair-sum key space passes 2^63;
+# baseline_wide: the baseline_wide golden's config, whose random pair sums
+# do too. Each lattice is drawn before the timed call.
+GRID_DRAWS = 5
+WIDE_LEMMA_POINT = (127, 1, 10, 0)
+BASELINE_WIDE_CONFIG = "kind=baseline size=64 dim=5 power=2.0 num_seeds=3"
 SCALE_RUNS = (
     tuple(f"weak_p{p}_k{k}_n{n}" for p, k, n in WEAK_SHAPES)
     + ("pipeline_weak_20000",)
     + tuple(f"fine_exact_p{p}_k{k}_n{n}" for p, k, n in FINE_SHAPES)
-    + ("very_strong_p3_k6_n6",)
+    + ("very_strong_p3_k6_n6", "grid_suites_d5", "lemma_wide", "baseline_wide")
 )
 
 
@@ -76,7 +86,8 @@ def run_once(workload: str, seconds: float) -> tuple[dict, dict]:
 def scale_run(name: str) -> dict:
     """Time one call of the run at scale NAME in this interpreter: its
     inputs are built first, and the call returns the run's error count (a
-    checksum of the points, for fine_exact runs)."""
+    checksum of the points, for fine_exact runs, and the failed verdicts
+    of the grid suites, the wide lemma and the wide baseline)."""
     sys.path.insert(0, str(ROOT / "src"))
     import zlib
     from fractions import Fraction
@@ -84,11 +95,34 @@ def scale_run(name: str) -> dict:
     import numpy as np
 
     import latsec
-    from latsec.experiments import GridPoint, very_strong_reliability, weak_reliability
+    from latsec.experiments import (
+        GridPoint,
+        run_lemma_suite,
+        run_theorem1_suite,
+        theorem_suite_passed,
+        very_strong_reliability,
+        weak_reliability,
+    )
 
     if name == "pipeline_weak_20000":
         config = latsec.parse_config(PIPELINE_CONFIG.replace(" ", "\n") + "\n")
         call = lambda: latsec.run(config)["results"]["reliability"]["errors"]
+    elif name in ("grid_suites_d5", "lemma_wide"):
+        if name == "grid_suites_d5":
+            points = list(latsec.standard_grid(draws=GRID_DRAWS))
+        else:
+            points = [GridPoint(*WIDE_LEMMA_POINT)]
+        for point in points:
+            point.lattice
+
+        def call():
+            failed = sum(not r.passed for r in run_lemma_suite(points))
+            if name == "grid_suites_d5":
+                failed += sum(not theorem_suite_passed([r]) for r in run_theorem1_suite(points, 0))
+            return failed
+    elif name == "baseline_wide":
+        config = latsec.parse_config(BASELINE_WIDE_CONFIG.replace(" ", "\n") + "\n")
+        call = lambda: int(latsec.run(config)["verdict"] != "pass")
     else:
         p, k, n = shape_of(name)
         lattice = GridPoint(p, k, n, 0).build_lattice(scale=4)
@@ -175,6 +209,12 @@ def record(seconds: float, repeats: int) -> dict:
                           "errors holds the CRC-32 of the points",
             "very_strong": f"very_strong_reliability, {WEAK_TRIALS} trials, seed 7, a = 4, "
                            "power 4/3, noise 0.1, the weak runs' codebook",
+            "grid_suites": f"run_lemma_suite then run_theorem1_suite(bin_seed=0) over "
+                           f"standard_grid(draws={GRID_DRAWS}) in one list, lattices drawn "
+                           "first; errors counts failed verdicts",
+            "lemma_wide": f"run_lemma_suite([GridPoint{WIDE_LEMMA_POINT}]), lattice drawn first; "
+                          "errors counts failed verdicts",
+            "baseline_wide": f"{BASELINE_WIDE_CONFIG}; errors is 1 when the verdict fails",
             "runs": scale_entries,
         },
     }

@@ -235,9 +235,25 @@ def _of_width(rows, n):
 
 
 def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice) -> PointGrid:
-    """MMSE-scale each row, subtract its dither, fold, then decode to the
-    nearest fine point and fold again. Returns the codeword estimates as a
-    PointGrid over scale / p.
+    """MMSE-scale each row, subtract its dither, decode to the nearest fine
+    point and fold it into the coarse cell. Returns the codeword estimates
+    as a PointGrid over scale / p.
+
+    This is mod_coarse(quantize_fine(mod_coarse(v))) with one fold fewer.
+    In units of scale / p, a coarse point is lambda = p m for an integer
+    vector m, and mod_coarse(v) = v - lambda for one such lambda. For each
+    residue r, quantize_fine takes near_r(t) = r + p floor((t - r) / p +
+    1/2) and the residual t - near_r(t) in every coordinate, and picks a
+    codeword by (distance, lexicographic residual) over those residuals.
+    Since floor(z - m + 1/2) = floor(z + 1/2) - m for an integer m,
+    near_r(t - p m) = near_r(t) - p m, so every residual, every distance
+    and so the codeword picked are the same for v - lambda as for v, and
+    each coset point moves by -lambda: quantize_fine(v - lambda) =
+    quantize_fine(v) - lambda. mod_coarse is unchanged by a coarse shift,
+    for the same reason, so the final fold of either is the same point.
+    Float rows are decided on the value of v itself rather than on the
+    float its fold rounds to; each decision is exact either way (see
+    quantize_fine).
 
     y is a float array of shape (rows, n) with float dithers, or a PointGrid
     with a PointGrid of dithers; a single dither row applies to every row.
@@ -255,8 +271,7 @@ def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice)
     if len(_of_width(u, lattice.n)) not in (1, len(ay)):
         raise DimensionMismatch(f"expected 1 or {len(ay)} dither rows, got {len(u)}")
     v = ay - u if unit is None else PointGrid(unit, ay - u)
-    fine = lattice.quantize_fine(lattice.mod_coarse(v))
-    return lattice.mod_coarse(fine)
+    return lattice.mod_coarse(lattice.quantize_fine(v))
 
 
 def decode_very_strong_batch(received, codebook, params: ChannelParams):

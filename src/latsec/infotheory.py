@@ -10,8 +10,9 @@ common grid raises BudgetExceeded. Exact sum points are built only when a
 caller asks for them.
 
 Pair sums are counted by one of three builds, and each gives the same
-SumStructure: the distinct sums in lexicographic order, each pair's rank
-among them and each sum's pair count.
+SumStructure: each pair's rank among the distinct sums in lexicographic
+order and each sum's pair count. The distinct sums themselves are formed
+only when read, from the small array the build already has.
 
 The keyed build serves every countable key space. Column j of the sums
 spans max_a + max_b - min_a - min_b + 1 values, and the mixed-radix key
@@ -19,10 +20,10 @@ with column 0 most significant orders sums lexicographically; being
 linear, it is key_a(x) + key_b(y), each side offset by its own column
 minima, so all pair keys are one np.add.outer of the two sides' keys.
 Where that key space, a Python int, is at most 2 |A||B| + 1024, the keys
-take the narrowest unsigned dtype below the space and one np.bincount
-counts every sum. The occupied keys come out ascending, so they are the
-distinct sums in lexicographic order, and each sum's coordinates are its
-key's digits.
+take the narrowest unsigned dtype below the space and np.bincount counts
+every sum. The occupied keys come out ascending, so they are the distinct
+sums in lexicographic order, and each sum's coordinates are its key's
+digits.
 
 The carry build serves a Codebook summed with itself whose key space is
 sparser than that but within int64 (p = 7, k = 3, n = 6 spans 13^6 keys
@@ -32,35 +33,42 @@ as z_i or moved by -+p: one carry bit per coordinate. The key
 z * 2^n + bits names the sum, so np.bincount over the |C| * 2^n keys
 finds the distinct sums (|C + C| <= 2^n |C|, the sum-set lemma) and their
 pair counts, and only those sums are ordered, by one argsort of their
-additive key. The keys are formed in place in the narrowest unsigned
-dtype that holds them.
+additive key; the occupied keys in that order are what the structure
+keeps. The keys are formed in place in the narrowest unsigned dtype that
+holds them.
 
 The sorted build serves every other space, such as random baseline
 points at dim 5 (7093^5 keys) or p = 127, k = 1, n = 10: one sort of the
 pairs, by np.argsort of their int64 key or, past 2^63, np.lexsort of
-each column's sums, whose runs of equal sums give the ranks and counts.
+each column's sums, whose runs of equal sums give the ranks and counts,
+and whose first pairs the structure keeps.
 
 The pair table SumStructure.ids is stored in the narrowest unsigned dtype
 that holds num_sums - 1: 2 bytes per pair on the standard grid, where
 num_sums <= 10 177, so a structure kept for reuse is a quarter of an
-int64 table.
+int64 table, and holds no (num_sums, n) coords unless they are read; the
+lemma and theorem-1 suites never read them. np.bincount casts its input to
+intp, so narrow keys are counted in steps of at most _CHUNK keys (or one
+key space), and no pair-sized intp copy is made.
 
 Binned joint counts take closed forms for 1 bin (the cells are the sum
 marginal, and I(W; S) = log2(1) + H(S) - H(S) = 0.0) and for |C| bins
 over a Codebook (every cell holds one pair). Other binnings gather the
-pair table's rows by bin into one (num_bins, pairs per bin) array and
-count each row's occupied sum cells: by np.bincount over the num_sums
-cells of each bin when the whole cell space num_bins * num_sums is at most
-the pair count, else by sorting every row in place (a stable sort: numpy
-sorts ids of 16 bits or fewer by radix) and taking the run lengths, split
-at every value change and every row start. Either way the cells come out in (bin, sum)
-order, as the same integers. H(S) is evaluated once per SumStructure and
-shared by every report on it.
+pair table's rows by bin, a group of rows of at most _CHUNK entries at a
+time, into (rows, pairs per bin) arrays and count each row's occupied sum
+cells: by np.bincount over the num_sums cells of each bin when the whole
+cell space num_bins * num_sums is at most the pair count, else by sorting
+every row in place (a stable sort: numpy sorts ids of 16 bits or fewer by
+radix) and taking the run lengths, split at every value change and every
+row start. Either way the cells come out in (bin, sum) order, as the same
+integers, in the narrowest unsigned dtype that holds the pairs per bin.
+H(S) is evaluated once per SumStructure and shared by every report on it.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -78,18 +86,40 @@ class SumStructure(PointGrid):
     holds num_sums - 1, and counts[s] the number of pairs that give sum s.
     Whichever build makes it (the keyed, carry or sorted build: see the
     module docstring), the result is the same, and the build hands over the
-    counts it counted the sums with. As a PointGrid the structure is the
-    sum set itself, so sums of sums chain without leaving int64. Building
-    it once lets callers derive counts for many binnings cheaply: the pair
-    counts and the sum entropy H(S) are each formed once.
+    counts it counted the sums with. Building it once lets callers derive
+    counts for many binnings cheaply: the pair counts and the sum entropy
+    H(S) are each formed once.
+
+    The structure keeps its ids, its counts, its dimension n and the small
+    array its build already has, from which form makes the coords: the
+    occupied keys of the keyed and carry builds, or the first pair of each
+    run of the sorted build. coords is formed on its first read, read-only,
+    and is what an eager build would have stored, byte for byte; len(),
+    num_sums and n never form it. As a PointGrid the structure is the sum
+    set itself, so sums of sums chain without leaving int64.
     """
 
-    def __init__(self, unit, coords, ids, counts):
-        super().__init__(unit, coords)
-        self.num_sums = len(self.coords)
+    def __init__(self, unit, ids, counts, n, form):
+        self.unit = unit if type(unit) is Fraction else Fraction(unit)
+        self.n = n
+        self.num_sums = len(counts)
         self.ids = np.asarray(ids).astype(np.min_scalar_type(self.num_sums - 1), copy=False)
         self._counts = counts
         counts.flags.writeable = False
+        self._form = form
+        self._bound = None
+        self._float = None
+
+    def __len__(self):
+        return self.num_sums
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The distinct sums' int64 coordinates, formed by the build's form
+        on the first read, then read-only."""
+        coords = self._form()
+        coords.setflags(write=False)
+        return coords
 
     def counts(self) -> np.ndarray:
         """How many pairs give each sum, as the build counted them, read-only."""
@@ -121,6 +151,15 @@ class SumStructure(PointGrid):
 
 _KEY_LIMIT = (1 << 63) - 1
 """Largest int64: a key space of at most this many keys fits int64 keys."""
+
+_CHUNK = 1 << 14
+"""Entries per step when counting a pair-sized table: np.bincount casts its
+input to intp, 8 bytes an entry whatever the keys' own dtype, and a group of
+binned rows is gathered, sorted and run-split as a copy. Taking at most this
+many entries at a time bounds each such temporary at 128 KiB, where the
+standard grid's largest tables hold 117 649 pairs (a step still takes one
+whole key space or table row where that is larger); steps this long keep
+numpy's per-call cost out of sight."""
 
 
 def check_pair_budget(size_a, size_b, budget) -> None:
@@ -186,20 +225,34 @@ def _countable(space, pairs, per_pair) -> bool:
 def _keyed_structure(unit, ga, gb, key) -> SumStructure:
     """sum_structure of two grids on one unit whose additive key space is
     countable: all pair keys are one np.add.outer of the two sides' keys,
-    in the narrowest unsigned dtype below the space, and one np.bincount
-    counts every key. The occupied keys come out ascending, so they are
-    the distinct sums in lexicographic order, and each sum's coordinates
-    are its key's digits."""
+    in the narrowest unsigned dtype below the space, and _count_keys counts
+    every key. The occupied keys come out ascending, so they are the
+    distinct sums in lexicographic order; the structure keeps them, and
+    forms each sum's coordinates as its key's digits."""
     key_type = np.min_scalar_type(key.space - 1)
     key_a = key.of(ga, key.lo_a).astype(key_type, copy=False)
     key_b = key_a if gb is ga else key.of(gb, key.lo_b).astype(key_type, copy=False)
     keys = np.add.outer(key_a, key_b)
-    per_key = np.bincount(keys.ravel(), minlength=key.space)
+    per_key = _count_keys(keys, key.space)
     occupied = np.flatnonzero(per_key)
     table = np.empty(key.space, dtype=np.min_scalar_type(len(occupied) - 1))
     table[occupied] = np.arange(len(occupied))
-    coords = occupied[:, None] // key.weights % key.spans + key.lo
-    return SumStructure(unit, coords, table[keys], per_key[occupied])
+    return SumStructure(
+        unit, table[keys], per_key[occupied], ga.shape[1],
+        lambda: occupied[:, None] // key.weights % key.spans + key.lo,
+    )
+
+
+def _count_keys(keys, space) -> np.ndarray:
+    """np.bincount of the narrow key table keys over [0, space), taken in
+    steps of at most max(_CHUNK, space) keys, so that its intp copy of the
+    keys is never larger than the count table itself or _CHUNK entries."""
+    flat = keys.ravel()
+    step = max(_CHUNK, space)
+    counts = np.bincount(flat[:step], minlength=space)
+    for start in range(step, flat.size, step):
+        counts += np.bincount(flat[start : start + step], minlength=space)
+    return counts
 
 
 def _sorted_structure(unit, ga, gb, key, wide) -> SumStructure:
@@ -209,7 +262,8 @@ def _sorted_structure(unit, ga, gb, key, wide) -> SumStructure:
     keeps within int64, column 0 most significant. In each run of equal
     sums a pair's rank is the run starts so far less one, the sum's count
     the run length and its coordinates the run's first pair's, so the
-    order of the pairs inside a run changes nothing."""
+    order of the pairs inside a run changes nothing. The structure keeps
+    each run's first pair, and the two grids' coords, to form them."""
     if wide:
         columns = [np.add.outer(ga[:, j], gb[:, j]).ravel() for j in range(ga.shape[1])]
         order = np.lexsort(columns[::-1])
@@ -225,9 +279,11 @@ def _sorted_structure(unit, ga, gb, key, wide) -> SumStructure:
     ids = np.empty(len(order), dtype=np.min_scalar_type(len(starts) - 1))
     ids[order] = np.cumsum(run_start) - 1
     first = order[starts]
-    coords = ga[first // len(gb)] + gb[first % len(gb)]
     counts = np.diff(starts, append=len(order))
-    return SumStructure(unit, coords, ids.reshape(len(ga), len(gb)), counts)
+    return SumStructure(
+        unit, ids.reshape(len(ga), len(gb)), counts, ga.shape[1],
+        lambda: ga[first // len(gb)] + gb[first % len(gb)],
+    )
 
 
 def _carry_structure(cb, key) -> SumStructure:
@@ -236,10 +292,12 @@ def _carry_structure(cb, key) -> SumStructure:
     s_i = x_i + y_i leaves the cell, (2 s_i >= p) | (2 s_i < -p), which for
     a prime p and coordinates in [-p/2, p/2) is |s_i| > p // 2. Every key is
     below |C| * 2^n, so the keys and the key-to-rank table are narrow, and
-    the keys' bincount is also each sum's pair count. The distinct sums,
-    one per occupied key, are ordered by one argsort of their additive
-    key, which needs key.space within int64: sum_structure hands a wider
-    space to the sorted build."""
+    the keys' bincount (_count_keys) is also each sum's pair count. The
+    distinct sums, one per occupied key, are ordered by one argsort of
+    their additive key, which needs key.space within int64: sum_structure
+    hands a wider space to the sorted build. The structure keeps the
+    occupied keys in that order and forms the sums from them again
+    (_carried) only when its coords are read."""
     p, n, x = cb.lattice.p, cb.n, cb.coords
     space = len(cb) << n
     key_type = np.min_scalar_type(space - 1)
@@ -256,22 +314,33 @@ def _carry_structure(cb, key) -> SumStructure:
         bit = (np.abs(small[:, i, None] + small[:, i]) > p // 2).astype(key_type)
         bit <<= key_type.type(i)
         keys |= bit
-    per_key = np.bincount(keys.ravel(), minlength=space)
+    per_key = _count_keys(keys, space)
     occupied = np.flatnonzero(per_key)
     # only the occupied keys' pair counts are kept, so the |C| * 2^n table
     # is freed before the (num_sums, n) temporaries, the build's peak
     per_key = per_key[occupied]
-    # each distinct sum is its codeword moved by -+p where its carry bit is
-    # set, formed in place
-    rows = x[occupied >> n]
-    move = np.where(rows >= 0, -p, p)
-    move *= (occupied[:, None] >> np.arange(n)) & 1
+    # the sums are distinct, so their keys order them with no ties
+    order = np.argsort(key.of(_carried(x, p, occupied), key.lo))
+    ranked = occupied[order]
+    table = np.empty(space, dtype=np.min_scalar_type(len(ranked) - 1))
+    table[ranked] = np.arange(len(ranked))
+    return SumStructure(
+        cb.unit, table[keys], per_key[order], n,
+        lambda: _carried(x, p, ranked),
+    )
+
+
+def _carried(x, p, carry_keys) -> np.ndarray:
+    """The sum that each carry key z * 2^n + bits names: codeword x[z] moved
+    by -+p where its carry bit is set, formed in place."""
+    n = x.shape[1]
+    rows = x[carry_keys >> n]
+    move = carry_keys[:, None] >> np.arange(n)
+    move &= 1
+    move *= -p
+    np.negative(move, out=move, where=rows < 0)
     rows += move
-    # the rows are distinct, so their keys order them with no ties
-    order = np.argsort(key.of(rows, key.lo))
-    table = np.empty(space, dtype=np.min_scalar_type(len(rows) - 1))
-    table[occupied[order]] = np.arange(len(rows))
-    return SumStructure(cb.unit, rows[order], table[keys], per_key[order])
+    return rows
 
 
 def entropy_from_counts(counts, total=None) -> float:
@@ -306,9 +375,11 @@ class JointBinSumDist:
     """Joint law of (bin index W, sum point S) as exact counts over one
     total: the sum marginal and the occupied (w, s) cells in (bin, sum)
     order, the marginal itself for one bin, or None for cells that each
-    hold one pair. Bins carry equal mass (BinnedCodebook guarantees it), so
-    H(W) = log2(num_bins). joint_bin_sum passes H(S), already formed from
-    sum_counts (SumStructure.entropy_bits), as the private _sum_entropy."""
+    hold one pair. Counted cells come in the narrowest unsigned dtype that
+    holds a bin's pair count; the sum marginal is int64. Bins carry equal
+    mass (BinnedCodebook guarantees it), so H(W) = log2(num_bins).
+    joint_bin_sum passes H(S), already formed from sum_counts
+    (SumStructure.entropy_bits), as the private _sum_entropy."""
 
     def __init__(self, num_bins, sum_counts, cell_counts, *, _sum_entropy=None):
         self.num_bins = num_bins
@@ -330,30 +401,49 @@ class JointBinSumDist:
         return math.log2(self.num_bins) + h_sum - h_cells
 
 
-def _bincount_cells(by_bin, num_sums) -> np.ndarray:
-    """The occupied cells of each row of by_bin, in (row, sum) order, by
-    np.bincount over the row's num_sums cells."""
+def _bin_rows(ids, members):
+    """The (bin, sum) table's rows in groups of at most _CHUNK entries (or
+    one row): row w holds the pair table's rows ids[members[w]], flattened,
+    as a fresh array in ids' dtype. The groups come in row order."""
+    width = members.shape[1] * ids.shape[1]
+    step = max(1, _CHUNK // width)
+    for start in range(0, len(members), step):
+        group = members[start : start + step]
+        yield ids[group].reshape(len(group), width)
+
+
+def _bincount_cells(ids, members, num_sums) -> np.ndarray:
+    """The occupied cells of each row of the (bin, sum) table (see
+    _bin_rows), in (row, sum) order, in the narrowest unsigned dtype that
+    holds a row's length: each group's cells are one np.bincount over its
+    rows' num_sums cells each, which num_sums <= row length keeps within
+    the group's size."""
+    dtype = np.min_scalar_type(members.shape[1] * ids.shape[1])
     cells = []
-    for row in by_bin:
-        counts = np.bincount(row, minlength=num_sums)
-        cells.append(counts[counts > 0])
+    for rows in _bin_rows(ids, members):
+        keys = rows + np.arange(0, len(rows) * num_sums, num_sums)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=len(rows) * num_sums)
+        cells.append(counts[counts > 0].astype(dtype))
     return np.concatenate(cells)
 
 
-def _sorted_cells(by_bin) -> np.ndarray:
-    """The occupied cells of each row of by_bin, in (row, sum) order: each
-    row is sorted in place, and the cells are the run lengths of the
-    flattened rows, split at every value change and at every row start."""
-    by_bin.sort(axis=1, kind="stable")
-    flat = by_bin.ravel()
-    run_start = np.empty(flat.size, dtype=bool)
-    np.not_equal(flat[1:], flat[:-1], out=run_start[1:])
-    run_start[:: by_bin.shape[1]] = True
-    starts = np.flatnonzero(run_start)
-    counts = np.empty(starts.size, dtype=np.int64)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = flat.size - starts[-1]
-    return counts
+def _sorted_cells(ids, members) -> np.ndarray:
+    """The occupied cells of each row of the (bin, sum) table (see
+    _bin_rows), in (row, sum) order, in the narrowest unsigned dtype that
+    holds a row's length: each group's rows are sorted in place, and the
+    cells are the run lengths of the flattened rows, split at every value
+    change and at every row start."""
+    dtype = np.min_scalar_type(members.shape[1] * ids.shape[1])
+    cells = []
+    for rows in _bin_rows(ids, members):
+        rows.sort(axis=1, kind="stable")
+        flat = rows.ravel()
+        run_start = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=run_start[1:])
+        run_start[:: rows.shape[1]] = True
+        starts = np.flatnonzero(run_start)
+        cells.append(np.diff(starts, append=flat.size).astype(dtype))
+    return np.concatenate(cells)
 
 
 def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
@@ -363,30 +453,32 @@ def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
     the bin), X2 independent and uniform on the same codebook. A
     precomputed SumStructure of the codebook with itself may be passed to
     amortize the pair enumeration, its counts and H(S) across several
-    binnings. The pair table's rows are gathered by bin into one (num_bins,
-    pairs per bin) array and each row's occupied sum cells counted, by
-    np.bincount when num_bins * num_sums is at most the pair count, else by
-    sorting the row, so cell_counts lists the occupied cells in (bin, sum)
-    order with no num_bins * num_sums table past the pair count. With one
+    binnings. The pair table's rows are gathered by bin, in groups of at
+    most _CHUNK entries, into (bins, pairs per bin) arrays and each row's
+    occupied sum cells counted, by np.bincount when num_bins * num_sums is
+    at most the pair count, else by sorting the row, so cell_counts lists
+    the occupied cells in (bin, sum) order, in the narrowest unsigned dtype
+    that holds the pairs per bin, with no num_bins * num_sums table past
+    the pair count and no pair-sized copy. With one
     bin the cells are the sum marginal; with one codeword per bin of a
     Codebook, whose rows are distinct, every cell holds one pair
     (cell_counts None).
 
-    A structure whose pair table is not |C| x |C|, whose dimension is not
-    the codebook's, or whose unit is not the codebook's raises
-    DimensionMismatch. The check cannot catch the structure of a different
-    codebook of the same size, dimension and unit.
+    A structure whose pair table is not |C| x |C|, whose dimension n is
+    not the codebook's, or whose unit is not the codebook's raises
+    DimensionMismatch; the check forms no coords. It cannot catch the
+    structure of a different codebook of the same size, dimension and unit.
     """
     cb = binned.codebook
     if structure is None:
         structure = sum_structure(cb, cb, budget)
     elif (
         structure.ids.shape != (len(cb), len(cb))
-        or structure.coords.shape[1] != cb.coords.shape[1]
+        or structure.n != cb.coords.shape[1]
         or structure.unit != cb.unit
     ):
         raise DimensionMismatch(
-            f"a structure of {structure.ids.shape} pairs in dimension {structure.coords.shape[1]}"
+            f"a structure of {structure.ids.shape} pairs in dimension {structure.n}"
             f" over unit {structure.unit} is not the pair sums of {len(cb)} codewords in"
             f" dimension {cb.coords.shape[1]} over unit {cb.unit}"
         )
@@ -398,11 +490,10 @@ def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
         return JointBinSumDist(num_bins, sum_counts, None, _sum_entropy=h_sum)
     ids, num_sums = structure.ids, structure.num_sums
     # row w holds the codewords of bin w, in any order (bins are equal in
-    # size), and row w of by_bin their rows of the pair table
+    # size), whose rows of the pair table are bin w's cells
     members = np.argsort(binned.bin_index).reshape(num_bins, -1)
-    by_bin = ids[members].reshape(num_bins, -1)
     if num_bins * num_sums <= ids.size:
-        cell_counts = _bincount_cells(by_bin, num_sums)
+        cell_counts = _bincount_cells(ids, members, num_sums)
     else:
-        cell_counts = _sorted_cells(by_bin)
+        cell_counts = _sorted_cells(ids, members)
     return JointBinSumDist(num_bins, sum_counts, cell_counts, _sum_entropy=h_sum)

@@ -490,15 +490,15 @@ class TestWeakDecoder:
 
     def test_exact_entry_point_rows_take_python_ints(self, monkeypatch):
         # Fraction(alpha) has a denominator near 2^54: the MMSE-scaled rows
-        # and their fold take Python ints; the quantised points, back over
-        # scale / p, fold in int64
+        # are quantised on Python ints, with no fold before; the quantised
+        # points, back over scale / p, fold in int64
         cb = codebook(2, ((1, 0), (0, 1)))
         params = ChannelParams(cross_gain=0.3, power=1.0, noise_var=1.0)
         ys = [(Fraction(3, 8), Fraction(-1, 4)), (Fraction(-5, 6), Fraction(1, 2))]
         us = [(Fraction(1, 7), Fraction(2, 9)), (Fraction(0), Fraction(-1, 3))]
         seen = record_row_dtypes(monkeypatch)
         decode_weak(grid(ys), grid(us), params, cb.lattice)
-        assert seen == [np.dtype(object), np.dtype(object), np.dtype(np.int64)]
+        assert seen == [np.dtype(object), np.dtype(np.int64)]
 
     def test_dithers_of_another_count_or_width_rejected(self):
         # numpy's broadcasting raised ValueError for 3 dithers on 2 rows;

@@ -703,11 +703,11 @@ class TestNoiselessLoopback:
         assert calls == [1]
 
     def test_rows_take_int64(self, monkeypatch):
-        # the dither and signal folds, then decode_weak's fold, quantiser
-        # and fold: every row set of the loopback fits the int64 bound
+        # the dither and signal folds, then decode_weak's quantiser and
+        # fold: every row set of the loopback fits the int64 bound
         seen = record_row_dtypes(monkeypatch)
         assert noiseless_loopback(square_codebook())["all_ok"]
-        assert seen == [np.dtype(np.int64)] * 5
+        assert seen == [np.dtype(np.int64)] * 4
 
     def test_engineered_gain_matches_pairwise_python_ints(self):
         for gp in standard_grid((2, 3, 5, 7), 4, 64, 8):

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from latsec import (
     Codebook,
     ConstructionALattice,
     DimensionMismatch,
+    GridPoint,
     JointBinSumDist,
     PointGrid,
     ValidationError,
@@ -292,7 +294,9 @@ def unique_rows_structure(unit, ga, gb):
     |a| * |b| sum rows: a reference no build of sum_structure shares."""
     sums = (ga[:, None, :] + gb[None, :, :]).reshape(-1, ga.shape[1])
     coords, ids, counts = np.unique(sums, axis=0, return_inverse=True, return_counts=True)
-    return infotheory.SumStructure(unit, coords, ids.reshape(len(ga), len(gb)), counts)
+    return infotheory.SumStructure(
+        unit, ids.reshape(len(ga), len(gb)), counts, ga.shape[1], lambda: coords
+    )
 
 
 class TestSortedBuild:
@@ -443,15 +447,17 @@ class TestBinnedLeakage:
         pytest.param(lambda cb: seeded_codebook(3, 2, 4), id="dimension"),
         pytest.param(lambda cb: scale_to_power(cb, 1e-3), id="unit"),
     ])
-    def test_structure_of_another_codebook_raises(self, other):
+    def test_structure_of_another_codebook_raises(self, other, coords_reads):
         # the p3 k2 n3 structures of the wrong size and dimension read
-        # -1.1515 and 0.6868 bits where the leakage is 0.4547
+        # -1.1515 and 0.6868 bits where the leakage is 0.4547; the check
+        # reads the structure's dimension, not its coords
         cb = seeded_codebook(3, 2, 3)
         binned = BinnedCodebook(cb, 3)
         assert joint_bin_sum(binned, 10**6).mutual_info_bits() == pytest.approx(0.4547, abs=1e-4)
         wrong = other(cb)
         with pytest.raises(DimensionMismatch, match="is not the pair sums of 9 codewords"):
             joint_bin_sum(binned, 10**6, structure=sum_structure(wrong, wrong, 10**6))
+        assert coords_reads == []
 
     def test_full_binning_recovers_unbinned_mi(self):
         # One codeword per bin: W determines X1, so I(W;S) = I(X1;S).
@@ -805,6 +811,136 @@ class TestDenseSumKeys:
 
 
 
+@pytest.fixture
+def coords_reads(monkeypatch):
+    """Every SumStructure whose coords are formed, in order: the cached
+    property is wrapped, so a structure is recorded on its first read only."""
+    formed = []
+    real = infotheory.SumStructure.coords.func
+
+    def spy(self):
+        formed.append(self)
+        return real(self)
+
+    spied = functools.cached_property(spy)
+    spied.__set_name__(infotheory.SumStructure, "coords")
+    monkeypatch.setattr(infotheory.SumStructure, "coords", spied)
+    return formed
+
+
+def _rng_grid(seed, rows, n, reach):
+    rng = np.random.default_rng(seed)
+    return PointGrid(1, rng.integers(-reach, reach, size=(rows, n)))
+
+
+class TestCoordsOnDemand:
+    """A structure keeps ids, counts, its dimension and its build's small
+    array; its coords are formed on the first read, read-only, and are the
+    distinct sums in lexicographic order, as every build stored them."""
+
+    @pytest.mark.parametrize("pair,path", [
+        pytest.param(lambda: (seeded_codebook(3, 3, 4),) * 2, "dense", id="keyed"),
+        pytest.param(
+            lambda: (PointGrid(Fraction(1, 3), [[0], [2], [5]]), seeded_codebook(2, 1, 1)),
+            "dense", id="keyed-mixed-units",
+        ),
+        pytest.param(lambda: (seeded_codebook(5, 2, 4),) * 2, "carry", id="carry"),
+        pytest.param(lambda: (seeded_codebook(7, 1, 3),) * 2, "carry", id="carry-k1"),
+        pytest.param(
+            lambda: (PointGrid(1, [[0, 0], [1000, 3], [5, 77777]]), PointGrid(1, [[0, 1], [-40, 9]])),
+            "sorted", id="sorted",
+        ),
+        pytest.param(lambda: (_rng_grid(3, 6, 5, 2**40),) * 2, "wide", id="wide"),
+        pytest.param(
+            lambda: (_rng_grid(4, 7, 3, 2**61), _rng_grid(5, 4, 3, 2**61)), "wide", id="wide-two",
+        ),
+    ])
+    def test_formed_coords_are_the_eager_coords(self, pair, path, path_calls, coords_reads):
+        a, b = pair()
+        s = sum_structure(a, b, 10**6)
+        assert path_calls == [path]
+        assert len(s) == s.num_sums == len(s.counts()) and s.n == a.coords.shape[1]
+        assert coords_reads == [] and "coords" not in vars(s)
+        # np.unique(axis=0)'s sorted rows, which every build stored eagerly
+        unit, (ga, gb) = on_grid(a, b)
+        eager = unique_rows_structure(unit, ga, gb).coords
+        coords_reads.clear()
+        coords = s.coords
+        assert coords_reads == [s] and s.coords is coords
+        assert coords.dtype == np.int64 and coords.flags.c_contiguous
+        assert coords.shape == eager.shape and coords.tobytes() == eager.tobytes()
+        assert not coords.flags.writeable
+        with pytest.raises(ValueError):
+            coords[0, 0] = 0
+        # the oracle's sums, sorted, are the rows in order: the unit is positive
+        hist = oracles.pair_sum_histogram(a.points, b.points)
+        assert s.points == tuple(sorted(hist))
+        assert s.counts().tolist() == [hist[key] for key in sorted(hist)]
+        assert np.array_equal(coords[s.ids], ga[:, None, :] + gb[None, :, :])
+
+    def test_grid_suites_never_form_coords(self, coords_reads):
+        grid = standard_grid(draws=1)
+        lemmas = run_lemma_suite(grid)
+        theorems = experiments.run_theorem1_suite(grid, 0)
+        assert len(lemmas) == len(grid) and len(theorems) == sum(g.k + 1 for g in grid)
+        assert coords_reads == []
+        # the spy sees a read
+        _, s = experiments._build(grid[-1].lattice, grid[-1], 10**6)
+        s.coords
+        assert coords_reads == [s]
+
+class TestBoundedCounting:
+    """Pair keys and (bin, sum) cells are counted in steps of at most
+    _CHUNK entries, so no pair-sized intp copy is made; a step boundary
+    changes no count and no cell's order."""
+
+    @pytest.mark.parametrize("size,space", [
+        (1, 5), (7, 5), (8, 5), (9, 5), (16, 5), (17, 5), (19, 20), (20, 20), (25, 20),
+    ])
+    def test_chunked_key_counts_match_one_bincount(self, size, space, monkeypatch, count_calls):
+        # steps of 8 keys, or of one key space where that is larger: the key
+        # count is below, at and above a multiple of the step
+        monkeypatch.setattr(infotheory, "_CHUNK", 8)
+        keys = np.random.default_rng(size).integers(0, space, size=size).astype(np.uint8)
+        counts = infotheory._count_keys(keys, space)
+        assert np.array_equal(counts, np.bincount(keys, minlength=space))
+        assert count_calls == ["bincount"] * -(-size // max(8, space))
+
+    @pytest.mark.parametrize("bins", [3, 4, 5])
+    def test_chunked_cells_match_one_group(self, bins, monkeypatch):
+        # rows of 2 members x 3 ids = 6 entries, two rows a group: the bin
+        # count is below, at and above a multiple of the group
+        rng = np.random.default_rng(bins)
+        ids = rng.integers(0, 6, size=(2 * bins, 3)).astype(np.uint8)
+        members = rng.permutation(2 * bins).reshape(bins, 2)
+        table = ids[members].reshape(bins, 6)
+        expected = np.concatenate([np.unique(row, return_counts=True)[1] for row in table])
+        monkeypatch.setattr(infotheory, "_CHUNK", 12)
+        chunked = (infotheory._bincount_cells(ids, members, 6), infotheory._sorted_cells(ids, members))
+        monkeypatch.setattr(infotheory, "_CHUNK", 1 << 30)
+        whole = (infotheory._bincount_cells(ids, members, 6), infotheory._sorted_cells(ids, members))
+        for cells in chunked + whole:
+            assert cells.dtype == np.uint8 and np.array_equal(cells, expected)
+
+    def test_lemma_then_theorem_peak_is_a_few_pair_tables(self):
+        # one p7 k3 n6 build (117 649 pairs, 10 177 sums): the carry
+        # build's (num_sums, n) ordering temporaries dominate, 7.5 ids
+        # tables here, where eager coords and pair-sized intp copies took
+        # 11.4
+        point = GridPoint(7, 3, 6, 4)
+        point.lattice
+        tracemalloc.start()
+        try:
+            run_lemma_suite([point])
+            experiments.run_theorem1_suite([point], 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        _, s = experiments._build(point.lattice, point, 10**6)
+        assert s.ids.nbytes == 2 * 343**2 and "coords" not in vars(s)
+        assert peak < 9 * s.ids.nbytes
+
+
 def _cell_path(binned, structure):
     """The path joint_bin_sum must take, by its rule on the input sizes;
     "dense" counts each bin by np.bincount over its num_sums cells."""
@@ -900,11 +1036,13 @@ class TestBinnedCellPaths:
     @settings(max_examples=200)
     @given(binned_rows())
     def test_cell_counters_count_each_row(self, by_bin):
-        # per row, the occupied values' counts in value order, rows in order
+        # per row, the occupied values' counts in value order, rows in order;
+        # one member per bin, so row w of the table is by_bin[w]
         expected = np.concatenate([np.unique(row, return_counts=True)[1] for row in by_bin])
         num_sums = int(by_bin.max()) + 1
-        assert np.array_equal(infotheory._bincount_cells(by_bin, num_sums), expected)
-        assert np.array_equal(infotheory._sorted_cells(by_bin.copy()), expected)
+        members = np.arange(len(by_bin))[:, None]
+        assert np.array_equal(infotheory._bincount_cells(by_bin, members, num_sums), expected)
+        assert np.array_equal(infotheory._sorted_cells(by_bin, members), expected)
 
     @pytest.mark.parametrize("p,k,n,seed,bins,path", [
         (3, 3, 3, 1, 3, "dense"), (3, 3, 3, 1, 9, "sorted"), (2, 4, 4, 2, 4, "sorted"),
@@ -920,6 +1058,7 @@ class TestBinnedCellPaths:
         dense = dense_table(binned, structure)
         assert np.array_equal(joint.cell_counts, dense[dense > 0])
         assert joint.cell_counts.tolist() == oracle_cells(binned)
+        assert joint.cell_counts.dtype == np.min_scalar_type(len(cb) ** 2 // bins)
         assert joint.mutual_info_bits() == pytest.approx(
             oracles.joint_leakage_oracle(oracles.bins_of(binned), cb.points, cb.points), abs=1e-12
         )

@@ -43,6 +43,9 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 WEAK_SHAPES = ((3, 2, 4), (5, 3, 6), (7, 3, 6), (3, 6, 6))
 WEAK_TRIALS = 8192
 PIPELINE_CONFIG = "kind=pipeline a=0.3 p=3 k=2 n=4 scale=4 num_bins=3 trials=20000"
+# layered_400000: the layered_mc workload's config with 400 000 trials and
+# seed 7, so that the Monte Carlo rounds outweigh the exact layered suite
+LAYERED_CONFIG = "kind=layered p=3 n=3 k1=2 k2=1 a=6 trials=400000 seed=7"
 # quantize_fine on exact rows: 1 024 int64 rows over half the fine unit of
 # draw 0 of each shape at scale 4, so that some rows are tied, drawn by
 # default_rng(7) within two coarse steps of 0; the error slot holds the
@@ -62,7 +65,7 @@ WIDE_LEMMA_POINT = (127, 1, 10, 0)
 BASELINE_WIDE_CONFIG = "kind=baseline size=64 dim=5 power=2.0 num_seeds=3"
 SCALE_RUNS = (
     tuple(f"weak_p{p}_k{k}_n{n}" for p, k, n in WEAK_SHAPES)
-    + ("pipeline_weak_20000",)
+    + ("pipeline_weak_20000", "layered_400000")
     + tuple(f"fine_exact_p{p}_k{k}_n{n}" for p, k, n in FINE_SHAPES)
     + ("very_strong_p3_k6_n6", "grid_suites_d5", "lemma_wide", "baseline_wide")
 )
@@ -104,8 +107,9 @@ def scale_run(name: str) -> dict:
         weak_reliability,
     )
 
-    if name == "pipeline_weak_20000":
-        config = latsec.parse_config(PIPELINE_CONFIG.replace(" ", "\n") + "\n")
+    if name in ("pipeline_weak_20000", "layered_400000"):
+        text = PIPELINE_CONFIG if name == "pipeline_weak_20000" else LAYERED_CONFIG
+        config = latsec.parse_config(text.replace(" ", "\n") + "\n")
         call = lambda: latsec.run(config)["results"]["reliability"]["errors"]
     elif name in ("grid_suites_d5", "lemma_wide"):
         if name == "grid_suites_d5":
@@ -204,6 +208,7 @@ def record(seconds: float, repeats: int) -> dict:
             "weak": f"weak_reliability, {WEAK_TRIALS} trials, seed 7, a = 0.3, power 4/3, "
                     "noise 0.01, Codebook(GridPoint(p, k, n, 0).build_lattice(scale=4))",
             "pipeline": PIPELINE_CONFIG,
+            "layered": LAYERED_CONFIG,
             "fine_exact": f"quantize_fine on {FINE_ROWS} int64 rows over half the fine unit, "
                           "default_rng(7).integers(-4p, 4p + 1), draw 0 at scale 4; "
                           "errors holds the CRC-32 of the points",

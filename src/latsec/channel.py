@@ -31,6 +31,10 @@ float(scale) [-1/2, 1/2)^n: because T is unimodular, the coarse lattice is
 scale Z^n and that cube is its cell, up to the rounding of scale. The
 encoder folds codeword plus dither, so a dither needs no fold of its own.
 Encoding, the channel and decoding then run on a block's rows at once.
+The runs read receiver 1 only: they form its rows alone (_received_1,
+which transmit also uses for y1), and not receiver 2's or the
+eavesdropper's. The normals are still drawn whole, 3 n per row, so the
+streams, and the first n normals of each row, are those above.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .lattices import (
     _float_rows,
     _on_grid,
     _peak,
-    on_grid,
 )
 
 
@@ -210,7 +213,9 @@ def dither_rows(lattice: ConstructionALattice, uniforms) -> np.ndarray:
 def transmit(x1, x2, params: ChannelParams, noise):
     """One channel use per row, given each row's 3n standard normals: the
     first n for receiver 1, the next n for receiver 2, the last n for the
-    eavesdropper."""
+    eavesdropper. Returns (y1, y2, z). The Monte Carlo runs read y1 only,
+    and form it alone through _received_1, the function that forms y1
+    here, from the same 3n normals per row."""
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
@@ -218,13 +223,21 @@ def transmit(x1, x2, params: ChannelParams, noise):
     if noise.shape[-1] != 3 * n:
         raise DimensionMismatch(f"need 3n = {3 * n} normals per row, got {noise.shape[-1]}")
     a, b = float(params.cross_gain), float(params.eve_gain)
-    n1 = noise[..., :n] * math.sqrt(params.noise_var)
     n2 = noise[..., n : 2 * n] * math.sqrt(params.noise_var)
     ne = noise[..., 2 * n :] * math.sqrt(params.eve_noise_var)
-    y1 = x1 + a * x2 + n1
+    y1 = _received_1(x1, x2, params, noise)
     y2 = x2 + a * x1 + n2
     z = b * (x1 + x2) + ne
     return y1, y2, z
+
+
+def _received_1(x1, x2, params: ChannelParams, noise):
+    """Receiver 1's rows, x1 + a x2 + n1, from float64 signals and each row's
+    3n normals, of which it reads the first n: transmit's y1, which the
+    Monte Carlo runs form alone, as they read no other output."""
+    n = x1.shape[-1]
+    n1 = noise[..., :n] * math.sqrt(params.noise_var)
+    return x1 + float(params.cross_gain) * x2 + n1
 
 
 def _of_width(rows, n):
@@ -264,13 +277,14 @@ def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice)
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
     if isinstance(y, PointGrid):
         scaled = PointGrid(Fraction(alpha) * y.unit, y.coords, _bound=y.peak)
-        unit, (ay, u) = on_grid(scaled, dither)
+        unit, (ay, u), peaks = _on_grid((scaled, dither))
     else:
         unit, ay, u = None, alpha * _float_rows(y), _float_rows(np.atleast_2d(dither))
     _of_width(ay, lattice.n)
     if len(_of_width(u, lattice.n)) not in (1, len(ay)):
         raise DimensionMismatch(f"expected 1 or {len(ay)} dither rows, got {len(u)}")
-    v = ay - u if unit is None else PointGrid(unit, ay - u)
+    # |ay - u| <= |ay| + |u|: the sum of the two grids' bounds on the common unit
+    v = ay - u if unit is None else PointGrid(unit, ay - u, _bound=sum(peaks))
     return lattice.mod_coarse(lattice.quantize_fine(v))
 
 
@@ -500,20 +514,21 @@ def _float_stages(codebooks, gain):
 def _decode_stages(resid, stages):
     """Successive decoding of rows over prepared stages, one (own,
     interferer) pair of _Candidates per layer: each stage finds the nearest
-    interferer point, strips it, then finds and strips the nearest own
-    codeword. Rows must be finite. Returns (own_indices,
-    interferer_indices), one array per layer.
+    interferer point, strips it, then finds the nearest own codeword, which
+    every stage but the last strips for the next. Rows must be finite.
+    Returns (own_indices, interferer_indices), one array per layer.
     """
     if not np.isfinite(resid).all():
         raise ValidationError("rows", "rows must be finite")
     own_all, intf_all = [], []
-    for own, intf in stages:
+    for layer, (own, intf) in enumerate(stages, 1):
         j = _nearest(resid, intf)
-        resid = resid - intf.pts[j]
+        resid = resid - np.take(intf.pts, j, axis=0)
         i = _nearest(resid, own)
-        resid = resid - own.pts[i]
-        own_all.append(i.astype(np.int64))
-        intf_all.append(j.astype(np.int64))
+        if layer < len(stages):  # no later stage reads the last residual
+            resid -= np.take(own.pts, i, axis=0)
+        own_all.append(i.astype(np.int64, copy=False))
+        intf_all.append(j.astype(np.int64, copy=False))
     return tuple(own_all), tuple(intf_all)
 
 

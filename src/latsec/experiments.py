@@ -24,6 +24,7 @@ from .channel import (
     _decode_stages,
     _finite,
     _float_stages,
+    _received_1,
     _trial_blocks,
     check_stage_conditions,
     classify_regime,
@@ -34,7 +35,6 @@ from .channel import (
     mmse_alpha,
     stage_condition_witnesses,
     achievable_rate_weak,
-    transmit,
 )
 from .codebooks import (
     BinnedCodebook,
@@ -57,7 +57,7 @@ from .lattices import (
     GRID_LIMIT,
     ConstructionALattice,
     PointGrid,
-    on_grid,
+    _on_grid,
     random_code_matrix,
     random_unimodular,
 )
@@ -571,15 +571,16 @@ def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_see
         m1, m2 = m1[:, 0], m2[:, 0]
         u1 = dither_rows(lat, uniforms[0])
         u2 = dither_rows(lat, uniforms[1])
-        l1 = floats[m1]
-        x1 = lat.mod_coarse(l1 + u1)
-        x2 = lat.mod_coarse(floats[m2] + u2)
-        y1, _, _ = transmit(x1, x2, params, noise)
-        q1 = l1 + u1 - x1
+        l1 = np.take(floats, m1, axis=0)
+        sent1 = l1 + u1
+        x1 = lat.mod_coarse(sent1)
+        x2 = lat.mod_coarse(np.take(floats, m2, axis=0) + u2)
+        y1 = _received_1(x1, x2, params, noise)
+        q1 = sent1 - x1
         residual = alpha * y1 - u1 - l1 + q1
         trial_means[start : start + len(m1)] = (residual * residual).mean(axis=1)
         estimate = decode_weak(y1, u1, params, lat)
-        errors += int((estimate.coords != codebook.coords[m1]).any(axis=1).sum())
+        errors += int((estimate.coords != np.take(codebook.coords, m1, axis=0)).any(axis=1).sum())
     variance = float(trial_means.mean())
     stderr = (
         float(trial_means.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -612,12 +613,11 @@ def _successive_errors(layers, params: ChannelParams, trials, root_seed):
     trial_errors = 0
     blocks = _trial_blocks(trials, root_seed, [len(cb) for cb in layers], layers[0].n)
     for _, m1, m2, _, noise in blocks:
-        x1, x2 = mats[0][m1[:, 0]], mats[0][m2[:, 0]]
+        x1, x2 = (np.take(mats[0], m[:, 0], axis=0) for m in (m1, m2))
         for li, mat in enumerate(mats[1:], 1):
-            x1 += mat[m1[:, li]]
-            x2 += mat[m2[:, li]]
-        y1, _, _ = transmit(x1, x2, params, noise)
-        own, intf = _decode_stages(y1, stages)
+            x1 += np.take(mat, m1[:, li], axis=0)
+            x2 += np.take(mat, m2[:, li], axis=0)
+        own, intf = _decode_stages(_received_1(x1, x2, params, noise), stages)
         wrong = np.zeros(len(m1), dtype=bool)
         for li, (i, j) in enumerate(zip(own, intf)):
             own_wrong = i != m1[:, li]
@@ -697,9 +697,13 @@ def noiseless_loopback(codebook: Codebook):
     quiet = ChannelParams(
         cross_gain=0.0, power=1.0, noise_var=0.0, eve_noise_var=0.0
     )
-    dither = lat.mod_coarse(PointGrid(Fraction(1, 2 * n + 1), [list(range(1, n + 1))]))
-    unit, (c, u) = on_grid(codebook, dither)
-    signal = lat.mod_coarse(PointGrid(unit, c + u))
+    # the dither's coords are 1, ..., n, so n bounds them
+    dither = lat.mod_coarse(
+        PointGrid(Fraction(1, 2 * n + 1), [list(range(1, n + 1))], _bound=n)
+    )
+    unit, (c, u), peaks = _on_grid((codebook, dither))
+    # |c + u| <= |c| + |u|: the sum of the two grids' bounds on the common unit
+    signal = lat.mod_coarse(PointGrid(unit, c + u, _bound=sum(peaks)))
     estimate = decode_weak(signal, dither, quiet, lat)
     weak_ok = bool((estimate.coords == codebook.coords).all())
     gain = engineered_gain(codebook)

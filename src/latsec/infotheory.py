@@ -355,9 +355,14 @@ def entropy_from_counts(counts, total=None) -> float:
         total = int(c.sum(dtype=np.int64))
     if total <= 0:
         raise ValueError("empty count vector")
-    # counts of 0 and 1 add nothing; only the rest are taken to float64
-    c = c[c > 1].astype(np.float64)
-    s = float((c * np.log2(c)).sum()) if c.size else 0.0
+    # counts of 0 and 1 add nothing; the rest go to one float64 array, which
+    # takes log2(c) and then c log2(c) in place: the same floats, summed in
+    # the same order, as the product of two arrays
+    c = c[c > 1]
+    terms = c.astype(np.float64)
+    np.log2(terms, out=terms)
+    np.multiply(terms, c, out=terms)
+    s = float(terms.sum()) if c.size else 0.0
     return math.log2(total) - s / total
 
 

@@ -194,6 +194,12 @@ class TestValueSerialiser:
         assert type(jsonable(np.int64(7))) is int
         assert type(jsonable(np.float32(0.5))) is float
 
+    def test_other_values_take_their_str(self):
+        # anything that is not a number, a string, None or a container
+        assert jsonable(1 + 2j) == "(1+2j)"
+        assert jsonable([frozenset({3})]) == ["frozenset({3})"]
+        assert jsonable({"path": pathlib.PurePosixPath("a/b")}) == {"path": "a/b"}
+
     def envelope(self):
         nan, neg_inf, flag, count, single, fractions, none = self.VALUES
         rows = [

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import latsec
 from latsec import (
     BinnedCodebook,
     BudgetExceeded,
@@ -41,7 +42,7 @@ from latsec import (
     very_strong_reliability,
     weak_reliability,
 )
-from latsec import channel, experiments, infotheory
+from latsec import channel, experiments, infotheory, lattices
 from latsec.channel import TRIAL_BLOCK, _decode_stages, _float_stages, _trial_blocks
 
 import oracles
@@ -444,6 +445,17 @@ class TestRandomBaseline:
         result = random_codebook_baseline(np.int64(9), 2, 1.0, np.arange(2))
         assert result.codebook_size == 9 and [r.seed for r in result.rows] == [0, 1]
 
+    def test_prime_size_matches_a_rank_one_lattice(self):
+        # a prime size p is p^1: the lattice side is one codeword per point
+        # of Z_p on the line, and kind=baseline size=5 reaches it
+        assert experiments._matched_lattice_shape(5) == (5, 1)
+        result = random_codebook_baseline(5, 2, 1.0, [0])
+        assert result.codebook_size == 5 and result.lattice_dim == 1
+        row = result.rows[0]
+        assert row.lattice_leak_per_dim == row.lattice_leak_bits > 0
+        config = latsec.parse_config("kind=baseline\nsize=5\n")
+        assert latsec.run(config)["results"]["lattice_dim"] == 1
+
     def test_any_real_power_is_a_number(self):
         expected = random_codebook_baseline(9, 2, 1.0, [0])
         for power in (1, np.int64(1), np.float32(1.0), Fraction(1)):
@@ -708,6 +720,35 @@ class TestNoiselessLoopback:
         seen = record_row_dtypes(monkeypatch)
         assert noiseless_loopback(square_codebook())["all_ok"]
         assert seen == [np.dtype(np.int64)] * 4
+
+    def test_grids_with_a_proven_bound_are_not_scanned(self, monkeypatch):
+        # The dither, the signal and decode_weak's difference v carry the
+        # bound that their construction proves, and each bound holds. Two
+        # scans are left per configuration: the int64 check on
+        # _exact_fine's points and the fine points' grid, which the final
+        # fold reads.
+        scans, bounds = [], []
+        peak, init = lattices._peak, lattices.PointGrid.__init__
+
+        def counted(a):
+            scans.append(a.shape)
+            return peak(a)
+
+        def checked(self, unit, coords, *, _bound=None):
+            init(self, unit, coords, _bound=_bound)
+            if _bound is not None:
+                bounds.append((_bound, peak(self.coords)))
+
+        grid = standard_grid((2, 3, 5), 4, 64, 1)
+        codebooks = [enumerate_codebook(gp.build_lattice()) for gp in grid]
+        monkeypatch.setattr(lattices, "_peak", counted)
+        monkeypatch.setattr(lattices.PointGrid, "__init__", checked)
+        for cb in codebooks:
+            scans.clear()
+            assert noiseless_loopback(cb)["all_ok"]
+            assert len(scans) == 2
+        assert len(bounds) >= 6 * len(codebooks)
+        assert all(bound >= scan for bound, scan in bounds)
 
     def test_engineered_gain_matches_pairwise_python_ints(self):
         for gp in standard_grid((2, 3, 5, 7), 4, 64, 8):

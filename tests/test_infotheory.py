@@ -61,6 +61,32 @@ class TestEntropy:
             oracles.entropy_oracle(list(counts)), abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "dtype,high",
+        [
+            (np.uint8, 200), (np.uint16, 5000), (np.uint32, 2**20),
+            (np.int64, 2**40), (np.uint64, 2**58),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_in_place_terms_match_the_product_of_two_arrays(self, dtype, high, seed):
+        # The log and the product are taken in place in one float64 array;
+        # the result equals, bit for bit, the sum of the product of the
+        # counts' floats and their log2, the form that kept three arrays.
+        # Counts of 0 and 1 are drawn often, and past 2^53 a count's float
+        # is rounded, the same way both times.
+        rng = np.random.default_rng([seed, 78])
+        size = int(rng.integers(1, 20 if high > 2**50 else 5000))
+        counts = np.where(
+            rng.random(size) < 0.3, rng.integers(0, 2, size), rng.integers(0, high, size)
+        ).astype(dtype)
+        counts[0] = 2
+        total = int(counts.sum(dtype=np.int64))
+        c = counts[counts > 1].astype(np.float64)
+        expected = math.log2(total) - float((c * np.log2(c)).sum()) / total
+        assert entropy_from_counts(counts).hex() == expected.hex()
+        assert entropy_from_counts(counts, total).hex() == expected.hex()
+
     @pytest.mark.parametrize("counts,total", [([3, -1], None), ([3, -1], 2), ([-1], 1)])
     def test_negative_counts_raise(self, counts, total):
         # [3, -1] used to give -1.377 bits

@@ -1171,6 +1171,17 @@ class TestInt64Magnitudes:
         assert folded.coords.tolist() == [[0], [-1]]
         assert seen == [np.dtype(object)]
 
+    def test_message_coords_reject_a_prime_past_the_int64_square(self):
+        # k p^2 must stay within GRID_LIMIT = 2^62 for the codeword products:
+        # the least prime past 2^31 squares past it at k = 1, while its p^1
+        # messages alone would fit
+        p = 2**31 + 11
+        assert all(p % d for d in range(2, math.isqrt(p) + 1, 1))
+        lat = ConstructionALattice(p, ((1,),))
+        assert lat.num_cosets == p < lattices.GRID_LIMIT < p * p
+        with pytest.raises(BudgetExceeded, match="overflow int64 codeword arithmetic"):
+            lat.message_coords([0])
+
     @pytest.mark.parametrize("call", ["decode_very_strong_batch"])
     def test_exact_decoders_reject_int64_minimum(self, call):
         with pytest.raises(BudgetExceeded):

@@ -18,6 +18,12 @@ cpu_s, peak_rss_mb and error count (for the fine_exact runs, a checksum of
 the points; for the grid suites, the wide lemma and the wide baseline, the
 number of failed verdicts). The record keeps their median and quartiles,
 and every run's error count, which a run fixes by its seeds.
+
+Round robin with the runs at scale, it times the start-up floor R times:
+`python3 -c "import latsec"` in a fresh interpreter with the checkout's
+`src` on its path and one BLAS thread, its wall time, CPU time and peak RSS
+read from the child's own resource usage. Most CLI kinds on their default
+configs take little more than this.
 The recorder itself uses the standard library only.
 """
 
@@ -63,6 +69,8 @@ FINE_ROWS = 1024
 GRID_DRAWS = 5
 WIDE_LEMMA_POINT = (127, 1, 10, 0)
 BASELINE_WIDE_CONFIG = "kind=baseline size=64 dim=5 power=2.0 num_seeds=3"
+# the start-up floor: the interpreter, numpy and the package, nothing run
+STARTUP = "import latsec"
 SCALE_RUNS = (
     tuple(f"weak_p{p}_k{k}_n{n}" for p, k, n in WEAK_SHAPES)
     + ("pipeline_weak_20000", "layered_400000")
@@ -155,6 +163,23 @@ def run_scale_once(name: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def run_startup_once() -> dict:
+    """Wall time, CPU time and peak RSS of `python3 -c STARTUP` in a fresh
+    interpreter, the CPU time and peak RSS from the child's own resource
+    usage."""
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"),
+               **dict.fromkeys(THREAD_VARS, "1"))
+    wall = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-c", STARTUP], cwd=ROOT, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - wall
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
+    return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
+            "peak_rss_mb": usage.ru_maxrss / 1024}
+
+
 def summary(values: list) -> dict:
     """Median and quartiles (inclusive method), and the values themselves."""
     if len(values) > 1:
@@ -184,9 +209,11 @@ def record(seconds: float, repeats: int) -> dict:
             entry[name] = summary([r["metrics"][name]["value"] for r in runs])
         entries[w] = entry
     scale = {name: [] for name in SCALE_RUNS}
+    startup = []
     for _ in range(repeats):
         for name in SCALE_RUNS:
             scale[name].append(run_scale_once(name))
+        startup.append(run_startup_once())
     scale_entries = {}
     for name, runs in scale.items():
         entry = {"runs": len(runs), "errors": [r["errors"] for r in runs]}
@@ -203,6 +230,11 @@ def record(seconds: float, repeats: int) -> dict:
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {seconds:g} --trace 0",
         "repeats": repeats,
         "workloads": entries,
+        "startup": {
+            "command": f'python3 -c "{STARTUP}"',
+            "runs": len(startup),
+            **{metric: summary([r[metric] for r in startup]) for metric in METRICS},
+        },
         "scale_runs": {
             "command": "python3 bench/record.py --scale-run NAME",
             "weak": f"weak_reliability, {WEAK_TRIALS} trials, seed 7, a = 0.3, power 4/3, "

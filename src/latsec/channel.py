@@ -30,11 +30,23 @@ float(scale) (u - 1/2) for a row u of uniforms, uniform on the cube
 float(scale) [-1/2, 1/2)^n: because T is unimodular, the coarse lattice is
 scale Z^n and that cube is its cell, up to the rounding of scale. The
 encoder folds codeword plus dither, so a dither needs no fold of its own.
-Encoding, the channel and decoding then run on a block's rows at once.
 The runs read receiver 1 only: they form its rows alone (_received_1,
 which transmit also uses for y1), and not receiver 2's or the
 eavesdropper's. The normals are still drawn whole, 3 n per row, so the
 streams, and the first n normals of each row, are those above.
+
+The weak run encodes, transmits and decodes each block's rows at once. The
+successive-decoding runs (very strong and layered) decode rounds of whole
+blocks instead (_trial_rounds): each block is drawn as above, and a round
+stacks _ROUND_TRIALS // TRIAL_BLOCK of them in order, keeping the messages
+and receiver 1's n normals per row, so encoding, receiver 1, decoding and
+the error counts run once per round. The round size moves no count: every
+step decides each row on that row's values alone. The encodes, receiver 1
+and each stage's strip are elementwise, and _nearest gives every row the
+least float distance D^ to a point, ties to the lowest: a certified row is
+the unique argmin of D^, and an uncertified row takes
+_nearest_by_distance, whose sum for a row does not depend on the chunk it
+is taken in.
 """
 
 from __future__ import annotations
@@ -203,6 +215,40 @@ def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
         yield start, messages[:, :layers], messages[:, layers:], uniforms, noise
 
 
+# The successive-decoding runs decode this many trials at once: whole blocks
+# of _trial_blocks stacked in one round, so that the hundred or so numpy
+# calls that encode and decode a round are paid once per round rather than
+# once per block. The round size is not part of the draws. Four blocks: in
+# a sweep of 1 to 32, the layered_mc workload ran as fast at 4 as at 8 and
+# slower at 16 and 32, and a 40 000-trial layered run's traced peak is 1.3
+# MiB against 2.2 MiB at 8 (CHANGES.md). A round holds its messages and
+# receiver 1's n normals per row, so its memory is bounded whatever the
+# trial count.
+_ROUND_TRIALS = 4 * TRIAL_BLOCK
+
+
+def _trial_rounds(trials, root_seed, sizes, n):
+    """The draws of a successive-decoding run, in rounds of _ROUND_TRIALS
+    trials: the blocks of _trial_blocks, drawn as they are and stacked in
+    order, the last round cut to the trials left. Yields (m1, m2, normals)
+    per round: both users' messages of shape (layers, rows), one contiguous
+    row per layer, and receiver 1's normals, the first n of each row's 3n,
+    of shape (rows, n).
+    """
+    layers = len(sizes)
+    blocks = _trial_blocks(trials, root_seed, sizes, n)
+    for start in range(0, trials, _ROUND_TRIALS):
+        rows = min(_ROUND_TRIALS, trials - start)
+        m1 = np.empty((layers, rows), dtype=np.int64)
+        m2 = np.empty((layers, rows), dtype=np.int64)
+        normals = np.empty((rows, n))
+        for at in range(0, rows, TRIAL_BLOCK):
+            _, b1, b2, _, noise = next(blocks)
+            part = slice(at, at + len(b1))
+            m1[:, part], m2[:, part], normals[part] = b1.T, b2.T, noise[:, :n]
+        yield m1, m2, normals
+
+
 def dither_rows(lattice: ConstructionALattice, uniforms) -> np.ndarray:
     """Dithers uniform on the cube float(scale) [-1/2, 1/2)^n, the coarse
     cell up to the rounding of scale, one per row of uniform draws on
@@ -233,8 +279,10 @@ def transmit(x1, x2, params: ChannelParams, noise):
 
 def _received_1(x1, x2, params: ChannelParams, noise):
     """Receiver 1's rows, x1 + a x2 + n1, from float64 signals and each row's
-    3n normals, of which it reads the first n: transmit's y1, which the
-    Monte Carlo runs form alone, as they read no other output."""
+    normals, of which it reads the first n: transmit's y1, which the Monte
+    Carlo runs form alone, as they read no other output. transmit and the
+    weak run pass each row's 3n normals, the successive runs' rounds only
+    the first n (_trial_rounds)."""
     n = x1.shape[-1]
     n1 = noise[..., :n] * math.sqrt(params.noise_var)
     return x1 + float(params.cross_gain) * x2 + n1

@@ -26,6 +26,7 @@ from .channel import (
     _float_stages,
     _received_1,
     _trial_blocks,
+    _trial_rounds,
     check_stage_conditions,
     classify_regime,
     decode_very_strong_batch,
@@ -600,29 +601,35 @@ def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_see
 
 
 def _successive_errors(layers, params: ChannelParams, trials, root_seed):
-    """Successive-decoding rounds over the given layer codebooks, one block
-    of trials at a time: each user sends the sum of one codeword per layer.
-    Returns per-layer counts of own and interferer decoding errors, and the
-    count of trials in which some own layer errs. The decoding stages are
-    prepared once per run.
+    """Successive-decoding rounds over the given layer codebooks: each user
+    sends the sum of one codeword per layer. Returns per-layer counts of own
+    and interferer decoding errors, and the count of trials in which some
+    own layer errs. The decoding stages are prepared once per run.
+
+    Trials are drawn block by block and decoded in rounds of whole blocks
+    (channel._trial_rounds). Every step decides each row on its own values:
+    the encodes, receiver 1 and the strips are elementwise, and _nearest
+    gives a row the least float distance to a point, ties to the lowest,
+    whether it certifies the row or not. So the counts do not depend on
+    the round size.
     """
     mats = [cb.float_matrix() for cb in layers]
     stages = _float_stages(layers, params.cross_gain)
     own_errors = np.zeros(len(layers), dtype=np.int64)
     intf_errors = np.zeros(len(layers), dtype=np.int64)
     trial_errors = 0
-    blocks = _trial_blocks(trials, root_seed, [len(cb) for cb in layers], layers[0].n)
-    for _, m1, m2, _, noise in blocks:
-        x1, x2 = (np.take(mats[0], m[:, 0], axis=0) for m in (m1, m2))
+    rounds = _trial_rounds(trials, root_seed, [len(cb) for cb in layers], layers[0].n)
+    for m1, m2, normals in rounds:
+        x1, x2 = (np.take(mats[0], m[0], axis=0) for m in (m1, m2))
         for li, mat in enumerate(mats[1:], 1):
-            x1 += np.take(mat, m1[:, li], axis=0)
-            x2 += np.take(mat, m2[:, li], axis=0)
-        own, intf = _decode_stages(_received_1(x1, x2, params, noise), stages)
-        wrong = np.zeros(len(m1), dtype=bool)
+            x1 += np.take(mat, m1[li], axis=0)
+            x2 += np.take(mat, m2[li], axis=0)
+        own, intf = _decode_stages(_received_1(x1, x2, params, normals), stages)
+        wrong = np.zeros(len(normals), dtype=bool)
         for li, (i, j) in enumerate(zip(own, intf)):
-            own_wrong = i != m1[:, li]
+            own_wrong = i != m1[li]
             own_errors[li] += np.count_nonzero(own_wrong)
-            intf_errors[li] += np.count_nonzero(j != m2[:, li])
+            intf_errors[li] += np.count_nonzero(j != m2[li])
             wrong |= own_wrong
         trial_errors += int(np.count_nonzero(wrong))
     return own_errors, intf_errors, trial_errors

@@ -412,11 +412,7 @@ class ConstructionALattice:
             nums = [[a * (d // b) for a, b in row] for row, d in zip(ratios, dens)]
             num = np.array(nums, dtype=object) * self.unit.denominator
             return num, np.array(dens, dtype=object).reshape(-1, 1) * self.unit.numerator
-        # a / b = x.unit / unit in lowest terms, from the two units' coprime
-        # integer pairs, without a Fraction division
-        (xn, xd), (un, ud) = x.unit.as_integer_ratio(), self.unit.as_integer_ratio()
-        g, h = math.gcd(xn, un), math.gcd(xd, ud)
-        a, b = (xn // g) * (ud // h), (un // g) * (xd // h)
+        a, b = self._unit_ratio(x)
         step = self.p * b
         fits = 2 * (max(x.peak, 1) * a + step) < GRID_LIMIT
         if not fits:
@@ -426,6 +422,23 @@ class ConstructionALattice:
         if num.ndim != 2 or num.shape[1] != self.n:
             raise DimensionMismatch(f"expected rows of width {self.n}, got shape {num.shape}")
         return num, np.array([[b]], dtype=dtype)
+
+    def _unit_ratio(self, x):
+        """(a, b) with a / b = x.unit / unit in lowest terms, for a PointGrid
+        x, from the two units' coprime integer pairs, without a Fraction
+        division."""
+        (xn, xd), (un, ud) = x.unit.as_integer_ratio(), self.unit.as_integer_ratio()
+        g, h = math.gcd(xn, un), math.gcd(xd, ud)
+        return (xn // g) * (ud // h), (un // g) * (xd // h)
+
+    def _fine_peak(self, x) -> int:
+        """A proven bound on the fine points' coords of a PointGrid x, in
+        units of scale / p: with a / b from _unit_ratio, every numerator of
+        x's rows is at most N = x.peak a in magnitude, and its fine point
+        leaves a residual of at most p b / 2 over the denominator b, so no
+        coordinate passes N / b + p / 2."""
+        a, b = self._unit_ratio(x)
+        return (2 * x.peak * a + self.p * b) // (2 * b)
 
     def _float_coarse(self, rows):
         """Each float row's coarse index q = floor(x / scale + 1/2), decided
@@ -567,16 +580,18 @@ class ConstructionALattice:
         it cannot certify take the exact path, _exact_fine.
         """
         if isinstance(x, PointGrid):
-            return PointGrid(self.unit, self._exact_fine(x))
+            bound = self._fine_peak(x)
+            return PointGrid(self.unit, self._exact_fine(x, bound), _bound=bound)
         rows = self._checked_rows(x)
         coords, certain = self._float_fine(rows)
         if not certain.all():
             coords[~certain] = self._exact_fine(rows[~certain])
         return PointGrid(self.unit, coords)
 
-    def _exact_fine(self, x) -> np.ndarray:
+    def _exact_fine(self, x, peak=None) -> np.ndarray:
         """Fine points of exact rows (see _unit_rows), as int64 coordinates
-        in units of scale / p.
+        in units of scale / p; peak, when given, is a proven bound on them
+        (_fine_peak), which spares their scan for int64.
 
         For each residue r, finds the integer near = r (mod p) nearest each
         coordinate, and the residual num - near den it leaves; a row's fine
@@ -615,7 +630,7 @@ class ConstructionALattice:
                 alive[:, tied] &= col == col.min(axis=0)
                 tied = tied[alive[:, tied].sum(axis=0) > 1]
             best[start : start + step] = alive.argmax(axis=0)
-        return _int64_grid(near[words[best], np.arange(n), np.arange(count)[:, None]])
+        return _int64_grid(near[words[best], np.arange(n), np.arange(count)[:, None]], peak=peak)
 
     # ------------------------------------------------------------------
     # codewords

@@ -593,6 +593,44 @@ class TestReliabilityRuns:
         got = experiments._successive_errors(codebooks, params, 2100, 43)
         assert [got[0].tolist(), got[1].tolist(), got[2]] == [own, intf, errors]
 
+    def test_rounds_match_one_block_rounds_and_a_per_trial_count(self, monkeypatch):
+        # Two whole rounds, one block and 37 trials, so that the last round
+        # and its last block are both partial. Every count and report is the
+        # same in rounds of one block, the order of a block-by-block run, as
+        # in rounds of the default size; the counts are also a per-trial
+        # count's.
+        tower = standard_layered_set()[2][1]
+        layered = LayeredCodebook(
+            tower.fine_lattice,
+            tower.layers,
+            [float(cb.average_power) for cb in tower.layers],
+        )
+        params = ChannelParams(cross_gain=6.0, power=sum(layered.powers), noise_var=0.3)
+        strong = enumerate_codebook(ConstructionALattice(3, ((1, 0), (0, 1)), None, 1))
+        strong_params = ChannelParams(cross_gain=2.0, power=1.0, noise_var=0.3)
+        assert channel._ROUND_TRIALS > TRIAL_BLOCK
+        assert channel._ROUND_TRIALS % TRIAL_BLOCK == 0
+        trials = 2 * channel._ROUND_TRIALS + TRIAL_BLOCK + 37
+
+        def runs():
+            own, intf, errors = experiments._successive_errors(layered.layers, params, trials, 47)
+            return (
+                [own.tolist(), intf.tolist(), errors],
+                very_strong_reliability(strong, strong_params, trials, 29),
+                layered_reliability(layered, params, trials, 31),
+            )
+
+        rounds = runs()
+        monkeypatch.setattr(channel, "_ROUND_TRIALS", TRIAL_BLOCK)
+        assert runs() == rounds
+        stages = _float_stages(layered.layers, params.cross_gain)
+        counts = self.per_trial_successive(
+            layered.layers, params, trials, 47, lambda y: _decode_stages(y, stages)
+        )
+        assert rounds[0] == list(counts)
+        assert all(e > 0 for e in counts[0] + counts[1])
+        assert rounds[1]["errors"] > 0 and rounds[2]["errors"] > 0
+
     def test_very_strong_decoding_is_error_free_at_high_gain(self):
         cb = enumerate_codebook(ConstructionALattice(3, ((1, 0), (0, 1)), None, 1))
         params = ChannelParams(cross_gain=10.0, power=1.0, noise_var=1e-4)
@@ -722,11 +760,10 @@ class TestNoiselessLoopback:
         assert seen == [np.dtype(np.int64)] * 4
 
     def test_grids_with_a_proven_bound_are_not_scanned(self, monkeypatch):
-        # The dither, the signal and decode_weak's difference v carry the
-        # bound that their construction proves, and each bound holds. Two
-        # scans are left per configuration: the int64 check on
-        # _exact_fine's points and the fine points' grid, which the final
-        # fold reads.
+        # The dither, the signal, decode_weak's difference v and the fine
+        # points that quantize_fine finds for it (with _exact_fine's int64
+        # check on them) carry the bound that their construction proves,
+        # and each bound holds: no grid of the loopback is scanned.
         scans, bounds = [], []
         peak, init = lattices._peak, lattices.PointGrid.__init__
 
@@ -746,8 +783,8 @@ class TestNoiselessLoopback:
         for cb in codebooks:
             scans.clear()
             assert noiseless_loopback(cb)["all_ok"]
-            assert len(scans) == 2
-        assert len(bounds) >= 6 * len(codebooks)
+            assert scans == []
+        assert len(bounds) >= 7 * len(codebooks)
         assert all(bound >= scan for bound, scan in bounds)
 
     def test_engineered_gain_matches_pairwise_python_ints(self):

@@ -904,11 +904,15 @@ class TestPeak:
         p, _, _, scale = TestIntegerCoreAgainstOracle.CASES[case]
         lat = ConstructionALattice(*TestIntegerCoreAgainstOracle.CASES[case])
         folded = lat.mod_coarse(x)
-        b = (x.unit * p / scale).denominator
+        ratio = x.unit * p / scale
+        a, b = ratio.numerator, ratio.denominator
         assert folded._bound == folded.peak == p * b // 2
         assert folded.peak >= lattices._peak(folded.coords)
+        # each fine point is within p / 2 of its row's x.peak a / b, over
+        # scale / p
         fine = lat.quantize_fine(x)
-        assert fine.peak == lattices._peak(fine.coords)
+        assert fine._bound == fine.peak == (2 * x.peak * a + p * b) // (2 * b)
+        assert fine.peak >= lattices._peak(fine.coords)
 
     @pytest.mark.parametrize("case", TestIntegerCoreAgainstOracle.CASES)
     def test_fold_bound_is_reached(self, case):

@@ -423,9 +423,8 @@ class _Candidates:
     points, twice the points and each point's squared norm, all int64 or all
     float64. Float candidates that are not exact also hold the constants of
     _nearest's bound: the largest computed ||p||^2, the largest |p_i|, the
-    coefficients k_s and k_d and the underflow term; and the tally, rows
-    (1, ..., 1) and (0, 1, ...) that count a row's marks and sum their
-    indices. exact marks float64 points of an exact grid (see
+    coefficients k_s and k_d and the underflow term; and the tally of
+    lattices._marks, rows (1, ..., 1) and (0, 1, ...). exact marks float64 points of an exact grid (see
     _exact_decode_grid), whose scores need no certificate; int64 points are
     exact whatever it says."""
 
@@ -487,10 +486,10 @@ def _nearest(rows, points):
     1 + gamma_{3n+8}. That factor covers the rounding of R, P, B, the gap
     and the constants themselves, at most 2n + 9 roundings along any one
     chain, and n 2^-1070 = 32 n eta covers the 10 n eta above and every
-    underflow of B. It is applied by marking every point q with
-    fl(s^_q - s^_1) <= B: as fl(x - s^_1) is monotone in x, c is the only
-    point marked exactly when fl(s^_2 - s^_1) > B, and the mark gives c. A
-    row with fl(R^2 + P) >= _SCORE_REACH, where no term is sure not to
+    underflow of B. It is applied by lattices._marks with margin B, which
+    marks every point q with fl(s^_q - s^_1) <= B: its docstring shows that
+    c is the only point marked exactly when fl(s^_2 - s^_1) > B, and the
+    tally then gives c. A row with fl(R^2 + P) >= _SCORE_REACH, where no term is sure not to
     overflow, is not certified. Every row left uncertified, such as one
     whose scores overflow, takes the float distance in
     _nearest_by_distance; no overflow here raises a warning.
@@ -498,11 +497,11 @@ def _nearest(rows, points):
     Layout. B is formed once for all rows. Each chunk's float scores form a
     (points, rows) block whose longer axis is contiguous: 2P @ rows.T when
     the chunk holds at least as many rows as points, else the transposed
-    view of rows @ (2P).T. So the least score and the marks are taken over
-    points across contiguous rows, or along each contiguous row, never one
-    short row at a time; one product with the rows (1, ..., 1) and
-    (0, 1, ...) counts each row's marks and sums their indices. Exact
-    candidates keep the row-major block and its argmin.
+    view of rows @ (2P).T. So _marks takes the least score and the marks
+    over points across contiguous rows, or along each contiguous row, never
+    one short row at a time, and its one tally product counts each row's
+    marks and sums their indices. Exact candidates keep the row-major block
+    and its argmin.
     """
     best = np.empty(len(rows), dtype=np.intp)
     step = max(1, _SCORE_LIMIT // len(points.pts))
@@ -527,9 +526,7 @@ def _nearest(rows, points):
             else:
                 gaps = (chunk @ points.twice.T).T
             np.subtract(points.norms[:, None], gaps, out=gaps)
-            gaps -= gaps.min(axis=0)
-            marks = np.less_equal(gaps, margin[part], out=gaps)
-            tallies[:, part] = points.tally @ marks
+            tallies[:, part] = lattices._marks(gaps, margin[part], points.tally)
         count, index = tallies
         best[:] = index
         sure = (count == 1) & (reach < _SCORE_REACH)

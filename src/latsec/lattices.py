@@ -22,10 +22,14 @@ Every decision is the exact one for the row's rational value. Float rows are
 decided in float64 first, and a row is kept only when each of its decisions
 is farther from its boundary than a derived rounding-error bound (the filter
 of Shewchuk's adaptive predicates, with Higham's gamma_n bounds); such a row
-never has a tie. Only the rows left uncertified are written exactly. Exact
-rows are integer numerators over a denominator in units of scale / p (one
-per float row, one shared by a PointGrid's rows), decided on those integers:
-int64 when a bound proves that nothing overflows, Python ints otherwise.
+never has a tie. The float searches for a nearest candidate, the fine
+quantiser's codeword and channel's successive decoder, both decide by one
+rule, _marks: a row is kept when one candidate alone lies within the stated
+margin of its least computed distance or score. Only the rows left
+uncertified are written exactly. Exact rows are integer numerators over a
+denominator in units of scale / p (one per float row, one shared by a
+PointGrid's rows), decided on those integers: int64 when a bound proves
+that nothing overflows, Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -240,6 +244,25 @@ def _distances(sq, words, part) -> np.ndarray:
     for i in range(1, words.shape[1]):
         dist += sq[words[:, i], i, part]
     return dist
+
+
+def _marks(block, margin, tally) -> np.ndarray:
+    """The certificate of both float nearest-candidate searches (_float_fine
+    and channel._nearest). block is a float (candidates, rows) array of
+    computed distances or scores, margin a bound per row, and tally the rows
+    (1, ..., 1) and (0, 1, ...). A candidate is marked when it lies within
+    margin of its row's least d_1, fl(d - d_1) <= margin; the block is
+    overwritten by the marks, and tally @ marks gives each row's count of
+    marks and the sum of their indices.
+
+    A row is decided when it counts one mark, and the sum is then the index
+    of its least candidate. That is the rule of the two least values: as
+    fl(d - d_1) is monotone in d and 0 only at d = d_1, one mark holds
+    exactly when d_1 is unique and the next least d_2 has fl(d_2 - d_1) >
+    margin. A NaN least or margin marks nothing, so such a row counts 0.
+    """
+    block -= block.min(axis=0)
+    return tally @ np.less_equal(block, margin, out=block)
 
 
 def det_int(rows) -> int:
@@ -488,12 +511,14 @@ class ConstructionALattice:
         = p sum_i e_i + n^2 u p^2 / 2, which keeps room for the rounding of
         beta and of the test below.
 
-        Codeword. With d_1 <= d_2 the two least computed distances, every
-        other codeword's exact distance exceeds the first's once
-        d_2 - d_1 > 2 beta: the least exact distance is then unique, so a
-        certified row never has a tie, and its point is that codeword's
-        coset points c_r. A row is certified when every residue of every
-        coordinate passes, with |t| < _FLOAT_REACH, and its gap does.
+        Codeword. Every other codeword's exact distance exceeds that of the
+        least computed one, at d_1, once every other d lies more than 2 beta
+        above d_1: the least exact distance is then unique, so a certified row
+        never has a tie, and its point is that codeword's coset points c_r.
+        A row is certified when every residue of every coordinate passes,
+        with |t| < _FLOAT_REACH, and one codeword alone lies within 2 beta of
+        d_1: _marks with margin 2 beta, whose docstring shows that this is the
+        rule of the two least distances.
 
         Layout. The arrays are point-major: t is (n, rows) and the
         candidates c_r and residuals rho_r are (p, n, rows), so the residue
@@ -502,19 +527,17 @@ class ConstructionALattice:
         chunk's distances are n column adds, sq[words[:, i], i], into a
         (codewords, rows) block (_distances, which _exact_fine shares), each
         d summed left to right, one of the orders the bound above covers.
-        Over the block's codeword axis the chunk takes d_1, marks the
-        codewords at d_1, counts the marks and sums their indices, and takes
-        d_2 as the least unmarked distance; a row whose count is not 1 has a
-        tie at d_1 and is not certified, and one that counts 1 gets the
-        marked index as its codeword. Uncertified rows get the point 0.
+        _marks marks the block's codewords within 2 beta of each row's least
+        and counts them: a row that counts one mark gets the marked index as
+        its codeword. Uncertified rows get the point 0.
         """
         p, n = self.p, self.n
         words = self._codewords
         count = len(rows)
         step = max(1, _GATHER_LIMIT // len(words))
-        # each row's count of marks, the sum of their indices and its gap
+        # each row's count of marks and the sum of their indices
         tally = np.array([np.ones(len(words)), np.arange(len(words))])
-        stats = np.empty((3, count))
+        stats = np.empty((2, count))
         with np.errstate(over="ignore", invalid="ignore"):
             t = np.multiply(rows.T, self._float_steps[1], order="C")
             r = np.arange(p, dtype=np.float64).reshape(p, 1, 1)
@@ -527,14 +550,9 @@ class ConstructionALattice:
             sq = resid * resid
             for start in range(0, count, step):
                 part = slice(start, start + step)
-                dist = _distances(sq, words, part)
-                least = dist.min(axis=0)
-                marks = dist == least
-                stats[:2, part] = tally @ marks
-                np.copyto(dist, np.inf, where=marks)
-                stats[2, part] = dist.min(axis=0) - least
-            marked, index, gap = stats
-            certain &= (marked == 1) & (gap > 2 * beta)
+                stats[:, part] = _marks(_distances(sq, words, part), 2 * beta[part], tally)
+            marked, index = stats
+            certain &= marked == 1
         best = np.where(certain, index, 0).astype(np.intp)
         point = near[words[best].T, np.arange(n)[:, None], np.arange(count)]
         return np.where(certain, point, 0).T.astype(np.int64, order="C"), certain

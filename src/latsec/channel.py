@@ -540,11 +540,9 @@ def _nearest_by_distance(rows, pts):
     distance fl(sum_i (r_i - p_i)^2), ties to the lowest, in chunks of rows
     whose (rows, points, n) temporary holds at most lattices._GATHER_LIMIT
     entries (or one row)."""
-    step = max(1, lattices._GATHER_LIMIT // pts.size)
     best = np.empty(len(rows), dtype=np.intp)
-    for start in range(0, len(rows), step):
-        part = rows[start : start + step, None, :]
-        best[start : start + step] = ((part - pts[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+    for part in lattices._row_chunks(len(rows), pts.size):
+        best[part] = ((rows[part, None, :] - pts[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
     return best
 
 

@@ -57,11 +57,13 @@ two coordinates cannot overflow. on_grid raises BudgetExceeded past it."""
 
 _GATHER_LIMIT = 1 << 13
 """Entries of the temporaries that the fine quantiser and the float
-distance of channel's successive decoder make at once: the (codewords,
-rows) distance block of _float_fine and _exact_fine, and the (rows,
-codewords, n) gather of the rows the decoder leaves uncertified. Each takes
-rows in chunks, so its temporaries stay small whatever the batch and the
-code."""
+distance of channel's successive decoder make at once: the (p, n, rows)
+residue arrays and, inside each block of those rows, the (codewords, rows)
+distance block of _float_fine and _exact_fine, and the (rows, codewords, n)
+gather of the rows the decoder leaves uncertified. Each takes rows in
+chunks of this many entries (_row_chunks, or one row where a row alone
+holds more), so its temporaries stay small whatever the batch; only a
+single row's may pass the limit."""
 
 _ROUNDOFF = 2.0**-53
 """u, the unit roundoff of float64: a correctly rounded operation whose
@@ -90,12 +92,19 @@ class PointGrid:
     every float is the correctly rounded value of its exact coordinate. So
     that none of these goes stale, the grid makes its coords read-only (an
     int64 array is kept as it is, and is read-only from then on), and its
-    float array read-only too.
+    float array read-only too. A unit that is not positive raises
+    ValidationError, and coords that are not one 2-D array of rows raise
+    DimensionMismatch.
     """
 
     def __init__(self, unit, coords, *, _bound=None):
         self.unit = unit if type(unit) is Fraction else Fraction(unit)
+        # a Fraction keeps its sign in the numerator
+        if self.unit.numerator <= 0:
+            raise ValidationError("unit", f"a grid's unit must be positive, got {self.unit}")
         self.coords = _int64_coords(coords)
+        if self.coords.ndim != 2:
+            raise DimensionMismatch(f"coords must be rows of a 2-D array, got shape {self.coords.shape}")
         self.coords.setflags(write=False)
         self._bound = _bound
         self._float = None
@@ -244,6 +253,13 @@ def _distances(sq, words, part) -> np.ndarray:
     for i in range(1, words.shape[1]):
         dist += sq[words[:, i], i, part]
     return dist
+
+
+def _row_chunks(count, width) -> list:
+    """Slices that cover count rows in order, each of at most _GATHER_LIMIT
+    entries at width entries per row (or one row)."""
+    step = max(1, _GATHER_LIMIT // width)
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _marks(block, margin, tally) -> np.ndarray:
@@ -442,7 +458,7 @@ class ConstructionALattice:
             fits = 2 * (max(_peak(x.coords), 1) * a + step) < GRID_LIMIT
         dtype = np.int64 if fits and self.n * step * step < GRID_LIMIT else object
         num = x.coords.astype(dtype, copy=False) * a
-        if num.ndim != 2 or num.shape[1] != self.n:
+        if num.shape[1] != self.n:
             raise DimensionMismatch(f"expected rows of width {self.n}, got shape {num.shape}")
         return num, np.array([[b]], dtype=dtype)
 
@@ -522,40 +538,44 @@ class ConstructionALattice:
 
         Layout. The arrays are point-major: t is (n, rows) and the
         candidates c_r and residuals rho_r are (p, n, rows), so the residue
-        tests and beta reduce over leading axes. Rows are taken in chunks of
-        at most _GATHER_LIMIT (codeword, row) entries (or one row); a
-        chunk's distances are n column adds, sq[words[:, i], i], into a
-        (codewords, rows) block (_distances, which _exact_fine shares), each
-        d summed left to right, one of the orders the bound above covers.
-        _marks marks the block's codewords within 2 beta of each row's least
-        and counts them: a row that counts one mark gets the marked index as
-        its codeword. Uncertified rows get the point 0.
+        tests and beta reduce over leading axes. Rows are taken in blocks of
+        at most _GATHER_LIMIT (residue, coordinate, row) entries, and each
+        block's rows in chunks of at most _GATHER_LIMIT (codeword, row)
+        entries (_row_chunks, or one row either way); a chunk's distances
+        are n column adds, sq[words[:, i], i], into a (codewords, rows) block
+        (_distances, which _exact_fine shares), each d summed left to right,
+        one of the orders the bound above covers. _marks marks the block's
+        codewords within 2 beta of each row's least and counts them: a row
+        that counts one mark gets the marked index as its codeword. Every
+        step decides a row on that row's values alone, so the block and
+        chunk sizes move no decision. Uncertified rows get the point 0.
         """
-        p, n = self.p, self.n
-        words = self._codewords
-        count = len(rows)
-        step = max(1, _GATHER_LIMIT // len(words))
+        p, n, words = self.p, self.n, self._codewords
+        r = np.arange(p, dtype=np.float64).reshape(p, 1, 1)
         # each row's count of marks and the sum of their indices
         tally = np.array([np.ones(len(words)), np.arange(len(words))])
-        stats = np.empty((2, count))
+        coords = np.empty(rows.shape, dtype=np.int64)
+        certain = np.empty(len(rows), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            t = np.multiply(rows.T, self._float_steps[1], order="C")
-            r = np.arange(p, dtype=np.float64).reshape(p, 1, 1)
-            near = r + p * np.floor((t - r) / p + 0.5)
-            resid = t - near
-            size = np.abs(t)
-            e = 3 * _ROUNDOFF * (size + p)
-            certain = ((size < _FLOAT_REACH) & (p / 2 - np.abs(resid).max(axis=0) > e)).all(axis=0)
-            beta = p * e.sum(axis=0) + n * n * _ROUNDOFF * p * p / 2
-            sq = resid * resid
-            for start in range(0, count, step):
-                part = slice(start, start + step)
-                stats[:, part] = _marks(_distances(sq, words, part), 2 * beta[part], tally)
-            marked, index = stats
-            certain &= marked == 1
-        best = np.where(certain, index, 0).astype(np.intp)
-        point = near[words[best].T, np.arange(n)[:, None], np.arange(count)]
-        return np.where(certain, point, 0).T.astype(np.int64, order="C"), certain
+            for block in _row_chunks(len(rows), p * n):
+                t = np.multiply(rows[block].T, self._float_steps[1], order="C")
+                near = r + p * np.floor((t - r) / p + 0.5)
+                resid = t - near
+                size = np.abs(t)
+                e = 3 * _ROUNDOFF * (size + p)
+                sure = ((size < _FLOAT_REACH) & (p / 2 - np.abs(resid).max(axis=0) > e)).all(axis=0)
+                beta = p * e.sum(axis=0) + n * n * _ROUNDOFF * p * p / 2
+                sq = resid * resid
+                stats = np.empty((2, len(sure)))
+                for part in _row_chunks(len(sure), len(words)):
+                    stats[:, part] = _marks(_distances(sq, words, part), 2 * beta[part], tally)
+                marked, index = stats
+                sure &= marked == 1
+                best = np.where(sure, index, 0).astype(np.intp)
+                point = near[words[best].T, np.arange(n)[:, None], np.arange(len(sure))]
+                coords[block] = np.where(sure, point, 0).T
+                certain[block] = sure
+        return coords, certain
 
     # ------------------------------------------------------------------
     # quantisation
@@ -615,10 +635,12 @@ class ConstructionALattice:
         coordinate, and the residual num - near den it leaves; a row's fine
         point is the coset point of its least codeword by (distance,
         lexicographic residual), read from near. The layout is _float_fine's:
-        numerators are (n, rows), near and the residuals (p, n, rows), and
-        rows are taken in chunks of at most _GATHER_LIMIT (codeword, row)
-        entries (or one row), whose distances come from _distances. Each
-        chunk marks the least distance over the codeword axis, and rows with
+        numerators are (n, rows), near and the residuals (p, n, rows) over
+        blocks of rows, and each block's rows are taken in chunks, both as
+        _row_chunks gives them, whose distances come from _distances. It
+        keeps its own marks, of the exact least distance, because it narrows
+        ties instead of refusing them: each chunk marks the least distance
+        over the codeword axis, and rows with
         more than one mark are narrowed column by column on their residuals,
         n passes at most, until one mark is left: two codewords differ in
         some coordinate, where their residuals differ, so one always is.
@@ -627,28 +649,31 @@ class ConstructionALattice:
         """
         num, den = self._unit_rows(x)
         p, n, words = self.p, self.n, self._codewords
-        num, den = num.T, den.T
-        count = num.shape[1]
+        count = len(num)
+        num, den = num.T, np.broadcast_to(den.T, (1, count))
         r = np.arange(p).reshape(p, 1, 1)
-        near = r + p * _round_half_up(num - r * den, p * den)
-        resid = num - near * den
-        sq = resid * resid
-        sentinel = np.broadcast_to(p * den, (1, count))[0]
-        step = max(1, _GATHER_LIMIT // len(words))
-        best = np.empty(count, dtype=np.intp)
-        for start in range(0, count, step):
-            dist = _distances(sq, words, slice(start, start + step))
-            alive = dist == dist.min(axis=0)
-            tied = np.flatnonzero(alive.sum(axis=0) > 1)
-            for i in range(n):
-                if not tied.size:
-                    break
-                rows = start + tied
-                col = np.where(alive[:, tied], resid[words[:, i, None], i, rows], sentinel[rows])
-                alive[:, tied] &= col == col.min(axis=0)
-                tied = tied[alive[:, tied].sum(axis=0) > 1]
-            best[start : start + step] = alive.argmax(axis=0)
-        return _int64_grid(near[words[best], np.arange(n), np.arange(count)[:, None]], peak=peak)
+        points = np.empty((count, n), dtype=num.dtype)
+        for block in _row_chunks(count, p * n):
+            block_num, block_den = num[:, block], den[:, block]
+            near = r + p * _round_half_up(block_num - r * block_den, p * block_den)
+            resid = block_num - near * block_den
+            sq = resid * resid
+            sentinel = p * block_den[0]
+            best = np.empty(len(sentinel), dtype=np.intp)
+            for part in _row_chunks(len(best), len(words)):
+                dist = _distances(sq, words, part)
+                alive = dist == dist.min(axis=0)
+                tied = np.flatnonzero(alive.sum(axis=0) > 1)
+                for i in range(n):
+                    if not tied.size:
+                        break
+                    rows = part.start + tied
+                    col = np.where(alive[:, tied], resid[words[:, i, None], i, rows], sentinel[rows])
+                    alive[:, tied] &= col == col.min(axis=0)
+                    tied = tied[alive[:, tied].sum(axis=0) > 1]
+                best[part] = alive.argmax(axis=0)
+            points[block] = near[words[best], np.arange(n), np.arange(len(best))[:, None]]
+        return _int64_grid(points, peak=peak)
 
     # ------------------------------------------------------------------
     # codewords

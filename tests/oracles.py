@@ -5,6 +5,10 @@ statement alone: exhaustive closest-point search over an explicit
 coefficient box, dictionary-based distribution arithmetic on exact
 rationals, and closed forms for hand-checkable configurations. Slowness is
 the point; none of these share code with the package internals.
+
+One reference is a former rule rather than brute force: float_fine_gap_rule
+keeps the fine quantiser's float certificate as it stood before the marks
+rule took its place, so a test can pin that both certify the same rows.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def solve_mod_p(rows, vec, p):
@@ -112,6 +118,45 @@ def coset_reps_brute(p, code_matrix, transform, scale, box=6):
         ]
         reps.add(fold_brute(raw, basis, box))
     return reps
+
+
+def float_fine_gap_rule(rows, p, words, step, roundoff=2.0**-53, reach=2.0**50):
+    """The fine quantiser's float certificate by the rule of the two least
+    distances, on all rows at once. rows is a float (rows, n) array, words
+    the codewords as (codewords, n) residues mod p, and step float(p / scale).
+
+    In units of the fine step, t = fl(x step); each residue r's coset point
+    is c_r = r + p floor((t - r) / p + 1/2) and its residual rho_r = t - c_r.
+    A row is certified when |t| < reach and every |rho_r| lies more than
+    e = 3 roundoff (|t| + p) inside p / 2, when exactly one codeword takes
+    the least computed distance d_1 = sum_i rho_i^2, summed left to right,
+    and when the least distance d_2 of the others has fl(d_2 - d_1) >
+    2 beta, with beta = p sum_i e_i + n^2 roundoff p^2 / 2. Returns the
+    certified rows' coset points as int64 (0 on every other row) and the
+    mask.
+    """
+    rows, words = np.asarray(rows, dtype=np.float64), np.asarray(words)
+    count, n = rows.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.multiply(rows.T, step, order="C")
+        r = np.arange(p, dtype=np.float64).reshape(p, 1, 1)
+        near = r + p * np.floor((t - r) / p + 0.5)
+        resid = t - near
+        size = np.abs(t)
+        e = 3 * roundoff * (size + p)
+        certain = ((size < reach) & (p / 2 - np.abs(resid).max(axis=0) > e)).all(axis=0)
+        beta = p * e.sum(axis=0) + n * n * roundoff * p * p / 2
+        sq = resid * resid
+        dist = sq[words[:, 0], 0]
+        for i in range(1, n):
+            dist = dist + sq[words[:, i], i]
+        least = dist.min(axis=0)
+        at_least = dist == least
+        second = np.where(at_least, np.inf, dist).min(axis=0)
+        certain &= (at_least.sum(axis=0) == 1) & (second - least > 2 * beta)
+    index = at_least.argmax(axis=0)
+    point = near[words[index].T, np.arange(n)[:, None], np.arange(count)]
+    return np.where(certain, point, 0).T.astype(np.int64), certain
 
 
 def pair_sum_histogram(points_a, points_b):

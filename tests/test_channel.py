@@ -1126,6 +1126,8 @@ class TestLayeredDecoder:
         _, cb = self._single_layer()
         params = ChannelParams(cross_gain=4.0, power=1.0)
         y = cb.coords[5] + 4 * cb.coords[2]
-        for rows in (PointGrid(cb.unit, y), PointGrid(cb.unit, y).float_matrix()):
-            with pytest.raises(DimensionMismatch):
-                decode_very_strong_batch(rows, cb, params)
+        # a PointGrid holds rows, so a single vector fails as it is formed
+        with pytest.raises(DimensionMismatch):
+            PointGrid(cb.unit, y)
+        with pytest.raises(DimensionMismatch):
+            decode_very_strong_batch(y * float(cb.unit), cb, params)

@@ -3,8 +3,13 @@ rendered through the CLI in JSON and CSV, pinned byte for byte.
 
 Nothing is masked: a report holds no timing. Regenerate the files (after a
 deliberate change of output) with ``PYTHONPATH=src python tests/test_golden.py``.
+The benchmark's exact reports are pinned too, as digests in
+perfbench/digests.json (written by ``python3 perfbench/pin.py``), and are
+recomputed here.
 """
 
+import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -87,6 +92,39 @@ def test_fresh_processes_render_the_golden_bytes(name):
         done = subprocess.run(argv, env=env, capture_output=True, timeout=300, check=True)
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1] == (GOLDEN / f"{name}.json").read_bytes()
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py as a module, loaded from its file without
+    writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+def test_benchmark_reports_match_the_pinned_digests():
+    # every (shape, draw) report of grid_exact and exact_loopback, computed
+    # as perfbench/pin.py computes it, against perfbench/digests.json
+    workloads = _perfbench_workloads()
+    pinned = json.loads((PERFBENCH / "digests.json").read_text())
+    for name, shapes in (("grid_exact", workloads.GRID_SHAPES),
+                         ("exact_loopback", workloads.LOOPBACK_SHAPES)):
+        workload = workloads.WORKLOADS[name]
+        digests = {}
+        for draw in range(workloads.DRAWS):
+            points = [latsec.GridPoint(p, k, n, draw) for p, k, n in shapes]
+            digests.update(workload.digests(points, workload.run(points)))
+        moved = sorted(label for label in pinned[name].keys() | digests.keys()
+                       if digests.get(label) != pinned[name].get(label))
+        assert not moved, f"{name}: {len(moved)} configurations moved: {moved}"
 
 
 if __name__ == "__main__":

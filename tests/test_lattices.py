@@ -1,6 +1,7 @@
 """Nested lattice pairs: closest-point search, folding, coset structure."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from latsec import (
     decode_very_strong_batch,
     decode_weak,
     enumerate_codebook,
+    mutual_info_sum,
     random_code_matrix,
     random_unimodular,
     scale_to_power,
@@ -88,11 +90,14 @@ class TestQuantizeTieRule:
 
     def test_single_vector_rejected(self):
         lat = ConstructionALattice(3, ((1,), (2,)), None, 1)
-        for x in (PointGrid(Fraction(1, 6), [3, 2]), np.array([0.5, 0.25])):
-            with pytest.raises(DimensionMismatch):
-                lat.mod_coarse(x)
-            with pytest.raises(DimensionMismatch):
-                lat.quantize_fine(x)
+        # a PointGrid holds rows, so a single vector fails as it is formed
+        with pytest.raises(DimensionMismatch):
+            PointGrid(Fraction(1, 6), [3, 2])
+        x = np.array([0.5, 0.25])
+        with pytest.raises(DimensionMismatch):
+            lat.mod_coarse(x)
+        with pytest.raises(DimensionMismatch):
+            lat.quantize_fine(x)
         with pytest.raises(DimensionMismatch):
             lat.mod_coarse(np.zeros((2, 3)))
         with pytest.raises(DimensionMismatch):
@@ -758,6 +763,77 @@ class TestFloatFineBlocks:
         assert lat.quantize_fine(np.array(rows)).coords.tolist() == [[0, 16]] * 3
         assert seen == [(np.dtype(object), [list(row) for row in rows[1:]])]
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_residue_arrays_are_formed_in_blocks(self, exact):
+        # k = n = 1 at p = 4099: every residue is a codeword, so each fine
+        # point is the nearest multiple of the unit, halves rounded up. The
+        # (p, n, rows) residue arrays of all 1 024 rows at once would take
+        # about 3 p n rows 8 B, 96 MiB; in blocks of rows they stay small.
+        p = 4099
+        lat = ConstructionALattice(p, ((1,),))
+        rng = np.random.default_rng(11)
+        if exact:
+            coords = rng.integers(-3 * p, 3 * p, size=(1024, 1))
+            x = PointGrid(lat.unit / 3, coords)
+            expected = ((2 * coords + 3) // 6).tolist()
+        else:
+            x = rng.uniform(-2, 2, size=(1024, 1))
+            expected = [[math.floor(Fraction(v) / lat.unit + Fraction(1, 2))] for v in x[:, 0].tolist()]
+        lat.quantize_fine(x)  # forms the lattice's codewords, once
+        tracemalloc.start()
+        try:
+            got = lat.quantize_fine(x).coords
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert got.tolist() == expected
+
+
+@st.composite
+def gap_rule_rows(draw):
+    """(lattice, float rows) for the marks rule against the gap rule: a
+    drawn lattice with p in {2, 3, 5, 7} and at most 343 codewords, and rows
+    anywhere, on multiples of half the fine unit (where residues sit on half
+    steps), or on the midpoints of pairs of fine points (where codewords
+    tie), each midpoint coordinate moved by up to 40 ulps so that gaps land
+    on both sides of 2 beta."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, min(n, int(math.log(343, p) + 1e-9))))
+    scale = draw(st.sampled_from([1, 2, Fraction(2, 3), Fraction(7, 5)]))
+    lat = GridPoint(p, k, n, draw(st.integers(0, 7))).build_lattice(scale)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 60))
+    unit = float(lat.unit)
+    kind = draw(st.sampled_from(["anywhere", "half", "tie"]))
+    if kind == "anywhere":
+        return lat, rng.normal(0, 2 * float(scale), (count, n))
+    if kind == "half":
+        return lat, rng.integers(-4 * p, 4 * p, (count, n)) * (unit / 2)
+    words = lat.message_table[rng.integers(lat.num_cosets, size=(2, count))]
+    mid = (words[0] + words[1] + p * rng.integers(-1, 2, size=(count, n))) * (unit / 2)
+    moved = rng.integers(-40, 41, size=(count, n)) * rng.integers(0, 2, size=(count, n))
+    return lat, mid + moved * np.spacing(mid)
+
+
+class TestMarksCertificate:
+    """_float_fine certifies a row when one codeword alone lies within
+    2 beta of the least computed distance (_marks). That is the rule of the
+    two least distances, which oracles.float_fine_gap_rule keeps: the two
+    certify the same rows and give them the same points."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gap_rule_rows())
+    def test_marks_rule_certifies_as_the_gap_rule(self, drawn):
+        lat, x = drawn
+        coords, certain = lat._float_fine(x)
+        ref_coords, ref_certain = oracles.float_fine_gap_rule(
+            x, lat.p, lat._codewords, lat._float_steps[1], lattices._ROUNDOFF
+        )
+        assert np.array_equal(certain, ref_certain)
+        assert np.array_equal(coords, ref_coords)
+
 
 @st.composite
 def grid_rows(draw):
@@ -1032,6 +1108,24 @@ class TestPointGridCoords:
         coords = np.arange(6, dtype=np.int64).reshape(3, 2)
         assert PointGrid(1, coords).coords is coords
         assert PointGrid(1, coords.astype(np.int32)).coords.dtype == np.int64
+
+    def test_a_unit_that_is_not_positive_raises(self):
+        # at unit 0 the rows below were two copies of the origin, which
+        # mutual_info_sum counted as two distinct points (0.5 bits, not 0)
+        for unit in (0, -1, Fraction(-2, 3)):
+            with pytest.raises(ValidationError):
+                PointGrid(unit, [[1, 2], [3, 4]])
+        with pytest.raises(ValidationError):
+            mutual_info_sum(PointGrid(0, [[1, 2], [3, 4]]))
+
+    @pytest.mark.parametrize("coords", [[1, 2, 3], [[[1, 2]], [[3, 4]]], 5, []])
+    def test_coords_that_are_not_2d_raise(self, coords):
+        # 1-D coords raised a bare IndexError in mutual_info_sum, and 3-D
+        # ones a TypeError
+        with pytest.raises(DimensionMismatch):
+            PointGrid(1, coords)
+        with pytest.raises(DimensionMismatch):
+            mutual_info_sum(PointGrid(1, coords))
 
     def test_coords_are_read_only(self):
         # the points, floats and peak derived from them cannot go stale

@@ -255,10 +255,15 @@ def _distances(sq, words, part) -> np.ndarray:
     return dist
 
 
-def _row_chunks(count, width) -> list:
+def _row_chunks(count, width, inner=None) -> list:
     """Slices that cover count rows in order, each of at most _GATHER_LIMIT
-    entries at width entries per row (or one row)."""
+    entries at width entries per row (or one row). A block of rows that is
+    cut again into chunks of inner entries per row holds a whole number of
+    those chunks when it holds more than one, so that the blocks add no
+    partial chunk but the last."""
     step = max(1, _GATHER_LIMIT // width)
+    chunk = step if inner is None else max(1, _GATHER_LIMIT // inner)
+    step -= step % chunk if step > chunk else 0
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
@@ -541,7 +546,8 @@ class ConstructionALattice:
         tests and beta reduce over leading axes. Rows are taken in blocks of
         at most _GATHER_LIMIT (residue, coordinate, row) entries, and each
         block's rows in chunks of at most _GATHER_LIMIT (codeword, row)
-        entries (_row_chunks, or one row either way); a chunk's distances
+        entries (_row_chunks, or one row either way; a block holds whole
+        chunks, so it adds no partial one); a chunk's distances
         are n column adds, sq[words[:, i], i], into a (codewords, rows) block
         (_distances, which _exact_fine shares), each d summed left to right,
         one of the orders the bound above covers. _marks marks the block's
@@ -557,7 +563,7 @@ class ConstructionALattice:
         coords = np.empty(rows.shape, dtype=np.int64)
         certain = np.empty(len(rows), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            for block in _row_chunks(len(rows), p * n):
+            for block in _row_chunks(len(rows), p * n, len(words)):
                 t = np.multiply(rows[block].T, self._float_steps[1], order="C")
                 near = r + p * np.floor((t - r) / p + 0.5)
                 resid = t - near
@@ -650,15 +656,16 @@ class ConstructionALattice:
         num, den = self._unit_rows(x)
         p, n, words = self.p, self.n, self._codewords
         count = len(num)
-        num, den = num.T, np.broadcast_to(den.T, (1, count))
+        num, den = num.T, den.T
         r = np.arange(p).reshape(p, 1, 1)
         points = np.empty((count, n), dtype=num.dtype)
-        for block in _row_chunks(count, p * n):
-            block_num, block_den = num[:, block], den[:, block]
+        for block in _row_chunks(count, p * n, len(words)):
+            # a PointGrid's rows share one denominator, float rows have one each
+            block_num, block_den = num[:, block], den if den.size == 1 else den[:, block]
             near = r + p * _round_half_up(block_num - r * block_den, p * block_den)
             resid = block_num - near * block_den
             sq = resid * resid
-            sentinel = p * block_den[0]
+            sentinel = np.broadcast_to(p * block_den, (1, block_num.shape[1]))[0]
             best = np.empty(len(sentinel), dtype=np.intp)
             for part in _row_chunks(len(best), len(words)):
                 dist = _distances(sq, words, part)

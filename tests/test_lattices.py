@@ -763,6 +763,19 @@ class TestFloatFineBlocks:
         assert lat.quantize_fine(np.array(rows)).coords.tolist() == [[0, 16]] * 3
         assert seen == [(np.dtype(object), [list(row) for row in rows[1:]])]
 
+    @pytest.mark.parametrize("count, width, inner", [
+        (1024, 42, 343), (1024, 18, 729), (1024, 12, 9), (700, 6, 4), (5, 4099, 4099), (0, 10, 10),
+    ])
+    def test_row_blocks_hold_whole_chunks(self, count, width, inner):
+        # blocks of residue rows (width p n) cover the rows in order within
+        # the limit, and each but the last holds whole distance chunks
+        # (inner codewords per row) when it holds more than one
+        limit, chunk = lattices._GATHER_LIMIT, max(1, lattices._GATHER_LIMIT // inner)
+        sizes = [len(range(count)[block]) for block in lattices._row_chunks(count, width, inner)]
+        assert sum(sizes) == count
+        assert all(size * width <= limit or size == 1 for size in sizes)
+        assert all(size % chunk == 0 or size < chunk for size in sizes[:-1])
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_residue_arrays_are_formed_in_blocks(self, exact):
         # k = n = 1 at p = 4099: every residue is a codeword, so each fine

@@ -424,9 +424,9 @@ class _Candidates:
     float64. Float candidates that are not exact also hold the constants of
     _nearest's bound: the largest computed ||p||^2, the largest |p_i|, the
     coefficients k_s and k_d and the underflow term; and the tally of
-    lattices._marks, rows (1, ..., 1) and (0, 1, ...). exact marks float64 points of an exact grid (see
-    _exact_decode_grid), whose scores need no certificate; int64 points are
-    exact whatever it says."""
+    lattices._marks, rows (1, ..., 1) and (0, 1, ...). exact marks float64
+    points of an exact grid (see _exact_decode_grid), whose scores need no
+    certificate; int64 points are exact whatever it says."""
 
     def __init__(self, pts, exact=False):
         self.pts = pts
@@ -489,10 +489,10 @@ def _nearest(rows, points):
     underflow of B. It is applied by lattices._marks with margin B, which
     marks every point q with fl(s^_q - s^_1) <= B: its docstring shows that
     c is the only point marked exactly when fl(s^_2 - s^_1) > B, and the
-    tally then gives c. A row with fl(R^2 + P) >= _SCORE_REACH, where no term is sure not to
-    overflow, is not certified. Every row left uncertified, such as one
-    whose scores overflow, takes the float distance in
-    _nearest_by_distance; no overflow here raises a warning.
+    tally then gives c. A row with fl(R^2 + P) >= _SCORE_REACH, where no
+    term is sure not to overflow, is not certified. Every row left
+    uncertified, such as one whose scores overflow, takes the float
+    distance in _nearest_by_distance; no overflow here raises a warning.
 
     Layout. B is formed once for all rows. Each chunk's float scores form a
     (points, rows) block whose longer axis is contiguous: 2P @ rows.T when

@@ -104,7 +104,7 @@ class PointGrid:
             raise ValidationError("unit", f"a grid's unit must be positive, got {self.unit}")
         self.coords = _int64_coords(coords)
         if self.coords.ndim != 2:
-            raise DimensionMismatch(f"coords must be rows of a 2-D array, got shape {self.coords.shape}")
+            raise DimensionMismatch(f"expected a batch of rows, got shape {self.coords.shape}")
         self.coords.setflags(write=False)
         self._bound = _bound
         self._float = None
@@ -534,12 +534,12 @@ class ConstructionALattice:
 
         Codeword. Every other codeword's exact distance exceeds that of the
         least computed one, at d_1, once every other d lies more than 2 beta
-        above d_1: the least exact distance is then unique, so a certified row
-        never has a tie, and its point is that codeword's coset points c_r.
-        A row is certified when every residue of every coordinate passes,
-        with |t| < _FLOAT_REACH, and one codeword alone lies within 2 beta of
-        d_1: _marks with margin 2 beta, whose docstring shows that this is the
-        rule of the two least distances.
+        above d_1: the least exact distance is then unique, so a certified
+        row never has a tie, and its point is that codeword's coset points
+        c_r. A row is certified when every residue of every coordinate
+        passes, with |t| < _FLOAT_REACH, and one codeword alone lies within
+        2 beta of d_1: _marks with margin 2 beta, whose docstring shows that
+        this is the rule of the two least distances.
 
         Layout. The arrays are point-major: t is (n, rows) and the
         candidates c_r and residuals rho_r are (p, n, rows), so the residue
@@ -547,14 +547,13 @@ class ConstructionALattice:
         at most _GATHER_LIMIT (residue, coordinate, row) entries, and each
         block's rows in chunks of at most _GATHER_LIMIT (codeword, row)
         entries (_row_chunks, or one row either way; a block holds whole
-        chunks, so it adds no partial one); a chunk's distances
-        are n column adds, sq[words[:, i], i], into a (codewords, rows) block
+        chunks, so it adds no partial one). A chunk's distances are n column
+        adds, sq[words[:, i], i], into a (codewords, rows) block
         (_distances, which _exact_fine shares), each d summed left to right,
         one of the orders the bound above covers. _marks marks the block's
         codewords within 2 beta of each row's least and counts them: a row
-        that counts one mark gets the marked index as its codeword. Every
-        step decides a row on that row's values alone, so the block and
-        chunk sizes move no decision. Uncertified rows get the point 0.
+        that counts one mark gets the marked index as its codeword.
+        Uncertified rows get the point 0.
         """
         p, n, words = self.p, self.n, self._codewords
         r = np.arange(p, dtype=np.float64).reshape(p, 1, 1)
@@ -646,10 +645,10 @@ class ConstructionALattice:
         _row_chunks gives them, whose distances come from _distances. It
         keeps its own marks, of the exact least distance, because it narrows
         ties instead of refusing them: each chunk marks the least distance
-        over the codeword axis, and rows with
-        more than one mark are narrowed column by column on their residuals,
-        n passes at most, until one mark is left: two codewords differ in
-        some coordinate, where their residuals differ, so one always is.
+        over the codeword axis, and rows with more than one mark are
+        narrowed column by column on their residuals, n passes at most,
+        until one mark is left: two codewords differ in some coordinate,
+        where their residuals differ, so one always is.
         Every residual is at most p den / 2 in magnitude, so p den is a
         sentinel above all of a row's.
         """

@@ -24,7 +24,6 @@ from latsec import (
     decode_very_strong_batch,
     decode_weak,
     enumerate_codebook,
-    mutual_info_sum,
     random_code_matrix,
     random_unimodular,
     scale_to_power,
@@ -1128,17 +1127,13 @@ class TestPointGridCoords:
         for unit in (0, -1, Fraction(-2, 3)):
             with pytest.raises(ValidationError):
                 PointGrid(unit, [[1, 2], [3, 4]])
-        with pytest.raises(ValidationError):
-            mutual_info_sum(PointGrid(0, [[1, 2], [3, 4]]))
 
     @pytest.mark.parametrize("coords", [[1, 2, 3], [[[1, 2]], [[3, 4]]], 5, []])
     def test_coords_that_are_not_2d_raise(self, coords):
-        # 1-D coords raised a bare IndexError in mutual_info_sum, and 3-D
-        # ones a TypeError
+        # mutual_info_sum of such a grid raised a bare IndexError for 1-D
+        # coords and a TypeError for 3-D ones
         with pytest.raises(DimensionMismatch):
             PointGrid(1, coords)
-        with pytest.raises(DimensionMismatch):
-            mutual_info_sum(PointGrid(1, coords))
 
     def test_coords_are_read_only(self):
         # the points, floats and peak derived from them cannot go stale

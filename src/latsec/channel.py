@@ -324,7 +324,10 @@ def decode_weak(y, dither, params: ChannelParams, lattice: ConstructionALattice)
     """
     alpha = mmse_alpha(params.power, params.cross_gain, params.noise_var)
     if isinstance(y, PointGrid):
-        scaled = PointGrid(Fraction(alpha) * y.unit, y.coords, _bound=y.peak)
+        # alpha is 0 where a^2 overflows or the factor underflows: alpha y is
+        # then the origin, put on the dither's unit as a grid needs a positive one
+        scaled = (PointGrid(Fraction(alpha) * y.unit, y.coords, _bound=y.peak) if alpha
+                  else PointGrid(getattr(dither, "unit", y.unit), np.zeros_like(y.coords), _bound=0))
         unit, (ay, u), peaks = _on_grid((scaled, dither))
     else:
         unit, ay, u = None, alpha * _float_rows(y), _float_rows(np.atleast_2d(dither))

@@ -488,6 +488,24 @@ class TestWeakDecoder:
         assert got.unit == expected.unit == cb.unit
         assert got.points == expected.points
 
+    def test_a_vanishing_mmse_factor_decodes_exact_rows_as_floats(self):
+        # a^2 overflows, so alpha is 0.0 and alpha y the origin: the exact
+        # path decodes -u on the dither's unit, as the float path decodes
+        # 0 * y - u
+        cb = codebook(3, ((1, 0), (0, 1)))
+        lat = cb.lattice
+        params = ChannelParams(cross_gain=1e200, power=1.0)
+        assert mmse_alpha(params.power, params.cross_gain, params.noise_var) == 0.0
+        ys = grid([(Fraction(3, 8), Fraction(-1, 4)), (Fraction(-5, 6), Fraction(1, 2))])
+        for us in ([(Fraction(1, 7), Fraction(-2, 9))],
+                   [(Fraction(1, 7), Fraction(2, 9)), (Fraction(0), Fraction(-1, 3))]):
+            exact = decode_weak(ys, grid(us), params, lat)
+            floats = decode_weak(ys.float_matrix(), grid(us).float_matrix(), params, lat)
+            expected = lat.mod_coarse(lat.quantize_fine(-grid(us).float_matrix()))
+            assert exact.unit == floats.unit == cb.unit
+            assert np.array_equal(exact.coords, floats.coords)
+            assert np.array_equal(exact.coords, np.broadcast_to(expected.coords, exact.coords.shape))
+
     def test_exact_entry_point_rows_take_python_ints(self, monkeypatch):
         # Fraction(alpha) has a denominator near 2^54: the MMSE-scaled rows
         # are quantised on Python ints, with no fold before; the quantised

@@ -97,34 +97,41 @@ def test_fresh_processes_render_the_golden_bytes(name):
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _perfbench_workloads():
-    """perfbench/workloads.py as a module, loaded from its file without
-    writing bytecode next to it."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+def _perfbench_pin():
+    """perfbench/pin.py as a module, loaded from its file with perfbench/ on
+    sys.path for its `import workloads`; no bytecode is written next to
+    either file, and sys.path and sys.modules are restored."""
+    spec = importlib.util.spec_from_file_location("perfbench_pin", PERFBENCH / "pin.py")
     module = importlib.util.module_from_spec(spec)
+    path, had_workloads = list(sys.path), "workloads" in sys.modules
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(PERFBENCH))
     try:
         spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
+        sys.path[:] = path
+        if not had_workloads:
+            sys.modules.pop("workloads", None)
     return module
 
 
-def test_benchmark_reports_match_the_pinned_digests():
-    # every (shape, draw) report of grid_exact and exact_loopback, computed
-    # as perfbench/pin.py computes it, against perfbench/digests.json
-    workloads = _perfbench_workloads()
-    pinned = json.loads((PERFBENCH / "digests.json").read_text())
-    for name, shapes in (("grid_exact", workloads.GRID_SHAPES),
-                         ("exact_loopback", workloads.LOOPBACK_SHAPES)):
-        workload = workloads.WORKLOADS[name]
-        digests = {}
-        for draw in range(workloads.DRAWS):
-            points = [latsec.GridPoint(p, k, n, draw) for p, k, n in shapes]
-            digests.update(workload.digests(points, workload.run(points)))
-        moved = sorted(label for label in pinned[name].keys() | digests.keys()
-                       if digests.get(label) != pinned[name].get(label))
+def test_benchmark_reports_match_the_pinned_digests(tmp_path):
+    # perfbench/pin.py writes every (shape, draw) report digest of
+    # grid_exact and exact_loopback into tmp_path; the file must equal
+    # perfbench/digests.json, entry for entry and byte for byte
+    pin = _perfbench_pin()
+    pin.HERE = tmp_path
+    pin.main()
+    written = (tmp_path / "digests.json").read_bytes()
+    pinned = (PERFBENCH / "digests.json").read_bytes()
+    got, want = json.loads(written), json.loads(pinned)
+    for name in sorted(got.keys() | want.keys()):
+        digests, reference = got.get(name, {}), want.get(name, {})
+        moved = sorted(label for label in digests.keys() | reference.keys()
+                       if digests.get(label) != reference.get(label))
         assert not moved, f"{name}: {len(moved)} configurations moved: {moved}"
+    assert written == pinned
 
 
 if __name__ == "__main__":

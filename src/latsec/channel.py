@@ -12,17 +12,15 @@ theirs once per run from float rows (_float_stages).
 
 Monte Carlo determinism: trials come in blocks of TRIAL_BLOCK. Block b
 holds trials b TRIAL_BLOCK to (b + 1) TRIAL_BLOCK - 1 and draws from the
-stream numpy.random.default_rng([root_seed, b]) in three whole-block
-calls, in this order, the same for all three schemes:
+stream numpy.random.default_rng([root_seed, b]) in whole-block calls, in
+this order, the same for all three schemes:
 
-1. the messages, integers(0, sizes, size=(TRIAL_BLOCK, 2 layers)): each
-   row holds user 1's message for each layer, then user 2's, each below
-   its layer's codebook size (the weak and very-strong schemes have one
-   layer);
+1. the messages, one integers(0, size, size=TRIAL_BLOCK) per layer with
+   that layer's codebook size, user 1's layers, then user 2's (the weak
+   and very-strong schemes have one layer);
 2. weak scheme only, the dither uniforms, random((2, TRIAL_BLOCK, n)):
    user 1's rows, then user 2's;
-3. the channel normals, standard_normal((TRIAL_BLOCK, 3 n)): per row, n
-   for receiver 1, n for receiver 2, then n for the eavesdropper.
+3. receiver 1's normals, standard_normal((TRIAL_BLOCK, n)).
 
 A run's last block draws whole blocks too and keeps its first rows, so the
 first M trials of a run do not depend on the trial count. A dither is
@@ -30,23 +28,21 @@ float(scale) (u - 1/2) for a row u of uniforms, uniform on the cube
 float(scale) [-1/2, 1/2)^n: because T is unimodular, the coarse lattice is
 scale Z^n and that cube is its cell, up to the rounding of scale. The
 encoder folds codeword plus dither, so a dither needs no fold of its own.
-The runs read receiver 1 only: they form its rows alone (_received_1,
-which transmit also uses for y1), and not receiver 2's or the
-eavesdropper's. The normals are still drawn whole, 3 n per row, so the
-streams, and the first n normals of each row, are those above.
+The runs read receiver 1 only, so they draw its normals alone and form its
+rows alone (_received_1, which transmit also uses for y1); receiver 2's
+and the eavesdropper's normals are not drawn.
 
-The weak run encodes, transmits and decodes each block's rows at once. The
-successive-decoding runs (very strong and layered) decode rounds of whole
-blocks instead (_trial_rounds): each block is drawn as above, and a round
-stacks _ROUND_TRIALS // TRIAL_BLOCK of them in order, keeping the messages
-and receiver 1's n normals per row, so encoding, receiver 1, decoding and
-the error counts run once per round. The round size moves no count: every
-step decides each row on that row's values alone. The encodes, receiver 1
-and each stage's strip are elementwise, and _nearest gives every row the
-least float distance D^ to a point, ties to the lowest: a certified row is
-the unique argmin of D^, and an uncertified row takes
-_nearest_by_distance, whose sum for a row does not depend on the chunk it
-is taken in.
+The weak run encodes, transmits and decodes each block's rows at once.
+The successive-decoding runs (very strong and layered) decode rounds of
+whole blocks instead (_trial_rounds): each block is drawn as above, and
+a round stacks _ROUND_TRIALS // TRIAL_BLOCK of them in order, so
+encoding, receiver 1, decoding and the error counts run once per round.
+The round size moves no count: every step decides each row on that row's
+values alone. The encodes, receiver 1 and each stage's strip are
+elementwise, and _nearest gives every row the least float distance D^ to
+a point, ties to the lowest: a certified row is the unique argmin of D^,
+and an uncertified row takes _nearest_by_distance, whose sum for a row
+does not depend on the chunk it is taken in.
 """
 
 from __future__ import annotations
@@ -200,19 +196,19 @@ def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
     """The draws of a Monte Carlo run, one block of TRIAL_BLOCK trials at a
     time, as this module documents them. sizes holds each layer's codebook
     size. Yields (start, m1, m2, uniforms, noise) per block: the first
-    trial's index, both users' messages of shape (rows, layers), the dither
-    uniforms of shape (2, rows, n) when dithers is set (else None) and the
-    channel normals of shape (rows, 3n).
+    trial's index, both users' messages of shape (layers, rows), one
+    contiguous row per layer, the dither uniforms of shape (2, rows, n)
+    when dithers is set (else None) and receiver 1's normals of shape
+    (rows, n).
     """
-    layers = len(sizes)
-    bounds = np.array([*sizes, *sizes], dtype=np.int64)
+    layers, bounds = len(sizes), (*sizes, *sizes)
     for block, start in enumerate(range(0, trials, TRIAL_BLOCK)):
         rows = min(TRIAL_BLOCK, trials - start)
         rng = np.random.default_rng([int(root_seed), block])
-        messages = rng.integers(0, bounds, size=(TRIAL_BLOCK, 2 * layers))[:rows]
+        messages = np.stack([rng.integers(0, bound, size=TRIAL_BLOCK) for bound in bounds])[:, :rows]
         uniforms = rng.random((2, TRIAL_BLOCK, n))[:, :rows] if dithers else None
-        noise = rng.standard_normal((TRIAL_BLOCK, 3 * n))[:rows]
-        yield start, messages[:, :layers], messages[:, layers:], uniforms, noise
+        noise = rng.standard_normal((TRIAL_BLOCK, n))[:rows]
+        yield start, messages[:layers], messages[layers:], uniforms, noise
 
 
 # The successive-decoding runs decode this many trials at once: whole blocks
@@ -222,8 +218,7 @@ def _trial_blocks(trials, root_seed, sizes, n, dithers=False):
 # a sweep of 1 to 32, the layered_mc workload ran as fast at 4 as at 8 and
 # slower at 16 and 32, and a 40 000-trial layered run's traced peak is 1.3
 # MiB against 2.2 MiB at 8 (CHANGES.md). A round holds its messages and
-# receiver 1's n normals per row, so its memory is bounded whatever the
-# trial count.
+# receiver 1's normals, so its memory is bounded whatever the trial count.
 _ROUND_TRIALS = 4 * TRIAL_BLOCK
 
 
@@ -232,8 +227,7 @@ def _trial_rounds(trials, root_seed, sizes, n):
     trials: the blocks of _trial_blocks, drawn as they are and stacked in
     order, the last round cut to the trials left. Yields (m1, m2, normals)
     per round: both users' messages of shape (layers, rows), one contiguous
-    row per layer, and receiver 1's normals, the first n of each row's 3n,
-    of shape (rows, n).
+    row per layer, and receiver 1's normals of shape (rows, n).
     """
     layers = len(sizes)
     blocks = _trial_blocks(trials, root_seed, sizes, n)
@@ -244,8 +238,8 @@ def _trial_rounds(trials, root_seed, sizes, n):
         normals = np.empty((rows, n))
         for at in range(0, rows, TRIAL_BLOCK):
             _, b1, b2, _, noise = next(blocks)
-            part = slice(at, at + len(b1))
-            m1[:, part], m2[:, part], normals[part] = b1.T, b2.T, noise[:, :n]
+            part = slice(at, at + len(noise))
+            m1[:, part], m2[:, part], normals[part] = b1, b2, noise
         yield m1, m2, normals
 
 
@@ -259,9 +253,9 @@ def dither_rows(lattice: ConstructionALattice, uniforms) -> np.ndarray:
 def transmit(x1, x2, params: ChannelParams, noise):
     """One channel use per row, given each row's 3n standard normals: the
     first n for receiver 1, the next n for receiver 2, the last n for the
-    eavesdropper. Returns (y1, y2, z). The Monte Carlo runs read y1 only,
-    and form it alone through _received_1, the function that forms y1
-    here, from the same 3n normals per row."""
+    eavesdropper. Returns (y1, y2, z). The Monte Carlo runs read y1 only:
+    they draw receiver 1's n normals per row alone and form y1 through
+    _received_1, the function that forms it here from the first n."""
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
@@ -271,7 +265,7 @@ def transmit(x1, x2, params: ChannelParams, noise):
     a, b = float(params.cross_gain), float(params.eve_gain)
     n2 = noise[..., n : 2 * n] * math.sqrt(params.noise_var)
     ne = noise[..., 2 * n :] * math.sqrt(params.eve_noise_var)
-    y1 = _received_1(x1, x2, params, noise)
+    y1 = _received_1(x1, x2, params, noise[..., :n])
     y2 = x2 + a * x1 + n2
     z = b * (x1 + x2) + ne
     return y1, y2, z
@@ -279,12 +273,9 @@ def transmit(x1, x2, params: ChannelParams, noise):
 
 def _received_1(x1, x2, params: ChannelParams, noise):
     """Receiver 1's rows, x1 + a x2 + n1, from float64 signals and each row's
-    normals, of which it reads the first n: transmit's y1, which the Monte
-    Carlo runs form alone, as they read no other output. transmit and the
-    weak run pass each row's 3n normals, the successive runs' rounds only
-    the first n (_trial_rounds)."""
-    n = x1.shape[-1]
-    n1 = noise[..., :n] * math.sqrt(params.noise_var)
+    n normals: transmit's y1, which the Monte Carlo runs form alone from
+    the normals they draw for it, as they read no other output."""
+    n1 = noise * math.sqrt(params.noise_var)
     return x1 + float(params.cross_gain) * x2 + n1
 
 

@@ -569,7 +569,7 @@ def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_see
     trial_means = np.empty(trials, dtype=np.float64)
     blocks = _trial_blocks(trials, root_seed, [len(codebook)], n, dithers=True)
     for start, m1, m2, uniforms, noise in blocks:
-        m1, m2 = m1[:, 0], m2[:, 0]
+        m1, m2 = m1[0], m2[0]
         u1 = dither_rows(lat, uniforms[0])
         u2 = dither_rows(lat, uniforms[1])
         l1 = np.take(floats, m1, axis=0)

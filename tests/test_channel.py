@@ -187,10 +187,12 @@ class TestMmseScaling:
 
 def run_draws(trials, root_seed, sizes, n, dithers):
     """A run's draws from _trial_blocks joined over its blocks: (m1, m2,
-    uniforms, noise), the uniforms of shape (2, trials, n) or None."""
+    uniforms, noise), the messages of shape (layers, trials), the uniforms
+    of shape (2, trials, n) or None and the normals of shape (trials, n)."""
     blocks = list(_trial_blocks(trials, root_seed, sizes, n, dithers))
     assert [b[0] for b in blocks] == list(range(0, trials, TRIAL_BLOCK))
-    m1, m2, noise = (np.concatenate([b[k] for b in blocks]) for k in (1, 2, 4))
+    m1, m2 = (np.concatenate([b[k] for b in blocks], axis=1) for k in (1, 2))
+    noise = np.concatenate([b[4] for b in blocks])
     if not dithers:
         assert all(b[3] is None for b in blocks)
         return m1, m2, None, noise
@@ -214,7 +216,7 @@ class TestTrialStreams:
             assert not np.array_equal(a, c)
         m1, _, uniforms, noise = first
         block0, block1 = slice(0, TRIAL_BLOCK), slice(TRIAL_BLOCK, None)
-        assert not np.array_equal(m1[block0], m1[block1])
+        assert not np.array_equal(m1[:, block0], m1[:, block1])
         assert not np.array_equal(uniforms[:, block0], uniforms[:, block1])
         assert not np.array_equal(noise[block0], noise[block1])
 
@@ -225,16 +227,16 @@ class TestTrialStreams:
         sizes, n, seed = (9, 1, 3), 2, 11
         runs = [run_draws(trials, seed, sizes, n, dithers)
                 for trials in (10, TRIAL_BLOCK + 37, 2 * TRIAL_BLOCK)]
-        longest = runs[-1]
+        m1, m2, uniforms, noise = runs[-1]
         for run in runs[:-1]:
-            rows = len(run[0])
-            for got, want in zip(run, longest):
-                if want is None:
-                    assert got is None
-                elif want.ndim == 3:
-                    assert np.array_equal(got, want[:, :rows])
-                else:
-                    assert np.array_equal(got, want[:rows])
+            rows = len(run[3])
+            assert np.array_equal(run[0], m1[:, :rows])
+            assert np.array_equal(run[1], m2[:, :rows])
+            if dithers:
+                assert np.array_equal(run[2], uniforms[:, :rows])
+            else:
+                assert run[2] is None
+            assert np.array_equal(run[3], noise[:rows])
 
     def test_block_draws_are_uniform_and_normal(self):
         # the dither uniforms are uniform on [0, 1), and the normals through
@@ -288,19 +290,20 @@ DRAW_SIZES = [1, 2, 3, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**32 + 1]
 class TestTrialDraws:
     @pytest.mark.parametrize("size", DRAW_SIZES)
     def test_messages_match_generator_integers(self, size):
-        # block b's messages are default_rng([seed, b]).integers on the
-        # array of every layer's size, twice over, for a whole block; each
-        # message is uniform below its size (bins of whole messages below 16,
-        # where the 15-degree critical value bounds the smaller ones' from above)
+        # block b's messages are default_rng([seed, b]).integers below one
+        # layer's size for a whole block, one call per layer, user 1's layers
+        # then user 2's; each message is uniform below its size (bins of
+        # whole messages below 16, where the 15-degree critical value bounds
+        # the smaller ones' from above)
         sizes, trials = (size, 5), 2 * TRIAL_BLOCK
         m1, m2, _, _ = run_draws(trials, 31, sizes, 1, False)
         for b in range(2):
             rng = np.random.default_rng([31, b])
-            want = rng.integers(0, np.array([size, 5, size, 5]), size=(TRIAL_BLOCK, 4))
+            want = [rng.integers(0, bound, size=TRIAL_BLOCK) for bound in (size, 5, size, 5)]
             rows = slice(b * TRIAL_BLOCK, (b + 1) * TRIAL_BLOCK)
-            assert np.array_equal(np.hstack([m1[rows], m2[rows]]), want)
+            assert np.array_equal(np.vstack([m1[:, rows], m2[:, rows]]), want)
         assert m1.dtype == m2.dtype == np.int64
-        messages = np.concatenate([m1[:, 0], m2[:, 0]]).tolist()
+        messages = np.concatenate([m1[0], m2[0]]).tolist()
         if size == 1:
             assert not any(messages)
         else:
@@ -337,28 +340,28 @@ BLOCK_SEEDS = [0, 1, 2**64 - 1, 2**100 + 3]
 # bit moves these
 BLOCK_DIGESTS = {
     "layered": [
-        "91adc68d00be3a564a8eef1916a02acf1eb080ac4ac673add7bd77edfa8d98b5",
-        "e5feee182f7e09df84fcd84a325d226f422425870e8578b8e19de50446a456f1",
-        "d17009a8c41ea4241809ef9e55780f084ace3486151ceb322f1a00c68ff2b253",
-        "afc615f277f8812f11958b2b91ff6bba7e5991b0f098ba6ec3920cd853636f33",
+        "fca914915c6ee910becccbf5987594a581cdb92ca121a9efe619e72eff7574f7",
+        "91b46db9800a78acf449144ceaec2a5491994737caa7bd55b71587a4c0f064a5",
+        "66ecf445555f8ece565ae503823798d1c165fa16bcb8db1ce05a6ada3ec57277",
+        "921b45935c661e1455132be0b6ea41feadd841c514a6f8c372d536f1034e5efa",
     ],
     "weak": [
-        "8803c1ceadb5d2b618d369276e9e8feab47a1a894d101669415c2218cc87dd91",
-        "ce4e5f8f319c9841c8ba7f4a73f800ad3f4de7bace2b6365d1f66a35ee9e7da0",
-        "a8bb6260f3a0731b51170574edd9fff37711c1c99f18b640fcab6307f40a99d9",
-        "38167f711a92eaa1aa60278467a67420a17a55e7133a853008096b9416cf8821",
+        "8098a2f3a393f34a57313e635c7a269cd12270166179493a7a75ec89aeaacd98",
+        "580d5a587fb9a7d09549a86624f5c86a87dba974aa8cc6b6049f85c8ed55e44c",
+        "a73ed28b2945e3fff890c64689f5c9a62397052ed6a061e1bdeb5fe639ea9d0c",
+        "5f5f090eb7f78be743703cf30a83812ee8d585309625336851cad0089871bf64",
     ],
     "wide": [
-        "45615af4925a34e7f06d569458e349ce14b9c61bf105ed683cccb10ad0dc4bbb",
-        "f9cccb335cf389d7f45f2b7aea841749ca0beeef9e5f733666d24b96b96b8d60",
-        "81aaf40f8b25bca679d1bbf7ca0be02ccfc83b878558b8241723f1a7f6a8a0fc",
-        "dcb4ab2411478c3b50c160926f9de5cd38928e513f979170b8ffc75222e2f214",
+        "f11ecdc7d19dea9be5f816b5c5b7e284c86f6d9dd70db919508ae1808eb106da",
+        "63dfd4cb176e4dfbb8c2e7e42661ccb004e192ef528724ca7ee3562bd146b03c",
+        "a89d4d2d8a6547bf7fad20d3675b25a06063817316aa9da08808c580160f8611",
+        "85dcdd334e44e5333f3ff3994e34fd9345a7077b5114e34f77cc9c704039e793",
     ],
     "rejecting": [
-        "ce5f524e7129340db8513084ff16b73cbe36d893357ea1d3cc974f87da4a48da",
-        "2f22585f5baca4804b3852f1501481e9a6c17817286fa5c59cf5486a3b136a6f",
-        "3171a9b63bc3b91d254b8b896c199b898d4286082043cf38507a09977f5be36a",
-        "69e893c54454e2037585015cfad089357e17c33780d287e71c8b5423f177ce67",
+        "84dae1508d296e336e87a9b3f57194441d7de80cf34eebf1837c5056a3ea4408",
+        "dc95a166fd54beac0a876dac6e139b9986a1e24422d8f7174a676cac525b72a3",
+        "d79638202717df6133cf06993fd09439221bcebc63f120985e133709fcb19b7d",
+        "012f8eb0f4f17cabcaa826b44e948c7bdcf5052718ecb3bc07c2cc5d13086e83",
     ],
 }
 
@@ -438,8 +441,10 @@ class TestDitheredEncoding:
 
     def test_float_dither_round_trips_through_the_channel(self):
         # One weak trial by hand: the first trial's draws, encode by the
-        # fold, then the channel; the folded signal minus the dither is the
-        # codeword modulo the coarse lattice.
+        # fold, then the channel, given the 3n normals transmit takes:
+        # receiver 1's drawn ones, then 2n more for receiver 2 and the
+        # eavesdropper, which the runs do not draw; the folded signal minus
+        # the dither is the codeword modulo the coarse lattice.
         cb = codebook(2, ((1, 0), (0, 1)))
         lat = cb.lattice
         params = ChannelParams(
@@ -450,7 +455,8 @@ class TestDitheredEncoding:
         u = dither_rows(lat, uniforms[:, 0])
         x = lat.mod_coarse(cb.float_matrix()[m] + u)
         assert ((-0.5 <= x) & (x < 0.5)).all()
-        y1, y2, z = transmit(x[0], x[1], params, noise[0])
+        normals = np.concatenate([noise[0], np.random.default_rng(5).standard_normal(4)])
+        y1, y2, z = transmit(x[0], x[1], params, normals)
         assert y1 == pytest.approx(x[0] + 0.5 * x[1])
         assert y2 == pytest.approx(x[1] + 0.5 * x[0])
         assert z == pytest.approx(x[0] + x[1])

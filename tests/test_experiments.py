@@ -51,10 +51,20 @@ from exact_rows import record_row_dtypes
 
 def trial_rows(trials, root_seed, sizes, n, dithers=False):
     """Each trial's draws in turn, one row of _trial_blocks' blocks at a
-    time: (m1, m2, uniforms, noise), the uniforms of shape (2, n) or None."""
+    time: (m1, m2, uniforms, noise), a message per layer for each user, the
+    uniforms of shape (2, n) or None and receiver 1's n normals."""
     for _, m1, m2, uniforms, noise in _trial_blocks(trials, root_seed, sizes, n, dithers):
         for i in range(len(noise)):
-            yield m1[i], m2[i], None if uniforms is None else uniforms[:, i], noise[i]
+            yield m1[:, i], m2[:, i], None if uniforms is None else uniforms[:, i], noise[i]
+
+
+def received_1(x1, x2, params, noise):
+    """y1 of the public transmit from receiver 1's n normals. The runs draw
+    no other normals, so receiver 2's and the eavesdropper's 2n are NaN
+    here: y1 reads none of them, or it would be NaN too."""
+    y1, _, _ = transmit(x1, x2, params, np.concatenate([noise, np.full(2 * len(noise), np.nan)]))
+    assert not np.isnan(y1).any()
+    return y1
 
 
 def unit_lattice():
@@ -504,7 +514,7 @@ class TestReliabilityRuns:
             u1, u2 = (2.5 * (u - 0.5) for u in uniforms)
             x1 = fold(floats[m1] + u1)
             x2 = fold(floats[m2] + u2)
-            y1, _, _ = transmit(x1, x2, params, noise)
+            y1 = received_1(x1, x2, params, noise)
             residual = alpha * y1 - u1 - floats[m1] + (floats[m1] + u1 - x1)
             means[t] = (residual * residual).mean()
             if decode_weak(y1[None], u1, params, lat).points[0] != cb.points[m1]:
@@ -527,7 +537,7 @@ class TestReliabilityRuns:
         for m1, m2, _, noise in trial_rows(trials, seed, [len(cb) for cb in layers], n):
             x1 = sum(mat[m] for mat, m in zip(mats, m1))
             x2 = sum(mat[m] for mat, m in zip(mats, m2))
-            y1, _, _ = transmit(x1, x2, params, noise)
+            y1 = received_1(x1, x2, params, noise)
             own, intf = decode(y1[None])
             for li in range(len(layers)):
                 own_errors[li] += int(own[li][0] != m1[li])
@@ -668,30 +678,84 @@ class TestReliabilityRuns:
             layered_reliability(layered, params, 10, 0)
 
 
+    def test_runs_draw_only_what_they_read(self, monkeypatch):
+        # A spy on every Generator a run makes: block b seeds
+        # default_rng([seed, b]) and makes exactly the documented calls,
+        # one scalar-bound integers per layer and user, the weak scheme's
+        # uniforms, then receiver 1's normals, each for a whole block; no
+        # block asks for more than n normals per trial.
+        calls = []
+        default_rng = np.random.default_rng
+
+        class Spy:
+            def __init__(self, seed):
+                calls.append(("seed", list(seed)))
+                self.rng = default_rng(seed)
+
+            def integers(self, low, high, size):
+                calls.append(("integers", low, np.asarray(high).tolist(), size))
+                return self.rng.integers(low, high, size=size)
+
+            def random(self, size):
+                calls.append(("random", size))
+                return self.rng.random(size)
+
+            def standard_normal(self, size):
+                calls.append(("standard_normal", size))
+                return self.rng.standard_normal(size)
+
+        trials = TRIAL_BLOCK + 37
+        tower = standard_layered_set()[2][1]
+        layered = LayeredCodebook(
+            tower.fine_lattice,
+            tower.layers,
+            [float(cb.average_power) for cb in tower.layers],
+        )
+        params = ChannelParams(cross_gain=6.0, power=sum(layered.powers), noise_var=0.3)
+        weak = enumerate_codebook(unit_lattice())
+        weak_params = ChannelParams(cross_gain=0.3, power=1.0 / 12.0, noise_var=1.0)
+        runs = [
+            (lambda: layered_reliability(layered, params, trials, 31), 31, layered.layers, False),
+            (lambda: weak_reliability(weak, weak_params, trials, 41), 41, [weak], True),
+        ]
+        monkeypatch.setattr(np.random, "default_rng", Spy)
+        for run, seed, codebooks, dithers in runs:
+            del calls[:]
+            run()
+            n = codebooks[0].n
+            sizes = [len(cb) for cb in codebooks]
+            block = [("integers", 0, size, TRIAL_BLOCK) for size in sizes * 2]
+            if dithers:
+                block.append(("random", (2, TRIAL_BLOCK, n)))
+            block.append(("standard_normal", (TRIAL_BLOCK, n)))
+            assert calls == [call for b in range(2) for call in [("seed", [seed, b]), *block]]
+            normals = [np.prod(c[1]) for c in calls if c[0] == "standard_normal"]
+            assert normals == [n * TRIAL_BLOCK] * 2
+
     @pytest.mark.parametrize(
         "sizes, dithers",
         [((2**31 + 1,), True), ((3 * 2**30, 1, 2), False), ((9, 3), True), ((2**32 + 1, 5), False),
          ((1,), False)],
     )
     def test_trial_blocks_are_whole_block_generator_calls(self, sizes, dithers):
-        # Block b is three calls on default_rng([seed, b]), each for a whole
-        # block and cut to its rows: size-1 layers, sizes whose words numpy
-        # rejects and redraws, and sizes above 2^32 alike.
+        # Block b's calls on default_rng([seed, b]), each for a whole block
+        # and cut to its rows: one scalar-bound integers per layer and user,
+        # the uniforms, then receiver 1's normals; size-1 layers, sizes whose
+        # words numpy rejects and redraws, and sizes above 2^32 alike.
         n, seed, trials = 2, 13, TRIAL_BLOCK + 37
         blocks = list(_trial_blocks(trials, seed, sizes, n, dithers))
         assert [b[0] for b in blocks] == [0, TRIAL_BLOCK]
-        bounds = np.array([*sizes, *sizes], dtype=np.int64)
         for b, (start, m1, m2, uniforms, noise) in enumerate(blocks):
             rows = min(TRIAL_BLOCK, trials - start)
             rng = np.random.default_rng([seed, b])
-            messages = rng.integers(0, bounds, size=(TRIAL_BLOCK, 2 * len(sizes)))[:rows]
-            assert np.array_equal(m1, messages[:, : len(sizes)])
-            assert np.array_equal(m2, messages[:, len(sizes) :])
+            for got in (m1, m2):
+                for row, size in zip(got, sizes, strict=True):
+                    assert np.array_equal(row, rng.integers(0, size, size=TRIAL_BLOCK)[:rows])
             if dithers:
                 assert np.array_equal(uniforms, rng.random((2, TRIAL_BLOCK, n))[:, :rows])
             else:
                 assert uniforms is None
-            assert np.array_equal(noise, rng.standard_normal((TRIAL_BLOCK, 3 * n))[:rows])
+            assert np.array_equal(noise, rng.standard_normal((TRIAL_BLOCK, n))[:rows])
 
     @pytest.mark.parametrize(
         "trials, root_seed, field",

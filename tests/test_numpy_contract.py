@@ -19,41 +19,38 @@ from latsec.experiments import GRID_HALF_STEPS
 
 def test_trial_stream_seeding_and_draws():
     # channel._trial_blocks: block b draws from default_rng([root_seed, b])
-    # its messages with integers on an int64 array of bounds (each layer's
-    # size, for user 1 then user 2), the weak scheme's dither uniforms with
-    # random((2, B, n)) and the normals with standard_normal((B, 3n)), each
-    # for a whole block, in that order
+    # its messages with one scalar-bound integers(0, size, size=B) per
+    # layer's size, for user 1 then user 2, the weak scheme's dither
+    # uniforms with random((2, B, n)) and receiver 1's normals with
+    # standard_normal((B, n)), each for a whole block, in that order
     rng = np.random.default_rng([7, 3])
     assert rng.bit_generator.state["state"] == {
         "state": 32432357684061543701087222144349624191,
         "inc": 150795630292607300648757720611875732857,
     }
-    bounds = np.array([9, 3, 9, 3], dtype=np.int64)
-    messages = rng.integers(0, bounds, size=(TRIAL_BLOCK, 4))
-    assert messages.dtype == np.int64
-    assert messages[:2].tolist() == [[6, 2, 4, 2], [3, 0, 0, 2]]
-    assert messages[-1].tolist() == [7, 2, 6, 1]
+    messages = [rng.integers(0, size, size=TRIAL_BLOCK) for size in (9, 3, 9, 3)]
+    assert all(column.dtype == np.int64 for column in messages)
+    assert [column[:4].tolist() for column in messages] == [
+        [6, 8, 4, 7], [1, 1, 2, 2], [3, 2, 3, 5], [1, 0, 1, 2],
+    ]
+    assert [int(column[-1]) for column in messages] == [6, 0, 5, 1]
     uniforms = rng.random((2, TRIAL_BLOCK, 2))
     assert uniforms[0, 0].tolist() == [0.14998653114091165, 0.5965506249981121]
     assert uniforms[1, -1].tolist() == [0.6715465383561541, 0.20658555438132664]
-    normals = rng.standard_normal((TRIAL_BLOCK, 6))
-    assert normals[0].tolist() == [
-        1.259375914453058, 1.1015645871892144, 0.5252980443298908,
-        -1.177510389961451, -0.8394186631648324, 1.3584023027910708,
-    ]
-    assert normals[-1].tolist() == [
-        -0.5190834067693525, -0.7446179516060427, 1.2403461864636258,
-        0.055613114503117705, -0.4430176406816599, 1.4852748089736245,
-    ]
+    normals = rng.standard_normal((TRIAL_BLOCK, 2))
+    assert normals[0].tolist() == [1.259375914453058, 1.1015645871892144]
+    assert normals[-1].tolist() == [0.36009838931337895, 0.30592838413372975]
 
 
 def test_trial_stream_wide_and_unit_bounds():
-    # a size above 2^32 takes integers' 64-bit path; a size of 1 draws 0
+    # a size above 2^32 takes integers' 64-bit path; a size of 1 draws 0,
+    # and the column after it shows what it left of the stream
     rng = np.random.default_rng([7, 3])
-    bounds = np.array([2**32 + 1, 1, 2**32 + 1, 1], dtype=np.int64)
-    assert rng.integers(0, bounds, size=(TRIAL_BLOCK, 4))[:2].tolist() == [
-        [4187737226, 0, 3799187355, 0], [996305424, 0, 3140748206, 0],
+    messages = [rng.integers(0, size, size=TRIAL_BLOCK) for size in (2**32 + 1, 1, 2**32 + 1, 1)]
+    assert [column[:2].tolist() for column in messages] == [
+        [4187737226, 3799187355], [0, 0], [1237938396, 2840897525], [0, 0],
     ]
+    assert not messages[1].any() and not messages[3].any()
 
 
 def test_binning_permutation():

@@ -12,12 +12,16 @@ every run's value.
 
 It then times the runs at scale that no workload makes (SCALE_RUNS), R
 times each, round robin, every run in a fresh interpreter with one BLAS
-thread: `python3 bench/record.py --scale-run NAME` builds the run's inputs
-from the checkout's `src`, times the one call and prints its wall_s,
-cpu_s, peak_rss_mb and error count (for the fine_exact runs, a checksum of
-the points; for the grid suites, the wide lemma and the wide baseline, the
-number of failed verdicts). The record keeps their median and quartiles,
-and every run's error count, which a run fixes by its seeds.
+thread: `python3 bench/record.py --scale-run NAME` makes one untimed
+warm-up call of the run, then SCALE_CALLS timed calls, each on inputs
+built from the checkout's `src` before its timer starts. It prints the
+median wall_s and cpu_s of the timed calls, the interpreter's
+peak_rss_mb and the error count (for the fine_exact runs, a checksum of
+the points; for the grid suites, the wide lemma and the wide baseline,
+the number of failed verdicts), which every call must return alike. The
+record keeps the median and quartiles of those medians over the R
+interpreters, and every run's error count, which a run fixes by its
+seeds.
 
 Round robin with the runs at scale, it times the start-up floor R times:
 `python3 -c "import latsec"` in a fresh interpreter with the checkout's
@@ -71,6 +75,10 @@ WIDE_LEMMA_POINT = (127, 1, 10, 0)
 BASELINE_WIDE_CONFIG = "kind=baseline size=64 dim=5 power=2.0 num_seeds=3"
 # the start-up floor: the interpreter, numpy and the package, nothing run
 STARTUP = "import latsec"
+# timed calls of a run at scale per interpreter, after one untimed warm-up
+# call: the median of several warmed-up calls resolves changes of a few
+# percent, where one call per fresh interpreter moved with the host by half
+SCALE_CALLS = 9
 SCALE_RUNS = (
     tuple(f"weak_p{p}_k{k}_n{n}" for p, k, n in WEAK_SHAPES)
     + ("pipeline_weak_20000", "layered_400000")
@@ -95,11 +103,15 @@ def run_once(workload: str, seconds: float) -> tuple[dict, dict]:
 
 
 def scale_run(name: str) -> dict:
-    """Time one call of the run at scale NAME in this interpreter: its
-    inputs are built first, and the call returns the run's error count (a
-    checksum of the points, for fine_exact runs, and the failed verdicts
-    of the grid suites, the wide lemma and the wide baseline)."""
+    """Time the run at scale NAME in this interpreter: one untimed warm-up
+    call, then SCALE_CALLS timed calls, their median wall_s and cpu_s. Each
+    call's inputs are built fresh, untimed, so that no call reuses what an
+    earlier one kept on its inputs (a GridPoint keeps its build), and every
+    call must return the same error count (a checksum of the points, for
+    fine_exact runs, and the failed verdicts of the grid suites, the wide
+    lemma and the wide baseline)."""
     sys.path.insert(0, str(ROOT / "src"))
+    import gc
     import zlib
     from fractions import Fraction
 
@@ -115,44 +127,55 @@ def scale_run(name: str) -> dict:
         weak_reliability,
     )
 
-    if name in ("pipeline_weak_20000", "layered_400000"):
-        text = PIPELINE_CONFIG if name == "pipeline_weak_20000" else LAYERED_CONFIG
-        config = latsec.parse_config(text.replace(" ", "\n") + "\n")
-        call = lambda: latsec.run(config)["results"]["reliability"]["errors"]
-    elif name in ("grid_suites_d5", "lemma_wide"):
-        if name == "grid_suites_d5":
-            points = list(latsec.standard_grid(draws=GRID_DRAWS))
-        else:
-            points = [GridPoint(*WIDE_LEMMA_POINT)]
-        for point in points:
-            point.lattice
-
-        def call():
-            failed = sum(not r.passed for r in run_lemma_suite(points))
+    def prepare():
+        """The run's call, its inputs built: it returns the run's error count."""
+        if name in ("pipeline_weak_20000", "layered_400000"):
+            text = PIPELINE_CONFIG if name == "pipeline_weak_20000" else LAYERED_CONFIG
+            config = latsec.parse_config(text.replace(" ", "\n") + "\n")
+            return lambda: latsec.run(config)["results"]["reliability"]["errors"]
+        if name in ("grid_suites_d5", "lemma_wide"):
             if name == "grid_suites_d5":
-                failed += sum(not theorem_suite_passed([r]) for r in run_theorem1_suite(points, 0))
-            return failed
-    elif name == "baseline_wide":
-        config = latsec.parse_config(BASELINE_WIDE_CONFIG.replace(" ", "\n") + "\n")
-        call = lambda: int(latsec.run(config)["verdict"] != "pass")
-    else:
+                points = list(latsec.standard_grid(draws=GRID_DRAWS))
+            else:
+                points = [GridPoint(*WIDE_LEMMA_POINT)]
+            for point in points:
+                point.lattice
+
+            def call():
+                failed = sum(not r.passed for r in run_lemma_suite(points))
+                if name == "grid_suites_d5":
+                    failed += sum(not theorem_suite_passed([r]) for r in run_theorem1_suite(points, 0))
+                return failed
+            return call
+        if name == "baseline_wide":
+            config = latsec.parse_config(BASELINE_WIDE_CONFIG.replace(" ", "\n") + "\n")
+            return lambda: int(latsec.run(config)["verdict"] != "pass")
         p, k, n = shape_of(name)
         lattice = GridPoint(p, k, n, 0).build_lattice(scale=4)
         codebook = latsec.Codebook(lattice)
-    if name.startswith("weak_"):
-        params = latsec.ChannelParams(cross_gain=0.3, power=Fraction(4, 3), noise_var=0.01)
-        call = lambda: weak_reliability(codebook, params, WEAK_TRIALS, 7)["errors"]
-    elif name.startswith("very_strong_"):
-        params = latsec.ChannelParams(cross_gain=4, power=Fraction(4, 3), noise_var=0.1)
-        call = lambda: very_strong_reliability(codebook, params, WEAK_TRIALS, 7)["errors"]
-    elif name.startswith("fine_exact_"):
+        if name.startswith("weak_"):
+            params = latsec.ChannelParams(cross_gain=0.3, power=Fraction(4, 3), noise_var=0.01)
+            return lambda: weak_reliability(codebook, params, WEAK_TRIALS, 7)["errors"]
+        if name.startswith("very_strong_"):
+            params = latsec.ChannelParams(cross_gain=4, power=Fraction(4, 3), noise_var=0.1)
+            return lambda: very_strong_reliability(codebook, params, WEAK_TRIALS, 7)["errors"]
         coords = np.random.default_rng(7).integers(-4 * p, 4 * p + 1, size=(FINE_ROWS, n))
         rows = latsec.PointGrid(lattice.unit / 2, coords)
-        call = lambda: zlib.crc32(lattice.quantize_fine(rows).coords.astype("<i8").tobytes())
-    wall, cpu = time.perf_counter(), time.process_time()
-    errors = call()
-    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-    return {"wall_s": wall, "cpu_s": cpu, "errors": errors,
+        return lambda: zlib.crc32(lattice.quantize_fine(rows).coords.astype("<i8").tobytes())
+
+    walls, cpus, errors = [], [], set()
+    for _ in range(1 + SCALE_CALLS):
+        call = prepare()
+        wall, cpu = time.perf_counter(), time.process_time()
+        errors.add(call())
+        walls.append(time.perf_counter() - wall)
+        cpus.append(time.process_time() - cpu)
+        del call
+        gc.collect()
+    if len(errors) != 1:
+        raise RuntimeError(f"{name}: the calls report different error counts {sorted(errors)}")
+    return {"wall_s": statistics.median(walls[1:]), "cpu_s": statistics.median(cpus[1:]),
+            "errors": errors.pop(),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -237,6 +260,8 @@ def record(seconds: float, repeats: int) -> dict:
         },
         "scale_runs": {
             "command": "python3 bench/record.py --scale-run NAME",
+            "method": f"one untimed warm-up call, then the median of {SCALE_CALLS} timed calls, "
+                      "each on inputs built before its timer starts",
             "weak": f"weak_reliability, {WEAK_TRIALS} trials, seed 7, a = 0.3, power 4/3, "
                     "noise 0.01, Codebook(GridPoint(p, k, n, 0).build_lattice(scale=4))",
             "pipeline": PIPELINE_CONFIG,
@@ -263,7 +288,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--scale-run", choices=SCALE_RUNS,
-                        help="time one run at scale in this interpreter and print it as JSON")
+                        help="time a run at scale in this interpreter and print it as JSON")
     args = parser.parse_args(argv)
     if args.scale_run:
         print(json.dumps(scale_run(args.scale_run)))

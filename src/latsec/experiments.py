@@ -557,8 +557,8 @@ def weak_reliability(codebook: Codebook, params: ChannelParams, trials, root_see
     trial; its variance has the closed-form prediction exactly, with no
     folding bias, because Q is the actual coarse point removed by the
     encoder fold. Each block of TRIAL_BLOCK trials draws its messages,
-    dither uniforms and noise from its own stream (see latsec.channel) and
-    is encoded, transmitted and decoded at once.
+    dither uniforms and receiver 1's normals from its own stream (see
+    latsec.channel) and is encoded, transmitted and decoded at once.
     """
     trials = _checked_trials(trials, root_seed)
     lat = codebook.lattice

@@ -59,11 +59,13 @@ def trial_rows(trials, root_seed, sizes, n, dithers=False):
 
 
 def received_1(x1, x2, params, noise):
-    """y1 of the public transmit from receiver 1's n normals. The runs draw
-    no other normals, so receiver 2's and the eavesdropper's 2n are NaN
-    here: y1 reads none of them, or it would be NaN too."""
+    """y1 of the public transmit from receiver 1's n normals, checked
+    against x1 + a x2 + sqrt(N) z written out here, so that the runs and
+    this reference do not share a wrong formula. The runs draw no other
+    normals, so receiver 2's and the eavesdropper's 2n are NaN: y1 reads
+    none of them, or it would be NaN too."""
     y1, _, _ = transmit(x1, x2, params, np.concatenate([noise, np.full(2 * len(noise), np.nan)]))
-    assert not np.isnan(y1).any()
+    assert np.array_equal(y1, x1 + params.cross_gain * x2 + math.sqrt(params.noise_var) * noise)
     return y1
 
 

@@ -16,10 +16,14 @@ thread: `python3 bench/record.py --scale-run NAME` makes one untimed
 warm-up call of the run, then SCALE_CALLS timed calls, each on inputs
 built from the checkout's `src` before its timer starts. It prints the
 median wall_s and cpu_s of the timed calls, the interpreter's
-peak_rss_mb and the error count (for the fine_exact runs, a checksum of
-the points; for the grid suites, the wide lemma and the wide baseline,
-the number of failed verdicts), which every call must return alike. The
-record keeps the median and quartiles of those medians over the R
+peak_rss_mb, traced_peak_mb, the tracemalloc peak of the warm-up call
+(tracing starts once its inputs are built and stops before the timed
+calls, so it costs them nothing; unlike peak_rss_mb, it does not move
+with the checkout's directory), and the error count (for the fine_exact
+runs, a checksum of the points; for the grid suites, the wide lemma and
+the wide baseline, the number of failed verdicts), which every call must
+return alike. The
+record keeps the median and quartiles of those figures over the R
 interpreters, and every run's error count, which a run fixes by its
 seeds.
 
@@ -104,7 +108,8 @@ def run_once(workload: str, seconds: float) -> tuple[dict, dict]:
 
 def scale_run(name: str) -> dict:
     """Time the run at scale NAME in this interpreter: one untimed warm-up
-    call, then SCALE_CALLS timed calls, their median wall_s and cpu_s. Each
+    call, traced by tracemalloc for its peak, then SCALE_CALLS timed calls,
+    their median wall_s and cpu_s. Each
     call's inputs are built fresh, untimed, so that no call reuses what an
     earlier one kept on its inputs (a GridPoint keeps its build), and every
     call must return the same error count (a checksum of the points, for
@@ -112,6 +117,7 @@ def scale_run(name: str) -> dict:
     lemma and the wide baseline)."""
     sys.path.insert(0, str(ROOT / "src"))
     import gc
+    import tracemalloc
     import zlib
     from fractions import Fraction
 
@@ -164,18 +170,23 @@ def scale_run(name: str) -> dict:
         return lambda: zlib.crc32(lattice.quantize_fine(rows).coords.astype("<i8").tobytes())
 
     walls, cpus, errors = [], [], set()
-    for _ in range(1 + SCALE_CALLS):
+    for i in range(1 + SCALE_CALLS):
         call = prepare()
+        if i == 0:
+            tracemalloc.start()
         wall, cpu = time.perf_counter(), time.process_time()
         errors.add(call())
         walls.append(time.perf_counter() - wall)
         cpus.append(time.process_time() - cpu)
+        if i == 0:
+            traced_peak = tracemalloc.get_traced_memory()[1] / 2**20
+            tracemalloc.stop()
         del call
         gc.collect()
     if len(errors) != 1:
         raise RuntimeError(f"{name}: the calls report different error counts {sorted(errors)}")
     return {"wall_s": statistics.median(walls[1:]), "cpu_s": statistics.median(cpus[1:]),
-            "errors": errors.pop(),
+            "errors": errors.pop(), "traced_peak_mb": traced_peak,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -240,7 +251,7 @@ def record(seconds: float, repeats: int) -> dict:
     scale_entries = {}
     for name, runs in scale.items():
         entry = {"runs": len(runs), "errors": [r["errors"] for r in runs]}
-        for metric in METRICS:
+        for metric in METRICS + ("traced_peak_mb",):
             entry[metric] = summary([r[metric] for r in runs])
         scale_entries[name] = entry
     return {
@@ -261,7 +272,8 @@ def record(seconds: float, repeats: int) -> dict:
         "scale_runs": {
             "command": "python3 bench/record.py --scale-run NAME",
             "method": f"one untimed warm-up call, then the median of {SCALE_CALLS} timed calls, "
-                      "each on inputs built before its timer starts",
+                      "each on inputs built before its timer starts; traced_peak_mb is the "
+                      "tracemalloc peak of the warm-up call, traced once its inputs are built",
             "weak": f"weak_reliability, {WEAK_TRIALS} trials, seed 7, a = 0.3, power 4/3, "
                     "noise 0.01, Codebook(GridPoint(p, k, n, 0).build_lattice(scale=4))",
             "pipeline": PIPELINE_CONFIG,

@@ -187,8 +187,12 @@ def achievable_rate_weak(power: float, cross_gain: float, noise_var: float = 1.0
 
 
 # Monte Carlo trials are drawn, encoded and decoded in blocks of this many
-# rows, which bounds the memory of a run whatever its trial count. Block b
-# draws from default_rng([root_seed, b]), so the size is part of the draws.
+# rows, which bounds a block's temporaries whatever the trial count. It does
+# not bound a whole run's memory: weak_reliability keeps one float64 per
+# trial, each trial's mean squared residual, because its residual variance
+# and standard error are the two-pass mean and std over all trials, whose
+# bytes the goldens pin. Block b draws from default_rng([root_seed, b]), so
+# the size is part of the draws.
 TRIAL_BLOCK = 1024
 
 
@@ -398,10 +402,6 @@ def _exact_decode_grid(received, codebook, gain: Fraction):
     )
 
 
-# Entries of the (rows, points) score matrix that _nearest forms at once: it
-# takes rows in chunks, so its memory does not grow with the codebook.
-_SCORE_LIMIT = 1 << 14
-
 # _nearest certifies no float row with fl(||r||_1^2 + max ||p||^2) at or
 # past this: below it no score, distance or bound term overflows.
 _SCORE_REACH = 2.0**1000
@@ -448,8 +448,9 @@ def _nearest(rows, points):
     Rows rank the points by the score s = ||p||^2 - 2 r.p, which differs
     from D = ||r - p||^2 by ||r||^2, the same for every point: the order
     and its ties are those of D. Rows are taken in chunks whose (rows,
-    points) score matrix holds at most _SCORE_LIMIT entries (or one row).
-    Int64 rows and points (see _exact_decode_grid) score exactly.
+    points) score block holds at most lattices._GATHER_LIMIT entries (or
+    one row), as lattices._row_chunks gives them. Int64 rows and points
+    (see _exact_decode_grid) score exactly.
 
     A float row must get the index that the float distance
     D^ = fl(sum_i fl(r_i - p_i)^2) gives, ties to the lowest, and its scores
@@ -498,8 +499,7 @@ def _nearest(rows, points):
     and its argmin.
     """
     best = np.empty(len(rows), dtype=np.intp)
-    step = max(1, _SCORE_LIMIT // len(points.pts))
-    chunks = [slice(start, start + step) for start in range(0, len(rows), step)]
+    chunks = lattices._row_chunks(len(rows), len(points.pts))
     with np.errstate(over="ignore", invalid="ignore"):
         if points.bound is None:
             for part in chunks:

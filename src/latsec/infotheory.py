@@ -48,19 +48,21 @@ that holds num_sums - 1: 2 bytes per pair on the standard grid, where
 num_sums <= 10 177, so a structure kept for reuse is a quarter of an
 int64 table, and holds no (num_sums, n) coords unless they are read; the
 lemma and theorem-1 suites never read them. np.bincount casts its input to
-intp, so narrow keys are counted in steps of at most _CHUNK keys (or one
-key space), and no pair-sized intp copy is made.
+intp, so narrow keys are counted in steps of at most
+lattices._GATHER_LIMIT keys (or one key space), and no pair-sized intp
+copy is made.
 
 Binned joint counts take closed forms for 1 bin (the cells are the sum
 marginal, and I(W; S) = log2(1) + H(S) - H(S) = 0.0) and for |C| bins
 over a Codebook (every cell holds one pair). Other binnings gather the
-pair table's rows by bin, a group of rows of at most _CHUNK entries at a
-time, into (rows, pairs per bin) arrays and count each row's occupied sum
-cells: by np.bincount over the num_sums cells of each bin when the whole
-cell space num_bins * num_sums is at most the pair count, else by sorting
-every row in place (a stable sort: numpy sorts ids of 16 bits or fewer by
-radix) and taking the run lengths, split at every value change and every
-row start. Either way the cells come out in (bin, sum) order, as the same
+pair table's rows by bin, in groups of rows of at most
+lattices._GATHER_LIMIT entries (lattices._row_chunks, the package's one
+chunk rule), into (rows, pairs per bin) arrays and count each row's
+occupied sum cells: by np.bincount over the num_sums cells of each bin
+when the whole cell space num_bins * num_sums is at most the pair count,
+else by sorting every row in place (a stable sort: numpy sorts ids of 16
+bits or fewer by radix) and taking the run lengths, split at every value
+change and every row start. Either way the cells come out in (bin, sum) order, as the same
 integers, in the narrowest unsigned dtype that holds the pairs per bin.
 H(S) is evaluated once per SumStructure and shared by every report on it.
 """
@@ -73,6 +75,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import lattices
 from .codebooks import Codebook
 from .errors import BudgetExceeded, DimensionMismatch, EmptyCodebook, ValidationError
 from .lattices import PointGrid, on_grid
@@ -151,15 +154,6 @@ class SumStructure(PointGrid):
 
 _KEY_LIMIT = (1 << 63) - 1
 """Largest int64: a key space of at most this many keys fits int64 keys."""
-
-_CHUNK = 1 << 14
-"""Entries per step when counting a pair-sized table: np.bincount casts its
-input to intp, 8 bytes an entry whatever the keys' own dtype, and a group of
-binned rows is gathered, sorted and run-split as a copy. Taking at most this
-many entries at a time bounds each such temporary at 128 KiB, where the
-standard grid's largest tables hold 117 649 pairs (a step still takes one
-whole key space or table row where that is larger); steps this long keep
-numpy's per-call cost out of sight."""
 
 
 def check_pair_budget(size_a, size_b, budget) -> None:
@@ -245,10 +239,11 @@ def _keyed_structure(unit, ga, gb, key) -> SumStructure:
 
 def _count_keys(keys, space) -> np.ndarray:
     """np.bincount of the narrow key table keys over [0, space), taken in
-    steps of at most max(_CHUNK, space) keys, so that its intp copy of the
-    keys is never larger than the count table itself or _CHUNK entries."""
+    steps of at most max(lattices._GATHER_LIMIT, space) keys, so that its
+    intp copy of the keys is never larger than the count table itself or
+    the package's chunk bound."""
     flat = keys.ravel()
-    step = max(_CHUNK, space)
+    step = max(lattices._GATHER_LIMIT, space)
     counts = np.bincount(flat[:step], minlength=space)
     for start in range(step, flat.size, step):
         counts += np.bincount(flat[start : start + step], minlength=space)
@@ -407,13 +402,14 @@ class JointBinSumDist:
 
 
 def _bin_rows(ids, members):
-    """The (bin, sum) table's rows in groups of at most _CHUNK entries (or
-    one row): row w holds the pair table's rows ids[members[w]], flattened,
-    as a fresh array in ids' dtype. The groups come in row order."""
+    """The (bin, sum) table's rows in groups of at most
+    lattices._GATHER_LIMIT entries (or one row), as lattices._row_chunks
+    gives them: row w holds the pair table's rows ids[members[w]],
+    flattened, as a fresh array in ids' dtype. The groups come in row
+    order."""
     width = members.shape[1] * ids.shape[1]
-    step = max(1, _CHUNK // width)
-    for start in range(0, len(members), step):
-        group = members[start : start + step]
+    for part in lattices._row_chunks(len(members), width):
+        group = members[part]
         yield ids[group].reshape(len(group), width)
 
 
@@ -459,7 +455,7 @@ def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
     precomputed SumStructure of the codebook with itself may be passed to
     amortize the pair enumeration, its counts and H(S) across several
     binnings. The pair table's rows are gathered by bin, in groups of at
-    most _CHUNK entries, into (bins, pairs per bin) arrays and each row's
+    most lattices._GATHER_LIMIT entries, into (bins, pairs per bin) arrays and each row's
     occupied sum cells counted, by np.bincount when num_bins * num_sums is
     at most the pair count, else by sorting the row, so cell_counts lists
     the occupied cells in (bin, sum) order, in the narrowest unsigned dtype

@@ -16,7 +16,10 @@ per codeword of C'), takes every codeword's distance at once and keeps the
 nearest (Conway & Sloane, SPLAG ch. 20): float and exact rows alike, as n
 column adds into one (codewords, rows) block. Ties go to the
 lexicographically smallest residual, which makes the induced fundamental
-cell half-open.
+cell half-open. Rows are taken in chunks whose temporaries hold at most
+_GATHER_LIMIT entries, cut by _row_chunks: the one bound and the one helper
+for every row-chunked temporary of the package, channel's and infotheory's
+included.
 
 Every decision is the exact one for the row's rational value. Float rows are
 decided in float64 first, and a row is kept only when each of its decisions
@@ -55,15 +58,20 @@ GRID_LIMIT = 1 << 62
 """Bound on the magnitude of an int64 grid coordinate: below it, the sum of
 two coordinates cannot overflow. on_grid raises BudgetExceeded past it."""
 
-_GATHER_LIMIT = 1 << 13
-"""Entries of the temporaries that the fine quantiser and the float
-distance of channel's successive decoder make at once: the (p, n, rows)
-residue arrays and, inside each block of those rows, the (codewords, rows)
-distance block of _float_fine and _exact_fine, and the (rows, codewords, n)
-gather of the rows the decoder leaves uncertified. Each takes rows in
-chunks of this many entries (_row_chunks, or one row where a row alone
-holds more), so its temporaries stay small whatever the batch; only a
-single row's may pass the limit."""
+_GATHER_LIMIT = 1 << 14
+"""Entries of any row-chunked temporary in the package, the one bound for
+all of them. Each takes its rows in chunks of this many entries at its
+width per row (_row_chunks, or one row where a row alone holds more), so
+its memory stays small whatever the batch: the fine quantiser's (p, n,
+rows) residue arrays and (codewords, rows) distance block, at max(p n,
+|C|) entries per row, the (points, rows) score block of channel's
+successive decoder and the (rows, points, n) gather of the rows it leaves
+uncertified, and infotheory's groups of binned pair-table rows. Pair keys
+are counted in steps of at most this many keys (or one key space), because
+np.bincount casts its input to intp, 8 bytes an entry whatever the keys'
+own dtype. At 2^14 entries a float64 temporary takes 128 KiB; halving the
+bound made the 343- and 729-codeword fine quantisers slower, so chunks
+this long keep numpy's per-call cost out of sight."""
 
 _ROUNDOFF = 2.0**-53
 """u, the unit roundoff of float64: a correctly rounded operation whose
@@ -242,28 +250,22 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def _distances(sq, words, part) -> np.ndarray:
-    """The (codewords, rows) block of squared distances of the rows in slice
-    part. sq holds, for each residue r mod p, coordinate and row, the square
-    of the residual that r's coset point leaves: shape (p, n, rows). A
-    codeword's distance is its n column entries sq[words[:, i], i], added
-    left to right in sq's own dtype: float64, int64, or Python ints in an
-    object array."""
-    dist = sq[words[:, 0], 0, part]
+def _distances(sq, words) -> np.ndarray:
+    """The (codewords, rows) block of squared distances. sq holds, for each
+    residue r mod p, coordinate and row, the square of the residual that
+    r's coset point leaves: shape (p, n, rows). A codeword's distance is
+    its n column entries sq[words[:, i], i], added left to right in sq's
+    own dtype: float64, int64, or Python ints in an object array."""
+    dist = sq[words[:, 0], 0]
     for i in range(1, words.shape[1]):
-        dist += sq[words[:, i], i, part]
+        dist += sq[words[:, i], i]
     return dist
 
 
-def _row_chunks(count, width, inner=None) -> list:
+def _row_chunks(count, width) -> list:
     """Slices that cover count rows in order, each of at most _GATHER_LIMIT
-    entries at width entries per row (or one row). A block of rows that is
-    cut again into chunks of inner entries per row holds a whole number of
-    those chunks when it holds more than one, so that the blocks add no
-    partial chunk but the last."""
+    entries at width entries per row (or one row)."""
     step = max(1, _GATHER_LIMIT // width)
-    chunk = step if inner is None else max(1, _GATHER_LIMIT // inner)
-    step -= step % chunk if step > chunk else 0
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
@@ -543,12 +545,11 @@ class ConstructionALattice:
 
         Layout. The arrays are point-major: t is (n, rows) and the
         candidates c_r and residuals rho_r are (p, n, rows), so the residue
-        tests and beta reduce over leading axes. Rows are taken in blocks of
-        at most _GATHER_LIMIT (residue, coordinate, row) entries, and each
-        block's rows in chunks of at most _GATHER_LIMIT (codeword, row)
-        entries (_row_chunks, or one row either way; a block holds whole
-        chunks, so it adds no partial one). A chunk's distances are n column
-        adds, sq[words[:, i], i], into a (codewords, rows) block
+        tests and beta reduce over leading axes. Rows are taken in chunks
+        of at most _GATHER_LIMIT entries at max(p n, |C|) per row
+        (_row_chunks, or one row), so both a chunk's residue arrays and its
+        (codewords, rows) distance block stay within the bound. A chunk's
+        distances are n column adds, sq[words[:, i], i], into that block
         (_distances, which _exact_fine shares), each d summed left to right,
         one of the orders the bound above covers. _marks marks the block's
         codewords within 2 beta of each row's least and counts them: a row
@@ -562,24 +563,20 @@ class ConstructionALattice:
         coords = np.empty(rows.shape, dtype=np.int64)
         certain = np.empty(len(rows), dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
-            for block in _row_chunks(len(rows), p * n, len(words)):
-                t = np.multiply(rows[block].T, self._float_steps[1], order="C")
+            for part in _row_chunks(len(rows), max(p * n, len(words))):
+                t = np.multiply(rows[part].T, self._float_steps[1], order="C")
                 near = r + p * np.floor((t - r) / p + 0.5)
                 resid = t - near
                 size = np.abs(t)
                 e = 3 * _ROUNDOFF * (size + p)
                 sure = ((size < _FLOAT_REACH) & (p / 2 - np.abs(resid).max(axis=0) > e)).all(axis=0)
                 beta = p * e.sum(axis=0) + n * n * _ROUNDOFF * p * p / 2
-                sq = resid * resid
-                stats = np.empty((2, len(sure)))
-                for part in _row_chunks(len(sure), len(words)):
-                    stats[:, part] = _marks(_distances(sq, words, part), 2 * beta[part], tally)
-                marked, index = stats
+                marked, index = _marks(_distances(resid * resid, words), 2 * beta, tally)
                 sure &= marked == 1
                 best = np.where(sure, index, 0).astype(np.intp)
                 point = near[words[best].T, np.arange(n)[:, None], np.arange(len(sure))]
-                coords[block] = np.where(sure, point, 0).T
-                certain[block] = sure
+                coords[part] = np.where(sure, point, 0).T
+                certain[part] = sure
         return coords, certain
 
     # ------------------------------------------------------------------
@@ -639,16 +636,14 @@ class ConstructionALattice:
         For each residue r, finds the integer near = r (mod p) nearest each
         coordinate, and the residual num - near den it leaves; a row's fine
         point is the coset point of its least codeword by (distance,
-        lexicographic residual), read from near. The layout is _float_fine's:
-        numerators are (n, rows), near and the residuals (p, n, rows) over
-        blocks of rows, and each block's rows are taken in chunks, both as
-        _row_chunks gives them, whose distances come from _distances. It
-        keeps its own marks, of the exact least distance, because it narrows
-        ties instead of refusing them: each chunk marks the least distance
-        over the codeword axis, and rows with more than one mark are
-        narrowed column by column on their residuals, n passes at most,
-        until one mark is left: two codewords differ in some coordinate,
-        where their residuals differ, so one always is.
+        lexicographic residual), read from near. The layout and the chunks
+        of rows are _float_fine's, and so are the distances, from
+        _distances. It keeps its own marks, of the exact least distance,
+        because it narrows ties instead of refusing them: each chunk marks
+        the least distance over the codeword axis, and rows with more than
+        one mark are narrowed column by column on their residuals, n passes
+        at most, until one mark is left: two codewords differ in some
+        coordinate, where their residuals differ, so one always is.
         Every residual is at most p den / 2 in magnitude, so p den is a
         sentinel above all of a row's.
         """
@@ -658,27 +653,23 @@ class ConstructionALattice:
         num, den = num.T, den.T
         r = np.arange(p).reshape(p, 1, 1)
         points = np.empty((count, n), dtype=num.dtype)
-        for block in _row_chunks(count, p * n, len(words)):
+        for part in _row_chunks(count, max(p * n, len(words))):
             # a PointGrid's rows share one denominator, float rows have one each
-            block_num, block_den = num[:, block], den if den.size == 1 else den[:, block]
-            near = r + p * _round_half_up(block_num - r * block_den, p * block_den)
-            resid = block_num - near * block_den
-            sq = resid * resid
-            sentinel = np.broadcast_to(p * block_den, (1, block_num.shape[1]))[0]
-            best = np.empty(len(sentinel), dtype=np.intp)
-            for part in _row_chunks(len(best), len(words)):
-                dist = _distances(sq, words, part)
-                alive = dist == dist.min(axis=0)
-                tied = np.flatnonzero(alive.sum(axis=0) > 1)
-                for i in range(n):
-                    if not tied.size:
-                        break
-                    rows = part.start + tied
-                    col = np.where(alive[:, tied], resid[words[:, i, None], i, rows], sentinel[rows])
-                    alive[:, tied] &= col == col.min(axis=0)
-                    tied = tied[alive[:, tied].sum(axis=0) > 1]
-                best[part] = alive.argmax(axis=0)
-            points[block] = near[words[best], np.arange(n), np.arange(len(best))[:, None]]
+            part_num, part_den = num[:, part], den if den.size == 1 else den[:, part]
+            near = r + p * _round_half_up(part_num - r * part_den, p * part_den)
+            resid = part_num - near * part_den
+            sentinel = np.broadcast_to(p * part_den, (1, part_num.shape[1]))[0]
+            dist = _distances(resid * resid, words)
+            alive = dist == dist.min(axis=0)
+            tied = np.flatnonzero(alive.sum(axis=0) > 1)
+            for i in range(n):
+                if not tied.size:
+                    break
+                col = np.where(alive[:, tied], resid[words[:, i, None], i, tied], sentinel[tied])
+                alive[:, tied] &= col == col.min(axis=0)
+                tied = tied[alive[:, tied].sum(axis=0) > 1]
+            best = alive.argmax(axis=0)
+            points[part] = near[words[best], np.arange(n), np.arange(len(best))[:, None]]
         return _int64_grid(points, peak=peak)
 
     # ------------------------------------------------------------------

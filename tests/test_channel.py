@@ -849,7 +849,7 @@ class TestFloatNearest:
         rows[:8] = (pts[:8] + pts[1:]) / 2  # ties, left to the float distance
         whole = float_distance_argmin(rows, pts)
         want = decode_very_strong_batch(rows, cb, params)
-        monkeypatch.setattr(channel, "_SCORE_LIMIT", rows_per_chunk * len(pts))
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", rows_per_chunk * len(pts))
         assert np.array_equal(nearest(rows, pts), whole)
         got = decode_very_strong_batch(rows, cb, params)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
@@ -919,17 +919,18 @@ def float_rows_and_points(draw):
     return np.array(rows, dtype=np.float64).reshape(-1, n), np.array(pts)
 
 
-# _SCORE_LIMIT as set, whose chunks here hold every row, and one entry, whose
-# chunks hold one row: _nearest forms a float score block point-major where a
-# chunk holds at least as many rows as points, else row-major, so the first
-# takes both layouts as rows and points come and the second only row-major
-SCORE_LIMITS = (channel._SCORE_LIMIT, 1)
+# lattices._GATHER_LIMIT as set, whose chunks here hold every row, and one
+# entry, whose chunks hold one row: _nearest forms a float score block
+# point-major where a chunk holds at least as many rows as points, else
+# row-major, so the first takes both layouts as rows and points come and the
+# second only row-major
+SCORE_LIMITS = (lattices._GATHER_LIMIT, 1)
 
 
 def nearest_at_limit(rows, pts, limit):
-    """nearest(rows, pts) with _SCORE_LIMIT set to limit."""
+    """nearest(rows, pts) with lattices._GATHER_LIMIT set to limit."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(channel, "_SCORE_LIMIT", limit)
+        patch.setattr(lattices, "_GATHER_LIMIT", limit)
         return nearest(rows, pts)
 
 

@@ -31,7 +31,7 @@ from latsec import (
     standard_grid,
     sum_structure,
 )
-from latsec import experiments, infotheory
+from latsec import experiments, infotheory, lattices
 from latsec.lattices import on_grid
 
 import oracles
@@ -917,7 +917,7 @@ class TestCoordsOnDemand:
 
 class TestBoundedCounting:
     """Pair keys and (bin, sum) cells are counted in steps of at most
-    _CHUNK entries, so no pair-sized intp copy is made; a step boundary
+    lattices._GATHER_LIMIT entries, so no pair-sized intp copy is made; a step boundary
     changes no count and no cell's order."""
 
     @pytest.mark.parametrize("size,space", [
@@ -926,7 +926,7 @@ class TestBoundedCounting:
     def test_chunked_key_counts_match_one_bincount(self, size, space, monkeypatch, count_calls):
         # steps of 8 keys, or of one key space where that is larger: the key
         # count is below, at and above a multiple of the step
-        monkeypatch.setattr(infotheory, "_CHUNK", 8)
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", 8)
         keys = np.random.default_rng(size).integers(0, space, size=size).astype(np.uint8)
         counts = infotheory._count_keys(keys, space)
         assert np.array_equal(counts, np.bincount(keys, minlength=space))
@@ -941,9 +941,9 @@ class TestBoundedCounting:
         members = rng.permutation(2 * bins).reshape(bins, 2)
         table = ids[members].reshape(bins, 6)
         expected = np.concatenate([np.unique(row, return_counts=True)[1] for row in table])
-        monkeypatch.setattr(infotheory, "_CHUNK", 12)
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", 12)
         chunked = (infotheory._bincount_cells(ids, members, 6), infotheory._sorted_cells(ids, members))
-        monkeypatch.setattr(infotheory, "_CHUNK", 1 << 30)
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", 1 << 30)
         whole = (infotheory._bincount_cells(ids, members, 6), infotheory._sorted_cells(ids, members))
         for cells in chunked + whole:
             assert cells.dtype == np.uint8 and np.array_equal(cells, expected)

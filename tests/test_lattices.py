@@ -10,8 +10,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latsec import (
+    BinnedCodebook,
     BudgetExceeded,
     ChannelParams,
+    Codebook,
     ConstructionALattice,
     DimensionMismatch,
     GridPoint,
@@ -24,12 +26,13 @@ from latsec import (
     decode_very_strong_batch,
     decode_weak,
     enumerate_codebook,
+    joint_bin_sum,
     random_code_matrix,
     random_unimodular,
     scale_to_power,
     sum_structure,
 )
-from latsec import lattices
+from latsec import channel, infotheory, lattices
 from latsec.gfp import rank_modp
 from latsec.lattices import det_int
 
@@ -762,18 +765,18 @@ class TestFloatFineBlocks:
         assert lat.quantize_fine(np.array(rows)).coords.tolist() == [[0, 16]] * 3
         assert seen == [(np.dtype(object), [list(row) for row in rows[1:]])]
 
-    @pytest.mark.parametrize("count, width, inner", [
+    @pytest.mark.parametrize("count, residues, words", [
         (1024, 42, 343), (1024, 18, 729), (1024, 12, 9), (700, 6, 4), (5, 4099, 4099), (0, 10, 10),
     ])
-    def test_row_blocks_hold_whole_chunks(self, count, width, inner):
-        # blocks of residue rows (width p n) cover the rows in order within
-        # the limit, and each but the last holds whole distance chunks
-        # (inner codewords per row) when it holds more than one
-        limit, chunk = lattices._GATHER_LIMIT, max(1, lattices._GATHER_LIMIT // inner)
-        sizes = [len(range(count)[block]) for block in lattices._row_chunks(count, width, inner)]
-        assert sum(sizes) == count
-        assert all(size * width <= limit or size == 1 for size in sizes)
-        assert all(size % chunk == 0 or size < chunk for size in sizes[:-1])
+    def test_row_blocks_hold_whole_chunks(self, count, residues, words):
+        # a block of rows is one chunk, whose residue arrays (p n entries
+        # per row) and distance block (|C|) both stay within the limit: the
+        # blocks cover the rows in order, and each holds at most the limit
+        # at the wider of the two, or one row
+        limit, width = lattices._GATHER_LIMIT, max(residues, words)
+        blocks = [range(count)[block] for block in lattices._row_chunks(count, width)]
+        assert [row for block in blocks for row in block] == list(range(count))
+        assert all(len(block) * width <= limit or len(block) == 1 for block in blocks)
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_residue_arrays_are_formed_in_blocks(self, exact):
@@ -800,6 +803,60 @@ class TestFloatFineBlocks:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         assert got.tolist() == expected
+
+
+class TestOneChunkRule:
+    """Every row-chunked temporary of the package takes its rows from
+    lattices._row_chunks at lattices._GATHER_LIMIT entries: the fine
+    quantisers' residue arrays and distance blocks (lattices._distances),
+    the successive decoder's score blocks (lattices._marks), and the binned
+    pair-table groups of infotheory._bin_rows."""
+
+    def test_a_lowered_limit_bounds_every_block(self, monkeypatch):
+        # 200 entries: 16-row chunks of the 9-codeword quantiser (p n = 12
+        # residues a row), 7-row chunks of the 27-codeword one (p n = 9),
+        # float and exact, 22-row chunks of 9-point decoder stages, 2-row
+        # groups of 9 bins of 3 codewords each (81 ids a row), and one-row
+        # groups of 3 bins of 9 (243 ids a row, past the limit); the results
+        # are those of the default limit
+        lat, wide = (GridPoint(*shape, 0).build_lattice(4) for shape in ((3, 2, 4), (3, 3, 3)))
+        rng = np.random.default_rng(3)
+        rows, wide_rows = rng.normal(0, 3.0, (300, 4)), rng.normal(0, 3.0, (300, 3))
+        exact = PointGrid(wide.unit / 2, rng.integers(-12, 13, size=(300, 3)))
+        cb, params = Codebook(lat), ChannelParams(cross_gain=4.5, power=1.0)
+
+        def run():
+            fine = [lat.quantize_fine(rows), wide.quantize_fine(wide_rows), wide.quantize_fine(exact)]
+            binned = [BinnedCodebook(Codebook(wide), bins, seed=1) for bins in (9, 3)]
+            joint = [joint_bin_sum(b).cell_counts for b in binned]
+            return [*(f.coords for f in fine), *decode_very_strong_batch(rows, cb, params), *joint]
+
+        want = run()
+        limit, sizes = 200, []
+        distances, marks, bin_rows = lattices._distances, lattices._marks, infotheory._bin_rows
+
+        def spy_distances(sq, words, *args):
+            dist = distances(sq, words, *args)
+            sizes.extend([(sq.size, sq.shape[2]), (dist.size, dist.shape[1])])
+            return dist
+
+        def spy_marks(block, margin, tally):
+            sizes.append((block.size, block.shape[1]))
+            return marks(block, margin, tally)
+
+        def spy_bin_rows(ids, members):
+            for group in bin_rows(ids, members):
+                sizes.append((group.size, len(group)))
+                yield group
+
+        monkeypatch.setattr(lattices, "_GATHER_LIMIT", limit)
+        monkeypatch.setattr(lattices, "_distances", spy_distances)
+        monkeypatch.setattr(lattices, "_marks", spy_marks)
+        monkeypatch.setattr(infotheory, "_bin_rows", spy_bin_rows)
+        got = run()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert {1, 2, 7, 16, 22} <= {rows for _, rows in sizes}
+        assert all(size <= limit or rows == 1 for size, rows in sizes)
 
 
 @st.composite

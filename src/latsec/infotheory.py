@@ -62,9 +62,10 @@ occupied sum cells: by np.bincount over the num_sums cells of each bin
 when the whole cell space num_bins * num_sums is at most the pair count,
 else by sorting every row in place (a stable sort: numpy sorts ids of 16
 bits or fewer by radix) and taking the run lengths, split at every value
-change and every row start. Either way the cells come out in (bin, sum) order, as the same
-integers, in the narrowest unsigned dtype that holds the pairs per bin.
-H(S) is evaluated once per SumStructure and shared by every report on it.
+change and every row start. Either way the cells come out in (bin, sum)
+order, as the same integers, in the narrowest unsigned dtype that holds
+the pairs per bin. H(S) is evaluated once per SumStructure and shared by
+every report on it.
 """
 
 from __future__ import annotations
@@ -455,14 +456,14 @@ def joint_bin_sum(binned, budget=10**6, structure=None) -> JointBinSumDist:
     precomputed SumStructure of the codebook with itself may be passed to
     amortize the pair enumeration, its counts and H(S) across several
     binnings. The pair table's rows are gathered by bin, in groups of at
-    most lattices._GATHER_LIMIT entries, into (bins, pairs per bin) arrays and each row's
-    occupied sum cells counted, by np.bincount when num_bins * num_sums is
-    at most the pair count, else by sorting the row, so cell_counts lists
-    the occupied cells in (bin, sum) order, in the narrowest unsigned dtype
-    that holds the pairs per bin, with no num_bins * num_sums table past
-    the pair count and no pair-sized copy. With one
-    bin the cells are the sum marginal; with one codeword per bin of a
-    Codebook, whose rows are distinct, every cell holds one pair
+    most lattices._GATHER_LIMIT entries, into (bins, pairs per bin)
+    arrays and each row's occupied sum cells counted, by np.bincount when
+    num_bins * num_sums is at most the pair count, else by sorting the row,
+    so cell_counts lists the occupied cells in (bin, sum) order, in the
+    narrowest unsigned dtype that holds the pairs per bin, with no
+    num_bins * num_sums table past the pair count and no pair-sized copy.
+    With one bin the cells are the sum marginal; with one codeword per bin
+    of a Codebook, whose rows are distinct, every cell holds one pair
     (cell_counts None).
 
     A structure whose pair table is not |C| x |C|, whose dimension n is

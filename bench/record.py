@@ -22,10 +22,9 @@ calls, so it costs them nothing; unlike peak_rss_mb, it does not move
 with the checkout's directory), and the error count (for the fine_exact
 runs, a checksum of the points; for the grid suites, the wide lemma and
 the wide baseline, the number of failed verdicts), which every call must
-return alike. The
-record keeps the median and quartiles of those figures over the R
-interpreters, and every run's error count, which a run fixes by its
-seeds.
+return alike. The record keeps the median and quartiles of those figures
+over the R interpreters, and every run's error count, which a run fixes
+by its seeds.
 
 Round robin with the runs at scale, it times the start-up floor R times:
 `python3 -c "import latsec"` in a fresh interpreter with the checkout's
@@ -109,12 +108,12 @@ def run_once(workload: str, seconds: float) -> tuple[dict, dict]:
 def scale_run(name: str) -> dict:
     """Time the run at scale NAME in this interpreter: one untimed warm-up
     call, traced by tracemalloc for its peak, then SCALE_CALLS timed calls,
-    their median wall_s and cpu_s. Each
-    call's inputs are built fresh, untimed, so that no call reuses what an
-    earlier one kept on its inputs (a GridPoint keeps its build), and every
-    call must return the same error count (a checksum of the points, for
-    fine_exact runs, and the failed verdicts of the grid suites, the wide
-    lemma and the wide baseline)."""
+    their median wall_s and cpu_s. Each call's inputs are built fresh,
+    untimed, so that no call reuses what an earlier one kept on its inputs
+    (a GridPoint keeps its build), and every call must return the same
+    error count (a checksum of the points, for fine_exact runs, and the
+    failed verdicts of the grid suites, the wide lemma and the wide
+    baseline)."""
     sys.path.insert(0, str(ROOT / "src"))
     import gc
     import tracemalloc

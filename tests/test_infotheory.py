@@ -917,8 +917,8 @@ class TestCoordsOnDemand:
 
 class TestBoundedCounting:
     """Pair keys and (bin, sum) cells are counted in steps of at most
-    lattices._GATHER_LIMIT entries, so no pair-sized intp copy is made; a step boundary
-    changes no count and no cell's order."""
+    lattices._GATHER_LIMIT entries, so no pair-sized intp copy is made; a
+    step boundary changes no count and no cell's order."""
 
     @pytest.mark.parametrize("size,space", [
         (1, 5), (7, 5), (8, 5), (9, 5), (16, 5), (17, 5), (19, 20), (20, 20), (25, 20),

@@ -26,12 +26,17 @@ return alike. The record keeps the median and quartiles of those figures
 over the R interpreters, and every run's error count, which a run fixes
 by its seeds.
 
-Round robin with the runs at scale, it times the start-up floor R times:
-`python3 -c "import latsec"` in a fresh interpreter with the checkout's
-`src` on its path and one BLAS thread, its wall time, CPU time and peak RSS
-read from the child's own resource usage. Most CLI kinds on their default
-configs take little more than this.
-The recorder itself uses the standard library only.
+Round robin with the runs at scale, it times the start-up floor R times,
+`python3 -c "import latsec"`, and every CLI kind on its default config,
+`python3 -m latsec GROUP [ACTION]` (CLI_KINDS), each in a fresh
+interpreter with the checkout's `src` on its path and one BLAS thread, its
+wall time, CPU time and peak RSS read from the child's own resource usage.
+A kind must exit 0 and print the same bytes in every run; the record keeps
+their CRC-32. These children run without PYTHONDONTWRITEBYTECODE, as
+perfbench/run.py's do, so that latsec's bytecode is cached in the checkout,
+as for an installed package; one untimed start-up fills the cache first.
+The record keeps the timing-relevant environment variables (TIMING_VARS)
+that the recorder saw. The recorder itself uses the standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ import statistics
 import subprocess
 import sys
 import time
+import zlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +84,17 @@ WIDE_LEMMA_POINT = (127, 1, 10, 0)
 BASELINE_WIDE_CONFIG = "kind=baseline size=64 dim=5 power=2.0 num_seeds=3"
 # the start-up floor: the interpreter, numpy and the package, nothing run
 STARTUP = "import latsec"
+# each CLI kind's subcommand, run on its default config
+CLI_KINDS = {
+    "lattice": ("lattice", "build"), "lemmas": ("verify", "lemmas"),
+    "theorem1": ("verify", "theorem1"), "pipeline": ("simulate", "pipeline"),
+    "layered": ("simulate", "layered"), "baseline": ("compare", "random"), "sweep": ("sweep",),
+}
+# environment variables that change what a timed child does or how fast
+TIMING_VARS = THREAD_VARS + (
+    "PYTHONDONTWRITEBYTECODE", "PYTHONHASHSEED", "PYTHONOPTIMIZE", "PYTHONMALLOC",
+    "PYTHONDEVMODE", "PYTHONPYCACHEPREFIX", "PYTHONPATH", "NPY_DISABLE_CPU_FEATURES",
+)
 # timed calls of a run at scale per interpreter, after one untimed warm-up
 # call: the median of several warmed-up calls resolves changes of a few
 # percent, where one call per fresh interpreter moved with the host by half
@@ -117,7 +134,6 @@ def scale_run(name: str) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import gc
     import tracemalloc
-    import zlib
     from fractions import Fraction
 
     import numpy as np
@@ -196,21 +212,24 @@ def run_scale_once(name: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def run_startup_once() -> dict:
-    """Wall time, CPU time and peak RSS of `python3 -c STARTUP` in a fresh
-    interpreter, the CPU time and peak RSS from the child's own resource
-    usage."""
+def run_child(*args: str) -> dict:
+    """Wall time, CPU time and peak RSS of `python3 ARGS` in a fresh
+    interpreter with bytecode cached, the CPU time and peak RSS from the
+    child's own resource usage, and the CRC-32 of its stdout."""
     env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=str(ROOT / "src"),
                **dict.fromkeys(THREAD_VARS, "1"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     wall = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", STARTUP], cwd=ROOT, env=env)
+    proc = subprocess.Popen([sys.executable, *args], cwd=ROOT, env=env, stdout=subprocess.PIPE)
+    crc = zlib.crc32(proc.stdout.read())
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - wall
+    proc.stdout.close()
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode:
         raise subprocess.CalledProcessError(proc.returncode, proc.args)
     return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
-            "peak_rss_mb": usage.ru_maxrss / 1024}
+            "peak_rss_mb": usage.ru_maxrss / 1024, "crc32": crc}
 
 
 def summary(values: list) -> dict:
@@ -243,16 +262,27 @@ def record(seconds: float, repeats: int) -> dict:
         entries[w] = entry
     scale = {name: [] for name in SCALE_RUNS}
     startup = []
+    cli = {kind: [] for kind in CLI_KINDS}
+    run_child("-c", STARTUP)  # fills the bytecode cache, untimed
     for _ in range(repeats):
         for name in SCALE_RUNS:
             scale[name].append(run_scale_once(name))
-        startup.append(run_startup_once())
+        startup.append(run_child("-c", STARTUP))
+        for kind, argv in CLI_KINDS.items():
+            cli[kind].append(run_child("-m", "latsec", *argv))
     scale_entries = {}
     for name, runs in scale.items():
         entry = {"runs": len(runs), "errors": [r["errors"] for r in runs]}
         for metric in METRICS + ("traced_peak_mb",):
             entry[metric] = summary([r[metric] for r in runs])
         scale_entries[name] = entry
+    cli_entries = {}
+    for kind, runs in cli.items():
+        crcs = {r["crc32"] for r in runs}
+        if len(crcs) != 1:
+            raise RuntimeError(f"{kind}: the runs print different bytes")
+        cli_entries[kind] = {"runs": len(runs), "crc32": crcs.pop(),
+                             **{metric: summary([r[metric] for r in runs]) for metric in METRICS}}
     return {
         "commit": git("rev-parse", "HEAD"),
         "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
@@ -260,13 +290,21 @@ def record(seconds: float, repeats: int) -> dict:
         "python": provenance["python"],
         "numpy": provenance["numpy"],
         "cpu_model": provenance["cpu_model"],
+        "environment": {name: os.environ.get(name) for name in TIMING_VARS},
         "command": f"python3 perfbench/run.py --workload W --seed {SEED} --seconds {seconds:g} --trace 0",
         "repeats": repeats,
         "workloads": entries,
+        "startup_cli_env": "PYTHONHASHSEED=0, one BLAS thread, the checkout's src on PYTHONPATH, "
+                           "PYTHONDONTWRITEBYTECODE unset (bytecode cached in the checkout)",
         "startup": {
             "command": f'python3 -c "{STARTUP}"',
             "runs": len(startup),
             **{metric: summary([r[metric] for r in startup]) for metric in METRICS},
+        },
+        "cli_kinds": {
+            "command": "python3 -m latsec GROUP [ACTION], the kind's default config; "
+                       "crc32 is that of its stdout, alike in every run",
+            "kinds": cli_entries,
         },
         "scale_runs": {
             "command": "python3 bench/record.py --scale-run NAME",

@@ -576,7 +576,8 @@ def stage_condition_witnesses(powers, cross_gain: float, noise_var: float = 1.0)
     a^2 >= 1 + P_i / ((1 + a^2) * sum_{j>i} P_j + noise_var). The condition
     models later layers plus channel noise as Gaussian clutter; with zero
     noise and no later layers there is no clutter at all, so the stage is
-    recorded as vacuously feasible rather than dividing by zero.
+    recorded as vacuously feasible rather than dividing by zero. A power that
+    is not positive, or a stage with no ratio (inf / inf), is a ValidationError.
     """
     if not float(noise_var) >= 0:
         raise ValidationError("noise_var", "noise variance must be nonnegative")
@@ -588,6 +589,8 @@ def stage_condition_witnesses(powers, cross_gain: float, noise_var: float = 1.0)
         clutter = (1 + a2) * tail + float(noise_var)
         vacuous = clutter == 0.0
         required = math.inf if vacuous else 1 + p_i / clutter
+        if not p_i > 0 or math.isnan(required):
+            raise ValidationError("powers", f"stage {i + 1} of powers {ps} has no defined ratio")
         out.append(
             {
                 "stage": i + 1,

@@ -242,6 +242,49 @@ def triangle_mi(p):
     return math.log2(p) - clogc / (p * p)
 
 
+def very_strong_error_rates(p, n, scale, cross_gain, power, noise_var):
+    """Closed-form (error_rate, interferer_error_rate) of interference-first
+    decoding of a k = n codebook, y = x1 + a x2 + z with z ~ N(0, noise_var)
+    per coordinate, for a codebook sent unscaled (scale^2 / 12 <= power).
+
+    Its points are the product of n copies of the p-point line
+    {-floor(p/2), ..., ceil(p/2) - 1} * scale / p, so nearest-point decisions
+    act coordinate by coordinate, and the coordinates are i.i.d. A
+    coordinate's own decision is right, for an interferer decision a v, when
+    y lies in a v's cell of the line a * V and y - a v in x1's cell of V: one
+    z-interval per v. P(error) = 1 - q^n, with q the mean over the p^2 pairs
+    (x1, x2) of those intervals' Gaussian mass; the interferer's rate comes
+    from the mass of a x2's own cell alike."""
+    scale = Fraction(scale)
+    assert scale**2 / 12 <= power and cross_gain > 0
+    line = [i * float(scale / p) for i in range(-(p // 2), (p + 1) // 2)]
+    intf = [cross_gain * v for v in line]
+    root = math.sqrt(2 * noise_var)
+
+    def cell(points, i):
+        lo = (points[i - 1] + points[i]) / 2 if i > 0 else -math.inf
+        hi = (points[i] + points[i + 1]) / 2 if i + 1 < len(points) else math.inf
+        return lo, hi
+
+    def mass(lo, hi):
+        """P(lo < z < hi)."""
+        return (math.erfc(lo / root) - math.erfc(hi / root)) / 2
+
+    own_right = intf_right = 0.0
+    for i1, x1 in enumerate(line):
+        olo, ohi = cell(line, i1)
+        for i2, x2 in enumerate(line):
+            sent = x1 + cross_gain * x2
+            lo, hi = cell(intf, i2)
+            intf_right += mass(lo - sent, hi - sent)
+            for j, v in enumerate(intf):
+                lo, hi = cell(intf, j)
+                lo, hi = max(lo, v + olo), min(hi, v + ohi)
+                if lo < hi:
+                    own_right += mass(lo - sent, hi - sent)
+    return 1 - (own_right / p**2) ** n, 1 - (intf_right / p**2) ** n
+
+
 def chi_square_uniform(samples, num_bins, lo, hi):
     """Chi-square statistic of samples against uniform on [lo, hi)."""
     counts = [0] * num_bins

@@ -1114,6 +1114,23 @@ class TestStageConditions:
         # an unscaled layer's power stays infinite
         assert stage_condition_witnesses([math.inf], 2.0, 0.0)[0]["required"] == math.inf
 
+    @pytest.mark.parametrize("powers", [[1.0, -5.0], [0.0], [math.nan, 1.0], [math.inf, math.inf]])
+    def test_bad_layer_powers_rejected(self, powers):
+        # [1.0, -5.0] used to pass with stage 2 required -4.0, [nan, 1.0] to
+        # report required nan, and [inf, inf], whose stage 1 ratio is
+        # inf / inf, to fail with required nan
+        for witness in (stage_condition_witnesses, check_stage_conditions):
+            with pytest.raises(ValidationError) as exc:
+                witness(powers, 4.0, 1.0)
+            assert exc.value.field == "powers"
+
+    def test_an_unscaled_layer_keeps_its_infinite_power(self):
+        assert stage_condition_witnesses([math.inf], 2.0, 0.0)[0]["vacuous_zero_noise"]
+        w = stage_condition_witnesses([math.inf], 2.0, 1.0)
+        assert w[0]["required"] == math.inf and not w[0]["satisfied"]
+        w = stage_condition_witnesses([1.0, math.inf], 2.0, 1.0)
+        assert w[0]["required"] == 1.0 and w[1]["required"] == math.inf
+
     def test_passing_conditions_return_witnesses(self):
         w = check_stage_conditions([1.0, 1.0], 4.0, 1.0)
         assert all(entry["satisfied"] for entry in w)

@@ -2,6 +2,7 @@
 random-versus-lattice baseline, reliability runs, loopback, and the pipeline."""
 
 import math
+import pathlib
 import weakref
 from fractions import Fraction
 
@@ -47,6 +48,8 @@ from latsec.channel import TRIAL_BLOCK, _decode_stages, _float_stages, _trial_bl
 
 import oracles
 from exact_rows import record_row_dtypes
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def trial_rows(trials, root_seed, sizes, n, dithers=False):
@@ -473,6 +476,27 @@ class TestRandomBaseline:
         for power in (1, np.int64(1), np.float32(1.0), Fraction(1)):
             assert random_codebook_baseline(9, 2, power, [0]) == expected
 
+    @pytest.mark.parametrize("seeds", [1, 100])
+    def test_one_lattice_and_codebook_per_call(self, monkeypatch, seeds):
+        # every full-rank k x k code gives the same point set, so no seed
+        # draws a code matrix or a transform
+        lattices_made = spy(monkeypatch, "ConstructionALattice")
+        codebooks = spy(monkeypatch, "enumerate_codebook")
+        codes = spy(monkeypatch, "random_code_matrix")
+        transforms = spy(monkeypatch, "random_unimodular")
+        result = random_codebook_baseline(16, 2, 1.0, range(seeds))
+        assert len(lattices_made) == len(codebooks) == 1
+        assert codes == transforms == []
+        assert {r.lattice_leak_bits for r in result.rows} == {2.0} and len(result.rows) == seeds
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64])
+    def test_lattice_leak_is_k_lines(self, size):
+        # the codebook is the product of k copies of the p-point line, whose
+        # sum histogram is the triangle 1, 2, ..., p, ..., 2, 1
+        p, k = experiments._matched_lattice_shape(size)
+        row = random_codebook_baseline(size, 1, 1.0, [0]).rows[0]
+        assert row.lattice_leak_bits == pytest.approx(k * oracles.triangle_mi(p), rel=0, abs=1e-12)
+
 
 class TestReliabilityRuns:
     def test_weak_residual_variance_tracks_prediction(self):
@@ -679,6 +703,16 @@ class TestReliabilityRuns:
         with pytest.raises(StageConditionViolated):
             layered_reliability(layered, params, 10, 0)
 
+    def test_unscaled_towers_are_rejected_by_their_powers(self):
+        # every standard tower's powers are (inf, inf), so stage 1's ratio is
+        # inf / inf; the run used to raise StageConditionViolated with
+        # required nan
+        params = ChannelParams(cross_gain=6.0, power=1.0)
+        for _, tower in standard_layered_set():
+            with pytest.raises(ValidationError) as exc:
+                layered_reliability(tower, params, 10, 0)
+            assert exc.value.field == "powers"
+
 
     def test_runs_draw_only_what_they_read(self, monkeypatch):
         # A spy on every Generator a run makes: block b seeds
@@ -791,6 +825,38 @@ class TestReliabilityRuns:
         assert weak_reliability(cb, params, np.int64(20), np.uint64(3)) == weak_reliability(
             cb, params, 20, 3
         )
+
+
+class TestVeryStrongClosedForm:
+    """The very-strong runs of k = n codebooks against
+    oracles.very_strong_error_rates, computed from the config alone: both
+    rates lie within 4 standard errors of the closed form."""
+
+    @staticmethod
+    def assert_near(measured, predicted, trials):
+        se = math.sqrt(predicted * (1 - predicted) / trials)
+        assert abs(measured - predicted) <= 4 * se, (measured, predicted, se)
+
+    @pytest.mark.parametrize("name", ["pipeline_strong", "pipeline_strong_2100", "pipeline_strong_729"])
+    def test_golden_configs(self, name):
+        config = latsec.parse_config((GOLDEN / f"{name}.cfg").read_text())
+        assert config["k"] == config["n"]
+        out = latsec.run(config)["results"]["reliability"]
+        assert out["scheme"] == "very_strong"
+        rates = oracles.very_strong_error_rates(
+            config["p"], config["n"], config["scale"], config["a"], config["power"], config["noise_var"]
+        )
+        self.assert_near(out["error_rate"], rates[0], out["trials"])
+        self.assert_near(out["interferer_error_rate"], rates[1], out["trials"])
+
+    def test_the_run_at_scale(self):
+        # bench/record.py's very_strong_p3_k6_n6: 729 codewords at scale 4
+        codebook = latsec.Codebook(GridPoint(3, 6, 6, 0).build_lattice(scale=4))
+        params = ChannelParams(cross_gain=4, power=Fraction(4, 3), noise_var=0.1)
+        out = very_strong_reliability(codebook, params, 8192, 7)
+        rates = oracles.very_strong_error_rates(3, 6, 4, 4, Fraction(4, 3), 0.1)
+        self.assert_near(out["error_rate"], rates[0], 8192)
+        self.assert_near(out["interferer_error_rate"], rates[1], 8192)
 
 
 class TestNoiselessLoopback:

@@ -105,9 +105,9 @@ class Regime:
 
 
 def _gain_power(cross_gain, k: int) -> float:
-    """cross_gain ** k as a float, or ValidationError when that overflows."""
+    """cross_gain ** k as a float, or ValidationError when it is not finite."""
     try:
-        return float(cross_gain) ** k
+        return _finite(float(cross_gain) ** k, f"a^{k}", cross_gain=cross_gain)
     except OverflowError:
         raise ValidationError(
             "cross_gain", f"cross gain {cross_gain!r}: a^{k} overflows a float"
@@ -579,8 +579,8 @@ def stage_condition_witnesses(powers, cross_gain: float, noise_var: float = 1.0)
     recorded as vacuously feasible rather than dividing by zero. A power that
     is not positive, or a stage with no ratio (inf / inf), is a ValidationError.
     """
-    if not float(noise_var) >= 0:
-        raise ValidationError("noise_var", "noise variance must be nonnegative")
+    if not 0 <= float(noise_var) < math.inf:
+        raise ValidationError("noise_var", "noise variance must be finite and nonnegative")
     a2 = _gain_power(cross_gain, 2)
     ps = [float(p) for p in powers]
     out = []
@@ -590,7 +590,7 @@ def stage_condition_witnesses(powers, cross_gain: float, noise_var: float = 1.0)
         vacuous = clutter == 0.0
         required = math.inf if vacuous else 1 + p_i / clutter
         if not p_i > 0 or math.isnan(required):
-            raise ValidationError("powers", f"stage {i + 1} of powers {ps} has no defined ratio")
+            raise ValidationError("powers", f"stage {i + 1}: powers {ps} give no positive P_i / clutter")
         out.append(
             {
                 "stage": i + 1,

@@ -1124,6 +1124,18 @@ class TestStageConditions:
                 witness(powers, 4.0, 1.0)
             assert exc.value.field == "powers"
 
+    @pytest.mark.parametrize("cross_gain,noise_var,field", [
+        (math.inf, 1.0, "cross_gain"), (-math.inf, 1.0, "cross_gain"), (math.nan, 1.0, "cross_gain"),
+        (4.0, math.inf, "noise_var"), (4.0, math.nan, "noise_var"),
+    ])
+    def test_non_finite_gain_and_noise_rejected(self, cross_gain, noise_var, field):
+        # an infinite gain used to report required nan, and an infinite
+        # noise variance made stage 1 of [inf] inf / inf
+        for witness in (stage_condition_witnesses, check_stage_conditions):
+            with pytest.raises(ValidationError) as exc:
+                witness([math.inf], cross_gain, noise_var)
+            assert exc.value.field == field
+
     def test_an_unscaled_layer_keeps_its_infinite_power(self):
         assert stage_condition_witnesses([math.inf], 2.0, 0.0)[0]["vacuous_zero_noise"]
         w = stage_condition_witnesses([math.inf], 2.0, 1.0)

@@ -489,13 +489,15 @@ class TestRandomBaseline:
         assert codes == transforms == []
         assert {r.lattice_leak_bits for r in result.rows} == {2.0} and len(result.rows) == seeds
 
-    @pytest.mark.parametrize("size", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64])
-    def test_lattice_leak_is_k_lines(self, size):
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4),
+                                     (5, 2), (3, 3), (7, 2), (2, 6)])
+    def test_lattice_leak_is_k_lines(self, p, k):
         # the codebook is the product of k copies of the p-point line, whose
         # sum histogram is the triangle 1, 2, ..., p, ..., 2, 1
-        p, k = experiments._matched_lattice_shape(size)
-        row = random_codebook_baseline(size, 1, 1.0, [0]).rows[0]
-        assert row.lattice_leak_bits == pytest.approx(k * oracles.triangle_mi(p), rel=0, abs=1e-12)
+        result = random_codebook_baseline(p**k, 1, 1.0, [0])
+        assert result.lattice_dim == k
+        leak = result.rows[0].lattice_leak_bits
+        assert leak == pytest.approx(k * oracles.triangle_mi(p), rel=0, abs=1e-12)
 
 
 class TestReliabilityRuns:

@@ -590,7 +590,7 @@ def stage_condition_witnesses(powers, cross_gain: float, noise_var: float = 1.0)
         vacuous = clutter == 0.0
         required = math.inf if vacuous else 1 + p_i / clutter
         if not p_i > 0 or math.isnan(required):
-            raise ValidationError("powers", f"stage {i + 1}: powers {ps} give no positive P_i / clutter")
+            raise ValidationError("powers", f"stage {i + 1}: no positive ratio from powers {ps}")
         out.append(
             {
                 "stage": i + 1,

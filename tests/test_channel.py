@@ -1125,7 +1125,8 @@ class TestStageConditions:
             assert exc.value.field == "powers"
 
     @pytest.mark.parametrize("cross_gain,noise_var,field", [
-        (math.inf, 1.0, "cross_gain"), (-math.inf, 1.0, "cross_gain"), (math.nan, 1.0, "cross_gain"),
+        (math.inf, 1.0, "cross_gain"), (-math.inf, 1.0, "cross_gain"),
+        (math.nan, 1.0, "cross_gain"),
         (4.0, math.inf, "noise_var"), (4.0, math.nan, "noise_var"),
     ])
     def test_non_finite_gain_and_noise_rejected(self, cross_gain, noise_var, field):

@@ -839,14 +839,17 @@ class TestVeryStrongClosedForm:
         se = math.sqrt(predicted * (1 - predicted) / trials)
         assert abs(measured - predicted) <= 4 * se, (measured, predicted, se)
 
-    @pytest.mark.parametrize("name", ["pipeline_strong", "pipeline_strong_2100", "pipeline_strong_729"])
+    @pytest.mark.parametrize(
+        "name", ["pipeline_strong", "pipeline_strong_2100", "pipeline_strong_729"]
+    )
     def test_golden_configs(self, name):
         config = latsec.parse_config((GOLDEN / f"{name}.cfg").read_text())
         assert config["k"] == config["n"]
         out = latsec.run(config)["results"]["reliability"]
         assert out["scheme"] == "very_strong"
         rates = oracles.very_strong_error_rates(
-            config["p"], config["n"], config["scale"], config["a"], config["power"], config["noise_var"]
+            config["p"], config["n"], config["scale"], config["a"], config["power"],
+            config["noise_var"],
         )
         self.assert_near(out["error_rate"], rates[0], out["trials"])
         self.assert_near(out["interferer_error_rate"], rates[1], out["trials"])

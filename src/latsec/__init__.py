@@ -59,7 +59,6 @@ from .channel import (
     effective_noise_variance,
     mmse_alpha,
     stage_condition_witnesses,
-    transmit,
 )
 from .experiments import (
     BaselineComparison,

@@ -29,8 +29,9 @@ float(scale) [-1/2, 1/2)^n: because T is unimodular, the coarse lattice is
 scale Z^n and that cube is its cell, up to the rounding of scale. The
 encoder folds codeword plus dither, so a dither needs no fold of its own.
 The runs read receiver 1 only, so they draw its normals alone and form its
-rows alone (_received_1, which transmit also uses for y1); receiver 2's
-and the eavesdropper's normals are not drawn.
+rows alone (_received_1, the one channel formula); receiver 2's and the
+eavesdropper's rows are neither drawn nor formed. ChannelParams keeps the
+eavesdropper's gain b and noise variance N_e for the secrecy bounds.
 
 The weak run encodes, transmits and decodes each block's rows at once.
 The successive-decoding runs (very strong and layered) decode rounds of
@@ -105,9 +106,13 @@ class Regime:
 
 
 def _gain_power(cross_gain, k: int) -> float:
-    """cross_gain ** k as a float, or ValidationError when it is not finite."""
+    """cross_gain ** k as a float. ValidationError, naming cross_gain, when
+    the gain is NaN or infinite, or when its power overflows a float."""
     try:
-        return _finite(float(cross_gain) ** k, f"a^{k}", cross_gain=cross_gain)
+        a = float(cross_gain)
+        if not math.isfinite(a):
+            raise ValidationError("cross_gain", f"cross gain {cross_gain!r} is not finite")
+        return a**k
     except OverflowError:
         raise ValidationError(
             "cross_gain", f"cross gain {cross_gain!r}: a^{k} overflows a float"
@@ -254,31 +259,11 @@ def dither_rows(lattice: ConstructionALattice, uniforms) -> np.ndarray:
     return float(lattice.scale) * (np.asarray(uniforms, dtype=np.float64) - 0.5)
 
 
-def transmit(x1, x2, params: ChannelParams, noise):
-    """One channel use per row, given each row's 3n standard normals: the
-    first n for receiver 1, the next n for receiver 2, the last n for the
-    eavesdropper. Returns (y1, y2, z). The Monte Carlo runs read y1 only:
-    they draw receiver 1's n normals per row alone and form y1 through
-    _received_1, the function that forms it here from the first n."""
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
-    n = x1.shape[-1]
-    if noise.shape[-1] != 3 * n:
-        raise DimensionMismatch(f"need 3n = {3 * n} normals per row, got {noise.shape[-1]}")
-    a, b = float(params.cross_gain), float(params.eve_gain)
-    n2 = noise[..., n : 2 * n] * math.sqrt(params.noise_var)
-    ne = noise[..., 2 * n :] * math.sqrt(params.eve_noise_var)
-    y1 = _received_1(x1, x2, params, noise[..., :n])
-    y2 = x2 + a * x1 + n2
-    z = b * (x1 + x2) + ne
-    return y1, y2, z
-
-
 def _received_1(x1, x2, params: ChannelParams, noise):
-    """Receiver 1's rows, x1 + a x2 + n1, from float64 signals and each row's
-    n normals: transmit's y1, which the Monte Carlo runs form alone from
-    the normals they draw for it, as they read no other output."""
+    """Receiver 1's rows, y1 = x1 + a x2 + sqrt(N) z1, from float64 signals
+    and each row's n standard normals z1: the one channel formula. The
+    Monte Carlo runs read receiver 1 alone, so they form neither receiver
+    2's rows nor the eavesdropper's."""
     n1 = noise * math.sqrt(params.noise_var)
     return x1 + float(params.cross_gain) * x2 + n1
 

@@ -25,13 +25,15 @@ Every decision is the exact one for the row's rational value. Float rows are
 decided in float64 first, and a row is kept only when each of its decisions
 is farther from its boundary than a derived rounding-error bound (the filter
 of Shewchuk's adaptive predicates, with Higham's gamma_n bounds); such a row
-never has a tie. The float searches for a nearest candidate, the fine
-quantiser's codeword and channel's successive decoder, both decide by one
-rule, _marks: a row is kept when one candidate alone lies within the stated
-margin of its least computed distance or score. Only the rows left
-uncertified are written exactly. Exact rows are integer numerators over a
-denominator in units of scale / p (one per float row, one shared by a
-PointGrid's rows), decided on those integers: int64 when a bound proves
+never has a tie. Both quantisers round by one certified rule,
+_round_to_coset: the fine quantiser's rounding inside the coset r + p Z,
+which with r = 0 and p = 1 is the coarse index. The float searches for a
+nearest candidate, the fine quantiser's codeword and channel's successive
+decoder, both decide by one rule, _marks: a row is kept when one candidate
+alone lies within the stated margin of its least computed distance or
+score. Only the rows left uncertified are written exactly. Exact rows are
+integer numerators over one denominator that all the rows of a call share,
+in units of scale / p, decided on those integers: int64 when a bound proves
 that nothing overflows, Python ints otherwise.
 """
 
@@ -250,6 +252,38 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
+def _round_to_coset(t, r, p):
+    """The certified rounding of both float quantisers: for floats t and
+    each residue r (an array that broadcasts against t, or 0), the candidate
+    c = r + p floor((t - r) / p + 1/2), an integer float = r (mod p), its
+    computed residual rho = fl(t - c), a mask of the candidates certified
+    and their bound e = 3u (|t| + p), of t's shape. mod_coarse calls it with
+    r = 0 and p = 1, where c is the coarse index floor(t + 1/2); _float_fine
+    with every residue r < p.
+
+    Proof. Let t = fl(x * w) or fl(x / w) for a normal float step w within
+    a factor 1 + u of its exact value W, and T = x W or x / W. Then
+    t = T (1 + theta) + eta with |theta| <= gamma_2 = 2u / (1 - 2u) (Higham,
+    Lemma 3.3) and |eta| <= 2^-1075 should the result underflow, hence
+    |t - T| <= 2.01 u |t| + 3 eta. While |t| < _FLOAT_REACH, c is an exact
+    integer float, and rho = (t - c)(1 + d) with |d| <= u; so while
+    |rho| <= p / 2 the exact residual R = T - c lies within
+    E = 2.01 u |t| + 0.51 u p + 3 eta of rho. A candidate is certified when
+    |t| < _FLOAT_REACH and p / 2 - |rho| > e: both sides are evaluated
+    within a factor 1 +- 2u, which leaves at least 2.99 u (|t| + p) > E of
+    margin. Then |R| < p / 2, so c is the integer = r (mod p) nearest T,
+    with no tie, and |R - rho| <= e. How c was computed does not matter:
+    only its residual is tested. A t on a half step has margin 0 and never
+    is certified; a NaN or infinite t never is.
+    """
+    near = r + p * np.floor((t - r) / p + 0.5)
+    resid = t - near
+    size = np.abs(t)
+    e = 3 * _ROUNDOFF * (size + p)
+    sure = (size < _FLOAT_REACH) & (p / 2 - np.abs(resid) > e)
+    return near, resid, sure, e
+
+
 def _distances(sq, words) -> np.ndarray:
     """The (codewords, rows) block of squared distances. sq holds, for each
     residue r mod p, coordinate and row, the square of the residual that
@@ -434,30 +468,31 @@ class ConstructionALattice:
 
     def _unit_rows(self, x):
         """Rows of x exactly, in units of the fine unit scale / p (formed once,
-        in __init__): integer numerators of shape (rows, n) over positive
-        denominators that broadcast against them, of shape (rows, 1) for
-        float rows and (1, 1) for a PointGrid, whose rows share one.
+        in __init__): integer numerators of shape (rows, n) over one positive
+        denominator that all the rows share, of shape (1, 1).
 
         x is a PointGrid, or checked float rows that the float filters could
-        not certify; those convert bit for bit, to object arrays of Python
-        ints. A PointGrid's rows are coords * a over b, with a / b = x.unit /
-        (scale / p) in lowest terms: b is their shared denominator, and
-        mod_coarse names its result's unit by it. They come as int64 when
-        no intermediate of mod_coarse or quantize_fine can overflow, else as
-        object arrays. With N the largest |numerator| (taken as at least a,
-        so that a itself fits) and P = p b, every linear intermediate of
-        either (2 num + 3P at most, in quantize_fine's rounding) is below
-        4 (N + P), every residual is at most P / 2 in magnitude and every
-        squared distance at most n P^2 / 4; so 2 (N + P) < GRID_LIMIT and
+        not certify. Those convert bit for bit, to object arrays of Python
+        ints over the lcm of all their dyadic denominators: scaling a row's
+        numerators and denominator by one positive integer moves no
+        distance order, no residual order and no rounding. A PointGrid's
+        rows are coords * a over b, with a / b = x.unit / (scale / p) in
+        lowest terms: b is their shared denominator, and mod_coarse names
+        its result's unit by it. They come as int64 when no intermediate of
+        mod_coarse or quantize_fine can overflow, else as object arrays.
+        With N the largest |numerator| (taken as at least a, so that a
+        itself fits) and P = p b, every linear intermediate of either
+        (2 num + 3P at most, in quantize_fine's rounding) is below 4 (N + P),
+        every residual is at most P / 2 in magnitude and every squared
+        distance at most n P^2 / 4; so 2 (N + P) < GRID_LIMIT and
         n P^2 < GRID_LIMIT keep all of them below 2^63. N is taken from
         x.peak a, and from a scan of x's coords where that bound fails.
         """
         if not isinstance(x, PointGrid):
-            ratios = [[v.as_integer_ratio() for v in row] for row in x.tolist()]
-            dens = [math.lcm(*(b for _, b in row)) for row in ratios]
-            nums = [[a * (d // b) for a, b in row] for row, d in zip(ratios, dens)]
-            num = np.array(nums, dtype=object) * self.unit.denominator
-            return num, np.array(dens, dtype=object).reshape(-1, 1) * self.unit.numerator
+            ratios = [v.as_integer_ratio() for v in x.ravel().tolist()]
+            den = math.lcm(*(b for _, b in ratios))
+            num = np.array([a * (den // b) for a, b in ratios], dtype=object).reshape(x.shape)
+            return num * self.unit.denominator, np.full((1, 1), den * self.unit.numerator, object)
         a, b = self._unit_ratio(x)
         step = self.p * b
         fits = 2 * (max(x.peak, 1) * a + step) < GRID_LIMIT
@@ -486,44 +521,15 @@ class ConstructionALattice:
         a, b = self._unit_ratio(x)
         return (2 * x.peak * a + self.p * b) // (2 * b)
 
-    def _float_coarse(self, rows):
-        """Each float row's coarse index q = floor(x / scale + 1/2), decided
-        in float64, and a mask of the rows whose every index is certified.
-
-        With s = float(scale) = scale (1 + d1) and z = fl(x / s), z =
-        Z (1 + d2) / (1 + d1) + eta for Z = x / scale, |d1|, |d2| <= u and
-        |eta| <= 2^-1075 should the quotient underflow; the factor is
-        1 + theta with |theta| <= gamma_2 = 2u / (1 - 2u) (Higham, Lemma 3.3),
-        hence |z - Z| <= 2.01 u |z| + 3 eta. The candidate q = floor(z + 1/2)
-        is an integer float, and g = fl(z - q) is (z - q)(1 + d), |d| <= u,
-        so while |g| <= 1/2, |Z - q| <= |g| + 0.51 u + 2.01 u |z| + 3 eta.
-        q is exact once |Z - q| < 1/2, and the test 1/2 - |g| > 3u (1 + |z|)
-        ensures it: its two sides are each evaluated within a factor 1 +- 2u,
-        which leaves at least 2.99 u (1 + |z|) of margin. A row is certified
-        when all its coordinates pass with |z| < _FLOAT_REACH; a row on a
-        half step has margin 0 and never is. Uncertified rows get index 0.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = rows / self._float_steps[0]
-            q = np.floor(z + 0.5)
-            size = np.abs(z)
-            ok = (size < _FLOAT_REACH) & (0.5 - np.abs(z - q) > 3 * _ROUNDOFF * (1 + size))
-        certain = ok.all(axis=1)
-        return np.where(certain[:, None], q, 0).astype(np.int64), certain
-
     def _float_fine(self, rows):
         """Each float row's fine point in units of scale / p, decided in
         float64, and a mask of the rows whose every decision is certified.
 
-        Residues. With w = float(p / scale) and t = fl(x w), |t - T| <=
-        2.01 u |t| + 3 eta for T = x p / scale, as in _float_coarse. For each
-        residue r the candidate c_r = r + p floor((t - r) / p + 1/2) is an
-        integer float, and rho_r = fl(t - c_r) = (t - c_r)(1 + d). While
-        |rho_r| <= p / 2, the exact residual R_r = T - c_r is within
-        E = 2.01 u |t| + 0.51 u p + 3 eta of rho_r, and the test
-        p / 2 - |rho_r| > e, with e = 3u (|t| + p), leaves 2.99 u (|t| + p)
-        > E of margin after its own rounding: then |R_r| < p / 2, so c_r is
-        the integer = r (mod p) nearest T, and |R_r - rho_r| <= e.
+        Residues. With t = fl(x float(p / scale)), _round_to_coset gives
+        each residue r's candidate c_r, its computed residual rho_r and its
+        bound e = 3u (|t| + p): where it certifies, c_r is the integer = r
+        (mod p) nearest T = x p / scale, and |R_r - rho_r| <= e for the
+        exact residual R_r = T - c_r.
 
         Distances. A codeword's distance D = sum_i R_i^2 over its residues
         is computed as d = fl(sum_i fl(rho_i^2)). With |R_i|, |rho_i| < p / 2,
@@ -538,10 +544,10 @@ class ConstructionALattice:
         least computed one, at d_1, once every other d lies more than 2 beta
         above d_1: the least exact distance is then unique, so a certified
         row never has a tie, and its point is that codeword's coset points
-        c_r. A row is certified when every residue of every coordinate
-        passes, with |t| < _FLOAT_REACH, and one codeword alone lies within
-        2 beta of d_1: _marks with margin 2 beta, whose docstring shows that
-        this is the rule of the two least distances.
+        c_r. A row is certified when every residue of every coordinate is,
+        and one codeword alone lies within 2 beta of d_1: _marks with margin
+        2 beta, whose docstring shows that this is the rule of the two least
+        distances.
 
         Layout. The arrays are point-major: t is (n, rows) and the
         candidates c_r and residuals rho_r are (p, n, rows), so the residue
@@ -565,11 +571,8 @@ class ConstructionALattice:
         with np.errstate(over="ignore", invalid="ignore"):
             for part in _row_chunks(len(rows), max(p * n, len(words))):
                 t = np.multiply(rows[part].T, self._float_steps[1], order="C")
-                near = r + p * np.floor((t - r) / p + 0.5)
-                resid = t - near
-                size = np.abs(t)
-                e = 3 * _ROUNDOFF * (size + p)
-                sure = ((size < _FLOAT_REACH) & (p / 2 - np.abs(resid).max(axis=0) > e)).all(axis=0)
+                near, resid, sure, e = _round_to_coset(t, r, p)
+                sure = sure.all(axis=(0, 1))
                 beta = p * e.sum(axis=0) + n * n * _ROUNDOFF * p * p / 2
                 marked, index = _marks(_distances(resid * resid, words), 2 * beta, tally)
                 sure &= marked == 1
@@ -588,12 +591,14 @@ class ConstructionALattice:
 
         x is a float array of shape (rows, n) or a PointGrid. The decision is
         exact either way: float rows are decided in float64 by
-        _float_coarse, and only the rows it cannot certify are written
-        exactly. Float rows come back as the float array x - float(scale * q),
-        each float(scale * q) correctly rounded; a PointGrid comes back as
-        one over scale / (p b), with b the denominator of x.unit /
-        (scale / p), which _unit_rows has already formed: it is their shared
-        denominator. Its peak is p b // 2, the residual's bound. Idempotent.
+        _round_to_coset on z = fl(x / float(scale)) with r = 0 and p = 1,
+        whose candidate is q = floor(z + 1/2), and only the rows it cannot
+        certify in every coordinate are written exactly. Float rows come
+        back as the float array x - float(scale * q), each float(scale * q)
+        correctly rounded; a PointGrid comes back as one over scale / (p b),
+        with b the denominator of x.unit / (scale / p), which _unit_rows has
+        already formed: it is their shared denominator. Its peak is
+        p b // 2, the residual's bound. Idempotent.
         Raises BudgetExceeded when q reaches GRID_LIMIT and ValidationError
         on a non-finite float.
         """
@@ -607,7 +612,10 @@ class ConstructionALattice:
             unit = self.unit if b == 1 else Fraction(self.unit.numerator, self.unit.denominator * b)
             return PointGrid(unit, resid, _bound=bound)
         rows = self._checked_rows(x)
-        q, certain = self._float_coarse(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q, _, sure, _ = _round_to_coset(rows / self._float_steps[0], 0, 1)
+        certain = sure.all(axis=1)
+        q = np.where(certain[:, None], q, 0).astype(np.int64)
         if not certain.all():
             num, den = self._unit_rows(rows[~certain])
             q[~certain] = _int64_grid(_round_half_up(num, self.p * den))
@@ -644,28 +652,35 @@ class ConstructionALattice:
         one mark are narrowed column by column on their residuals, n passes
         at most, until one mark is left: two codewords differ in some
         coordinate, where their residuals differ, so one always is.
-        Every residual is at most p den / 2 in magnitude, so p den is a
-        sentinel above all of a row's.
+        Every residual is at most p den / 2 in magnitude, so p den, one
+        integer for all the rows, is a sentinel above all of a row's.
+
+        When k = n, C' = GF(p)^n and every residue vector is a codeword, so
+        the least distance sum_i R_i^2 is least in each coordinate alone:
+        its residual there is the one of least magnitude, unique except on
+        a half step, where R = -den / 2 and R = den / 2 tie. Narrowing then
+        keeps the least residual, -den / 2, in each tied coordinate: the
+        fine point is floor(num / den + 1/2) in every coordinate, the
+        nearest integer with halves rounded up.
         """
         num, den = self._unit_rows(x)
         p, n, words = self.p, self.n, self._codewords
         count = len(num)
-        num, den = num.T, den.T
+        num, step = num.T, p * den
+        sentinel = step[0, 0]
         r = np.arange(p).reshape(p, 1, 1)
         points = np.empty((count, n), dtype=num.dtype)
         for part in _row_chunks(count, max(p * n, len(words))):
-            # a PointGrid's rows share one denominator, float rows have one each
-            part_num, part_den = num[:, part], den if den.size == 1 else den[:, part]
-            near = r + p * _round_half_up(part_num - r * part_den, p * part_den)
-            resid = part_num - near * part_den
-            sentinel = np.broadcast_to(p * part_den, (1, part_num.shape[1]))[0]
+            part_num = num[:, part]
+            near = r + p * _round_half_up(part_num - r * den, step)
+            resid = part_num - near * den
             dist = _distances(resid * resid, words)
             alive = dist == dist.min(axis=0)
             tied = np.flatnonzero(alive.sum(axis=0) > 1)
             for i in range(n):
                 if not tied.size:
                     break
-                col = np.where(alive[:, tied], resid[words[:, i, None], i, tied], sentinel[tied])
+                col = np.where(alive[:, tied], resid[words[:, i, None], i, tied], sentinel)
                 alive[:, tied] &= col == col.min(axis=0)
                 tied = tied[alive[:, tied].sum(axis=0) > 1]
             best = alive.argmax(axis=0)

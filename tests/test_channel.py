@@ -32,7 +32,6 @@ from latsec import (
     random_unimodular,
     stage_condition_witnesses,
     sum_structure,
-    transmit,
 )
 from latsec import channel, lattices
 from latsec.channel import (
@@ -374,57 +373,6 @@ def test_trial_blocks_keep_their_pinned_digests(run, seed_at):
     assert got == BLOCK_DIGESTS[run][seed_at]
 
 
-class TestTransmit:
-    def test_noiseless_hand_example(self):
-        params = ChannelParams(
-            cross_gain=0.5, power=1.0, eve_gain=1.0, noise_var=0.0, eve_noise_var=0.0
-        )
-        y1, y2, z = transmit((1.0,), (2.0,), params, np.random.default_rng(0).standard_normal(3))
-        assert y1 == pytest.approx([2.0])
-        assert y2 == pytest.approx([2.5])
-        assert z == pytest.approx([3.0])
-
-    def test_consumes_exactly_three_noise_vectors(self):
-        # One draw of 3n normals is the three n-vectors drawn one by one:
-        # receiver 1's, receiver 2's, then the eavesdropper's.
-        params = ChannelParams(cross_gain=0.5, power=1.0, noise_var=4.0, eve_noise_var=9.0)
-        rng = np.random.default_rng(0)
-        noise = rng.standard_normal(6)
-        probe = rng.random()
-        ref = np.random.default_rng(0)
-        n1, n2, ne = (ref.standard_normal(2) for _ in range(3))
-        assert probe == ref.random()
-        x1, x2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        y1, y2, z = transmit(x1, x2, params, noise)
-        assert np.array_equal(y1, x1 + 0.5 * x2 + n1 * 2.0)
-        assert np.array_equal(y2, x2 + 0.5 * x1 + n2 * 2.0)
-        assert np.array_equal(z, (x1 + x2) + ne * 3.0)
-        with pytest.raises(DimensionMismatch):
-            transmit(x1, x2, params, noise[:5])
-
-    def test_rows_transmit_as_single_uses(self):
-        params = ChannelParams(cross_gain=0.3, power=1.0, eve_gain=2.0)
-        rng = np.random.default_rng(4)
-        x1, x2, noise = rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), rng.normal(size=(5, 6))
-        batch = transmit(x1, x2, params, noise)
-        for i in range(5):
-            for got, want in zip(batch, transmit(x1[i], x2[i], params, noise[i])):
-                assert np.array_equal(got[i], want)
-
-    def test_eavesdropper_gain_scales_only_the_tap(self):
-        params_b1 = ChannelParams(
-            cross_gain=0.5, power=1.0, eve_gain=1.0, noise_var=0.0, eve_noise_var=0.0
-        )
-        params_b10 = ChannelParams(
-            cross_gain=0.5, power=1.0, eve_gain=10.0, noise_var=0.0, eve_noise_var=0.0
-        )
-        noise = np.random.default_rng(0).standard_normal(3)
-        y1a, y2a, za = transmit((1.0,), (2.0,), params_b1, noise)
-        y1b, y2b, zb = transmit((1.0,), (2.0,), params_b10, noise)
-        assert np.array_equal(y1a, y1b) and np.array_equal(y2a, y2b)
-        assert zb == pytest.approx(10.0 * za)
-
-
 class TestDitheredEncoding:
     def test_exact_dither_cancels_modulo_coarse(self):
         cb = codebook(3, ((1, 0), (0, 1)))
@@ -441,25 +389,19 @@ class TestDitheredEncoding:
 
     def test_float_dither_round_trips_through_the_channel(self):
         # One weak trial by hand: the first trial's draws, encode by the
-        # fold, then the channel, given the 3n normals transmit takes:
-        # receiver 1's drawn ones, then 2n more for receiver 2 and the
-        # eavesdropper, which the runs do not draw; the folded signal minus
-        # the dither is the codeword modulo the coarse lattice.
+        # fold, then receiver 1's channel, y1 = x1 + a x2 + sqrt(N) z1,
+        # written out here; the folded signal minus the dither is the
+        # codeword modulo the coarse lattice.
         cb = codebook(2, ((1, 0), (0, 1)))
         lat = cb.lattice
-        params = ChannelParams(
-            cross_gain=0.5, power=1.0, noise_var=0.0, eve_noise_var=0.0
-        )
+        params = ChannelParams(cross_gain=0.5, power=1.0, noise_var=0.25)
         m1, m2, uniforms, noise = run_draws(1, 5, (len(cb),), 2, True)
         m = [int(m1[0, 0]), int(m2[0, 0])]
         u = dither_rows(lat, uniforms[:, 0])
         x = lat.mod_coarse(cb.float_matrix()[m] + u)
         assert ((-0.5 <= x) & (x < 0.5)).all()
-        normals = np.concatenate([noise[0], np.random.default_rng(5).standard_normal(4)])
-        y1, y2, z = transmit(x[0], x[1], params, normals)
-        assert y1 == pytest.approx(x[0] + 0.5 * x[1])
-        assert y2 == pytest.approx(x[1] + 0.5 * x[0])
-        assert z == pytest.approx(x[0] + x[1])
+        y1 = channel._received_1(x[0], x[1], params, noise[0])
+        assert np.array_equal(y1, x[0] + 0.5 * x[1] + 0.5 * noise[0])
         back = lat.mod_coarse(x - u)
         assert back == pytest.approx(lat.mod_coarse(cb.float_matrix()[m]), abs=1e-12)
 
@@ -1131,11 +1073,14 @@ class TestStageConditions:
     ])
     def test_non_finite_gain_and_noise_rejected(self, cross_gain, noise_var, field):
         # an infinite gain used to report required nan, and an infinite
-        # noise variance made stage 1 of [inf] inf / inf
-        for witness in (stage_condition_witnesses, check_stage_conditions):
+        # noise variance made stage 1 of [inf] inf / inf; a NaN or infinite
+        # gain then read "a^2 overflows a float"
+        for witness in (stage_condition_witnesses, check_stage_conditions,
+                        lambda _, a, nv: classify_regime(a, 1.0, nv)):
             with pytest.raises(ValidationError) as exc:
                 witness([math.inf], cross_gain, noise_var)
             assert exc.value.field == field
+            assert "finite" in str(exc.value) and "overflow" not in str(exc.value)
 
     def test_an_unscaled_layer_keeps_its_infinite_power(self):
         assert stage_condition_witnesses([math.inf], 2.0, 0.0)[0]["vacuous_zero_noise"]
@@ -1157,6 +1102,10 @@ class TestStageConditions:
             with pytest.raises(ValidationError):
                 check_stage_conditions([1.0], a)
         assert stage_condition_witnesses([1.0], 1e154)[0]["a_squared"] == 1e154**2
+        with pytest.raises(ValidationError, match=r"^cross gain 1e\+200: a\^2 overflows a float$"):
+            stage_condition_witnesses([1.0], 1e200)
+        with pytest.raises(ValidationError, match=r"^cross gain 1e\+200: a\^3 overflows a float$"):
+            classify_regime(1e200, 1.0)
 
 
 class TestLayeredDecoder:

@@ -615,9 +615,13 @@ class TestFloatFilters:
         fallback = [row for dtype, rows in seen for row in rows]
         assert all(dtype == np.dtype(object) for dtype, _ in seen)
         assert 0 < len(fallback) < 2 * len(x)
-        # a row more than 2^50 fine steps out is past the filters' reach
-        past = [row for row in x.tolist() if max(map(abs, row)) * lat.p > (2**50 + 1) * lat.scale]
-        assert past and all(row in fallback for row in past)
+        # a row more than 2^50 coarse or fine steps out is past the reach of
+        # each filter it meets there, certified by its margin or not
+        for call, step in (("mod_coarse", lat.scale), ("quantize_fine", lat.unit)):
+            del seen[:]
+            getattr(lat, call)(x)
+            past = [row for row in x.tolist() if max(map(abs, row)) > (2**50 + 1) * step]
+            assert past and all(row in seen[0][1] for row in past)
 
     @pytest.mark.parametrize("kind", ["coarse", "residue", "gap"])
     def test_rows_within_the_bounds_take_the_exact_path(self, monkeypatch, kind):
@@ -643,6 +647,24 @@ class TestFloatFilters:
         getattr(lat, call)(x)
         assert seen == [(np.dtype(object), [row(j) for j in js if j <= last])]
         check_float_rows(lat, x)
+
+    def test_a_margin_at_the_bound_is_not_certified(self, monkeypatch):
+        # with the unit roundoff taken as 2^-4 / 3, 3u is 1/16 and every
+        # float below is exact: an integer z is its own candidate, so its
+        # margin is 1/2 against the bound e = (|z| + 1) / 16: at |z| = 7 the
+        # two are equal, at |z| = 6 the margin clears the bound, at |z| = 8
+        # it falls short. _round_to_coset
+        # decides the coarse index and every fine residue, and a margin
+        # equal to its bound is not certified.
+        monkeypatch.setattr(lattices, "_ROUNDOFF", 2.0**-4 / 3)
+        assert 3 * lattices._ROUNDOFF == 1 / 16
+        x = np.array([[6.0], [7.0], [-7.0], [8.0], [-6.0]])
+        _, _, sure, e = lattices._round_to_coset(x, 0, 1)
+        assert sure[:, 0].tolist() == [True, False, False, False, True]
+        assert e[1:3, 0].tolist() == [0.5, 0.5]
+        seen = record_exact_rows(monkeypatch)
+        assert np.array_equal(lat_1d().mod_coarse(x), np.zeros_like(x))
+        assert seen == [(np.dtype(object), [[7.0], [-7.0], [8.0]])]
 
     def test_empty_float_batch(self):
         lat = ConstructionALattice(*NON_DYADIC_CASES[0])
@@ -1420,6 +1442,24 @@ class TestRowDtypeBound:
         lat.quantize_fine(lat.mod_coarse(np.array([[0.1], [0.8], [-2.9]])))
         assert len(seen) == 2
 
+    def test_uncertified_float_rows_share_one_denominator(self, monkeypatch):
+        # p = 2 over unit 1: an odd integer lies on a half step of residue
+        # 0's coset and of the coarse grid 2 Z, so no row is certified. The
+        # rows' dyadic denominators are 4, 2^54 and 1, the largest not in
+        # the first row; they share the lcm of all of them, and each row
+        # gets the oracle's fold and fine point
+        lat = ConstructionALattice(2, ((1,), (1,)), None, 2)
+        x = np.array([[1.0, 0.25], [1.0, 0.3], [-3.0, 5.0]])
+        num, den = lat._unit_rows(x)
+        assert den.shape == (1, 1) and num.dtype == den.dtype == np.dtype(object)
+        assert den[0, 0] == math.lcm(*(Fraction(v).denominator for v in x.ravel().tolist()))
+        assert [[Fraction(a, den[0, 0]) for a in row] for row in num.tolist()] == [
+            [Fraction(v) for v in row] for row in x.tolist()
+        ]
+        seen = record_exact_rows(monkeypatch)
+        check_float_rows(lat, x)
+        assert seen == [(np.dtype(object), x.tolist())] * 2
+
     def test_chunked_rows_match_one_block(self, monkeypatch):
         # more rows than one block takes, on half steps, where the least
         # distance is often tied, in int64 and past the int64 bound (the
@@ -1445,3 +1485,37 @@ class TestRowDtypeBound:
                 ties += len(winners) > 1
             assert ties >= 4
         assert seen == [np.dtype(np.int64)] * 4 + [np.dtype(object)] * 4
+
+
+# the 17 standard-grid shapes with k = n: C' is all of GF(p)^n
+K_EQUALS_N = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 6)] + [
+    (p, n) for p in (5, 7) for n in range(1, 4)
+]
+
+
+class TestKEqualsNRounds:
+    """When k = n, every residue vector is a codeword, so the fine lattice
+    is Z^n over the unit scale / p and quantize_fine rounds each coordinate
+    to the nearest multiple of the unit, halves up (_exact_fine's docstring
+    gives the reason): checked against floor(x / unit + 1/2) in Fractions,
+    on PointGrids over half the unit and on float rows on and within 1e-13
+    units of its half steps."""
+
+    @pytest.mark.parametrize("p, n", K_EQUALS_N)
+    def test_quantize_fine_rounds_each_coordinate(self, p, n):
+        # the unit 1/4 puts every half step on a float; 5 / (3 p) puts none
+        assert len(K_EQUALS_N) == 17
+        for draw in range(2):
+            for scale in (Fraction(p, 4), Fraction(5, 3)):
+                lat = GridPoint(p, n, n, draw).build_lattice(scale)
+                rng = np.random.default_rng([p, n, draw, scale.denominator])
+                coords = rng.integers(-6 * p, 6 * p, size=(300, n))
+                got = lat.quantize_fine(PointGrid(lat.unit / 2, coords))
+                assert got.coords.tolist() == ((coords + 1) // 2).tolist()
+                steps = rng.integers(-3 * p, 3 * p, size=(300, n)) + 0.5
+                side = rng.choice([-1e-13, 0.0, 1e-13], size=(300, n))
+                off = side * np.where(rng.random((300, n)) < 0.5, 1.0, rng.random((300, n)))
+                x = (steps + off) * float(lat.unit)
+                want = [[math.floor(Fraction(v) / lat.unit + Fraction(1, 2)) for v in row]
+                        for row in x.tolist()]
+                assert lat.quantize_fine(x).coords.tolist() == want
